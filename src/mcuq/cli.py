@@ -179,22 +179,29 @@ def build_parser() -> _Parser:
     pt.add_argument("--batch-size", type=int, default=32)
     pt.add_argument("--out-checkpoint", required=True)
     _add_common(pt)
+    p.commands = sub.choices  # subcommand parsers, by name
     return p
 
 
-def _merge_config(args: argparse.Namespace) -> dict:
-    """Flags win over --config file values, which win over parser defaults."""
-    d = vars(args)
+def _parse_args(parser: _Parser, argv=None) -> dict:
+    """Flags win over --config file values, which win over parser defaults.
+
+    The file's values become the subcommand's defaults and the command line
+    is parsed again, so only flags actually given override them.
+    """
+    d = vars(parser.parse_args(argv))
     if d.get("config"):
         try:
             with open(d["config"], "r", encoding="utf-8") as f:
                 file_cfg = json.load(f)
         except (OSError, json.JSONDecodeError) as e:
             raise DatasetError(f"cannot read config file: {e}") from e
-        for k, v in file_cfg.items():
-            key = k.replace("-", "_")
-            if key in d and d[key] in (None, False):
-                d[key] = v
+        if not isinstance(file_cfg, dict):
+            raise DatasetError("config file must hold a JSON object")
+        keys = {k.replace("-", "_"): v for k, v in file_cfg.items()}
+        parser.commands[d["command"]].set_defaults(
+            **{k: v for k, v in keys.items() if k in d and k not in ("command", "config")})
+        d = vars(parser.parse_args(argv))
     if d.get("seed") is None:
         d["seed"] = _env_seed()
     return d
@@ -291,7 +298,7 @@ def cmd_finetune(a: dict, started: float) -> int:
         ranges = calibrate_act_ranges(g, weights, dataset.train[0][:256])
     tc = qat.TrainConfig(epochs=a["epochs"], lr=a["lr"],
                          batch_size=a["batch_size"], seed=a["seed"])
-    weights, ranges, top1 = qat.finetune(g, weights, policy, ranges, dataset, tc)
+    weights, ranges, top1 = qat.train_qat(g, weights, policy, ranges, dataset, tc)
     qat.save_checkpoint(a["out_checkpoint"], weights, ranges)
     if a.get("out_model"):
         save_packed(build_packed_model(g, weights, policy, ranges), a["out_model"])
@@ -374,9 +381,8 @@ def main(argv=None) -> int:
     started = time.time()
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-        merged = _merge_config(args)
-        return _COMMANDS[merged["command"]](merged, started)
+        args = _parse_args(parser, argv)
+        return _COMMANDS[args["command"]](args, started)
     except _UsageError as e:
         print(f"usage error: {e}", file=sys.stderr)
         return EXIT_USAGE

@@ -46,6 +46,16 @@ class Dataset:
     def val(self) -> tuple[np.ndarray, np.ndarray]:
         return self.images[self.n_train:], self.labels[self.n_train:]
 
+    def split(self, name: str) -> tuple[np.ndarray, np.ndarray]:
+        """Images and labels of the "train", "val" or "all" split."""
+        if name == "train":
+            return self.train
+        if name == "val":
+            return self.val
+        if name == "all":
+            return self.images, self.labels
+        raise DatasetError(f"unknown split {name!r}; expected train, val or all")
+
 
 def make_proxy(d: Dataset, n_train: int, n_val: int, seed: int) -> Dataset:
     """Random disjoint proxy subsets, train drawn from train and val from val."""

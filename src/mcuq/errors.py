@@ -28,7 +28,7 @@ class InfeasibleBudgetError(McuqError, RuntimeError):
 
 
 class PackFormatError(McuqError, ValueError):
-    """Packed value out of range, or a malformed packed-model binary."""
+    """Packed value out of range, or a malformed packed-model or checkpoint binary."""
 
 
 class ModelMismatchError(McuqError, ValueError):
@@ -36,7 +36,7 @@ class ModelMismatchError(McuqError, ValueError):
 
 
 class AccumulatorOverflowError(McuqError, ArithmeticError):
-    """A 32-bit integer accumulator overflowed in checked mode."""
+    """A 32-bit integer accumulator overflowed."""
 
 
 class TrainingDivergedError(McuqError, RuntimeError):

@@ -10,6 +10,7 @@ footprint -- reproducible.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 
 from .errors import GraphValidationError
@@ -44,6 +45,19 @@ class LayerSpec:
     def out_numel(self) -> int:
         c, h, w = self.output_shape
         return c * h * w
+
+    @property
+    def weight_shape(self) -> tuple[int, ...]:
+        """Kernel shape of a weighted kind, output channels first; () for the rest."""
+        if self.kind == "conv2d":
+            return (self.out_channels, self.in_channels, self.kernel_h, self.kernel_w)
+        if self.kind == "depthwise_conv2d":
+            return (self.out_channels, self.kernel_h, self.kernel_w)
+        if self.kind == "pointwise_conv2d":
+            return (self.out_channels, self.in_channels)
+        if self.kind == "fully_connected":
+            return (self.out_channels, math.prod(self.input_shape))
+        return ()
 
 
 @dataclass(frozen=True)
@@ -109,15 +123,7 @@ def _conv_out_hw(h: int, w: int, kh: int, kw: int, stride: int, padding: int):
 
 
 def _expected_params(layer: LayerSpec) -> int:
-    cin = layer.in_channels
-    if layer.kind in ("conv2d", "pointwise_conv2d"):
-        return cin * layer.out_channels * layer.kernel_h * layer.kernel_w
-    if layer.kind == "depthwise_conv2d":
-        return cin * layer.kernel_h * layer.kernel_w
-    if layer.kind == "fully_connected":
-        c, h, w = layer.input_shape
-        return c * h * w * layer.out_channels
-    return 0
+    return math.prod(layer.weight_shape) if layer.kind in WEIGHTED_KINDS else 0
 
 
 def _validate_layer(layer: LayerSpec, by_id: dict[int, LayerSpec]) -> None:

@@ -1,123 +1,58 @@
 """Integer-only mixed-precision forward pass.
 
 Reference semantics for MCU backends: sub-byte codes, 32-bit accumulators
-(checked), per-channel requantization, saturating residual adds. The float
-path delegates to the training engine and exists as the accuracy reference.
+(overflow raises), per-channel requantization, saturating residual adds.
+The weighted kernels are the training engine's own linear_fwd, run on int64
+codes, so the deployed arithmetic is the arithmetic that was trained.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from . import qat
 from .errors import AccumulatorOverflowError, DatasetError, ModelMismatchError
 from .graph_ir import WEIGHTED_KINDS, NetworkGraph, topo_order
 from .packed_model import PackedLayer, PackedModel, check_model_matches
-from .quantizer import (
-    ActRange,
-    RequantParams,
-    apply_requant,
-    pack_subbyte,
-    qrange,
-    quantize_act,
-    unpack_subbyte,
-)
+from .quantizer import RequantParams, apply_requant, qrange, quantize_act
 
 INT32_MIN, INT32_MAX = -(1 << 31), (1 << 31) - 1
 
 
-@dataclass(frozen=True)
-class IntActivation:
-    """A quantized activation tensor: packed codes plus the encoding that made them."""
-    tensor_id: int
-    bits: int
-    packed: bytes
-    shape: tuple[int, ...]
-    range: ActRange
-
-    @property
-    def numel(self) -> int:
-        return int(np.prod(self.shape))
-
-    def codes(self) -> np.ndarray:
-        return unpack_subbyte(self.packed, self.bits, self.numel).reshape(self.shape)
-
-    @classmethod
-    def from_codes(cls, tensor_id: int, bits: int, codes: np.ndarray,
-                   rng: ActRange) -> "IntActivation":
-        return cls(tensor_id=tensor_id, bits=bits,
-                   packed=pack_subbyte(codes, bits, signed=False),
-                   shape=tuple(codes.shape), range=rng)
-
-
-def _check_acc(acc: np.ndarray, layer_id: int, checked: bool) -> None:
-    if checked and acc.size and (acc.min() < INT32_MIN or acc.max() > INT32_MAX):
+def _check_acc(acc: np.ndarray, layer_id: int) -> None:
+    if acc.size and (acc.min() < INT32_MIN or acc.max() > INT32_MAX):
         raise AccumulatorOverflowError(
             f"layer {layer_id}: 32-bit accumulator overflow "
             f"(range [{acc.min()}, {acc.max()}])")
 
 
-def _windows_int(x: np.ndarray, kh: int, kw: int, s: int, p: int) -> np.ndarray:
-    if p:
-        x = np.pad(x, ((0, 0), (0, 0), (p, p), (p, p)))
-    return sliding_window_view(x, (kh, kw), axis=(2, 3))[:, :, ::s, ::s]
-
-
-def _per_channel_rq(rq: RequantParams) -> RequantParams:
-    """Reshape per-channel params to broadcast over (N, C, L) accumulators."""
+def _per_channel_rq(rq: RequantParams, ndim: int) -> RequantParams:
+    """Reshape per-channel params to broadcast over (N, C, ...) accumulators."""
     m = np.atleast_1d(rq.multiplier)
     s = np.atleast_1d(rq.shift)
     if m.size == 1:
         return rq
-    return RequantParams(multiplier=m[:, None], shift=s[:, None], out_zero=rq.out_zero)
+    tail = (1,) * (ndim - 2)
+    return RequantParams(multiplier=m.reshape(-1, *tail), shift=s.reshape(-1, *tail),
+                         out_zero=rq.out_zero)
 
 
-def run_codes_layer(layer, rec: PackedLayer, in_codes: list[np.ndarray],
-                    checked: bool = True) -> np.ndarray:
+def run_codes_layer(layer, rec: PackedLayer, in_codes: list[np.ndarray]) -> np.ndarray:
     """One layer on batched integer codes (N, ...) -> output codes (N, ...)."""
     out_bits = rec.out_bits
     signed_out = out_bits == 32  # raw logits keep sign; activations are unsigned
     if layer.kind in WEIGHTED_KINDS:
         x = in_codes[0].astype(np.int64)
         w = rec.weight.codes().astype(np.int64)
-        n = x.shape[0]
-        if layer.kind == "conv2d":
-            win = _windows_int(x, layer.kernel_h, layer.kernel_w,
-                               layer.stride, layer.padding)
-            oh, ow = win.shape[2], win.shape[3]
-            cols = win.transpose(0, 1, 4, 5, 2, 3).reshape(n, -1, oh * ow)
-            acc = np.einsum("of,nfl->nol", w.reshape(w.shape[0], -1), cols,
-                            optimize=True)
-        elif layer.kind == "depthwise_conv2d":
-            win = _windows_int(x, layer.kernel_h, layer.kernel_w,
-                               layer.stride, layer.padding)
-            c, oh, ow = win.shape[1], win.shape[2], win.shape[3]
-            cols = win.reshape(n, c, oh * ow, -1)
-            acc = np.einsum("cf,nclf->ncl", w.reshape(c, -1), cols, optimize=True)
-        elif layer.kind == "pointwise_conv2d":
-            oh, ow = x.shape[2], x.shape[3]
-            acc = np.einsum("oc,nchw->nohw", w, x, optimize=True).reshape(
-                n, w.shape[0], oh * ow)
-        else:  # fully_connected
-            acc = x.reshape(n, -1) @ w.T  # (N, out)
-            acc = acc[:, :, None]
-            oh = ow = 1
-        acc = acc + rec.bias_int.astype(np.int64)[None, :, None]
-        _check_acc(acc, layer.id, checked)
-        out = apply_requant(acc, _per_channel_rq(rec.requants[0]), out_bits,
-                            signed=signed_out)
-        if layer.kind == "fully_connected":
-            return out[:, :, 0]
-        return out.reshape(n, -1, *layer.output_shape[1:])
+        acc, _ = qat.linear_fwd(layer, x, w, rec.bias_int.astype(np.int64))
+        _check_acc(acc, layer.id)
+        return apply_requant(acc, _per_channel_rq(rec.requants[0], acc.ndim), out_bits,
+                             signed=signed_out)
     if layer.kind == "avg_pool":
         x = in_codes[0].astype(np.int64)
-        win = _windows_int(x, layer.kernel_h, layer.kernel_w,
-                           layer.stride, layer.padding)
+        win = qat._windows(x, layer.kernel_h, layer.kernel_w, layer.stride, layer.padding)
         acc = win.sum(axis=(4, 5))
-        _check_acc(acc, layer.id, checked)
+        _check_acc(acc, layer.id)
         return apply_requant(acc, rec.requants[0], out_bits, signed=signed_out)
     if layer.kind == "add_residual":
         lo, hi = qrange(out_bits, signed=signed_out)
@@ -132,22 +67,7 @@ def run_codes_layer(layer, rec: PackedLayer, in_codes: list[np.ndarray],
     raise ModelMismatchError(f"layer {layer.id}: kind {layer.kind!r} is not executable")
 
 
-def run_layer_int(layer, inputs, rec: PackedLayer,
-                  out_range: ActRange | None = None,
-                  checked: bool = True) -> IntActivation:
-    """Spec-level single-layer entry point over IntActivation values."""
-    ins = inputs if isinstance(inputs, (list, tuple)) else [inputs]
-    codes = [a.codes()[None, ...] for a in ins]
-    out = run_codes_layer(layer, rec, codes, checked=checked)[0]
-    rng = out_range or ActRange(tensor_id=layer.id, clip_max=1.0)
-    if rec.out_bits == 32:
-        return IntActivation(tensor_id=layer.id, bits=32, packed=out.astype("<i4").tobytes(),
-                             shape=tuple(out.shape), range=rng)
-    return IntActivation.from_codes(layer.id, rec.out_bits, out, rng)
-
-
-def run_batch_int(g: NetworkGraph, model: PackedModel, images: np.ndarray,
-                  checked: bool = True) -> np.ndarray:
+def run_batch_int(g: NetworkGraph, model: PackedModel, images: np.ndarray) -> np.ndarray:
     """Integer forward of a float image batch; returns int32 scores (N, classes)."""
     check_model_matches(g, model)
     in_tid = g.input_layer.id
@@ -162,43 +82,28 @@ def run_batch_int(g: NetworkGraph, model: PackedModel, images: np.ndarray,
             scores = acts[layer.input_ids[0]]
         else:
             rec = model.layers[lid]
-            acts[lid] = run_codes_layer(layer, rec,
-                                        [acts[t] for t in layer.input_ids], checked)
+            acts[lid] = run_codes_layer(layer, rec, [acts[t] for t in layer.input_ids])
     if scores is None:
         raise ModelMismatchError("graph has no output layer")
     return scores
 
 
-def run_network_int(g: NetworkGraph, model: PackedModel, image: np.ndarray,
-                    checked: bool = True) -> tuple[np.ndarray, int]:
+def run_network_int(g: NetworkGraph, model: PackedModel,
+                    image: np.ndarray) -> tuple[np.ndarray, int]:
     """Single-image integer inference: (int32 class scores, argmax)."""
-    scores = run_batch_int(g, model, image[None, ...], checked=checked)[0]
+    scores = run_batch_int(g, model, image[None, ...])[0]
     return scores, int(scores.argmax())
-
-
-def run_network_float(g: NetworkGraph, weights: dict, image: np.ndarray,
-                      policy=None, ranges=None) -> np.ndarray:
-    """Float (optionally fake-quant) forward of one image; returns logits."""
-    logits, _ = qat.forward_network(g, weights, image[None, ...],
-                                    policy=policy, ranges=ranges)
-    return logits[0]
 
 
 def evaluate_accuracy(g: NetworkGraph, dataset, model: PackedModel | None = None,
                       weights: dict | None = None, policy=None, ranges=None,
-                      split: str = "val", batch: int = 128,
-                      checked: bool = True) -> tuple[float, list[dict]]:
+                      split: str = "val", batch: int = 128) -> tuple[float, list[dict]]:
     """Top-1 over a dataset split plus per-class rows for the report CSV.
 
     Scores the packed integer model when one is given, the (fake-quant)
     float model otherwise.
     """
-    if split == "val":
-        images, labels = dataset.val
-    elif split == "train":
-        images, labels = dataset.train
-    else:
-        images, labels = dataset.images, dataset.labels
+    images, labels = dataset.split(split)
     if len(images) == 0:
         raise DatasetError("cannot evaluate on an empty split")
     n_classes = int(labels.max()) + 1
@@ -208,7 +113,7 @@ def evaluate_accuracy(g: NetworkGraph, dataset, model: PackedModel | None = None
         xb = images[start:start + batch]
         yb = labels[start:start + batch]
         if model is not None:
-            pred = run_batch_int(g, model, xb, checked=checked).argmax(axis=1)
+            pred = run_batch_int(g, model, xb).argmax(axis=1)
         else:
             logits, _ = qat.forward_network(g, weights, xb, policy=policy, ranges=ranges)
             pred = logits.argmax(axis=1)

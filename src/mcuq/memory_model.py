@@ -138,10 +138,9 @@ def rom_footprint(g: NetworkGraph, p: QuantPolicy,
     return report
 
 
-def ram_footprint(g: NetworkGraph, p: QuantPolicy) -> FootprintReport:
-    report = FootprintReport()
-    order = topo_order(g)
-    live = liveness(g)
+def _fill_ram(report: FootprintReport, g: NetworkGraph, p: QuantPolicy,
+              order: list[int], live: list[frozenset[int]]) -> FootprintReport:
+    """Per-step RAM and its peak, given the schedule and its liveness table."""
     report.step_layer_ids = order
     for lid, tensors in zip(order, live):
         step_bytes = sum(tensor_ram_bytes(g, p, t) for t in sorted(tensors))
@@ -152,15 +151,14 @@ def ram_footprint(g: NetworkGraph, p: QuantPolicy) -> FootprintReport:
     return report
 
 
+def ram_footprint(g: NetworkGraph, p: QuantPolicy) -> FootprintReport:
+    return _fill_ram(FootprintReport(), g, p, topo_order(g), liveness(g))
+
+
 def footprint(g: NetworkGraph, p: QuantPolicy,
               include_overheads: bool = True) -> FootprintReport:
-    rom = rom_footprint(g, p, include_overheads)
-    ram = ram_footprint(g, p)
-    rom.ram_peak = ram.ram_peak
-    rom.ram_peak_step = ram.ram_peak_step
-    rom.per_step_ram = ram.per_step_ram
-    rom.step_layer_ids = ram.step_layer_ids
-    return rom
+    return _fill_ram(rom_footprint(g, p, include_overheads), g, p,
+                     topo_order(g), liveness(g))
 
 
 def check_constraints(g: NetworkGraph, p: QuantPolicy, b: MemoryBudget,
@@ -200,12 +198,12 @@ def enforce_rom(g: NetworkGraph, p: QuantPolicy, b: MemoryBudget,
 def enforce_ram(g: NetworkGraph, p: QuantPolicy, b: MemoryBudget) -> QuantPolicy:
     """Demote the largest non-frozen activation tensor live at the peak step until RAM fits."""
     out = p.copy()
+    order, live = topo_order(g), liveness(g)
     while True:
-        report = ram_footprint(g, out)
+        report = _fill_ram(FootprintReport(), g, out, order, live)
         if report.ram_peak <= b.ram_bytes:
             return out
-        step = report.step_layer_ids.index(report.ram_peak_step)
-        peak_tensors = liveness(g)[step]
+        peak_tensors = live[order.index(report.ram_peak_step)]
         candidates = [
             (t, tensor_ram_bytes(g, out, t), out.act_bits[t])
             for t in sorted(peak_tensors)

@@ -25,10 +25,11 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import ModelMismatchError, PackFormatError, PolicyError
-from .graph_ir import COMPUTE_KINDS, WEIGHTED_KINDS, ALL_KINDS, NetworkGraph
+from .graph_ir import COMPUTE_KINDS, WEIGHTED_KINDS, NetworkGraph
 from .memory_model import QuantPolicy, validate_policy
 from .quantizer import (
     ActRange,
+    ByteReader,
     QuantizedTensor,
     RequantParams,
     SUB_BYTE_BITS,
@@ -40,7 +41,11 @@ from .quantizer import (
 MAGIC = b"MPQ1"
 VERSION = 1
 
-_KIND_CODE = {k: i for i, k in enumerate(ALL_KINDS)}
+# Pinned by the file format: a new kind takes a new code, never an old one.
+_KIND_CODE = {
+    "conv2d": 0, "depthwise_conv2d": 1, "pointwise_conv2d": 2, "fully_connected": 3,
+    "add_residual": 4, "avg_pool": 5, "relu_clip": 6, "input": 7, "output": 8,
+}
 _CODE_KIND = {i: k for k, i in _KIND_CODE.items()}
 
 INT32_MIN, INT32_MAX = -(1 << 31), (1 << 31) - 1
@@ -103,6 +108,7 @@ def build_packed_model(g: NetworkGraph, weights: dict, policy: QuantPolicy,
         if layer.kind not in COMPUTE_KINDS and layer.kind != "relu_clip":
             continue
         rec = PackedLayer(layer_id=layer.id, kind=layer.kind)
+        s_ins = [scale_of(t) for t in layer.input_ids]
         if layer.kind in WEIGHTED_KINDS:
             wbits = policy.weight_bits[layer.id]
             if wbits not in SUB_BYTE_BITS:
@@ -111,53 +117,25 @@ def build_packed_model(g: NetworkGraph, weights: dict, policy: QuantPolicy,
             # scales ride along as f32 in the container; round here so the
             # requants below derive from exactly what a loaded model holds
             qw = replace(qw, scales=np.float32(qw.scales).astype(np.float64))
-            s_in = scale_of(layer.input_ids[0])
-            acc_scales = s_in * qw.scales
+            acc_scales = s_ins[0] * qw.scales
             rec.weight_bits = wbits
             rec.weight = qw
             rec.bias_int = _bias_int(weights[layer.id]["b"], acc_scales)
-            if layer.id in encoded:
-                rec.out_bits = act_bits[layer.id]
-                s_out = scale_of(layer.id)
-            else:
-                # classifier logits stay wide; shared scale keeps argmax exact
-                rec.out_bits = 32
-                s_out = float(acc_scales.max())
-                model.logits_scale = s_out
-            rec.requants = (compute_requant(s_in, qw.scales, s_out),)
-        elif layer.kind == "avg_pool":
-            s_in = scale_of(layer.input_ids[0])
-            inv_area = 1.0 / (layer.kernel_h * layer.kernel_w)
-            if layer.id in encoded:
-                rec.out_bits = act_bits[layer.id]
-                s_out = scale_of(layer.id)
-            else:  # pool feeding the output head: stay wide at the input scale
-                rec.out_bits = 32
-                s_out = s_in
-                model.logits_scale = s_out
-            rec.requants = (compute_requant(s_in, np.array([inv_area]), s_out),)
-        elif layer.kind == "add_residual":
-            s_ins = [scale_of(t) for t in layer.input_ids]
-            if layer.id in encoded:
-                rec.out_bits = act_bits[layer.id]
-                s_out = scale_of(layer.id)
-            else:
-                rec.out_bits = 32
-                s_out = max(s_ins)  # both ratios <= 1, always representable
-                model.logits_scale = s_out
-            rec.requants = tuple(
-                compute_requant(s, np.array([1.0]), s_out) for s in s_ins
-            )
-        else:  # relu_clip: pure re-encode
-            s_in = scale_of(layer.input_ids[0])
-            if layer.id in encoded:
-                rec.out_bits = act_bits[layer.id]
-                s_out = scale_of(layer.id)
-            else:  # identity requant, codes pass through wide
-                rec.out_bits = 32
-                s_out = s_in
-                model.logits_scale = s_out
-            rec.requants = (compute_requant(s_in, np.array([1.0]), s_out),)
+            ratios = qw.scales
+            # classifier logits stay wide; a shared scale keeps argmax exact
+            wide_scale = float(acc_scales.max())
+        else:
+            area = layer.kernel_h * layer.kernel_w if layer.kind == "avg_pool" else 1
+            ratios = np.array([1.0 / area])
+            # a wide output keeps the (largest) input scale; every ratio stays <= 1
+            wide_scale = max(s_ins)
+        if layer.id in encoded:
+            rec.out_bits = act_bits[layer.id]
+            s_out = scale_of(layer.id)
+        else:  # feeds the output sink: codes stay wide
+            rec.out_bits = 32
+            s_out = model.logits_scale = wide_scale
+        rec.requants = tuple(compute_requant(s, ratios, s_out) for s in s_ins)
         model.layers[layer.id] = rec
     # f32 like the clips, so a deserialized model is bit-identical
     model.logits_scale = float(np.float32(model.logits_scale))
@@ -201,24 +179,8 @@ def serialize(model: PackedModel) -> bytes:
     return bytes(out)
 
 
-class _Reader:
-    def __init__(self, data: bytes):
-        self.data = data
-        self.pos = 0
-
-    def take(self, n: int) -> bytes:
-        if self.pos + n > len(self.data):
-            raise PackFormatError("truncated packed-model file")
-        chunk = self.data[self.pos:self.pos + n]
-        self.pos += n
-        return chunk
-
-    def unpack(self, fmt: str):
-        return struct.unpack(fmt, self.take(struct.calcsize(fmt)))
-
-
 def deserialize(data: bytes) -> PackedModel:
-    r = _Reader(data)
+    r = ByteReader(data, "packed-model file")
     if r.take(4) != MAGIC:
         raise PackFormatError("not a packed model (bad magic)")
     version, graph_layers = r.unpack("<II")
@@ -263,8 +225,7 @@ def deserialize(data: bytes) -> PackedModel:
                                          scales=scales, signed=True)
             rec.bias_int = bias
         model.layers[lid] = rec
-    if r.pos != len(data):
-        raise PackFormatError("trailing bytes after packed model")
+    r.finish()
     return model
 
 
@@ -295,10 +256,6 @@ def check_model_matches(g: NetworkGraph, model: PackedModel) -> None:
         if rec.kind != layer.kind:
             raise ModelMismatchError(
                 f"layer {layer.id}: model kind {rec.kind!r} != graph kind {layer.kind!r}")
-        if layer.kind in WEIGHTED_KINDS:
-            if rec.weight is None or rec.weight.numel != layer.param_count:
-                raise ModelMismatchError(
-                    f"layer {layer.id}: weight payload does not match param count")
-            if rec.weight.shape[0] != layer.out_channels:
-                raise ModelMismatchError(
-                    f"layer {layer.id}: weight channels != out_channels")
+        if layer.kind in WEIGHTED_KINDS and (
+                rec.weight is None or tuple(rec.weight.shape) != layer.weight_shape):
+            raise ModelMismatchError(f"layer {layer.id}: weight shape does not match the graph")

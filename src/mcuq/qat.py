@@ -8,6 +8,7 @@ clip window, unit gradient to the clip where the input saturates).
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass
 
@@ -15,9 +16,9 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .data import Dataset
-from .errors import PolicyError, TrainingDivergedError
+from .errors import PackFormatError, PolicyError, TrainingDivergedError
 from .graph_ir import WEIGHTED_KINDS, NetworkGraph, topo_order
-from .quantizer import ActRange, fake_quant_weights, round_half_away
+from .quantizer import ActRange, ByteReader, fake_quant_act, fake_quant_weights
 
 # kinds whose float-mode output passes through a plain ReLU
 _RELU_KINDS = WEIGHTED_KINDS + ("relu_clip",)
@@ -44,20 +45,8 @@ def init_weights(g: NetworkGraph, seed: int = 0) -> dict[int, dict[str, np.ndarr
     rng = np.random.default_rng(seed)
     weights = {}
     for layer in g.weighted_layers():
-        if layer.kind == "conv2d":
-            shape = (layer.out_channels, layer.in_channels, layer.kernel_h, layer.kernel_w)
-            fan_in = layer.in_channels * layer.kernel_h * layer.kernel_w
-        elif layer.kind == "depthwise_conv2d":
-            shape = (layer.out_channels, layer.kernel_h, layer.kernel_w)
-            fan_in = layer.kernel_h * layer.kernel_w
-        elif layer.kind == "pointwise_conv2d":
-            shape = (layer.out_channels, layer.in_channels)
-            fan_in = layer.in_channels
-        else:  # fc
-            c, h, w = layer.input_shape
-            shape = (layer.out_channels, c * h * w)
-            fan_in = c * h * w
-        std = float(np.sqrt(2.0 / fan_in))
+        shape = layer.weight_shape
+        std = float(np.sqrt(2.0 / math.prod(shape[1:])))
         weights[layer.id] = {
             "w": rng.normal(0.0, std, size=shape).astype(np.float32),
             "b": np.zeros(layer.out_channels, dtype=np.float32),
@@ -97,76 +86,124 @@ def _scatter_windows(dwin: np.ndarray, x_shape: tuple, kh: int, kw: int,
     return dxp[:, :, p:p + h, p:p + w] if p else dxp
 
 
-def _conv2d_fwd(x, w, b, layer):
-    win = _windows(x, layer.kernel_h, layer.kernel_w, layer.stride, layer.padding)
-    n, _, oh, ow = win.shape[:4]
-    cols = win.transpose(0, 1, 4, 5, 2, 3).reshape(n, -1, oh * ow)
-    w2 = w.reshape(w.shape[0], -1)
-    out = np.einsum("of,nfl->nol", w2, cols, optimize=True)
-    out = out.reshape(n, w.shape[0], oh, ow) + b[None, :, None, None]
-    return out, cols
+def linear_fwd(layer, x: np.ndarray, w: np.ndarray, b: np.ndarray):
+    """One weighted layer, z = w * x + b, in the dtype of its operands.
+
+    Serves the float32 training forward and, on int64 codes, the integer
+    accumulator of the deployed model. Returns (z, cols): cols is the input
+    as the kernel's operand (im2col windows for convolutions), which
+    linear_bwd needs.
+    """
+    n = x.shape[0]
+    if layer.kind == "conv2d":
+        win = _windows(x, layer.kernel_h, layer.kernel_w, layer.stride, layer.padding)
+        oh, ow = win.shape[2], win.shape[3]
+        cols = win.transpose(0, 1, 4, 5, 2, 3).reshape(n, -1, oh * ow)
+        z = np.einsum("of,nfl->nol", w.reshape(w.shape[0], -1), cols, optimize=True)
+        return z.reshape(n, w.shape[0], oh, ow) + b[None, :, None, None], cols
+    if layer.kind == "depthwise_conv2d":
+        win = _windows(x, layer.kernel_h, layer.kernel_w, layer.stride, layer.padding)
+        c, oh, ow = win.shape[1], win.shape[2], win.shape[3]
+        cols = win.reshape(n, c, oh * ow, -1)  # (N, C, L, kh*kw)
+        z = np.einsum("cf,nclf->ncl", w.reshape(c, -1), cols, optimize=True)
+        return z.reshape(n, c, oh, ow) + b[None, :, None, None], cols
+    if layer.kind == "pointwise_conv2d":
+        return np.einsum("oc,nchw->nohw", w, x, optimize=True) + b[None, :, None, None], x
+    cols = x.reshape(n, -1)  # fully_connected over the flattened input
+    return cols @ w.T + b, cols
 
 
-def _conv2d_bwd(dy, cols, w, x_shape, layer):
-    n, cout, oh, ow = dy.shape
-    dyf = dy.reshape(n, cout, oh * ow)
-    w2 = w.reshape(cout, -1)
-    dw = np.einsum("nol,nfl->of", dyf, cols, optimize=True).reshape(w.shape)
-    db = dyf.sum(axis=(0, 2))
-    dcols = np.einsum("of,nol->nfl", w2, dyf, optimize=True)
-    kh, kw = layer.kernel_h, layer.kernel_w
-    dwin = dcols.reshape(n, x_shape[1], kh, kw, oh, ow).transpose(0, 1, 4, 5, 2, 3)
-    dx = _scatter_windows(dwin, x_shape, kh, kw, layer.stride, layer.padding)
-    return dx, dw, db
-
-
-def _depthwise_fwd(x, w, b, layer):
-    win = _windows(x, layer.kernel_h, layer.kernel_w, layer.stride, layer.padding)
-    n, c, oh, ow = win.shape[:4]
-    cols = win.reshape(n, c, oh * ow, -1)  # (N, C, L, kh*kw)
+def linear_bwd(layer, dz: np.ndarray, cols: np.ndarray, w: np.ndarray, x_shape: tuple):
+    """Adjoint of linear_fwd: (dx, dw, db) given dL/dz and the saved cols."""
+    if layer.kind == "pointwise_conv2d":
+        dw = np.einsum("nohw,nchw->oc", dz, cols, optimize=True)
+        return np.einsum("oc,nohw->nchw", w, dz, optimize=True), dw, dz.sum(axis=(0, 2, 3))
+    if layer.kind == "fully_connected":
+        return (dz @ w).reshape(x_shape), dz.T @ cols, dz.sum(axis=0)
+    n, c, oh, ow = dz.shape
+    dzf = dz.reshape(n, c, oh * ow)
     w2 = w.reshape(c, -1)
-    out = np.einsum("cf,nclf->ncl", w2, cols, optimize=True)
-    out = out.reshape(n, c, oh, ow) + b[None, :, None, None]
-    return out, cols
-
-
-def _depthwise_bwd(dy, cols, w, x_shape, layer):
-    n, c, oh, ow = dy.shape
-    dyf = dy.reshape(n, c, oh * ow)
-    w2 = w.reshape(c, -1)
-    dw = np.einsum("ncl,nclf->cf", dyf, cols, optimize=True).reshape(w.shape)
-    db = dyf.sum(axis=(0, 2))
-    dcols = np.einsum("cf,ncl->nclf", w2, dyf, optimize=True)
     kh, kw = layer.kernel_h, layer.kernel_w
-    dwin = dcols.reshape(n, c, oh, ow, kh, kw)
+    if layer.kind == "conv2d":
+        dw = np.einsum("nol,nfl->of", dzf, cols, optimize=True).reshape(w.shape)
+        dcols = np.einsum("of,nol->nfl", w2, dzf, optimize=True)
+        dwin = dcols.reshape(n, x_shape[1], kh, kw, oh, ow).transpose(0, 1, 4, 5, 2, 3)
+    else:  # depthwise_conv2d
+        dw = np.einsum("ncl,nclf->cf", dzf, cols, optimize=True).reshape(w.shape)
+        dcols = np.einsum("cf,ncl->nclf", w2, dzf, optimize=True)
+        dwin = dcols.reshape(n, c, oh, ow, kh, kw)
     dx = _scatter_windows(dwin, x_shape, kh, kw, layer.stride, layer.padding)
-    return dx, dw, db
-
-
-def _avgpool_fwd(x, layer):
-    win = _windows(x, layer.kernel_h, layer.kernel_w, layer.stride, layer.padding)
-    return win.mean(axis=(4, 5))
-
-
-def _avgpool_bwd(dy, x_shape, layer):
-    kh, kw = layer.kernel_h, layer.kernel_w
-    dwin = np.broadcast_to((dy / (kh * kw))[:, :, :, :, None, None],
-                           dy.shape + (kh, kw))
-    return _scatter_windows(dwin, x_shape, kh, kw, layer.stride, layer.padding)
+    return dx, dw, dzf.sum(axis=(0, 2))
 
 
 # ---------------------------------------------------------------------------
 # Network forward/backward
 # ---------------------------------------------------------------------------
 
-def _fake_quant_act_cached(x, clip_max, bits):
-    """fake_quant_act plus the masks the backward pass needs."""
-    scale = clip_max / ((1 << bits) - 1)
-    over = x >= clip_max
-    inside = (x > 0) & ~over
-    xc = np.clip(x, 0.0, clip_max)
-    y = round_half_away(xc / scale) * scale
-    return y.astype(np.float32), inside, over
+def _pact_masks(z: np.ndarray, clip_max: float) -> tuple[np.ndarray, np.ndarray]:
+    """Where the activation fake-quantizer passes the gradient to z (inside the
+    clip window) and where it passes it to the clip (saturated)."""
+    over = z >= clip_max
+    return (z > 0) & ~over, over
+
+
+def _walk(g: NetworkGraph, weights: dict, x: np.ndarray, policy=None,
+          ranges: dict[int, ActRange] | None = None,
+          cache: list | None = None) -> dict[int, np.ndarray]:
+    """Every activation of the network on a batch, by tensor id (see
+    forward_network). When cache is a list, each layer appends what
+    backward_network needs to it."""
+    encoded = set(g.encoded_tensors())
+    acts: dict[int, np.ndarray] = {}
+    for lid in topo_order(g):
+        layer = g.layer(lid)
+        if layer.kind == "output":
+            continue
+        entry = {"layer": layer}
+
+        if layer.kind == "input":
+            z = x.astype(np.float32)
+        elif layer.kind in WEIGHTED_KINDS:
+            xin = acts[layer.input_ids[0]]
+            w = weights[lid]["w"]
+            wbits = 32 if policy is None else policy.weight_bits[lid]
+            wq = w if wbits == 32 else fake_quant_weights(w, wbits).astype(np.float32)
+            z, cols = linear_fwd(layer, xin, wq, weights[lid]["b"])
+            entry.update(cols=cols, wq=wq, x_shape=xin.shape)
+        elif layer.kind == "avg_pool":
+            xin = acts[layer.input_ids[0]]
+            win = _windows(xin, layer.kernel_h, layer.kernel_w, layer.stride, layer.padding)
+            z = win.mean(axis=(4, 5))
+            entry.update(x_shape=xin.shape)
+        elif layer.kind == "add_residual":
+            z = acts[layer.input_ids[0]] + acts[layer.input_ids[1]]
+        elif layer.kind == "relu_clip":
+            z = acts[layer.input_ids[0]]
+        else:
+            raise PolicyError(f"cannot execute layer kind {layer.kind!r}")
+
+        # output encoding: fake-quant when configured, else the float nonlinearity
+        bits = 32
+        if policy is not None and lid in encoded:
+            bits = policy.act_bits.get(lid, 32)
+        if bits != 32:
+            if ranges is None or lid not in ranges:
+                raise PolicyError(f"no activation range for tensor {lid}")
+            clip_max = ranges[lid].clip_max
+            y = fake_quant_act(z, clip_max, bits)
+            if cache is not None:
+                inside, over = _pact_masks(z, clip_max)
+                entry.update(act_inside=inside, act_over=over, act_tid=lid)
+        elif layer.kind in _RELU_KINDS and lid in encoded:
+            y = np.maximum(z, 0.0)
+            if cache is not None:
+                entry.update(relu_mask=z > 0)
+        else:
+            y = z
+        acts[lid] = y
+        if cache is not None:
+            cache.append(entry)
+    return acts
 
 
 def forward_network(g: NetworkGraph, weights: dict, x: np.ndarray,
@@ -180,73 +217,9 @@ def forward_network(g: NetworkGraph, weights: dict, x: np.ndarray,
     fall back to the float behavior. Returns (logits, cache); cache is None
     unless train=True.
     """
-    encoded = set(g.encoded_tensors())
-    order = [g.layer(i) for i in topo_order(g)]
-    acts: dict[int, np.ndarray] = {}
     cache = [] if train else None
-    logits = None
-
-    for layer in order:
-        if layer.kind == "output":
-            logits = acts[layer.input_ids[0]]
-            continue
-        entry = {"layer": layer}
-
-        if layer.kind == "input":
-            z = x.astype(np.float32)
-        elif layer.kind in WEIGHTED_KINDS:
-            xin = acts[layer.input_ids[0]]
-            w = weights[layer.id]["w"]
-            b = weights[layer.id]["b"]
-            wbits = 32 if policy is None else policy.weight_bits[layer.id]
-            wq = w if wbits == 32 else fake_quant_weights(w, wbits).astype(np.float32)
-            if layer.kind == "conv2d":
-                z, cols = _conv2d_fwd(xin, wq, b, layer)
-                entry.update(cols=cols, x_shape=xin.shape)
-            elif layer.kind == "depthwise_conv2d":
-                z, cols = _depthwise_fwd(xin, wq, b, layer)
-                entry.update(cols=cols, x_shape=xin.shape)
-            elif layer.kind == "pointwise_conv2d":
-                z = np.einsum("oc,nchw->nohw", wq, xin, optimize=True) + b[None, :, None, None]
-                entry.update(x_in=xin)
-            else:  # fc
-                x2 = xin.reshape(len(xin), -1)
-                z = x2 @ wq.T + b
-                entry.update(x_in=x2, x_shape=xin.shape)
-            entry.update(wq=wq)
-        elif layer.kind == "avg_pool":
-            xin = acts[layer.input_ids[0]]
-            z = _avgpool_fwd(xin, layer)
-            entry.update(x_shape=xin.shape)
-        elif layer.kind == "add_residual":
-            z = acts[layer.input_ids[0]] + acts[layer.input_ids[1]]
-        elif layer.kind == "relu_clip":
-            z = acts[layer.input_ids[0]]
-        else:
-            raise PolicyError(f"cannot execute layer kind {layer.kind!r}")
-
-        # output encoding: fake-quant when configured, else the float nonlinearity
-        tid = layer.id
-        bits = 32
-        if policy is not None and tid in encoded:
-            bits = policy.act_bits.get(tid, 32)
-        if bits != 32:
-            if ranges is None or tid not in ranges:
-                raise PolicyError(f"no activation range for tensor {tid}")
-            y, inside, over = _fake_quant_act_cached(z, ranges[tid].clip_max, bits)
-            entry.update(act_inside=inside, act_over=over, act_tid=tid)
-        elif layer.kind in _RELU_KINDS and tid in encoded:
-            y = np.maximum(z, 0.0)
-            entry.update(relu_mask=z > 0)
-        else:
-            y = z
-        acts[tid] = y
-        if train:
-            cache.append(entry)
-
-    if logits is None:
-        raise PolicyError("graph has no output layer")
-    return (logits.astype(np.float32), cache) if train else (logits.astype(np.float32), None)
+    acts = _walk(g, weights, x, policy, ranges, cache)
+    return acts[g.output_layer.input_ids[0]].astype(np.float32), cache
 
 
 def backward_network(g: NetworkGraph, weights: dict, cache: list,
@@ -276,33 +249,18 @@ def backward_network(g: NetworkGraph, weights: dict, cache: list,
         if layer.kind == "input":
             continue
         if layer.kind in WEIGHTED_KINDS:
-            wq = entry["wq"]
-            if layer.kind == "conv2d":
-                dx, dw, db = _conv2d_bwd(dz, entry["cols"], wq, entry["x_shape"], layer)
-            elif layer.kind == "depthwise_conv2d":
-                dx, dw, db = _depthwise_bwd(dz, entry["cols"], wq, entry["x_shape"], layer)
-            elif layer.kind == "pointwise_conv2d":
-                dw = np.einsum("nohw,nchw->oc", dz, entry["x_in"], optimize=True)
-                db = dz.sum(axis=(0, 2, 3))
-                dx = np.einsum("oc,nohw->nchw", wq, dz, optimize=True)
-            else:  # fc
-                dw = dz.T @ entry["x_in"]
-                db = dz.sum(axis=0)
-                dx = (dz @ wq).reshape(entry["x_shape"])
+            dx, dw, db = linear_bwd(layer, dz, entry["cols"], entry["wq"], entry["x_shape"])
             grads[f"w.{layer.id}"] = dw  # STE: latent weight takes the fake-quant grad
             grads[f"b.{layer.id}"] = db
-            src = layer.input_ids[0]
-            dacts[src] = dacts.get(src, 0.0) + dx
         elif layer.kind == "avg_pool":
-            dx = _avgpool_bwd(dz, entry["x_shape"], layer)
-            src = layer.input_ids[0]
+            kh, kw = layer.kernel_h, layer.kernel_w
+            dwin = np.broadcast_to((dz / (kh * kw))[:, :, :, :, None, None],
+                                   dz.shape + (kh, kw))
+            dx = _scatter_windows(dwin, entry["x_shape"], kh, kw, layer.stride, layer.padding)
+        else:  # add_residual and relu_clip pass the gradient to every input
+            dx = dz
+        for src in layer.input_ids:
             dacts[src] = dacts.get(src, 0.0) + dx
-        elif layer.kind == "add_residual":
-            for src in layer.input_ids:
-                dacts[src] = dacts.get(src, 0.0) + dz
-        elif layer.kind == "relu_clip":
-            src = layer.input_ids[0]
-            dacts[src] = dacts.get(src, 0.0) + dz
     return grads
 
 
@@ -423,21 +381,10 @@ def train_qat(g: NetworkGraph, weights: dict, policy, ranges: dict[int, ActRange
     return weights, ranges, top1
 
 
-def finetune(g: NetworkGraph, weights: dict, policy, ranges: dict[int, ActRange],
-             dataset: Dataset, cfg: TrainConfig):
-    """Long QAT pass over the chosen policy (the deployment-model trainer)."""
-    return train_qat(g, weights, policy, ranges, dataset, cfg)
-
-
 def evaluate(g: NetworkGraph, weights: dict, dataset: Dataset, split: str = "val",
              policy=None, ranges=None, batch: int = 256) -> float:
     """Top-1 accuracy on a split ("val", "train", or "all")."""
-    if split == "val":
-        images, labels = dataset.val
-    elif split == "train":
-        images, labels = dataset.train
-    else:
-        images, labels = dataset.images, dataset.labels
+    images, labels = dataset.split(split)
     correct = 0
     for start in range(0, len(images), batch):
         logits, _ = forward_network(g, weights, images[start:start + batch],
@@ -448,42 +395,17 @@ def evaluate(g: NetworkGraph, weights: dict, dataset: Dataset, split: str = "val
 
 def collect_activations(g: NetworkGraph, weights: dict, images: np.ndarray,
                         batch: int = 128) -> dict[int, np.ndarray]:
-    """Float-forward values of every encoded tensor, for range calibration."""
-    encoded = set(g.encoded_tensors())
-    order = [g.layer(i) for i in topo_order(g)]
-    samples: dict[int, list] = {t: [] for t in encoded}
+    """Float-forward values of every encoded tensor, for range calibration.
+
+    Each tensor's batches are concatenated along the batch axis.
+    """
+    encoded = g.encoded_tensors()
+    chunks: dict[int, list] = {t: [] for t in encoded}
     for start in range(0, len(images), batch):
-        chunk = images[start:start + batch]
-        acts: dict[int, np.ndarray] = {}
-        for layer in order:
-            if layer.kind == "output":
-                continue
-            if layer.kind == "input":
-                z = chunk.astype(np.float32)
-            elif layer.kind in WEIGHTED_KINDS:
-                xin = acts[layer.input_ids[0]]
-                w, b = weights[layer.id]["w"], weights[layer.id]["b"]
-                if layer.kind == "conv2d":
-                    z, _ = _conv2d_fwd(xin, w, b, layer)
-                elif layer.kind == "depthwise_conv2d":
-                    z, _ = _depthwise_fwd(xin, w, b, layer)
-                elif layer.kind == "pointwise_conv2d":
-                    z = np.einsum("oc,nchw->nohw", w, xin, optimize=True) + b[None, :, None, None]
-                else:
-                    z = xin.reshape(len(xin), -1) @ w.T + b
-            elif layer.kind == "avg_pool":
-                z = _avgpool_fwd(acts[layer.input_ids[0]], layer)
-            elif layer.kind == "add_residual":
-                z = acts[layer.input_ids[0]] + acts[layer.input_ids[1]]
-            else:  # relu_clip
-                z = acts[layer.input_ids[0]]
-            if layer.kind in _RELU_KINDS and layer.id in encoded:
-                z = np.maximum(z, 0.0)
-            acts[layer.id] = z
-            if layer.id in encoded:
-                samples[layer.id].append(z.ravel())
-        del acts
-    return {t: np.concatenate(v) for t, v in samples.items()}
+        acts = _walk(g, weights, images[start:start + batch])
+        for t in encoded:
+            chunks[t].append(acts[t])
+    return {t: np.concatenate(v) for t, v in chunks.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -510,24 +432,38 @@ def save_checkpoint(path: str, weights: dict, ranges: dict[int, ActRange] | None
             f.write(arr.astype("<f4").tobytes())
 
 
+def _checkpoint_key(key: bytes) -> tuple[str, int]:
+    try:
+        tag, ident = key.decode("utf-8").split(".", 1)
+        return tag, int(ident)
+    except ValueError as e:  # UnicodeDecodeError is a ValueError too
+        raise PackFormatError(f"malformed checkpoint key {key!r}") from e
+
+
 def load_checkpoint(path: str) -> tuple[dict, dict[int, ActRange]]:
+    """Weights and clips saved by save_checkpoint; a malformed file raises PackFormatError."""
     with open(path, "rb") as f:
-        if f.read(4) != CKPT_MAGIC:
-            raise ValueError(f"{path}: not a checkpoint file")
-        version, count = struct.unpack("<II", f.read(8))
-        if version != CKPT_VERSION:
-            raise ValueError(f"{path}: unsupported checkpoint version {version}")
-        weights: dict[int, dict[str, np.ndarray]] = {}
-        ranges: dict[int, ActRange] = {}
-        for _ in range(count):
-            (klen,) = struct.unpack("<H", f.read(2))
-            key = f.read(klen).decode("utf-8")
-            (ndim,) = struct.unpack("<B", f.read(1))
-            shape = struct.unpack(f"<{ndim}I", f.read(4 * ndim))
-            arr = np.frombuffer(f.read(4 * int(np.prod(shape))), dtype="<f4").reshape(shape)
-            tag, ident = key.split(".", 1)
-            if tag == "clip":
-                ranges[int(ident)] = ActRange(tensor_id=int(ident), clip_max=float(arr[0]))
-            else:
-                weights.setdefault(int(ident), {})[tag] = arr.copy()
+        r = ByteReader(f.read(), f"checkpoint {path}")
+    if r.take(4) != CKPT_MAGIC:
+        raise PackFormatError(f"{path}: not a checkpoint file")
+    version, count = r.unpack("<II")
+    if version != CKPT_VERSION:
+        raise PackFormatError(f"{path}: unsupported checkpoint version {version}")
+    weights: dict[int, dict[str, np.ndarray]] = {}
+    ranges: dict[int, ActRange] = {}
+    for _ in range(count):
+        (klen,) = r.unpack("<H")
+        tag, ident = _checkpoint_key(r.take(klen))
+        (ndim,) = r.unpack("<B")
+        shape = r.unpack(f"<{ndim}I")
+        arr = np.frombuffer(r.take(4 * math.prod(shape)), dtype="<f4").reshape(shape)
+        if tag == "clip":
+            if arr.size != 1 or not np.isfinite(arr).all() or arr.item() <= 0:
+                raise PackFormatError(f"{path}: clip {ident} is not one positive value")
+            ranges[ident] = ActRange(tensor_id=ident, clip_max=float(arr.item()))
+        elif tag in ("w", "b"):
+            weights.setdefault(ident, {})[tag] = arr.copy()
+        else:
+            raise PackFormatError(f"{path}: unknown checkpoint entry {tag}.{ident}")
+    r.finish()
     return weights, ranges

@@ -11,6 +11,7 @@ bit-identical.
 from __future__ import annotations
 
 import math
+import struct
 from dataclasses import dataclass
 
 import numpy as np
@@ -119,6 +120,29 @@ def unpack_subbyte(data: bytes, bits: int, n: int, signed: bool = False) -> np.n
     return v.astype(np.int32)
 
 
+class ByteReader:
+    """Sequential reader over a binary file; running short raises PackFormatError."""
+
+    def __init__(self, data: bytes, what: str):
+        self.data = data
+        self.what = what  # names the file in error messages
+        self.pos = 0
+
+    def take(self, n: int) -> bytes:
+        if self.pos + n > len(self.data):
+            raise PackFormatError(f"truncated {self.what}")
+        chunk = self.data[self.pos:self.pos + n]
+        self.pos += n
+        return chunk
+
+    def unpack(self, fmt: str):
+        return struct.unpack(fmt, self.take(struct.calcsize(fmt)))
+
+    def finish(self) -> None:
+        if self.pos != len(self.data):
+            raise PackFormatError(f"trailing bytes after {self.what}")
+
+
 def weight_scales_pc(w: np.ndarray, bits: int) -> np.ndarray:
     """Per-output-channel symmetric scales; all-zero channels get scale 1."""
     qpos = (1 << (bits - 1)) - 1
@@ -218,7 +242,9 @@ def apply_requant(acc: np.ndarray, rq: RequantParams, bits: int,
 
 def percentile_clip(values: np.ndarray, pct: float = 99.9, floor: float = 1e-3) -> float:
     """Clip bound for calibration: given percentile of the observed values, floored."""
-    v = np.asarray(values, dtype=np.float64).ravel()
+    # one copy whatever the layout; np.percentile partitions C order faster
+    # than the channel-last memory order of the training engine's outputs
+    v = np.asarray(values, dtype=np.float64, order="C").ravel()
     if v.size == 0:
         raise ValueError("empty calibration sample")
     return float(max(np.percentile(v, pct, method="linear"), floor))

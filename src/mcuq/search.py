@@ -4,7 +4,9 @@ One episode walks every decidable tensor (weight tensors first, then
 activations), picks a continuous action in [0,1] per tensor, discretizes to
 {2,4,8}, enforces the ROM then RAM budgets by greedy demotion, trains the
 candidate for one epoch on the proxy set, and uses proxy validation top-1 as
-the shared reward of all the episode's transitions.
+the shared reward of all the episode's transitions. The reward is terminal
+and shared, so the critic regresses straight onto it: there is no
+bootstrapped target and hence no target networks.
 """
 
 from __future__ import annotations
@@ -61,8 +63,6 @@ class SearchConfig:
     critic_lr: float = 1e-3
     noise: float = 0.5
     noise_decay: float = 0.99
-    discount: float = 0.0        # episode reward is terminal; no bootstrapping
-    tau: float = 0.01
     replay_batch: int = 64
     replay_capacity: int = 10000
     freeze_first_last: bool = False
@@ -164,16 +164,6 @@ class _MLP:
         dx = dh1 @ p["W0"]
         return grads, dx
 
-    def clone(self) -> "_MLP":
-        other = object.__new__(_MLP)
-        other.sigmoid_head = self.sigmoid_head
-        other.params = {k: v.copy() for k, v in self.params.items()}
-        return other
-
-    def soft_update_from(self, src: "_MLP", tau: float):
-        for k in self.params:
-            self.params[k] = tau * src.params[k] + (1.0 - tau) * self.params[k]
-
 
 class ReplayBuffer:
     def __init__(self, capacity: int):
@@ -184,8 +174,8 @@ class ReplayBuffer:
     def __len__(self):
         return len(self.items)
 
-    def push(self, obs, action, reward, next_obs, done):
-        entry = (obs, float(action), float(reward), next_obs, float(done))
+    def push(self, obs, action, reward):
+        entry = (obs, float(action), float(reward))
         if len(self.items) < self.capacity:
             self.items.append(entry)
         else:
@@ -197,9 +187,7 @@ class ReplayBuffer:
         obs = np.stack([self.items[i][0] for i in idx])
         act = np.array([[self.items[i][1]] for i in idx])
         rew = np.array([[self.items[i][2]] for i in idx])
-        nxt = np.stack([self.items[i][3] for i in idx])
-        done = np.array([[self.items[i][4]] for i in idx])
-        return obs, act, rew, nxt, done
+        return obs, act, rew
 
 
 class DDPGAgent:
@@ -208,8 +196,6 @@ class DDPGAgent:
         self.rng = np.random.default_rng(seed)
         self.actor = _MLP(OBS_DIM, cfg.hidden, self.rng, sigmoid_head=True)
         self.critic = _MLP(OBS_DIM + 1, cfg.hidden, self.rng, sigmoid_head=False)
-        self.actor_target = self.actor.clone()
-        self.critic_target = self.critic.clone()
         self.buffer = ReplayBuffer(cfg.replay_capacity)
         self.actor_opt = qat._Adam(qat.TrainConfig(lr=cfg.actor_lr))
         self.critic_opt = qat._Adam(qat.TrainConfig(lr=cfg.critic_lr))
@@ -232,19 +218,13 @@ class DDPGAgent:
         return bits_from_action(a), a
 
     def update(self) -> None:
-        """One DDPG step: critic regression, actor ascent, soft target update."""
+        """One DDPG step: critic regression onto the reward, then actor ascent."""
         cfg = self.cfg
         if len(self.buffer) < cfg.replay_batch:
             return
-        s, a, r, s2, done = self.buffer.sample(cfg.replay_batch, self.rng)
-        if cfg.discount > 0:
-            a2, _ = self.actor_target.forward(s2)
-            q2, _ = self.critic_target.forward(np.concatenate([s2, a2], axis=1))
-            y = r + cfg.discount * (1.0 - done) * q2
-        else:
-            y = r
+        s, a, r = self.buffer.sample(cfg.replay_batch, self.rng)
         q, cache = self.critic.forward(np.concatenate([s, a], axis=1))
-        dq = 2.0 * (q - y) / len(q)
+        dq = 2.0 * (q - r) / len(q)
         grads, _ = self.critic.backward(cache, dq)
         self.critic_opt.step(self.critic.params, grads)
 
@@ -254,9 +234,6 @@ class DDPGAgent:
         da = dinput[:, OBS_DIM:]
         a_grads, _ = self.actor.backward(a_cache, da)
         self.actor_opt.step(self.actor.params, a_grads)
-
-        self.actor_target.soft_update_from(self.actor, cfg.tau)
-        self.critic_target.soft_update_from(self.critic, cfg.tau)
 
 
 # ---------------------------------------------------------------------------
@@ -344,12 +321,9 @@ def run_episode(g: NetworkGraph, agent: DDPGAgent, cfg: SearchConfig, episode: i
     _, _, top1 = qat.train_qat(g, weights, eval_policy, ep_ranges, proxy, tc)
 
     # every transition of the episode shares the terminal reward
-    zero = np.zeros(OBS_DIM)
-    for i, ((lid, is_weight), obs) in enumerate(zip(items, obs_list)):
+    for (lid, is_weight), obs in zip(items, obs_list):
         bits = policy.weight_bits[lid] if is_weight else policy.act_bits[lid]
-        nxt = obs_list[i + 1] if i + 1 < len(obs_list) else zero
-        agent.buffer.push(obs, BIT_MIDPOINT[bits], top1, nxt,
-                          done=(i + 1 == len(obs_list)))
+        agent.buffer.push(obs, BIT_MIDPOINT[bits], top1)
     if episode >= cfg.warmup:
         agent.update()
 

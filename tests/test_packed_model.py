@@ -1,10 +1,12 @@
 """Packed model construction and the MPQ1 container format."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from conftest import fresh_ranges
-from mcuq import qat
+from mcuq import packed_model, qat
 from mcuq.errors import ModelMismatchError, PackFormatError, PolicyError
 from mcuq.memory_model import all_uniform_policy
 from mcuq.packed_model import (
@@ -127,6 +129,17 @@ def test_save_load_file(tmp_path, toy_model):
     assert serialize(back) == serialize(toy_model)
 
 
+def test_kind_codes_are_pinned(toy_model):
+    assert packed_model._KIND_CODE == {
+        "conv2d": 0, "depthwise_conv2d": 1, "pointwise_conv2d": 2, "fully_connected": 3,
+        "add_residual": 4, "avg_pool": 5, "relu_clip": 6, "input": 7, "output": 8,
+    }
+    # the first record (layer 1, the toy's conv2d) carries its code in the file
+    blob = serialize(toy_model)
+    first = 4 + 4 + 4 + 4 + 4 + 9 * len(toy_model.act_bits) + 4
+    assert blob[first:first + 5] == bytes([1, 0, 0, 0, 0])
+
+
 def test_deserialize_rejects_bad_magic(toy_model):
     blob = bytearray(serialize(toy_model))
     blob[:4] = b"NOPE"
@@ -152,3 +165,9 @@ def test_check_model_matches(toy_graph, residual_graph, toy_model):
     check_model_matches(toy_graph, toy_model)
     with pytest.raises(ModelMismatchError):
         check_model_matches(residual_graph, toy_model)
+    # same element count, but not the conv2d kernel layout of layer 1
+    rec = toy_model.layers[1]
+    cout = rec.weight.shape[0]
+    rec.weight = replace(rec.weight, shape=(cout, rec.weight.numel // cout))
+    with pytest.raises(ModelMismatchError, match="weight shape"):
+        check_model_matches(toy_graph, toy_model)

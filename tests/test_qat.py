@@ -1,5 +1,7 @@
 """Training loop: forward/backward, Adam, fake-quant training, checkpoints."""
 
+import struct
+
 import numpy as np
 import pytest
 
@@ -7,8 +9,8 @@ import oracles
 from conftest import fresh_ranges
 from mcuq import qat
 from mcuq.data import Dataset, synthetic_shapes
-from mcuq.errors import TrainingDivergedError
-from mcuq.graph_ir import NetworkGraph, validate
+from mcuq.errors import McuqError, TrainingDivergedError
+from mcuq.graph_ir import COMPUTE_KINDS, WEIGHTED_KINDS, NetworkGraph, validate
 from mcuq.memory_model import all_uniform_policy
 from mcuq.quantizer import ActRange
 
@@ -76,6 +78,54 @@ def test_forward_residual_add(residual_graph):
     logits, _ = qat.forward_network(residual_graph, weights, x)
     assert logits.shape == (2, 5)
     assert np.isfinite(logits).all()
+
+
+def _has_weighted_ancestor(g, layer) -> bool:
+    todo, seen = list(layer.input_ids), set()
+    while todo:
+        up = g.layer(todo.pop())
+        if up.kind in WEIGHTED_KINDS:
+            return True
+        if up.id not in seen:
+            seen.add(up.id)
+            todo.extend(up.input_ids)
+    return False
+
+
+def test_backward_matches_finite_differences_on_random_graphs():
+    """Float-mode weight and bias grads of backward_network against central
+    differences, until every compute kind has run downstream of a weighted
+    layer: there its input grad feeds a checked weight grad."""
+    rng = np.random.default_rng(11)
+    want = frozenset(COMPUTE_KINDS + ("relu_clip",))
+    covered, graphs = set(), 0
+    while covered < want:
+        graphs += 1
+        assert graphs <= 200, f"random graphs never covered {sorted(want - covered)}"
+        g = oracles.random_graph(rng)
+        weights = qat.init_weights(g, seed=graphs)
+        for entry in weights.values():  # float64 keeps the differences exact enough
+            entry["w"] = entry["w"].astype(np.float64)
+            entry["b"] = rng.normal(0.0, 0.1, size=entry["b"].shape)
+        x = rng.uniform(0.1, 1.0, size=(2,) + g.input_layer.output_shape)
+        logits, cache = qat.forward_network(g, weights, x, train=True)
+        r = rng.normal(size=logits.shape).astype(np.float32)  # loss = sum(r * logits)
+        grads = qat.backward_network(g, weights, cache, r)
+        out_id = g.output_layer.input_ids[0]
+
+        def loss():
+            return float((qat._walk(g, weights, x)[out_id] * r).sum())
+
+        for lid, entry in weights.items():
+            for key in ("w", "b"):
+                arr = entry[key]
+                idx = rng.choice(arr.size, size=min(arr.size, 4), replace=False).tolist()
+                fd = oracles.fd_grad(loss, arr, idx, eps=1e-6)
+                got = grads[f"{key}.{lid}"].reshape(-1)
+                for i in idx:
+                    assert got[i] == pytest.approx(fd[i], rel=1e-4, abs=1e-6), \
+                        f"graph {graphs} {key}.{lid}[{i}]"
+        covered |= {l.kind for l in g.layers if _has_weighted_ancestor(g, l)} & want
 
 
 def test_softmax_xent_hand_case():
@@ -259,6 +309,48 @@ def test_checkpoint_rejects_wrong_version(tmp_path, toy_graph):
     path.write_bytes(bytes(blob))
     with pytest.raises(ValueError):
         qat.load_checkpoint(str(path))
+
+
+def test_checkpoint_every_prefix_raises_mcuq_error(tmp_path, residual_graph):
+    path = tmp_path / "w.ckpt"
+    ranges = {t: ActRange(tensor_id=t, clip_max=1.5) for t in residual_graph.encoded_tensors()}
+    qat.save_checkpoint(str(path), qat.init_weights(residual_graph), ranges)
+    blob = path.read_bytes()
+    cut = tmp_path / "cut.ckpt"
+    for n in range(len(blob)):
+        cut.write_bytes(blob[:n])
+        with pytest.raises(McuqError):
+            qat.load_checkpoint(str(cut))
+    cut.write_bytes(blob + b"\0")
+    with pytest.raises(McuqError, match="trailing"):
+        qat.load_checkpoint(str(cut))
+
+
+def _one_entry_checkpoint(key: bytes, values) -> bytes:
+    arr = np.asarray(values, dtype="<f4")
+    return (qat.CKPT_MAGIC + struct.pack("<IIH", qat.CKPT_VERSION, 1, len(key)) + key
+            + struct.pack("<BI", 1, arr.size) + arr.tobytes())
+
+
+@pytest.mark.parametrize("key, values", [
+    (b"w1", [1.0]),            # no tag separator
+    (b"w.one", [1.0]),         # id is not an integer
+    (b"\xff.1", [1.0]),        # not UTF-8
+    (b"q.1", [1.0]),           # unknown tag
+    (b"clip.1", [0.0]),        # a clip must be positive
+    (b"clip.1", [1.0, 2.0]),   # and a single value
+])
+def test_checkpoint_rejects_malformed_entries(tmp_path, key, values):
+    path = tmp_path / "bad.ckpt"
+    path.write_bytes(_one_entry_checkpoint(key, values))
+    with pytest.raises(McuqError):
+        qat.load_checkpoint(str(path))
+
+
+def test_checkpoint_entry_builder_matches_save(tmp_path):
+    path = tmp_path / "ok.ckpt"
+    qat.save_checkpoint(str(path), {}, {1: ActRange(tensor_id=1, clip_max=2.0)})
+    assert path.read_bytes() == _one_entry_checkpoint(b"clip.1", [2.0])
 
 
 # ---------------------------------------------------------------------------

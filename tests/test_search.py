@@ -146,7 +146,7 @@ def test_post_warmup_actions_clipped():
 def test_replay_buffer_ring():
     buf = ReplayBuffer(capacity=4)
     for i in range(6):
-        buf.push(np.full(2, i), 0.1, float(i), np.zeros(2), False)
+        buf.push(np.full(2, i), 0.1, float(i))
     assert len(buf) == 4
     rewards = sorted(item[2] for item in buf.items)
     assert rewards == [2.0, 3.0, 4.0, 5.0]  # oldest two evicted
@@ -157,8 +157,7 @@ def test_critic_regresses_constant_reward():
     agent = DDPGAgent(cfg, seed=1)
     rng = np.random.default_rng(7)
     for _ in range(64):
-        agent.buffer.push(rng.uniform(0, 1, OBS_DIM), float(rng.uniform()),
-                          0.7, rng.uniform(0, 1, OBS_DIM), False)
+        agent.buffer.push(rng.uniform(0, 1, OBS_DIM), float(rng.uniform()), 0.7)
 
     def critic_mse():
         s = np.stack([it[0] for it in agent.buffer.items])
@@ -173,12 +172,11 @@ def test_critic_regresses_constant_reward():
 
 
 def test_zero_lr_update_is_identity():
-    cfg = small_cfg(actor_lr=0.0, critic_lr=0.0, tau=0.0, replay_batch=8)
+    cfg = small_cfg(actor_lr=0.0, critic_lr=0.0, replay_batch=8)
     agent = DDPGAgent(cfg, seed=2)
     rng = np.random.default_rng(0)
     for _ in range(16):
-        agent.buffer.push(rng.uniform(0, 1, OBS_DIM), 0.5, 0.5,
-                          rng.uniform(0, 1, OBS_DIM), False)
+        agent.buffer.push(rng.uniform(0, 1, OBS_DIM), 0.5, 0.5)
     actor_before = {k: v.copy() for k, v in agent.actor.params.items()}
     critic_before = {k: v.copy() for k, v in agent.critic.params.items()}
     agent.update()
@@ -189,8 +187,7 @@ def test_zero_lr_update_is_identity():
 
 def test_update_deterministic():
     rng = np.random.default_rng(4)
-    transitions = [(rng.uniform(0, 1, OBS_DIM), float(rng.uniform()),
-                    float(rng.uniform()), rng.uniform(0, 1, OBS_DIM), False)
+    transitions = [(rng.uniform(0, 1, OBS_DIM), float(rng.uniform()), float(rng.uniform()))
                    for _ in range(32)]
     weights = []
     for _ in range(2):
@@ -206,7 +203,7 @@ def test_update_deterministic():
 
 def test_update_noop_until_batch_full():
     agent = DDPGAgent(small_cfg(replay_batch=8), seed=0)
-    agent.buffer.push(np.zeros(OBS_DIM), 0.5, 0.5, np.zeros(OBS_DIM), True)
+    agent.buffer.push(np.zeros(OBS_DIM), 0.5, 0.5)
     before = {k: v.copy() for k, v in agent.critic.params.items()}
     agent.update()
     for k in before:
