@@ -243,6 +243,12 @@ def cmd_footprint(a: dict, started: float) -> int:
     return EXIT_OK if res["m1_ok"] and res["m2_ok"] else EXIT_CONSTRAINT
 
 
+def _load_checkpoint(path: str, g):
+    weights, ranges = qat.load_checkpoint(path)
+    qat.check_checkpoint_matches(g, weights, ranges)
+    return weights, ranges
+
+
 def cmd_search(a: dict, started: float) -> int:
     g = load_graph(a["graph"])
     dataset = load_dataset(a["dataset"], seed=a["seed"])
@@ -261,7 +267,7 @@ def cmd_search(a: dict, started: float) -> int:
     )
     pretrained = None
     if a.get("weights"):
-        pretrained, _ = qat.load_checkpoint(a["weights"])
+        pretrained, _ = _load_checkpoint(a["weights"], g)
     result = search(g, cfg, dataset, pretrained=pretrained, log=print)
     _write(a["out_policy"], result.best_policy.to_json())
     if a.get("history_csv"):
@@ -280,7 +286,7 @@ def cmd_search(a: dict, started: float) -> int:
 
 def _pretrained_weights(a: dict, g, dataset):
     if a.get("weights"):
-        return qat.load_checkpoint(a["weights"])
+        return _load_checkpoint(a["weights"], g)
     tc = qat.TrainConfig(epochs=a.get("pretrain_epochs", 3),
                          lr=a.get("pretrain_lr", 1e-2),
                          batch_size=a.get("batch_size", 32), seed=a["seed"])
@@ -321,7 +327,7 @@ def cmd_eval(a: dict, started: float) -> int:
     else:
         if not a.get("policy"):
             raise _UsageError("--weights eval also needs --policy")
-        weights, ranges = qat.load_checkpoint(a["weights"])
+        weights, ranges = _load_checkpoint(a["weights"], g)
         policy = _load_policy(a["policy"])
         validate_policy(g, policy)
         top1, rows = evaluate_accuracy(g, dataset, weights=weights, policy=policy,
@@ -339,7 +345,7 @@ def cmd_eval(a: dict, started: float) -> int:
 
 def cmd_export(a: dict, started: float) -> int:
     g = load_graph(a["graph"])
-    weights, ranges = qat.load_checkpoint(a["weights"])
+    weights, ranges = _load_checkpoint(a["weights"], g)
     if not ranges:
         raise McuqError("checkpoint holds no activation ranges; finetune first")
     policy = _load_policy(a["policy"])

@@ -94,12 +94,13 @@ class NetworkGraph:
     def tensor_numel(self, tensor_id: int) -> int:
         return self.layer(tensor_id).out_numel
 
+    def is_encoded(self, tensor_id: int) -> bool:
+        """Whether a tensor needs a quantized encoding: any non-output layer consumes it."""
+        return any(c.kind != "output" for c in self.consumers(tensor_id))
+
     def encoded_tensors(self) -> list[int]:
-        """Tensors that need a quantized encoding: consumed by any non-output layer."""
-        return [
-            t for t in self.tensor_ids()
-            if any(c.kind != "output" for c in self.consumers(t))
-        ]
+        """Tensors that need a quantized encoding, in layer order."""
+        return [t for t in self.tensor_ids() if self.is_encoded(t)]
 
     def decidable_act_tensors(self) -> list[int]:
         """Tensors the policy search acts on: those feeding quantized compute."""

@@ -2,11 +2,23 @@
 
 Reference semantics for MCU backends: sub-byte codes, 32-bit accumulators
 (overflow raises), per-channel requantization, saturating residual adds.
-The weighted kernels are the training engine's own linear_fwd, run on int64
-codes, so the deployed arithmetic is the arithmetic that was trained.
+The weighted kernels are the training engine's own linear_fwd, so the
+deployed arithmetic is the arithmetic that was trained. They run on the codes
+cast to float64, which puts the GEMMs on BLAS, and the result is cast back to
+int64. That is exact: float64 holds every integer below 2**53, and every
+partial sum of a layer is an integer of magnitude at most
+
+    fan_in * (2**a_bits - 1) * 2**(w_bits - 1) + 2**31
+
+(unsigned a_bits input codes, signed w_bits weight codes, an int32 bias).
+For 8-bit codes that stays below 2**53 up to a fan-in of about 2.8e11.
+Each weighted layer checks the bound, with its largest input code in place
+of 2**a_bits - 1, before it runs.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -17,6 +29,15 @@ from .packed_model import PackedLayer, PackedModel, check_model_matches
 from .quantizer import RequantParams, apply_requant, qrange, quantize_act
 
 INT32_MIN, INT32_MAX = -(1 << 31), (1 << 31) - 1
+F64_EXACT = 1 << 53  # float64 represents every integer of smaller magnitude
+
+
+def _check_f64_exact(layer_id: int, fan_in: int, x_max: int, w_bits: int) -> None:
+    """Raise unless a float64 accumulator of this layer is exact (module docstring)."""
+    if fan_in * x_max * (1 << (w_bits - 1)) + (1 << 31) >= F64_EXACT:
+        raise AccumulatorOverflowError(
+            f"layer {layer_id}: fan-in {fan_in} with input codes up to {x_max} at "
+            f"{w_bits}-bit weights exceeds the exact float64 range")
 
 
 def _check_acc(acc: np.ndarray, layer_id: int) -> None:
@@ -42,9 +63,13 @@ def run_codes_layer(layer, rec: PackedLayer, in_codes: list[np.ndarray]) -> np.n
     out_bits = rec.out_bits
     signed_out = out_bits == 32  # raw logits keep sign; activations are unsigned
     if layer.kind in WEIGHTED_KINDS:
-        x = in_codes[0].astype(np.int64)
-        w = rec.weight.codes().astype(np.int64)
-        acc, _ = qat.linear_fwd(layer, x, w, rec.bias_int.astype(np.int64))
+        x, w = in_codes[0], rec.weight.codes()
+        if x.size:
+            x_max = max(int(x.max()), -int(x.min()))
+            _check_f64_exact(layer.id, math.prod(w.shape[1:]), x_max, rec.weight.bits)
+        z, _ = qat.linear_fwd(layer, x.astype(np.float64), w.astype(np.float64),
+                              rec.bias_int.astype(np.float64))
+        acc = z.astype(np.int64)
         _check_acc(acc, layer.id)
         return apply_requant(acc, _per_channel_rq(rec.requants[0], acc.ndim), out_bits,
                              signed=signed_out)

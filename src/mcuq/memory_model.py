@@ -118,7 +118,7 @@ def tensor_ram_bytes(g: NetworkGraph, p: QuantPolicy, tensor_id: int) -> int:
     numel = g.tensor_numel(tensor_id)
     bits = p.act_bits.get(tensor_id)
     if bits is None:
-        if tensor_id in g.encoded_tensors():
+        if g.is_encoded(tensor_id):
             raise PolicyError(f"missing act_bits entry for live tensor {tensor_id}")
         return numel * 4  # unencoded sink input (e.g. 32-bit logits)
     if bits == 32:

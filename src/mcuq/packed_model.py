@@ -19,6 +19,7 @@ load time so a shipped file pins its own arithmetic.
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass, field, replace
 
@@ -192,6 +193,10 @@ def deserialize(data: bytes) -> PackedModel:
     act_clip: dict[int, float] = {}
     for _ in range(n_act):
         tid, bits, clip = r.unpack("<IBf")
+        if bits not in SUB_BYTE_BITS:
+            raise PackFormatError(f"tensor {tid}: activation bits {bits} not in {SUB_BYTE_BITS}")
+        if not (math.isfinite(clip) and clip > 0):
+            raise PackFormatError(f"tensor {tid}: clip {clip} is not finite and positive")
         act_bits[tid] = bits
         act_clip[tid] = clip
     model = PackedModel(graph_layers=graph_layers, act_bits=act_bits,
@@ -208,7 +213,11 @@ def deserialize(data: bytes) -> PackedModel:
         scales = bias = None
         if ndim:
             cout = shape[0]
-            scales = np.frombuffer(r.take(4 * cout), dtype="<f4").astype(np.float64)
+            scales = np.frombuffer(r.take(4 * cout), dtype="<f4")
+            # isfinite first: comparing or casting a signalling NaN warns
+            if not (np.isfinite(scales).all() and (scales > 0).all()):
+                raise PackFormatError(f"layer {lid}: weight scales must be finite and > 0")
+            scales = scales.astype(np.float64)
             bias = np.frombuffer(r.take(4 * cout), dtype="<i4").copy()
         (n_rq,) = r.unpack("<B")
         rqs = []
@@ -216,9 +225,16 @@ def deserialize(data: bytes) -> PackedModel:
             (count,) = r.unpack("<I")
             mult = np.frombuffer(r.take(4 * count), dtype="<i4").copy()
             shift = np.frombuffer(r.take(4 * count), dtype="<i4").copy()
+            # apply_requant's int64 arithmetic needs shifts in [0, 62]
+            if count and (mult.min() < 0 or shift.min() < 0 or shift.max() > 62):
+                raise PackFormatError(f"layer {lid}: requant multiplier or shift out of range")
             rqs.append(RequantParams(multiplier=mult, shift=shift))
         rec.requants = tuple(rqs)
         (plen,) = r.unpack("<Q")
+        want = (math.prod(shape) * wbits + 7) // 8 if ndim else 0
+        if plen != want:
+            raise PackFormatError(f"layer {lid}: weight payload of {plen} bytes, "
+                                  f"{want} expected")
         payload = r.take(plen)
         if ndim:
             rec.weight = QuantizedTensor(bits=wbits, packed=payload, shape=shape,
@@ -244,7 +260,8 @@ def check_model_matches(g: NetworkGraph, model: PackedModel) -> None:
     if model.graph_layers != len(g.layers):
         raise ModelMismatchError(
             f"model built for {model.graph_layers} layers, graph has {len(g.layers)}")
-    for t in g.encoded_tensors():
+    encoded = set(g.encoded_tensors())
+    for t in encoded:
         if t not in model.act_bits:
             raise ModelMismatchError(f"model lacks an encoding for tensor {t}")
     for layer in g.layers:
@@ -259,3 +276,13 @@ def check_model_matches(g: NetworkGraph, model: PackedModel) -> None:
         if layer.kind in WEIGHTED_KINDS and (
                 rec.weight is None or tuple(rec.weight.shape) != layer.weight_shape):
             raise ModelMismatchError(f"layer {layer.id}: weight shape does not match the graph")
+        out_bits = model.act_bits[layer.id] if layer.id in encoded else 32
+        if rec.out_bits != out_bits:
+            raise ModelMismatchError(
+                f"layer {layer.id}: output width {rec.out_bits}, the encoding needs {out_bits}")
+        # one requant per input, per output channel behind a weighted layer
+        width = layer.out_channels if layer.kind in WEIGHTED_KINDS else 1
+        if len(rec.requants) != len(layer.input_ids) or any(
+                np.size(rq.multiplier) != width or np.size(rq.shift) != width
+                for rq in rec.requants):
+            raise ModelMismatchError(f"layer {layer.id}: requants do not match the graph")

@@ -16,7 +16,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .data import Dataset
-from .errors import PackFormatError, PolicyError, TrainingDivergedError
+from .errors import ModelMismatchError, PackFormatError, PolicyError, TrainingDivergedError
 from .graph_ir import WEIGHTED_KINDS, NetworkGraph, topo_order
 from .quantizer import ActRange, ByteReader, fake_quant_act, fake_quant_weights
 
@@ -89,10 +89,10 @@ def _scatter_windows(dwin: np.ndarray, x_shape: tuple, kh: int, kw: int,
 def linear_fwd(layer, x: np.ndarray, w: np.ndarray, b: np.ndarray):
     """One weighted layer, z = w * x + b, in the dtype of its operands.
 
-    Serves the float32 training forward and, on int64 codes, the integer
+    Serves the float32 training forward and, on float64 codes, the integer
     accumulator of the deployed model. Returns (z, cols): cols is the input
-    as the kernel's operand (im2col windows for convolutions), which
-    linear_bwd needs.
+    as the kernel's operand (im2col windows for conv2d, the window view for
+    depthwise), which linear_bwd needs.
     """
     n = x.shape[0]
     if layer.kind == "conv2d":
@@ -102,11 +102,16 @@ def linear_fwd(layer, x: np.ndarray, w: np.ndarray, b: np.ndarray):
         z = np.einsum("of,nfl->nol", w.reshape(w.shape[0], -1), cols, optimize=True)
         return z.reshape(n, w.shape[0], oh, ow) + b[None, :, None, None], cols
     if layer.kind == "depthwise_conv2d":
+        # one multiply-accumulate per kernel tap over strided slices of the
+        # window view; an im2col reshape would copy the input kh*kw times
         win = _windows(x, layer.kernel_h, layer.kernel_w, layer.stride, layer.padding)
-        c, oh, ow = win.shape[1], win.shape[2], win.shape[3]
-        cols = win.reshape(n, c, oh * ow, -1)  # (N, C, L, kh*kw)
-        z = np.einsum("cf,nclf->ncl", w.reshape(c, -1), cols, optimize=True)
-        return z.reshape(n, c, oh, ow) + b[None, :, None, None], cols
+        z = win[..., 0, 0] * w[None, :, 0, 0, None, None]
+        tap = np.empty_like(z)
+        for i, j in np.ndindex(layer.kernel_h, layer.kernel_w):
+            if i or j:
+                z += np.multiply(win[..., i, j], w[None, :, i, j, None, None], out=tap)
+        z += b[None, :, None, None]
+        return z, win
     if layer.kind == "pointwise_conv2d":
         return np.einsum("oc,nchw->nohw", w, x, optimize=True) + b[None, :, None, None], x
     cols = x.reshape(n, -1)  # fully_connected over the flattened input
@@ -128,8 +133,8 @@ def linear_bwd(layer, dz: np.ndarray, cols: np.ndarray, w: np.ndarray, x_shape: 
         dw = np.einsum("nol,nfl->of", dzf, cols, optimize=True).reshape(w.shape)
         dcols = np.einsum("of,nol->nfl", w2, dzf, optimize=True)
         dwin = dcols.reshape(n, x_shape[1], kh, kw, oh, ow).transpose(0, 1, 4, 5, 2, 3)
-    else:  # depthwise_conv2d
-        dw = np.einsum("ncl,nclf->cf", dzf, cols, optimize=True).reshape(w.shape)
+    else:  # depthwise_conv2d; cols is the (N, C, OH, OW, kh, kw) window view
+        dw = np.einsum("nchw,nchwij->cij", dz, cols, optimize=True)
         dcols = np.einsum("cf,ncl->nclf", w2, dzf, optimize=True)
         dwin = dcols.reshape(n, c, oh, ow, kh, kw)
     dx = _scatter_windows(dwin, x_shape, kh, kw, layer.stride, layer.padding)
@@ -467,3 +472,30 @@ def load_checkpoint(path: str) -> tuple[dict, dict[int, ActRange]]:
             raise PackFormatError(f"{path}: unknown checkpoint entry {tag}.{ident}")
     r.finish()
     return weights, ranges
+
+
+def check_checkpoint_matches(g: NetworkGraph, weights: dict,
+                             ranges: dict[int, ActRange]) -> None:
+    """Raise ModelMismatchError unless loaded weights and clips fit the graph.
+
+    Every weighted layer needs w of its kernel shape and b of its output
+    channels; no other layer may have entries, and only encoded tensors
+    may have clips.
+    """
+    weighted = {l.id: l for l in g.weighted_layers()}
+    extra = sorted(set(weights) - set(weighted))
+    if extra:
+        raise ModelMismatchError(f"checkpoint has weights for layers {extra}, "
+                                 f"which have none in the graph")
+    for lid, layer in weighted.items():
+        entry = weights.get(lid, {})
+        for key, shape in (("w", layer.weight_shape), ("b", (layer.out_channels,))):
+            if key not in entry:
+                raise ModelMismatchError(f"checkpoint lacks {key}.{lid}")
+            if entry[key].shape != shape:
+                raise ModelMismatchError(f"checkpoint {key}.{lid} has shape "
+                                         f"{entry[key].shape}, the graph needs {shape}")
+    extra = sorted(set(ranges) - set(g.encoded_tensors()))
+    if extra:
+        raise ModelMismatchError(f"checkpoint has clips for tensors {extra}, "
+                                 f"which carry no encoding")

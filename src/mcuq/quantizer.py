@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -45,19 +45,28 @@ def haz_rshift(p: np.ndarray, shift) -> np.ndarray:
 
 @dataclass(frozen=True)
 class QuantizedTensor:
+    """Packed weight codes. The payload is decoded once, at construction, so a
+    short payload or a bad width raises PackFormatError here."""
     bits: int
     packed: bytes
     shape: tuple[int, ...]
     scales: np.ndarray  # one per output channel (axis 0)
     signed: bool
+    _codes: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        q = unpack_subbyte(self.packed, self.bits, self.numel, signed=self.signed)
+        q = q.astype(np.int8).reshape(self.shape)
+        q.setflags(write=False)
+        object.__setattr__(self, "_codes", q)
 
     @property
     def numel(self) -> int:
-        return int(np.prod(self.shape))
+        return math.prod(self.shape)
 
     def codes(self) -> np.ndarray:
-        q = unpack_subbyte(self.packed, self.bits, self.numel, signed=self.signed)
-        return q.reshape(self.shape)
+        """The decoded codes, int8 in `shape`, read-only."""
+        return self._codes
 
 
 @dataclass
@@ -234,10 +243,18 @@ def compute_requant(s_in: float, s_w: np.ndarray, s_out: float) -> RequantParams
 def apply_requant(acc: np.ndarray, rq: RequantParams, bits: int,
                   signed: bool = False) -> np.ndarray:
     """Requantize 32-bit accumulators to the output bit range with saturation."""
-    p = acc.astype(np.int64) * rq.multiplier.astype(np.int64)
-    y = haz_rshift(p, rq.shift) + rq.out_zero
+    p = np.multiply(acc, rq.multiplier, dtype=np.int64)
     lo, hi = qrange(bits, signed)
-    return np.clip(y, lo, hi).astype(np.int32)
+    if signed or rq.out_zero:
+        y = haz_rshift(p, rq.shift) + rq.out_zero
+        return np.clip(y, lo, hi).astype(np.int32)
+    # Unsigned, zero point 0: add half and floor-shift in place. That equals
+    # the half-away rounding wherever the result survives the clip; a negative
+    # product rounds to <= 0 either way and clips to 0.
+    shift = np.asarray(rq.shift, dtype=np.int64)
+    p += (1 << shift) >> 1
+    p >>= shift
+    return np.clip(p, lo, hi, out=p).astype(np.int32)
 
 
 def percentile_clip(values: np.ndarray, pct: float = 99.9, floor: float = 1e-3) -> float:

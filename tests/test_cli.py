@@ -1,8 +1,15 @@
 """Command-line front end: config precedence, exit codes, export -> eval round trip."""
 
 import json
+import os
+import struct
+import subprocess
+import sys
 
+import numpy as np
 import pytest
+
+import mcuq
 
 from mcuq import cli, qat
 from mcuq.data import load_dataset
@@ -100,3 +107,25 @@ def test_export_of_a_truncated_checkpoint_is_bad_input(in_tmp, capsys):
     assert cli.main(["export", "--graph", TOY, "--weights", "cut.ckpt", "--policy", "p.json",
                      "--out", "m.mpq"]) == cli.EXIT_INPUT
     assert "truncated checkpoint" in capsys.readouterr().err
+
+
+def test_export_of_a_checkpoint_lacking_a_bias_is_bad_input(in_tmp):
+    g = load_graph(TOY)
+    entries = {f"{tag}.{lid}": arr for lid, entry in qat.init_weights(g).items()
+               for tag, arr in entry.items() if (tag, lid) != ("b", 1)}
+    entries.update({f"clip.{t}": np.ones(1) for t in g.encoded_tensors()})
+    blob = bytearray(b"MQC1" + struct.pack("<II", 1, len(entries)))
+    for key in sorted(entries):
+        arr = np.asarray(entries[key], dtype="<f4")
+        blob += struct.pack("<H", len(key)) + key.encode()
+        blob += struct.pack(f"<B{arr.ndim}I", arr.ndim, *arr.shape) + arr.tobytes()
+    (in_tmp / "w.ckpt").write_bytes(bytes(blob))
+    (in_tmp / "p.json").write_text(all_uniform_policy(g).to_json())
+    env = dict(os.environ)
+    src = os.path.dirname(os.path.dirname(mcuq.__file__))
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    run = subprocess.run([sys.executable, "-m", "mcuq.cli", "export", "--graph", TOY,
+                          "--weights", "w.ckpt", "--policy", "p.json", "--out", "m.mpq"],
+                         capture_output=True, text=True, env=env, timeout=120)
+    assert run.returncode == cli.EXIT_INPUT
+    assert "lacks b.1" in run.stderr and "Traceback" not in run.stderr

@@ -5,7 +5,7 @@ import pytest
 
 import oracles
 from conftest import fresh_ranges
-from mcuq import qat
+from mcuq import inference, qat, quantizer
 from mcuq.errors import AccumulatorOverflowError, DatasetError
 from mcuq.graph_ir import COMPUTE_KINDS, NetworkGraph, topo_order, validate
 from mcuq.inference import (
@@ -16,7 +16,7 @@ from mcuq.inference import (
     run_network_int,
 )
 from mcuq.memory_model import all_uniform_policy
-from mcuq.packed_model import PackedLayer, build_packed_model
+from mcuq.packed_model import PackedLayer, build_packed_model, deserialize, serialize
 from mcuq.quantizer import (
     ActRange,
     QuantizedTensor,
@@ -217,6 +217,50 @@ def test_overflow_check_flags_int32_excess():
     x = np.full((1, 4, 1, 1), 255, dtype=np.int64)
     with pytest.raises(AccumulatorOverflowError):
         run_codes_layer(layer, rec, [x])
+
+
+@pytest.mark.parametrize("x_max, w_bits", [(255, 8), (15, 4), (3, 2), (2 ** 31 - 1, 8)])
+def test_float64_exactness_bound_is_checked(x_max, w_bits):
+    # first fan-in whose bound fan_in * x_max * 2**(w_bits - 1) + 2**31 reaches 2**53
+    first_bad = -(-(2 ** 53 - 2 ** 31) // (x_max * 2 ** (w_bits - 1)))
+    inference._check_f64_exact(7, first_bad - 1, x_max, w_bits)
+    with pytest.raises(AccumulatorOverflowError, match="layer 7"):
+        inference._check_f64_exact(7, first_bad, x_max, w_bits)
+
+
+def test_run_codes_layer_checks_the_float64_range():
+    # codes far past any activation width, as a malformed caller could pass
+    fan_in = 2 ** 15 + 1
+    layer = oracles._mk(1, "fully_connected", [0], 1, 0, 0, 1, 0,
+                        (fan_in, 1, 1), (1, 1, 1), bias=1)
+    qw = QuantizedTensor(bits=8, packed=pack_subbyte(np.full(fan_in, -128), 8, signed=True),
+                         shape=(1, fan_in), scales=np.ones(1), signed=True)
+    rq = RequantParams(multiplier=np.array([1 << 30], dtype=np.int32),
+                       shift=np.array([30], dtype=np.int32))
+    rec = PackedLayer(layer_id=1, kind="fully_connected", weight_bits=8, out_bits=32,
+                      weight=qw, bias_int=np.zeros(1, dtype=np.int32), requants=(rq,))
+    x = np.full((1, fan_in, 1, 1), 2 ** 31 - 1, dtype=np.int64)
+    with pytest.raises(AccumulatorOverflowError, match="float64"):
+        run_codes_layer(layer, rec, [x])
+
+
+def test_weight_codes_unpacked_once(monkeypatch, residual_graph):
+    weights = qat.init_weights(residual_graph, seed=2)
+    ranges = {t: ActRange(tensor_id=t, clip_max=1.5) for t in residual_graph.encoded_tensors()}
+    blob = serialize(build_packed_model(residual_graph, weights,
+                                        all_uniform_policy(residual_graph, 4), ranges))
+    calls = []
+    real = quantizer.unpack_subbyte
+    monkeypatch.setattr(quantizer, "unpack_subbyte",
+                        lambda *a, **k: calls.append(a[1]) or real(*a, **k))
+    model = deserialize(blob)
+    images = np.random.default_rng(4).uniform(0, 1.5, size=(2, 3, 8, 8)).astype(np.float32)
+    first = run_batch_int(residual_graph, model, images)
+    assert np.array_equal(run_batch_int(residual_graph, model, images), first)
+    assert calls == [4] * len(residual_graph.weighted_layers())
+    for rec in model.layers.values():
+        if rec.weight is not None:
+            assert not rec.weight.codes().flags.writeable
 
 
 # ---------------------------------------------------------------------------

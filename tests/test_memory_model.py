@@ -57,6 +57,10 @@ def test_tensor_ram_bytes_subbyte(toy_graph):
     assert tensor_ram_bytes(toy_graph, p, 1) == 784 * 4
     # tensor 6 feeds only the output head: unencoded, held at 4 bytes/value
     assert tensor_ram_bytes(toy_graph, p, 6) == 40
+    # an encoded tensor must have a policy entry
+    del p.act_bits[1]
+    with pytest.raises(PolicyError, match="tensor 1"):
+        tensor_ram_bytes(toy_graph, p, 1)
 
 
 def test_toy_all8_anchors(toy_graph):

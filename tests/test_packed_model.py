@@ -1,5 +1,6 @@
 """Packed model construction and the MPQ1 container format."""
 
+import struct
 from dataclasses import replace
 
 import numpy as np
@@ -7,7 +8,8 @@ import pytest
 
 from conftest import fresh_ranges
 from mcuq import packed_model, qat
-from mcuq.errors import ModelMismatchError, PackFormatError, PolicyError
+from mcuq.errors import McuqError, ModelMismatchError, PackFormatError, PolicyError
+from mcuq.inference import run_batch_int
 from mcuq.memory_model import all_uniform_policy
 from mcuq.packed_model import (
     build_packed_model,
@@ -17,7 +19,7 @@ from mcuq.packed_model import (
     save_packed,
     serialize,
 )
-from mcuq.quantizer import ActRange
+from mcuq.quantizer import ActRange, RequantParams
 
 
 @pytest.fixture()
@@ -161,6 +163,72 @@ def test_deserialize_rejects_truncation(toy_model):
             deserialize(blob[:cut])
 
 
+def _set(blob: bytes, offset: int, fmt: str, value) -> bytes:
+    b = bytearray(blob)
+    struct.pack_into(fmt, b, offset, value)
+    return bytes(b)
+
+
+def _last_payload_len(model) -> int:
+    return len(model.layers[max(model.layers)].weight.packed)
+
+
+@pytest.mark.parametrize("spoil, match", [
+    (lambda b, m: _set(b, 24, "<B", 3), "activation bits"),        # first act entry
+    (lambda b, m: _set(b, 25, "<f", float("nan")), "clip"),
+    (lambda b, m: _set(b, 25, "<f", float("inf")), "clip"),
+    (lambda b, m: _set(b, 25, "<f", 0.0), "clip"),
+    # the last record's payload, one byte longer or shorter than its codes
+    (lambda b, m: _set(b, len(b) - _last_payload_len(m) - 8, "<Q",
+                       _last_payload_len(m) + 1) + b"\0", "payload"),
+    (lambda b, m: _set(b, len(b) - _last_payload_len(m) - 8, "<Q",
+                       _last_payload_len(m) - 1)[:-1], "payload"),
+], ids=["act_bits", "nan_clip", "inf_clip", "zero_clip", "long_payload", "short_payload"])
+def test_deserialize_checks_contents(toy_model, spoil, match):
+    blob = serialize(toy_model)
+    with pytest.raises(PackFormatError, match=match):
+        deserialize(spoil(blob, toy_model))
+
+
+@pytest.mark.parametrize("field, value, match", [
+    ("scales", np.full(4, np.nan), "scales"),
+    ("scales", np.zeros(4), "scales"),
+    ("requants", (RequantParams(np.full(4, 1 << 30), np.full(4, 63)),), "shift"),
+    ("requants", (RequantParams(np.full(4, -1), np.full(4, 30)),), "multiplier"),
+])
+def test_deserialize_checks_weight_scales_and_requants(toy_model, field, value, match):
+    rec = toy_model.layers[1]  # conv2d with 4 output channels
+    if field == "scales":
+        rec.weight = replace(rec.weight, scales=value)
+    else:
+        rec.requants = value
+    with pytest.raises(PackFormatError, match=match):
+        deserialize(serialize(toy_model))
+
+
+def test_corrupted_models_load_and_run_or_raise_mcuq_error(residual_graph):
+    """Seeded random corruptions: 1-3 bytes, a fifth also truncated."""
+    weights = qat.init_weights(residual_graph, seed=5)
+    ranges = {t: ActRange(tensor_id=t, clip_max=1.5) for t in residual_graph.encoded_tensors()}
+    blob = serialize(build_packed_model(residual_graph, weights,
+                                        all_uniform_policy(residual_graph), ranges))
+    rng = np.random.default_rng(31)
+    images = rng.uniform(0, 1.5, size=(2, 3, 8, 8)).astype(np.float32)
+    loaded = 0
+    for _ in range(3000):
+        bad = bytearray(blob)
+        for _ in range(rng.integers(1, 4)):
+            bad[rng.integers(len(bad))] = rng.integers(256)
+        if rng.random() < 0.2:
+            bad = bad[:rng.integers(len(bad))]
+        try:
+            run_batch_int(residual_graph, deserialize(bytes(bad)), images)
+            loaded += 1
+        except McuqError:
+            pass
+    assert 0 < loaded < 3000
+
+
 def test_check_model_matches(toy_graph, residual_graph, toy_model):
     check_model_matches(toy_graph, toy_model)
     with pytest.raises(ModelMismatchError):
@@ -170,4 +238,19 @@ def test_check_model_matches(toy_graph, residual_graph, toy_model):
     cout = rec.weight.shape[0]
     rec.weight = replace(rec.weight, shape=(cout, rec.weight.numel // cout))
     with pytest.raises(ModelMismatchError, match="weight shape"):
+        check_model_matches(toy_graph, toy_model)
+
+
+@pytest.mark.parametrize("spoil, match", [
+    (lambda m: setattr(m.layers[2], "out_bits", 32), "output width"),
+    (lambda m: setattr(m.layers[6], "out_bits", 8), "output width"),
+    (lambda m: setattr(m.layers[2], "requants", ()), "requants"),
+    (lambda m: setattr(m.layers[1], "requants", m.layers[1].requants * 2), "requants"),
+    (lambda m: setattr(m.layers[1], "requants", (RequantParams(np.ones(3, np.int32),
+                                                               np.ones(3, np.int32)),)),
+     "requants"),
+], ids=["encoded_as_wide", "logits_as_8bit", "no_requant", "two_requants", "three_channels"])
+def test_check_model_matches_record_arithmetic(toy_graph, toy_model, spoil, match):
+    spoil(toy_model)
+    with pytest.raises(ModelMismatchError, match=match):
         check_model_matches(toy_graph, toy_model)

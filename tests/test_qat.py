@@ -9,7 +9,7 @@ import oracles
 from conftest import fresh_ranges
 from mcuq import qat
 from mcuq.data import Dataset, synthetic_shapes
-from mcuq.errors import McuqError, TrainingDivergedError
+from mcuq.errors import McuqError, ModelMismatchError, TrainingDivergedError
 from mcuq.graph_ir import COMPUTE_KINDS, WEIGHTED_KINDS, NetworkGraph, validate
 from mcuq.memory_model import all_uniform_policy
 from mcuq.quantizer import ActRange
@@ -351,6 +351,36 @@ def test_checkpoint_entry_builder_matches_save(tmp_path):
     path = tmp_path / "ok.ckpt"
     qat.save_checkpoint(str(path), {}, {1: ActRange(tensor_id=1, clip_max=2.0)})
     assert path.read_bytes() == _one_entry_checkpoint(b"clip.1", [2.0])
+
+
+def _drop_b1(w, r):
+    del w[1]["b"]
+
+
+def _reshape_w1(w, r):
+    w[1]["w"] = w[1]["w"].reshape(4, 9)
+
+
+def _long_b3(w, r):
+    w[3]["b"] = np.zeros(w[3]["b"].size + 1, dtype=np.float32)
+
+
+def _weights_for_pool(w, r):
+    w[5] = {"w": np.zeros((1, 1), dtype=np.float32), "b": np.zeros(1, dtype=np.float32)}
+
+
+def _clip_for_logits(w, r):
+    r[6] = ActRange(tensor_id=6, clip_max=1.0)  # tensor 6 feeds only the output sink
+
+
+@pytest.mark.parametrize("spoil", [_drop_b1, _reshape_w1, _long_b3, _weights_for_pool,
+                                   _clip_for_logits])
+def test_checkpoint_must_match_its_graph(toy_graph, toy_ranges, spoil):
+    weights, ranges = qat.init_weights(toy_graph), fresh_ranges(toy_ranges)
+    qat.check_checkpoint_matches(toy_graph, weights, ranges)
+    spoil(weights, ranges)
+    with pytest.raises(ModelMismatchError):
+        qat.check_checkpoint_matches(toy_graph, weights, ranges)
 
 
 # ---------------------------------------------------------------------------

@@ -8,6 +8,7 @@ from mcuq.errors import PackFormatError
 from mcuq.qat import _pact_masks
 from mcuq.quantizer import (
     ActRange,
+    RequantParams,
     apply_requant,
     compute_requant,
     dequantize,
@@ -131,6 +132,16 @@ def test_weight_scale_examples():
     qz = quantize_weights_pc(z, 8)
     assert np.array_equal(qz.scales, [1.0, 1.0])
     assert not qz.codes().any()
+
+
+def test_weight_codes_decoded_once_read_only():
+    q = quantize_weights_pc(np.array([[-1.0, 0.5, 1.0], [2.0, 0.0, -2.0]]), 4)
+    codes = q.codes()
+    assert codes is q.codes()
+    assert codes.dtype == np.int8 and codes.shape == (2, 3)
+    assert np.array_equal(codes, unpack_subbyte(q.packed, 4, 6, signed=True).reshape(2, 3))
+    with pytest.raises(ValueError):
+        codes[0, 0] = 0
 
 
 def test_weight_roundtrip_bound():
@@ -266,6 +277,35 @@ def test_apply_requant_matches_oracle_values():
     want = [oracles.ref_requant(int(a), int(rq.multiplier[0]), int(rq.shift[0]), lo, hi)
             for a in acc]
     assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("bits, signed", [(2, False), (4, False), (8, False),
+                                          (8, True), (32, True)])
+def test_apply_requant_matches_oracle_per_channel(bits, signed):
+    """Shifts 0..62, one per channel, a zero multiplier, negative accumulators
+    and exact half ties, against the exact oracle."""
+    rng = np.random.default_rng(29 + bits)
+    shift = np.arange(63, dtype=np.int32)
+    mult = rng.integers(1 << 30, 1 << 31, size=63).astype(np.int32)
+    mult[40] = 0
+    mag = np.floor(2.0 ** rng.uniform(0, 31, size=(48, 63))).astype(np.int64)
+    acc = np.where(rng.random((48, 63)) < 0.5, -mag, mag)
+    # ties: a power-of-two multiplier puts acc * mult at (2k + 1) * 2**(shift - 1)
+    tie_mult = np.ones(63, dtype=np.int32)
+    tie_acc = np.zeros((4, 63), dtype=np.int64)
+    for s in range(1, 62):
+        j = max(0, s - 31)  # acc carries the part of 2**(s - 1) a multiplier cannot
+        tie_mult[s] = 1 << (s - 1 - j)
+        odd = 2 * np.array([rng.integers(0, 4), rng.integers(0, 1 << (30 - j))]) + 1
+        tie_acc[:, s] = np.concatenate([odd, -odd]) << j
+    lo, hi = qrange(bits, signed)
+    for m, a in ((mult, acc), (tie_mult, tie_acc)):
+        rq = RequantParams(multiplier=m, shift=shift)
+        got = apply_requant(a, rq, bits, signed=signed)
+        want = [[oracles.ref_requant(int(v), int(m[c]), int(shift[c]), lo, hi)
+                 for c, v in enumerate(row)] for row in a.tolist()]
+        assert got.dtype == np.int32
+        assert np.array_equal(got, want)
 
 
 def test_apply_requant_saturates():
