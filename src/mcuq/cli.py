@@ -25,7 +25,7 @@ from .memory_model import (
     MemoryBudget,
     QuantPolicy,
     all_uniform_policy,
-    check_constraints,
+    footprint,
     ram_csv,
     rom_csv,
     validate_policy,
@@ -226,21 +226,22 @@ def cmd_footprint(a: dict, started: float) -> int:
     policy = _load_policy(a["policy"]) if a.get("policy") else all_uniform_policy(g)
     validate_policy(g, policy)
     budget = MemoryBudget(rom_bytes=a["rom_bytes"], ram_bytes=a["ram_bytes"])
-    res = check_constraints(g, policy, budget)
-    rep = res["report"]
+    rep = footprint(g, policy)
+    m1_ok = rep.rom_total <= budget.rom_bytes
+    m2_ok = rep.ram_peak <= budget.ram_bytes
     print(f"rom_bytes={rep.rom_total}")
     print(f"ram_bytes={rep.ram_peak}")
     print(f"rom_budget={budget.rom_bytes}")
     print(f"ram_budget={budget.ram_bytes}")
-    print(f"m1_ok={str(res['m1_ok']).lower()}")
-    print(f"m2_ok={str(res['m2_ok']).lower()}")
+    print(f"m1_ok={str(m1_ok).lower()}")
+    print(f"m2_ok={str(m2_ok).lower()}")
     if a.get("rom_csv"):
         _write(a["rom_csv"], rom_csv(rep))
     if a.get("ram_csv"):
         _write(a["ram_csv"], ram_csv(rep))
     _write_manifest("footprint", a, {"graph": a["graph"], "policy": a.get("policy")},
                     started, _manifest_path(a, a.get("rom_csv"), a.get("ram_csv")))
-    return EXIT_OK if res["m1_ok"] and res["m2_ok"] else EXIT_CONSTRAINT
+    return EXIT_OK if m1_ok and m2_ok else EXIT_CONSTRAINT
 
 
 def _load_checkpoint(path: str, g):
@@ -363,8 +364,10 @@ def cmd_pretrain(a: dict, started: float) -> int:
     g = load_graph(a["graph"])
     dataset = load_dataset(a["dataset"], seed=a["seed"])
     tc = qat.TrainConfig(epochs=a["epochs"], lr=a["lr"],
-                         batch_size=a["batch_size"], seed=a["seed"], log_every=1)
+                         batch_size=a["batch_size"], seed=a["seed"])
     weights, history = qat.pretrain_float(g, dataset, tc)
+    for h in history:
+        print(f"epoch {h['epoch']}: loss {h['loss']:.4f} val_top1 {h['val_top1']:.4f}")
     qat.save_checkpoint(a["out_checkpoint"], weights)
     top1 = history[-1]["val_top1"] if history else 0.0
     print(f"top1={top1!r}")

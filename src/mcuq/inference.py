@@ -54,8 +54,7 @@ def _per_channel_rq(rq: RequantParams, ndim: int) -> RequantParams:
     if m.size == 1:
         return rq
     tail = (1,) * (ndim - 2)
-    return RequantParams(multiplier=m.reshape(-1, *tail), shift=s.reshape(-1, *tail),
-                         out_zero=rq.out_zero)
+    return RequantParams(multiplier=m.reshape(-1, *tail), shift=s.reshape(-1, *tail))
 
 
 def run_codes_layer(layer, rec: PackedLayer, in_codes: list[np.ndarray]) -> np.ndarray:
@@ -101,8 +100,7 @@ def run_batch_int(g: NetworkGraph, model: PackedModel, images: np.ndarray) -> np
     for lid in topo_order(g):
         layer = g.layer(lid)
         if layer.kind == "input":
-            rng = model.act_range(in_tid)
-            acts[lid] = quantize_act(images, rng.clip_max, model.act_bits[in_tid])
+            acts[lid] = quantize_act(images, model.act_clip[in_tid], model.act_bits[in_tid])
         elif layer.kind == "output":
             scores = acts[layer.input_ids[0]]
         else:

@@ -1,9 +1,11 @@
 """ROM/RAM footprint computation and budget enforcement by bitwidth demotion.
 
 ROM holds weights (packed at their policy bits), biases (4 bytes each), and
-per-output-channel requantization constants (8 bytes: integer multiplier plus
-packed shift/zero-point). RAM holds the activation tensors live at each step
-of the deterministic schedule. Tensors at 32 bits (full-precision
+per-output-channel requantization constants (8 bytes: int32 multiplier and
+int32 shift). ROM always counts the bias and requant overheads, as the M1
+constraint of Rusci et al. (arXiv 1905.13082) does; no switch leaves them
+out. RAM holds the activation tensors live at each step of the
+deterministic schedule. Tensors at 32 bits (full-precision
 placeholders, and tensors feeding only the output sink) cost 4 bytes per
 element and are never demoted.
 """
@@ -107,9 +109,9 @@ def weight_bytes(param_count: int, bits: int) -> int:
     return (param_count * bits + 7) // 8
 
 
-def layer_rom_bytes(layer, bits: int, include_overheads: bool = True) -> int:
+def layer_rom_bytes(layer, bits: int) -> int:
     total = weight_bytes(layer.param_count, bits) + layer.bias_count * BIAS_BYTES
-    if bits != 32 and include_overheads:
+    if bits != 32:
         total += layer.out_channels * REQUANT_BYTES_PER_CHANNEL
     return total
 
@@ -126,13 +128,12 @@ def tensor_ram_bytes(g: NetworkGraph, p: QuantPolicy, tensor_id: int) -> int:
     return (numel * bits + 7) // 8
 
 
-def rom_footprint(g: NetworkGraph, p: QuantPolicy,
-                  include_overheads: bool = True) -> FootprintReport:
+def rom_footprint(g: NetworkGraph, p: QuantPolicy) -> FootprintReport:
     report = FootprintReport()
     for layer in g.weighted_layers():
         if layer.id not in p.weight_bits:
             raise PolicyError(f"missing weight_bits entry for layer {layer.id}")
-        b = layer_rom_bytes(layer, p.weight_bits[layer.id], include_overheads)
+        b = layer_rom_bytes(layer, p.weight_bits[layer.id])
         report.rom_per_layer[layer.id] = b
         report.rom_total += b
     return report
@@ -155,20 +156,8 @@ def ram_footprint(g: NetworkGraph, p: QuantPolicy) -> FootprintReport:
     return _fill_ram(FootprintReport(), g, p, topo_order(g), liveness(g))
 
 
-def footprint(g: NetworkGraph, p: QuantPolicy,
-              include_overheads: bool = True) -> FootprintReport:
-    return _fill_ram(rom_footprint(g, p, include_overheads), g, p,
-                     topo_order(g), liveness(g))
-
-
-def check_constraints(g: NetworkGraph, p: QuantPolicy, b: MemoryBudget,
-                      include_overheads: bool = True) -> dict:
-    report = footprint(g, p, include_overheads)
-    return {
-        "m1_ok": report.rom_total <= b.rom_bytes,
-        "m2_ok": report.ram_peak <= b.ram_bytes,
-        "report": report,
-    }
+def footprint(g: NetworkGraph, p: QuantPolicy) -> FootprintReport:
+    return _fill_ram(rom_footprint(g, p), g, p, topo_order(g), liveness(g))
 
 
 def _demote_pick(candidates):
@@ -176,11 +165,10 @@ def _demote_pick(candidates):
     return max(candidates, key=lambda c: (c[1], c[2], -c[0]))[0]
 
 
-def enforce_rom(g: NetworkGraph, p: QuantPolicy, b: MemoryBudget,
-                include_overheads: bool = True) -> QuantPolicy:
+def enforce_rom(g: NetworkGraph, p: QuantPolicy, b: MemoryBudget) -> QuantPolicy:
     """Demote the largest non-frozen weight tensor (8->4->2) until ROM fits."""
     out = p.copy()
-    while rom_footprint(g, out, include_overheads).rom_total > b.rom_bytes:
+    while rom_footprint(g, out).rom_total > b.rom_bytes:
         candidates = [
             (l.id, weight_bytes(l.param_count, out.weight_bits[l.id]), out.weight_bits[l.id])
             for l in g.weighted_layers()

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import math
 import struct
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -75,9 +75,6 @@ class PackedModel:
         bits = self.act_bits[tensor_id]
         return self.act_clip[tensor_id] / ((1 << bits) - 1)
 
-    def act_range(self, tensor_id: int) -> ActRange:
-        return ActRange(tensor_id=tensor_id, clip_max=self.act_clip[tensor_id])
-
 
 def _bias_int(bias: np.ndarray, acc_scales: np.ndarray) -> np.ndarray:
     b = round_half_away(np.asarray(bias, dtype=np.float64) / acc_scales)
@@ -100,24 +97,19 @@ def build_packed_model(g: NetworkGraph, weights: dict, policy: QuantPolicy,
     act_bits = {t: policy.act_bits[t] for t in sorted(encoded)}
     # clips round to f32 here so in-memory and deserialized models agree exactly
     act_clip = {t: float(np.float32(ranges[t].clip_max)) for t in sorted(encoded)}
-
-    def scale_of(t: int) -> float:
-        return act_clip[t] / ((1 << act_bits[t]) - 1)
-
     model = PackedModel(graph_layers=len(g.layers), act_bits=act_bits, act_clip=act_clip)
     for layer in g.layers:
         if layer.kind not in COMPUTE_KINDS and layer.kind != "relu_clip":
             continue
         rec = PackedLayer(layer_id=layer.id, kind=layer.kind)
-        s_ins = [scale_of(t) for t in layer.input_ids]
+        s_ins = [model.act_scale(t) for t in layer.input_ids]
         if layer.kind in WEIGHTED_KINDS:
             wbits = policy.weight_bits[layer.id]
             if wbits not in SUB_BYTE_BITS:
                 raise PolicyError(f"layer {layer.id}: export needs sub-byte weight bits")
+            # f32 scales, as the container stores them: the requants below
+            # derive from exactly what a loaded model holds
             qw = quantize_weights_pc(weights[layer.id]["w"], wbits)
-            # scales ride along as f32 in the container; round here so the
-            # requants below derive from exactly what a loaded model holds
-            qw = replace(qw, scales=np.float32(qw.scales).astype(np.float64))
             acc_scales = s_ins[0] * qw.scales
             rec.weight_bits = wbits
             rec.weight = qw
@@ -132,7 +124,7 @@ def build_packed_model(g: NetworkGraph, weights: dict, policy: QuantPolicy,
             wide_scale = max(s_ins)
         if layer.id in encoded:
             rec.out_bits = act_bits[layer.id]
-            s_out = scale_of(layer.id)
+            s_out = model.act_scale(layer.id)
         else:  # feeds the output sink: codes stay wide
             rec.out_bits = 32
             s_out = model.logits_scale = wide_scale
@@ -238,7 +230,7 @@ def deserialize(data: bytes) -> PackedModel:
         payload = r.take(plen)
         if ndim:
             rec.weight = QuantizedTensor(bits=wbits, packed=payload, shape=shape,
-                                         scales=scales, signed=True)
+                                         scales=scales)
             rec.bias_int = bias
         model.layers[lid] = rec
     r.finish()

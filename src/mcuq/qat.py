@@ -18,7 +18,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 from .data import Dataset
 from .errors import ModelMismatchError, PackFormatError, PolicyError, TrainingDivergedError
 from .graph_ir import WEIGHTED_KINDS, NetworkGraph, topo_order
-from .quantizer import ActRange, ByteReader, fake_quant_act, fake_quant_weights
+from .quantizer import CLIP_FLOOR, ActRange, ByteReader, fake_quant_act, fake_quant_weights
 
 # kinds whose float-mode output passes through a plain ReLU
 _RELU_KINDS = WEIGHTED_KINDS + ("relu_clip",)
@@ -26,18 +26,19 @@ _RELU_KINDS = WEIGHTED_KINDS + ("relu_clip",)
 CKPT_MAGIC = b"MQC1"
 CKPT_VERSION = 1
 
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
+EVAL_BATCH = 256   # images per forward in evaluate
+CALIB_BATCH = 128  # images per forward in collect_activations
+
 
 @dataclass
 class TrainConfig:
     epochs: int = 1
     batch_size: int = 32
     lr: float = 1e-4
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     seed: int = 0
-    clip_floor: float = 1e-3  # learned clips never drop below this
-    log_every: int = 0        # epochs between stdout lines, 0 = silent
 
 
 def init_weights(g: NetworkGraph, seed: int = 0) -> dict[int, dict[str, np.ndarray]]:
@@ -286,25 +287,24 @@ def softmax_xent(logits: np.ndarray, labels: np.ndarray) -> tuple[float, np.ndar
 # ---------------------------------------------------------------------------
 
 class _Adam:
-    def __init__(self, cfg: TrainConfig):
-        self.cfg = cfg
+    def __init__(self, lr: float):
+        self.lr = lr
         self.m: dict[str, np.ndarray] = {}
         self.v: dict[str, np.ndarray] = {}
         self.t = 0
 
     def step(self, params: dict[str, np.ndarray], grads: dict[str, np.ndarray]):
-        c = self.cfg
         self.t += 1
-        bc1 = 1.0 - c.beta1 ** self.t
-        bc2 = 1.0 - c.beta2 ** self.t
+        bc1 = 1.0 - ADAM_BETA1 ** self.t
+        bc2 = 1.0 - ADAM_BETA2 ** self.t
         for key, gval in grads.items():
             gval = np.asarray(gval, dtype=np.float64)
             if key not in self.m:
                 self.m[key] = np.zeros_like(gval)
                 self.v[key] = np.zeros_like(gval)
-            self.m[key] = c.beta1 * self.m[key] + (1 - c.beta1) * gval
-            self.v[key] = c.beta2 * self.v[key] + (1 - c.beta2) * gval * gval
-            update = c.lr * (self.m[key] / bc1) / (np.sqrt(self.v[key] / bc2) + c.eps)
+            self.m[key] = ADAM_BETA1 * self.m[key] + (1 - ADAM_BETA1) * gval
+            self.v[key] = ADAM_BETA2 * self.v[key] + (1 - ADAM_BETA2) * gval * gval
+            update = self.lr * (self.m[key] / bc1) / (np.sqrt(self.v[key] / bc2) + ADAM_EPS)
             params[key] = (params[key] - update).astype(params[key].dtype) \
                 if isinstance(params[key], np.ndarray) else float(params[key] - update)
 
@@ -320,14 +320,13 @@ def _gather_params(weights: dict, ranges: dict[int, ActRange] | None):
     return params
 
 
-def _scatter_params(params: dict, weights: dict, ranges: dict[int, ActRange] | None,
-                    clip_floor: float):
+def _scatter_params(params: dict, weights: dict, ranges: dict[int, ActRange] | None):
     for lid, entry in weights.items():
         entry["w"] = params[f"w.{lid}"]
         entry["b"] = params[f"b.{lid}"]
     if ranges:
         for tid, r in ranges.items():
-            r.clip_max = max(float(params[f"clip.{tid}"]), clip_floor)
+            r.clip_max = max(float(params[f"clip.{tid}"]), CLIP_FLOOR)
             params[f"clip.{tid}"] = r.clip_max
 
 
@@ -343,7 +342,7 @@ def train_network(g: NetworkGraph, weights: dict, dataset: Dataset,
     images, labels = dataset.train
     n = len(images)
     rng = np.random.default_rng(cfg.seed)
-    opt = _Adam(cfg)
+    opt = _Adam(cfg.lr)
     params = _gather_params(weights, ranges)
     history = []
 
@@ -359,12 +358,10 @@ def train_network(g: NetworkGraph, weights: dict, dataset: Dataset,
                 raise TrainingDivergedError(f"loss became {loss} at epoch {epoch}")
             grads = backward_network(g, weights, cache, dlogits)
             opt.step(params, grads)
-            _scatter_params(params, weights, ranges, cfg.clip_floor)
+            _scatter_params(params, weights, ranges)
             losses.append(loss)
         val_top1 = evaluate(g, weights, dataset, split="val", policy=policy, ranges=ranges)
         history.append({"epoch": epoch, "loss": float(np.mean(losses)), "val_top1": val_top1})
-        if cfg.log_every and (epoch % cfg.log_every == 0 or epoch == cfg.epochs - 1):
-            print(f"epoch {epoch}: loss {history[-1]['loss']:.4f} val_top1 {val_top1:.4f}")
     return history
 
 
@@ -387,27 +384,27 @@ def train_qat(g: NetworkGraph, weights: dict, policy, ranges: dict[int, ActRange
 
 
 def evaluate(g: NetworkGraph, weights: dict, dataset: Dataset, split: str = "val",
-             policy=None, ranges=None, batch: int = 256) -> float:
+             policy=None, ranges=None) -> float:
     """Top-1 accuracy on a split ("val", "train", or "all")."""
     images, labels = dataset.split(split)
     correct = 0
-    for start in range(0, len(images), batch):
-        logits, _ = forward_network(g, weights, images[start:start + batch],
+    for start in range(0, len(images), EVAL_BATCH):
+        logits, _ = forward_network(g, weights, images[start:start + EVAL_BATCH],
                                     policy=policy, ranges=ranges)
-        correct += int((logits.argmax(axis=1) == labels[start:start + batch]).sum())
+        correct += int((logits.argmax(axis=1) == labels[start:start + EVAL_BATCH]).sum())
     return correct / len(images)
 
 
-def collect_activations(g: NetworkGraph, weights: dict, images: np.ndarray,
-                        batch: int = 128) -> dict[int, np.ndarray]:
+def collect_activations(g: NetworkGraph, weights: dict,
+                        images: np.ndarray) -> dict[int, np.ndarray]:
     """Float-forward values of every encoded tensor, for range calibration.
 
     Each tensor's batches are concatenated along the batch axis.
     """
     encoded = g.encoded_tensors()
     chunks: dict[int, list] = {t: [] for t in encoded}
-    for start in range(0, len(images), batch):
-        acts = _walk(g, weights, images[start:start + batch])
+    for start in range(0, len(images), CALIB_BATCH):
+        acts = _walk(g, weights, images[start:start + CALIB_BATCH])
         for t in encoded:
             chunks[t].append(acts[t])
     return {t: np.concatenate(v) for t, v in chunks.items()}

@@ -20,6 +20,8 @@ from .errors import PackFormatError
 
 SUB_BYTE_BITS = (2, 4, 8)
 FP32_BITS = 32  # full-precision marker used by policies, never packed
+CLIP_FLOOR = 1e-3  # activation clips, calibrated or learned, never drop below this
+CALIB_PERCENTILE = 99.9  # calibration clips at this percentile of the observed values
 
 
 def qrange(bits: int, signed: bool) -> tuple[int, int]:
@@ -45,17 +47,16 @@ def haz_rshift(p: np.ndarray, shift) -> np.ndarray:
 
 @dataclass(frozen=True)
 class QuantizedTensor:
-    """Packed weight codes. The payload is decoded once, at construction, so a
-    short payload or a bad width raises PackFormatError here."""
+    """Packed signed weight codes. The payload is decoded once, at construction,
+    so a short payload or a bad width raises PackFormatError here."""
     bits: int
     packed: bytes
     shape: tuple[int, ...]
     scales: np.ndarray  # one per output channel (axis 0)
-    signed: bool
     _codes: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        q = unpack_subbyte(self.packed, self.bits, self.numel, signed=self.signed)
+        q = unpack_subbyte(self.packed, self.bits, self.numel, signed=True)
         q = q.astype(np.int8).reshape(self.shape)
         q.setflags(write=False)
         object.__setattr__(self, "_codes", q)
@@ -78,16 +79,12 @@ class ActRange:
         if not math.isfinite(self.clip_max) or self.clip_max <= 0:
             raise ValueError(f"clip_max must be finite and > 0, got {self.clip_max}")
 
-    def scale(self, bits: int) -> float:
-        return self.clip_max / ((1 << bits) - 1)
-
 
 @dataclass(frozen=True)
 class RequantParams:
-    """Fixed-point rescaling: y = sat(round(acc * multiplier / 2**shift) + out_zero)."""
+    """Fixed-point rescaling: y = sat(round(acc * multiplier / 2**shift))."""
     multiplier: np.ndarray  # int32, in [2**30, 2**31) or 0
     shift: np.ndarray       # int32 >= 0
-    out_zero: int = 0
 
 
 def pack_subbyte(values: np.ndarray, bits: int, signed: bool = False) -> bytes:
@@ -160,23 +157,31 @@ def weight_scales_pc(w: np.ndarray, bits: int) -> np.ndarray:
     return scales.astype(np.float64)
 
 
+def _round_weights(w: np.ndarray, bits: int) -> tuple[np.ndarray, np.ndarray]:
+    """Per-channel codes (integer-valued floats) and the broadcastable scales."""
+    scales = weight_scales_pc(np.asarray(w, dtype=np.float64), bits)
+    lo, hi = qrange(bits, signed=True)
+    s = scales.reshape((-1,) + (1,) * (w.ndim - 1))
+    return np.clip(round_half_away(w / s), lo, hi), s
+
+
 def quantize_weights_pc(w: np.ndarray, bits: int) -> QuantizedTensor:
-    """Uniform symmetric per-channel weight quantization (channel axis 0)."""
+    """Uniform symmetric per-channel weight quantization (channel axis 0).
+
+    The scales are rounded to float32, as the packed container stores them,
+    after the codes are rounded at full precision.
+    """
     if bits not in SUB_BYTE_BITS:
         raise ValueError(f"weight bits must be one of {SUB_BYTE_BITS}, got {bits}")
     w = np.asarray(w, dtype=np.float64)
     if not np.all(np.isfinite(w)):
         raise ValueError("weights contain non-finite values")
-    scales = weight_scales_pc(w, bits)
-    lo, hi = qrange(bits, signed=True)
-    bshape = (-1,) + (1,) * (w.ndim - 1)
-    q = np.clip(round_half_away(w / scales.reshape(bshape)), lo, hi).astype(np.int32)
+    q, s = _round_weights(w, bits)
     return QuantizedTensor(
         bits=bits,
         packed=pack_subbyte(q, bits, signed=True),
         shape=w.shape,
-        scales=scales,
-        signed=True,
+        scales=np.float32(s.ravel()).astype(np.float64),
     )
 
 
@@ -187,11 +192,7 @@ def dequantize(q: QuantizedTensor) -> np.ndarray:
 
 def fake_quant_weights(w: np.ndarray, bits: int) -> np.ndarray:
     """Quantize-dequantize roundtrip used in the training forward pass."""
-    scales = weight_scales_pc(np.asarray(w, dtype=np.float64), bits)
-    lo, hi = qrange(bits, signed=True)
-    bshape = (-1,) + (1,) * (w.ndim - 1)
-    s = scales.reshape(bshape)
-    q = np.clip(round_half_away(w / s), lo, hi)
+    q, s = _round_weights(w, bits)
     return (q * s).astype(w.dtype)
 
 
@@ -233,11 +234,7 @@ def compute_requant(s_in: float, s_w: np.ndarray, s_out: float) -> RequantParams
     if np.any(cap):
         mult = np.where(cap, round_half_away(m_real * float(1 << 62)).astype(np.int64), mult)
         shift = np.where(cap, 62, shift)
-    return RequantParams(
-        multiplier=mult.astype(np.int32),
-        shift=shift.astype(np.int32),
-        out_zero=0,
-    )
+    return RequantParams(multiplier=mult.astype(np.int32), shift=shift.astype(np.int32))
 
 
 def apply_requant(acc: np.ndarray, rq: RequantParams, bits: int,
@@ -245,10 +242,9 @@ def apply_requant(acc: np.ndarray, rq: RequantParams, bits: int,
     """Requantize 32-bit accumulators to the output bit range with saturation."""
     p = np.multiply(acc, rq.multiplier, dtype=np.int64)
     lo, hi = qrange(bits, signed)
-    if signed or rq.out_zero:
-        y = haz_rshift(p, rq.shift) + rq.out_zero
-        return np.clip(y, lo, hi).astype(np.int32)
-    # Unsigned, zero point 0: add half and floor-shift in place. That equals
+    if signed:
+        return np.clip(haz_rshift(p, rq.shift), lo, hi).astype(np.int32)
+    # Unsigned: add half and floor-shift in place. That equals
     # the half-away rounding wherever the result survives the clip; a negative
     # product rounds to <= 0 either way and clips to 0.
     shift = np.asarray(rq.shift, dtype=np.int64)
@@ -257,18 +253,17 @@ def apply_requant(acc: np.ndarray, rq: RequantParams, bits: int,
     return np.clip(p, lo, hi, out=p).astype(np.int32)
 
 
-def percentile_clip(values: np.ndarray, pct: float = 99.9, floor: float = 1e-3) -> float:
-    """Clip bound for calibration: given percentile of the observed values, floored."""
+def percentile_clip(values: np.ndarray) -> float:
+    """Calibration clip: the CALIB_PERCENTILE percentile of the values, floored at CLIP_FLOOR."""
     # one copy whatever the layout; np.percentile partitions C order faster
     # than the channel-last memory order of the training engine's outputs
     v = np.asarray(values, dtype=np.float64, order="C").ravel()
     if v.size == 0:
         raise ValueError("empty calibration sample")
-    return float(max(np.percentile(v, pct, method="linear"), floor))
+    return float(max(np.percentile(v, CALIB_PERCENTILE, method="linear"), CLIP_FLOOR))
 
 
-def calibrate_act_ranges(g, weights, images, pct: float = 99.9,
-                         floor: float = 1e-3) -> dict[int, ActRange]:
+def calibrate_act_ranges(g, weights, images) -> dict[int, ActRange]:
     """Initialize activation clip bounds from a float forward over a calibration batch."""
     from . import qat  # deferred: qat builds on this module
 
@@ -276,6 +271,6 @@ def calibrate_act_ranges(g, weights, images, pct: float = 99.9,
         raise ValueError("empty calibration set")
     acts = qat.collect_activations(g, weights, images)
     return {
-        t: ActRange(tensor_id=t, clip_max=percentile_clip(v, pct, floor))
+        t: ActRange(tensor_id=t, clip_max=percentile_clip(v))
         for t, v in acts.items()
     }

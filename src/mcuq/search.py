@@ -7,6 +7,12 @@ candidate for one epoch on the proxy set, and uses proxy validation top-1 as
 the shared reward of all the episode's transitions. The reward is terminal
 and shared, so the critic regresses straight onto it: there is no
 bootstrapped target and hence no target networks.
+
+The agent's hyper-parameters are HAQ's (arXiv 1811.08886) and fixed for every
+search: two hidden layers of HIDDEN units, Adam at ACTOR_LR and CRITIC_LR,
+exploration noise NOISE decaying by NOISE_DECAY per episode after warm-up,
+a replay ring of REPLAY_CAPACITY transitions sampled REPLAY_BATCH at a time.
+Each candidate trains QAT_EPOCHS proxy epochs at QAT_LR.
 """
 
 from __future__ import annotations
@@ -35,6 +41,16 @@ BIT_MIDPOINT = {2: 1.0 / 6.0, 4: 0.5, 8: 5.0 / 6.0}
 
 OBS_DIM = 18
 
+HIDDEN = (64, 64)
+ACTOR_LR = 1e-4
+CRITIC_LR = 1e-3
+NOISE = 0.5
+NOISE_DECAY = 0.99
+REPLAY_BATCH = 64
+REPLAY_CAPACITY = 10000
+QAT_EPOCHS = 1
+QAT_LR = 1e-4
+
 
 def bits_from_action(a: float) -> int:
     if a < 1.0 / 3.0:
@@ -53,18 +69,9 @@ class SearchConfig:
     seed: int = 0
     proxy_train_frac: float = 0.2
     proxy_val_frac: float = 0.1
-    qat_epochs: int = 1
-    qat_lr: float = 1e-4
     batch_size: int = 32
     pretrain_epochs: int = 3
     pretrain_lr: float = 1e-2
-    hidden: tuple[int, int] = (64, 64)
-    actor_lr: float = 1e-4
-    critic_lr: float = 1e-3
-    noise: float = 0.5
-    noise_decay: float = 0.99
-    replay_batch: int = 64
-    replay_capacity: int = 10000
     freeze_first_last: bool = False
 
     def __post_init__(self):
@@ -78,7 +85,6 @@ class SearchConfig:
 class EpisodeRecord:
     episode: int
     policy: QuantPolicy
-    reward: float
     top1: float
     rom_bytes: int
     ram_bytes: int
@@ -194,15 +200,15 @@ class DDPGAgent:
     def __init__(self, cfg: SearchConfig, seed: int):
         self.cfg = cfg
         self.rng = np.random.default_rng(seed)
-        self.actor = _MLP(OBS_DIM, cfg.hidden, self.rng, sigmoid_head=True)
-        self.critic = _MLP(OBS_DIM + 1, cfg.hidden, self.rng, sigmoid_head=False)
-        self.buffer = ReplayBuffer(cfg.replay_capacity)
-        self.actor_opt = qat._Adam(qat.TrainConfig(lr=cfg.actor_lr))
-        self.critic_opt = qat._Adam(qat.TrainConfig(lr=cfg.critic_lr))
+        self.actor = _MLP(OBS_DIM, HIDDEN, self.rng, sigmoid_head=True)
+        self.critic = _MLP(OBS_DIM + 1, HIDDEN, self.rng, sigmoid_head=False)
+        self.buffer = ReplayBuffer(REPLAY_CAPACITY)
+        self.actor_opt = qat._Adam(ACTOR_LR)
+        self.critic_opt = qat._Adam(CRITIC_LR)
 
     def noise_sigma(self, episode: int) -> float:
         steps = max(episode - self.cfg.warmup, 0)
-        return self.cfg.noise * self.cfg.noise_decay ** steps
+        return NOISE * NOISE_DECAY ** steps
 
     def act(self, obs: np.ndarray, episode: int) -> tuple[int, float]:
         """(bits, continuous action) for one decision."""
@@ -219,10 +225,9 @@ class DDPGAgent:
 
     def update(self) -> None:
         """One DDPG step: critic regression onto the reward, then actor ascent."""
-        cfg = self.cfg
-        if len(self.buffer) < cfg.replay_batch:
+        if len(self.buffer) < REPLAY_BATCH:
             return
-        s, a, r = self.buffer.sample(cfg.replay_batch, self.rng)
+        s, a, r = self.buffer.sample(REPLAY_BATCH, self.rng)
         q, cache = self.critic.forward(np.concatenate([s, a], axis=1))
         dq = 2.0 * (q - r) / len(q)
         grads, _ = self.critic.backward(cache, dq)
@@ -240,13 +245,18 @@ class DDPGAgent:
 # Episodes
 # ---------------------------------------------------------------------------
 
+def _frozen_ends(g: NetworkGraph, freeze_first_last: bool) -> set[int]:
+    """Ids of the first and last weighted layers when those stay at 8 bits."""
+    if not freeze_first_last:
+        return set()
+    wl = g.weighted_layers()
+    return {wl[0].id, wl[-1].id}
+
+
 def decision_items(g: NetworkGraph, phase: str,
                    freeze_first_last: bool = False) -> list[tuple[int, bool]]:
     """(layer/tensor id, is_weight) pairs the agent decides, in decision order."""
-    frozen_w: set[int] = set()
-    if freeze_first_last:
-        wl = g.weighted_layers()
-        frozen_w = {wl[0].id, wl[-1].id}
+    frozen_w = _frozen_ends(g, freeze_first_last)
     witems = [(l.id, True) for l in g.weighted_layers() if l.id not in frozen_w]
     frozen_a = g.residual_tensors()
     aitems = [(t, False) for t in g.decidable_act_tensors() if t not in frozen_a]
@@ -264,10 +274,7 @@ def base_policy(g: NetworkGraph, cfg: SearchConfig,
     if fixed_weight_bits:
         weight_bits.update(fixed_weight_bits)
     act_bits = {t: 8 for t in g.encoded_tensors()}
-    frozen_w: set[int] = set()
-    if cfg.freeze_first_last:
-        wl = g.weighted_layers()
-        frozen_w = {wl[0].id, wl[-1].id}
+    frozen_w = _frozen_ends(g, cfg.freeze_first_last)
     if fixed_weight_bits:
         frozen_w |= set(fixed_weight_bits)
     return QuantPolicy(weight_bits=weight_bits, act_bits=act_bits,
@@ -316,8 +323,8 @@ def run_episode(g: NetworkGraph, agent: DDPGAgent, cfg: SearchConfig, episode: i
 
     weights = qat.copy_weights(pretrained)
     ep_ranges = {t: ActRange(tensor_id=t, clip_max=r.clip_max) for t, r in ranges.items()}
-    tc = qat.TrainConfig(epochs=cfg.qat_epochs, batch_size=cfg.batch_size,
-                         lr=cfg.qat_lr, seed=cfg.seed + episode)
+    tc = qat.TrainConfig(epochs=QAT_EPOCHS, batch_size=cfg.batch_size,
+                         lr=QAT_LR, seed=cfg.seed + episode)
     _, _, top1 = qat.train_qat(g, weights, eval_policy, ep_ranges, proxy, tc)
 
     # every transition of the episode shares the terminal reward
@@ -327,7 +334,7 @@ def run_episode(g: NetworkGraph, agent: DDPGAgent, cfg: SearchConfig, episode: i
     if episode >= cfg.warmup:
         agent.update()
 
-    return EpisodeRecord(episode=episode, policy=policy, reward=top1, top1=top1,
+    return EpisodeRecord(episode=episode, policy=policy, top1=top1,
                          rom_bytes=report.rom_total, ram_bytes=report.ram_peak,
                          phase=phase)
 

@@ -247,14 +247,13 @@ def ref_tensor_bytes(g: NetworkGraph, policy: QuantPolicy, t: int) -> int:
     return -(-numel * bits // 8)  # ceil division
 
 
-def ref_rom(g: NetworkGraph, policy: QuantPolicy,
-            include_overheads: bool = True) -> int:
+def ref_rom(g: NetworkGraph, policy: QuantPolicy) -> int:
     total = 0
     for layer in g.weighted_layers():
         bits = policy.weight_bits[layer.id]
         wb = layer.param_count * 4 if bits == 32 else -(-layer.param_count * bits // 8)
         total += wb + layer.bias_count * 4
-        if bits != 32 and include_overheads:
+        if bits != 32:
             total += layer.out_channels * 8
     return total
 

@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import struct
 import subprocess
 import sys
@@ -76,6 +77,30 @@ def test_unreadable_config_is_bad_input(in_tmp):
 ])
 def test_exit_codes(argv, code):
     assert cli.main(argv) == code
+
+
+@pytest.mark.parametrize("rom, ram, m1, m2, code", [
+    pytest.param(2 * 2 ** 20, 2 ** 20, "true", "true", cli.EXIT_OK, id="fits"),
+    # the all-8 toy CNN needs 12332 B of ROM and 1960 B of RAM
+    pytest.param(12331, 1960, "false", "true", cli.EXIT_CONSTRAINT, id="rom_short"),
+])
+def test_footprint_prints_budget_verdicts(capsys, rom, ram, m1, m2, code):
+    assert cli.main(["footprint", "--graph", TOY, "--rom-bytes", str(rom),
+                     "--ram-bytes", str(ram)]) == code
+    assert capsys.readouterr().out.splitlines() == [
+        "rom_bytes=12332", "ram_bytes=1960", f"rom_budget={rom}", f"ram_budget={ram}",
+        f"m1_ok={m1}", f"m2_ok={m2}"]
+
+
+def test_pretrain_prints_one_line_per_epoch(in_tmp, capsys):
+    assert cli.main(["pretrain", "--graph", TOY, "--dataset", DATA, "--epochs", "2",
+                     "--out-checkpoint", "w.ckpt"]) == cli.EXIT_OK
+    *epochs, last = capsys.readouterr().out.splitlines()
+    assert len(epochs) == 2
+    for n, line in enumerate(epochs):
+        assert re.fullmatch(rf"epoch {n}: loss \d+\.\d{{4}} val_top1 [01]\.\d{{4}}", line)
+    assert last.startswith("top1=")
+    assert epochs[-1].endswith(f"val_top1 {float(last[5:]):.4f}")
 
 
 def test_export_then_eval_round_trip(in_tmp, capsys):

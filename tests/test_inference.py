@@ -32,8 +32,7 @@ def identity_conv_rec(n_ch=1, bits=8):
     codes = np.ones((n_ch, n_ch, 1, 1), dtype=np.int64)
     qw = QuantizedTensor(bits=8, packed=pack_subbyte(np.eye(n_ch).reshape(-1), 8,
                                                      signed=True),
-                         shape=(n_ch, n_ch, 1, 1), scales=np.ones(n_ch),
-                         signed=True)
+                         shape=(n_ch, n_ch, 1, 1), scales=np.ones(n_ch))
     rq = RequantParams(multiplier=np.full(n_ch, 1 << 30, dtype=np.int32),
                        shift=np.full(n_ch, 30, dtype=np.int32))
     return PackedLayer(layer_id=1, kind="conv2d", weight_bits=8, out_bits=bits,
@@ -208,7 +207,7 @@ def test_overflow_check_flags_int32_excess():
     layer = oracles._mk(1, "fully_connected", [0], 1, 0, 0, 1, 0,
                         (4, 1, 1), (1, 1, 1), bias=1)
     qw = QuantizedTensor(bits=8, packed=pack_subbyte(np.full(4, 127), 8, signed=True),
-                         shape=(1, 4), scales=np.ones(1), signed=True)
+                         shape=(1, 4), scales=np.ones(1))
     rq = RequantParams(multiplier=np.array([1 << 30], dtype=np.int32),
                        shift=np.array([30], dtype=np.int32))
     rec = PackedLayer(layer_id=1, kind="fully_connected", weight_bits=8, out_bits=32,
@@ -234,7 +233,7 @@ def test_run_codes_layer_checks_the_float64_range():
     layer = oracles._mk(1, "fully_connected", [0], 1, 0, 0, 1, 0,
                         (fan_in, 1, 1), (1, 1, 1), bias=1)
     qw = QuantizedTensor(bits=8, packed=pack_subbyte(np.full(fan_in, -128), 8, signed=True),
-                         shape=(1, fan_in), scales=np.ones(1), signed=True)
+                         shape=(1, fan_in), scales=np.ones(1))
     rq = RequantParams(multiplier=np.array([1 << 30], dtype=np.int32),
                        shift=np.array([30], dtype=np.int32))
     rec = PackedLayer(layer_id=1, kind="fully_connected", weight_bits=8, out_bits=32,
@@ -247,17 +246,20 @@ def test_run_codes_layer_checks_the_float64_range():
 def test_weight_codes_unpacked_once(monkeypatch, residual_graph):
     weights = qat.init_weights(residual_graph, seed=2)
     ranges = {t: ActRange(tensor_id=t, clip_max=1.5) for t in residual_graph.encoded_tensors()}
-    blob = serialize(build_packed_model(residual_graph, weights,
-                                        all_uniform_policy(residual_graph, 4), ranges))
     calls = []
     real = quantizer.unpack_subbyte
     monkeypatch.setattr(quantizer, "unpack_subbyte",
                         lambda *a, **k: calls.append(a[1]) or real(*a, **k))
+    once = [4] * len(residual_graph.weighted_layers())
+    blob = serialize(build_packed_model(residual_graph, weights,
+                                        all_uniform_policy(residual_graph, 4), ranges))
+    assert calls == once
+    calls.clear()
     model = deserialize(blob)
     images = np.random.default_rng(4).uniform(0, 1.5, size=(2, 3, 8, 8)).astype(np.float32)
     first = run_batch_int(residual_graph, model, images)
     assert np.array_equal(run_batch_int(residual_graph, model, images), first)
-    assert calls == [4] * len(residual_graph.weighted_layers())
+    assert calls == once
     for rec in model.layers.values():
         if rec.weight is not None:
             assert not rec.weight.codes().flags.writeable

@@ -11,7 +11,6 @@ from mcuq.memory_model import (
     MemoryBudget,
     QuantPolicy,
     all_uniform_policy,
-    check_constraints,
     enforce_ram,
     enforce_rom,
     footprint,
@@ -41,7 +40,6 @@ def test_weight_bytes_rounds_up():
 def test_layer_rom_bytes_components(toy_graph):
     conv = toy_graph.layer(1)  # 36 params, 4 biases, 4 output channels
     assert layer_rom_bytes(conv, 8) == 36 + 4 * 4 + 4 * 8
-    assert layer_rom_bytes(conv, 8, include_overheads=False) == 36 + 16
     # fp32 layers carry no requant tables
     assert layer_rom_bytes(conv, 32) == 36 * 4 + 16
     assert layer_rom_bytes(conv, 2) == 9 + 16 + 32
@@ -68,8 +66,7 @@ def test_toy_all8_anchors(toy_graph):
     rep = footprint(toy_graph, p)
     assert rep.rom_total == 12332
     assert rep.ram_peak == 1960
-    fp32 = rom_footprint(toy_graph, all_uniform_policy(toy_graph, 32, 32),
-                         include_overheads=False)
+    fp32 = rom_footprint(toy_graph, all_uniform_policy(toy_graph, 32, 32))
     assert fp32.rom_total == 45544
 
 
@@ -79,7 +76,7 @@ def test_footprint_matches_oracle_random():
         g = oracles.random_graph(rng)
         p = oracles.random_policy(rng, g)
         rep = footprint(g, p)
-        assert rep.rom_total == oracles.ref_rom(g, p, True)
+        assert rep.rom_total == oracles.ref_rom(g, p)
         peak, steps = oracles.ref_ram(g, p)
         assert rep.ram_peak == peak
 
@@ -136,16 +133,6 @@ def test_budget_requires_positive():
 # ---------------------------------------------------------------------------
 # Constraint checks and enforcement
 # ---------------------------------------------------------------------------
-
-def test_check_constraints_report(toy_graph):
-    p = all_uniform_policy(toy_graph)
-    ok = check_constraints(toy_graph, p, MemoryBudget(rom_bytes=2 * 2 ** 20,
-                                                      ram_bytes=2 ** 20))
-    assert ok["m1_ok"] and ok["m2_ok"]
-    tight = check_constraints(toy_graph, p, MemoryBudget(rom_bytes=12331,
-                                                         ram_bytes=1960))
-    assert not tight["m1_ok"] and tight["m2_ok"]
-
 
 def test_enforce_noop_when_within_budget(toy_graph):
     p = all_uniform_policy(toy_graph)

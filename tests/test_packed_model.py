@@ -52,6 +52,8 @@ def test_act_table_matches_policy(toy_graph, toy_model):
     assert sorted(toy_model.act_bits) == toy_graph.encoded_tensors()
     assert toy_model.act_bits[2] == 4
     assert toy_model.act_scale(2) == pytest.approx(toy_model.act_clip[2] / 15)
+    assert toy_model.act_bits[1] == 8
+    assert toy_model.act_scale(1) == pytest.approx(toy_model.act_clip[1] / 255)
 
 
 def test_clips_are_f32_exact(toy_model, toy_ranges):

@@ -12,7 +12,7 @@ from mcuq.data import Dataset, synthetic_shapes
 from mcuq.errors import McuqError, ModelMismatchError, TrainingDivergedError
 from mcuq.graph_ir import COMPUTE_KINDS, WEIGHTED_KINDS, NetworkGraph, validate
 from mcuq.memory_model import all_uniform_policy
-from mcuq.quantizer import ActRange
+from mcuq.quantizer import CLIP_FLOOR, ActRange
 
 
 def tiny_fc_graph(cin=2, classes=3):
@@ -159,8 +159,7 @@ def test_softmax_xent_gradient_fd():
 # ---------------------------------------------------------------------------
 
 def test_adam_single_step_hand():
-    cfg = qat.TrainConfig(lr=0.1, beta1=0.9, beta2=0.999, eps=1e-8)
-    opt = qat._Adam(cfg)
+    opt = qat._Adam(0.1)
     p = {"x": np.array([1.0])}
     g = {"x": np.array([0.5])}
     opt.step(p, g)
@@ -174,7 +173,7 @@ def test_adam_single_step_hand():
 
 def test_adam_defaults_match_contract():
     cfg = qat.TrainConfig()
-    assert (cfg.lr, cfg.beta1, cfg.beta2, cfg.eps) == (1e-4, 0.9, 0.999, 1e-8)
+    assert (cfg.lr, qat.ADAM_BETA1, qat.ADAM_BETA2, qat.ADAM_EPS) == (1e-4, 0.9, 0.999, 1e-8)
     assert cfg.batch_size == 32
 
 
@@ -246,7 +245,7 @@ def test_pact_clips_move_and_respect_floor(toy_graph, desk_small, pretrained,
     qat.train_network(toy_graph, weights, desk_small, cfg,
                       policy=all_uniform_policy(toy_graph), ranges=ranges)
     assert any(ranges[t].clip_max != before[t] for t in ranges)
-    assert all(r.clip_max >= cfg.clip_floor for r in ranges.values())
+    assert all(r.clip_max >= CLIP_FLOOR for r in ranges.values())
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")

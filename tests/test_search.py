@@ -22,15 +22,20 @@ from mcuq.search import (
     run_episode,
     search,
 )
-from mcuq import qat
+from mcuq import qat, search as search_mod
 
 BIG = MemoryBudget(rom_bytes=10 ** 9, ram_bytes=10 ** 9)
+SMALL_REPLAY_BATCH = 8  # the tiny test searches fill a replay batch within a few episodes
+
+
+@pytest.fixture(autouse=True)
+def small_replay_batch(monkeypatch):
+    monkeypatch.setattr(search_mod, "REPLAY_BATCH", SMALL_REPLAY_BATCH)
 
 
 def small_cfg(**kw):
     defaults = dict(budget=BIG, episodes=4, warmup=2, mode="concurrent",
-                    seed=0, proxy_train_frac=0.5, proxy_val_frac=0.5,
-                    qat_epochs=1, replay_batch=8)
+                    seed=0, proxy_train_frac=0.5, proxy_val_frac=0.5)
     defaults.update(kw)
     return SearchConfig(**defaults)
 
@@ -125,16 +130,18 @@ def test_warmup_actions_uniform_chi2():
     assert chi2 < 9.21  # 1% critical value, 2 dof
 
 
-def test_noise_sigma_decay():
-    cfg = small_cfg(noise=0.5, noise_decay=0.9, episodes=20, warmup=5)
-    agent = DDPGAgent(cfg, seed=0)
+def test_noise_sigma_decay(monkeypatch):
+    monkeypatch.setattr(search_mod, "NOISE", 0.5)
+    monkeypatch.setattr(search_mod, "NOISE_DECAY", 0.9)
+    agent = DDPGAgent(small_cfg(episodes=20, warmup=5), seed=0)
     assert agent.noise_sigma(3) == 0.5
     assert agent.noise_sigma(5) == 0.5
     assert agent.noise_sigma(7) == pytest.approx(0.5 * 0.9 ** 2)
 
 
-def test_post_warmup_actions_clipped():
-    agent = DDPGAgent(small_cfg(episodes=10, warmup=1, noise=2.0), seed=3)
+def test_post_warmup_actions_clipped(monkeypatch):
+    monkeypatch.setattr(search_mod, "NOISE", 2.0)
+    agent = DDPGAgent(small_cfg(episodes=10, warmup=1), seed=3)
     rng = np.random.default_rng(0)
     for _ in range(200):
         obs = rng.uniform(0, 1, size=OBS_DIM)
@@ -152,9 +159,9 @@ def test_replay_buffer_ring():
     assert rewards == [2.0, 3.0, 4.0, 5.0]  # oldest two evicted
 
 
-def test_critic_regresses_constant_reward():
-    cfg = small_cfg(episodes=10, warmup=1, replay_batch=16)
-    agent = DDPGAgent(cfg, seed=1)
+def test_critic_regresses_constant_reward(monkeypatch):
+    monkeypatch.setattr(search_mod, "REPLAY_BATCH", 16)
+    agent = DDPGAgent(small_cfg(episodes=10, warmup=1), seed=1)
     rng = np.random.default_rng(7)
     for _ in range(64):
         agent.buffer.push(rng.uniform(0, 1, OBS_DIM), float(rng.uniform()), 0.7)
@@ -171,9 +178,10 @@ def test_critic_regresses_constant_reward():
     assert critic_mse() < before
 
 
-def test_zero_lr_update_is_identity():
-    cfg = small_cfg(actor_lr=0.0, critic_lr=0.0, replay_batch=8)
-    agent = DDPGAgent(cfg, seed=2)
+def test_zero_lr_update_is_identity(monkeypatch):
+    monkeypatch.setattr(search_mod, "ACTOR_LR", 0.0)
+    monkeypatch.setattr(search_mod, "CRITIC_LR", 0.0)
+    agent = DDPGAgent(small_cfg(), seed=2)
     rng = np.random.default_rng(0)
     for _ in range(16):
         agent.buffer.push(rng.uniform(0, 1, OBS_DIM), 0.5, 0.5)
@@ -191,7 +199,7 @@ def test_update_deterministic():
                    for _ in range(32)]
     weights = []
     for _ in range(2):
-        agent = DDPGAgent(small_cfg(replay_batch=8), seed=11)
+        agent = DDPGAgent(small_cfg(), seed=11)
         for t in transitions:
             agent.buffer.push(*t)
         for _ in range(10):
@@ -202,7 +210,7 @@ def test_update_deterministic():
 
 
 def test_update_noop_until_batch_full():
-    agent = DDPGAgent(small_cfg(replay_batch=8), seed=0)
+    agent = DDPGAgent(small_cfg(), seed=0)
     agent.buffer.push(np.zeros(OBS_DIM), 0.5, 0.5)
     before = {k: v.copy() for k, v in agent.critic.params.items()}
     agent.update()
@@ -315,16 +323,16 @@ def test_episode_infeasible_budget_raises(residual_graph, res_setup):
                     anchor=True)
 
 
-def test_episode_reward_equals_top1(residual_graph, res_setup):
+def test_episode_pushes_top1_for_every_item(residual_graph, res_setup):
     d, weights, ranges = res_setup
     cfg = small_cfg()
     agent = DDPGAgent(cfg, seed=4)
     rec = run_episode(residual_graph, agent, cfg, 0, d, weights, ranges,
                       anchor=True)
-    assert rec.reward == rec.top1
     assert 0.0 <= rec.top1 <= 1.0
     n_items = len(decision_items(residual_graph, "concurrent"))
     assert len(agent.buffer) == n_items
+    assert all(item[2] == rec.top1 for item in agent.buffer.items)
 
 
 # ---------------------------------------------------------------------------
@@ -335,12 +343,25 @@ def test_episode_reward_equals_top1(residual_graph, res_setup):
 def quick_search(residual_graph):
     d = tiny_dataset()
     weights = qat.init_weights(residual_graph, seed=0)
-    cfg = small_cfg(episodes=6, warmup=2, noise_decay=0.9)
-    return cfg, d, weights, search(residual_graph, cfg, d, pretrained=weights)
+    cfg = small_cfg(episodes=6, warmup=2)
+    changed = []  # per agent.update call: did it move the actor's weights?
+    real_update = DDPGAgent.update
+
+    def update(agent):
+        before = {k: v.copy() for k, v in agent.actor.params.items()}
+        real_update(agent)
+        changed.append(any(not np.array_equal(agent.actor.params[k], v)
+                           for k, v in before.items()))
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(search_mod, "REPLAY_BATCH", SMALL_REPLAY_BATCH)
+        mp.setattr(DDPGAgent, "update", update)
+        res = search(residual_graph, cfg, d, pretrained=weights)
+    return cfg, d, weights, res, changed
 
 
 def test_search_history_and_best(residual_graph, quick_search):
-    cfg, d, weights, res = quick_search
+    cfg, d, weights, res, _ = quick_search
     assert len(res.history) == 6
     assert [r.episode for r in res.history] == list(range(6))
     best_so_far = -1.0
@@ -354,8 +375,13 @@ def test_search_history_and_best(residual_graph, quick_search):
     assert res.best_record.episode == firsts[0].episode
 
 
+def test_search_runs_agent_updates(quick_search):
+    *_, changed = quick_search
+    assert any(changed)
+
+
 def test_search_reproducible(residual_graph, quick_search):
-    cfg, d, weights, res = quick_search
+    cfg, d, weights, res, _ = quick_search
     res2 = search(residual_graph, cfg, d, pretrained=weights)
     assert history_csv(res.history, res.is_best) == history_csv(res2.history,
                                                                 res2.is_best)
@@ -386,7 +412,7 @@ def test_search_independent_mode(residual_graph):
 
 
 def test_history_csv_schema(quick_search):
-    cfg, d, weights, res = quick_search
+    cfg, d, weights, res, _ = quick_search
     lines = history_csv(res.history, res.is_best).strip().splitlines()
     assert lines[0] == "episode,top1,rom_bytes,ram_bytes,is_best"
     assert len(lines) == 7
@@ -397,7 +423,7 @@ def test_history_csv_schema(quick_search):
 
 
 def test_history_round_trips_losslessly(quick_search):
-    cfg, d, weights, res = quick_search
+    cfg, d, weights, res, _ = quick_search
     lines = history_csv(res.history, res.is_best).strip().splitlines()[1:]
     for line, rec in zip(lines, res.history):
         parts = line.split(",")
