@@ -5,6 +5,7 @@ import pytest
 
 import oracles
 from mcuq.errors import PackFormatError
+from mcuq.packed_model import PackedModel
 from mcuq.qat import _pact_masks
 from mcuq.quantizer import (
     ActRange,
@@ -341,3 +342,10 @@ def test_calibrate_covers_encoded_tensors(toy_graph, pretrained, toy_ranges, des
     # input tensor calibrates against the raw images
     want = percentile_clip(desk.train[0][:256].ravel())
     assert toy_ranges[0].clip_max == pytest.approx(want, rel=1e-6)
+
+
+def test_act_scale_rule():
+    # one activation scale rule: clip / (2^bits - 1)
+    m = PackedModel(graph_layers=0, act_bits={0: 2, 1: 8}, act_clip={0: 1.0, 1: 1.0})
+    assert m.act_scale(0) == pytest.approx(1 / 3)
+    assert m.act_scale(1) == pytest.approx(1 / 255)
