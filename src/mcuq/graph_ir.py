@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from .errors import GraphValidationError
 
@@ -70,6 +71,15 @@ class NetworkGraph:
     def __post_init__(self):
         object.__setattr__(self, "_by_id", {l.id: l for l in self.layers})
 
+    # the layers never change, so these are worked out on first use and kept
+    @cached_property
+    def _order(self) -> tuple[int, ...]:
+        return _topo_sort(self.layers)
+
+    @cached_property
+    def _encoded(self) -> tuple[int, ...]:
+        return tuple(t for t in self.tensor_ids() if self.is_encoded(t))
+
     def layer(self, layer_id: int) -> LayerSpec:
         return self._by_id[layer_id]
 
@@ -98,9 +108,9 @@ class NetworkGraph:
         """Whether a tensor needs a quantized encoding: any non-output layer consumes it."""
         return any(c.kind != "output" for c in self.consumers(tensor_id))
 
-    def encoded_tensors(self) -> list[int]:
-        """Tensors that need a quantized encoding, in layer order."""
-        return [t for t in self.tensor_ids() if self.is_encoded(t)]
+    def encoded_tensors(self) -> tuple[int, ...]:
+        """Tensors that need a quantized encoding, in layer order (found once)."""
+        return self._encoded
 
     def decidable_act_tensors(self) -> list[int]:
         """Tensors the policy search acts on: those feeding quantized compute."""
@@ -192,12 +202,19 @@ def _check_topology(layers: tuple[LayerSpec, ...]) -> None:
         raise GraphValidationError("duplicate layer ids")
 
 
-def topo_order(g: NetworkGraph) -> list[int]:
-    """Deterministic topological order: ready layers emitted by ascending id."""
-    indeg = {l.id: len(l.input_ids) for l in g.layers}
+def topo_order(g: NetworkGraph) -> tuple[int, ...]:
+    """Deterministic topological order: ready layers emitted by ascending id.
+
+    Sorted once per graph; raises GraphValidationError on a cycle.
+    """
+    return g._order
+
+
+def _topo_sort(layers: tuple[LayerSpec, ...]) -> tuple[int, ...]:
+    indeg = {l.id: len(l.input_ids) for l in layers}
     ready = sorted(lid for lid, d in indeg.items() if d == 0)
-    consumers: dict[int, list[int]] = {l.id: [] for l in g.layers}
-    for l in g.layers:
+    consumers: dict[int, list[int]] = {l.id: [] for l in layers}
+    for l in layers:
         for ref in l.input_ids:
             consumers[ref].append(l.id)
     order: list[int] = []
@@ -212,10 +229,10 @@ def topo_order(g: NetworkGraph) -> list[int]:
                 changed = True
         if changed:
             ready.sort()
-    if len(order) != len(g.layers):
+    if len(order) != len(layers):
         stuck = sorted(lid for lid, d in indeg.items() if d > 0)
         raise GraphValidationError(f"graph contains a cycle through layers {stuck}")
-    return order
+    return tuple(order)
 
 
 def liveness(g: NetworkGraph) -> list[frozenset[int]]:

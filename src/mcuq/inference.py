@@ -13,7 +13,10 @@ partial sum of a layer is an integer of magnitude at most
 (unsigned a_bits input codes, signed w_bits weight codes, an int32 bias).
 For 8-bit codes that stays below 2**53 up to a fan-in of about 2.8e11.
 Each weighted layer checks the bound, with its largest input code in place
-of 2**a_bits - 1, before it runs.
+of 2**a_bits - 1, before it runs. The bound holds for every partial sum in
+any order, so it does not depend on how the kernel groups its sums: conv2d's
+blocked GEMMs over phase planes (see qat.linear_fwd) are as exact as one
+dot product per output.
 """
 
 from __future__ import annotations

@@ -8,6 +8,7 @@ clip window, unit gradient to the clip where the input saturates).
 
 from __future__ import annotations
 
+import itertools
 import math
 import struct
 from dataclasses import dataclass
@@ -31,6 +32,7 @@ ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
 EVAL_BATCH = 256   # images per forward in evaluate
 CALIB_BATCH = 128  # images per forward in collect_activations
+CONV_BLOCK = 1 << 16  # elements of one conv2d im2col block (see linear_fwd)
 
 
 @dataclass
@@ -87,21 +89,127 @@ def _scatter_windows(dwin: np.ndarray, x_shape: tuple, kh: int, kw: int,
     return dxp[:, :, p:p + h, p:p + w] if p else dxp
 
 
+def _phase_grid(layer, x_shape: tuple) -> tuple[int, int, int, int]:
+    """(oh, ow, h2, w2): the conv2d output size and the size of one phase plane."""
+    _, _, h, w = x_shape
+    s, p = layer.stride, layer.padding
+    oh = (h + 2 * p - layer.kernel_h) // s + 1
+    ow = (w + 2 * p - layer.kernel_w) // s + 1
+    # every tap of a kept output stays inside its image: for y < oh and tap
+    # row i, y + i//s <= (h + 2p - 1)//s < h2, and likewise for columns
+    return oh, ow, -(-(h + 2 * p) // s), -(-(w + 2 * p) // s)
+
+
+def _phases(planes: np.ndarray, x_shape: tuple, s: int, p: int, h2: int, w2: int):
+    """Yield (index into x, view of the planes) for each of the s*s phases.
+
+    The index picks the input pixels that land in the phase, (N, C, rows,
+    cols); the view is where they sit in the planes, as (C, N, rows, cols).
+    """
+    n, c, h, w = x_shape
+    grid = planes[..., :n * h2 * w2].reshape(s, s, c, n, h2, w2)
+    for a, b in itertools.product(range(s), repeat=2):
+        r0, c0 = (a - p) % s, (b - p) % s  # first input row and column of the phase
+        y0, x0 = (r0 + p) // s, (c0 + p) // s
+        rows, cols = len(range(r0, h, s)), len(range(c0, w, s))
+        yield np.s_[:, :, r0::s, c0::s], grid[a, b, :, :, y0:y0 + rows, x0:x0 + cols]
+
+
+def _taps(layer, w2: int) -> list[tuple[int, int, int]]:
+    """(a, b, offset) per kernel tap, row-major: tap (i, j) of output position q
+    reads plane (a, b) = (i % s, j % s) at q + offset."""
+    s = layer.stride
+    return [(i % s, j % s, (i // s) * w2 + j // s)
+            for i in range(layer.kernel_h) for j in range(layer.kernel_w)]
+
+
+def _col_blocks(planes: np.ndarray, taps: list, m: int):
+    """Yield (m0, cols): cols is the (kh*kw*C, mb) im2col block of output
+    positions m0 .. m0+mb, rows tap-major, held in one reused buffer."""
+    c = planes.shape[2]
+    k = len(taps) * c
+    step = max(1, min(m, CONV_BLOCK // k))
+    buf = np.empty(k * step, planes.dtype)
+    for m0 in range(0, m, step):
+        mb = min(step, m - m0)
+        cols = buf[:k * mb].reshape(len(taps), c, mb)
+        for t, (a, b, off) in enumerate(taps):
+            cols[t] = planes[a, b, :, m0 + off:m0 + off + mb]
+        yield m0, cols.reshape(k, mb)
+
+
+def _conv2d_fwd(layer, x: np.ndarray, w: np.ndarray, b: np.ndarray):
+    n, c = x.shape[:2]
+    s, o = layer.stride, w.shape[0]
+    oh, ow, h2, w2 = _phase_grid(layer, x.shape)
+    m = n * h2 * w2
+    tail = (layer.kernel_h - 1) // s * w2 + (layer.kernel_w - 1) // s
+    dtype = np.result_type(x, w)
+    planes = np.zeros((s, s, c, m + tail), dtype)
+    for idx, view in _phases(planes, x.shape, s, layer.padding, h2, w2):
+        view[...] = x[idx].transpose(1, 0, 2, 3)
+    wt = w.transpose(0, 2, 3, 1).reshape(o, -1)  # columns tap-major, as the blocks
+    zm = np.empty((m, o), dtype)
+    for m0, cols in _col_blocks(planes, _taps(layer, w2), m):
+        np.matmul(cols.T, wt.T, out=zm[m0:m0 + cols.shape[1]])
+    z = np.empty((n, o, oh, ow), dtype)
+    np.add(zm.reshape(n, h2, w2, o)[:, :oh, :ow].transpose(0, 3, 1, 2),
+           b[None, :, None, None], out=z)
+    return z, planes
+
+
+def _conv2d_bwd(layer, dz: np.ndarray, planes: np.ndarray, w: np.ndarray,
+                x_shape: tuple, need_dx: bool):
+    n, o, oh, ow = dz.shape
+    kh, kw, s, c = layer.kernel_h, layer.kernel_w, layer.stride, x_shape[1]
+    _, _, h2, w2 = _phase_grid(layer, x_shape)
+    m = n * h2 * w2
+    # dropped positions get a zero gradient, so their columns add nothing
+    dzm = np.zeros((n, h2, w2, o), dz.dtype)
+    dzm[:, :oh, :ow] = dz.transpose(0, 2, 3, 1)
+    dzm = dzm.reshape(m, o)
+    taps = _taps(layer, w2)
+    dwt = np.zeros((len(taps) * c, o), np.result_type(planes, dz))
+    for m0, cols in _col_blocks(planes, taps, m):
+        dwt += cols @ dzm[m0:m0 + cols.shape[1]]
+    dx = None
+    if need_dx:
+        wt = w.transpose(0, 2, 3, 1).reshape(o, -1)
+        dcols = (wt.T @ dzm.T).reshape(len(taps), c, m)
+        dplanes = np.zeros(planes.shape, dcols.dtype)
+        for (a, b, off), dcol in zip(taps, dcols):
+            dplanes[a, b, :, off:off + m] += dcol
+        dx = np.empty(x_shape, dcols.dtype)
+        for idx, view in _phases(dplanes, x_shape, s, layer.padding, h2, w2):
+            dx[idx] = view.transpose(1, 0, 2, 3)
+    dw = dwt.reshape(kh, kw, c, o).transpose(3, 2, 0, 1)
+    return dx, dw, dz.reshape(n, o, oh * ow).sum(axis=(0, 2))
+
+
 def linear_fwd(layer, x: np.ndarray, w: np.ndarray, b: np.ndarray):
     """One weighted layer, z = w * x + b, in the dtype of its operands.
 
     Serves the float32 training forward and, on float64 codes, the integer
     accumulator of the deployed model. Returns (z, cols): cols is the input
-    as the kernel's operand (im2col windows for conv2d, the window view for
-    depthwise), which linear_bwd needs.
+    as the kernel's operand, which linear_bwd needs.
+
+    conv2d runs as GEMMs over phase planes. The zero-padded input is written
+    once into s*s phase planes (s the stride), plane (a, b) holding the
+    padded pixels (s*Y + a, s*X + b) at (Y, X) of an h2 x w2 grid per
+    image. The batch is folded into one flat axis, so cols is the
+    (s, s, C, N*h2*w2 + tail) plane array, tail being the largest tap
+    offset, and tap (i, j) of output position q = (n*h2 + y)*w2 + x is
+    plane[i%s, j%s, :, q + (i//s)*w2 + j//s]: one contiguous slice per tap.
+    Blocks of at most CONV_BLOCK elements, kh*kw*C rows by output positions,
+    are built from those slices and each multiplied by the weights in one
+    GEMM. Positions with y >= oh or x >= ow are computed and dropped. The
+    sums run in np.result_type(x, w).
+
+    depthwise cols is the (N, C, OH, OW, kh, kw) window view; pointwise and
+    fully_connected cols is the input itself.
     """
-    n = x.shape[0]
     if layer.kind == "conv2d":
-        win = _windows(x, layer.kernel_h, layer.kernel_w, layer.stride, layer.padding)
-        oh, ow = win.shape[2], win.shape[3]
-        cols = win.transpose(0, 1, 4, 5, 2, 3).reshape(n, -1, oh * ow)
-        z = np.einsum("of,nfl->nol", w.reshape(w.shape[0], -1), cols, optimize=True)
-        return z.reshape(n, w.shape[0], oh, ow) + b[None, :, None, None], cols
+        return _conv2d_fwd(layer, x, w, b)
     if layer.kind == "depthwise_conv2d":
         # one multiply-accumulate per kernel tap over strided slices of the
         # window view; an im2col reshape would copy the input kh*kw times
@@ -115,30 +223,38 @@ def linear_fwd(layer, x: np.ndarray, w: np.ndarray, b: np.ndarray):
         return z, win
     if layer.kind == "pointwise_conv2d":
         return np.einsum("oc,nchw->nohw", w, x, optimize=True) + b[None, :, None, None], x
-    cols = x.reshape(n, -1)  # fully_connected over the flattened input
+    cols = x.reshape(x.shape[0], -1)  # fully_connected over the flattened input
     return cols @ w.T + b, cols
 
 
-def linear_bwd(layer, dz: np.ndarray, cols: np.ndarray, w: np.ndarray, x_shape: tuple):
-    """Adjoint of linear_fwd: (dx, dw, db) given dL/dz and the saved cols."""
+def linear_bwd(layer, dz: np.ndarray, cols: np.ndarray, w: np.ndarray, x_shape: tuple,
+               need_dx: bool = True):
+    """Adjoint of linear_fwd: (dx, dw, db) given dL/dz and the saved cols.
+
+    dx is None when need_dx is false; dw and db do not depend on it. conv2d
+    rebuilds each im2col block from the phase planes in cols for one dw GEMM
+    per block. One GEMM gives the column gradients of every position, and
+    kh*kw contiguous slice-adds put them back into zeroed planes; dx is
+    those planes un-phased and cropped.
+    """
+    if layer.kind == "conv2d":
+        return _conv2d_bwd(layer, dz, cols, w, x_shape, need_dx)
     if layer.kind == "pointwise_conv2d":
         dw = np.einsum("nohw,nchw->oc", dz, cols, optimize=True)
-        return np.einsum("oc,nohw->nchw", w, dz, optimize=True), dw, dz.sum(axis=(0, 2, 3))
+        dx = np.einsum("oc,nohw->nchw", w, dz, optimize=True) if need_dx else None
+        return dx, dw, dz.sum(axis=(0, 2, 3))
     if layer.kind == "fully_connected":
-        return (dz @ w).reshape(x_shape), dz.T @ cols, dz.sum(axis=0)
+        return (dz @ w).reshape(x_shape) if need_dx else None, dz.T @ cols, dz.sum(axis=0)
+    # depthwise_conv2d; cols is the (N, C, OH, OW, kh, kw) window view
     n, c, oh, ow = dz.shape
     dzf = dz.reshape(n, c, oh * ow)
-    w2 = w.reshape(c, -1)
     kh, kw = layer.kernel_h, layer.kernel_w
-    if layer.kind == "conv2d":
-        dw = np.einsum("nol,nfl->of", dzf, cols, optimize=True).reshape(w.shape)
-        dcols = np.einsum("of,nol->nfl", w2, dzf, optimize=True)
-        dwin = dcols.reshape(n, x_shape[1], kh, kw, oh, ow).transpose(0, 1, 4, 5, 2, 3)
-    else:  # depthwise_conv2d; cols is the (N, C, OH, OW, kh, kw) window view
-        dw = np.einsum("nchw,nchwij->cij", dz, cols, optimize=True)
-        dcols = np.einsum("cf,ncl->nclf", w2, dzf, optimize=True)
-        dwin = dcols.reshape(n, c, oh, ow, kh, kw)
-    dx = _scatter_windows(dwin, x_shape, kh, kw, layer.stride, layer.padding)
+    dw = np.einsum("nchw,nchwij->cij", dz, cols, optimize=True)
+    dx = None
+    if need_dx:
+        dcols = np.einsum("cf,ncl->nclf", w.reshape(c, -1), dzf, optimize=True)
+        dx = _scatter_windows(dcols.reshape(n, c, oh, ow, kh, kw), x_shape, kh, kw,
+                              layer.stride, layer.padding)
     return dx, dw, dzf.sum(axis=(0, 2))
 
 
@@ -235,6 +351,14 @@ def backward_network(g: NetworkGraph, weights: dict, cache: list,
     dacts: dict[int, np.ndarray] = {}
     out_layer = g.output_layer
     dacts[out_layer.input_ids[0]] = dlogits.astype(np.float32)
+    # tensors whose gradient is used: those with a parameter at or above them,
+    # a weighted layer or a trained activation clip (the input's included)
+    wants: set[int] = set()
+    for entry in cache:
+        layer = entry["layer"]
+        if layer.kind in WEIGHTED_KINDS or "act_tid" in entry \
+                or not wants.isdisjoint(layer.input_ids):
+            wants.add(layer.id)
 
     for entry in reversed(cache):
         layer = entry["layer"]
@@ -254,16 +378,20 @@ def backward_network(g: NetworkGraph, weights: dict, cache: list,
 
         if layer.kind == "input":
             continue
+        need_dx = not wants.isdisjoint(layer.input_ids)
         if layer.kind in WEIGHTED_KINDS:
-            dx, dw, db = linear_bwd(layer, dz, entry["cols"], entry["wq"], entry["x_shape"])
+            dx, dw, db = linear_bwd(layer, dz, entry["cols"], entry["wq"], entry["x_shape"],
+                                    need_dx)
             grads[f"w.{layer.id}"] = dw  # STE: latent weight takes the fake-quant grad
             grads[f"b.{layer.id}"] = db
-        elif layer.kind == "avg_pool":
+        if not need_dx:
+            continue
+        if layer.kind == "avg_pool":
             kh, kw = layer.kernel_h, layer.kernel_w
             dwin = np.broadcast_to((dz / (kh * kw))[:, :, :, :, None, None],
                                    dz.shape + (kh, kw))
             dx = _scatter_windows(dwin, entry["x_shape"], kh, kw, layer.stride, layer.padding)
-        else:  # add_residual and relu_clip pass the gradient to every input
+        elif layer.kind not in WEIGHTED_KINDS:  # add_residual, relu_clip: dx is dz
             dx = dz
         for src in layer.input_ids:
             dacts[src] = dacts.get(src, 0.0) + dx
@@ -375,12 +503,15 @@ def train_qat(g: NetworkGraph, weights: dict, policy, ranges: dict[int, ActRange
               dataset: Dataset, cfg: TrainConfig):
     """Fake-quant training under a policy; returns (weights, ranges, val_top1).
 
-    Zero epochs leaves the parameters untouched and just scores the
+    The score is the last epoch's, which train_network takes on the final
+    weights. Zero epochs leaves the parameters untouched and just scores the
     calibrated model.
     """
-    train_network(g, weights, dataset, cfg, policy=policy, ranges=ranges)
-    top1 = evaluate(g, weights, dataset, split="val", policy=policy, ranges=ranges)
-    return weights, ranges, top1
+    history = train_network(g, weights, dataset, cfg, policy=policy, ranges=ranges)
+    if history:
+        return weights, ranges, history[-1]["val_top1"]
+    return weights, ranges, evaluate(g, weights, dataset, split="val", policy=policy,
+                                     ranges=ranges)
 
 
 def evaluate(g: NetworkGraph, weights: dict, dataset: Dataset, split: str = "val",
@@ -399,7 +530,8 @@ def collect_activations(g: NetworkGraph, weights: dict,
                         images: np.ndarray) -> dict[int, np.ndarray]:
     """Float-forward values of every encoded tensor, for range calibration.
 
-    Each tensor's batches are concatenated along the batch axis.
+    Each tensor's batches are concatenated along the batch axis; a single
+    batch is returned as computed, without a copy.
     """
     encoded = g.encoded_tensors()
     chunks: dict[int, list] = {t: [] for t in encoded}
@@ -407,7 +539,7 @@ def collect_activations(g: NetworkGraph, weights: dict,
         acts = _walk(g, weights, images[start:start + CALIB_BATCH])
         for t in encoded:
             chunks[t].append(acts[t])
-    return {t: np.concatenate(v) for t, v in chunks.items()}
+    return {t: v[0] if len(v) == 1 else np.concatenate(v) for t, v in chunks.items()}
 
 
 # ---------------------------------------------------------------------------

@@ -218,6 +218,39 @@ def ref_layer_codes(layer: LayerSpec, rec, in_codes: list[np.ndarray]) -> np.nda
 
 
 # ---------------------------------------------------------------------------
+# Float conv2d reference (loops over output positions and kernel taps)
+# ---------------------------------------------------------------------------
+
+def ref_conv2d(x: np.ndarray, w: np.ndarray, b: np.ndarray, stride: int, padding: int,
+               dz: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """conv2d z = w * x + b and, for an upstream gradient dz, (dw, dx).
+
+    Walks every output position and kernel tap of the explicitly zero-padded
+    input, contracting over channels only; no im2col, no strided view.
+    """
+    n, c, h, wd = x.shape
+    o, _, kh, kw = w.shape
+    p = padding
+    oh, ow = _conv_out(h, kh, stride, p), _conv_out(wd, kw, stride, p)
+    xp = np.zeros((n, c, h + 2 * p, wd + 2 * p), dtype=np.float64)
+    xp[:, :, p:p + h, p:p + wd] = x
+    z = np.zeros((n, o, oh, ow), dtype=np.float64)
+    dw = np.zeros(w.shape, dtype=np.float64)
+    dxp = np.zeros(xp.shape, dtype=np.float64)
+    for oy in range(oh):
+        for ox in range(ow):
+            z[:, :, oy, ox] = b
+            g = dz[:, :, oy, ox]
+            for ky in range(kh):
+                for kx in range(kw):
+                    iy, ix = oy * stride + ky, ox * stride + kx
+                    z[:, :, oy, ox] += xp[:, :, iy, ix] @ w[:, :, ky, kx].T
+                    dw[:, :, ky, kx] += g.T @ xp[:, :, iy, ix]
+                    dxp[:, :, iy, ix] += g @ w[:, :, ky, kx]
+    return z, dw, dxp[:, :, p:p + h, p:p + wd]
+
+
+# ---------------------------------------------------------------------------
 # Memory accounting
 # ---------------------------------------------------------------------------
 

@@ -15,6 +15,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from conftest import fresh_ranges
 from mcuq import inference, qat, search
 from mcuq.memory_model import all_uniform_policy
 from mcuq.packed_model import build_packed_model
@@ -61,6 +62,26 @@ def test_rebinding_sees_every_compute_layer(toy_graph):
         scores = inference.run_batch_int(toy_graph, model, images)
     assert sorted(calls) == sorted(model.layers)
     assert np.array_equal(scores, inference.run_batch_int(toy_graph, model, images))
+
+
+def test_rebinding_sees_every_qat_step(toy_graph, desk_small, pretrained, toy_ranges):
+    """toy_search times its host reference after each QAT step through this hook,
+    so a fused training step must still make one backward_network call per batch."""
+    hook = ("mcuq.qat", "backward_network")
+    assert workloads.ToySearch.ref_inside == hook
+    calls = []
+
+    def spy(fn):
+        def run(*args, **kwargs):
+            calls.append(1)
+            return fn(*args, **kwargs)
+        return run
+
+    cfg = qat.TrainConfig(epochs=2, batch_size=64)
+    with tracing.rebound({hook: spy}):
+        qat.train_qat(toy_graph, qat.copy_weights(pretrained[0]),
+                      all_uniform_policy(toy_graph), fresh_ranges(toy_ranges), desk_small, cfg)
+    assert len(calls) == cfg.epochs * -(-desk_small.n_train // cfg.batch_size)
 
 
 def test_config_fields_are_pinned():

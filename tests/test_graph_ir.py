@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import oracles
+from mcuq import graph_ir, qat, search
 from mcuq.errors import GraphValidationError
 from mcuq.graph_ir import (
     ALL_KINDS,
@@ -55,14 +56,14 @@ def test_mobilenet_fixture_counts(mobilenet_graph):
 
 def test_residual_fixture_tensor_sets(residual_graph):
     g = residual_graph
-    assert g.encoded_tensors() == [0, 1, 2, 3, 4, 5]
+    assert g.encoded_tensors() == (0, 1, 2, 3, 4, 5)
     assert g.decidable_act_tensors() == [0, 1, 2, 4, 5]
     assert g.residual_tensors() == {1, 2, 3}
     assert [l.id for l in g.consumers(1)] == [2, 3]
 
 
 def test_toy_tensor_sets(toy_graph):
-    assert toy_graph.encoded_tensors() == [0, 1, 2, 3, 4, 5]
+    assert toy_graph.encoded_tensors() == (0, 1, 2, 3, 4, 5)
     assert toy_graph.decidable_act_tensors() == [0, 1, 2, 3, 4, 5]
     assert toy_graph.residual_tensors() == set()
     # tensor 6 feeds only the output head, so it never gets an encoding
@@ -124,8 +125,30 @@ def test_error_carries_layer_id(toy_graph):
 # ---------------------------------------------------------------------------
 
 def test_topo_order_fixtures(toy_graph, residual_graph):
-    assert topo_order(toy_graph) == list(range(8))
-    assert topo_order(residual_graph) == list(range(8))
+    assert topo_order(toy_graph) == tuple(range(8))
+    assert topo_order(residual_graph) == tuple(range(8))
+
+
+def test_order_and_encodings_are_found_once(toy_graph, monkeypatch):
+    """A QAT step and the search's observations reuse one sort and one encoding
+    scan per graph, and hand out tuples, which no caller can change."""
+    g = replace_layer(toy_graph, 1)  # a fresh graph: nothing cached yet
+    sorts, scans = [], []
+    sort, is_encoded = graph_ir._topo_sort, NetworkGraph.is_encoded
+    monkeypatch.setattr(graph_ir, "_topo_sort", lambda layers: sorts.append(1) or sort(layers))
+    monkeypatch.setattr(NetworkGraph, "is_encoded",
+                        lambda self, t: scans.append(t) or is_encoded(self, t))
+    weights = qat.init_weights(g)
+    x = np.zeros((2, 1, 28, 28), np.float32)
+    for _ in range(2):
+        logits, cache = qat.forward_network(g, weights, x, train=True)
+        qat.backward_network(g, weights, cache, logits)
+        search.observe(g, 3, True, 0.5)
+    assert sorts == [1] and scans == list(g.tensor_ids())
+    assert isinstance(topo_order(g), tuple) and topo_order(g) is topo_order(g)
+    assert isinstance(g.encoded_tensors(), tuple)
+    assert topo_order(g) == topo_order(toy_graph)
+    assert g.encoded_tensors() == toy_graph.encoded_tensors()
 
 
 def test_topo_order_random_graphs():

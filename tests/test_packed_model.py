@@ -49,7 +49,7 @@ def test_logits_record_is_wide(toy_model):
 
 
 def test_act_table_matches_policy(toy_graph, toy_model):
-    assert sorted(toy_model.act_bits) == toy_graph.encoded_tensors()
+    assert tuple(sorted(toy_model.act_bits)) == toy_graph.encoded_tensors()
     assert toy_model.act_bits[2] == 4
     assert toy_model.act_scale(2) == pytest.approx(toy_model.act_clip[2] / 15)
     assert toy_model.act_bits[1] == 8

@@ -1,5 +1,6 @@
 """Training loop: forward/backward, Adam, fake-quant training, checkpoints."""
 
+import itertools
 import struct
 
 import numpy as np
@@ -128,6 +129,95 @@ def test_backward_matches_finite_differences_on_random_graphs():
         covered |= {l.kind for l in g.layers if _has_weighted_ancestor(g, l)} & want
 
 
+def _conv2d_cases(stride, padding):
+    """Every kernel of sides {1, 2, 3, 5} that fits the padded input, on odd and
+    even input sides and on one and three images."""
+    for (kh, kw), (h, w), n in itertools.product(
+            itertools.product((1, 2, 3, 5), repeat=2), ((5, 8), (8, 5)), (1, 3)):
+        if kh <= h + 2 * padding and kw <= w + 2 * padding:
+            yield kh, kw, h, w, n
+
+
+@pytest.mark.parametrize("stride", [1, 2, 3])
+@pytest.mark.parametrize("padding", [0, 1, 2])
+def test_conv2d_matches_loop_reference(stride, padding):
+    """conv2d forward, dw and dx against oracles.ref_conv2d over a geometry grid:
+    exact on integer-valued float64 operands (every partial sum is an exact
+    integer), within 1e-5 relative in float32."""
+    rng = np.random.default_rng([stride, padding])
+    for kh, kw, h, w, n in _conv2d_cases(stride, padding):
+        c, o = 2, 3
+        oh, ow = (h + 2 * padding - kh) // stride + 1, (w + 2 * padding - kw) // stride + 1
+        layer = oracles._mk(1, "conv2d", [0], o, kh, kw, stride, padding, (c, h, w),
+                            (o, oh, ow), bias=o)
+        x = rng.integers(-8, 8, size=(n, c, h, w)).astype(np.float64)
+        wt = rng.integers(-8, 8, size=(o, c, kh, kw)).astype(np.float64)
+        b = rng.integers(-8, 8, size=o).astype(np.float64)
+        dz = rng.integers(-8, 8, size=(n, o, oh, ow)).astype(np.float64)
+        case = f"k={kh}x{kw} hw={h}x{w} n={n}"
+        z, cols = qat.linear_fwd(layer, x, wt, b)
+        dx, dw, db = qat.linear_bwd(layer, dz, cols, wt, x.shape)
+        rz, rdw, rdx = oracles.ref_conv2d(x, wt, b, stride, padding, dz)
+        assert z.flags.c_contiguous, case
+        assert np.array_equal(z, rz) and np.array_equal(dw, rdw), case
+        assert np.array_equal(dx, rdx) and np.array_equal(db, dz.sum(axis=(0, 2, 3))), case
+
+        x, wt, b, dz = (rng.normal(size=a.shape).astype(np.float32) for a in (x, wt, b, dz))
+        z, cols = qat.linear_fwd(layer, x, wt, b)
+        dx, dw, _ = qat.linear_bwd(layer, dz, cols, wt, x.shape)
+        for got, want in zip((z, dw, dx), oracles.ref_conv2d(x, wt, b, stride, padding, dz)):
+            assert got.dtype == np.float32, case
+            np.testing.assert_allclose(got, want, rtol=1e-5, atol=1e-5 * np.abs(want).max(),
+                                       err_msg=case)
+
+
+@pytest.mark.parametrize("kind", WEIGHTED_KINDS)
+def test_linear_bwd_without_dx_keeps_dw_and_db(kind):
+    rng = np.random.default_rng(5)
+    c, o, hw = 3, 4, 6
+    k, s, p, ohw = (3, 2, 1, 3) if kind in ("conv2d", "depthwise_conv2d") else (1, 1, 0, hw)
+    if kind == "depthwise_conv2d":
+        o = c
+    out = (o, 1, 1) if kind == "fully_connected" else (o, ohw, ohw)
+    layer = oracles._mk(1, kind, [0], o, k, k, s, p, (c, hw, hw), out, bias=o)
+    x = rng.normal(size=(2, c, hw, hw)).astype(np.float32)
+    w = rng.normal(size=layer.weight_shape).astype(np.float32)
+    z, cols = qat.linear_fwd(layer, x, w, np.zeros(o, np.float32))
+    dz = rng.normal(size=z.shape).astype(np.float32)
+    dx, dw, db = qat.linear_bwd(layer, dz, cols, w, x.shape)
+    none, dw2, db2 = qat.linear_bwd(layer, dz, cols, w, x.shape, need_dx=False)
+    assert dx.shape == x.shape and none is None
+    assert np.array_equal(dw, dw2) and np.array_equal(db, db2)
+
+
+def test_backward_skips_only_unused_input_grads(toy_graph, pretrained, toy_ranges, desk_small,
+                                                monkeypatch):
+    """The first conv's input gradient is computed only where the input tensor
+    carries a trained clip, and every gradient equals the one computed with
+    each input gradient."""
+    weights, x = pretrained[0], desk_small.images[:8]
+    bwd, asked = qat.linear_bwd, {}
+
+    def spy(layer, dz, cols, w, x_shape, need_dx=True):
+        asked[layer.id] = need_dx
+        return bwd(layer, dz, cols, w, x_shape, need_dx)
+
+    def always(layer, dz, cols, w, x_shape, need_dx=True):
+        return bwd(layer, dz, cols, w, x_shape)
+
+    for policy, ranges in ((None, None), (all_uniform_policy(toy_graph), toy_ranges)):
+        logits, cache = qat.forward_network(toy_graph, weights, x, policy, ranges, train=True)
+        r = np.random.default_rng(0).normal(size=logits.shape).astype(np.float32)
+        monkeypatch.setattr(qat, "linear_bwd", spy)
+        grads = qat.backward_network(toy_graph, weights, cache, r)
+        monkeypatch.setattr(qat, "linear_bwd", always)
+        full = qat.backward_network(toy_graph, weights, cache, r)
+        assert asked == {1: policy is not None, 2: True, 3: True, 4: True, 6: True}
+        assert ("clip.0" in grads) == (policy is not None)
+        assert sorted(grads) == sorted(full)
+        assert all(np.array_equal(grads[k], full[k]) for k in grads)
+
+
 def test_softmax_xent_hand_case():
     logits = np.array([[1.0, 2.0, 3.0]])
     labels = np.array([2])
@@ -200,6 +290,20 @@ def test_train_qat_zero_epochs_scores_only(toy_graph, desk_small, pretrained,
                                qat.TrainConfig(epochs=0))
     assert 0.0 <= top1 <= 1.0
     assert all(np.array_equal(w[l]["w"], pretrained[0][l]["w"]) for l in w)
+
+
+@pytest.mark.parametrize("epochs", [0, 1])
+def test_train_qat_evaluates_once(toy_graph, desk_small, pretrained, toy_ranges, monkeypatch,
+                                  epochs):
+    weights = qat.copy_weights(pretrained[0])
+    ranges = fresh_ranges(toy_ranges)
+    p = all_uniform_policy(toy_graph)
+    evaluate, calls = qat.evaluate, []
+    monkeypatch.setattr(qat, "evaluate", lambda *a, **k: calls.append(1) or evaluate(*a, **k))
+    _, _, top1 = qat.train_qat(toy_graph, weights, p, ranges, desk_small,
+                               qat.TrainConfig(epochs=epochs))
+    assert len(calls) == 1
+    assert top1 == evaluate(toy_graph, weights, desk_small, split="val", policy=p, ranges=ranges)
 
 
 def test_loss_decreases_over_first_epochs(toy_graph, desk, pretrained, toy_ranges):
@@ -399,5 +503,5 @@ def test_evaluate_splits(toy_graph, pretrained, desk_small):
 def test_collect_activations_covers_encoded(toy_graph, pretrained, desk_small):
     weights, _ = pretrained
     acts = qat.collect_activations(toy_graph, weights, desk_small.images[:32])
-    assert sorted(acts) == toy_graph.encoded_tensors()
+    assert tuple(sorted(acts)) == toy_graph.encoded_tensors()
     assert all(v.size > 0 for v in acts.values())

@@ -335,7 +335,7 @@ def test_percentile_clip_floor_and_constant():
 
 
 def test_calibrate_covers_encoded_tensors(toy_graph, pretrained, toy_ranges, desk):
-    assert sorted(toy_ranges) == toy_graph.encoded_tensors()
+    assert tuple(sorted(toy_ranges)) == toy_graph.encoded_tensors()
     for t, r in toy_ranges.items():
         assert isinstance(r, ActRange)
         assert r.clip_max >= 1e-3
