@@ -129,10 +129,6 @@ class NetworkGraph:
         return out
 
 
-def _conv_out_hw(h: int, w: int, kh: int, kw: int, stride: int, padding: int):
-    return (h + 2 * padding - kh) // stride + 1, (w + 2 * padding - kw) // stride + 1
-
-
 def _expected_params(layer: LayerSpec) -> int:
     return math.prod(layer.weight_shape) if layer.kind in WEIGHTED_KINDS else 0
 
@@ -141,6 +137,10 @@ def _validate_layer(layer: LayerSpec, by_id: dict[int, LayerSpec]) -> None:
     lid = layer.id
     if layer.kind not in ALL_KINDS:
         raise GraphValidationError(f"unknown kind {layer.kind!r}", lid)
+
+    for name, shape in (("input_shape", layer.input_shape), ("output_shape", layer.output_shape)):
+        if len(shape) != 3 or min(shape) < 1:
+            raise GraphValidationError(f"{name} {shape} is not three positive ints", lid)
 
     arity = {"input": 0, "add_residual": 2}.get(layer.kind, 1)
     if len(layer.input_ids) != arity:
@@ -160,16 +160,18 @@ def _validate_layer(layer: LayerSpec, by_id: dict[int, LayerSpec]) -> None:
 
     cin, h, w = layer.input_shape
     if layer.kind in CONV_KINDS + ("avg_pool",):
-        oh, ow = _conv_out_hw(h, w, layer.kernel_h, layer.kernel_w,
-                              layer.stride, layer.padding)
-        expect = (layer.out_channels, oh, ow)
+        kh, kw, s, p = layer.kernel_h, layer.kernel_w, layer.stride, layer.padding
+        if min(kh, kw, s) < 1 or p < 0:
+            raise GraphValidationError(f"window needs kernel and stride >= 1 and padding "
+                                       f">= 0, got kernel {kh}x{kw}, stride {s}, padding {p}", lid)
+        expect = (layer.out_channels, (h + 2 * p - kh) // s + 1, (w + 2 * p - kw) // s + 1)
         if layer.output_shape != expect:
             raise GraphValidationError(
                 f"output_shape {layer.output_shape} != {expect} from conv arithmetic", lid)
         if layer.kind == "depthwise_conv2d" and layer.out_channels != cin:
             raise GraphValidationError("depthwise out_channels must equal in_channels", lid)
-        if layer.kind == "pointwise_conv2d" and (layer.kernel_h, layer.kernel_w) != (1, 1):
-            raise GraphValidationError("pointwise kernel must be 1x1", lid)
+        if layer.kind == "pointwise_conv2d" and (kh, kw, s, p) != (1, 1, 1, 0):
+            raise GraphValidationError("pointwise must be a 1x1 stride-1 unpadded window", lid)
         if layer.kind == "avg_pool" and layer.out_channels != cin:
             raise GraphValidationError("avg_pool cannot change channel count", lid)
     elif layer.kind == "fully_connected":

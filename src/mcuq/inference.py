@@ -2,21 +2,24 @@
 
 Reference semantics for MCU backends: sub-byte codes, 32-bit accumulators
 (overflow raises), per-channel requantization, saturating residual adds.
-The weighted kernels are the training engine's own linear_fwd, so the
-deployed arithmetic is the arithmetic that was trained. They run on the codes
-cast to float64, which puts the GEMMs on BLAS, and the result is cast back to
-int64. That is exact: float64 holds every integer below 2**53, and every
-partial sum of a layer is an integer of magnitude at most
+The weighted kernels and avg_pool are the training engine's own linear_fwd,
+so the deployed arithmetic is the arithmetic that was trained. avg_pool sums
+its codes in int64 through that kernel, every tap weighted 1. The weighted
+layers run on the codes cast to float64, which puts the GEMMs on BLAS, and
+the result is cast back to int64. That is exact: float64 holds every integer
+below 2**53, and every partial sum of a weighted layer is an integer of
+magnitude at most
 
     fan_in * (2**a_bits - 1) * 2**(w_bits - 1) + 2**31
 
 (unsigned a_bits input codes, signed w_bits weight codes, an int32 bias).
 For 8-bit codes that stays below 2**53 up to a fan-in of about 2.8e11.
 Each weighted layer checks the bound, with its largest input code in place
-of 2**a_bits - 1, before it runs. The bound holds for every partial sum in
-any order, so it does not depend on how the kernel groups its sums: conv2d's
-blocked GEMMs over phase planes (see qat.linear_fwd) are as exact as one
-dot product per output.
+of 2**a_bits - 1, before it runs; avg_pool needs no such check. The bound
+holds for every partial sum in any order, so it does not depend on how the
+kernel groups its sums: the blocked conv2d GEMMs and the per-tap depthwise
+sums over phase planes (see qat.linear_fwd) are as exact as one dot product
+per output.
 """
 
 from __future__ import annotations
@@ -76,9 +79,7 @@ def run_codes_layer(layer, rec: PackedLayer, in_codes: list[np.ndarray]) -> np.n
         return apply_requant(acc, _per_channel_rq(rec.requants[0], acc.ndim), out_bits,
                              signed=signed_out)
     if layer.kind == "avg_pool":
-        x = in_codes[0].astype(np.int64)
-        win = qat._windows(x, layer.kernel_h, layer.kernel_w, layer.stride, layer.padding)
-        acc = win.sum(axis=(4, 5))
+        acc, _ = qat.linear_fwd(layer, in_codes[0], *qat.pool_weight(layer, 1, np.int64))
         _check_acc(acc, layer.id)
         return apply_requant(acc, rec.requants[0], out_bits, signed=signed_out)
     if layer.kind == "add_residual":

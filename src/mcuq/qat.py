@@ -14,7 +14,6 @@ import struct
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .data import Dataset
 from .errors import ModelMismatchError, PackFormatError, PolicyError, TrainingDivergedError
@@ -23,6 +22,9 @@ from .quantizer import CLIP_FLOOR, ActRange, ByteReader, fake_quant_act, fake_qu
 
 # kinds whose float-mode output passes through a plain ReLU
 _RELU_KINDS = WEIGHTED_KINDS + ("relu_clip",)
+# kinds that run through linear_fwd/linear_bwd, and those of them on phase planes
+_LINEAR_KINDS = WEIGHTED_KINDS + ("avg_pool",)
+_WINDOW_KINDS = ("conv2d", "depthwise_conv2d", "avg_pool")
 
 CKPT_MAGIC = b"MQC1"
 CKPT_VERSION = 1
@@ -65,32 +67,8 @@ def copy_weights(weights: dict) -> dict:
 # Layer ops
 # ---------------------------------------------------------------------------
 
-def _pad(x: np.ndarray, p: int) -> np.ndarray:
-    if p == 0:
-        return x
-    return np.pad(x, ((0, 0), (0, 0), (p, p), (p, p)))
-
-
-def _windows(x: np.ndarray, kh: int, kw: int, s: int, p: int) -> np.ndarray:
-    """(N, C, OH, OW, kh, kw) view of all stride-s windows of the padded input."""
-    xp = _pad(x, p)
-    return sliding_window_view(xp, (kh, kw), axis=(2, 3))[:, :, ::s, ::s]
-
-
-def _scatter_windows(dwin: np.ndarray, x_shape: tuple, kh: int, kw: int,
-                     s: int, p: int) -> np.ndarray:
-    """Adjoint of _windows: scatter-add window grads back onto the input."""
-    n, c, h, w = x_shape
-    oh, ow = dwin.shape[2], dwin.shape[3]
-    dxp = np.zeros((n, c, h + 2 * p, w + 2 * p), dtype=dwin.dtype)
-    for i in range(kh):
-        for j in range(kw):
-            dxp[:, :, i:i + s * oh:s, j:j + s * ow:s] += dwin[:, :, :, :, i, j]
-    return dxp[:, :, p:p + h, p:p + w] if p else dxp
-
-
 def _phase_grid(layer, x_shape: tuple) -> tuple[int, int, int, int]:
-    """(oh, ow, h2, w2): the conv2d output size and the size of one phase plane."""
+    """(oh, ow, h2, w2): a window layer's output size and the size of one phase plane."""
     _, _, h, w = x_shape
     s, p = layer.stride, layer.padding
     oh = (h + 2 * p - layer.kernel_h) // s + 1
@@ -100,19 +78,17 @@ def _phase_grid(layer, x_shape: tuple) -> tuple[int, int, int, int]:
     return oh, ow, -(-(h + 2 * p) // s), -(-(w + 2 * p) // s)
 
 
-def _phases(planes: np.ndarray, x_shape: tuple, s: int, p: int, h2: int, w2: int):
-    """Yield (index into x, view of the planes) for each of the s*s phases.
-
-    The index picks the input pixels that land in the phase, (N, C, rows,
-    cols); the view is where they sit in the planes, as (C, N, rows, cols).
-    """
-    n, c, h, w = x_shape
+def _phases(planes: np.ndarray, x: np.ndarray, s: int, p: int, h2: int, w2: int):
+    """Yield (view of x, view of the planes) pairs of equal shape that put each
+    pixel of x, (N, C, H, W), at its place in the planes, (C, N, rows, cols) per phase."""
+    n, c, h, w = x.shape
     grid = planes[..., :n * h2 * w2].reshape(s, s, c, n, h2, w2)
     for a, b in itertools.product(range(s), repeat=2):
         r0, c0 = (a - p) % s, (b - p) % s  # first input row and column of the phase
         y0, x0 = (r0 + p) // s, (c0 + p) // s
         rows, cols = len(range(r0, h, s)), len(range(c0, w, s))
-        yield np.s_[:, :, r0::s, c0::s], grid[a, b, :, :, y0:y0 + rows, x0:x0 + cols]
+        yield (x[:, :, r0::s, c0::s],
+               grid[a, b, :, :, y0:y0 + rows, x0:x0 + cols].transpose(1, 0, 2, 3))
 
 
 def _taps(layer, w2: int) -> list[tuple[int, int, int]]:
@@ -138,89 +114,110 @@ def _col_blocks(planes: np.ndarray, taps: list, m: int):
         yield m0, cols.reshape(k, mb)
 
 
-def _conv2d_fwd(layer, x: np.ndarray, w: np.ndarray, b: np.ndarray):
+def _out_grid(flat: np.ndarray, kind: str, n: int, o: int, h2: int, w2: int) -> np.ndarray:
+    """A window kernel's flat output as an (N, O, h2, w2) view: (N*h2*w2, O) for
+    the conv2d GEMMs, (O, N*h2*w2) for the per-tap products."""
+    if kind == "conv2d":
+        return flat.reshape(n, h2, w2, o).transpose(0, 3, 1, 2)
+    return flat.reshape(o, n, h2, w2).transpose(1, 0, 2, 3)
+
+
+def _window_fwd(layer, x: np.ndarray, w: np.ndarray, b: np.ndarray):
     n, c = x.shape[:2]
-    s, o = layer.stride, w.shape[0]
+    s, o = layer.stride, len(b)
     oh, ow, h2, w2 = _phase_grid(layer, x.shape)
     m = n * h2 * w2
-    tail = (layer.kernel_h - 1) // s * w2 + (layer.kernel_w - 1) // s
+    taps = _taps(layer, w2)
     dtype = np.result_type(x, w)
-    planes = np.zeros((s, s, c, m + tail), dtype)
-    for idx, view in _phases(planes, x.shape, s, layer.padding, h2, w2):
-        view[...] = x[idx].transpose(1, 0, 2, 3)
-    wt = w.transpose(0, 2, 3, 1).reshape(o, -1)  # columns tap-major, as the blocks
-    zm = np.empty((m, o), dtype)
-    for m0, cols in _col_blocks(planes, _taps(layer, w2), m):
-        np.matmul(cols.T, wt.T, out=zm[m0:m0 + cols.shape[1]])
+    planes = np.zeros((s, s, c, m + taps[-1][2]), dtype)  # tail: the largest tap offset
+    for xv, pv in _phases(planes, x, s, layer.padding, h2, w2):
+        pv[...] = xv
+    if layer.kind == "conv2d":
+        wt = w.transpose(0, 2, 3, 1).reshape(o, -1)  # columns tap-major, as the blocks
+        zm = np.empty((m, o), dtype)
+        for m0, cols in _col_blocks(planes, taps, m):
+            np.matmul(cols.T, wt.T, out=zm[m0:m0 + cols.shape[1]])
+    else:  # one multiply-add per tap, (C, 1) weight columns
+        zm = np.zeros((c, m), dtype)
+        wc, prod = w.reshape(c, -1), np.empty_like(zm)
+        for t, (a, bb, off) in enumerate(taps):
+            zm += np.multiply(planes[a, bb, :, off:off + m], wc[:, t, None], out=prod)
     z = np.empty((n, o, oh, ow), dtype)
-    np.add(zm.reshape(n, h2, w2, o)[:, :oh, :ow].transpose(0, 3, 1, 2),
-           b[None, :, None, None], out=z)
+    np.add(_out_grid(zm, layer.kind, n, o, h2, w2)[:, :, :oh, :ow], b[None, :, None, None],
+           out=z)
     return z, planes
 
 
-def _conv2d_bwd(layer, dz: np.ndarray, planes: np.ndarray, w: np.ndarray,
+def _window_bwd(layer, dz: np.ndarray, planes: np.ndarray, w: np.ndarray,
                 x_shape: tuple, need_dx: bool):
     n, o, oh, ow = dz.shape
-    kh, kw, s, c = layer.kernel_h, layer.kernel_w, layer.stride, x_shape[1]
+    c = x_shape[1]
     _, _, h2, w2 = _phase_grid(layer, x_shape)
     m = n * h2 * w2
-    # dropped positions get a zero gradient, so their columns add nothing
-    dzm = np.zeros((n, h2, w2, o), dz.dtype)
-    dzm[:, :oh, :ow] = dz.transpose(0, 2, 3, 1)
-    dzm = dzm.reshape(m, o)
     taps = _taps(layer, w2)
-    dwt = np.zeros((len(taps) * c, o), np.result_type(planes, dz))
-    for m0, cols in _col_blocks(planes, taps, m):
-        dwt += cols @ dzm[m0:m0 + cols.shape[1]]
+    conv = layer.kind == "conv2d"
+    # dropped positions get a zero gradient, so their columns add nothing
+    dzm = np.zeros((m, o) if conv else (o, m), dz.dtype)
+    _out_grid(dzm, layer.kind, n, o, h2, w2)[:, :, :oh, :ow] = dz
+    dw = None  # avg_pool has no parameters
+    if conv:
+        dwt = np.zeros((len(taps) * c, o), np.result_type(planes, dz))
+        for m0, cols in _col_blocks(planes, taps, m):
+            dwt += cols @ dzm[m0:m0 + cols.shape[1]]
+        dw = dwt.reshape(layer.kernel_h, layer.kernel_w, c, o).transpose(3, 2, 0, 1)
+    elif layer.kind == "depthwise_conv2d":
+        dw = np.stack([planes[a, b, :, None, off:off + m] @ dzm[..., None] for a, b, off in taps],
+                      axis=1).reshape(w.shape)  # a (1, M) @ (M, 1) product per channel
     dx = None
     if need_dx:
-        wt = w.transpose(0, 2, 3, 1).reshape(o, -1)
-        dcols = (wt.T @ dzm.T).reshape(len(taps), c, m)
-        dplanes = np.zeros(planes.shape, dcols.dtype)
+        dtype = np.result_type(w, dz)
+        if conv:
+            wt = w.transpose(0, 2, 3, 1).reshape(o, -1)
+            dcols = (wt.T @ dzm.T).reshape(len(taps), c, m)
+        else:
+            wc, prod = w.reshape(c, -1), np.empty((c, m), dtype)
+            dcols = (np.multiply(wc[:, t, None], dzm, out=prod) for t in range(len(taps)))
+        dplanes = np.zeros(planes.shape, dtype)
         for (a, b, off), dcol in zip(taps, dcols):
             dplanes[a, b, :, off:off + m] += dcol
-        dx = np.empty(x_shape, dcols.dtype)
-        for idx, view in _phases(dplanes, x_shape, s, layer.padding, h2, w2):
-            dx[idx] = view.transpose(1, 0, 2, 3)
-    dw = dwt.reshape(kh, kw, c, o).transpose(3, 2, 0, 1)
-    return dx, dw, dz.reshape(n, o, oh * ow).sum(axis=(0, 2))
+        dx = np.empty(x_shape, dtype)
+        for xv, pv in _phases(dplanes, dx, layer.stride, layer.padding, h2, w2):
+            xv[...] = pv
+    db = None if dw is None else dz.reshape(n, o, oh * ow).sum(axis=(0, 2))
+    return dx, dw, db
+
+
+def pool_weight(layer, value, dtype) -> tuple[np.ndarray, np.ndarray]:
+    """avg_pool as a depthwise layer: (w, b) weighting every tap by value, no bias."""
+    c = layer.out_channels
+    return np.full((c, layer.kernel_h, layer.kernel_w), value, dtype), np.zeros(c, dtype)
 
 
 def linear_fwd(layer, x: np.ndarray, w: np.ndarray, b: np.ndarray):
-    """One weighted layer, z = w * x + b, in the dtype of its operands.
+    """One linear layer, z = w * x + b, in the dtype of its operands.
 
-    Serves the float32 training forward and, on float64 codes, the integer
-    accumulator of the deployed model. Returns (z, cols): cols is the input
-    as the kernel's operand, which linear_bwd needs.
+    Serves the float32 training forward and the integer accumulator of the
+    deployed model, on float64 codes or, for avg_pool, int64 codes; avg_pool
+    runs on pool_weight's constant kernel. Returns (z, cols): cols is the
+    input as the kernel's operand, which linear_bwd needs.
 
-    conv2d runs as GEMMs over phase planes. The zero-padded input is written
-    once into s*s phase planes (s the stride), plane (a, b) holding the
-    padded pixels (s*Y + a, s*X + b) at (Y, X) of an h2 x w2 grid per
-    image. The batch is folded into one flat axis, so cols is the
-    (s, s, C, N*h2*w2 + tail) plane array, tail being the largest tap
-    offset, and tap (i, j) of output position q = (n*h2 + y)*w2 + x is
-    plane[i%s, j%s, :, q + (i//s)*w2 + j//s]: one contiguous slice per tap.
-    Blocks of at most CONV_BLOCK elements, kh*kw*C rows by output positions,
-    are built from those slices and each multiplied by the weights in one
-    GEMM. Positions with y >= oh or x >= ow are computed and dropped. The
-    sums run in np.result_type(x, w).
+    conv2d, depthwise_conv2d and avg_pool run over phase planes. The
+    zero-padded input is written once into s*s phase planes (s the stride),
+    plane (a, b) holding the padded pixels (s*Y + a, s*X + b) at (Y, X) of
+    an h2 x w2 grid per image. The batch is folded into one flat axis, so
+    cols is the (s, s, C, N*h2*w2 + tail) plane array for all three kinds,
+    tail being the largest tap offset, and tap (i, j) of output position
+    q = (n*h2 + y)*w2 + x is plane[i%s, j%s, :, q + (i//s)*w2 + j//s]: one
+    contiguous slice per tap. conv2d builds blocks of at most CONV_BLOCK
+    elements, kh*kw*C rows by output positions, from those slices and
+    multiplies each by the weights in one GEMM. depthwise_conv2d and avg_pool
+    add each tap's slice times its (C, 1) weight column. Positions with
+    y >= oh or x >= ow are computed and dropped. The sums run in np.result_type(x, w).
 
-    depthwise cols is the (N, C, OH, OW, kh, kw) window view; pointwise and
-    fully_connected cols is the input itself.
+    pointwise_conv2d and fully_connected cols is the input itself.
     """
-    if layer.kind == "conv2d":
-        return _conv2d_fwd(layer, x, w, b)
-    if layer.kind == "depthwise_conv2d":
-        # one multiply-accumulate per kernel tap over strided slices of the
-        # window view; an im2col reshape would copy the input kh*kw times
-        win = _windows(x, layer.kernel_h, layer.kernel_w, layer.stride, layer.padding)
-        z = win[..., 0, 0] * w[None, :, 0, 0, None, None]
-        tap = np.empty_like(z)
-        for i, j in np.ndindex(layer.kernel_h, layer.kernel_w):
-            if i or j:
-                z += np.multiply(win[..., i, j], w[None, :, i, j, None, None], out=tap)
-        z += b[None, :, None, None]
-        return z, win
+    if layer.kind in _WINDOW_KINDS:
+        return _window_fwd(layer, x, w, b)
     if layer.kind == "pointwise_conv2d":
         return np.einsum("oc,nchw->nohw", w, x, optimize=True) + b[None, :, None, None], x
     cols = x.reshape(x.shape[0], -1)  # fully_connected over the flattened input
@@ -231,31 +228,22 @@ def linear_bwd(layer, dz: np.ndarray, cols: np.ndarray, w: np.ndarray, x_shape: 
                need_dx: bool = True):
     """Adjoint of linear_fwd: (dx, dw, db) given dL/dz and the saved cols.
 
-    dx is None when need_dx is false; dw and db do not depend on it. conv2d
-    rebuilds each im2col block from the phase planes in cols for one dw GEMM
-    per block. One GEMM gives the column gradients of every position, and
-    kh*kw contiguous slice-adds put them back into zeroed planes; dx is
-    those planes un-phased and cropped.
+    dx is None when need_dx is false; dw and db do not depend on it, and are
+    None for avg_pool, which has no parameters. The window kinds take dw from
+    the phase planes in cols: conv2d rebuilds each im2col block for one dw
+    GEMM per block, depthwise_conv2d takes one dot product per tap and
+    channel. Their column gradients (one GEMM for conv2d, the weight column
+    times dz per tap for depthwise_conv2d and avg_pool) go back into zeroed
+    planes by kh*kw contiguous slice-adds; dx is those planes un-phased and
+    cropped.
     """
-    if layer.kind == "conv2d":
-        return _conv2d_bwd(layer, dz, cols, w, x_shape, need_dx)
+    if layer.kind in _WINDOW_KINDS:
+        return _window_bwd(layer, dz, cols, w, x_shape, need_dx)
     if layer.kind == "pointwise_conv2d":
         dw = np.einsum("nohw,nchw->oc", dz, cols, optimize=True)
         dx = np.einsum("oc,nohw->nchw", w, dz, optimize=True) if need_dx else None
         return dx, dw, dz.sum(axis=(0, 2, 3))
-    if layer.kind == "fully_connected":
-        return (dz @ w).reshape(x_shape) if need_dx else None, dz.T @ cols, dz.sum(axis=0)
-    # depthwise_conv2d; cols is the (N, C, OH, OW, kh, kw) window view
-    n, c, oh, ow = dz.shape
-    dzf = dz.reshape(n, c, oh * ow)
-    kh, kw = layer.kernel_h, layer.kernel_w
-    dw = np.einsum("nchw,nchwij->cij", dz, cols, optimize=True)
-    dx = None
-    if need_dx:
-        dcols = np.einsum("cf,ncl->nclf", w.reshape(c, -1), dzf, optimize=True)
-        dx = _scatter_windows(dcols.reshape(n, c, oh, ow, kh, kw), x_shape, kh, kw,
-                              layer.stride, layer.padding)
-    return dx, dw, dzf.sum(axis=(0, 2))
+    return (dz @ w).reshape(x_shape) if need_dx else None, dz.T @ cols, dz.sum(axis=0)
 
 
 # ---------------------------------------------------------------------------
@@ -285,18 +273,16 @@ def _walk(g: NetworkGraph, weights: dict, x: np.ndarray, policy=None,
 
         if layer.kind == "input":
             z = x.astype(np.float32)
-        elif layer.kind in WEIGHTED_KINDS:
+        elif layer.kind in _LINEAR_KINDS:
             xin = acts[layer.input_ids[0]]
-            w = weights[lid]["w"]
-            wbits = 32 if policy is None else policy.weight_bits[lid]
-            wq = w if wbits == 32 else fake_quant_weights(w, wbits).astype(np.float32)
-            z, cols = linear_fwd(layer, xin, wq, weights[lid]["b"])
+            if layer.kind == "avg_pool":
+                wq, b = pool_weight(layer, 1.0 / (layer.kernel_h * layer.kernel_w), xin.dtype)
+            else:
+                w, b = weights[lid]["w"], weights[lid]["b"]
+                wbits = 32 if policy is None else policy.weight_bits[lid]
+                wq = w if wbits == 32 else fake_quant_weights(w, wbits).astype(np.float32)
+            z, cols = linear_fwd(layer, xin, wq, b)
             entry.update(cols=cols, wq=wq, x_shape=xin.shape)
-        elif layer.kind == "avg_pool":
-            xin = acts[layer.input_ids[0]]
-            win = _windows(xin, layer.kernel_h, layer.kernel_w, layer.stride, layer.padding)
-            z = win.mean(axis=(4, 5))
-            entry.update(x_shape=xin.shape)
         elif layer.kind == "add_residual":
             z = acts[layer.input_ids[0]] + acts[layer.input_ids[1]]
         elif layer.kind == "relu_clip":
@@ -379,20 +365,16 @@ def backward_network(g: NetworkGraph, weights: dict, cache: list,
         if layer.kind == "input":
             continue
         need_dx = not wants.isdisjoint(layer.input_ids)
-        if layer.kind in WEIGHTED_KINDS:
+        if layer.kind in _LINEAR_KINDS:
             dx, dw, db = linear_bwd(layer, dz, entry["cols"], entry["wq"], entry["x_shape"],
                                     need_dx)
-            grads[f"w.{layer.id}"] = dw  # STE: latent weight takes the fake-quant grad
-            grads[f"b.{layer.id}"] = db
+            if layer.kind in WEIGHTED_KINDS:
+                grads[f"w.{layer.id}"] = dw  # STE: latent weight takes the fake-quant grad
+                grads[f"b.{layer.id}"] = db
+        else:  # add_residual, relu_clip: dx is dz
+            dx = dz
         if not need_dx:
             continue
-        if layer.kind == "avg_pool":
-            kh, kw = layer.kernel_h, layer.kernel_w
-            dwin = np.broadcast_to((dz / (kh * kw))[:, :, :, :, None, None],
-                                   dz.shape + (kh, kw))
-            dx = _scatter_windows(dwin, entry["x_shape"], kh, kw, layer.stride, layer.padding)
-        elif layer.kind not in WEIGHTED_KINDS:  # add_residual, relu_clip: dx is dz
-            dx = dz
         for src in layer.input_ids:
             dacts[src] = dacts.get(src, 0.0) + dx
     return grads

@@ -79,6 +79,17 @@ def test_exit_codes(argv, code):
     assert cli.main(argv) == code
 
 
+def test_footprint_of_a_zero_stride_graph_is_bad_input(in_tmp, capsys):
+    with open(TOY, encoding="utf-8") as f:
+        doc = json.load(f)
+    doc["layers"][2]["stride"] = 0
+    (in_tmp / "g.json").write_text(json.dumps(doc))
+    assert cli.main(["footprint", "--graph", "g.json", "--rom-bytes", "1",
+                     "--ram-bytes", "1"]) == cli.EXIT_INPUT
+    err = capsys.readouterr().err
+    assert "layer 2" in err and "stride 0" in err and "Traceback" not in err
+
+
 @pytest.mark.parametrize("rom, ram, m1, m2, code", [
     pytest.param(2 * 2 ** 20, 2 ** 20, "true", "true", cli.EXIT_OK, id="fits"),
     # the all-8 toy CNN needs 12332 B of ROM and 1960 B of RAM

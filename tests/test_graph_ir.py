@@ -1,6 +1,7 @@
 """Graph IR: fixture anchors, validation, topological order, liveness."""
 
 import dataclasses
+import json
 
 import numpy as np
 import pytest
@@ -118,6 +119,70 @@ def test_error_carries_layer_id(toy_graph):
     with pytest.raises(GraphValidationError) as ei:
         validate(replace_layer(toy_graph, 3, param_count=999))
     assert "layer 3" in str(ei.value)
+
+
+@pytest.mark.parametrize("kind", ["conv2d", "depthwise_conv2d", "pointwise_conv2d", "avg_pool"])
+@pytest.mark.parametrize("field, value", [
+    ("kernel_h", 0), ("kernel_w", -1), ("stride", 0), ("stride", -2), ("padding", -1)])
+def test_window_parameters_out_of_range_rejected(kind, field, value):
+    """Each out-of-range kernel, stride or padding is rejected by its own check,
+    on a 1x1 window that every other check accepts."""
+    c = 2
+    o = 3 if kind in ("conv2d", "pointwise_conv2d") else c
+    geo = {"kernel_h": 1, "kernel_w": 1, "stride": 1, "padding": 0, field: value}
+    layers = (
+        oracles._mk(0, "input", [], c, 0, 0, 1, 0, (c, 4, 4), (c, 4, 4)),
+        oracles._mk(1, kind, [0], o, geo["kernel_h"], geo["kernel_w"], geo["stride"],
+                    geo["padding"], (c, 4, 4), (o, 4, 4)),
+        oracles._mk(2, "output", [1], o, 0, 0, 1, 0, (o, 4, 4), (o, 4, 4)),
+    )
+    with pytest.raises(GraphValidationError, match="window needs") as ei:
+        validate(NetworkGraph(layers=layers, resolution=4, width_multiplier=1.0))
+    assert "layer 1" in str(ei.value)
+
+
+@pytest.mark.parametrize("stride, padding", [(2, 0), (1, 1)])
+def test_strided_or_padded_pointwise_rejected(stride, padding):
+    """pointwise_conv2d runs as a plain channel GEMM, so its output grid must be
+    its input grid, even where the conv arithmetic would agree with the graph."""
+    oh = (4 + 2 * padding - 1) // stride + 1
+    layers = (
+        oracles._mk(0, "input", [], 2, 0, 0, 1, 0, (2, 4, 4), (2, 4, 4)),
+        oracles._mk(1, "pointwise_conv2d", [0], 3, 1, 1, stride, padding, (2, 4, 4),
+                    (3, oh, oh)),
+        oracles._mk(2, "output", [1], 3, 0, 0, 1, 0, (3, oh, oh), (3, oh, oh)),
+    )
+    with pytest.raises(GraphValidationError, match="pointwise"):
+        validate(NetworkGraph(layers=layers, resolution=4, width_multiplier=1.0))
+
+
+# per layer id, the fields a malformed toy graph file changes
+_MALFORMED = {
+    "stride_0": {2: {"stride": 0}},
+    "kernel_0_padding_-1": {2: {"kernel_h": 0, "kernel_w": 0, "padding": -1, "param_count": 0}},
+    "input_shape_2d": {0: {"input_shape": [1, 28]}},
+    "output_shape_4d": {0: {"output_shape": [1, 28, 28, 1]}, 1: {"input_shape": [1, 28, 28, 1]}},
+    "pool_larger_than_input": {5: {"kernel_h": 8, "kernel_w": 8, "stride": 1,
+                                   "output_shape": [32, -3, -3]},
+                               6: {"input_shape": [32, -3, -3], "param_count": 2880}},
+    "no_classes": {6: {"out_channels": 0, "output_shape": [0, 1, 1], "param_count": 0,
+                       "bias_count": 0},
+                   7: {"out_channels": 0, "input_shape": [0, 1, 1], "output_shape": [0, 1, 1]}},
+}
+
+
+@pytest.mark.parametrize("name", sorted(_MALFORMED))
+def test_malformed_geometry_file_rejected_on_load(tmp_path, name):
+    """Each file loads up to its first bad layer and fails there with a
+    GraphValidationError, not a numpy or arithmetic error."""
+    with open(graph_ir.fixture_path("toycnn_mnist.json"), encoding="utf-8") as f:
+        doc = json.load(f)
+    for entry in doc["layers"]:
+        entry.update(_MALFORMED[name].get(entry["id"], {}))
+    path = tmp_path / "g.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(GraphValidationError, match=f"layer {min(_MALFORMED[name])}"):
+        load_graph(str(path))
 
 
 # ---------------------------------------------------------------------------

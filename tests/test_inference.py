@@ -149,6 +149,29 @@ def test_random_graph_codes_match_oracle_per_layer():
         kinds |= {l.kind for l in g.layers} & want
 
 
+@pytest.mark.parametrize("kh, kw, s, p", [
+    (3, 3, 1, 0), (3, 3, 2, 0), (4, 2, 2, 0), (3, 3, 2, 1), (2, 2, 1, 1), (3, 3, 3, 1),
+    (4, 4, 3, 2), (3, 2, 1, 1), (1, 1, 1, 1)])
+@pytest.mark.parametrize("out_bits", [2, 8])
+def test_overlapping_and_padded_pools_match_oracle(kh, kw, s, p, out_bits):
+    """Integer avg_pool whose windows overlap (s < k) or reach into the zero
+    padding (p > 0), against the oracle; random_graph only builds pools with
+    s = k and p = 0."""
+    rng = np.random.default_rng([kh, kw, s, p, out_bits])
+    c, h, w = 3, 6, 8
+    oh, ow = (h + 2 * p - kh) // s + 1, (w + 2 * p - kw) // s + 1
+    layer = oracles._mk(1, "avg_pool", [0], c, kh, kw, s, p, (c, h, w), (c, oh, ow))
+    # an output scale that saturates some of the largest window sums
+    rq = quantizer.compute_requant(1.0, np.array([1.0 / (kh * kw)]),
+                                   0.9 * 255 / ((1 << out_bits) - 1))
+    rec = PackedLayer(layer_id=1, kind="avg_pool", out_bits=out_bits, requants=(rq,))
+    x = rng.integers(0, 256, size=(4, c, h, w)).astype(np.int32)
+    out = run_codes_layer(layer, rec, [x])
+    assert out.shape == (4, c, oh, ow)
+    for j in range(len(x)):
+        assert np.array_equal(out[j], oracles.ref_layer_codes(layer, rec, [x[j]])), j
+
+
 def test_all_codes_stay_in_declared_range(toy_graph, pretrained, toy_ranges):
     # adversarial inputs: far beyond the calibration clip in both directions
     policy = all_uniform_policy(toy_graph)

@@ -73,6 +73,26 @@ def test_forward_avgpool_and_relu(toy_graph, pretrained, desk_small):
     assert np.isfinite(logits).all()
 
 
+def test_forward_avg_pool_is_the_window_mean():
+    """A non-square pool whose windows overlap and reach into the zero padding
+    averages each window over its full area, padding included."""
+    c, h, w, kh, kw, s, p = 2, 5, 7, 3, 2, 1, 1
+    oh, ow = (h + 2 * p - kh) // s + 1, (w + 2 * p - kw) // s + 1
+    layers = (
+        oracles._mk(0, "input", [], c, 0, 0, 1, 0, (c, h, w), (c, h, w)),
+        oracles._mk(1, "avg_pool", [0], c, kh, kw, s, p, (c, h, w), (c, oh, ow)),
+        oracles._mk(2, "output", [1], c, 0, 0, 1, 0, (c, oh, ow), (c, oh, ow)),
+    )
+    g = validate(NetworkGraph(layers=layers, resolution=h, width_multiplier=1.0))
+    x = np.random.default_rng(0).uniform(0, 1, size=(3, c, h, w)).astype(np.float32)
+    z, _ = qat.forward_network(g, {}, x)
+    xp = np.pad(x, ((0, 0), (0, 0), (p, p), (p, p)))
+    want = np.array([[[xp[n, ch, y * s:y * s + kh, u * s:u * s + kw].mean()
+                       for u in range(ow)] for y in range(oh)]
+                     for n in range(3) for ch in range(c)]).reshape(3, c, oh, ow)
+    assert np.allclose(z, want, rtol=1e-6)
+
+
 def test_forward_residual_add(residual_graph):
     weights = qat.init_weights(residual_graph, seed=1)
     x = np.random.default_rng(0).uniform(0, 1, size=(2, 3, 8, 8)).astype(np.float32)
@@ -138,34 +158,63 @@ def _conv2d_cases(stride, padding):
             yield kh, kw, h, w, n
 
 
+def _window_operands(layer, draw, dtype, pool_value):
+    """(w, b, dense w) of a window layer: w and b from draw(shape), or
+    pool_weight's constant pool_value for avg_pool, and w as the conv2d weight
+    oracles.ref_conv2d takes, diagonal for the per-channel kinds."""
+    if layer.kind == "avg_pool":
+        w, b = qat.pool_weight(layer, pool_value, dtype)
+    else:
+        w, b = (draw(shape).astype(dtype) for shape in (layer.weight_shape, (layer.out_channels,)))
+    if layer.kind == "conv2d":
+        return w, b, w
+    dense = np.zeros((len(b),) + w.shape, dtype)
+    dense[np.arange(len(b)), np.arange(len(b))] = w
+    return w, b, dense
+
+
 @pytest.mark.parametrize("stride", [1, 2, 3])
 @pytest.mark.parametrize("padding", [0, 1, 2])
 def test_conv2d_matches_loop_reference(stride, padding):
-    """conv2d forward, dw and dx against oracles.ref_conv2d over a geometry grid:
-    exact on integer-valued float64 operands (every partial sum is an exact
-    integer), within 1e-5 relative in float32."""
+    """conv2d, depthwise_conv2d and avg_pool forward, dw and dx against
+    oracles.ref_conv2d over a geometry grid, the per-channel kinds through a
+    diagonal weight (dw is the diagonal of the reference's): exact on
+    integer-valued float64 operands (every partial sum is an exact integer),
+    within 1e-5 relative in float32. avg_pool weights its taps by 1 in float64,
+    as the integer engine does, and by 1/area in float32, as training does."""
     rng = np.random.default_rng([stride, padding])
-    for kh, kw, h, w, n in _conv2d_cases(stride, padding):
-        c, o = 2, 3
+    for kind, (kh, kw, h, w, n) in itertools.product(
+            ("conv2d", "depthwise_conv2d", "avg_pool"), _conv2d_cases(stride, padding)):
+        c = 2
+        o = 3 if kind == "conv2d" else c
         oh, ow = (h + 2 * padding - kh) // stride + 1, (w + 2 * padding - kw) // stride + 1
-        layer = oracles._mk(1, "conv2d", [0], o, kh, kw, stride, padding, (c, h, w),
+        layer = oracles._mk(1, kind, [0], o, kh, kw, stride, padding, (c, h, w),
                             (o, oh, ow), bias=o)
+        diag = np.arange(o) if kind != "conv2d" else slice(None)
         x = rng.integers(-8, 8, size=(n, c, h, w)).astype(np.float64)
-        wt = rng.integers(-8, 8, size=(o, c, kh, kw)).astype(np.float64)
-        b = rng.integers(-8, 8, size=o).astype(np.float64)
+        wt, b, dense = _window_operands(layer, lambda shape: rng.integers(-8, 8, size=shape),
+                                        np.float64, 1)
         dz = rng.integers(-8, 8, size=(n, o, oh, ow)).astype(np.float64)
-        case = f"k={kh}x{kw} hw={h}x{w} n={n}"
+        case = f"{kind} k={kh}x{kw} hw={h}x{w} n={n}"
         z, cols = qat.linear_fwd(layer, x, wt, b)
         dx, dw, db = qat.linear_bwd(layer, dz, cols, wt, x.shape)
-        rz, rdw, rdx = oracles.ref_conv2d(x, wt, b, stride, padding, dz)
+        rz, rdw, rdx = oracles.ref_conv2d(x, dense, b, stride, padding, dz)
         assert z.flags.c_contiguous, case
-        assert np.array_equal(z, rz) and np.array_equal(dw, rdw), case
-        assert np.array_equal(dx, rdx) and np.array_equal(db, dz.sum(axis=(0, 2, 3))), case
+        assert np.array_equal(z, rz) and np.array_equal(dx, rdx), case
+        if kind == "avg_pool":
+            assert dw is None and db is None, case
+        else:
+            assert np.array_equal(dw, rdw[diag, diag]), case
+            assert np.array_equal(db, dz.sum(axis=(0, 2, 3))), case
 
-        x, wt, b, dz = (rng.normal(size=a.shape).astype(np.float32) for a in (x, wt, b, dz))
+        x, dz = (rng.normal(size=a.shape).astype(np.float32) for a in (x, dz))
+        wt, b, dense = _window_operands(layer, lambda shape: rng.normal(size=shape),
+                                        np.float32, 1 / (kh * kw))
         z, cols = qat.linear_fwd(layer, x, wt, b)
         dx, dw, _ = qat.linear_bwd(layer, dz, cols, wt, x.shape)
-        for got, want in zip((z, dw, dx), oracles.ref_conv2d(x, wt, b, stride, padding, dz)):
+        rz, rdw, rdx = oracles.ref_conv2d(x, dense, b, stride, padding, dz)
+        pairs = [(z, rz), (dx, rdx)] + ([] if dw is None else [(dw, rdw[diag, diag])])
+        for got, want in pairs:
             assert got.dtype == np.float32, case
             np.testing.assert_allclose(got, want, rtol=1e-5, atol=1e-5 * np.abs(want).max(),
                                        err_msg=case)
@@ -212,7 +261,7 @@ def test_backward_skips_only_unused_input_grads(toy_graph, pretrained, toy_range
         grads = qat.backward_network(toy_graph, weights, cache, r)
         monkeypatch.setattr(qat, "linear_bwd", always)
         full = qat.backward_network(toy_graph, weights, cache, r)
-        assert asked == {1: policy is not None, 2: True, 3: True, 4: True, 6: True}
+        assert asked == {1: policy is not None, 2: True, 3: True, 4: True, 5: True, 6: True}
         assert ("clip.0" in grads) == (policy is not None)
         assert sorted(grads) == sorted(full)
         assert all(np.array_equal(grads[k], full[k]) for k in grads)
