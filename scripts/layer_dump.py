@@ -7,7 +7,10 @@
 - the integer codes of every layer of toycnn_mnist and toy_residual (all-8 and
   a seeded sub-byte policy, 16 images each), of 24 seeded random graphs under
   random policies (2 images each) and of MobileNetV1-224 under the enforced
-  all-8 anchor (2 images), keys `int/...`;
+  all-8 anchor and under the unenforced all-8 policy (2 images each), keys
+  `int/...`; the unenforced model keeps the 8-bit layers of fan-in 1024 (27
+  and 29), whose accumulator bound takes the engine's float64 path, while the
+  anchor's layers all run in float32;
 - the float32 logits and every backward_network gradient of the toy graphs and
   the random graphs, in float mode and under the sub-byte policy, keys `float/...`.
 
@@ -114,8 +117,11 @@ def dump(path: str, models_dir: str) -> None:
     shape = g.input_layer.output_shape
     images = rng.uniform(0, 1, size=(2,) + shape).astype(np.float32)
     calib = rng.uniform(0, 1, size=(4,) + shape).astype(np.float32)
-    _record(out, "mobilenet_v1_224", g, qat.init_weights(g, seed=0), policy, models_dir,
+    weights = qat.init_weights(g, seed=0)
+    _record(out, "mobilenet_v1_224", g, weights, policy, models_dir,
             images, calib=calib, float_too=False)
+    _record(out, "mobilenet_v1_224_all8", g, weights, memory_model.all_uniform_policy(g),
+            models_dir, images, calib=calib, float_too=False)
     np.savez_compressed(path, **out)
     print(f"{path}: {len(out)} arrays")
 

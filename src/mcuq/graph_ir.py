@@ -261,24 +261,33 @@ def liveness(g: NetworkGraph) -> list[frozenset[int]]:
     return live
 
 
+# the integer fields of a layer entry, with their defaults, and its integer lists
+_INT_FIELDS = {"out_channels": 0, "kernel_h": 0, "kernel_w": 0, "stride": 1, "padding": 0,
+               "param_count": 0, "bias_count": 0}
+_INT_LISTS = ("input_ids", "input_shape", "output_shape")
+
+
+def _is_int(v) -> bool:
+    """Whether v is a JSON integer; int() would also take 2.9, "1" and true."""
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
 def _layer_from_dict(d: dict) -> LayerSpec:
     try:
-        return LayerSpec(
-            id=int(d["id"]),
-            kind=str(d["kind"]),
-            input_ids=tuple(int(i) for i in d.get("input_ids", [])),
-            out_channels=int(d.get("out_channels", 0)),
-            kernel_h=int(d.get("kernel_h", 0)),
-            kernel_w=int(d.get("kernel_w", 0)),
-            stride=int(d.get("stride", 1)),
-            padding=int(d.get("padding", 0)),
-            input_shape=tuple(int(x) for x in d["input_shape"]),
-            output_shape=tuple(int(x) for x in d["output_shape"]),
-            param_count=int(d.get("param_count", 0)),
-            bias_count=int(d.get("bias_count", 0)),
-        )
-    except (KeyError, TypeError, ValueError) as e:
+        lid, kind = d["id"], str(d["kind"])
+        ints = {k: d.get(k, default) for k, default in _INT_FIELDS.items()}
+        lists = {k: d.get(k, []) if k == "input_ids" else d[k] for k in _INT_LISTS}
+    except (KeyError, TypeError) as e:
         raise GraphValidationError(f"malformed layer entry: {e}") from e
+    if not _is_int(lid):
+        raise GraphValidationError(f"malformed layer entry: id {lid!r} is not an integer")
+    for k, v in ints.items():
+        if not _is_int(v):
+            raise GraphValidationError(f"{k} {v!r} is not an integer", lid)
+    for k, v in lists.items():
+        if not isinstance(v, list) or not all(map(_is_int, v)):
+            raise GraphValidationError(f"{k} {v!r} is not a list of integers", lid)
+    return LayerSpec(id=lid, kind=kind, **ints, **{k: tuple(v) for k, v in lists.items()})
 
 
 def validate(g: NetworkGraph) -> NetworkGraph:
@@ -300,11 +309,13 @@ def load_graph(path: str) -> NetworkGraph:
     if not isinstance(raw, dict) or "layers" not in raw:
         raise GraphValidationError("top level must be an object with a 'layers' array")
     layers = tuple(_layer_from_dict(d) for d in raw["layers"])
-    g = NetworkGraph(
-        layers=layers,
-        resolution=int(raw.get("resolution", 0)),
-        width_multiplier=float(raw.get("width_multiplier", 1.0)),
-    )
+    resolution = raw.get("resolution", 0)
+    width = raw.get("width_multiplier", 1.0)
+    if not _is_int(resolution):
+        raise GraphValidationError(f"resolution {resolution!r} is not an integer")
+    if not (_is_int(width) or isinstance(width, float)):
+        raise GraphValidationError(f"width_multiplier {width!r} is not a number")
+    g = NetworkGraph(layers=layers, resolution=resolution, width_multiplier=float(width))
     return validate(g)
 
 

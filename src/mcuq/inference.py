@@ -4,22 +4,36 @@ Reference semantics for MCU backends: sub-byte codes, 32-bit accumulators
 (overflow raises), per-channel requantization, saturating residual adds.
 The weighted kernels and avg_pool are the training engine's own linear_fwd,
 so the deployed arithmetic is the arithmetic that was trained. avg_pool sums
-its codes in int64 through that kernel, every tap weighted 1. The weighted
-layers run on the codes cast to float64, which puts the GEMMs on BLAS, and
-the result is cast back to int64. That is exact: float64 holds every integer
-below 2**53, and every partial sum of a weighted layer is an integer of
-magnitude at most
+its codes in int64 through that kernel, every tap weighted 1.
 
-    fan_in * (2**a_bits - 1) * 2**(w_bits - 1) + 2**31
+The weighted layers run their GEMMs on BLAS, on the codes cast to the
+narrowest float type that holds every partial sum exactly. With unsigned
+input codes up to x_max and signed w_bits weight codes, each product has
+magnitude at most x_max * 2**(w_bits - 1), so every partial sum of a
+fan_in-term dot product is an integer of magnitude at most
 
-(unsigned a_bits input codes, signed w_bits weight codes, an int32 bias).
-For 8-bit codes that stays below 2**53 up to a fan-in of about 2.8e11.
-Each weighted layer checks the bound, with its largest input code in place
-of 2**a_bits - 1, before it runs; avg_pool needs no such check. The bound
-holds for every partial sum in any order, so it does not depend on how the
-kernel groups its sums: the blocked conv2d GEMMs and the per-tap depthwise
-sums over phase planes (see qat.linear_fwd) are as exact as one dot product
-per output.
+    fan_in * x_max * 2**(w_bits - 1)
+
+and that bound holds whatever order the sums run in. BLAS's order, the
+blocked conv2d GEMMs and the per-tap depthwise sums over phase planes (see
+qat.linear_fwd) are therefore as exact as one dot product per output. A
+layer runs in float32 when the bound is below 2**24 (_acc_dtype), since
+float32 holds every integer below 2**24, and in float64 otherwise. x_max is
+the largest input code magnitude of the call, so the choice is made per
+call. For MobileNetV1 at 8 bits float32 covers every depthwise layer
+(9 * 255 * 128) and every layer of fan-in up to 514.
+
+The kernel runs with a zero bias; its result is cast to int64 and the int32
+bias is added there, so the bias never enters the float sums. The float64
+fallback keeps its check (_check_f64_exact, run on every weighted layer and
+always passed within the float32 bound), which raises unless
+
+    fan_in * x_max * 2**(w_bits - 1) + 2**31 < 2**53
+
+(for 8-bit codes, up to a fan-in of about 2.8e11; the 2**31 of a bias is a
+margin now), so a layer beyond the exact range of either type raises
+AccumulatorOverflowError instead of rounding. The accumulators, bias
+included, must then fit int32 (_check_acc). avg_pool needs neither bound.
 """
 
 from __future__ import annotations
@@ -35,7 +49,8 @@ from .packed_model import PackedLayer, PackedModel, check_model_matches
 from .quantizer import RequantParams, apply_requant, qrange, quantize_act
 
 INT32_MIN, INT32_MAX = -(1 << 31), (1 << 31) - 1
-F64_EXACT = 1 << 53  # float64 represents every integer of smaller magnitude
+F32_EXACT = 1 << 24  # float32 represents every integer of smaller magnitude
+F64_EXACT = 1 << 53  # float64 every integer of smaller magnitude
 
 
 def _check_f64_exact(layer_id: int, fan_in: int, x_max: int, w_bits: int) -> None:
@@ -44,6 +59,12 @@ def _check_f64_exact(layer_id: int, fan_in: int, x_max: int, w_bits: int) -> Non
         raise AccumulatorOverflowError(
             f"layer {layer_id}: fan-in {fan_in} with input codes up to {x_max} at "
             f"{w_bits}-bit weights exceeds the exact float64 range")
+
+
+def _acc_dtype(fan_in: int, x_max: int, w_bits: int) -> type:
+    """The float type whose sums of this layer are exact: float32 when every
+    partial sum stays below 2**24, float64 otherwise (module docstring)."""
+    return np.float32 if fan_in * x_max * (1 << (w_bits - 1)) < F32_EXACT else np.float64
 
 
 def _check_acc(acc: np.ndarray, layer_id: int) -> None:
@@ -69,12 +90,14 @@ def run_codes_layer(layer, rec: PackedLayer, in_codes: list[np.ndarray]) -> np.n
     signed_out = out_bits == 32  # raw logits keep sign; activations are unsigned
     if layer.kind in WEIGHTED_KINDS:
         x, w = in_codes[0], rec.weight.codes()
-        if x.size:
-            x_max = max(int(x.max()), -int(x.min()))
-            _check_f64_exact(layer.id, math.prod(w.shape[1:]), x_max, rec.weight.bits)
-        z, _ = qat.linear_fwd(layer, x.astype(np.float64), w.astype(np.float64),
-                              rec.bias_int.astype(np.float64))
+        fan_in, bits = math.prod(w.shape[1:]), rec.weight.bits
+        x_max = max(int(x.max()), -int(x.min())) if x.size else 0
+        _check_f64_exact(layer.id, fan_in, x_max, bits)
+        dtype = _acc_dtype(fan_in, x_max, bits)
+        z, _ = qat.linear_fwd(layer, x.astype(dtype), w.astype(dtype),
+                              np.zeros(len(rec.bias_int), dtype))
         acc = z.astype(np.int64)
+        acc += rec.bias_int.reshape(-1, *(1,) * (acc.ndim - 2))
         _check_acc(acc, layer.id)
         return apply_requant(acc, _per_channel_rq(rec.requants[0], acc.ndim), out_bits,
                              signed=signed_out)

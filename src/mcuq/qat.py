@@ -197,9 +197,11 @@ def linear_fwd(layer, x: np.ndarray, w: np.ndarray, b: np.ndarray):
     """One linear layer, z = w * x + b, in the dtype of its operands.
 
     Serves the float32 training forward and the integer accumulator of the
-    deployed model, on float64 codes or, for avg_pool, int64 codes; avg_pool
-    runs on pool_weight's constant kernel. Returns (z, cols): cols is the
-    input as the kernel's operand, which linear_bwd needs.
+    deployed model, on float32 or float64 codes (whichever the accumulator
+    bound proves exact, see inference) with a zero bias or, for avg_pool,
+    int64 codes; avg_pool runs on pool_weight's constant kernel. Returns
+    (z, cols): cols is the input as the kernel's operand, which linear_bwd
+    needs.
 
     conv2d, depthwise_conv2d and avg_pool run over phase planes. The
     zero-padded input is written once into s*s phase planes (s the stride),

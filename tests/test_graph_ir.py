@@ -185,6 +185,38 @@ def test_malformed_geometry_file_rejected_on_load(tmp_path, name):
         load_graph(str(path))
 
 
+# (layer id, field, value) that int() would truncate or coerce to the value
+# the toy graph already has, so each file used to load silently
+_NOT_INTEGERS = [
+    (2, "stride", 2.9), (2, "padding", "1"), (2, "kernel_h", 3.99), (3, "stride", True),
+    (0, "input_shape", [1.5, 28, 28]), (1, "input_ids", [0.0])]
+
+
+@pytest.mark.parametrize("lid, field, value", _NOT_INTEGERS,
+                         ids=[f"{f}={v!r}" for _, f, v in _NOT_INTEGERS])
+def test_non_integer_layer_field_rejected_on_load(tmp_path, lid, field, value):
+    with open(graph_ir.fixture_path("toycnn_mnist.json"), encoding="utf-8") as f:
+        doc = json.load(f)
+    doc["layers"][lid][field] = value
+    path = tmp_path / "g.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(GraphValidationError, match=f"layer {lid}: {field} "):
+        load_graph(str(path))
+
+
+@pytest.mark.parametrize("field, value", [
+    ("resolution", 28.5), ("resolution", "28"), ("width_multiplier", "1.0"),
+    ("width_multiplier", True)])
+def test_non_numeric_graph_field_rejected_on_load(tmp_path, field, value):
+    with open(graph_ir.fixture_path("toycnn_mnist.json"), encoding="utf-8") as f:
+        doc = json.load(f)
+    doc[field] = value
+    path = tmp_path / "g.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(GraphValidationError, match=field):
+        load_graph(str(path))
+
+
 # ---------------------------------------------------------------------------
 # Topological order and liveness
 # ---------------------------------------------------------------------------

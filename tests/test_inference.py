@@ -266,6 +266,61 @@ def test_run_codes_layer_checks_the_float64_range():
         run_codes_layer(layer, rec, [x])
 
 
+@pytest.mark.parametrize("a_bits", [2, 4, 8])
+@pytest.mark.parametrize("w_bits", [2, 4, 8])
+def test_float32_bound_at_its_boundary(a_bits, w_bits):
+    x_max = 2 ** a_bits - 1
+    # first fan-in whose bound fan_in * x_max * 2**(w_bits - 1) reaches 2**24
+    first_f64 = -(-2 ** 24 // (x_max * 2 ** (w_bits - 1)))
+    assert inference._acc_dtype(first_f64 - 1, x_max, w_bits) is np.float32
+    assert inference._acc_dtype(first_f64, x_max, w_bits) is np.float64
+
+
+# (kh, kw, input shape) of a one-output layer, per (kind, fan-in). Fan-in 576
+# (24 * 24, the smallest square kernel) is the first where every sum of codes
+# in [230, 255] times 127 passes 2**24; 514 * 255 * 128 is just below 2**24
+_ONE_DOT_LAYERS = {
+    ("fully_connected", 576): (0, 0, (576, 1, 1)),
+    ("pointwise_conv2d", 576): (1, 1, (576, 1, 1)),
+    ("depthwise_conv2d", 576): (24, 24, (1, 24, 24)),
+    ("conv2d", 576): (3, 3, (64, 3, 3)),
+    ("fully_connected", 514): (0, 0, (514, 1, 1)),
+    ("pointwise_conv2d", 514): (1, 1, (514, 1, 1)),
+    ("depthwise_conv2d", 514): (2, 257, (1, 2, 257)),
+    ("conv2d", 514): (1, 2, (257, 1, 2)),
+}
+
+
+@pytest.mark.parametrize("kind, fan_in", sorted(_ONE_DOT_LAYERS))
+def test_same_sign_sums_near_the_float32_bound_are_exact(kind, fan_in):
+    """Weight codes of 127 and input codes near 255, so nothing cancels. Past
+    the float32 bound the exact sum is odd and above 2**24, which float32 cannot
+    hold, so running such a layer in float32 would round it; just below the
+    bound float32 is chosen and exact."""
+    kh, kw, in_shape = _ONE_DOT_LAYERS[kind, fan_in]
+    layer = oracles._mk(1, kind, [0], 1, kh, kw, 1, 0, in_shape, (1, 1, 1), bias=1)
+    qw = QuantizedTensor(bits=8, packed=pack_subbyte(np.full(fan_in, 127), 8, signed=True),
+                         shape=layer.weight_shape, scales=np.ones(1))
+    rq = RequantParams(multiplier=np.array([1 << 30], dtype=np.int32),
+                       shift=np.array([30], dtype=np.int32))
+    rec = PackedLayer(layer_id=1, kind=kind, weight_bits=8, out_bits=32, weight=qw,
+                      bias_int=np.array([-3], dtype=np.int32), requants=(rq,))
+    rng = np.random.default_rng(fan_in)
+    x = rng.integers(230, 256, size=(3,) + in_shape).astype(np.int32)
+    flat = x.reshape(3, -1)
+    flat[:, 0] = 255
+    flat[flat.sum(axis=1) % 2 == 0, 1] ^= 1  # an odd sum per image
+    sums = 127 * flat.sum(axis=1, dtype=np.int64)
+    above = fan_in == 576
+    assert inference._acc_dtype(fan_in, 255, 8) is (np.float64 if above else np.float32)
+    assert (sums > 2 ** 24).all() if above else (sums < 2 ** 24).all()
+    assert (sums.astype(np.float32).astype(np.int64) != sums).all() == above
+    out = run_codes_layer(layer, rec, [x]).reshape(3)
+    for j in range(len(x)):
+        assert out[j] == oracles.ref_layer_codes(layer, rec, [x[j]]).reshape(()), j
+    assert np.array_equal(out, sums - 3)
+
+
 def test_weight_codes_unpacked_once(monkeypatch, residual_graph):
     weights = qat.init_weights(residual_graph, seed=2)
     ranges = {t: ActRange(tensor_id=t, clip_max=1.5) for t in residual_graph.encoded_tensors()}
