@@ -5,7 +5,9 @@
 
 `dump` runs the checkout this script sits in and records:
 - the integer codes of every layer of toycnn_mnist and toy_residual (all-8 and
-  a seeded sub-byte policy, 16 images each), of 24 seeded random graphs under
+  a seeded sub-byte policy, 16 images each, and toycnn_mnist's two models
+  again on 128 images, the `mcuq eval` batch, whose requant row blocks span
+  several images, keys `int/toycnn_mnist/*/eval/...`), of 24 seeded random graphs under
   random policies (2 images each) and of MobileNetV1-224 under the enforced
   all-8 anchor and under the unenforced all-8 policy (2 images each), keys
   `int/...`; the unenforced model keeps the 8-bit layers of fan-in 1024 (27
@@ -42,6 +44,7 @@ from mcuq.graph_ir import fixture_path, load_graph, topo_order  # noqa: E402
 
 MBV1_BUDGET = memory_model.MemoryBudget(rom_bytes=2 * 2 ** 20, ram_bytes=512 * 2 ** 10)
 RANDOM_GRAPHS = 24
+EVAL_BATCH = 128  # images per batch of `mcuq eval` (evaluate_accuracy's default)
 
 
 def _model(models_dir: str, name: str, build):
@@ -78,12 +81,16 @@ def _float_step(out: dict, key: str, g, weights, images, policy=None, model=None
 
 
 def _record(out: dict, key: str, g, weights, policy, models_dir: str, images,
-            calib=None, float_too=True):
+            calib=None, float_too=True, eval_batch=None):
+    """The integer codes of key's model on images, and on eval_batch when one
+    is given (keys `int/{key}/eval/...`)."""
     model = _model(models_dir, key, lambda: packed_model.build_packed_model(
         g, weights, policy, quantizer.calibrate_act_ranges(
             g, weights, images if calib is None else calib)))
-    for lid, codes in _int_codes(g, model, images).items():
-        out[f"int/{key}/{lid}"] = codes
+    for tag, batch in ((key, images), (f"{key}/eval", eval_batch)):
+        if batch is not None:
+            for lid, codes in _int_codes(g, model, batch).items():
+                out[f"int/{tag}/{lid}"] = codes
     if float_too:
         _float_step(out, f"{key}/fq", g, weights, images, policy, model)
 
@@ -95,12 +102,17 @@ def dump(path: str, models_dir: str) -> None:
     for name in ("toycnn_mnist", "toy_residual"):
         g = load_graph(fixture_path(name + ".json"))
         weights = qat.init_weights(g, seed=1)
-        images = rng.uniform(0, 1, size=(16,) + g.input_layer.output_shape).astype(np.float32)
+        shape = g.input_layer.output_shape
+        images = rng.uniform(0, 1, size=(16,) + shape).astype(np.float32)
+        # toycnn_mnist also at the `mcuq eval` batch, from its own generator so
+        # every other key keeps its images
+        eval_batch = None if name != "toycnn_mnist" else np.random.default_rng(
+            EVAL_BATCH).uniform(0, 1, size=(EVAL_BATCH,) + shape).astype(np.float32)
         _float_step(out, f"{name}/float", g, weights, images)
         _record(out, f"{name}/all8", g, weights, memory_model.all_uniform_policy(g),
-                models_dir, images, float_too=False)
+                models_dir, images, float_too=False, eval_batch=eval_batch)
         _record(out, f"{name}/sub", g, weights, oracles.random_policy(rng, g, allow_fp32=False),
-                models_dir, images)
+                models_dir, images, eval_batch=eval_batch)
     for i in range(RANDOM_GRAPHS):
         g = oracles.random_graph(rng)
         weights = qat.init_weights(g, seed=i)

@@ -23,17 +23,35 @@ the largest input code magnitude of the call, so the choice is made per
 call. For MobileNetV1 at 8 bits float32 covers every depthwise layer
 (9 * 255 * 128) and every layer of fan-in up to 514.
 
-The kernel runs with a zero bias; its result is cast to int64 and the int32
-bias is added there, so the bias never enters the float sums. The float64
-fallback keeps its check (_check_f64_exact, run on every weighted layer and
-always passed within the float32 bound), which raises unless
+The kernel runs with a zero bias, so the bias never enters the float sums.
+The float64 fallback keeps its check (_check_f64_exact, run on every
+weighted layer and always passed within the float32 bound), which raises
+unless
 
     fan_in * x_max * 2**(w_bits - 1) + 2**31 < 2**53
 
 (for 8-bit codes, up to a fan-in of about 2.8e11; the 2**31 of a bias is a
 margin now), so a layer beyond the exact range of either type raises
-AccumulatorOverflowError instead of rounding. The accumulators, bias
-included, must then fit int32 (_check_acc). avg_pool needs neither bound.
+AccumulatorOverflowError instead of rounding.
+
+The accumulators, bias included, must then fit int32. The same bound proves
+it for most layers: where
+
+    fan_in * x_max * 2**(w_bits - 1) + max|bias_int| <= 2**31 - 1
+
+(_int32_proven) every accumulator with its bias lies within int32, so
+_check_acc would pass and is skipped. Such a layer's exact-integer float
+accumulator goes straight to the requant epilogue (quantizer.apply_requant),
+which casts it to int64 block by block, at most qat.CONV_BLOCK elements of
+one or more (image, channel) rows at a time in one reused buffer, and per
+block multiplies by the channel's multiplier, adds one per-channel offset
+bias_int * multiplier + 2**shift // 2, shifts and clips into the int32
+codes. That stays within int64: the accumulator is within int32 and the
+multiplier below 2**31, so |acc * multiplier| < 2**62, and the offset is
+below 2**62 + 2**61. Every other weighted layer runs as before: the
+accumulator is cast to int64, the bias added, _check_acc run over the whole
+array, and the sum requantized without a bias. avg_pool always runs
+_check_acc, and needs neither float bound.
 """
 
 from __future__ import annotations
@@ -46,7 +64,7 @@ from . import qat
 from .errors import AccumulatorOverflowError, DatasetError, ModelMismatchError
 from .graph_ir import WEIGHTED_KINDS, NetworkGraph, topo_order
 from .packed_model import PackedLayer, PackedModel, check_model_matches
-from .quantizer import RequantParams, apply_requant, qrange, quantize_act
+from .quantizer import apply_requant, qrange, quantize_act
 
 INT32_MIN, INT32_MAX = -(1 << 31), (1 << 31) - 1
 F32_EXACT = 1 << 24  # float32 represents every integer of smaller magnitude
@@ -67,21 +85,18 @@ def _acc_dtype(fan_in: int, x_max: int, w_bits: int) -> type:
     return np.float32 if fan_in * x_max * (1 << (w_bits - 1)) < F32_EXACT else np.float64
 
 
+def _int32_proven(fan_in: int, x_max: int, w_bits: int, bias_int: np.ndarray) -> bool:
+    """Whether every accumulator of this layer, bias included, provably fits
+    int32, so _check_acc would pass (module docstring)."""
+    bias_max = int(np.abs(bias_int.astype(np.int64)).max()) if bias_int.size else 0
+    return fan_in * x_max * (1 << (w_bits - 1)) + bias_max <= INT32_MAX
+
+
 def _check_acc(acc: np.ndarray, layer_id: int) -> None:
     if acc.size and (acc.min() < INT32_MIN or acc.max() > INT32_MAX):
         raise AccumulatorOverflowError(
             f"layer {layer_id}: 32-bit accumulator overflow "
             f"(range [{acc.min()}, {acc.max()}])")
-
-
-def _per_channel_rq(rq: RequantParams, ndim: int) -> RequantParams:
-    """Reshape per-channel params to broadcast over (N, C, ...) accumulators."""
-    m = np.atleast_1d(rq.multiplier)
-    s = np.atleast_1d(rq.shift)
-    if m.size == 1:
-        return rq
-    tail = (1,) * (ndim - 2)
-    return RequantParams(multiplier=m.reshape(-1, *tail), shift=s.reshape(-1, *tail))
 
 
 def run_codes_layer(layer, rec: PackedLayer, in_codes: list[np.ndarray]) -> np.ndarray:
@@ -96,25 +111,24 @@ def run_codes_layer(layer, rec: PackedLayer, in_codes: list[np.ndarray]) -> np.n
         dtype = _acc_dtype(fan_in, x_max, bits)
         z, _ = qat.linear_fwd(layer, x.astype(dtype), w.astype(dtype),
                               np.zeros(len(rec.bias_int), dtype))
+        if _int32_proven(fan_in, x_max, bits, rec.bias_int):
+            return apply_requant(z, rec.requants[0], out_bits, signed=signed_out,
+                                 bias=rec.bias_int)
         acc = z.astype(np.int64)
         acc += rec.bias_int.reshape(-1, *(1,) * (acc.ndim - 2))
         _check_acc(acc, layer.id)
-        return apply_requant(acc, _per_channel_rq(rec.requants[0], acc.ndim), out_bits,
-                             signed=signed_out)
+        return apply_requant(acc, rec.requants[0], out_bits, signed=signed_out)
     if layer.kind == "avg_pool":
         acc, _ = qat.linear_fwd(layer, in_codes[0], *qat.pool_weight(layer, 1, np.int64))
         _check_acc(acc, layer.id)
         return apply_requant(acc, rec.requants[0], out_bits, signed=signed_out)
     if layer.kind == "add_residual":
         lo, hi = qrange(out_bits, signed=signed_out)
-        a = apply_requant(in_codes[0].astype(np.int64), rec.requants[0], out_bits,
-                          signed=signed_out)
-        b = apply_requant(in_codes[1].astype(np.int64), rec.requants[1], out_bits,
-                          signed=signed_out)
+        a = apply_requant(in_codes[0], rec.requants[0], out_bits, signed=signed_out)
+        b = apply_requant(in_codes[1], rec.requants[1], out_bits, signed=signed_out)
         return np.clip(a.astype(np.int64) + b.astype(np.int64), lo, hi).astype(np.int32)
     if layer.kind == "relu_clip":
-        return apply_requant(in_codes[0].astype(np.int64), rec.requants[0], out_bits,
-                             signed=signed_out)
+        return apply_requant(in_codes[0], rec.requants[0], out_bits, signed=signed_out)
     raise ModelMismatchError(f"layer {layer.id}: kind {layer.kind!r} is not executable")
 
 

@@ -34,7 +34,9 @@ ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
 EVAL_BATCH = 256   # images per forward in evaluate
 CALIB_BATCH = 128  # images per forward in collect_activations
-CONV_BLOCK = 1 << 16  # elements of one conv2d im2col block (see linear_fwd)
+# elements of one block of the window kernels' im2col (conv2d) and channel
+# (depthwise, avg_pool) loops, see linear_fwd, and of the requant epilogue
+CONV_BLOCK = 1 << 16
 
 
 @dataclass
@@ -137,11 +139,18 @@ def _window_fwd(layer, x: np.ndarray, w: np.ndarray, b: np.ndarray):
         zm = np.empty((m, o), dtype)
         for m0, cols in _col_blocks(planes, taps, m):
             np.matmul(cols.T, wt.T, out=zm[m0:m0 + cols.shape[1]])
-    else:  # one multiply-add per tap, (C, 1) weight columns
-        zm = np.zeros((c, m), dtype)
-        wc, prod = w.reshape(c, -1), np.empty_like(zm)
-        for t, (a, bb, off) in enumerate(taps):
-            zm += np.multiply(planes[a, bb, :, off:off + m], wc[:, t, None], out=prod)
+    else:  # one multiply-add per tap, (C, 1) weight columns, in blocks of channels
+        zm = np.empty((c, m), dtype)
+        wc, step = w.reshape(c, -1), max(1, CONV_BLOCK // m)
+        prod = np.empty((min(c, step), m), dtype)
+        (a0, b0, off0), *rest = taps
+        for c0 in range(0, c, step):
+            cs = slice(c0, c0 + step)
+            zb = zm[cs]
+            np.multiply(planes[a0, b0, cs, off0:off0 + m], wc[cs, :1], out=zb)
+            for t, (a, bb, off) in enumerate(rest, 1):
+                zb += np.multiply(planes[a, bb, cs, off:off + m], wc[cs, t, None],
+                                  out=prod[:len(zb)])
     z = np.empty((n, o, oh, ow), dtype)
     np.add(_out_grid(zm, layer.kind, n, o, h2, w2)[:, :, :oh, :ow], b[None, :, None, None],
            out=z)
@@ -213,15 +222,24 @@ def linear_fwd(layer, x: np.ndarray, w: np.ndarray, b: np.ndarray):
     contiguous slice per tap. conv2d builds blocks of at most CONV_BLOCK
     elements, kh*kw*C rows by output positions, from those slices and
     multiplies each by the weights in one GEMM. depthwise_conv2d and avg_pool
-    add each tap's slice times its (C, 1) weight column. Positions with
-    y >= oh or x >= ow are computed and dropped. The sums run in np.result_type(x, w).
+    run over blocks of CONV_BLOCK // (N*h2*w2) channels (at least one), so a
+    block's sums and products stay in cache: the first tap's slice times its
+    (C, 1) weight column is written into the block, and each further tap's is
+    added, so every output sums its taps in the same order whatever the
+    block. Positions with y >= oh or x >= ow are computed and dropped. The
+    sums run in np.result_type(x, w).
 
-    pointwise_conv2d and fully_connected cols is the input itself.
+    pointwise_conv2d is one GEMM per image, w @ x[n] over the (C, H*W)
+    image, with the bias added in place. For pointwise_conv2d and
+    fully_connected cols is the input itself.
     """
     if layer.kind in _WINDOW_KINDS:
         return _window_fwd(layer, x, w, b)
     if layer.kind == "pointwise_conv2d":
-        return np.einsum("oc,nchw->nohw", w, x, optimize=True) + b[None, :, None, None], x
+        n, c, h, wd = x.shape
+        z = np.matmul(w, x.reshape(n, c, h * wd))
+        z += b[:, None]
+        return z.reshape(n, len(b), h, wd), x
     cols = x.reshape(x.shape[0], -1)  # fully_connected over the flattened input
     return cols @ w.T + b, cols
 

@@ -237,20 +237,64 @@ def compute_requant(s_in: float, s_w: np.ndarray, s_out: float) -> RequantParams
     return RequantParams(multiplier=mult.astype(np.int32), shift=shift.astype(np.int32))
 
 
-def apply_requant(acc: np.ndarray, rq: RequantParams, bits: int,
-                  signed: bool = False) -> np.ndarray:
-    """Requantize 32-bit accumulators to the output bit range with saturation."""
-    p = np.multiply(acc, rq.multiplier, dtype=np.int64)
+def apply_requant(acc: np.ndarray, rq: RequantParams, bits: int, signed: bool = False,
+                  bias: np.ndarray | None = None) -> np.ndarray:
+    """Requantize 32-bit accumulators to the output bit range with saturation:
+    int32 sat(round((acc + bias) * multiplier / 2**shift)), half away from zero.
+
+    acc holds integers, as int64 or int32 or as the exact-integer floats of a
+    float kernel; acc and acc + bias lie within int32. The parameters are one
+    multiplier and shift, or one per channel on axis 1 of an (N, C, ...) acc;
+    bias is one int32 per channel.
+
+    One loop over blocks of rows, a row being one (image, channel) pair: a
+    block holds at most qat.CONV_BLOCK elements, several short rows or a
+    piece of a long one, in one reused int64 buffer. Per block the
+    accumulators are cast and multiplied in one pass, one per-row offset is
+    added, bias * multiplier plus, for unsigned outputs, 2**shift // 2, and
+    the shift and the clip write the int32 output. Everything fits int64:
+    |acc * multiplier| < 2**62 and the offset is below 2**62 + 2**61.
+    Unsigned outputs floor-shift after adding half, which equals the
+    half-away rounding wherever the result survives the clip; a negative
+    product rounds to <= 0 either way and clips to 0. Signed outputs round
+    with haz_rshift.
+    """
+    from .qat import CONV_BLOCK  # deferred: qat builds on this module
+
+    acc = np.asarray(acc)
+    mult = np.atleast_1d(np.asarray(rq.multiplier, dtype=np.int64))
+    shift = np.atleast_1d(np.asarray(rq.shift, dtype=np.int64))
+    n, c = acc.shape[:2] if acc.ndim >= 2 else (1, 1)
+    n_bias = c if bias is None else len(bias)
+    if mult.size not in (1, c) or n_bias != c:
+        raise ValueError(f"requant parameters for {mult.size} channels or a bias for "
+                         f"{n_bias} do not fit accumulators of shape {acc.shape}")
+    # per-row parameters, rows ordered (image, channel)
+    mult, shift = (np.tile(np.broadcast_to(v, c), n) for v in (mult, shift))
+    off = np.zeros_like(mult) if bias is None else np.tile(np.asarray(bias) * mult[:c], n)
+    if not signed:
+        off += (1 << shift) >> 1
+    rows = acc.reshape(n * c, acc.size // max(1, n * c))
+    out = np.empty(rows.shape, np.int32)
+    length = max(1, rows.shape[1])
+    cols = min(length, CONV_BLOCK)
+    step = max(1, CONV_BLOCK // length)
+    buf = np.empty(min(step, len(rows)) * cols, np.int64)
     lo, hi = qrange(bits, signed)
-    if signed:
-        return np.clip(haz_rshift(p, rq.shift), lo, hi).astype(np.int32)
-    # Unsigned: add half and floor-shift in place. That equals
-    # the half-away rounding wherever the result survives the clip; a negative
-    # product rounds to <= 0 either way and clips to 0.
-    shift = np.asarray(rq.shift, dtype=np.int64)
-    p += (1 << shift) >> 1
-    p >>= shift
-    return np.clip(p, lo, hi, out=p).astype(np.int32)
+    for r0 in range(0, len(rows), step):
+        r1 = min(r0 + step, len(rows))
+        m, o, s = mult[r0:r1, None], off[r0:r1, None], shift[r0:r1, None]
+        for c0 in range(0, rows.shape[1], cols):
+            block = rows[r0:r1, c0:c0 + cols]
+            p = buf[:block.size].reshape(block.shape)
+            np.multiply(block, m, out=p, dtype=np.int64, casting="unsafe")
+            p += o
+            if signed:
+                p = haz_rshift(p, s)
+            else:
+                p >>= s
+            np.clip(p, lo, hi, out=out[r0:r1, c0:c0 + cols])
+    return out.reshape(acc.shape)
 
 
 def percentile_clip(values: np.ndarray) -> float:

@@ -1,5 +1,6 @@
 """Command-line front end: config precedence, exit codes, export -> eval round trip."""
 
+import hashlib
 import json
 import os
 import re
@@ -165,3 +166,50 @@ def test_export_of_a_checkpoint_lacking_a_bias_is_bad_input(in_tmp):
                          capture_output=True, text=True, env=env, timeout=120)
     assert run.returncode == cli.EXIT_INPUT
     assert "lacks b.1" in run.stderr and "Traceback" not in run.stderr
+
+
+def _sha256(path) -> str:
+    return hashlib.sha256(open(path, "rb").read()).hexdigest()
+
+
+def _manifest(path) -> dict:
+    with open(path, encoding="utf-8") as f:
+        return json.load(f)
+
+
+def test_export_and_eval_manifests_record_the_run(in_tmp):
+    """Each field of the export and eval manifests: the command, the sha256 of
+    every input file (a synthetic: dataset spec hashed as its string), the
+    package version and a non-negative duration; and where the manifest goes:
+    --manifest, else the derived path, else mcuq_<command>.manifest.json."""
+    g = load_graph(TOY)
+    ds = load_dataset(DATA, seed=0)
+    weights = qat.init_weights(g, seed=3)
+    qat.save_checkpoint("w.ckpt", weights, calibrate_act_ranges(g, weights, ds.train[0]))
+    (in_tmp / "p.json").write_text(all_uniform_policy(g, weight_bits=4).to_json())
+    export = ["export", "--graph", TOY, "--weights", "w.ckpt", "--policy", "p.json",
+              "--out", "m.mpq"]
+    assert cli.main(export + ["--manifest", "ex.json"]) == cli.EXIT_OK
+    assert not (in_tmp / "m.mpq.manifest.json").exists()
+    assert cli.main(export) == cli.EXIT_OK
+    files = {"graph": _sha256(TOY), "weights": _sha256("w.ckpt"), "policy": _sha256("p.json")}
+    for path in ("m.mpq.manifest.json", "ex.json"):
+        doc = _manifest(path)
+        assert doc["command"] == "export"
+        assert doc["inputs"] == files
+        assert doc["version"] == mcuq.__version__
+        assert doc["duration_s"] >= 0
+
+    run = ["eval", "--graph", TOY, "--dataset", DATA, "--model", "m.mpq"]
+    assert cli.main(run) == cli.EXIT_OK
+    assert cli.main(run + ["--per-class-csv", "c.csv"]) == cli.EXIT_OK
+    assert cli.main(run + ["--per-class-csv", "d.csv", "--manifest", "ev.json"]) == cli.EXIT_OK
+    assert not (in_tmp / "d.csv.manifest.json").exists()
+    files = {"graph": _sha256(TOY), "dataset": hashlib.sha256(DATA.encode()).hexdigest(),
+             "model": _sha256("m.mpq")}
+    for path in ("mcuq_eval.manifest.json", "c.csv.manifest.json", "ev.json"):
+        doc = _manifest(path)
+        assert doc["command"] == "eval"
+        assert doc["inputs"] == files
+        assert doc["version"] == mcuq.__version__
+        assert doc["duration_s"] >= 0

@@ -241,6 +241,42 @@ def test_overflow_check_flags_int32_excess():
         run_codes_layer(layer, rec, [x])
 
 
+# fan-in 4 at x_max 255 and 8-bit weights: fan_in * x_max * 2**7 = 130560
+_PROOF_BOUND = 4 * 255 * 128
+
+
+@pytest.mark.parametrize("bias, checked", [
+    pytest.param(2 ** 31 - 1 - _PROOF_BOUND, False, id="bound_at_int32_max"),
+    pytest.param(2 ** 31 - _PROOF_BOUND, True, id="bias_one_larger"),
+    pytest.param(2 ** 31 - 1, True, id="overflow"),
+])
+def test_int32_proof_skips_only_a_passing_check(monkeypatch, bias, checked):
+    """A weighted layer with unsigned 8-bit output skips _check_acc exactly
+    where fan_in * x_max * 2**(w_bits - 1) + max|bias| <= 2**31 - 1; past it
+    the check runs, and raises on a real overflow."""
+    layer = oracles._mk(1, "fully_connected", [0], 1, 0, 0, 1, 0,
+                        (4, 1, 1), (1, 1, 1), bias=1)
+    qw = QuantizedTensor(bits=8, packed=pack_subbyte(np.full(4, 127), 8, signed=True),
+                         shape=(1, 4), scales=np.ones(1))
+    rq = RequantParams(multiplier=np.array([1 << 30], dtype=np.int32),
+                       shift=np.array([54], dtype=np.int32))  # M = 2**-24
+    rec = PackedLayer(layer_id=1, kind="fully_connected", weight_bits=8, out_bits=8,
+                      weight=qw, bias_int=np.array([bias], dtype=np.int32), requants=(rq,))
+    x = np.full((1, 4, 1, 1), 255, dtype=np.int32)
+    calls = []
+    real = inference._check_acc
+    monkeypatch.setattr(inference, "_check_acc", lambda *a: calls.append(a[1]) or real(*a))
+    assert inference._int32_proven(4, 255, 8, rec.bias_int) is not checked
+    if 4 * 255 * 127 + bias > 2 ** 31 - 1:
+        with pytest.raises(AccumulatorOverflowError, match="layer 1"):
+            run_codes_layer(layer, rec, [x])
+    else:
+        out = run_codes_layer(layer, rec, [x])
+        assert np.array_equal(out[0], oracles.ref_layer_codes(layer, rec, [x[0]]))
+        assert 0 < out[0, 0] < 255
+    assert calls == ([1] if checked else [])
+
+
 @pytest.mark.parametrize("x_max, w_bits", [(255, 8), (15, 4), (3, 2), (2 ** 31 - 1, 8)])
 def test_float64_exactness_bound_is_checked(x_max, w_bits):
     # first fan-in whose bound fan_in * x_max * 2**(w_bits - 1) + 2**31 reaches 2**53

@@ -220,6 +220,37 @@ def test_conv2d_matches_loop_reference(stride, padding):
                                        err_msg=case)
 
 
+@pytest.mark.parametrize("kind", ["depthwise_conv2d", "avg_pool"])
+@pytest.mark.parametrize("stride, padding, k", [(1, 1, 3), (2, 1, 3), (2, 0, 2), (3, 2, 4)])
+def test_window_channel_blocks_match_reference(monkeypatch, kind, stride, padding, k):
+    """depthwise_conv2d and avg_pool with CONV_BLOCK small enough for several
+    channel blocks with a remainder (3 + 3 + 1 channels), and for blocks below
+    one channel's row (one channel each): exact against oracles.ref_conv2d on
+    integer-valued float64 operands, and float32 z bit-identical to one block."""
+    rng = np.random.default_rng([stride, padding, k])
+    c, n, h, w = 7, 2, 9, 8
+    oh, ow = (h + 2 * padding - k) // stride + 1, (w + 2 * padding - k) // stride + 1
+    layer = oracles._mk(1, kind, [0], c, k, k, stride, padding, (c, h, w), (c, oh, ow),
+                        bias=c)
+    _, _, h2, w2 = qat._phase_grid(layer, (n, c, h, w))
+    m = n * h2 * w2
+    assert c * m <= qat.CONV_BLOCK  # one block unpatched
+    x = rng.integers(-8, 8, size=(n, c, h, w)).astype(np.float64)
+    wt, b, dense = _window_operands(layer, lambda shape: rng.integers(-8, 8, size=shape),
+                                    np.float64, 1)
+    rz, _, _ = oracles.ref_conv2d(x, dense, b, stride, padding, np.zeros((n, c, oh, ow)))
+    x32 = rng.normal(size=x.shape).astype(np.float32)
+    w32, b32, _ = _window_operands(layer, lambda shape: rng.normal(size=shape),
+                                   np.float32, 1 / (k * k))
+    one_block = qat.linear_fwd(layer, x32, w32, b32)[0]
+    for block in (3 * m, 3 * m + m // 2, m - 1, 1):
+        monkeypatch.setattr(qat, "CONV_BLOCK", block)
+        z, _ = qat.linear_fwd(layer, x, wt, b)
+        assert np.array_equal(z, rz), block
+        z32, _ = qat.linear_fwd(layer, x32, w32, b32)
+        assert z32.dtype == np.float32 and z32.tobytes() == one_block.tobytes(), block
+
+
 @pytest.mark.parametrize("kind", WEIGHTED_KINDS)
 def test_linear_bwd_without_dx_keeps_dw_and_db(kind):
     rng = np.random.default_rng(5)

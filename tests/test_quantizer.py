@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import oracles
+from mcuq import qat
 from mcuq.errors import PackFormatError
 from mcuq.packed_model import PackedModel
 from mcuq.qat import _pact_masks
@@ -315,6 +316,101 @@ def test_apply_requant_saturates():
     rq = compute_requant(1.0, np.array([1.0]), 1.0)
     out = apply_requant(np.array([300, -5], dtype=np.int64), rq, 8, signed=False)
     assert np.array_equal(out, [255, 0])
+
+
+def _channel_requant(rng, shape, ties: bool, exact_bits: int):
+    """(acc, RequantParams, bias) over (N, 63, H, W): shift c and a random
+    multiplier in channel c, a zero multiplier in channel 40, and a per-channel
+    bias. With ties, acc + bias is an exact half tie (positive or negative) at
+    every element of the channels with shift 1..61 (a power-of-two multiplier
+    puts (acc + bias) * mult at (2k + 1) * 2**(shift - 1)). Every accumulator
+    has fewer than exact_bits significant bits, and acc and acc + bias lie
+    within int32."""
+    n, c = shape[:2]
+    shift = np.arange(c, dtype=np.int32)
+    mult = rng.integers(1 << 30, 1 << 31, size=c).astype(np.int32)
+    mult[40] = 0
+    # bias and ties of channel c are multiples of 2**j[c], the part of
+    # 2**(shift - 1) that a multiplier below 2**31 cannot carry
+    j = np.maximum(0, shift - 31)
+    top = np.clip(np.minimum(exact_bits - 2, 29 - j), 0, None)
+    bias = (rng.integers(1 - (1 << top), 1 << top) << j).astype(np.int32)
+    mag = np.floor(2.0 ** rng.uniform(0, min(exact_bits, 31) - 1, size=shape))
+    acc = (np.where(rng.random(shape) < 0.5, -mag, mag)).astype(np.int64)
+    if ties:
+        for s in range(1, 62):
+            mult[s] = 1 << (s - 1 - j[s])
+            odd = 2 * rng.integers(0, 1 << int(top[s]), size=acc[:, s].shape) + 1
+            sign = np.where(rng.random(odd.shape) < 0.5, -1, 1)
+            acc[:, s] = ((sign * odd) << j[s]) - bias[s]
+    return acc, RequantParams(multiplier=mult, shift=shift), bias
+
+
+def _ref_channel_requant(acc, rq, bias, bits, signed):
+    """oracles.ref_requant at every element of acc (N, C, ...), parameters and
+    bias per channel on axis 1, or one multiplier for all."""
+    lo, hi = qrange(bits, signed)
+    c = acc.shape[1]
+    m, s = (np.broadcast_to(np.asarray(v, np.int64).ravel(), c) for v in (rq.multiplier, rq.shift))
+    b = np.zeros(c, np.int64) if bias is None else bias
+    out = np.empty(acc.shape, np.int64)
+    for idx in np.ndindex(acc.shape):
+        ch = idx[1]
+        out[idx] = oracles.ref_requant(int(acc[idx]) + int(b[ch]), int(m[ch]), int(s[ch]), lo, hi)
+    return out
+
+
+# (N, C, H, W) accumulators against a block of 24 elements: rows of 6 (4 rows a
+# block, 189 rows, a remainder of 1), rows of 30 (each longer than a block:
+# 24 + 6), and rows of 1 (24 rows a block, a remainder of 6)
+_BLOCK = 24
+_ROW_SHAPES = [(3, 63, 2, 3), (2, 63, 5, 6), (2, 63, 1, 1)]
+
+
+@pytest.mark.parametrize("dtype", [np.int64, np.float32, np.float64])
+@pytest.mark.parametrize("bits, signed", [(2, False), (8, False), (8, True), (32, True)])
+@pytest.mark.parametrize("ties", [False, True])
+def test_blocked_requant_matches_oracle(monkeypatch, dtype, bits, signed, ties):
+    """Blocks of rows, several rows per block with a remainder and single rows
+    split over blocks, on N > 1 images, per-channel shifts 0..62 with a zero
+    multiplier, a bias, and exact half ties; the accumulators are given as
+    int64, float32 (below 2**24, as the float32 kernel's) or float64."""
+    monkeypatch.setattr(qat, "CONV_BLOCK", _BLOCK)
+    rng = np.random.default_rng([bits, signed, ties, np.dtype(dtype).itemsize])
+    exact_bits = 24 if dtype == np.float32 else 31
+    for shape in _ROW_SHAPES:
+        acc, rq, bias = _channel_requant(rng, shape, ties, exact_bits)
+        got = apply_requant(acc.astype(dtype), rq, bits, signed=signed, bias=bias)
+        assert got.dtype == np.int32 and got.shape == shape
+        assert np.array_equal(got, _ref_channel_requant(acc, rq, bias, bits, signed)), shape
+        # without a bias, acc alone must lie within int32
+        got = apply_requant(acc.astype(dtype), rq, bits, signed=signed)
+        assert np.array_equal(got, _ref_channel_requant(acc, rq, None, bits, signed)), shape
+
+
+@pytest.mark.parametrize("dtype", [np.int64, np.float32])
+@pytest.mark.parametrize("bits, signed", [(8, False), (32, True)])
+def test_blocked_requant_with_one_multiplier(monkeypatch, dtype, bits, signed):
+    """One multiplier and shift for every channel, with and without a
+    per-channel bias, over rows that span several blocks."""
+    monkeypatch.setattr(qat, "CONV_BLOCK", _BLOCK)
+    rng = np.random.default_rng([bits, np.dtype(dtype).itemsize])
+    rq = compute_requant(1.0, np.array([0.0375]), 1.0)
+    for shape in ((3, 4, 5, 5), (2, 5, 2, 2), (4, 3)):
+        acc = rng.integers(-(1 << 23), 1 << 23, size=shape)
+        bias = rng.integers(-(1 << 20), 1 << 20, size=shape[1]).astype(np.int32)
+        for b in (None, bias):
+            got = apply_requant(acc.astype(dtype), rq, bits, signed=signed, bias=b)
+            assert np.array_equal(got, _ref_channel_requant(acc, rq, b, bits, signed)), shape
+
+
+def test_apply_requant_rejects_mismatched_parameters():
+    rq = RequantParams(multiplier=np.full(3, 1 << 30, np.int32), shift=np.full(3, 30, np.int32))
+    with pytest.raises(ValueError, match="3 channels"):
+        apply_requant(np.zeros((2, 4, 2, 2), np.int64), rq, 8)
+    one = RequantParams(multiplier=np.array([1 << 30], np.int32), shift=np.array([30], np.int32))
+    with pytest.raises(ValueError, match="bias for 3"):
+        apply_requant(np.zeros((2, 4, 2, 2), np.int64), one, 8, bias=np.zeros(3, np.int32))
 
 
 # ---------------------------------------------------------------------------
