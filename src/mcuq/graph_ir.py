@@ -18,6 +18,8 @@ from .errors import GraphValidationError
 
 CONV_KINDS = ("conv2d", "depthwise_conv2d", "pointwise_conv2d")
 WEIGHTED_KINDS = CONV_KINDS + ("fully_connected",)
+# Kinds that run through qat.linear_fwd, in training and in the integer engine.
+LINEAR_KINDS = WEIGHTED_KINDS + ("avg_pool",)
 # Kinds whose integer kernels consume encoded (quantized) input tensors.
 COMPUTE_KINDS = WEIGHTED_KINDS + ("add_residual", "avg_pool")
 ALL_KINDS = COMPUTE_KINDS + ("relu_clip", "input", "output")

@@ -2,56 +2,41 @@
 
 Reference semantics for MCU backends: sub-byte codes, 32-bit accumulators
 (overflow raises), per-channel requantization, saturating residual adds.
-The weighted kernels and avg_pool are the training engine's own linear_fwd,
-so the deployed arithmetic is the arithmetic that was trained. avg_pool sums
-its codes in int64 through that kernel, every tap weighted 1.
+Every linear layer, avg_pool included, runs through the training engine's
+own linear_fwd, so the deployed arithmetic is the arithmetic that was
+trained. avg_pool is a depthwise layer whose every tap is weighted 1
+(qat.pool_weight), with no bias.
 
-The weighted layers run their GEMMs on BLAS, on the codes cast to the
-narrowest float type that holds every partial sum exactly. With unsigned
-input codes up to x_max and signed w_bits weight codes, each product has
-magnitude at most x_max * 2**(w_bits - 1), so every partial sum of a
-fan_in-term dot product is an integer of magnitude at most
+The kernels run on BLAS, on the codes cast to the narrowest float type that
+holds every partial sum exactly. With input codes of magnitude up to x_max
+and weight codes up to w_max (2**(w_bits - 1) for signed w_bits codes, 1 for
+avg_pool), each product has magnitude at most x_max * w_max, so every partial
+sum of a fan_in-term dot product is an integer of magnitude at most
 
-    fan_in * x_max * 2**(w_bits - 1)
+    bound = fan_in * x_max * w_max
 
 and that bound holds whatever order the sums run in. BLAS's order, the
 blocked conv2d GEMMs and the per-tap depthwise sums over phase planes (see
-qat.linear_fwd) are therefore as exact as one dot product per output. A
-layer runs in float32 when the bound is below 2**24 (_acc_dtype), since
-float32 holds every integer below 2**24, and in float64 otherwise. x_max is
-the largest input code magnitude of the call, so the choice is made per
-call. For MobileNetV1 at 8 bits float32 covers every depthwise layer
-(9 * 255 * 128) and every layer of fan-in up to 514.
+qat.linear_fwd) are therefore as exact as one dot product per output. x_max
+is the largest input code magnitude of the call, so _acc_bound decides per
+call:
+
+- bound + 2**31 < 2**53, or the layer raises AccumulatorOverflowError
+  instead of rounding (for 8-bit codes, up to a fan-in of about 2.8e11;
+  the 2**31 of a bias is a margin);
+- float32 when bound < 2**24, since float32 holds every integer below
+  2**24, and float64 otherwise. For MobileNetV1 at 8 bits float32 covers
+  every depthwise layer (9 * 255 * 128), every layer of fan-in up to 514
+  and the final pool;
+- whether the accumulators, bias included, must be checked against int32:
+  where bound + max|bias_int| <= 2**31 - 1 every one of them fits, and
+  _check_acc would pass, so it is skipped. Elsewhere _check_acc takes the
+  per-channel extremes of the accumulator plus that channel's bias.
 
 The kernel runs with a zero bias, so the bias never enters the float sums.
-The float64 fallback keeps its check (_check_f64_exact, run on every
-weighted layer and always passed within the float32 bound), which raises
-unless
-
-    fan_in * x_max * 2**(w_bits - 1) + 2**31 < 2**53
-
-(for 8-bit codes, up to a fan-in of about 2.8e11; the 2**31 of a bias is a
-margin now), so a layer beyond the exact range of either type raises
-AccumulatorOverflowError instead of rounding.
-
-The accumulators, bias included, must then fit int32. The same bound proves
-it for most layers: where
-
-    fan_in * x_max * 2**(w_bits - 1) + max|bias_int| <= 2**31 - 1
-
-(_int32_proven) every accumulator with its bias lies within int32, so
-_check_acc would pass and is skipped. Such a layer's exact-integer float
-accumulator goes straight to the requant epilogue (quantizer.apply_requant),
-which casts it to int64 block by block, at most qat.CONV_BLOCK elements of
-one or more (image, channel) rows at a time in one reused buffer, and per
-block multiplies by the channel's multiplier, adds one per-channel offset
-bias_int * multiplier + 2**shift // 2, shifts and clips into the int32
-codes. That stays within int64: the accumulator is within int32 and the
-multiplier below 2**31, so |acc * multiplier| < 2**62, and the offset is
-below 2**62 + 2**61. Every other weighted layer runs as before: the
-accumulator is cast to int64, the bias added, _check_acc run over the whole
-array, and the sum requantized without a bias. avg_pool always runs
-_check_acc, and needs neither float bound.
+The exact-integer float accumulator and the bias go to one requant epilogue
+(quantizer.apply_requant), which adds the bias in int64 as a per-channel
+offset.
 """
 
 from __future__ import annotations
@@ -62,66 +47,56 @@ import numpy as np
 
 from . import qat
 from .errors import AccumulatorOverflowError, DatasetError, ModelMismatchError
-from .graph_ir import WEIGHTED_KINDS, NetworkGraph, topo_order
-from .packed_model import PackedLayer, PackedModel, check_model_matches
+from .graph_ir import LINEAR_KINDS, NetworkGraph, topo_order
+from .packed_model import INT32_MAX, INT32_MIN, PackedLayer, PackedModel, check_model_matches
 from .quantizer import apply_requant, qrange, quantize_act
 
-INT32_MIN, INT32_MAX = -(1 << 31), (1 << 31) - 1
 F32_EXACT = 1 << 24  # float32 represents every integer of smaller magnitude
 F64_EXACT = 1 << 53  # float64 every integer of smaller magnitude
 
 
-def _check_f64_exact(layer_id: int, fan_in: int, x_max: int, w_bits: int) -> None:
-    """Raise unless a float64 accumulator of this layer is exact (module docstring)."""
-    if fan_in * x_max * (1 << (w_bits - 1)) + (1 << 31) >= F64_EXACT:
+def _acc_bound(layer_id: int, fan_in: int, x_max: int, w_max: int,
+               bias_int: np.ndarray) -> tuple[type, bool]:
+    """(kernel dtype, whether _check_acc must run) for one call of a linear
+    layer, from bound = fan_in * x_max * w_max; raises where a float64
+    accumulator would not be exact (module docstring)."""
+    bound = fan_in * x_max * w_max
+    if bound + (1 << 31) >= F64_EXACT:
         raise AccumulatorOverflowError(
-            f"layer {layer_id}: fan-in {fan_in} with input codes up to {x_max} at "
-            f"{w_bits}-bit weights exceeds the exact float64 range")
-
-
-def _acc_dtype(fan_in: int, x_max: int, w_bits: int) -> type:
-    """The float type whose sums of this layer are exact: float32 when every
-    partial sum stays below 2**24, float64 otherwise (module docstring)."""
-    return np.float32 if fan_in * x_max * (1 << (w_bits - 1)) < F32_EXACT else np.float64
-
-
-def _int32_proven(fan_in: int, x_max: int, w_bits: int, bias_int: np.ndarray) -> bool:
-    """Whether every accumulator of this layer, bias included, provably fits
-    int32, so _check_acc would pass (module docstring)."""
+            f"layer {layer_id}: fan-in {fan_in} with input codes up to {x_max} and "
+            f"weight codes up to {w_max} exceeds the exact float64 range")
     bias_max = int(np.abs(bias_int.astype(np.int64)).max()) if bias_int.size else 0
-    return fan_in * x_max * (1 << (w_bits - 1)) + bias_max <= INT32_MAX
+    return np.float32 if bound < F32_EXACT else np.float64, bound + bias_max > INT32_MAX
 
 
-def _check_acc(acc: np.ndarray, layer_id: int) -> None:
-    if acc.size and (acc.min() < INT32_MIN or acc.max() > INT32_MAX):
+def _check_acc(z: np.ndarray, layer_id: int, bias_int: np.ndarray) -> None:
+    """Raise unless every accumulator z + bias_int (bias per channel on axis 1)
+    fits int32, from each channel's extremes."""
+    axes = (0,) + tuple(range(2, z.ndim))
+    lo = (z.min(axis=axes).astype(np.int64) + bias_int).min()
+    hi = (z.max(axis=axes).astype(np.int64) + bias_int).max()
+    if lo < INT32_MIN or hi > INT32_MAX:
         raise AccumulatorOverflowError(
-            f"layer {layer_id}: 32-bit accumulator overflow "
-            f"(range [{acc.min()}, {acc.max()}])")
+            f"layer {layer_id}: 32-bit accumulator overflow (range [{lo}, {hi}])")
 
 
 def run_codes_layer(layer, rec: PackedLayer, in_codes: list[np.ndarray]) -> np.ndarray:
     """One layer on batched integer codes (N, ...) -> output codes (N, ...)."""
     out_bits = rec.out_bits
     signed_out = out_bits == 32  # raw logits keep sign; activations are unsigned
-    if layer.kind in WEIGHTED_KINDS:
-        x, w = in_codes[0], rec.weight.codes()
-        fan_in, bits = math.prod(w.shape[1:]), rec.weight.bits
+    if layer.kind in LINEAR_KINDS:
+        x = in_codes[0]
+        if layer.kind == "avg_pool":
+            (w, bias), w_max = qat.pool_weight(layer, 1, np.int32), 1
+        else:
+            w, bias, w_max = rec.weight.codes(), rec.bias_int, 1 << (rec.weight.bits - 1)
         x_max = max(int(x.max()), -int(x.min())) if x.size else 0
-        _check_f64_exact(layer.id, fan_in, x_max, bits)
-        dtype = _acc_dtype(fan_in, x_max, bits)
+        dtype, check = _acc_bound(layer.id, math.prod(w.shape[1:]), x_max, w_max, bias)
         z, _ = qat.linear_fwd(layer, x.astype(dtype), w.astype(dtype),
-                              np.zeros(len(rec.bias_int), dtype))
-        if _int32_proven(fan_in, x_max, bits, rec.bias_int):
-            return apply_requant(z, rec.requants[0], out_bits, signed=signed_out,
-                                 bias=rec.bias_int)
-        acc = z.astype(np.int64)
-        acc += rec.bias_int.reshape(-1, *(1,) * (acc.ndim - 2))
-        _check_acc(acc, layer.id)
-        return apply_requant(acc, rec.requants[0], out_bits, signed=signed_out)
-    if layer.kind == "avg_pool":
-        acc, _ = qat.linear_fwd(layer, in_codes[0], *qat.pool_weight(layer, 1, np.int64))
-        _check_acc(acc, layer.id)
-        return apply_requant(acc, rec.requants[0], out_bits, signed=signed_out)
+                              np.zeros(len(bias), dtype))
+        if check:
+            _check_acc(z, layer.id, bias)
+        return apply_requant(z, rec.requants[0], out_bits, signed=signed_out, bias=bias)
     if layer.kind == "add_residual":
         lo, hi = qrange(out_bits, signed=signed_out)
         a = apply_requant(in_codes[0], rec.requants[0], out_bits, signed=signed_out)

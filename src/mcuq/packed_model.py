@@ -268,6 +268,9 @@ def check_model_matches(g: NetworkGraph, model: PackedModel) -> None:
         if layer.kind in WEIGHTED_KINDS and (
                 rec.weight is None or tuple(rec.weight.shape) != layer.weight_shape):
             raise ModelMismatchError(f"layer {layer.id}: weight shape does not match the graph")
+        if layer.kind not in WEIGHTED_KINDS and (rec.weight is not None or rec.weight_bits):
+            raise ModelMismatchError(
+                f"layer {layer.id}: the {layer.kind} record carries weights or weight bits")
         out_bits = model.act_bits[layer.id] if layer.id in encoded else 32
         if rec.out_bits != out_bits:
             raise ModelMismatchError(

@@ -17,13 +17,12 @@ import numpy as np
 
 from .data import Dataset
 from .errors import ModelMismatchError, PackFormatError, PolicyError, TrainingDivergedError
-from .graph_ir import WEIGHTED_KINDS, NetworkGraph, topo_order
+from .graph_ir import LINEAR_KINDS, WEIGHTED_KINDS, NetworkGraph, topo_order
 from .quantizer import CLIP_FLOOR, ActRange, ByteReader, fake_quant_act, fake_quant_weights
 
 # kinds whose float-mode output passes through a plain ReLU
 _RELU_KINDS = WEIGHTED_KINDS + ("relu_clip",)
-# kinds that run through linear_fwd/linear_bwd, and those of them on phase planes
-_LINEAR_KINDS = WEIGHTED_KINDS + ("avg_pool",)
+# linear kinds that run on phase planes
 _WINDOW_KINDS = ("conv2d", "depthwise_conv2d", "avg_pool")
 
 CKPT_MAGIC = b"MQC1"
@@ -207,10 +206,9 @@ def linear_fwd(layer, x: np.ndarray, w: np.ndarray, b: np.ndarray):
 
     Serves the float32 training forward and the integer accumulator of the
     deployed model, on float32 or float64 codes (whichever the accumulator
-    bound proves exact, see inference) with a zero bias or, for avg_pool,
-    int64 codes; avg_pool runs on pool_weight's constant kernel. Returns
-    (z, cols): cols is the input as the kernel's operand, which linear_bwd
-    needs.
+    bound proves exact, see inference) with a zero bias; avg_pool runs on
+    pool_weight's constant kernel. Returns (z, cols): cols is the input as
+    the kernel's operand, which linear_bwd needs.
 
     conv2d, depthwise_conv2d and avg_pool run over phase planes. The
     zero-padded input is written once into s*s phase planes (s the stride),
@@ -293,7 +291,7 @@ def _walk(g: NetworkGraph, weights: dict, x: np.ndarray, policy=None,
 
         if layer.kind == "input":
             z = x.astype(np.float32)
-        elif layer.kind in _LINEAR_KINDS:
+        elif layer.kind in LINEAR_KINDS:
             xin = acts[layer.input_ids[0]]
             if layer.kind == "avg_pool":
                 wq, b = pool_weight(layer, 1.0 / (layer.kernel_h * layer.kernel_w), xin.dtype)
@@ -385,7 +383,7 @@ def backward_network(g: NetworkGraph, weights: dict, cache: list,
         if layer.kind == "input":
             continue
         need_dx = not wants.isdisjoint(layer.input_ids)
-        if layer.kind in _LINEAR_KINDS:
+        if layer.kind in LINEAR_KINDS:
             dx, dw, db = linear_bwd(layer, dz, entry["cols"], entry["wq"], entry["x_shape"],
                                     need_dx)
             if layer.kind in WEIGHTED_KINDS:

@@ -243,9 +243,9 @@ def apply_requant(acc: np.ndarray, rq: RequantParams, bits: int, signed: bool = 
     int32 sat(round((acc + bias) * multiplier / 2**shift)), half away from zero.
 
     acc holds integers, as int64 or int32 or as the exact-integer floats of a
-    float kernel; acc and acc + bias lie within int32. The parameters are one
-    multiplier and shift, or one per channel on axis 1 of an (N, C, ...) acc;
-    bias is one int32 per channel.
+    float kernel; acc + bias lies within int32, so |acc| < 2**32. The
+    parameters are one multiplier and shift, or one per channel on axis 1 of
+    an (N, C, ...) acc; bias is one int32 per channel.
 
     One loop over blocks of rows, a row being one (image, channel) pair: a
     block holds at most qat.CONV_BLOCK elements, several short rows or a
@@ -253,7 +253,8 @@ def apply_requant(acc: np.ndarray, rq: RequantParams, bits: int, signed: bool = 
     accumulators are cast and multiplied in one pass, one per-row offset is
     added, bias * multiplier plus, for unsigned outputs, 2**shift // 2, and
     the shift and the clip write the int32 output. Everything fits int64:
-    |acc * multiplier| < 2**62 and the offset is below 2**62 + 2**61.
+    |acc * multiplier| < 2**63, the offset is below 2**62 + 2**61, and their
+    sum is (acc + bias) * multiplier plus at most 2**61.
     Unsigned outputs floor-shift after adding half, which equals the
     half-away rounding wherever the result survives the clip; a negative
     product rounds to <= 0 either way and clips to 0. Signed outputs round

@@ -18,7 +18,7 @@ from mcuq.data import load_dataset
 from mcuq.graph_ir import fixture_path, load_graph
 from mcuq.inference import evaluate_accuracy, per_class_csv
 from mcuq.memory_model import all_uniform_policy
-from mcuq.packed_model import build_packed_model
+from mcuq.packed_model import build_packed_model, load_packed, save_packed
 from mcuq.quantizer import calibrate_act_ranges
 
 TOY = fixture_path("toycnn_mnist.json")
@@ -168,6 +168,24 @@ def test_export_of_a_checkpoint_lacking_a_bias_is_bad_input(in_tmp):
     assert "lacks b.1" in run.stderr and "Traceback" not in run.stderr
 
 
+def test_eval_of_a_model_whose_pool_carries_weight_bits_is_bad_input(in_tmp, capsys):
+    g = load_graph(TOY)
+    weights = qat.init_weights(g, seed=3)
+    ranges = calibrate_act_ranges(g, weights, load_dataset(DATA, seed=0).train[0])
+    qat.save_checkpoint("w.ckpt", weights, ranges)
+    (in_tmp / "p.json").write_text(all_uniform_policy(g).to_json())
+    assert cli.main(["export", "--graph", TOY, "--weights", "w.ckpt", "--policy", "p.json",
+                     "--out", "m.mpq"]) == cli.EXIT_OK
+    model = load_packed("m.mpq")
+    model.layers[5].weight_bits = 8  # layer 5 is the avg_pool
+    save_packed(model, "bad.mpq")
+    capsys.readouterr()
+    assert cli.main(["eval", "--graph", TOY, "--dataset", DATA,
+                     "--model", "bad.mpq"]) == cli.EXIT_INPUT
+    err = capsys.readouterr().err
+    assert "layer 5" in err and "weight bits" in err and "Traceback" not in err
+
+
 def _sha256(path) -> str:
     return hashlib.sha256(open(path, "rb").read()).hexdigest()
 
@@ -177,11 +195,21 @@ def _manifest(path) -> dict:
         return json.load(f)
 
 
+def _check_manifests(paths, command, inputs):
+    for path in paths:
+        doc = _manifest(path)
+        assert doc["command"] == command
+        assert doc["inputs"] == inputs
+        assert doc["version"] == mcuq.__version__
+        assert doc["duration_s"] >= 0
+
+
 def test_export_and_eval_manifests_record_the_run(in_tmp):
-    """Each field of the export and eval manifests: the command, the sha256 of
-    every input file (a synthetic: dataset spec hashed as its string), the
-    package version and a non-negative duration; and where the manifest goes:
-    --manifest, else the derived path, else mcuq_<command>.manifest.json."""
+    """Each field of the export, eval, footprint and pretrain manifests: the
+    command, the sha256 of every input file (a synthetic: dataset spec hashed
+    as its string), the package version and a non-negative duration; and where
+    the manifest goes: --manifest, else the derived path, else
+    mcuq_<command>.manifest.json."""
     g = load_graph(TOY)
     ds = load_dataset(DATA, seed=0)
     weights = qat.init_weights(g, seed=3)
@@ -193,23 +221,36 @@ def test_export_and_eval_manifests_record_the_run(in_tmp):
     assert not (in_tmp / "m.mpq.manifest.json").exists()
     assert cli.main(export) == cli.EXIT_OK
     files = {"graph": _sha256(TOY), "weights": _sha256("w.ckpt"), "policy": _sha256("p.json")}
-    for path in ("m.mpq.manifest.json", "ex.json"):
-        doc = _manifest(path)
-        assert doc["command"] == "export"
-        assert doc["inputs"] == files
-        assert doc["version"] == mcuq.__version__
-        assert doc["duration_s"] >= 0
+    _check_manifests(("m.mpq.manifest.json", "ex.json"), "export", files)
 
     run = ["eval", "--graph", TOY, "--dataset", DATA, "--model", "m.mpq"]
     assert cli.main(run) == cli.EXIT_OK
     assert cli.main(run + ["--per-class-csv", "c.csv"]) == cli.EXIT_OK
     assert cli.main(run + ["--per-class-csv", "d.csv", "--manifest", "ev.json"]) == cli.EXIT_OK
     assert not (in_tmp / "d.csv.manifest.json").exists()
-    files = {"graph": _sha256(TOY), "dataset": hashlib.sha256(DATA.encode()).hexdigest(),
-             "model": _sha256("m.mpq")}
-    for path in ("mcuq_eval.manifest.json", "c.csv.manifest.json", "ev.json"):
-        doc = _manifest(path)
-        assert doc["command"] == "eval"
-        assert doc["inputs"] == files
-        assert doc["version"] == mcuq.__version__
-        assert doc["duration_s"] >= 0
+    data_hash = hashlib.sha256(DATA.encode()).hexdigest()
+    files = {"graph": _sha256(TOY), "dataset": data_hash, "model": _sha256("m.mpq")}
+    _check_manifests(("mcuq_eval.manifest.json", "c.csv.manifest.json", "ev.json"),
+                     "eval", files)
+
+    # the ROM CSV names the footprint manifest before the RAM CSV
+    footprint = ["footprint", "--graph", TOY, "--rom-bytes", "100000",
+                 "--ram-bytes", "100000"]
+    assert cli.main(footprint) == cli.EXIT_OK
+    _check_manifests(("mcuq_footprint.manifest.json",), "footprint", {"graph": _sha256(TOY)})
+    footprint += ["--policy", "p.json"]
+    assert cli.main(footprint + ["--ram-csv", "ram.csv"]) == cli.EXIT_OK
+    assert cli.main(footprint + ["--rom-csv", "rom.csv", "--ram-csv", "ram2.csv"]) == cli.EXIT_OK
+    assert cli.main(footprint + ["--rom-csv", "rom2.csv", "--manifest", "fp.json"]) == cli.EXIT_OK
+    assert not any((in_tmp / f"{c}.manifest.json").exists() for c in ("ram2.csv", "rom2.csv"))
+    _check_manifests(("ram.csv.manifest.json", "rom.csv.manifest.json", "fp.json"),
+                     "footprint", {"graph": _sha256(TOY), "policy": _sha256("p.json")})
+
+    pretrain = ["pretrain", "--graph", TOY, "--dataset", "synthetic:20,10", "--epochs", "1",
+                "--out-checkpoint", "pre.ckpt"]
+    assert cli.main(pretrain) == cli.EXIT_OK
+    assert cli.main(pretrain[:-1] + ["pre2.ckpt", "--manifest", "pt.json"]) == cli.EXIT_OK
+    assert not (in_tmp / "pre2.ckpt.manifest.json").exists()
+    _check_manifests(("pre.ckpt.manifest.json", "pt.json"), "pretrain",
+                     {"graph": _sha256(TOY),
+                      "dataset": hashlib.sha256(b"synthetic:20,10").hexdigest()})

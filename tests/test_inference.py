@@ -239,6 +239,49 @@ def test_overflow_check_flags_int32_excess():
     x = np.full((1, 4, 1, 1), 255, dtype=np.int64)
     with pytest.raises(AccumulatorOverflowError):
         run_codes_layer(layer, rec, [x])
+    # a 7x7 pool of codes near 2**31 - 1: its float64 window sums pass int32
+    pool = oracles._mk(1, "avg_pool", [0], 1, 7, 7, 7, 0, (1, 7, 7), (1, 1, 1))
+    rec = PackedLayer(layer_id=1, kind="avg_pool", out_bits=8, requants=(
+        quantizer.compute_requant(1.0, np.array([1.0 / 49]), 1.0),))
+    x = np.full((1, 1, 7, 7), 2 ** 31 - 2, dtype=np.int64)
+    with pytest.raises(AccumulatorOverflowError, match="layer 1"):
+        run_codes_layer(pool, rec, [x])
+
+
+# 2x2 conv2d, one input channel, weight codes 1 (channel 0) and 127 (channel 1):
+# at input codes up to _K channel 1's sums reach 4 * 127 * _K = 2**31 - 8 and
+# channel 0's 4 * _K, so the bound 4 * _K * 2**7 passes int32 and the check runs
+_K = 4227330
+
+
+@pytest.mark.parametrize("bias0, overflows", [
+    pytest.param(2 ** 31 - 1 - 4 * _K, False, id="each_channel_fits"),
+    pytest.param(2 ** 31 - 4 * _K, True, id="channel_0_overflows"),
+])
+def test_int32_check_is_per_channel(bias0, overflows):
+    """Channel 0 holds small sums under a bias near 2**31, channel 1 sums near
+    2**31 under a zero bias: every accumulator fits int32, though the largest
+    sum plus the largest bias does not. One more on channel 0's bias overflows
+    channel 0 alone."""
+    layer = oracles._mk(1, "conv2d", [0], 2, 2, 2, 1, 0, (1, 3, 3), (2, 2, 2), bias=1)
+    codes = np.repeat([1, 127], 4)
+    qw = QuantizedTensor(bits=8, packed=pack_subbyte(codes, 8, signed=True),
+                         shape=(2, 1, 2, 2), scales=np.ones(2))
+    rq = RequantParams(multiplier=np.full(2, 1 << 30, dtype=np.int32),
+                       shift=np.full(2, 30, dtype=np.int32))  # M = 1
+    rec = PackedLayer(layer_id=1, kind="conv2d", weight_bits=8, out_bits=32, weight=qw,
+                      bias_int=np.array([bias0, 0], dtype=np.int32), requants=(rq,))
+    x = np.random.default_rng(5).integers(0, _K, size=(2, 1, 3, 3))
+    x[0] = _K  # image 0 reaches both channels' largest sums
+    assert inference._acc_bound(1, 4, _K, 2 ** 7, rec.bias_int)[1]
+    if overflows:
+        with pytest.raises(AccumulatorOverflowError, match="layer 1"):
+            run_codes_layer(layer, rec, [x])
+        return
+    out = run_codes_layer(layer, rec, [x])
+    for j in range(len(x)):
+        assert np.array_equal(out[j], oracles.ref_layer_codes(layer, rec, [x[j]])), j
+    assert out[0, 0].max() == 2 ** 31 - 1 and out[0, 1].max() == 2 ** 31 - 8
 
 
 # fan-in 4 at x_max 255 and 8-bit weights: fan_in * x_max * 2**7 = 130560
@@ -266,7 +309,7 @@ def test_int32_proof_skips_only_a_passing_check(monkeypatch, bias, checked):
     calls = []
     real = inference._check_acc
     monkeypatch.setattr(inference, "_check_acc", lambda *a: calls.append(a[1]) or real(*a))
-    assert inference._int32_proven(4, 255, 8, rec.bias_int) is not checked
+    assert inference._acc_bound(1, 4, 255, 2 ** 7, rec.bias_int)[1] is checked
     if 4 * 255 * 127 + bias > 2 ** 31 - 1:
         with pytest.raises(AccumulatorOverflowError, match="layer 1"):
             run_codes_layer(layer, rec, [x])
@@ -281,9 +324,10 @@ def test_int32_proof_skips_only_a_passing_check(monkeypatch, bias, checked):
 def test_float64_exactness_bound_is_checked(x_max, w_bits):
     # first fan-in whose bound fan_in * x_max * 2**(w_bits - 1) + 2**31 reaches 2**53
     first_bad = -(-(2 ** 53 - 2 ** 31) // (x_max * 2 ** (w_bits - 1)))
-    inference._check_f64_exact(7, first_bad - 1, x_max, w_bits)
+    bias = np.zeros(1, dtype=np.int32)
+    inference._acc_bound(7, first_bad - 1, x_max, 2 ** (w_bits - 1), bias)
     with pytest.raises(AccumulatorOverflowError, match="layer 7"):
-        inference._check_f64_exact(7, first_bad, x_max, w_bits)
+        inference._acc_bound(7, first_bad, x_max, 2 ** (w_bits - 1), bias)
 
 
 def test_run_codes_layer_checks_the_float64_range():
@@ -308,8 +352,11 @@ def test_float32_bound_at_its_boundary(a_bits, w_bits):
     x_max = 2 ** a_bits - 1
     # first fan-in whose bound fan_in * x_max * 2**(w_bits - 1) reaches 2**24
     first_f64 = -(-2 ** 24 // (x_max * 2 ** (w_bits - 1)))
-    assert inference._acc_dtype(first_f64 - 1, x_max, w_bits) is np.float32
-    assert inference._acc_dtype(first_f64, x_max, w_bits) is np.float64
+    bias = np.zeros(1, dtype=np.int32)
+    dtype, _ = inference._acc_bound(1, first_f64 - 1, x_max, 2 ** (w_bits - 1), bias)
+    assert dtype is np.float32
+    dtype, _ = inference._acc_bound(1, first_f64, x_max, 2 ** (w_bits - 1), bias)
+    assert dtype is np.float64
 
 
 # (kh, kw, input shape) of a one-output layer, per (kind, fan-in). Fan-in 576
@@ -348,7 +395,8 @@ def test_same_sign_sums_near_the_float32_bound_are_exact(kind, fan_in):
     flat[flat.sum(axis=1) % 2 == 0, 1] ^= 1  # an odd sum per image
     sums = 127 * flat.sum(axis=1, dtype=np.int64)
     above = fan_in == 576
-    assert inference._acc_dtype(fan_in, 255, 8) is (np.float64 if above else np.float32)
+    dtype, _ = inference._acc_bound(1, fan_in, 255, 2 ** 7, rec.bias_int)
+    assert dtype is (np.float64 if above else np.float32)
     assert (sums > 2 ** 24).all() if above else (sums < 2 ** 24).all()
     assert (sums.astype(np.float32).astype(np.int64) != sums).all() == above
     out = run_codes_layer(layer, rec, [x]).reshape(3)

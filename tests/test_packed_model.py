@@ -19,7 +19,7 @@ from mcuq.packed_model import (
     save_packed,
     serialize,
 )
-from mcuq.quantizer import ActRange, RequantParams
+from mcuq.quantizer import ActRange, QuantizedTensor, RequantParams
 
 
 @pytest.fixture()
@@ -256,3 +256,26 @@ def test_check_model_matches_record_arithmetic(toy_graph, toy_model, spoil, matc
     spoil(toy_model)
     with pytest.raises(ModelMismatchError, match=match):
         check_model_matches(toy_graph, toy_model)
+
+
+# a 1-element 8-bit weight tensor with its 1-byte payload
+_STRAY_WEIGHT = QuantizedTensor(bits=8, packed=b"\x01", shape=(1,), scales=np.ones(1))
+
+
+@pytest.mark.parametrize("weight, weight_bits, through_file", [
+    (None, 8, True),
+    (_STRAY_WEIGHT, 8, True),
+    (_STRAY_WEIGHT, 0, False),  # a file cannot hold it: its payload needs 8 bits
+], ids=["weight_bits", "stray_weight", "stray_weight_in_memory"])
+def test_weight_free_record_carrying_weights_is_a_mismatch(toy_graph, toy_model, weight,
+                                                           weight_bits, through_file):
+    """A container whose avg_pool record has weight bits or a weight tensor
+    loads, but does not match the graph."""
+    rec = toy_model.layers[5]
+    assert rec.kind == "avg_pool"
+    rec.weight, rec.weight_bits = weight, weight_bits
+    if weight is not None:
+        rec.bias_int = np.zeros(1, dtype=np.int32)
+    model = deserialize(serialize(toy_model)) if through_file else toy_model
+    with pytest.raises(ModelMismatchError, match="layer 5: the avg_pool record"):
+        check_model_matches(toy_graph, model)
