@@ -6,6 +6,7 @@ from __future__ import annotations
 import gzip
 import json
 import os
+import re
 import struct
 from dataclasses import dataclass
 
@@ -218,15 +219,17 @@ def save_raw_dir(d: Dataset, dirname: str) -> None:
 def load_dataset(spec: str, seed: int = 0) -> Dataset:
     """Resolve a CLI dataset argument.
 
-    ``synthetic[:N_TRAIN,N_VAL]`` builds the bundled shape dataset; a directory
-    is probed for IDX files first, then for raw .npy tensors.
+    ``synthetic`` and ``synthetic:N_TRAIN,N_VAL`` build the bundled shape
+    dataset, and any other ``synthetic:`` spec raises DatasetError; any other
+    spec is a directory, probed for IDX files first, then for raw .npy tensors.
     """
-    if spec.startswith("synthetic"):
-        n_train, n_val = 4000, 1500
-        if ":" in spec:
-            parts = spec.split(":", 1)[1].split(",")
-            n_train, n_val = int(parts[0]), int(parts[1])
-        return synthetic_shapes(n_train, n_val, seed=seed)
+    if spec == "synthetic":
+        return synthetic_shapes(4000, 1500, seed=seed)
+    if spec.startswith("synthetic:"):
+        m = re.fullmatch(r"synthetic:([0-9]+),([0-9]+)", spec)
+        if m is None:
+            raise DatasetError(f"dataset spec {spec!r} is not synthetic:N_TRAIN,N_VAL")
+        return synthetic_shapes(int(m[1]), int(m[2]), seed=seed)
     if not os.path.isdir(spec):
         raise DatasetError(f"dataset path {spec!r} is not a directory")
     try:

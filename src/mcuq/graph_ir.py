@@ -242,25 +242,21 @@ def _topo_sort(layers: tuple[LayerSpec, ...]) -> tuple[int, ...]:
 def liveness(g: NetworkGraph) -> list[frozenset[int]]:
     """Per execution step: ids of live activation tensors.
 
-    A tensor is live from the step of its producer through the step of its
-    last consumer; skip-branch tensors therefore stay live across the whole
-    parallel branch.
+    A tensor's span runs from its producer's step through its last
+    consumer's step; a step holds every tensor whose span covers it, so
+    skip-branch tensors stay live across the whole parallel branch.
     """
     order = topo_order(g)
     step_of = {lid: i for i, lid in enumerate(order)}
-    last_use: dict[int, int] = {}
-    for t in g.tensor_ids():
-        uses = [step_of[c.id] for c in g.consumers(t)]
-        last_use[t] = max(uses, default=step_of[t])
-    live: list[frozenset[int]] = []
-    for i, lid in enumerate(order):
-        layer = g.layer(lid)
-        cur = {t for t in g.tensor_ids() if step_of[t] <= i <= last_use[t]}
-        cur.update(layer.input_ids)
-        if layer.kind != "output":
-            cur.add(lid)
-        live.append(frozenset(cur))
-    return live
+    last_use = {t: step_of[t] for t in g.tensor_ids()}
+    for layer in g.layers:
+        for t in layer.input_ids:
+            last_use[t] = max(last_use[t], step_of[layer.id])
+    live: list[set[int]] = [set() for _ in order]
+    for t, last in last_use.items():
+        for i in range(step_of[t], last + 1):
+            live[i].add(t)
+    return [frozenset(cur) for cur in live]
 
 
 # the integer fields of a layer entry, with their defaults, and its integer lists
@@ -308,7 +304,7 @@ def load_graph(path: str) -> NetworkGraph:
             raw = json.load(f)
         except json.JSONDecodeError as e:
             raise GraphValidationError(f"cannot parse {path}: {e}") from e
-    if not isinstance(raw, dict) or "layers" not in raw:
+    if not isinstance(raw, dict) or not isinstance(raw.get("layers"), list):
         raise GraphValidationError("top level must be an object with a 'layers' array")
     layers = tuple(_layer_from_dict(d) for d in raw["layers"])
     resolution = raw.get("resolution", 0)

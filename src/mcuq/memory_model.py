@@ -13,10 +13,11 @@ element and are never demoted.
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass, field, replace
 
 from .errors import InfeasibleBudgetError, PolicyError
-from .graph_ir import NetworkGraph, liveness, topo_order
+from .graph_ir import NetworkGraph, _is_int, liveness, topo_order
 
 VALID_BITS = (2, 4, 8, 32)
 REQUANT_BYTES_PER_CHANNEL = 8
@@ -47,21 +48,46 @@ class QuantPolicy:
 
     @staticmethod
     def from_json(text: str) -> "QuantPolicy":
+        """Parse the form to_json writes: JSON-integer bits keyed by decimal
+        ids, and "w:<id>" or "a:<id>" frozen entries. Anything else raises
+        PolicyError naming the entry."""
         try:
             doc = json.loads(text)
-            wb = {int(k): int(v) for k, v in doc.get("weight_bits", {}).items()}
-            ab = {int(k): int(v) for k, v in doc.get("act_bits", {}).items()}
-            fw, fa = set(), set()
-            for item in doc.get("frozen", []):
-                if isinstance(item, str) and item.startswith("w:"):
-                    fw.add(int(item[2:]))
-                elif isinstance(item, str) and item.startswith("a:"):
-                    fa.add(int(item[2:]))
-                else:
-                    fa.add(int(item))
-        except (json.JSONDecodeError, TypeError, ValueError, AttributeError) as e:
+        except json.JSONDecodeError as e:
             raise PolicyError(f"malformed policy file: {e}") from e
+        if not isinstance(doc, dict):
+            raise PolicyError("malformed policy file: top level must be an object")
+        wb, ab = (_bits_table(doc, name) for name in ("weight_bits", "act_bits"))
+        frozen = doc.get("frozen", [])
+        if not isinstance(frozen, list):
+            raise PolicyError("malformed policy file: frozen must be a list")
+        fw, fa = set(), set()
+        for item in frozen:
+            tag, _, ident = item.partition(":") if isinstance(item, str) else ("", "", "")
+            if tag not in ("w", "a"):
+                raise PolicyError(f"malformed policy file: frozen entry {item!r} is not "
+                                  f"'w:<id>' or 'a:<id>'")
+            (fw if tag == "w" else fa).add(_policy_id(ident, f"frozen entry {item!r}"))
         return QuantPolicy(wb, ab, fw, fa)
+
+
+def _policy_id(key: str, where: str) -> int:
+    """A layer or tensor id as to_json writes it: a decimal integer string."""
+    if not re.fullmatch(r"0|-?[1-9][0-9]*", key):
+        raise PolicyError(f"malformed policy file: {where} id {key!r} is not a decimal integer")
+    return int(key)
+
+
+def _bits_table(doc: dict, name: str) -> dict[int, int]:
+    table = doc.get(name, {})
+    if not isinstance(table, dict):
+        raise PolicyError(f"malformed policy file: {name} must be an object")
+    out = {}
+    for k, v in table.items():
+        if not _is_int(v):
+            raise PolicyError(f"malformed policy file: {name}[{k!r}] = {v!r} is not an integer")
+        out[_policy_id(k, name)] = v
+    return out
 
 
 @dataclass(frozen=True)
@@ -85,12 +111,21 @@ class FootprintReport:
 
 
 def validate_policy(g: NetworkGraph, p: QuantPolicy) -> None:
-    for layer in g.weighted_layers():
-        if layer.id not in p.weight_bits:
-            raise PolicyError(f"missing weight_bits entry for layer {layer.id}")
+    """Raise PolicyError unless p gives valid bits to exactly the graph's
+    weighted layers and encoded tensors."""
+    weighted = [l.id for l in g.weighted_layers()]
+    for lid in weighted:
+        if lid not in p.weight_bits:
+            raise PolicyError(f"missing weight_bits entry for layer {lid}")
     for t in g.encoded_tensors():
         if t not in p.act_bits:
             raise PolicyError(f"missing act_bits entry for tensor {t}")
+    extra = sorted(p.weight_bits.keys() - set(weighted))
+    if extra:
+        raise PolicyError(f"weight_bits entries for layers {extra}, which have no weights")
+    extra = sorted(p.act_bits.keys() - set(g.encoded_tensors()))
+    if extra:
+        raise PolicyError(f"act_bits entries for tensors {extra}, which carry no encoding")
     for k, v in list(p.weight_bits.items()) + list(p.act_bits.items()):
         if v not in VALID_BITS:
             raise PolicyError(f"bits for {k} must be in {VALID_BITS}, got {v}")

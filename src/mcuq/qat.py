@@ -298,7 +298,7 @@ def _walk(g: NetworkGraph, weights: dict, x: np.ndarray, policy=None,
             else:
                 w, b = weights[lid]["w"], weights[lid]["b"]
                 wbits = 32 if policy is None else policy.weight_bits[lid]
-                wq = w if wbits == 32 else fake_quant_weights(w, wbits).astype(np.float32)
+                wq = w if wbits == 32 else fake_quant_weights(w, wbits)
             z, cols = linear_fwd(layer, xin, wq, b)
             entry.update(cols=cols, wq=wq, x_shape=xin.shape)
         elif layer.kind == "add_residual":

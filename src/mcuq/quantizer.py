@@ -185,11 +185,6 @@ def quantize_weights_pc(w: np.ndarray, bits: int) -> QuantizedTensor:
     )
 
 
-def dequantize(q: QuantizedTensor) -> np.ndarray:
-    bshape = (-1,) + (1,) * (len(q.shape) - 1)
-    return (q.codes().astype(np.float64) * q.scales.reshape(bshape)).astype(np.float32)
-
-
 def fake_quant_weights(w: np.ndarray, bits: int) -> np.ndarray:
     """Quantize-dequantize roundtrip used in the training forward pass."""
     q, s = _round_weights(w, bits)
@@ -247,12 +242,12 @@ def apply_requant(acc: np.ndarray, rq: RequantParams, bits: int, signed: bool = 
     parameters are one multiplier and shift, or one per channel on axis 1 of
     an (N, C, ...) acc; bias is one int32 per channel.
 
-    One loop over blocks of rows, a row being one (image, channel) pair: a
-    block holds at most qat.CONV_BLOCK elements, several short rows or a
-    piece of a long one, in one reused int64 buffer. Per block the
-    accumulators are cast and multiplied in one pass, one per-row offset is
-    added, bias * multiplier plus, for unsigned outputs, 2**shift // 2, and
-    the shift and the clip write the int32 output. Everything fits int64:
+    One loop over blocks of whole rows, a row being one (image, channel)
+    pair: a block holds as many rows as fit in qat.CONV_BLOCK elements, or
+    one longer row, in one reused int64 buffer. Per block the accumulators
+    are cast and multiplied in one pass, one per-row offset is added,
+    bias * multiplier plus, for unsigned outputs, 2**shift // 2, and the
+    shift and the clip write the int32 output. Everything fits int64:
     |acc * multiplier| < 2**63, the offset is below 2**62 + 2**61, and their
     sum is (acc + bias) * multiplier plus at most 2**61.
     Unsigned outputs floor-shift after adding half, which equals the
@@ -277,24 +272,20 @@ def apply_requant(acc: np.ndarray, rq: RequantParams, bits: int, signed: bool = 
         off += (1 << shift) >> 1
     rows = acc.reshape(n * c, acc.size // max(1, n * c))
     out = np.empty(rows.shape, np.int32)
-    length = max(1, rows.shape[1])
-    cols = min(length, CONV_BLOCK)
-    step = max(1, CONV_BLOCK // length)
-    buf = np.empty(min(step, len(rows)) * cols, np.int64)
+    step = max(1, CONV_BLOCK // max(1, rows.shape[1]))
+    buf = np.empty(min(step, len(rows)) * rows.shape[1], np.int64)
     lo, hi = qrange(bits, signed)
     for r0 in range(0, len(rows), step):
-        r1 = min(r0 + step, len(rows))
-        m, o, s = mult[r0:r1, None], off[r0:r1, None], shift[r0:r1, None]
-        for c0 in range(0, rows.shape[1], cols):
-            block = rows[r0:r1, c0:c0 + cols]
-            p = buf[:block.size].reshape(block.shape)
-            np.multiply(block, m, out=p, dtype=np.int64, casting="unsafe")
-            p += o
-            if signed:
-                p = haz_rshift(p, s)
-            else:
-                p >>= s
-            np.clip(p, lo, hi, out=out[r0:r1, c0:c0 + cols])
+        r = slice(r0, r0 + step)
+        block = rows[r]
+        p = buf[:block.size].reshape(block.shape)
+        np.multiply(block, mult[r, None], out=p, dtype=np.int64, casting="unsafe")
+        p += off[r, None]
+        if signed:
+            p = haz_rshift(p, shift[r, None])
+        else:
+            p >>= shift[r, None]
+        np.clip(p, lo, hi, out=out[r])
     return out.reshape(acc.shape)
 
 

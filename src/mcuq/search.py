@@ -8,6 +8,10 @@ the shared reward of all the episode's transitions. The reward is terminal
 and shared, so the critic regresses straight onto it: there is no
 bootstrapped target and hence no target networks.
 
+A search runs, in order, the phases that PHASES lists for its mode, phase k
+with a fresh agent seeded cfg.seed + 1 + k. The "acts" phase starts from the
+bits of the "weights" phase's winner, which was scored at 32-bit activations.
+
 The agent's hyper-parameters are HAQ's (arXiv 1811.08886) and fixed for every
 search: two hidden layers of HIDDEN units, Adam at ACTOR_LR and CRITIC_LR,
 exploration noise NOISE decaying by NOISE_DECAY per episode after warm-up,
@@ -38,6 +42,7 @@ from .quantizer import ActRange, calibrate_act_ranges
 BIT_CHOICES = (2, 4, 8)
 # replay stores the midpoint of the chosen bin, post enforcement
 BIT_MIDPOINT = {2: 1.0 / 6.0, 4: 0.5, 8: 5.0 / 6.0}
+PHASES = {"independent": ("weights", "acts"), "concurrent": ("concurrent",)}
 
 OBS_DIM = 18
 
@@ -75,7 +80,7 @@ class SearchConfig:
     freeze_first_last: bool = False
 
     def __post_init__(self):
-        if self.mode not in ("independent", "concurrent"):
+        if self.mode not in PHASES:
             raise ValueError(f"unknown search mode {self.mode!r}")
         if not 0 < self.warmup <= self.episodes:
             raise ValueError("need 0 < warmup <= episodes")
@@ -289,9 +294,9 @@ def run_episode(g: NetworkGraph, agent: DDPGAgent, cfg: SearchConfig, episode: i
     """One episode: pick bits per decision item, enforce budgets, score by proxy QAT.
 
     With anchor=True the agent is bypassed and every item gets the nominal 8
-    bits; enforcement then demotes greedily. Phase runners use this for the
-    first warm-up episode so the replay buffer always holds the enforced
-    baseline as a reference point.
+    bits; enforcement then demotes greedily. search uses this for each
+    phase's first warm-up episode so the replay buffer always holds the
+    enforced baseline as a reference point.
     """
     items = decision_items(g, phase, cfg.freeze_first_last)
     policy = base_policy(g, cfg, fixed_weight_bits)
@@ -349,24 +354,6 @@ class SearchResult:
     ranges: dict = field(repr=False, default_factory=dict)
 
 
-def _run_phase(g, cfg, phase, seed, proxy, pretrained, ranges, episode_base,
-               fixed_weight_bits=None):
-    agent = DDPGAgent(cfg, seed)
-    records, flags = [], []
-    best = None
-    for e in range(cfg.episodes):
-        rec = run_episode(g, agent, cfg, e, proxy, pretrained, ranges,
-                          phase=phase, fixed_weight_bits=fixed_weight_bits,
-                          anchor=(e == 0))
-        rec.episode = episode_base + e
-        new_best = best is None or rec.top1 > best.top1
-        if new_best:
-            best = rec
-        records.append(rec)
-        flags.append(new_best)
-    return records, flags, best
-
-
 def search(g: NetworkGraph, cfg: SearchConfig, dataset: Dataset,
            pretrained: dict | None = None, log=None) -> SearchResult:
     """Full policy search; returns the best policy and the episode history."""
@@ -381,28 +368,23 @@ def search(g: NetworkGraph, cfg: SearchConfig, dataset: Dataset,
     n_val = max(int(cfg.proxy_val_frac * (len(dataset) - dataset.n_train)), 1)
     proxy = make_proxy(dataset, n_train, n_val, seed=cfg.seed)
 
-    if cfg.mode == "concurrent":
-        records, flags, best = _run_phase(
-            g, cfg, "concurrent", cfg.seed + 1, proxy, pretrained, ranges, 0)
+    history, is_best, fixed = [], [], None
+    for k, phase in enumerate(PHASES[cfg.mode]):
+        agent = DDPGAgent(cfg, cfg.seed + 1 + k)
+        for e in range(cfg.episodes):
+            rec = run_episode(g, agent, cfg, e, proxy, pretrained, ranges, phase=phase,
+                              fixed_weight_bits=fixed, anchor=(e == 0))
+            rec.episode = len(history)
+            is_best.append(e == 0 or rec.top1 > best.top1)
+            if is_best[-1]:
+                best = rec
+            history.append(rec)
         if log:
-            log(f"concurrent best top1 {best.top1:.4f} at episode {best.episode}")
-        return SearchResult(best_policy=best.policy, best_record=best,
-                            history=records, is_best=flags,
-                            pretrained=pretrained, ranges=ranges)
-
-    w_records, w_flags, w_best = _run_phase(
-        g, cfg, "weights", cfg.seed + 1, proxy, pretrained, ranges, 0)
-    if log:
-        log(f"weights phase best top1 {w_best.top1:.4f} at episode {w_best.episode}")
-    fixed = dict(w_best.policy.weight_bits)
-    a_records, a_flags, a_best = _run_phase(
-        g, cfg, "acts", cfg.seed + 2, proxy, pretrained, ranges, cfg.episodes,
-        fixed_weight_bits=fixed)
-    if log:
-        log(f"acts phase best top1 {a_best.top1:.4f} at episode {a_best.episode}")
-    return SearchResult(best_policy=a_best.policy, best_record=a_best,
-                        history=w_records + a_records, is_best=w_flags + a_flags,
-                        pretrained=pretrained, ranges=ranges)
+            name = phase if phase == "concurrent" else f"{phase} phase"
+            log(f"{name} best top1 {best.top1:.4f} at episode {best.episode}")
+        fixed = dict(best.policy.weight_bits)
+    return SearchResult(best_policy=best.policy, best_record=best, history=history,
+                        is_best=is_best, pretrained=pretrained, ranges=ranges)
 
 
 def history_csv(records: list[EpisodeRecord], is_best: list[bool]) -> str:

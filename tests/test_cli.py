@@ -91,6 +91,35 @@ def test_footprint_of_a_zero_stride_graph_is_bad_input(in_tmp, capsys):
     assert "layer 2" in err and "stride 0" in err and "Traceback" not in err
 
 
+def test_footprint_of_a_graph_without_a_layer_list_is_bad_input(in_tmp, capsys):
+    for doc in ('{"layers": null}', '{"layers": 5}'):
+        (in_tmp / "g.json").write_text(doc)
+        assert cli.main(["footprint", "--graph", "g.json", "--rom-bytes", "1",
+                         "--ram-bytes", "1"]) == cli.EXIT_INPUT
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "layers" in err and "Traceback" not in err
+
+
+def test_footprint_of_a_policy_with_unused_act_bits_is_bad_input(in_tmp, capsys):
+    """Tensor 6 is the logits, which the engine keeps at int32: pricing them at
+    2 bits would report 35 and 3 B of RAM at steps 6 and 7, not 72 and 40."""
+    policy = all_uniform_policy(load_graph(TOY))
+    policy.act_bits[6] = 2
+    (in_tmp / "p.json").write_text(policy.to_json())
+    assert cli.main(["footprint", "--graph", TOY, "--policy", "p.json", "--rom-bytes",
+                     "100000", "--ram-bytes", "100000"]) == cli.EXIT_INPUT
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "tensors [6]" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("spec", ["synthetic:10", "synthetic:a,b"])
+def test_pretrain_on_a_malformed_synthetic_spec_is_bad_input(in_tmp, capsys, spec):
+    assert cli.main(["pretrain", "--graph", TOY, "--dataset", spec,
+                     "--out-checkpoint", "w.ckpt"]) == cli.EXIT_INPUT
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and spec in err and "Traceback" not in err
+
+
 @pytest.mark.parametrize("rom, ram, m1, m2, code", [
     pytest.param(2 * 2 ** 20, 2 ** 20, "true", "true", cli.EXIT_OK, id="fits"),
     # the all-8 toy CNN needs 12332 B of ROM and 1960 B of RAM

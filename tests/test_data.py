@@ -6,6 +6,7 @@ import struct
 import numpy as np
 import pytest
 
+from mcuq import data
 from mcuq.data import (
     Dataset,
     load_dataset,
@@ -183,6 +184,28 @@ def test_raw_dir_missing(tmp_path):
 def test_load_dataset_synthetic_spec():
     d = load_dataset("synthetic:64,32", seed=1)
     assert d.n_train == 64 and len(d) == 96
+
+
+def test_load_dataset_synthetic_default(monkeypatch):
+    monkeypatch.setattr(data, "synthetic_shapes", lambda n_train, n_val, seed: (n_train, n_val, seed))
+    assert load_dataset("synthetic", seed=3) == (4000, 1500, 3)
+
+
+@pytest.mark.parametrize("spec", ["synthetic:10", "synthetic:a,b", "synthetic:5,5,5",
+                                  "synthetic:", "synthetic:-5,5", "synthetic:5, 5"])
+def test_load_dataset_rejects_malformed_synthetic_specs(spec):
+    with pytest.raises(DatasetError, match="synthetic:N_TRAIN,N_VAL"):
+        load_dataset(spec)
+
+
+def test_load_dataset_reads_a_directory_named_like_synthetic(tmp_path, monkeypatch, desk_small):
+    """Only "synthetic" and "synthetic:N,M" name the bundled set; other names are paths."""
+    monkeypatch.chdir(tmp_path)
+    save_raw_dir(desk_small, "synthetic_digits")
+    d = load_dataset("synthetic_digits")
+    assert np.array_equal(d.images, desk_small.images) and d.n_train == desk_small.n_train
+    with pytest.raises(DatasetError, match="not a directory"):
+        load_dataset("synthetic_missing")
 
 
 def test_load_dataset_directory_dispatch(tmp_path, desk_small):

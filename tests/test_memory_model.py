@@ -1,6 +1,7 @@
 """ROM/RAM accounting, policy serialization, budget enforcement."""
 
 import json
+import re
 
 import numpy as np
 import pytest
@@ -106,6 +107,46 @@ def test_policy_json_rejects_malformed():
         QuantPolicy.from_json('{"weight_bits": "nope"}')
     with pytest.raises(PolicyError):
         QuantPolicy.from_json("not json at all")
+
+
+@pytest.mark.parametrize("text, named", [
+    ('[8]', "top level"),
+    ('{"weight_bits": {"1": 8.9}}', "weight_bits['1'] = 8.9"),
+    ('{"weight_bits": {"1": "8"}}', "weight_bits['1'] = '8'"),
+    ('{"act_bits": {"2": true}}', "act_bits['2'] = True"),
+    ('{"act_bits": {"2": null}}', "act_bits['2'] = None"),
+    ('{"weight_bits": {"1.0": 8}}', "weight_bits id '1.0'"),
+    ('{"weight_bits": {" 1": 8}}', "weight_bits id ' 1'"),
+    ('{"weight_bits": {"01": 8}}', "weight_bits id '01'"),
+    ('{"act_bits": {"x": 8}}', "act_bits id 'x'"),
+    ('{"act_bits": [8]}', "act_bits must be an object"),
+    ('{"frozen": [3]}', "frozen entry 3 "),
+    ('{"frozen": ["3"]}', "frozen entry '3' "),
+    ('{"frozen": ["x:3"]}', "frozen entry 'x:3' "),
+    ('{"frozen": ["w:"]}', "frozen entry 'w:' id ''"),
+    ('{"frozen": ["a:2.5"]}', "frozen entry 'a:2.5' id '2.5'"),
+    ('{"frozen": "w:1"}', "frozen must be a list"),
+])
+def test_policy_json_accepts_only_what_to_json_writes(text, named):
+    with pytest.raises(PolicyError, match=re.escape(named)):
+        QuantPolicy.from_json(text)
+
+
+def test_policy_json_round_trips_negative_ids():
+    p = QuantPolicy({-1: 4, 0: 8}, {-2: 2}, {-1}, {-2})
+    assert QuantPolicy.from_json(p.to_json()) == p
+
+
+def test_validate_policy_rejects_entries_the_graph_has_no_use_for(toy_graph):
+    p = all_uniform_policy(toy_graph)
+    p.act_bits[6] = 2  # the logits feed only the output sink: the engine keeps them int32
+    with pytest.raises(PolicyError, match=r"act_bits entries for tensors \[6\]"):
+        validate_policy(toy_graph, p)
+    for lid in (5, 7, 99):  # avg_pool, the output sink, no such layer
+        p = all_uniform_policy(toy_graph)
+        p.weight_bits[lid] = 8
+        with pytest.raises(PolicyError, match=rf"weight_bits entries for layers \[{lid}\]"):
+            validate_policy(toy_graph, p)
 
 
 def test_validate_policy_errors(toy_graph):

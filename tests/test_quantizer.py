@@ -13,7 +13,6 @@ from mcuq.quantizer import (
     RequantParams,
     apply_requant,
     compute_requant,
-    dequantize,
     fake_quant_act,
     fake_quant_weights,
     pack_subbyte,
@@ -152,7 +151,7 @@ def test_weight_roundtrip_bound():
     q = quantize_weights_pc(w, 8)
     # the codes round at full precision; the scales are stored as float32
     assert np.array_equal(q.scales, np.float32(weight_scales_pc(w, 8)))
-    err = np.abs(dequantize(q) - w)
+    err = np.abs(q.codes() * q.scales[:, None] - w)
     assert (err <= q.scales[:, None] / 2 + 1e-12).all()
 
 
@@ -361,8 +360,8 @@ def _ref_channel_requant(acc, rq, bias, bits, signed):
 
 
 # (N, C, H, W) accumulators against a block of 24 elements: rows of 6 (4 rows a
-# block, 189 rows, a remainder of 1), rows of 30 (each longer than a block:
-# 24 + 6), and rows of 1 (24 rows a block, a remainder of 6)
+# block, 189 rows, a remainder of 1), rows of 30 (each longer than a block, so
+# a block of its own), and rows of 1 (24 rows a block, a remainder of 6)
 _BLOCK = 24
 _ROW_SHAPES = [(3, 63, 2, 3), (2, 63, 5, 6), (2, 63, 1, 1)]
 
@@ -372,7 +371,7 @@ _ROW_SHAPES = [(3, 63, 2, 3), (2, 63, 5, 6), (2, 63, 1, 1)]
 @pytest.mark.parametrize("ties", [False, True])
 def test_blocked_requant_matches_oracle(monkeypatch, dtype, bits, signed, ties):
     """Blocks of rows, several rows per block with a remainder and single rows
-    split over blocks, on N > 1 images, per-channel shifts 0..62 with a zero
+    longer than a block, on N > 1 images, per-channel shifts 0..62 with a zero
     multiplier, a bias, and exact half ties; the accumulators are given as
     int64, float32 (below 2**24, as the float32 kernel's) or float64."""
     monkeypatch.setattr(qat, "CONV_BLOCK", _BLOCK)
@@ -392,7 +391,7 @@ def test_blocked_requant_matches_oracle(monkeypatch, dtype, bits, signed, ties):
 @pytest.mark.parametrize("bits, signed", [(8, False), (32, True)])
 def test_blocked_requant_with_one_multiplier(monkeypatch, dtype, bits, signed):
     """One multiplier and shift for every channel, with and without a
-    per-channel bias, over rows that span several blocks."""
+    per-channel bias, over rows shorter and longer than a block."""
     monkeypatch.setattr(qat, "CONV_BLOCK", _BLOCK)
     rng = np.random.default_rng([bits, np.dtype(dtype).itemsize])
     rq = compute_requant(1.0, np.array([0.0375]), 1.0)

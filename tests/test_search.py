@@ -1,4 +1,4 @@
-"""Policy search: observations, agent mechanics, episodes, phase runners."""
+"""Policy search: observations, agent mechanics, episodes, the phase loop."""
 
 import numpy as np
 import pytest
@@ -409,6 +409,29 @@ def test_search_independent_mode(residual_graph):
     w_best = max((r for r in res.history[:3]), key=lambda r: (r.top1, -r.episode))
     for r in res.history[3:]:
         assert r.policy.weight_bits == w_best.policy.weight_bits
+
+
+@pytest.mark.parametrize("mode, logged", [
+    ("concurrent", ["concurrent"]),
+    ("independent", ["weights phase", "acts phase"]),
+])
+def test_search_phases_seed_their_agents_and_log_their_winners(residual_graph, monkeypatch,
+                                                               mode, logged):
+    """Phase k's agent is seeded cfg.seed + 1 + k, and each phase logs one line."""
+    seeds = []
+    real_init = DDPGAgent.__init__
+    monkeypatch.setattr(DDPGAgent, "__init__",
+                        lambda agent, cfg, seed: seeds.append(seed) or real_init(agent, cfg, seed))
+    lines = []
+    cfg = small_cfg(episodes=2, warmup=1, mode=mode, seed=5)
+    res = search(residual_graph, cfg, tiny_dataset(), pretrained=qat.init_weights(residual_graph),
+                 log=lines.append)
+    assert seeds == [6 + k for k in range(len(logged))]
+    assert [r.episode for r in res.history] == list(range(2 * len(logged)))
+    assert res.is_best[::2] == [True] * len(logged)  # each phase's first episode sets its bar
+    for line, name, base in zip(lines, logged, range(0, len(res.history), 2), strict=True):
+        best = max(res.history[base:base + 2], key=lambda r: (r.top1, -r.episode))
+        assert line == f"{name} best top1 {best.top1:.4f} at episode {best.episode}"
 
 
 def test_history_csv_schema(quick_search):
