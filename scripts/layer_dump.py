@@ -4,12 +4,13 @@
     python scripts/layer_dump.py diff A.npz B.npz
 
 `dump` runs the checkout this script sits in and records:
-- the integer codes of every layer of toycnn_mnist and toy_residual (all-8 and
-  a seeded sub-byte policy, 16 images each, and toycnn_mnist's two models
-  again on 128 images, the `mcuq eval` batch, whose requant row blocks span
-  several images, keys `int/toycnn_mnist/*/eval/...`), of 24 seeded random graphs under
-  random policies (2 images each) and of MobileNetV1-224 under the enforced
-  all-8 anchor and under the unenforced all-8 policy (2 images each), keys
+- the integer codes of every layer, from inference.run_codes_network, of
+  toycnn_mnist and toy_residual (all-8 and a seeded sub-byte policy, 16
+  images each, and toycnn_mnist's two models again on 128 images, the
+  `mcuq eval` batch, whose requant row blocks span several images, keys
+  `int/toycnn_mnist/*/eval/...`), of 24 seeded random graphs under random
+  policies (2 images each) and of MobileNetV1-224 under the enforced all-8
+  anchor and under the unenforced all-8 policy (2 images each), keys
   `int/...`; the unenforced model keeps the 8-bit layers of fan-in 1024 (27
   and 29), whose accumulator bound takes the engine's float64 path, while the
   anchor's layers all run in float32;
@@ -40,7 +41,7 @@ sys.path[:0] = [os.path.join(HERE, "..", "src"), os.path.join(HERE, "..", "tests
 
 import oracles  # noqa: E402
 from mcuq import inference, memory_model, packed_model, qat, quantizer, search  # noqa: E402
-from mcuq.graph_ir import fixture_path, load_graph, topo_order  # noqa: E402
+from mcuq.graph_ir import fixture_path, load_graph  # noqa: E402
 
 MBV1_BUDGET = memory_model.MemoryBudget(rom_bytes=2 * 2 ** 20, ram_bytes=512 * 2 ** 10)
 RANDOM_GRAPHS = 24
@@ -53,19 +54,6 @@ def _model(models_dir: str, name: str, build):
     if not os.path.exists(path):
         packed_model.save_packed(build(), path)
     return packed_model.load_packed(path)
-
-
-def _int_codes(g, model, images) -> dict[int, np.ndarray]:
-    """Every layer's integer output codes on a batch, as run_batch_int computes them."""
-    in_id = g.input_layer.id
-    codes = {in_id: quantizer.quantize_act(images, model.act_clip[in_id],
-                                           model.act_bits[in_id])}
-    for lid in topo_order(g):
-        layer = g.layer(lid)
-        if layer.kind not in ("input", "output"):
-            codes[lid] = inference.run_codes_layer(layer, model.layers[lid],
-                                                   [codes[t] for t in layer.input_ids])
-    return codes
 
 
 def _float_step(out: dict, key: str, g, weights, images, policy=None, model=None):
@@ -89,7 +77,7 @@ def _record(out: dict, key: str, g, weights, policy, models_dir: str, images,
             g, weights, images if calib is None else calib)))
     for tag, batch in ((key, images), (f"{key}/eval", eval_batch)):
         if batch is not None:
-            for lid, codes in _int_codes(g, model, batch).items():
+            for lid, codes in inference.run_codes_network(g, model, batch).items():
                 out[f"int/{tag}/{lid}"] = codes
     if float_too:
         _float_step(out, f"{key}/fq", g, weights, images, policy, model)

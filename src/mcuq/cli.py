@@ -264,7 +264,7 @@ def cmd_search(a: dict, started: float) -> int:
         episodes=episodes, warmup=warmup, mode=a["mode"], seed=a["seed"],
         proxy_train_frac=a["proxy_train_frac"], proxy_val_frac=a["proxy_val_frac"],
         pretrain_epochs=a["pretrain_epochs"],
-        freeze_first_last=a.get("freeze_first_last", False),
+        freeze_first_last=a["freeze_first_last"],
     )
     pretrained = None
     if a.get("weights"):
@@ -288,9 +288,8 @@ def cmd_search(a: dict, started: float) -> int:
 def _pretrained_weights(a: dict, g, dataset):
     if a.get("weights"):
         return _load_checkpoint(a["weights"], g)
-    tc = qat.TrainConfig(epochs=a.get("pretrain_epochs", 3),
-                         lr=a.get("pretrain_lr", 1e-2),
-                         batch_size=a.get("batch_size", 32), seed=a["seed"])
+    tc = qat.TrainConfig(epochs=a["pretrain_epochs"], lr=a["pretrain_lr"],
+                         batch_size=a["batch_size"], seed=a["seed"])
     weights, _ = qat.pretrain_float(g, dataset, tc)
     return weights, {}
 

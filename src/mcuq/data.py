@@ -13,6 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DatasetError
+from .graph_ir import _is_int
 
 NUM_SHAPE_CLASSES = 10
 
@@ -27,6 +28,12 @@ class Dataset:
     def __post_init__(self):
         if self.images.ndim != 4:
             raise DatasetError(f"images must be (N,C,H,W), got shape {self.images.shape}")
+        labels = np.asarray(self.labels)
+        if labels.ndim != 1 or not np.issubdtype(labels.dtype, np.integer):
+            raise DatasetError(f"labels must be a 1-D integer array, got {labels.dtype} "
+                               f"of shape {labels.shape}")
+        if labels.size and labels.min() < 0:
+            raise DatasetError(f"labels must be >= 0, got {labels.min()}")
         if len(self.labels) != len(self.images):
             raise DatasetError("images and labels length mismatch")
         if not (0 < self.n_train < len(self.images)):
@@ -199,10 +206,18 @@ def load_raw_dir(dirname: str) -> Dataset:
     if images.dtype == np.uint8:
         images = images.astype(np.float32) / 255.0
     images = images.astype(np.float32)
+    if not np.issubdtype(labels.dtype, np.integer):
+        raise DatasetError(f"{dirname}: labels.npy must hold integers, got {labels.dtype}")
     split_path = os.path.join(dirname, "split.json")
     if os.path.exists(split_path):
-        with open(split_path, "r", encoding="utf-8") as f:
-            n_train = int(json.load(f)["n_train"])
+        try:
+            with open(split_path, "r", encoding="utf-8") as f:
+                split = json.load(f)
+        except json.JSONDecodeError as e:
+            raise DatasetError(f"{split_path}: malformed JSON: {e}") from e
+        n_train = split.get("n_train") if isinstance(split, dict) else None
+        if not _is_int(n_train):
+            raise DatasetError(f"{split_path}: must be an object with an integer n_train")
     else:
         n_train = int(0.8 * len(images))
     return Dataset(images=images, labels=labels.astype(np.int64), n_train=n_train)

@@ -5,7 +5,8 @@ Reference semantics for MCU backends: sub-byte codes, 32-bit accumulators
 Every linear layer, avg_pool included, runs through the training engine's
 own linear_fwd, so the deployed arithmetic is the arithmetic that was
 trained. avg_pool is a depthwise layer whose every tap is weighted 1
-(qat.pool_weight), with no bias.
+(qat.pool_weight), with no bias. run_codes_network walks the graph once and
+keeps every layer's codes; run_codes_layer runs one layer.
 
 The kernels run on BLAS, on the codes cast to the narrowest float type that
 holds every partial sum exactly. With input codes of magnitude up to x_max
@@ -107,24 +108,24 @@ def run_codes_layer(layer, rec: PackedLayer, in_codes: list[np.ndarray]) -> np.n
     raise ModelMismatchError(f"layer {layer.id}: kind {layer.kind!r} is not executable")
 
 
-def run_batch_int(g: NetworkGraph, model: PackedModel, images: np.ndarray) -> np.ndarray:
-    """Integer forward of a float image batch; returns int32 scores (N, classes)."""
+def run_codes_network(g: NetworkGraph, model: PackedModel,
+                      images: np.ndarray) -> dict[int, np.ndarray]:
+    """Integer forward of a float image batch: every layer's int32 output
+    codes (N, ...) by tensor id, the input's included."""
     check_model_matches(g, model)
     in_tid = g.input_layer.id
-    acts: dict[int, np.ndarray] = {}
-    scores = None
+    codes = {in_tid: quantize_act(images, model.act_clip[in_tid], model.act_bits[in_tid])}
     for lid in topo_order(g):
         layer = g.layer(lid)
-        if layer.kind == "input":
-            acts[lid] = quantize_act(images, model.act_clip[in_tid], model.act_bits[in_tid])
-        elif layer.kind == "output":
-            scores = acts[layer.input_ids[0]]
-        else:
-            rec = model.layers[lid]
-            acts[lid] = run_codes_layer(layer, rec, [acts[t] for t in layer.input_ids])
-    if scores is None:
-        raise ModelMismatchError("graph has no output layer")
-    return scores
+        if layer.kind not in ("input", "output"):
+            codes[lid] = run_codes_layer(layer, model.layers[lid],
+                                         [codes[t] for t in layer.input_ids])
+    return codes
+
+
+def run_batch_int(g: NetworkGraph, model: PackedModel, images: np.ndarray) -> np.ndarray:
+    """Integer forward of a float image batch; returns int32 scores (N, classes)."""
+    return run_codes_network(g, model, images)[g.output_layer.input_ids[0]]
 
 
 def run_network_int(g: NetworkGraph, model: PackedModel,
@@ -156,10 +157,8 @@ def evaluate_accuracy(g: NetworkGraph, dataset, model: PackedModel | None = None
         else:
             logits, _ = qat.forward_network(g, weights, xb, policy=policy, ranges=ranges)
             pred = logits.argmax(axis=1)
-        for cls in range(n_classes):
-            sel = yb == cls
-            counts[cls] += int(sel.sum())
-            hits[cls] += int((pred[sel] == cls).sum())
+        counts += np.bincount(yb, minlength=n_classes)
+        hits += np.bincount(yb[pred == yb], minlength=n_classes)
     rows = [
         {"class": c, "count": int(counts[c]), "correct": int(hits[c]),
          "top1": float(hits[c] / counts[c]) if counts[c] else 0.0}

@@ -112,23 +112,30 @@ class FootprintReport:
 
 def validate_policy(g: NetworkGraph, p: QuantPolicy) -> None:
     """Raise PolicyError unless p gives valid bits to exactly the graph's
-    weighted layers and encoded tensors."""
-    weighted = [l.id for l in g.weighted_layers()]
+    weighted layers and encoded tensors, and freezes only those."""
+    weighted, encoded = [l.id for l in g.weighted_layers()], g.encoded_tensors()
     for lid in weighted:
         if lid not in p.weight_bits:
             raise PolicyError(f"missing weight_bits entry for layer {lid}")
-    for t in g.encoded_tensors():
+    for t in encoded:
         if t not in p.act_bits:
             raise PolicyError(f"missing act_bits entry for tensor {t}")
-    extra = sorted(p.weight_bits.keys() - set(weighted))
+    weighted, encoded = set(weighted), set(encoded)
+    extra = sorted(p.weight_bits.keys() - weighted)
     if extra:
         raise PolicyError(f"weight_bits entries for layers {extra}, which have no weights")
-    extra = sorted(p.act_bits.keys() - set(g.encoded_tensors()))
+    extra = sorted(p.act_bits.keys() - encoded)
     if extra:
         raise PolicyError(f"act_bits entries for tensors {extra}, which carry no encoding")
     for k, v in list(p.weight_bits.items()) + list(p.act_bits.items()):
         if v not in VALID_BITS:
             raise PolicyError(f"bits for {k} must be in {VALID_BITS}, got {v}")
+    extra = sorted(p.frozen_weights - weighted)
+    if extra:
+        raise PolicyError(f"frozen weights of layers {extra}, which have no weights")
+    extra = sorted(p.frozen_acts - encoded)
+    if extra:
+        raise PolicyError(f"frozen activations of tensors {extra}, which carry no encoding")
 
 
 def all_uniform_policy(g: NetworkGraph, weight_bits: int = 8, act_bits: int = 8) -> QuantPolicy:
@@ -139,8 +146,6 @@ def all_uniform_policy(g: NetworkGraph, weight_bits: int = 8, act_bits: int = 8)
 
 
 def weight_bytes(param_count: int, bits: int) -> int:
-    if bits == 32:
-        return param_count * 4
     return (param_count * bits + 7) // 8
 
 
@@ -158,8 +163,6 @@ def tensor_ram_bytes(g: NetworkGraph, p: QuantPolicy, tensor_id: int) -> int:
         if g.is_encoded(tensor_id):
             raise PolicyError(f"missing act_bits entry for live tensor {tensor_id}")
         return numel * 4  # unencoded sink input (e.g. 32-bit logits)
-    if bits == 32:
-        return numel * 4
     return (numel * bits + 7) // 8
 
 
@@ -195,26 +198,28 @@ def footprint(g: NetworkGraph, p: QuantPolicy) -> FootprintReport:
     return _fill_ram(rom_footprint(g, p), g, p, topo_order(g), liveness(g))
 
 
-def _demote_pick(candidates):
-    """Largest current byte footprint wins; ties prefer the higher bitwidth, then the lower id."""
-    return max(candidates, key=lambda c: (c[1], c[2], -c[0]))[0]
+def _demote_largest(bits: dict[int, int], ids, frozen: set[int], nbytes) -> bool:
+    """Demote one step (8->4->2) the tensor of ids, neither frozen nor at 2
+    bits, that takes the most bytes (nbytes(id)); ties go to the higher
+    bitwidth, then the lower id. False when no tensor is left to demote."""
+    candidates = [i for i in ids if i not in frozen and bits.get(i) in DEMOTE]
+    if not candidates:
+        return False
+    pick = max(candidates, key=lambda i: (nbytes(i), bits[i], -i))
+    bits[pick] = DEMOTE[bits[pick]]
+    return True
 
 
 def enforce_rom(g: NetworkGraph, p: QuantPolicy, b: MemoryBudget) -> QuantPolicy:
     """Demote the largest non-frozen weight tensor (8->4->2) until ROM fits."""
     out = p.copy()
+    params = {l.id: l.param_count for l in g.weighted_layers()}
     while rom_footprint(g, out).rom_total > b.rom_bytes:
-        candidates = [
-            (l.id, weight_bytes(l.param_count, out.weight_bits[l.id]), out.weight_bits[l.id])
-            for l in g.weighted_layers()
-            if l.id not in out.frozen_weights and out.weight_bits[l.id] in DEMOTE
-        ]
-        if not candidates:
+        if not _demote_largest(out.weight_bits, params, out.frozen_weights,
+                               lambda lid: weight_bytes(params[lid], out.weight_bits[lid])):
             raise InfeasibleBudgetError(
                 f"ROM budget {b.rom_bytes} B unreachable: every demotable weight tensor "
                 f"is already at 2 bits or frozen")
-        lid = _demote_pick(candidates)
-        out.weight_bits[lid] = DEMOTE[out.weight_bits[lid]]
     return out
 
 
@@ -226,18 +231,11 @@ def enforce_ram(g: NetworkGraph, p: QuantPolicy, b: MemoryBudget) -> QuantPolicy
         report = _fill_ram(FootprintReport(), g, out, order, live)
         if report.ram_peak <= b.ram_bytes:
             return out
-        peak_tensors = live[order.index(report.ram_peak_step)]
-        candidates = [
-            (t, tensor_ram_bytes(g, out, t), out.act_bits[t])
-            for t in sorted(peak_tensors)
-            if t in out.act_bits and t not in out.frozen_acts and out.act_bits[t] in DEMOTE
-        ]
-        if not candidates:
+        if not _demote_largest(out.act_bits, live[order.index(report.ram_peak_step)],
+                               out.frozen_acts, lambda t: tensor_ram_bytes(g, out, t)):
             raise InfeasibleBudgetError(
                 f"RAM budget {b.ram_bytes} B unreachable at step of layer "
                 f"{report.ram_peak_step}: every live tensor is frozen or at 2 bits")
-        t = _demote_pick(candidates)
-        out.act_bits[t] = DEMOTE[out.act_bits[t]]
 
 
 def rom_csv(report: FootprintReport) -> str:

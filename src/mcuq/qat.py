@@ -319,11 +319,11 @@ def _walk(g: NetworkGraph, weights: dict, x: np.ndarray, policy=None,
             y = fake_quant_act(z, clip_max, bits)
             if cache is not None:
                 inside, over = _pact_masks(z, clip_max)
-                entry.update(act_inside=inside, act_over=over, act_tid=lid)
+                entry.update(mask=inside, act_over=over, act_tid=lid)
         elif layer.kind in _RELU_KINDS and lid in encoded:
             y = np.maximum(z, 0.0)
             if cache is not None:
-                entry.update(relu_mask=z > 0)
+                entry.update(mask=z > 0)
         else:
             y = z
         acts[lid] = y
@@ -369,16 +369,11 @@ def backward_network(g: NetworkGraph, weights: dict, cache: list,
         dy = dacts.pop(layer.id, None)
         if dy is None:
             continue
-        # back through the output encoding
+        # back through the output encoding: saturated part to the clip, masked to z
         if "act_tid" in entry:
-            sat = dy * entry["act_over"]
-            grads_key = f"clip.{entry['act_tid']}"
-            grads[grads_key] = grads.get(grads_key, 0.0) + float(sat.sum())
-            dz = dy * entry["act_inside"]
-        elif "relu_mask" in entry:
-            dz = dy * entry["relu_mask"]
-        else:
-            dz = dy
+            key = f"clip.{entry['act_tid']}"
+            grads[key] = grads.get(key, 0.0) + float((dy * entry["act_over"]).sum())
+        dz = dy * entry["mask"] if "mask" in entry else dy
 
         if layer.kind == "input":
             continue

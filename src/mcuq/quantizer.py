@@ -19,7 +19,6 @@ import numpy as np
 from .errors import PackFormatError
 
 SUB_BYTE_BITS = (2, 4, 8)
-FP32_BITS = 32  # full-precision marker used by policies, never packed
 CLIP_FLOOR = 1e-3  # activation clips, calibrated or learned, never drop below this
 CALIB_PERCENTILE = 99.9  # calibration clips at this percentile of the observed values
 
@@ -34,15 +33,6 @@ def round_half_away(x: np.ndarray) -> np.ndarray:
     """Round to nearest integer, ties away from zero (as an integer-valued float array)."""
     x = np.asarray(x)
     return np.trunc(x + np.copysign(np.asarray(0.5, dtype=x.dtype), x))
-
-
-def haz_rshift(p: np.ndarray, shift) -> np.ndarray:
-    """Rounding right shift of int64 values: round(p / 2**shift) half away from zero."""
-    p = np.asarray(p, dtype=np.int64)
-    shift = np.asarray(shift, dtype=np.int64)
-    half = np.where(shift > 0, np.int64(1) << np.maximum(shift - 1, 0), np.int64(0))
-    mag = (np.abs(p) + half) >> shift
-    return np.where(p < 0, -mag, mag)
 
 
 @dataclass(frozen=True)
@@ -115,15 +105,13 @@ def unpack_subbyte(data: bytes, bits: int, n: int, signed: bool = False) -> np.n
     per_byte = 8 // bits
     if raw.size * per_byte < n:
         raise PackFormatError(f"buffer holds {raw.size * per_byte} fields, need {n}")
-    mask = (1 << bits) - 1
-    fields = np.empty(raw.size * per_byte, dtype=np.int32)
+    # shift each field to the top of its byte, then shift it back down:
+    # arithmetic for int8 (sign extension), logical for uint8
+    dtype = np.int8 if signed else np.uint8
+    fields = np.empty(raw.size * per_byte, dtype=dtype)
     for k in range(per_byte):
-        fields[k::per_byte] = (raw >> (k * bits)) & mask
-    v = fields[:n]
-    if signed:
-        sign = 1 << (bits - 1)
-        v = np.where(v >= sign, v - (1 << bits), v)
-    return v.astype(np.int32)
+        fields[k::per_byte] = (raw << (8 - (k + 1) * bits)).view(dtype) >> (8 - bits)
+    return fields[:n].astype(np.int32)
 
 
 class ByteReader:
@@ -246,14 +234,14 @@ def apply_requant(acc: np.ndarray, rq: RequantParams, bits: int, signed: bool = 
     pair: a block holds as many rows as fit in qat.CONV_BLOCK elements, or
     one longer row, in one reused int64 buffer. Per block the accumulators
     are cast and multiplied in one pass, one per-row offset is added,
-    bias * multiplier plus, for unsigned outputs, 2**shift // 2, and the
-    shift and the clip write the int32 output. Everything fits int64:
+    bias * multiplier + half with half = 2**shift // 2, and a floor shift and
+    the clip write the int32 output. Everything fits int64:
     |acc * multiplier| < 2**63, the offset is below 2**62 + 2**61, and their
     sum is (acc + bias) * multiplier plus at most 2**61.
-    Unsigned outputs floor-shift after adding half, which equals the
-    half-away rounding wherever the result survives the clip; a negative
-    product rounds to <= 0 either way and clips to 0. Signed outputs round
-    with haz_rshift.
+    One rounding rule: floor((p + half) / 2**shift) rounds p = (acc + bias) *
+    multiplier half away from zero where p >= 0. Signed outputs first take 1
+    off where p < 0 and shift > 0, which rounds a negative tie away from zero
+    and moves nothing else; unsigned ones need not, as p < 0 clips to 0.
     """
     from .qat import CONV_BLOCK  # deferred: qat builds on this module
 
@@ -267,9 +255,10 @@ def apply_requant(acc: np.ndarray, rq: RequantParams, bits: int, signed: bool = 
                          f"{n_bias} do not fit accumulators of shape {acc.shape}")
     # per-row parameters, rows ordered (image, channel)
     mult, shift = (np.tile(np.broadcast_to(v, c), n) for v in (mult, shift))
-    off = np.zeros_like(mult) if bias is None else np.tile(np.asarray(bias) * mult[:c], n)
-    if not signed:
-        off += (1 << shift) >> 1
+    half = (1 << shift) >> 1
+    off = half if bias is None else np.tile(np.asarray(bias) * mult[:c], n) + half
+    if signed:  # p + half < half where p < 0; rows of shift 0 never match
+        neg = np.where(shift > 0, half, np.iinfo(np.int64).min)
     rows = acc.reshape(n * c, acc.size // max(1, n * c))
     out = np.empty(rows.shape, np.int32)
     step = max(1, CONV_BLOCK // max(1, rows.shape[1]))
@@ -282,9 +271,8 @@ def apply_requant(acc: np.ndarray, rq: RequantParams, bits: int, signed: bool = 
         np.multiply(block, mult[r, None], out=p, dtype=np.int64, casting="unsafe")
         p += off[r, None]
         if signed:
-            p = haz_rshift(p, shift[r, None])
-        else:
-            p >>= shift[r, None]
+            p -= p < neg[r, None]
+        p >>= shift[r, None]
         np.clip(p, lo, hi, out=out[r])
     return out.reshape(acc.shape)
 

@@ -274,7 +274,7 @@ def decision_items(g: NetworkGraph, phase: str,
 
 def base_policy(g: NetworkGraph, cfg: SearchConfig,
                 fixed_weight_bits: dict[int, int] | None = None) -> QuantPolicy:
-    """All-8 starting point with residual activations frozen at 8-bit."""
+    """All-8 starting point with the encoded residual activations frozen at 8-bit."""
     weight_bits = {l.id: 8 for l in g.weighted_layers()}
     if fixed_weight_bits:
         weight_bits.update(fixed_weight_bits)
@@ -282,8 +282,8 @@ def base_policy(g: NetworkGraph, cfg: SearchConfig,
     frozen_w = _frozen_ends(g, cfg.freeze_first_last)
     if fixed_weight_bits:
         frozen_w |= set(fixed_weight_bits)
-    return QuantPolicy(weight_bits=weight_bits, act_bits=act_bits,
-                       frozen_weights=frozen_w, frozen_acts=set(g.residual_tensors()))
+    return QuantPolicy(weight_bits=weight_bits, act_bits=act_bits, frozen_weights=frozen_w,
+                       frozen_acts=g.residual_tensors() & act_bits.keys())
 
 
 def run_episode(g: NetworkGraph, agent: DDPGAgent, cfg: SearchConfig, episode: int,

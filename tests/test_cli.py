@@ -17,7 +17,7 @@ from mcuq import cli, qat
 from mcuq.data import load_dataset
 from mcuq.graph_ir import fixture_path, load_graph
 from mcuq.inference import evaluate_accuracy, per_class_csv
-from mcuq.memory_model import all_uniform_policy
+from mcuq.memory_model import QuantPolicy, all_uniform_policy, footprint, validate_policy
 from mcuq.packed_model import build_packed_model, load_packed, save_packed
 from mcuq.quantizer import calibrate_act_ranges
 
@@ -283,3 +283,80 @@ def test_export_and_eval_manifests_record_the_run(in_tmp):
     _check_manifests(("pre.ckpt.manifest.json", "pt.json"), "pretrain",
                      {"graph": _sha256(TOY),
                       "dataset": hashlib.sha256(b"synthetic:20,10").hexdigest()})
+
+
+def _raw_dataset(path, labels, split):
+    path.mkdir()
+    np.save(path / "images.npy", np.zeros((10, 1, 28, 28), dtype=np.float32))
+    np.save(path / "labels.npy", labels)
+    (path / "split.json").write_text(split)
+    return str(path)
+
+
+@pytest.mark.parametrize("labels, split, says", [
+    pytest.param(np.arange(10) % 3, "{}", "n_train", id="split_without_n_train"),
+    pytest.param(np.arange(10) % 3, '{"n_train": 8.9}', "n_train", id="fractional_n_train"),
+    pytest.param(np.full(10, 8.7), '{"n_train": 8}', "integers", id="float_labels"),
+    pytest.param(np.arange(10) - 1, '{"n_train": 8}', ">= 0", id="negative_labels"),
+])
+def test_pretrain_on_a_malformed_raw_dataset_is_bad_input(in_tmp, capsys, labels, split, says):
+    raw = _raw_dataset(in_tmp / "raw", labels, split)
+    assert cli.main(["pretrain", "--graph", TOY, "--dataset", raw,
+                     "--out-checkpoint", "w.ckpt"]) == cli.EXIT_INPUT
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and says in err and "Traceback" not in err
+    assert not (in_tmp / "w.ckpt").exists()
+
+
+def test_footprint_of_a_policy_freezing_unknown_ids_is_bad_input(in_tmp, capsys):
+    """No layer 99 exists, and tensor 6, the logits, carries no encoding."""
+    policy = all_uniform_policy(load_graph(TOY))
+    policy.frozen_weights, policy.frozen_acts = {99}, {6}
+    (in_tmp / "p.json").write_text(policy.to_json())
+    assert cli.main(["footprint", "--graph", TOY, "--policy", "p.json", "--rom-bytes",
+                     "100000", "--ram-bytes", "100000"]) == cli.EXIT_INPUT
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "layers [99]" in err and "Traceback" not in err
+
+
+def test_search_writes_a_policy_that_fits_its_budget(in_tmp, capsys):
+    rom, ram = 7000, 1100  # below the all-8 toy CNN's 12332 B of ROM and 1960 B of RAM
+    assert cli.main(["search", "--graph", TOY, "--dataset", DATA, "--rom-bytes", str(rom),
+                     "--ram-bytes", str(ram), "--mode", "concurrent", "--episodes", "2",
+                     "--warmup", "1", "--pretrain-epochs", "1", "--out-policy", "p.json",
+                     "--history-csv", "h.csv"]) == cli.EXIT_OK
+    out = capsys.readouterr().out.splitlines()
+    best = dict(line.split("=", 1) for line in out[-3:])
+    assert sorted(best) == ["best_ram_bytes", "best_rom_bytes", "best_top1"]
+    assert 0.0 <= float(best["best_top1"]) <= 1.0
+    g = load_graph(TOY)
+    policy = QuantPolicy.from_json((in_tmp / "p.json").read_text())
+    validate_policy(g, policy)
+    rep = footprint(g, policy)
+    assert (rep.rom_total, rep.ram_peak) == (int(best["best_rom_bytes"]),
+                                             int(best["best_ram_bytes"]))
+    assert rep.rom_total <= rom and rep.ram_peak <= ram
+    assert len((in_tmp / "h.csv").read_text().splitlines()) == 3  # header and 2 episodes
+    _check_manifests(("p.json.manifest.json",), "search",
+                     {"graph": _sha256(TOY), "dataset": hashlib.sha256(DATA.encode()).hexdigest()})
+    cfg = _manifest("p.json.manifest.json")["config"]
+    assert (cfg["episodes"], cfg["warmup"], cfg["freeze_first_last"]) == (2, 1, False)
+
+
+def test_finetune_writes_a_checkpoint_and_a_model_that_eval_accepts(in_tmp, capsys):
+    g = load_graph(TOY)
+    (in_tmp / "p.json").write_text(all_uniform_policy(g, weight_bits=4).to_json())
+    assert cli.main(["finetune", "--graph", TOY, "--dataset", DATA, "--policy", "p.json",
+                     "--epochs", "1", "--pretrain-epochs", "1", "--out-checkpoint", "ft.ckpt",
+                     "--out-model", "ft.mpq"]) == cli.EXIT_OK
+    out = capsys.readouterr().out.splitlines()
+    assert len(out) == 1 and 0.0 <= float(out[0].removeprefix("top1=")) <= 1.0
+    weights, ranges = qat.load_checkpoint("ft.ckpt")
+    qat.check_checkpoint_matches(g, weights, ranges)
+    assert sorted(ranges) == sorted(g.encoded_tensors())
+    assert cli.main(["eval", "--graph", TOY, "--dataset", DATA, "--model", "ft.mpq"]) \
+        == cli.EXIT_OK
+    assert capsys.readouterr().out.startswith("top1=")
+    _check_manifests(("ft.ckpt.manifest.json",), "finetune",
+                     {"graph": _sha256(TOY), "dataset": hashlib.sha256(DATA.encode()).hexdigest(),
+                      "policy": _sha256("p.json")})

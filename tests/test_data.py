@@ -30,12 +30,23 @@ def test_dataset_split_views():
 
 
 def test_dataset_rejects_bad_shapes():
-    with pytest.raises(DatasetError):
-        Dataset(images=np.zeros((4, 4, 4)), labels=np.zeros(4), n_train=2)
-    with pytest.raises(DatasetError):
-        Dataset(images=np.zeros((4, 1, 4, 4)), labels=np.zeros(3), n_train=2)
-    with pytest.raises(DatasetError):
-        Dataset(images=np.zeros((4, 1, 4, 4)), labels=np.zeros(4), n_train=4)
+    with pytest.raises(DatasetError, match="images must be"):
+        Dataset(images=np.zeros((4, 4, 4)), labels=np.zeros(4, dtype=np.int64), n_train=2)
+    with pytest.raises(DatasetError, match="length mismatch"):
+        Dataset(images=np.zeros((4, 1, 4, 4)), labels=np.zeros(3, dtype=np.int64), n_train=2)
+    with pytest.raises(DatasetError, match="splits must be nonempty"):
+        Dataset(images=np.zeros((4, 1, 4, 4)), labels=np.zeros(4, dtype=np.int64), n_train=4)
+
+
+@pytest.mark.parametrize("labels, match", [
+    pytest.param(np.array([0.0, 1.0, 8.7, 3.0]), "integer", id="float"),
+    pytest.param(np.array([True, False, True, False]), "integer", id="bool"),
+    pytest.param(np.zeros((4, 1), dtype=np.int64), "1-D", id="2d"),
+    pytest.param(np.array([0, 1, -1, 3]), ">= 0", id="negative"),
+])
+def test_dataset_rejects_labels_that_are_not_class_ids(labels, match):
+    with pytest.raises(DatasetError, match=match):
+        Dataset(images=np.zeros((4, 1, 4, 4), dtype=np.float32), labels=labels, n_train=2)
 
 
 def test_synthetic_deterministic():
@@ -170,6 +181,36 @@ def test_raw_dir_uint8_rescaled(tmp_path):
     back = load_raw_dir(str(d))
     assert back.images.max() == 1.0
     assert back.n_train == 3  # default 80/20 split
+
+
+def _raw_dir(tmp_path, labels=None, split=None) -> str:
+    d = tmp_path / "raw"
+    d.mkdir()
+    np.save(d / "images.npy", np.zeros((10, 1, 2, 2), dtype=np.float32))
+    np.save(d / "labels.npy", np.arange(10) % 3 if labels is None else labels)
+    if split is not None:
+        (d / "split.json").write_text(split)
+    return str(d)
+
+
+@pytest.mark.parametrize("split", ["{}", '{"n_train": 8.9}', '{"n_train": "8"}',
+                                   '{"n_train": true}', "[8]", "8", '{"n_train": 8'])
+def test_raw_dir_rejects_a_split_without_an_integer_n_train(tmp_path, split):
+    with pytest.raises(DatasetError, match="split.json"):
+        load_raw_dir(_raw_dir(tmp_path, split=split))
+
+
+def test_raw_dir_reads_an_integer_n_train(tmp_path):
+    assert load_raw_dir(_raw_dir(tmp_path, split='{"n_train": 6}')).n_train == 6
+
+
+@pytest.mark.parametrize("labels, match", [
+    pytest.param(np.full(10, 8.7), "labels.npy must hold integers", id="float"),
+    pytest.param(np.arange(10) - 1, ">= 0", id="negative"),
+])
+def test_raw_dir_rejects_labels_that_are_not_class_ids(tmp_path, labels, match):
+    with pytest.raises(DatasetError, match=match):
+        load_raw_dir(_raw_dir(tmp_path, labels=labels))
 
 
 def test_raw_dir_missing(tmp_path):

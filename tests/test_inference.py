@@ -13,6 +13,7 @@ from mcuq.inference import (
     per_class_csv,
     run_batch_int,
     run_codes_layer,
+    run_codes_network,
     run_network_int,
 )
 from mcuq.memory_model import all_uniform_policy
@@ -133,14 +134,16 @@ def test_random_graph_codes_match_oracle_per_layer():
             entry["b"] = rng.normal(0.0, 0.1, size=entry["b"].shape).astype(np.float32)
         images = rng.uniform(0, 1, size=(2,) + g.input_layer.output_shape).astype(np.float32)
         model = build_packed_model(g, weights, policy, calibrate_act_ranges(g, weights, images))
+        codes = run_codes_network(g, model, images)
+        assert sorted(codes) == sorted(g.tensor_ids())
         in_id = g.input_layer.id
-        codes = {in_id: quantize_act(images, model.act_clip[in_id], model.act_bits[in_id])}
+        assert np.array_equal(codes[in_id], quantize_act(images, model.act_clip[in_id],
+                                                         model.act_bits[in_id]))
         for lid in topo_order(g):
             layer = g.layer(lid)
             if layer.kind in ("input", "output"):
                 continue
             ins = [codes[t] for t in layer.input_ids]
-            codes[lid] = run_codes_layer(layer, model.layers[lid], ins)
             for j in range(len(images)):
                 ref = oracles.ref_layer_codes(layer, model.layers[lid], [x[j] for x in ins])
                 assert np.array_equal(codes[lid][j], ref), f"graph {graphs} layer {lid}"

@@ -8,6 +8,7 @@ import pytest
 
 import oracles
 from mcuq.errors import InfeasibleBudgetError, PolicyError
+from mcuq.graph_ir import NetworkGraph, validate
 from mcuq.memory_model import (
     MemoryBudget,
     QuantPolicy,
@@ -149,6 +150,22 @@ def test_validate_policy_rejects_entries_the_graph_has_no_use_for(toy_graph):
             validate_policy(toy_graph, p)
 
 
+@pytest.mark.parametrize("frozen_w, frozen_a, says", [
+    ({99}, set(), r"frozen weights of layers \[99\]"),
+    ({5}, set(), r"frozen weights of layers \[5\]"),  # the avg_pool has no weights
+    (set(), {6}, r"frozen activations of tensors \[6\]"),  # the logits carry no encoding
+    (set(), {7}, r"frozen activations of tensors \[7\]"),  # the output sink is no tensor
+])
+def test_validate_policy_rejects_frozen_ids_outside_the_policy(toy_graph, frozen_w,
+                                                               frozen_a, says):
+    p = all_uniform_policy(toy_graph)
+    p.frozen_weights, p.frozen_acts = frozen_w, frozen_a
+    with pytest.raises(PolicyError, match=says):
+        validate_policy(toy_graph, p)
+    p.frozen_weights, p.frozen_acts = {1, 6}, {0, 5}
+    validate_policy(toy_graph, p)
+
+
 def test_validate_policy_errors(toy_graph):
     p = all_uniform_policy(toy_graph)
     del p.weight_bits[3]
@@ -211,6 +228,42 @@ def test_enforce_infeasible_raises(toy_graph):
     with pytest.raises(InfeasibleBudgetError):
         enforce_ram(toy_graph, all_uniform_policy(toy_graph),
                     MemoryBudget(rom_bytes=10 ** 9, ram_bytes=ram_floor - 1))
+
+
+def _three_pointwise_graph():
+    """input (2,1,1) -> pointwise layers 1, 2, 3 of 8, 4 and 4 weights -> output."""
+    shapes = [(2, 1, 1), (4, 1, 1), (1, 1, 1), (4, 1, 1)]
+    layers = [oracles._mk(0, "input", [], 2, 0, 0, 1, 0, shapes[0], shapes[0])]
+    for i in (1, 2, 3):
+        layers.append(oracles._mk(i, "pointwise_conv2d", [i - 1], shapes[i][0], 1, 1, 1, 0,
+                                  shapes[i - 1], shapes[i]))
+    layers.append(oracles._mk(4, "output", [3], 4, 0, 0, 1, 0, shapes[3], shapes[3]))
+    return validate(NetworkGraph(layers=tuple(layers), resolution=1, width_multiplier=1.0))
+
+
+def test_enforce_rom_demotion_order_breaks_ties_by_bits_then_id():
+    """Each budget allows exactly k demotions from all-8. The largest tensor in
+    bytes goes first (step 1); at equal bytes the higher bitwidth (steps 3 and
+    5), and at equal bytes and bits the lower id (step 2)."""
+    g = _three_pointwise_graph()
+    assert [l.param_count for l in g.weighted_layers()] == [8, 4, 4]
+    order = [{1: 8, 2: 8, 3: 8}, {1: 4, 2: 8, 3: 8}, {1: 4, 2: 4, 3: 8}, {1: 4, 2: 4, 3: 4},
+             {1: 2, 2: 4, 3: 4}, {1: 2, 2: 2, 3: 4}, {1: 2, 2: 2, 3: 2}]
+    for want in order:
+        rom = rom_footprint(g, QuantPolicy(want, {0: 8, 1: 8, 2: 8})).rom_total
+        p = enforce_rom(g, all_uniform_policy(g), MemoryBudget(rom_bytes=rom, ram_bytes=1))
+        assert p.weight_bits == want, rom
+
+
+def test_enforce_ram_breaks_a_tie_of_bytes_and_bits_by_the_lower_id(toy_graph):
+    """Tensors 0, 1 and 2 hold 784 elements each. With tensor 3 at 2 bits the
+    peak is the step of layer 1 (tensors 0 and 1, 1568 B), tied with layer 2's
+    (tensors 1 and 2). Demoting 0 first leaves layer 2's step over 1567 B, so
+    1 follows; demoting 1 first would have fitted at once."""
+    p = all_uniform_policy(toy_graph)
+    p.act_bits[3] = 2
+    q = enforce_ram(toy_graph, p, MemoryBudget(rom_bytes=10 ** 9, ram_bytes=1567))
+    assert q.act_bits == {0: 4, 1: 4, 2: 8, 3: 2, 4: 8, 5: 8}
 
 
 def test_enforce_never_raises_bits(toy_graph):

@@ -107,6 +107,16 @@ def test_unpack_rejects_short_buffer():
         unpack_subbyte(b"\x00", 4, 3)
 
 
+@pytest.mark.parametrize("bits", [2, 4, 8])
+@pytest.mark.parametrize("signed", [False, True])
+def test_unpack_every_byte_value_matches_oracle(bits, signed):
+    data = bytes(range(256))
+    n = 256 * 8 // bits
+    got = unpack_subbyte(data, bits, n, signed=signed)
+    assert got.dtype == np.int32
+    assert got.tolist() == oracles.ref_unpack(data, bits, n, signed)
+
+
 def test_pack_matches_oracle_random():
     rng = np.random.default_rng(5)
     for _ in range(50):

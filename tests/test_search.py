@@ -3,9 +3,11 @@
 import numpy as np
 import pytest
 
+import oracles
 from mcuq.data import Dataset
 from mcuq.errors import InfeasibleBudgetError
-from mcuq.memory_model import MemoryBudget, footprint
+from mcuq.graph_ir import NetworkGraph, validate
+from mcuq.memory_model import MemoryBudget, footprint, validate_policy
 from mcuq.quantizer import ActRange
 from mcuq.search import (
     BIT_MIDPOINT,
@@ -242,6 +244,22 @@ def test_base_policy_frozen_residuals(residual_graph):
     assert p.frozen_acts == {1, 2, 3}
     assert all(v == 8 for v in p.weight_bits.values())
     assert all(v == 8 for v in p.act_bits.values())
+
+
+def test_base_policy_freezes_only_encoded_residual_tensors():
+    """A residual add that feeds the output sink leaves an unencoded tensor,
+    which the policy must not name."""
+    shape = (2, 3, 3)
+    g = validate(NetworkGraph(layers=(
+        oracles._mk(0, "input", [], 2, 0, 0, 1, 0, shape, shape),
+        oracles._mk(1, "pointwise_conv2d", [0], 2, 1, 1, 1, 0, shape, shape),
+        oracles._mk(2, "add_residual", [1, 0], 2, 0, 0, 1, 0, shape, shape),
+        oracles._mk(3, "output", [2], 2, 0, 0, 1, 0, shape, shape)), resolution=3,
+        width_multiplier=1.0))
+    assert g.residual_tensors() == {0, 1, 2} and not g.is_encoded(2)
+    p = base_policy(g, small_cfg())
+    assert p.frozen_acts == {0, 1}
+    validate_policy(g, p)
 
 
 def test_base_policy_fixed_weight_bits(residual_graph):
