@@ -59,8 +59,7 @@ def _model(models_dir: str, name: str, build):
 def _float_step(out: dict, key: str, g, weights, images, policy=None, model=None):
     """float32 logits and backward_network grads of one batch, under a policy
     with the model's clips when one is given."""
-    ranges = None if model is None else {
-        t: quantizer.ActRange(tensor_id=t, clip_max=c) for t, c in model.act_clip.items()}
+    ranges = None if model is None else model.act_clip
     logits, cache = qat.forward_network(g, weights, images, policy, ranges, train=True)
     r = np.random.default_rng(3).normal(size=logits.shape).astype(np.float32)
     out[f"float/{key}/logits"] = logits

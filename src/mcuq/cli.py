@@ -1,8 +1,10 @@
 """Command-line front end.
 
-Subcommands: footprint, search, finetune, eval, export, pretrain. Every run
-writes a manifest (config snapshot, seed, input hashes, version, duration)
-so results are auditable and reproducible.
+Subcommands: footprint, search, finetune, eval, export, pretrain. main loads
+the graph, runs the subcommand and, whatever exit code the subcommand returns,
+writes the run's manifest (config snapshot, seed, input hashes, version,
+duration), so results are auditable and reproducible. A run stopped by an
+error writes none.
 
 Exit codes: 0 ok, 1 bad input, 2 constraint violation, 64 usage error.
 """
@@ -71,28 +73,29 @@ def _hash_input(spec: str) -> str:
     return hashlib.sha256(spec.encode()).hexdigest()  # e.g. synthetic:N,M
 
 
-def _write_manifest(command: str, cfg: dict, inputs: dict, started: float,
-                    path: str) -> None:
+# flags naming the files a run reads, hashed into its manifest
+_INPUTS = ("graph", "dataset", "policy", "weights", "model")
+# flags naming the files a run writes; the first one given names the manifest
+_OUTPUTS = ("out_policy", "out_checkpoint", "out", "per_class_csv", "rom_csv", "ram_csv")
+
+
+def _write_manifest(a: dict, started: float) -> None:
+    """Record the run in --manifest, else beside its first output, else in
+    mcuq_<command>.manifest.json."""
+    path = a.get("manifest") or next(
+        (a[k] + ".manifest.json" for k in _OUTPUTS if a.get(k)),
+        f"mcuq_{a['command']}.manifest.json")
     doc = {
-        "command": command,
-        "config": cfg,
-        "seed": cfg.get("seed"),
-        "inputs": {k: _hash_input(v) for k, v in inputs.items() if v},
+        "command": a["command"],
+        "config": a,
+        "seed": a.get("seed"),
+        "inputs": {k: _hash_input(a[k]) for k in _INPUTS if a.get(k)},
         "version": __version__,
         "duration_s": round(time.time() - started, 3),
     }
     with open(path, "w", encoding="utf-8") as f:
         json.dump(doc, f, indent=1, sort_keys=True)
         f.write("\n")
-
-
-def _manifest_path(args: dict, *candidates: str | None) -> str:
-    if args.get("manifest"):
-        return args["manifest"]
-    for c in candidates:
-        if c:
-            return c + ".manifest.json"
-    return f"mcuq_{args['command']}.manifest.json"
 
 
 def _env_seed() -> int:
@@ -207,9 +210,12 @@ def _parse_args(parser: _Parser, argv=None) -> dict:
     return d
 
 
-def _load_policy(path: str) -> QuantPolicy:
+def _load_policy(path: str, g) -> QuantPolicy:
+    """The policy in a JSON file, validated against the graph."""
     with open(path, "r", encoding="utf-8") as f:
-        return QuantPolicy.from_json(f.read())
+        policy = QuantPolicy.from_json(f.read())
+    validate_policy(g, policy)
+    return policy
 
 
 def _write(path: str, text: str) -> None:
@@ -221,10 +227,8 @@ def _write(path: str, text: str) -> None:
 # Commands
 # ---------------------------------------------------------------------------
 
-def cmd_footprint(a: dict, started: float) -> int:
-    g = load_graph(a["graph"])
-    policy = _load_policy(a["policy"]) if a.get("policy") else all_uniform_policy(g)
-    validate_policy(g, policy)
+def cmd_footprint(a: dict, g) -> int:
+    policy = _load_policy(a["policy"], g) if a.get("policy") else all_uniform_policy(g)
     budget = MemoryBudget(rom_bytes=a["rom_bytes"], ram_bytes=a["ram_bytes"])
     rep = footprint(g, policy)
     m1_ok = rep.rom_total <= budget.rom_bytes
@@ -239,8 +243,6 @@ def cmd_footprint(a: dict, started: float) -> int:
         _write(a["rom_csv"], rom_csv(rep))
     if a.get("ram_csv"):
         _write(a["ram_csv"], ram_csv(rep))
-    _write_manifest("footprint", a, {"graph": a["graph"], "policy": a.get("policy")},
-                    started, _manifest_path(a, a.get("rom_csv"), a.get("ram_csv")))
     return EXIT_OK if m1_ok and m2_ok else EXIT_CONSTRAINT
 
 
@@ -250,8 +252,7 @@ def _load_checkpoint(path: str, g):
     return weights, ranges
 
 
-def cmd_search(a: dict, started: float) -> int:
-    g = load_graph(a["graph"])
+def cmd_search(a: dict, g) -> int:
     dataset = load_dataset(a["dataset"], seed=a["seed"])
     episodes = a.get("episodes")
     warmup = a.get("warmup")
@@ -279,9 +280,6 @@ def cmd_search(a: dict, started: float) -> int:
     print(f"best_top1={best.top1!r}")
     print(f"best_rom_bytes={best.rom_bytes}")
     print(f"best_ram_bytes={best.ram_bytes}")
-    _write_manifest("search", a, {"graph": a["graph"], "dataset": a["dataset"],
-                                  "weights": a.get("weights")},
-                    started, _manifest_path(a, a["out_policy"]))
     return EXIT_OK
 
 
@@ -294,11 +292,9 @@ def _pretrained_weights(a: dict, g, dataset):
     return weights, {}
 
 
-def cmd_finetune(a: dict, started: float) -> int:
-    g = load_graph(a["graph"])
+def cmd_finetune(a: dict, g) -> int:
     dataset = load_dataset(a["dataset"], seed=a["seed"])
-    policy = _load_policy(a["policy"])
-    validate_policy(g, policy)
+    policy = _load_policy(a["policy"], g)
     weights, ranges = _pretrained_weights(a, g, dataset)
     if not ranges:
         ranges = calibrate_act_ranges(g, weights, dataset.train[0][:256])
@@ -309,15 +305,10 @@ def cmd_finetune(a: dict, started: float) -> int:
     if a.get("out_model"):
         save_packed(build_packed_model(g, weights, policy, ranges), a["out_model"])
     print(f"top1={top1!r}")
-    _write_manifest("finetune", a,
-                    {"graph": a["graph"], "dataset": a["dataset"],
-                     "policy": a["policy"], "weights": a.get("weights")},
-                    started, _manifest_path(a, a["out_checkpoint"]))
     return EXIT_OK
 
 
-def cmd_eval(a: dict, started: float) -> int:
-    g = load_graph(a["graph"])
+def cmd_eval(a: dict, g) -> int:
     dataset = load_dataset(a["dataset"], seed=a["seed"])
     if bool(a.get("model")) == bool(a.get("weights")):
         raise _UsageError("eval needs exactly one of --model or --weights")
@@ -328,39 +319,26 @@ def cmd_eval(a: dict, started: float) -> int:
         if not a.get("policy"):
             raise _UsageError("--weights eval also needs --policy")
         weights, ranges = _load_checkpoint(a["weights"], g)
-        policy = _load_policy(a["policy"])
-        validate_policy(g, policy)
+        policy = _load_policy(a["policy"], g)
         top1, rows = evaluate_accuracy(g, dataset, weights=weights, policy=policy,
                                        ranges=ranges, split=a["split"])
     print(f"top1={top1!r}")
     if a.get("per_class_csv"):
         _write(a["per_class_csv"], per_class_csv(rows))
-    _write_manifest("eval", a,
-                    {"graph": a["graph"], "dataset": a["dataset"],
-                     "model": a.get("model"), "weights": a.get("weights"),
-                     "policy": a.get("policy")},
-                    started, _manifest_path(a, a.get("per_class_csv")))
     return EXIT_OK
 
 
-def cmd_export(a: dict, started: float) -> int:
-    g = load_graph(a["graph"])
+def cmd_export(a: dict, g) -> int:
     weights, ranges = _load_checkpoint(a["weights"], g)
     if not ranges:
         raise McuqError("checkpoint holds no activation ranges; finetune first")
-    policy = _load_policy(a["policy"])
-    validate_policy(g, policy)
+    policy = _load_policy(a["policy"], g)
     save_packed(build_packed_model(g, weights, policy, ranges), a["out"])
     print(f"wrote {a['out']}")
-    _write_manifest("export", a,
-                    {"graph": a["graph"], "weights": a["weights"],
-                     "policy": a["policy"]},
-                    started, _manifest_path(a, a["out"]))
     return EXIT_OK
 
 
-def cmd_pretrain(a: dict, started: float) -> int:
-    g = load_graph(a["graph"])
+def cmd_pretrain(a: dict, g) -> int:
     dataset = load_dataset(a["dataset"], seed=a["seed"])
     tc = qat.TrainConfig(epochs=a["epochs"], lr=a["lr"],
                          batch_size=a["batch_size"], seed=a["seed"])
@@ -370,8 +348,6 @@ def cmd_pretrain(a: dict, started: float) -> int:
     qat.save_checkpoint(a["out_checkpoint"], weights)
     top1 = history[-1]["val_top1"] if history else 0.0
     print(f"top1={top1!r}")
-    _write_manifest("pretrain", a, {"graph": a["graph"], "dataset": a["dataset"]},
-                    started, _manifest_path(a, a["out_checkpoint"]))
     return EXIT_OK
 
 
@@ -390,7 +366,9 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = _parse_args(parser, argv)
-        return _COMMANDS[args["command"]](args, started)
+        code = _COMMANDS[args["command"]](args, load_graph(args["graph"]))
+        _write_manifest(args, started)
+        return code
     except _UsageError as e:
         print(f"usage error: {e}", file=sys.stderr)
         return EXIT_USAGE

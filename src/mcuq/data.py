@@ -205,6 +205,9 @@ def load_raw_dir(dirname: str) -> Dataset:
         raise DatasetError(f"cannot load raw tensors from {dirname}: {e}") from e
     if images.dtype == np.uint8:
         images = images.astype(np.float32) / 255.0
+    elif not (np.isfinite(images).all() and images.min(initial=0) >= 0
+              and images.max(initial=0) <= 1):
+        raise DatasetError(f"{dirname}: images must be uint8, or finite and within [0, 1]")
     images = images.astype(np.float32)
     if not np.issubdtype(labels.dtype, np.integer):
         raise DatasetError(f"{dirname}: labels.npy must hold integers, got {labels.dtype}")

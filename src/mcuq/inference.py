@@ -146,7 +146,7 @@ def evaluate_accuracy(g: NetworkGraph, dataset, model: PackedModel | None = None
     images, labels = dataset.split(split)
     if len(images) == 0:
         raise DatasetError("cannot evaluate on an empty split")
-    n_classes = int(labels.max()) + 1
+    n_classes = dataset.num_classes
     counts = np.zeros(n_classes, dtype=np.int64)
     hits = np.zeros(n_classes, dtype=np.int64)
     for start in range(0, len(images), batch):

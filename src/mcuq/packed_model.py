@@ -29,7 +29,6 @@ from .errors import ModelMismatchError, PackFormatError, PolicyError
 from .graph_ir import COMPUTE_KINDS, WEIGHTED_KINDS, NetworkGraph
 from .memory_model import QuantPolicy, validate_policy
 from .quantizer import (
-    ActRange,
     ByteReader,
     QuantizedTensor,
     RequantParams,
@@ -84,8 +83,9 @@ def _bias_int(bias: np.ndarray, acc_scales: np.ndarray) -> np.ndarray:
 
 
 def build_packed_model(g: NetworkGraph, weights: dict, policy: QuantPolicy,
-                       ranges: dict[int, ActRange]) -> PackedModel:
-    """Quantize weights/biases and precompute every requant for deployment."""
+                       ranges: dict[int, float]) -> PackedModel:
+    """Quantize weights/biases and precompute every requant for deployment; every
+    encoded tensor needs a clip in (0, float32 max], whose float32 deserialize accepts."""
     validate_policy(g, policy)
     encoded = set(g.encoded_tensors())
     for t in encoded:
@@ -93,10 +93,12 @@ def build_packed_model(g: NetworkGraph, weights: dict, policy: QuantPolicy,
             raise PolicyError(f"tensor {t}: export needs sub-byte activation bits")
         if t not in ranges:
             raise PolicyError(f"tensor {t}: no calibrated activation range")
+        if not 0 < ranges[t] <= float(np.finfo(np.float32).max):  # NaN fails too
+            raise PolicyError(f"tensor {t}: clip {ranges[t]} is not a positive float32")
 
     act_bits = {t: policy.act_bits[t] for t in sorted(encoded)}
     # clips round to f32 here so in-memory and deserialized models agree exactly
-    act_clip = {t: float(np.float32(ranges[t].clip_max)) for t in sorted(encoded)}
+    act_clip = {t: float(np.float32(ranges[t])) for t in sorted(encoded)}
     model = PackedModel(graph_layers=len(g.layers), act_bits=act_bits, act_clip=act_clip)
     for layer in g.layers:
         if layer.kind not in COMPUTE_KINDS and layer.kind != "relu_clip":

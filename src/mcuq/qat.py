@@ -18,7 +18,7 @@ import numpy as np
 from .data import Dataset
 from .errors import ModelMismatchError, PackFormatError, PolicyError, TrainingDivergedError
 from .graph_ir import LINEAR_KINDS, WEIGHTED_KINDS, NetworkGraph, topo_order
-from .quantizer import CLIP_FLOOR, ActRange, ByteReader, fake_quant_act, fake_quant_weights
+from .quantizer import CLIP_FLOOR, CONV_BLOCK, ByteReader, fake_quant_act, fake_quant_weights
 
 # kinds whose float-mode output passes through a plain ReLU
 _RELU_KINDS = WEIGHTED_KINDS + ("relu_clip",)
@@ -33,9 +33,6 @@ ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
 EVAL_BATCH = 256   # images per forward in evaluate
 CALIB_BATCH = 128  # images per forward in collect_activations
-# elements of one block of the window kernels' im2col (conv2d) and channel
-# (depthwise, avg_pool) loops, see linear_fwd, and of the requant epilogue
-CONV_BLOCK = 1 << 16
 
 
 @dataclass
@@ -276,7 +273,7 @@ def _pact_masks(z: np.ndarray, clip_max: float) -> tuple[np.ndarray, np.ndarray]
 
 
 def _walk(g: NetworkGraph, weights: dict, x: np.ndarray, policy=None,
-          ranges: dict[int, ActRange] | None = None,
+          ranges: dict[int, float] | None = None,
           cache: list | None = None) -> dict[int, np.ndarray]:
     """Every activation of the network on a batch, by tensor id (see
     forward_network). When cache is a list, each layer appends what
@@ -315,10 +312,9 @@ def _walk(g: NetworkGraph, weights: dict, x: np.ndarray, policy=None,
         if bits != 32:
             if ranges is None or lid not in ranges:
                 raise PolicyError(f"no activation range for tensor {lid}")
-            clip_max = ranges[lid].clip_max
-            y = fake_quant_act(z, clip_max, bits)
+            y = fake_quant_act(z, ranges[lid], bits)
             if cache is not None:
-                inside, over = _pact_masks(z, clip_max)
+                inside, over = _pact_masks(z, ranges[lid])
                 entry.update(mask=inside, act_over=over, act_tid=lid)
         elif layer.kind in _RELU_KINDS and lid in encoded:
             y = np.maximum(z, 0.0)
@@ -333,7 +329,7 @@ def _walk(g: NetworkGraph, weights: dict, x: np.ndarray, policy=None,
 
 
 def forward_network(g: NetworkGraph, weights: dict, x: np.ndarray,
-                    policy=None, ranges: dict[int, ActRange] | None = None,
+                    policy=None, ranges: dict[int, float] | None = None,
                     train: bool = False):
     """Run the network on a batch.
 
@@ -416,10 +412,12 @@ class _Adam:
         self.v: dict[str, np.ndarray] = {}
         self.t = 0
 
-    def step(self, params: dict[str, np.ndarray], grads: dict[str, np.ndarray]):
+    def step(self, grads: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
+        """One Adam step: {key: update} for the caller to subtract from each parameter."""
         self.t += 1
         bc1 = 1.0 - ADAM_BETA1 ** self.t
         bc2 = 1.0 - ADAM_BETA2 ** self.t
+        updates = {}
         for key, gval in grads.items():
             gval = np.asarray(gval, dtype=np.float64)
             if key not in self.m:
@@ -427,46 +425,24 @@ class _Adam:
                 self.v[key] = np.zeros_like(gval)
             self.m[key] = ADAM_BETA1 * self.m[key] + (1 - ADAM_BETA1) * gval
             self.v[key] = ADAM_BETA2 * self.v[key] + (1 - ADAM_BETA2) * gval * gval
-            update = self.lr * (self.m[key] / bc1) / (np.sqrt(self.v[key] / bc2) + ADAM_EPS)
-            params[key] = (params[key] - update).astype(params[key].dtype) \
-                if isinstance(params[key], np.ndarray) else float(params[key] - update)
-
-
-def _gather_params(weights: dict, ranges: dict[int, ActRange] | None):
-    params: dict = {}
-    for lid, entry in weights.items():
-        params[f"w.{lid}"] = entry["w"]
-        params[f"b.{lid}"] = entry["b"]
-    if ranges:
-        for tid, r in ranges.items():
-            params[f"clip.{tid}"] = r.clip_max
-    return params
-
-
-def _scatter_params(params: dict, weights: dict, ranges: dict[int, ActRange] | None):
-    for lid, entry in weights.items():
-        entry["w"] = params[f"w.{lid}"]
-        entry["b"] = params[f"b.{lid}"]
-    if ranges:
-        for tid, r in ranges.items():
-            r.clip_max = max(float(params[f"clip.{tid}"]), CLIP_FLOOR)
-            params[f"clip.{tid}"] = r.clip_max
+            updates[key] = self.lr * (self.m[key] / bc1) / (np.sqrt(self.v[key] / bc2) + ADAM_EPS)
+        return updates
 
 
 def train_network(g: NetworkGraph, weights: dict, dataset: Dataset,
                   cfg: TrainConfig, policy=None,
-                  ranges: dict[int, ActRange] | None = None) -> list[dict]:
+                  ranges: dict[int, float] | None = None) -> list[dict]:
     """SGD loop (Adam) over the train split; mutates weights and ranges.
 
-    Float training when policy is None, fake-quant training otherwise.
-    Returns one history record per epoch. Raises TrainingDivergedError on a
-    non-finite loss.
+    Float training when policy is None, fake-quant training otherwise. A step
+    puts new arrays in weights, so arrays a caller holds keep their values,
+    and floors each clip at CLIP_FLOOR. Returns one history record per epoch.
+    Raises TrainingDivergedError on a non-finite loss.
     """
     images, labels = dataset.train
     n = len(images)
     rng = np.random.default_rng(cfg.seed)
     opt = _Adam(cfg.lr)
-    params = _gather_params(weights, ranges)
     history = []
 
     for epoch in range(cfg.epochs):
@@ -480,8 +456,13 @@ def train_network(g: NetworkGraph, weights: dict, dataset: Dataset,
             if not np.isfinite(loss):
                 raise TrainingDivergedError(f"loss became {loss} at epoch {epoch}")
             grads = backward_network(g, weights, cache, dlogits)
-            opt.step(params, grads)
-            _scatter_params(params, weights, ranges)
+            for key, u in opt.step(grads).items():
+                tag, i = key.split(".")
+                if tag == "clip":
+                    ranges[int(i)] = max(float(ranges[int(i)] - u), CLIP_FLOOR)
+                else:
+                    old = weights[int(i)][tag]
+                    weights[int(i)][tag] = (old - u).astype(old.dtype)
             losses.append(loss)
         val_top1 = evaluate(g, weights, dataset, split="val", policy=policy, ranges=ranges)
         history.append({"epoch": epoch, "loss": float(np.mean(losses)), "val_top1": val_top1})
@@ -494,7 +475,7 @@ def pretrain_float(g: NetworkGraph, dataset: Dataset, cfg: TrainConfig) -> tuple
     return weights, history
 
 
-def train_qat(g: NetworkGraph, weights: dict, policy, ranges: dict[int, ActRange],
+def train_qat(g: NetworkGraph, weights: dict, policy, ranges: dict[int, float],
               dataset: Dataset, cfg: TrainConfig):
     """Fake-quant training under a policy; returns (weights, ranges, val_top1).
 
@@ -541,13 +522,13 @@ def collect_activations(g: NetworkGraph, weights: dict,
 # Checkpoints: flat binary, deterministic byte-for-byte for a given state.
 # ---------------------------------------------------------------------------
 
-def save_checkpoint(path: str, weights: dict, ranges: dict[int, ActRange] | None = None):
+def save_checkpoint(path: str, weights: dict, ranges: dict[int, float] | None = None):
     entries: dict[str, np.ndarray] = {}
     for lid, entry in weights.items():
         entries[f"w.{lid}"] = np.asarray(entry["w"], dtype=np.float32)
         entries[f"b.{lid}"] = np.asarray(entry["b"], dtype=np.float32)
-    for tid, r in (ranges or {}).items():
-        entries[f"clip.{tid}"] = np.asarray([r.clip_max], dtype=np.float32)
+    for tid, clip in (ranges or {}).items():
+        entries[f"clip.{tid}"] = np.asarray([clip], dtype=np.float32)
     with open(path, "wb") as f:
         f.write(CKPT_MAGIC)
         f.write(struct.pack("<II", CKPT_VERSION, len(entries)))
@@ -569,7 +550,7 @@ def _checkpoint_key(key: bytes) -> tuple[str, int]:
         raise PackFormatError(f"malformed checkpoint key {key!r}") from e
 
 
-def load_checkpoint(path: str) -> tuple[dict, dict[int, ActRange]]:
+def load_checkpoint(path: str) -> tuple[dict, dict[int, float]]:
     """Weights and clips saved by save_checkpoint; a malformed file raises PackFormatError."""
     with open(path, "rb") as f:
         r = ByteReader(f.read(), f"checkpoint {path}")
@@ -579,7 +560,7 @@ def load_checkpoint(path: str) -> tuple[dict, dict[int, ActRange]]:
     if version != CKPT_VERSION:
         raise PackFormatError(f"{path}: unsupported checkpoint version {version}")
     weights: dict[int, dict[str, np.ndarray]] = {}
-    ranges: dict[int, ActRange] = {}
+    ranges: dict[int, float] = {}
     for _ in range(count):
         (klen,) = r.unpack("<H")
         tag, ident = _checkpoint_key(r.take(klen))
@@ -589,7 +570,7 @@ def load_checkpoint(path: str) -> tuple[dict, dict[int, ActRange]]:
         if tag == "clip":
             if arr.size != 1 or not np.isfinite(arr).all() or arr.item() <= 0:
                 raise PackFormatError(f"{path}: clip {ident} is not one positive value")
-            ranges[ident] = ActRange(tensor_id=ident, clip_max=float(arr.item()))
+            ranges[ident] = float(arr.item())
         elif tag in ("w", "b"):
             weights.setdefault(ident, {})[tag] = arr.copy()
         else:
@@ -599,7 +580,7 @@ def load_checkpoint(path: str) -> tuple[dict, dict[int, ActRange]]:
 
 
 def check_checkpoint_matches(g: NetworkGraph, weights: dict,
-                             ranges: dict[int, ActRange]) -> None:
+                             ranges: dict[int, float]) -> None:
     """Raise ModelMismatchError unless loaded weights and clips fit the graph.
 
     Every weighted layer needs w of its kernel shape and b of its output

@@ -21,6 +21,9 @@ from .errors import PackFormatError
 SUB_BYTE_BITS = (2, 4, 8)
 CLIP_FLOOR = 1e-3  # activation clips, calibrated or learned, never drop below this
 CALIB_PERCENTILE = 99.9  # calibration clips at this percentile of the observed values
+# elements of one block of the window kernels' im2col (conv2d) and channel
+# (depthwise, avg_pool) loops, see qat.linear_fwd, and of the requant epilogue
+CONV_BLOCK = 1 << 16
 
 
 def qrange(bits: int, signed: bool) -> tuple[int, int]:
@@ -58,16 +61,6 @@ class QuantizedTensor:
     def codes(self) -> np.ndarray:
         """The decoded codes, int8 in `shape`, read-only."""
         return self._codes
-
-
-@dataclass
-class ActRange:
-    tensor_id: int
-    clip_max: float
-
-    def __post_init__(self):
-        if not math.isfinite(self.clip_max) or self.clip_max <= 0:
-            raise ValueError(f"clip_max must be finite and > 0, got {self.clip_max}")
 
 
 @dataclass(frozen=True)
@@ -231,7 +224,7 @@ def apply_requant(acc: np.ndarray, rq: RequantParams, bits: int, signed: bool = 
     an (N, C, ...) acc; bias is one int32 per channel.
 
     One loop over blocks of whole rows, a row being one (image, channel)
-    pair: a block holds as many rows as fit in qat.CONV_BLOCK elements, or
+    pair: a block holds as many rows as fit in CONV_BLOCK elements, or
     one longer row, in one reused int64 buffer. Per block the accumulators
     are cast and multiplied in one pass, one per-row offset is added,
     bias * multiplier + half with half = 2**shift // 2, and a floor shift and
@@ -243,8 +236,6 @@ def apply_requant(acc: np.ndarray, rq: RequantParams, bits: int, signed: bool = 
     off where p < 0 and shift > 0, which rounds a negative tie away from zero
     and moves nothing else; unsigned ones need not, as p < 0 clips to 0.
     """
-    from .qat import CONV_BLOCK  # deferred: qat builds on this module
-
     acc = np.asarray(acc)
     mult = np.atleast_1d(np.asarray(rq.multiplier, dtype=np.int64))
     shift = np.atleast_1d(np.asarray(rq.shift, dtype=np.int64))
@@ -278,23 +269,24 @@ def apply_requant(acc: np.ndarray, rq: RequantParams, bits: int, signed: bool = 
 
 
 def percentile_clip(values: np.ndarray) -> float:
-    """Calibration clip: the CALIB_PERCENTILE percentile of the values, floored at CLIP_FLOOR."""
+    """Calibration clip: the CALIB_PERCENTILE percentile of the values, floored at
+    CLIP_FLOOR. A non-finite percentile (a NaN or inf sample) raises ValueError."""
     # one copy whatever the layout; np.percentile partitions C order faster
     # than the channel-last memory order of the training engine's outputs
     v = np.asarray(values, dtype=np.float64, order="C").ravel()
     if v.size == 0:
         raise ValueError("empty calibration sample")
-    return float(max(np.percentile(v, CALIB_PERCENTILE, method="linear"), CLIP_FLOOR))
+    clip = float(np.percentile(v, CALIB_PERCENTILE, method="linear"))
+    if not math.isfinite(clip):
+        raise ValueError(f"calibration percentile is {clip}, not finite")
+    return max(clip, CLIP_FLOOR)
 
 
-def calibrate_act_ranges(g, weights, images) -> dict[int, ActRange]:
-    """Initialize activation clip bounds from a float forward over a calibration batch."""
+def calibrate_act_ranges(g, weights, images) -> dict[int, float]:
+    """Activation clips by encoded tensor id: percentile_clip of a float forward on images."""
     from . import qat  # deferred: qat builds on this module
 
     if len(images) == 0:
         raise ValueError("empty calibration set")
     acts = qat.collect_activations(g, weights, images)
-    return {
-        t: ActRange(tensor_id=t, clip_max=percentile_clip(v))
-        for t, v in acts.items()
-    }
+    return {t: percentile_clip(v) for t, v in acts.items()}

@@ -37,7 +37,7 @@ from .memory_model import (
     footprint,
     validate_policy,
 )
-from .quantizer import ActRange, calibrate_act_ranges
+from .quantizer import calibrate_act_ranges
 
 BIT_CHOICES = (2, 4, 8)
 # replay stores the midpoint of the chosen bin, post enforcement
@@ -236,14 +236,16 @@ class DDPGAgent:
         q, cache = self.critic.forward(np.concatenate([s, a], axis=1))
         dq = 2.0 * (q - r) / len(q)
         grads, _ = self.critic.backward(cache, dq)
-        self.critic_opt.step(self.critic.params, grads)
+        for key, u in self.critic_opt.step(grads).items():
+            self.critic.params[key] = self.critic.params[key] - u
 
         a_pred, a_cache = self.actor.forward(s)
         q_a, c_cache = self.critic.forward(np.concatenate([s, a_pred], axis=1))
         _, dinput = self.critic.backward(c_cache, -np.ones_like(q_a) / len(q_a))
         da = dinput[:, OBS_DIM:]
         a_grads, _ = self.actor.backward(a_cache, da)
-        self.actor_opt.step(self.actor.params, a_grads)
+        for key, u in self.actor_opt.step(a_grads).items():
+            self.actor.params[key] = self.actor.params[key] - u
 
 
 # ---------------------------------------------------------------------------
@@ -287,7 +289,7 @@ def base_policy(g: NetworkGraph, cfg: SearchConfig,
 
 
 def run_episode(g: NetworkGraph, agent: DDPGAgent, cfg: SearchConfig, episode: int,
-                proxy: Dataset, pretrained: dict, ranges: dict[int, ActRange],
+                proxy: Dataset, pretrained: dict, ranges: dict[int, float],
                 phase: str = "concurrent",
                 fixed_weight_bits: dict[int, int] | None = None,
                 anchor: bool = False) -> EpisodeRecord:
@@ -327,10 +329,9 @@ def run_episode(g: NetworkGraph, agent: DDPGAgent, cfg: SearchConfig, episode: i
         eval_policy.act_bits = {t: 32 for t in eval_policy.act_bits}
 
     weights = qat.copy_weights(pretrained)
-    ep_ranges = {t: ActRange(tensor_id=t, clip_max=r.clip_max) for t, r in ranges.items()}
     tc = qat.TrainConfig(epochs=QAT_EPOCHS, batch_size=cfg.batch_size,
                          lr=QAT_LR, seed=cfg.seed + episode)
-    _, _, top1 = qat.train_qat(g, weights, eval_policy, ep_ranges, proxy, tc)
+    _, _, top1 = qat.train_qat(g, weights, eval_policy, dict(ranges), proxy, tc)
 
     # every transition of the episode shares the terminal reward
     for (lid, is_weight), obs in zip(items, obs_list):

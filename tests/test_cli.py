@@ -14,7 +14,7 @@ import pytest
 import mcuq
 
 from mcuq import cli, qat
-from mcuq.data import load_dataset
+from mcuq.data import Dataset, load_dataset, save_raw_dir
 from mcuq.graph_ir import fixture_path, load_graph
 from mcuq.inference import evaluate_accuracy, per_class_csv
 from mcuq.memory_model import QuantPolicy, all_uniform_policy, footprint, validate_policy
@@ -285,27 +285,69 @@ def test_export_and_eval_manifests_record_the_run(in_tmp):
                       "dataset": hashlib.sha256(b"synthetic:20,10").hexdigest()})
 
 
-def _raw_dataset(path, labels, split):
+def test_eval_and_search_manifests_record_a_checkpoint_input(in_tmp, capsys):
+    """eval --weights --policy and search --weights hash the checkpoint and the
+    policy they read."""
+    g = load_graph(TOY)
+    weights = qat.init_weights(g, seed=3)
+    qat.save_checkpoint("w.ckpt", weights,
+                        calibrate_act_ranges(g, weights, load_dataset(DATA).train[0]))
+    (in_tmp / "p.json").write_text(all_uniform_policy(g, weight_bits=4).to_json())
+    files = {"graph": _sha256(TOY), "dataset": hashlib.sha256(DATA.encode()).hexdigest(),
+             "weights": _sha256("w.ckpt")}
+    assert cli.main(["eval", "--graph", TOY, "--dataset", DATA, "--weights", "w.ckpt",
+                     "--policy", "p.json"]) == cli.EXIT_OK
+    _check_manifests(("mcuq_eval.manifest.json",), "eval",
+                     {**files, "policy": _sha256("p.json")})
+    assert cli.main(["search", "--graph", TOY, "--dataset", DATA, "--weights", "w.ckpt",
+                     "--rom-bytes", "7000", "--ram-bytes", "1100", "--mode", "concurrent",
+                     "--episodes", "2", "--warmup", "1", "--out-policy", "s.json"]) == cli.EXIT_OK
+    _check_manifests(("s.json.manifest.json",), "search", files)
+
+
+def _raw_dataset(path, labels, split, pixel=0.0):
     path.mkdir()
-    np.save(path / "images.npy", np.zeros((10, 1, 28, 28), dtype=np.float32))
+    images = np.zeros((10, 1, 28, 28))
+    images[2, 0, 5, 5] = pixel
+    np.save(path / "images.npy", images)
     np.save(path / "labels.npy", labels)
     (path / "split.json").write_text(split)
     return str(path)
 
 
-@pytest.mark.parametrize("labels, split, says", [
-    pytest.param(np.arange(10) % 3, "{}", "n_train", id="split_without_n_train"),
-    pytest.param(np.arange(10) % 3, '{"n_train": 8.9}', "n_train", id="fractional_n_train"),
-    pytest.param(np.full(10, 8.7), '{"n_train": 8}', "integers", id="float_labels"),
-    pytest.param(np.arange(10) - 1, '{"n_train": 8}', ">= 0", id="negative_labels"),
+@pytest.mark.parametrize("labels, split, pixel, says", [
+    pytest.param(np.arange(10) % 3, "{}", 0.0, "n_train", id="split_without_n_train"),
+    pytest.param(np.arange(10) % 3, '{"n_train": 8.9}', 0.0, "n_train", id="fractional_n_train"),
+    pytest.param(np.full(10, 8.7), '{"n_train": 8}', 0.0, "integers", id="float_labels"),
+    pytest.param(np.arange(10) - 1, '{"n_train": 8}', 0.0, ">= 0", id="negative_labels"),
+    *(pytest.param(np.arange(10) % 3, '{"n_train": 8}', v, "[0, 1]", id=f"pixel_{v}")
+      for v in (200.0, np.nan, -3.0)),
 ])
-def test_pretrain_on_a_malformed_raw_dataset_is_bad_input(in_tmp, capsys, labels, split, says):
-    raw = _raw_dataset(in_tmp / "raw", labels, split)
+def test_pretrain_on_a_malformed_raw_dataset_is_bad_input(in_tmp, capsys, labels, split, pixel,
+                                                          says):
+    raw = _raw_dataset(in_tmp / "raw", labels, split, pixel)
     assert cli.main(["pretrain", "--graph", TOY, "--dataset", raw,
                      "--out-checkpoint", "w.ckpt"]) == cli.EXIT_INPUT
     err = capsys.readouterr().err
     assert err.startswith("error: ") and says in err and "Traceback" not in err
     assert not (in_tmp / "w.ckpt").exists()
+
+
+def test_eval_per_class_csv_has_a_row_per_dataset_class(in_tmp):
+    """The val split holds only labels 0-3 of the 10 classes; the CSV still has 10 rows."""
+    g = load_graph(TOY)
+    ds = load_dataset(DATA, seed=0)
+    labels = np.concatenate([np.arange(60) % 10, np.arange(40) % 4])
+    save_raw_dir(Dataset(images=ds.images, labels=labels, n_train=60), "raw")
+    weights = qat.init_weights(g, seed=3)
+    model = build_packed_model(g, weights, all_uniform_policy(g),
+                               calibrate_act_ranges(g, weights, ds.train[0]))
+    save_packed(model, "m.mpq")
+    assert cli.main(["eval", "--graph", TOY, "--dataset", "raw", "--model", "m.mpq",
+                     "--per-class-csv", "c.csv"]) == cli.EXIT_OK
+    rows = (in_tmp / "c.csv").read_text().splitlines()[1:]
+    assert [r.split(",")[:2] for r in rows] == \
+        [[str(c), "10"] for c in range(4)] + [[str(c), "0"] for c in range(4, 10)]
 
 
 def test_footprint_of_a_policy_freezing_unknown_ids_is_bad_input(in_tmp, capsys):

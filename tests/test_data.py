@@ -213,6 +213,23 @@ def test_raw_dir_rejects_labels_that_are_not_class_ids(tmp_path, labels, match):
         load_raw_dir(_raw_dir(tmp_path, labels=labels))
 
 
+@pytest.mark.parametrize("value", [200.0, np.nan, -3.0, np.inf])
+def test_raw_dir_rejects_float_images_outside_the_unit_range(tmp_path, value):
+    path = _raw_dir(tmp_path)
+    images = np.zeros((10, 1, 2, 2))
+    images[7, 0, 1, 0] = value
+    np.save(tmp_path / "raw" / "images.npy", images)
+    with pytest.raises(DatasetError, match=r"within \[0, 1\]"):
+        load_raw_dir(path)
+
+
+def test_raw_dir_accepts_float64_images_in_the_unit_range(tmp_path):
+    path = _raw_dir(tmp_path)
+    np.save(tmp_path / "raw" / "images.npy", np.linspace(0, 1, 40).reshape(10, 1, 2, 2))
+    back = load_raw_dir(path)
+    assert back.images.dtype == np.float32 and back.images.max() == 1.0
+
+
 def test_raw_dir_missing(tmp_path):
     with pytest.raises(DatasetError):
         load_raw_dir(str(tmp_path))

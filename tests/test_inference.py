@@ -19,7 +19,6 @@ from mcuq.inference import (
 from mcuq.memory_model import all_uniform_policy
 from mcuq.packed_model import PackedLayer, build_packed_model, deserialize, serialize
 from mcuq.quantizer import (
-    ActRange,
     QuantizedTensor,
     RequantParams,
     calibrate_act_ranges,
@@ -98,8 +97,7 @@ def test_network_codes_match_oracle_per_layer(toy_graph, pretrained, toy_ranges)
 
 def test_residual_codes_match_oracle(residual_graph):
     weights = qat.init_weights(residual_graph, seed=5)
-    ranges = {t: ActRange(tensor_id=t, clip_max=1.5)
-              for t in residual_graph.encoded_tensors()}
+    ranges = {t: 1.5 for t in residual_graph.encoded_tensors()}
     model = build_packed_model(residual_graph, weights,
                                all_uniform_policy(residual_graph), ranges)
     rng = np.random.default_rng(3)
@@ -221,10 +219,8 @@ def test_int_top1_equals_fake_quant_top1(toy_graph, pretrained, toy_ranges, desk
     policy = all_uniform_policy(toy_graph)
     model = toy_int_model(toy_graph, pretrained[0], toy_ranges, policy)
     int_top1, _ = evaluate_accuracy(toy_graph, desk_small, model=model)
-    ranges = {t: ActRange(tensor_id=t, clip_max=model.act_clip[t])
-              for t in model.act_clip}
     fq_top1, _ = evaluate_accuracy(toy_graph, desk_small, weights=pretrained[0],
-                                   policy=policy, ranges=ranges)
+                                   policy=policy, ranges=model.act_clip)
     assert int_top1 == pytest.approx(fq_top1, abs=0.02)
     assert int_top1 > 0.8
 
@@ -410,7 +406,7 @@ def test_same_sign_sums_near_the_float32_bound_are_exact(kind, fan_in):
 
 def test_weight_codes_unpacked_once(monkeypatch, residual_graph):
     weights = qat.init_weights(residual_graph, seed=2)
-    ranges = {t: ActRange(tensor_id=t, clip_max=1.5) for t in residual_graph.encoded_tensors()}
+    ranges = {t: 1.5 for t in residual_graph.encoded_tensors()}
     calls = []
     real = quantizer.unpack_subbyte
     monkeypatch.setattr(quantizer, "unpack_subbyte",
@@ -440,6 +436,21 @@ def test_evaluate_accuracy_per_class_rows(toy_graph, pretrained, desk_small):
     assert sum(r["count"] for r in rows) == 120
     agg = sum(r["correct"] for r in rows) / sum(r["count"] for r in rows)
     assert top1 == pytest.approx(agg, abs=1e-9)
+
+
+def test_per_class_rows_cover_every_class_of_the_dataset(toy_graph, pretrained, toy_ranges,
+                                                         desk_small):
+    """A val split holding only labels 0-3 of a 10-class dataset still gets 10 rows."""
+    from mcuq.data import Dataset
+
+    labels = np.concatenate([np.arange(20) % 10, np.arange(20) % 4])
+    d = Dataset(images=desk_small.images[:40], labels=labels, n_train=20)
+    model = toy_int_model(toy_graph, pretrained[0], toy_ranges)
+    for kwargs in ({"weights": pretrained[0]}, {"model": model}):
+        _, rows = evaluate_accuracy(toy_graph, d, **kwargs)
+        assert [r["class"] for r in rows] == list(range(10))
+        assert [r["count"] for r in rows] == [5] * 4 + [0] * 6
+        assert all(r["top1"] == 0.0 for r in rows[4:])
 
 
 def test_per_class_csv_format():

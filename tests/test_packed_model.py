@@ -19,7 +19,7 @@ from mcuq.packed_model import (
     save_packed,
     serialize,
 )
-from mcuq.quantizer import ActRange, QuantizedTensor, RequantParams
+from mcuq.quantizer import QuantizedTensor, RequantParams
 
 
 @pytest.fixture()
@@ -58,7 +58,7 @@ def test_act_table_matches_policy(toy_graph, toy_model):
 
 def test_clips_are_f32_exact(toy_model, toy_ranges):
     for t, clip in toy_model.act_clip.items():
-        assert clip == float(np.float32(toy_ranges[t].clip_max))
+        assert clip == float(np.float32(toy_ranges[t]))
 
 
 def test_build_rejects_fp32_policy_entries(toy_graph, pretrained, toy_ranges):
@@ -80,6 +80,15 @@ def test_build_rejects_missing_range(toy_graph, pretrained, toy_ranges):
                            all_uniform_policy(toy_graph), ranges)
 
 
+@pytest.mark.parametrize("clip", [np.nan, np.inf, 0.0, -1.0, 1e39])  # 1e39: inf in float32
+def test_build_rejects_a_clip_that_is_not_a_positive_float32(toy_graph, pretrained,
+                                                             toy_ranges, clip):
+    ranges = fresh_ranges(toy_ranges)
+    ranges[3] = clip
+    with pytest.raises(PolicyError, match="tensor 3: clip"):
+        build_packed_model(toy_graph, pretrained[0], all_uniform_policy(toy_graph), ranges)
+
+
 def test_bias_overflow_rejected(toy_graph, pretrained, toy_ranges):
     weights = qat.copy_weights(pretrained[0])
     weights[1]["b"][0] = 1e12  # far beyond int32 at any plausible scale
@@ -90,8 +99,7 @@ def test_bias_overflow_rejected(toy_graph, pretrained, toy_ranges):
 
 def test_residual_model_has_two_requants(residual_graph):
     weights = qat.init_weights(residual_graph, seed=2)
-    ranges = {t: ActRange(tensor_id=t, clip_max=1.0)
-              for t in residual_graph.encoded_tensors()}
+    ranges = {t: 1.0 for t in residual_graph.encoded_tensors()}
     model = build_packed_model(residual_graph, weights,
                                all_uniform_policy(residual_graph), ranges)
     assert len(model.layers[3].requants) == 2
@@ -211,7 +219,7 @@ def test_deserialize_checks_weight_scales_and_requants(toy_model, field, value, 
 def test_corrupted_models_load_and_run_or_raise_mcuq_error(residual_graph):
     """Seeded random corruptions: 1-3 bytes, a fifth also truncated."""
     weights = qat.init_weights(residual_graph, seed=5)
-    ranges = {t: ActRange(tensor_id=t, clip_max=1.5) for t in residual_graph.encoded_tensors()}
+    ranges = {t: 1.5 for t in residual_graph.encoded_tensors()}
     blob = serialize(build_packed_model(residual_graph, weights,
                                         all_uniform_policy(residual_graph), ranges))
     rng = np.random.default_rng(31)

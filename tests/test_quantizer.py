@@ -4,14 +4,15 @@ import numpy as np
 import pytest
 
 import oracles
-from mcuq import qat
+from mcuq import quantizer
 from mcuq.errors import PackFormatError
 from mcuq.packed_model import PackedModel
 from mcuq.qat import _pact_masks
 from mcuq.quantizer import (
-    ActRange,
+    CLIP_FLOOR,
     RequantParams,
     apply_requant,
+    calibrate_act_ranges,
     compute_requant,
     fake_quant_act,
     fake_quant_weights,
@@ -384,7 +385,7 @@ def test_blocked_requant_matches_oracle(monkeypatch, dtype, bits, signed, ties):
     longer than a block, on N > 1 images, per-channel shifts 0..62 with a zero
     multiplier, a bias, and exact half ties; the accumulators are given as
     int64, float32 (below 2**24, as the float32 kernel's) or float64."""
-    monkeypatch.setattr(qat, "CONV_BLOCK", _BLOCK)
+    monkeypatch.setattr(quantizer, "CONV_BLOCK", _BLOCK)
     rng = np.random.default_rng([bits, signed, ties, np.dtype(dtype).itemsize])
     exact_bits = 24 if dtype == np.float32 else 31
     for shape in _ROW_SHAPES:
@@ -402,7 +403,7 @@ def test_blocked_requant_matches_oracle(monkeypatch, dtype, bits, signed, ties):
 def test_blocked_requant_with_one_multiplier(monkeypatch, dtype, bits, signed):
     """One multiplier and shift for every channel, with and without a
     per-channel bias, over rows shorter and longer than a block."""
-    monkeypatch.setattr(qat, "CONV_BLOCK", _BLOCK)
+    monkeypatch.setattr(quantizer, "CONV_BLOCK", _BLOCK)
     rng = np.random.default_rng([bits, np.dtype(dtype).itemsize])
     rq = compute_requant(1.0, np.array([0.0375]), 1.0)
     for shape in ((3, 4, 5, 5), (2, 5, 2, 2), (4, 3)):
@@ -439,14 +440,30 @@ def test_percentile_clip_floor_and_constant():
     assert percentile_clip(np.full(100, 0.42)) == pytest.approx(0.42)
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # numpy interpolating towards inf
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_percentile_clip_rejects_a_non_finite_percentile(bad):
+    v = np.full(100, 0.5)
+    v[-1] = bad
+    with pytest.raises(ValueError, match="not finite"):
+        percentile_clip(v)
+
+
+def test_calibration_batch_holding_a_nan_raises(toy_graph, pretrained, desk):
+    images = desk.train[0][:8].copy()
+    images[3, 0, 14, 14] = np.nan
+    with pytest.raises(ValueError, match="not finite"):
+        calibrate_act_ranges(toy_graph, pretrained[0], images)
+
+
 def test_calibrate_covers_encoded_tensors(toy_graph, pretrained, toy_ranges, desk):
     assert tuple(sorted(toy_ranges)) == toy_graph.encoded_tensors()
-    for t, r in toy_ranges.items():
-        assert isinstance(r, ActRange)
-        assert r.clip_max >= 1e-3
+    for t, clip in toy_ranges.items():
+        assert type(clip) is float
+        assert clip >= CLIP_FLOOR
     # input tensor calibrates against the raw images
     want = percentile_clip(desk.train[0][:256].ravel())
-    assert toy_ranges[0].clip_max == pytest.approx(want, rel=1e-6)
+    assert toy_ranges[0] == pytest.approx(want, rel=1e-6)
 
 
 def test_act_scale_rule():

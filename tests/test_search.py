@@ -8,7 +8,6 @@ from mcuq.data import Dataset
 from mcuq.errors import InfeasibleBudgetError
 from mcuq.graph_ir import NetworkGraph, validate
 from mcuq.memory_model import MemoryBudget, footprint, validate_policy
-from mcuq.quantizer import ActRange
 from mcuq.search import (
     BIT_MIDPOINT,
     OBS_DIM,
@@ -276,8 +275,7 @@ def test_base_policy_fixed_weight_bits(residual_graph):
 def res_setup(residual_graph):
     d = tiny_dataset()
     weights = qat.init_weights(residual_graph, seed=0)
-    ranges = {t: ActRange(tensor_id=t, clip_max=1.0)
-              for t in residual_graph.encoded_tensors()}
+    ranges = {t: 1.0 for t in residual_graph.encoded_tensors()}
     return d, weights, ranges
 
 
