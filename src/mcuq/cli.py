@@ -19,7 +19,7 @@ import sys
 import time
 
 from . import __version__, qat
-from .data import DatasetError, load_dataset
+from .data import Dataset, DatasetError, load_dataset
 from .errors import McuqError, InfeasibleBudgetError
 from .graph_ir import load_graph
 from .inference import evaluate_accuracy, per_class_csv
@@ -246,6 +246,20 @@ def cmd_footprint(a: dict, g) -> int:
     return EXIT_OK if m1_ok and m2_ok else EXIT_CONSTRAINT
 
 
+def _load_dataset(a: dict, g) -> Dataset:
+    """The command's --dataset; DatasetError unless its images have the
+    graph's input shape and its labels lie below the graph's class count."""
+    dataset = load_dataset(a["dataset"], seed=a["seed"])
+    shape, want = tuple(dataset.images.shape[1:]), tuple(g.input_layer.output_shape)
+    if shape != want:
+        raise DatasetError(f"dataset images are {shape} (C, H, W), the graph's input is {want}")
+    classes = g.output_layer.output_shape[0]
+    if dataset.num_classes > classes:
+        raise DatasetError(f"dataset labels go up to {dataset.num_classes - 1}, "
+                           f"the graph has {classes} classes")
+    return dataset
+
+
 def _load_checkpoint(path: str, g):
     weights, ranges = qat.load_checkpoint(path)
     qat.check_checkpoint_matches(g, weights, ranges)
@@ -253,7 +267,7 @@ def _load_checkpoint(path: str, g):
 
 
 def cmd_search(a: dict, g) -> int:
-    dataset = load_dataset(a["dataset"], seed=a["seed"])
+    dataset = _load_dataset(a, g)
     episodes = a.get("episodes")
     warmup = a.get("warmup")
     if episodes is None:
@@ -293,7 +307,7 @@ def _pretrained_weights(a: dict, g, dataset):
 
 
 def cmd_finetune(a: dict, g) -> int:
-    dataset = load_dataset(a["dataset"], seed=a["seed"])
+    dataset = _load_dataset(a, g)
     policy = _load_policy(a["policy"], g)
     weights, ranges = _pretrained_weights(a, g, dataset)
     if not ranges:
@@ -309,7 +323,7 @@ def cmd_finetune(a: dict, g) -> int:
 
 
 def cmd_eval(a: dict, g) -> int:
-    dataset = load_dataset(a["dataset"], seed=a["seed"])
+    dataset = _load_dataset(a, g)
     if bool(a.get("model")) == bool(a.get("weights")):
         raise _UsageError("eval needs exactly one of --model or --weights")
     if a.get("model"):
@@ -339,7 +353,7 @@ def cmd_export(a: dict, g) -> int:
 
 
 def cmd_pretrain(a: dict, g) -> int:
-    dataset = load_dataset(a["dataset"], seed=a["seed"])
+    dataset = _load_dataset(a, g)
     tc = qat.TrainConfig(epochs=a["epochs"], lr=a["lr"],
                          batch_size=a["batch_size"], seed=a["seed"])
     weights, history = qat.pretrain_float(g, dataset, tc)

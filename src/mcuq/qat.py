@@ -78,22 +78,24 @@ def _phase_grid(layer, x_shape: tuple) -> tuple[int, int, int, int]:
 
 def _phases(planes: np.ndarray, x: np.ndarray, s: int, p: int, h2: int, w2: int):
     """Yield (view of x, view of the planes) pairs of equal shape that put each
-    pixel of x, (N, C, H, W), at its place in the planes, (C, N, rows, cols) per phase."""
+    pixel of x, (N, C, H, W), at its place in the planes, whose flat axis runs
+    (y, n, x) over h2 rows of N images of w2 columns per phase."""
     n, c, h, w = x.shape
-    grid = planes[..., :n * h2 * w2].reshape(s, s, c, n, h2, w2)
+    grid = planes[..., :h2 * n * w2].reshape(s, s, c, h2, n, w2)
     for a, b in itertools.product(range(s), repeat=2):
         r0, c0 = (a - p) % s, (b - p) % s  # first input row and column of the phase
         y0, x0 = (r0 + p) // s, (c0 + p) // s
         rows, cols = len(range(r0, h, s)), len(range(c0, w, s))
         yield (x[:, :, r0::s, c0::s],
-               grid[a, b, :, :, y0:y0 + rows, x0:x0 + cols].transpose(1, 0, 2, 3))
+               grid[a, b, :, y0:y0 + rows, :, x0:x0 + cols].transpose(2, 0, 1, 3))
 
 
-def _taps(layer, w2: int) -> list[tuple[int, int, int]]:
-    """(a, b, offset) per kernel tap, row-major: tap (i, j) of output position q
-    reads plane (a, b) = (i % s, j % s) at q + offset."""
+def _taps(layer, n: int, w2: int) -> list[tuple[int, int, int]]:
+    """(a, b, offset) per kernel tap, row-major: tap (i, j) of output position
+    q = (y*N + n)*w2 + x reads plane (a, b) = (i % s, j % s) at q + offset,
+    offset = (i//s)*N*w2 + j//s."""
     s = layer.stride
-    return [(i % s, j % s, (i // s) * w2 + j // s)
+    return [(i % s, j % s, (i // s) * n * w2 + j // s)
             for i in range(layer.kernel_h) for j in range(layer.kernel_w)]
 
 
@@ -112,22 +114,25 @@ def _col_blocks(planes: np.ndarray, taps: list, m: int):
         yield m0, cols.reshape(k, mb)
 
 
-def _out_grid(flat: np.ndarray, kind: str, n: int, o: int, h2: int, w2: int) -> np.ndarray:
-    """A window kernel's flat output as an (N, O, h2, w2) view: (N*h2*w2, O) for
-    the conv2d GEMMs, (O, N*h2*w2) for the per-tap products."""
+def _out_grid(flat: np.ndarray, kind: str, n: int, o: int, oh: int, w2: int) -> np.ndarray:
+    """A window kernel's flat output, positions in (y, n, x) order over the
+    oh computed rows, as an (N, O, oh, w2) view: (oh*N*w2, O) for the conv2d
+    GEMMs, (O, oh*N*w2) for the per-tap products. Columns x >= ow are computed
+    and dropped by the caller."""
     if kind == "conv2d":
-        return flat.reshape(n, h2, w2, o).transpose(0, 3, 1, 2)
-    return flat.reshape(o, n, h2, w2).transpose(1, 0, 2, 3)
+        return flat.reshape(oh, n, w2, o).transpose(1, 3, 0, 2)
+    return flat.reshape(o, oh, n, w2).transpose(2, 0, 1, 3)
 
 
 def _window_fwd(layer, x: np.ndarray, w: np.ndarray, b: np.ndarray):
     n, c = x.shape[:2]
     s, o = layer.stride, len(b)
     oh, ow, h2, w2 = _phase_grid(layer, x.shape)
-    m = n * h2 * w2
-    taps = _taps(layer, w2)
+    m = oh * n * w2  # positions of the kept rows y < oh
+    taps = _taps(layer, n, w2)
     dtype = np.result_type(x, w)
-    planes = np.zeros((s, s, c, m + taps[-1][2]), dtype)  # tail: the largest tap offset
+    # tail: columns x >= ow of the last row read up to (kw-1)//s past the grid
+    planes = np.zeros((s, s, c, h2 * n * w2 + (layer.kernel_w - 1) // s), dtype)
     for xv, pv in _phases(planes, x, s, layer.padding, h2, w2):
         pv[...] = xv
     if layer.kind == "conv2d":
@@ -148,8 +153,7 @@ def _window_fwd(layer, x: np.ndarray, w: np.ndarray, b: np.ndarray):
                 zb += np.multiply(planes[a, bb, cs, off:off + m], wc[cs, t, None],
                                   out=prod[:len(zb)])
     z = np.empty((n, o, oh, ow), dtype)
-    np.add(_out_grid(zm, layer.kind, n, o, h2, w2)[:, :, :oh, :ow], b[None, :, None, None],
-           out=z)
+    np.add(_out_grid(zm, layer.kind, n, o, oh, w2)[..., :ow], b[None, :, None, None], out=z)
     return z, planes
 
 
@@ -158,12 +162,12 @@ def _window_bwd(layer, dz: np.ndarray, planes: np.ndarray, w: np.ndarray,
     n, o, oh, ow = dz.shape
     c = x_shape[1]
     _, _, h2, w2 = _phase_grid(layer, x_shape)
-    m = n * h2 * w2
-    taps = _taps(layer, w2)
+    m = oh * n * w2
+    taps = _taps(layer, n, w2)
     conv = layer.kind == "conv2d"
-    # dropped positions get a zero gradient, so their columns add nothing
+    # dropped columns get a zero gradient, so they add nothing
     dzm = np.zeros((m, o) if conv else (o, m), dz.dtype)
-    _out_grid(dzm, layer.kind, n, o, h2, w2)[:, :, :oh, :ow] = dz
+    _out_grid(dzm, layer.kind, n, o, oh, w2)[..., :ow] = dz
     dw = None  # avg_pool has no parameters
     if conv:
         dwt = np.zeros((len(taps) * c, o), np.result_type(planes, dz))
@@ -210,19 +214,24 @@ def linear_fwd(layer, x: np.ndarray, w: np.ndarray, b: np.ndarray):
     conv2d, depthwise_conv2d and avg_pool run over phase planes. The
     zero-padded input is written once into s*s phase planes (s the stride),
     plane (a, b) holding the padded pixels (s*Y + a, s*X + b) at (Y, X) of
-    an h2 x w2 grid per image. The batch is folded into one flat axis, so
-    cols is the (s, s, C, N*h2*w2 + tail) plane array for all three kinds,
-    tail being the largest tap offset, and tap (i, j) of output position
-    q = (n*h2 + y)*w2 + x is plane[i%s, j%s, :, q + (i//s)*w2 + j//s]: one
-    contiguous slice per tap. conv2d builds blocks of at most CONV_BLOCK
-    elements, kh*kw*C rows by output positions, from those slices and
-    multiplies each by the weights in one GEMM. depthwise_conv2d and avg_pool
-    run over blocks of CONV_BLOCK // (N*h2*w2) channels (at least one), so a
-    block's sums and products stay in cache: the first tap's slice times its
-    (C, 1) weight column is written into the block, and each further tap's is
+    an h2 x w2 grid per image. The batch is folded into one flat axis that
+    runs (y, n, x): row y of every image, then row y + 1. cols is the
+    (s, s, C, h2*N*w2 + (kw-1)//s) plane array for all three kinds, and tap
+    (i, j) of output position q = (y*N + n)*w2 + x is
+    plane[i%s, j%s, :, q + (i//s)*N*w2 + j//s]: one contiguous slice per tap.
+    The kernels compute the positions q < oh*N*w2 only, so the rows y >= oh
+    form a suffix that is never computed. The columns x >= ow of each kept
+    row are computed and dropped (on the toy CNN, 63 positions per image
+    for 49 kept in its third conv2d and 20 for 16 in its fourth); their
+    taps may read into the next image's row, or the (kw-1)//s tail past
+    the last one. conv2d builds blocks of at most CONV_BLOCK elements,
+    kh*kw*C rows by output positions, from those slices and multiplies each
+    by the weights in one GEMM. depthwise_conv2d and avg_pool run over
+    blocks of CONV_BLOCK // (oh*N*w2) channels (at least one), so a block's
+    sums and products stay in cache: the first tap's slice times its (C, 1)
+    weight column is written into the block, and each further tap's is
     added, so every output sums its taps in the same order whatever the
-    block. Positions with y >= oh or x >= ow are computed and dropped. The
-    sums run in np.result_type(x, w).
+    block. The sums run in np.result_type(x, w).
 
     pointwise_conv2d is one GEMM per image, w @ x[n] over the (C, H*W)
     image, with the bias added in place. For pointwise_conv2d and
@@ -265,13 +274,6 @@ def linear_bwd(layer, dz: np.ndarray, cols: np.ndarray, w: np.ndarray, x_shape: 
 # Network forward/backward
 # ---------------------------------------------------------------------------
 
-def _pact_masks(z: np.ndarray, clip_max: float) -> tuple[np.ndarray, np.ndarray]:
-    """Where the activation fake-quantizer passes the gradient to z (inside the
-    clip window) and where it passes it to the clip (saturated)."""
-    over = z >= clip_max
-    return (z > 0) & ~over, over
-
-
 def _walk(g: NetworkGraph, weights: dict, x: np.ndarray, policy=None,
           ranges: dict[int, float] | None = None,
           cache: list | None = None) -> dict[int, np.ndarray]:
@@ -312,9 +314,8 @@ def _walk(g: NetworkGraph, weights: dict, x: np.ndarray, policy=None,
         if bits != 32:
             if ranges is None or lid not in ranges:
                 raise PolicyError(f"no activation range for tensor {lid}")
-            y = fake_quant_act(z, ranges[lid], bits)
+            y, inside, over = fake_quant_act(z, ranges[lid], bits)
             if cache is not None:
-                inside, over = _pact_masks(z, ranges[lid])
                 entry.update(mask=inside, act_over=over, act_tid=lid)
         elif layer.kind in _RELU_KINDS and lid in encoded:
             y = np.maximum(z, 0.0)

@@ -172,13 +172,30 @@ def fake_quant_weights(w: np.ndarray, bits: int) -> np.ndarray:
     return (q * s).astype(w.dtype)
 
 
-def fake_quant_act(x: np.ndarray, clip_max: float, bits: int) -> np.ndarray:
-    """PACT-style fake quantization: clamp to [0, clip_max], round to 2**bits - 1 levels."""
+def fake_quant_act(x: np.ndarray, clip_max: float,
+                   bits: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """PACT-style fake quantization: clamp to [0, clip_max], round to 2**bits - 1 levels.
+
+    Returns (y, inside, over): y the fake-quantized x in x's dtype, inside
+    where 0 < x < clip_max (the gradient passes to x) and over where
+    x >= clip_max (it passes to the clip). x is left unchanged. y is one
+    array that the chain clip, /= s, += 0.5, floor, *= s writes in place:
+    round_half_away on the clipped values, which are >= 0, with the same
+    float operations. The one difference is an input of -0.0, which gives
+    +0.0 where round_half_away gives -0.0.
+    """
     if not (clip_max > 0):
         raise ValueError(f"clip_max must be positive, got {clip_max}")
     s = clip_max / ((1 << bits) - 1)
-    y = round_half_away(np.clip(x, 0.0, clip_max) / s) * s
-    return y.astype(x.dtype) if isinstance(x, np.ndarray) else y
+    y = np.clip(x, 0.0, clip_max)
+    y /= s
+    y += 0.5
+    np.floor(y, out=y)
+    y *= s
+    over = x >= clip_max
+    inside = x > 0
+    inside ^= over  # over lies within x > 0, as clip_max > 0
+    return y, inside, over
 
 
 def quantize_act(x: np.ndarray, clip_max: float, bits: int) -> np.ndarray:

@@ -305,9 +305,9 @@ def test_eval_and_search_manifests_record_a_checkpoint_input(in_tmp, capsys):
     _check_manifests(("s.json.manifest.json",), "search", files)
 
 
-def _raw_dataset(path, labels, split, pixel=0.0):
+def _raw_dataset(path, labels, split, pixel=0.0, shape=(1, 28, 28)):
     path.mkdir()
-    images = np.zeros((10, 1, 28, 28))
+    images = np.zeros((10,) + shape)
     images[2, 0, 5, 5] = pixel
     np.save(path / "images.npy", images)
     np.save(path / "labels.npy", labels)
@@ -331,6 +331,30 @@ def test_pretrain_on_a_malformed_raw_dataset_is_bad_input(in_tmp, capsys, labels
     err = capsys.readouterr().err
     assert err.startswith("error: ") and says in err and "Traceback" not in err
     assert not (in_tmp / "w.ckpt").exists()
+
+
+@pytest.mark.parametrize("command", [
+    ["search", "--rom-bytes", "7000", "--ram-bytes", "1100", "--out-policy", "p.json"],
+    ["finetune", "--policy", "p.json", "--out-checkpoint", "w.ckpt"],
+    ["eval", "--model", "m.mpq"],
+    ["pretrain", "--out-checkpoint", "w.ckpt"],
+], ids=lambda c: c[0])
+@pytest.mark.parametrize("labels, shape, says", [
+    pytest.param(np.arange(10) + 3, (1, 28, 28), "labels go up to 12, the graph has 10 classes",
+                 id="labels_0_to_12"),
+    pytest.param(np.arange(10), (1, 32, 32), "images are (1, 32, 32)", id="32x32_images"),
+    pytest.param(np.arange(10), (3, 28, 28), "images are (3, 28, 28)", id="3_channels"),
+])
+def test_a_dataset_that_does_not_fit_the_graph_is_bad_input(in_tmp, capsys, command, labels,
+                                                            shape, says):
+    """Every dataset-taking command refuses images of another (C, H, W) than
+    the graph's input, or labels at or above its class count, before it runs."""
+    raw = _raw_dataset(in_tmp / "raw", labels, '{"n_train": 8}', shape=shape)
+    assert cli.main([command[0], "--graph", TOY, "--dataset", raw, *command[1:]]) \
+        == cli.EXIT_INPUT
+    err = capsys.readouterr().err
+    assert err.startswith("error: dataset ") and says in err and "Traceback" not in err
+    assert os.listdir(in_tmp) == ["raw"]
 
 
 def test_eval_per_class_csv_has_a_row_per_dataset_class(in_tmp):

@@ -232,8 +232,8 @@ def test_window_channel_blocks_match_reference(monkeypatch, kind, stride, paddin
     oh, ow = (h + 2 * padding - k) // stride + 1, (w + 2 * padding - k) // stride + 1
     layer = oracles._mk(1, kind, [0], c, k, k, stride, padding, (c, h, w), (c, oh, ow),
                         bias=c)
-    _, _, h2, w2 = qat._phase_grid(layer, (n, c, h, w))
-    m = n * h2 * w2
+    _, _, _, w2 = qat._phase_grid(layer, (n, c, h, w))
+    m = oh * n * w2  # the positions the kernel computes: rows y < oh of every image
     assert c * m <= qat.CONV_BLOCK  # one block unpatched
     x = rng.integers(-8, 8, size=(n, c, h, w)).astype(np.float64)
     wt, b, dense = _window_operands(layer, lambda shape: rng.integers(-8, 8, size=shape),

@@ -7,7 +7,6 @@ import oracles
 from mcuq import quantizer
 from mcuq.errors import PackFormatError
 from mcuq.packed_model import PackedModel
-from mcuq.qat import _pact_masks
 from mcuq.quantizer import (
     CLIP_FLOOR,
     RequantParams,
@@ -195,7 +194,7 @@ def test_scales_use_channel_absmax():
 
 def test_fake_quant_act_levels():
     x = np.linspace(0.0, 1.0, 101)
-    y = fake_quant_act(x, 1.0, 2)
+    y = fake_quant_act(x, 1.0, 2)[0]
     levels = {0.0, 1 / 3, 2 / 3, 1.0}
     assert all(min(abs(v - l) for l in levels) < 1e-9 for v in y)
 
@@ -203,10 +202,42 @@ def test_fake_quant_act_levels():
 def test_fake_quant_act_clip_exact():
     for bits in (2, 4, 8):
         for clip in (1.0, 0.37, 5.5):
-            y = fake_quant_act(np.array([clip, clip * 2, -1.0]), clip, bits)
+            y = fake_quant_act(np.array([clip, clip * 2, -1.0]), clip, bits)[0]
             assert y[0] == pytest.approx(clip, abs=1e-7)
             assert y[1] == pytest.approx(clip, abs=1e-7)
             assert y[2] == 0.0
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("bits", [2, 4, 8])
+@pytest.mark.parametrize("clip", [1.0, 0.37, 5.5])
+def test_fake_quant_act_chain_matches_round_half_away(dtype, bits, clip):
+    """The in-place chain equals round_half_away(clip(x) / s) * s byte for byte,
+    exact ties (k + 1/2)*s included, leaves x unchanged, and its masks are the
+    PACT ones. -0.0 is the one input that differs: it gives +0.0, not -0.0."""
+    rng = np.random.default_rng([bits, int(clip * 100)])
+    s = clip / ((1 << bits) - 1)
+    ties = ((np.arange((1 << bits) - 1) + 0.5) * s).astype(dtype)
+    at_clip = np.array([clip], dtype)
+    x = np.concatenate([
+        rng.uniform(-clip, 2 * clip, 500).astype(dtype),
+        ties, np.nextafter(ties, dtype(0)), np.nextafter(ties, dtype(2 * clip)),
+        at_clip, np.nextafter(at_clip, dtype(0)), np.nextafter(at_clip, dtype(2 * clip)),
+        np.array([2 * clip, 1e30, -1e-30, -0.5, -3 * clip, 0.0, -0.0], dtype),
+    ])
+    q = np.clip(x, 0.0, clip) / s
+    assert np.count_nonzero(q - np.floor(q) == 0.5) >= len(ties) // 2  # exact ties present
+    x0 = x.copy()
+    y, inside, over = fake_quant_act(x, clip, bits)
+    assert x.tobytes() == x0.tobytes()
+    want = round_half_away(np.clip(x, 0.0, clip) / s) * s
+    assert y.dtype == want.dtype == dtype
+    negzero = (x == 0) & np.signbit(x)
+    assert negzero.sum() == 1
+    assert np.signbit(want[negzero]).all() and not np.signbit(y[negzero]).any()
+    assert y[~negzero].tobytes() == want[~negzero].tobytes()
+    assert np.array_equal(inside, (x > 0) & (x < clip))
+    assert np.array_equal(over, x >= clip)
 
 
 def test_fake_quant_act_rejects_bad_clip():
@@ -226,7 +257,7 @@ def test_fake_quant_act_gradient_fd():
     x = rng.uniform(-0.5, 1.3, size=256)
     keep = (np.abs(x) > 1e-3) & (np.abs(x - clip) > 1e-3)  # non-boundary only
     x = x[keep]
-    inside, over = _pact_masks(x, clip)
+    _, inside, over = fake_quant_act(x, clip, 8)
     eps = 1e-6
     surrogate = lambda v: np.clip(v, 0.0, clip)
     fd = (surrogate(x + eps) - surrogate(x - eps)) / (2 * eps)
