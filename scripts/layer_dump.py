@@ -15,7 +15,11 @@
   and 29), whose accumulator bound takes the engine's float64 path, while the
   anchor's layers all run in float32;
 - the float32 logits and every backward_network gradient of the toy graphs and
-  the random graphs, in float mode and under the sub-byte policy, keys `float/...`.
+  the random graphs, in float mode and under the sub-byte policy, keys `float/...`;
+- two seeded searches of toycnn_mnist (SEARCHES: independent mode seed 0 and
+  concurrent mode seed 3, 12 episodes with 4 warm-up, a 7000/1100 B budget,
+  synthetic_shapes(400, 150, seed=5), 1 pretrain epoch): the history CSV,
+  the best policy's JSON and the log lines as bytes, keys `search/...`.
 
 The packed models are read from DIR, and written there by the first run that
 misses them. Run the parent first, then the change on the same DIR: both then
@@ -25,7 +29,8 @@ come from the same models. Weights and images depend on seeds only.
 
 `diff` says, per key, whether the two dumps hold identical arrays; for float
 arrays it gives the largest absolute difference. It exits 1 when an integer
-array differs, when a key's shapes differ or when a key is in one dump only.
+array or a search record differs, when a key's shapes differ or when a key is
+in one dump only.
 """
 
 from __future__ import annotations
@@ -40,12 +45,14 @@ HERE = os.path.dirname(os.path.abspath(__file__))
 sys.path[:0] = [os.path.join(HERE, "..", "src"), os.path.join(HERE, "..", "tests")]
 
 import oracles  # noqa: E402
-from mcuq import inference, memory_model, packed_model, qat, quantizer, search  # noqa: E402
+from mcuq import data, inference, memory_model, packed_model, qat, quantizer, search  # noqa: E402
 from mcuq.graph_ir import fixture_path, load_graph  # noqa: E402
 
 MBV1_BUDGET = memory_model.MemoryBudget(rom_bytes=2 * 2 ** 20, ram_bytes=512 * 2 ** 10)
 RANDOM_GRAPHS = 24
 EVAL_BATCH = 128  # images per batch of `mcuq eval` (evaluate_accuracy's default)
+SEARCHES = (("independent", 0), ("concurrent", 3))  # (mode, seed)
+SEARCH_BUDGET = memory_model.MemoryBudget(rom_bytes=7000, ram_bytes=1100)
 
 
 def _model(models_dir: str, name: str, build):
@@ -80,6 +87,21 @@ def _record(out: dict, key: str, g, weights, policy, models_dir: str, images,
                 out[f"int/{tag}/{lid}"] = codes
     if float_too:
         _float_step(out, f"{key}/fq", g, weights, images, policy, model)
+
+
+def _record_searches(out: dict) -> None:
+    """History CSV, best policy JSON and log lines of each of SEARCHES, as bytes."""
+    g = load_graph(fixture_path("toycnn_mnist.json"))
+    dataset = data.synthetic_shapes(400, 150, seed=5)
+    for mode, seed in SEARCHES:
+        cfg = search.SearchConfig(budget=SEARCH_BUDGET, episodes=12, warmup=4, mode=mode,
+                                  seed=seed, pretrain_epochs=1)
+        lines: list[str] = []
+        result = search.search(g, cfg, dataset, log=lines.append)
+        for name, text in (("history_csv", search.history_csv(result.history, result.is_best)),
+                           ("policy", result.best_policy.to_json()),
+                           ("log", "\n".join(lines))):
+            out[f"search/{mode}/{name}"] = np.frombuffer(text.encode(), np.uint8)
 
 
 def dump(path: str, models_dir: str) -> None:
@@ -121,6 +143,7 @@ def dump(path: str, models_dir: str) -> None:
             images, calib=calib, float_too=False)
     _record(out, "mobilenet_v1_224_all8", g, weights, memory_model.all_uniform_policy(g),
             models_dir, images, calib=calib, float_too=False)
+    _record_searches(out)
     np.savez_compressed(path, **out)
     print(f"{path}: {len(out)} arrays")
 
@@ -130,26 +153,27 @@ def diff(path_a: str, path_b: str) -> int:
     only = sorted(set(a.files) ^ set(b.files))
     for key in only:
         print(f"only in {path_a if key in a.files else path_b}: {key}")
-    same_int = diff_int = bad_shape = 0
+    same_int = diff_int = bad_shape = 0  # integer arrays and search records
     worst: dict[str, float] = {}
     for key in sorted(set(a.files) & set(b.files)):
         x, y = a[key], b[key]
         if x.shape != y.shape:
             bad_shape += 1
             print(f"shapes differ: {key} {x.shape} vs {y.shape}")
-        elif key.startswith("int/"):
+        elif key.startswith(("int/", "search/")):
             if np.array_equal(x, y):
                 same_int += 1
             else:
                 diff_int += 1
-                print(f"integer codes differ: {key}")
+                print(f"{'integer codes' if key.startswith('int/') else 'search record'}"
+                      f" differ: {key}")
         else:
             d = float(np.abs(x.astype(np.float64) - y).max()) if x.size else 0.0
             kind = key.split("/")[-1].split(".")[0]  # logits or grad
             worst[kind] = max(worst.get(kind, 0.0), d)
             if d:
                 print(f"{key}: max |d| {d:.3g} (largest |value| {np.abs(x).max():.3g})")
-    print(f"integer arrays: {same_int} identical, {diff_int} differ")
+    print(f"integer arrays and search records: {same_int} identical, {diff_int} differ")
     for kind, d in sorted(worst.items()):
         print(f"float {kind}: max |d| {d:.3g}")
     return 1 if diff_int or bad_shape or only else 0

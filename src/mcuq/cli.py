@@ -250,9 +250,7 @@ def _load_dataset(a: dict, g) -> Dataset:
     """The command's --dataset; DatasetError unless its images have the
     graph's input shape and its labels lie below the graph's class count."""
     dataset = load_dataset(a["dataset"], seed=a["seed"])
-    shape, want = tuple(dataset.images.shape[1:]), tuple(g.input_layer.output_shape)
-    if shape != want:
-        raise DatasetError(f"dataset images are {shape} (C, H, W), the graph's input is {want}")
+    g.check_batch(dataset.images)
     classes = g.output_layer.output_shape[0]
     if dataset.num_classes > classes:
         raise DatasetError(f"dataset labels go up to {dataset.num_classes - 1}, "
@@ -268,15 +266,9 @@ def _load_checkpoint(path: str, g):
 
 def cmd_search(a: dict, g) -> int:
     dataset = _load_dataset(a, g)
-    episodes = a.get("episodes")
-    warmup = a.get("warmup")
-    if episodes is None:
-        episodes = 600 if a["mode"] == "concurrent" else 300
-    if warmup is None:
-        warmup = 120 if a["mode"] == "concurrent" else 60
     cfg = SearchConfig(
         budget=MemoryBudget(rom_bytes=a["rom_bytes"], ram_bytes=a["ram_bytes"]),
-        episodes=episodes, warmup=warmup, mode=a["mode"], seed=a["seed"],
+        episodes=a.get("episodes"), warmup=a.get("warmup"), mode=a["mode"], seed=a["seed"],
         proxy_train_frac=a["proxy_train_frac"], proxy_val_frac=a["proxy_val_frac"],
         pretrain_epochs=a["pretrain_epochs"],
         freeze_first_last=a["freeze_first_last"],

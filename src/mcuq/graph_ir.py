@@ -9,12 +9,13 @@ footprint -- reproducible.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
 
-from .errors import GraphValidationError
+from .errors import DatasetError, GraphValidationError
 
 CONV_KINDS = ("conv2d", "depthwise_conv2d", "pointwise_conv2d")
 WEIGHTED_KINDS = CONV_KINDS + ("fully_connected",)
@@ -92,6 +93,12 @@ class NetworkGraph:
     @property
     def output_layer(self) -> LayerSpec:
         return next(l for l in self.layers if l.kind == "output")
+
+    def check_batch(self, images) -> None:
+        """Raise DatasetError unless images is a batch (N, C, H, W) of the input's shape."""
+        shape, want = tuple(images.shape[1:]), tuple(self.input_layer.output_shape)
+        if shape != want:
+            raise DatasetError(f"dataset images are {shape} (C, H, W), the graph's input is {want}")
 
     def weighted_layers(self) -> list[LayerSpec]:
         return [l for l in self.layers if l.kind in WEIGHTED_KINDS]
@@ -328,18 +335,7 @@ def save_graph(g: NetworkGraph, path: str) -> None:
     doc = {
         "resolution": g.resolution,
         "width_multiplier": g.width_multiplier,
-        "layers": [
-            {
-                "id": l.id, "kind": l.kind, "input_ids": list(l.input_ids),
-                "out_channels": l.out_channels,
-                "kernel_h": l.kernel_h, "kernel_w": l.kernel_w,
-                "stride": l.stride, "padding": l.padding,
-                "input_shape": list(l.input_shape),
-                "output_shape": list(l.output_shape),
-                "param_count": l.param_count, "bias_count": l.bias_count,
-            }
-            for l in g.layers
-        ],
+        "layers": [dataclasses.asdict(l) for l in g.layers],
     }
     with open(path, "w", encoding="utf-8") as f:
         json.dump(doc, f, indent=1)

@@ -6,7 +6,9 @@ Every linear layer, avg_pool included, runs through the training engine's
 own linear_fwd, so the deployed arithmetic is the arithmetic that was
 trained. avg_pool is a depthwise layer whose every tap is weighted 1
 (qat.pool_weight), with no bias. run_codes_network walks the graph once and
-keeps every layer's codes; run_codes_layer runs one layer.
+keeps every layer's codes; run_codes_layer runs one layer. The input codes
+are quantizer.quantize_act's: act_codes of the float32 images, the codes the
+training forward fake-quantizes its input to.
 
 The kernels run on BLAS, on the codes cast to the narrowest float type that
 holds every partial sum exactly. With input codes of magnitude up to x_max
@@ -84,7 +86,6 @@ def _check_acc(z: np.ndarray, layer_id: int, bias_int: np.ndarray) -> None:
 def run_codes_layer(layer, rec: PackedLayer, in_codes: list[np.ndarray]) -> np.ndarray:
     """One layer on batched integer codes (N, ...) -> output codes (N, ...)."""
     out_bits = rec.out_bits
-    signed_out = out_bits == 32  # raw logits keep sign; activations are unsigned
     if layer.kind in LINEAR_KINDS:
         x = in_codes[0]
         if layer.kind == "avg_pool":
@@ -97,14 +98,14 @@ def run_codes_layer(layer, rec: PackedLayer, in_codes: list[np.ndarray]) -> np.n
                               np.zeros(len(bias), dtype))
         if check:
             _check_acc(z, layer.id, bias)
-        return apply_requant(z, rec.requants[0], out_bits, signed=signed_out, bias=bias)
+        return apply_requant(z, rec.requants[0], out_bits, bias=bias)
     if layer.kind == "add_residual":
-        lo, hi = qrange(out_bits, signed=signed_out)
-        a = apply_requant(in_codes[0], rec.requants[0], out_bits, signed=signed_out)
-        b = apply_requant(in_codes[1], rec.requants[1], out_bits, signed=signed_out)
+        lo, hi = qrange(out_bits, signed=out_bits == 32)  # apply_requant's range
+        a = apply_requant(in_codes[0], rec.requants[0], out_bits)
+        b = apply_requant(in_codes[1], rec.requants[1], out_bits)
         return np.clip(a.astype(np.int64) + b.astype(np.int64), lo, hi).astype(np.int32)
     if layer.kind == "relu_clip":
-        return apply_requant(in_codes[0], rec.requants[0], out_bits, signed=signed_out)
+        return apply_requant(in_codes[0], rec.requants[0], out_bits)
     raise ModelMismatchError(f"layer {layer.id}: kind {layer.kind!r} is not executable")
 
 
@@ -112,6 +113,7 @@ def run_codes_network(g: NetworkGraph, model: PackedModel,
                       images: np.ndarray) -> dict[int, np.ndarray]:
     """Integer forward of a float image batch: every layer's int32 output
     codes (N, ...) by tensor id, the input's included."""
+    g.check_batch(images)
     check_model_matches(g, model)
     in_tid = g.input_layer.id
     codes = {in_tid: quantize_act(images, model.act_clip[in_tid], model.act_bits[in_tid])}

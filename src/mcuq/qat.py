@@ -18,7 +18,7 @@ import numpy as np
 from .data import Dataset
 from .errors import ModelMismatchError, PackFormatError, PolicyError, TrainingDivergedError
 from .graph_ir import LINEAR_KINDS, WEIGHTED_KINDS, NetworkGraph, topo_order
-from .quantizer import CLIP_FLOOR, CONV_BLOCK, ByteReader, fake_quant_act, fake_quant_weights
+from .quantizer import CLIP_FLOOR, CONV_BLOCK, ByteReader, act_codes, fake_quant_weights
 
 # kinds whose float-mode output passes through a plain ReLU
 _RELU_KINDS = WEIGHTED_KINDS + ("relu_clip",)
@@ -280,6 +280,7 @@ def _walk(g: NetworkGraph, weights: dict, x: np.ndarray, policy=None,
     """Every activation of the network on a batch, by tensor id (see
     forward_network). When cache is a list, each layer appends what
     backward_network needs to it."""
+    g.check_batch(x)
     encoded = set(g.encoded_tensors())
     acts: dict[int, np.ndarray] = {}
     for lid in topo_order(g):
@@ -314,9 +315,12 @@ def _walk(g: NetworkGraph, weights: dict, x: np.ndarray, policy=None,
         if bits != 32:
             if ranges is None or lid not in ranges:
                 raise PolicyError(f"no activation range for tensor {lid}")
-            y, inside, over = fake_quant_act(z, ranges[lid], bits)
-            if cache is not None:
-                entry.update(mask=inside, act_over=over, act_tid=lid)
+            clip = ranges[lid]
+            y, s = act_codes(z, clip, bits)
+            y *= s
+            if cache is not None:  # PACT masks: to z where 0 < z < clip, to the clip above
+                over = z >= clip
+                entry.update(mask=(z > 0) ^ over, act_over=over, act_tid=lid)
         elif layer.kind in _RELU_KINDS and lid in encoded:
             y = np.maximum(z, 0.0)
             if cache is not None:

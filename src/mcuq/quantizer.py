@@ -2,10 +2,11 @@
 
 Weights: symmetric signed per-output-channel, zero-point 0. Activations:
 unsigned per-tensor with a learnable upper clip (lower bound 0 after ReLU).
-Sub-byte codes are packed little-endian within each byte, lowest index in the
-least-significant bits, two's complement for signed fields. Rounding is
-half-away-from-zero everywhere so the integer and fake-quant paths stay
-bit-identical.
+Packed codes are signed weight codes, little-endian within each byte, lowest
+index in the least-significant bits, two's complement. act_codes is the one
+activation encoder, of the training forward and of the integer engine's
+input. The integer requantization and bias rounding still differ from the
+fake-quant forward's float rescale.
 """
 
 from __future__ import annotations
@@ -49,7 +50,7 @@ class QuantizedTensor:
     _codes: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        q = unpack_subbyte(self.packed, self.bits, self.numel, signed=True)
+        q = unpack_subbyte(self.packed, self.bits, self.numel)
         q = q.astype(np.int8).reshape(self.shape)
         q.setflags(write=False)
         object.__setattr__(self, "_codes", q)
@@ -70,14 +71,14 @@ class RequantParams:
     shift: np.ndarray       # int32 >= 0
 
 
-def pack_subbyte(values: np.ndarray, bits: int, signed: bool = False) -> bytes:
-    """Pack integer codes at 2/4/8 bits, little-endian within each byte."""
+def pack_subbyte(values: np.ndarray, bits: int) -> bytes:
+    """Pack signed integer codes at 2/4/8 bits, little-endian within each byte."""
     if bits not in SUB_BYTE_BITS:
         raise PackFormatError(f"bits must be one of {SUB_BYTE_BITS}, got {bits}")
     v = np.asarray(values, dtype=np.int64).ravel()
-    lo, hi = qrange(bits, signed)
+    lo, hi = qrange(bits, signed=True)
     if v.size and (v.min() < lo or v.max() > hi):
-        raise PackFormatError(f"value out of range for {'signed' if signed else 'unsigned'} {bits}-bit")
+        raise PackFormatError(f"value out of range for signed {bits}-bit")
     mask = (1 << bits) - 1
     fields = (v & mask).astype(np.uint8)
     per_byte = 8 // bits
@@ -90,7 +91,7 @@ def pack_subbyte(values: np.ndarray, bits: int, signed: bool = False) -> bytes:
     return out.tobytes()
 
 
-def unpack_subbyte(data: bytes, bits: int, n: int, signed: bool = False) -> np.ndarray:
+def unpack_subbyte(data: bytes, bits: int, n: int) -> np.ndarray:
     """Inverse of pack_subbyte; returns int32 codes of length n."""
     if bits not in SUB_BYTE_BITS:
         raise PackFormatError(f"bits must be one of {SUB_BYTE_BITS}, got {bits}")
@@ -98,12 +99,10 @@ def unpack_subbyte(data: bytes, bits: int, n: int, signed: bool = False) -> np.n
     per_byte = 8 // bits
     if raw.size * per_byte < n:
         raise PackFormatError(f"buffer holds {raw.size * per_byte} fields, need {n}")
-    # shift each field to the top of its byte, then shift it back down:
-    # arithmetic for int8 (sign extension), logical for uint8
-    dtype = np.int8 if signed else np.uint8
-    fields = np.empty(raw.size * per_byte, dtype=dtype)
+    # shift each field to the top of its byte, then arithmetically back down
+    fields = np.empty(raw.size * per_byte, dtype=np.int8)
     for k in range(per_byte):
-        fields[k::per_byte] = (raw << (8 - (k + 1) * bits)).view(dtype) >> (8 - bits)
+        fields[k::per_byte] = (raw << (8 - (k + 1) * bits)).view(np.int8) >> (8 - bits)
     return fields[:n].astype(np.int32)
 
 
@@ -160,7 +159,7 @@ def quantize_weights_pc(w: np.ndarray, bits: int) -> QuantizedTensor:
     q, s = _round_weights(w, bits)
     return QuantizedTensor(
         bits=bits,
-        packed=pack_subbyte(q, bits, signed=True),
+        packed=pack_subbyte(q, bits),
         shape=w.shape,
         scales=np.float32(s.ravel()).astype(np.float64),
     )
@@ -172,39 +171,33 @@ def fake_quant_weights(w: np.ndarray, bits: int) -> np.ndarray:
     return (q * s).astype(w.dtype)
 
 
-def fake_quant_act(x: np.ndarray, clip_max: float,
-                   bits: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """PACT-style fake quantization: clamp to [0, clip_max], round to 2**bits - 1 levels.
+def act_codes(x: np.ndarray, clip_max: float, bits: int) -> tuple[np.ndarray, float]:
+    """The activation encoder of training and of the integer engine: (codes, s).
 
-    Returns (y, inside, over): y the fake-quantized x in x's dtype, inside
-    where 0 < x < clip_max (the gradient passes to x) and over where
-    x >= clip_max (it passes to the clip). x is left unchanged. y is one
-    array that the chain clip, /= s, += 0.5, floor, *= s writes in place:
-    round_half_away on the clipped values, which are >= 0, with the same
-    float operations. The one difference is an input of -0.0, which gives
-    +0.0 where round_half_away gives -0.0.
+    codes are x's unsigned codes, integer-valued in x's dtype within
+    [0, 2**bits - 1], and s = clip_max / (2**bits - 1), so codes * s is the
+    fake-quantized x. The codes are one new array that the chain clip to
+    [0, clip_max], /= s, += 0.5, floor writes in place: round_half_away of
+    the clipped values, which are >= 0, but an input of -0.0 gives +0.0.
+    x is left unchanged. A clip_max whose s is not a normal positive number
+    of x's dtype (NaN included), where the codes would leave their range,
+    raises ValueError.
     """
-    if not (clip_max > 0):
-        raise ValueError(f"clip_max must be positive, got {clip_max}")
     s = clip_max / ((1 << bits) - 1)
-    y = np.clip(x, 0.0, clip_max)
-    y /= s
-    y += 0.5
-    np.floor(y, out=y)
-    y *= s
-    over = x >= clip_max
-    inside = x > 0
-    inside ^= over  # over lies within x > 0, as clip_max > 0
-    return y, inside, over
+    if not s >= np.finfo(x.dtype).tiny:
+        raise ValueError(f"clip_max {clip_max} is not positive or gives a scale below "
+                         f"the smallest normal {x.dtype}")
+    q = np.clip(x, 0.0, clip_max)
+    q /= s
+    q += 0.5
+    np.floor(q, out=q)
+    return q, s
 
 
 def quantize_act(x: np.ndarray, clip_max: float, bits: int) -> np.ndarray:
-    """Encode activations to unsigned integer codes."""
-    if not (clip_max > 0):
-        raise ValueError(f"clip_max must be positive, got {clip_max}")
-    s = clip_max / ((1 << bits) - 1)
-    q = round_half_away(np.clip(np.asarray(x, dtype=np.float64), 0.0, clip_max) / s)
-    return np.clip(q, 0, (1 << bits) - 1).astype(np.int32)
+    """Encode a float batch to int32 codes: act_codes of the float32 values that
+    the training forward (qat._walk) takes as its input."""
+    return act_codes(np.asarray(x, dtype=np.float32), clip_max, bits)[0].astype(np.int32)
 
 
 def compute_requant(s_in: float, s_w: np.ndarray, s_out: float) -> RequantParams:
@@ -230,10 +223,11 @@ def compute_requant(s_in: float, s_w: np.ndarray, s_out: float) -> RequantParams
     return RequantParams(multiplier=mult.astype(np.int32), shift=shift.astype(np.int32))
 
 
-def apply_requant(acc: np.ndarray, rq: RequantParams, bits: int, signed: bool = False,
+def apply_requant(acc: np.ndarray, rq: RequantParams, bits: int,
                   bias: np.ndarray | None = None) -> np.ndarray:
     """Requantize 32-bit accumulators to the output bit range with saturation:
     int32 sat(round((acc + bias) * multiplier / 2**shift)), half away from zero.
+    The range is signed at 32 bits (raw logits) and unsigned below (activations).
 
     acc holds integers, as int64 or int32 or as the exact-integer floats of a
     float kernel; acc + bias lies within int32, so |acc| < 2**32. The
@@ -264,6 +258,7 @@ def apply_requant(acc: np.ndarray, rq: RequantParams, bits: int, signed: bool = 
     # per-row parameters, rows ordered (image, channel)
     mult, shift = (np.tile(np.broadcast_to(v, c), n) for v in (mult, shift))
     half = (1 << shift) >> 1
+    signed = bits == 32
     off = half if bias is None else np.tile(np.asarray(bias) * mult[:c], n) + half
     if signed:  # p + half < half where p < 0; rows of shift 0 never match
         neg = np.where(shift > 0, half, np.iinfo(np.int64).min)

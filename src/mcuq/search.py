@@ -68,9 +68,9 @@ def bits_from_action(a: float) -> int:
 @dataclass
 class SearchConfig:
     budget: MemoryBudget
-    episodes: int = 300          # per phase in independent mode
-    warmup: int = 60
-    mode: str = "independent"    # or "concurrent" (doubled defaults: 600/120)
+    episodes: int | None = None  # per phase; default 300 independent, 600 concurrent
+    warmup: int | None = None    # random episodes per phase; default 60, 120 concurrent
+    mode: str = "independent"    # or "concurrent"
     seed: int = 0
     proxy_train_frac: float = 0.2
     proxy_val_frac: float = 0.1
@@ -82,6 +82,9 @@ class SearchConfig:
     def __post_init__(self):
         if self.mode not in PHASES:
             raise ValueError(f"unknown search mode {self.mode!r}")
+        scale = 2 if self.mode == "concurrent" else 1
+        self.episodes = 300 * scale if self.episodes is None else self.episodes
+        self.warmup = 60 * scale if self.warmup is None else self.warmup
         if not 0 < self.warmup <= self.episodes:
             raise ValueError("need 0 < warmup <= episodes")
 

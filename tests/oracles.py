@@ -33,6 +33,17 @@ def round_haz_ratio(num: int, den: int) -> int:
     return q + (1 if 2 * r >= den else 0)
 
 
+def code_boundary_values(clip: float, bits: int) -> np.ndarray:
+    """float32 activations at the unsigned codes' rounding boundaries: the
+    value nearest each (k + 1/2) * s, s = clip / (2**bits - 1), and the values
+    1 and 2 ulps either side of it."""
+    s = clip / ((1 << bits) - 1)
+    mid = ((np.arange((1 << bits) - 1) + 0.5) * s).astype(np.float32)
+    down, up = np.float32(0), np.float32(np.inf)
+    lo, hi = np.nextafter(mid, down), np.nextafter(mid, up)
+    return np.concatenate([np.nextafter(lo, down), lo, mid, hi, np.nextafter(hi, up)])
+
+
 def ref_requant_params(m_real: float) -> tuple[int, int]:
     """Decompose a positive ratio as multiplier/2**shift, multiplier in [2**30, 2**31).
 

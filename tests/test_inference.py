@@ -1,5 +1,7 @@
 """Integer execution: identity cases, oracle agreement, saturation, accuracy."""
 
+import types
+
 import numpy as np
 import pytest
 
@@ -30,8 +32,7 @@ from mcuq.quantizer import (
 def identity_conv_rec(n_ch=1, bits=8):
     """1x1 conv with weight code 1 at scale 1 and unit requant (M = 1)."""
     codes = np.ones((n_ch, n_ch, 1, 1), dtype=np.int64)
-    qw = QuantizedTensor(bits=8, packed=pack_subbyte(np.eye(n_ch).reshape(-1), 8,
-                                                     signed=True),
+    qw = QuantizedTensor(bits=8, packed=pack_subbyte(np.eye(n_ch).reshape(-1), 8),
                          shape=(n_ch, n_ch, 1, 1), scales=np.ones(n_ch))
     rq = RequantParams(multiplier=np.full(n_ch, 1 << 30, dtype=np.int32),
                        shift=np.full(n_ch, 30, dtype=np.int32))
@@ -228,7 +229,7 @@ def test_int_top1_equals_fake_quant_top1(toy_graph, pretrained, toy_ranges, desk
 def test_overflow_check_flags_int32_excess():
     layer = oracles._mk(1, "fully_connected", [0], 1, 0, 0, 1, 0,
                         (4, 1, 1), (1, 1, 1), bias=1)
-    qw = QuantizedTensor(bits=8, packed=pack_subbyte(np.full(4, 127), 8, signed=True),
+    qw = QuantizedTensor(bits=8, packed=pack_subbyte(np.full(4, 127), 8),
                          shape=(1, 4), scales=np.ones(1))
     rq = RequantParams(multiplier=np.array([1 << 30], dtype=np.int32),
                        shift=np.array([30], dtype=np.int32))
@@ -264,7 +265,7 @@ def test_int32_check_is_per_channel(bias0, overflows):
     channel 0 alone."""
     layer = oracles._mk(1, "conv2d", [0], 2, 2, 2, 1, 0, (1, 3, 3), (2, 2, 2), bias=1)
     codes = np.repeat([1, 127], 4)
-    qw = QuantizedTensor(bits=8, packed=pack_subbyte(codes, 8, signed=True),
+    qw = QuantizedTensor(bits=8, packed=pack_subbyte(codes, 8),
                          shape=(2, 1, 2, 2), scales=np.ones(2))
     rq = RequantParams(multiplier=np.full(2, 1 << 30, dtype=np.int32),
                        shift=np.full(2, 30, dtype=np.int32))  # M = 1
@@ -298,7 +299,7 @@ def test_int32_proof_skips_only_a_passing_check(monkeypatch, bias, checked):
     the check runs, and raises on a real overflow."""
     layer = oracles._mk(1, "fully_connected", [0], 1, 0, 0, 1, 0,
                         (4, 1, 1), (1, 1, 1), bias=1)
-    qw = QuantizedTensor(bits=8, packed=pack_subbyte(np.full(4, 127), 8, signed=True),
+    qw = QuantizedTensor(bits=8, packed=pack_subbyte(np.full(4, 127), 8),
                          shape=(1, 4), scales=np.ones(1))
     rq = RequantParams(multiplier=np.array([1 << 30], dtype=np.int32),
                        shift=np.array([54], dtype=np.int32))  # M = 2**-24
@@ -334,7 +335,7 @@ def test_run_codes_layer_checks_the_float64_range():
     fan_in = 2 ** 15 + 1
     layer = oracles._mk(1, "fully_connected", [0], 1, 0, 0, 1, 0,
                         (fan_in, 1, 1), (1, 1, 1), bias=1)
-    qw = QuantizedTensor(bits=8, packed=pack_subbyte(np.full(fan_in, -128), 8, signed=True),
+    qw = QuantizedTensor(bits=8, packed=pack_subbyte(np.full(fan_in, -128), 8),
                          shape=(1, fan_in), scales=np.ones(1))
     rq = RequantParams(multiplier=np.array([1 << 30], dtype=np.int32),
                        shift=np.array([30], dtype=np.int32))
@@ -381,7 +382,7 @@ def test_same_sign_sums_near_the_float32_bound_are_exact(kind, fan_in):
     bound float32 is chosen and exact."""
     kh, kw, in_shape = _ONE_DOT_LAYERS[kind, fan_in]
     layer = oracles._mk(1, kind, [0], 1, kh, kw, 1, 0, in_shape, (1, 1, 1), bias=1)
-    qw = QuantizedTensor(bits=8, packed=pack_subbyte(np.full(fan_in, 127), 8, signed=True),
+    qw = QuantizedTensor(bits=8, packed=pack_subbyte(np.full(fan_in, 127), 8),
                          shape=layer.weight_shape, scales=np.ones(1))
     rq = RequantParams(multiplier=np.array([1 << 30], dtype=np.int32),
                        shift=np.array([30], dtype=np.int32))
@@ -424,6 +425,24 @@ def test_weight_codes_unpacked_once(monkeypatch, residual_graph):
     for rec in model.layers.values():
         if rec.weight is not None:
             assert not rec.weight.codes().flags.writeable
+
+
+def test_input_codes_are_the_training_codes(toy_graph, pretrained, toy_ranges):
+    """Images of values at and around every rounding boundary of the model's
+    input clip: run_codes_network's input codes equal rint(y / s) of the
+    training forward's fake-quantized input y under the model's clips."""
+    weights = pretrained[0]
+    policy = all_uniform_policy(toy_graph)
+    model = toy_int_model(toy_graph, weights, toy_ranges, policy)
+    in_tid = toy_graph.input_layer.id
+    x = oracles.code_boundary_values(model.act_clip[in_tid], model.act_bits[in_tid])
+    per_image = int(np.prod(toy_graph.input_layer.output_shape))
+    images = np.zeros(-(-x.size // per_image) * per_image, np.float32)
+    images[:x.size] = x
+    images = images.reshape((-1,) + toy_graph.input_layer.output_shape)
+    codes = run_codes_network(toy_graph, model, images)[in_tid]
+    y = qat._walk(toy_graph, weights, images, policy, model.act_clip)[in_tid]
+    assert np.array_equal(codes, np.rint(y / model.act_scale(in_tid)))
 
 
 # ---------------------------------------------------------------------------
@@ -470,3 +489,24 @@ def test_empty_split_raises(toy_graph, pretrained):
     d.n_train = 4  # fake an empty val view after construction
     with pytest.raises(DatasetError):
         evaluate_accuracy(toy_graph, d, weights=pretrained[0], split="val")
+
+
+@pytest.mark.parametrize("shape", [(3, 1, 32, 32), (3, 3, 28, 28), (3, 28, 28)],
+                         ids=["32x32", "3_channels", "3d"])
+def test_library_walks_check_the_batch_geometry(toy_graph, pretrained, toy_ranges, shape):
+    """A batch whose (C, H, W) is not the graph's input shape raises
+    DatasetError in both engines, not a numpy error or scores of the wrong
+    images (32x32 images end at 4x4 after the convs, as 28x28 ones do)."""
+    weights = pretrained[0]
+    model = toy_int_model(toy_graph, weights, toy_ranges)
+    images = np.zeros(shape, np.float32)
+    labels = np.zeros(shape[0], np.int64)
+    dataset = types.SimpleNamespace(split=lambda name: (images, labels), num_classes=10)
+    for run in (lambda: qat.forward_network(toy_graph, weights, images),
+                lambda: run_batch_int(toy_graph, model, images),
+                lambda: calibrate_act_ranges(toy_graph, weights, images),
+                lambda: evaluate_accuracy(toy_graph, dataset, weights=weights),
+                lambda: evaluate_accuracy(toy_graph, dataset, model=model)):
+        with pytest.raises(DatasetError, match=r"dataset images are .* the graph's input is "
+                                               r"\(1, 28, 28\)"):
+            run()

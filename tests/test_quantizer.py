@@ -4,16 +4,18 @@ import numpy as np
 import pytest
 
 import oracles
-from mcuq import quantizer
+from mcuq import qat, quantizer
 from mcuq.errors import PackFormatError
+from mcuq.graph_ir import fixture_path, load_graph
+from mcuq.memory_model import all_uniform_policy
 from mcuq.packed_model import PackedModel
 from mcuq.quantizer import (
     CLIP_FLOOR,
     RequantParams,
+    act_codes,
     apply_requant,
     calibrate_act_ranges,
     compute_requant,
-    fake_quant_act,
     fake_quant_weights,
     pack_subbyte,
     percentile_clip,
@@ -60,44 +62,41 @@ def test_round_half_away_matches_ratio_oracle():
 # ---------------------------------------------------------------------------
 
 def test_pack_layout_examples():
-    assert pack_subbyte(np.array([1, 2, 3, 0]), 2) == b"\x39"
-    assert pack_subbyte(np.array([-2, 1]), 2, signed=True) == b"\x06"
+    assert pack_subbyte(np.array([1, -2, -1, 0]), 2) == b"\x39"
+    assert pack_subbyte(np.array([-2, 1]), 2) == b"\x06"
 
 
 def test_pack_roundtrip_exhaustive_2_4():
     for bits in (2, 4):
-        for signed in (False, True):
-            lo, hi = qrange(bits, signed)
-            v = np.arange(lo, hi + 1, dtype=np.int64)
-            data = pack_subbyte(v, bits, signed=signed)
-            assert len(data) == (v.size * bits + 7) // 8
-            back = unpack_subbyte(data, bits, v.size, signed=signed)
-            assert np.array_equal(back, v)
-            ref = oracles.ref_pack(v.tolist(), bits, signed)
-            assert bytes(ref) == data
+        lo, hi = qrange(bits, signed=True)
+        v = np.arange(lo, hi + 1, dtype=np.int64)
+        data = pack_subbyte(v, bits)
+        assert len(data) == (v.size * bits + 7) // 8
+        back = unpack_subbyte(data, bits, v.size)
+        assert np.array_equal(back, v)
+        ref = oracles.ref_pack(v.tolist(), bits, True)
+        assert bytes(ref) == data
 
 
 def test_pack_roundtrip_random_8bit():
     rng = np.random.default_rng(3)
-    for signed in (False, True):
-        lo, hi = qrange(8, signed)
-        v = rng.integers(lo, hi + 1, size=100000)
-        back = unpack_subbyte(pack_subbyte(v, 8, signed=signed), 8, v.size,
-                              signed=signed)
-        assert np.array_equal(back, v)
+    lo, hi = qrange(8, signed=True)
+    v = rng.integers(lo, hi + 1, size=100000)
+    back = unpack_subbyte(pack_subbyte(v, 8), 8, v.size)
+    assert np.array_equal(back, v)
 
 
 def test_pack_odd_length_pads_with_zero_fields():
-    data = pack_subbyte(np.array([3, 1, 2]), 2)
-    assert len(data) == 1
-    assert np.array_equal(unpack_subbyte(data, 2, 3), [3, 1, 2])
+    data = pack_subbyte(np.array([-1, 1, -2]), 2)
+    assert data == b"\x27"
+    assert np.array_equal(unpack_subbyte(data, 2, 4), [-1, 1, -2, 0])
 
 
 def test_pack_rejects_out_of_range():
     with pytest.raises(PackFormatError):
-        pack_subbyte(np.array([4]), 2)
+        pack_subbyte(np.array([2]), 2)
     with pytest.raises(PackFormatError):
-        pack_subbyte(np.array([-3]), 2, signed=True)
+        pack_subbyte(np.array([-3]), 2)
     with pytest.raises(PackFormatError):
         pack_subbyte(np.array([1]), 3)
 
@@ -108,25 +107,23 @@ def test_unpack_rejects_short_buffer():
 
 
 @pytest.mark.parametrize("bits", [2, 4, 8])
-@pytest.mark.parametrize("signed", [False, True])
-def test_unpack_every_byte_value_matches_oracle(bits, signed):
+def test_unpack_every_byte_value_matches_oracle(bits):
     data = bytes(range(256))
     n = 256 * 8 // bits
-    got = unpack_subbyte(data, bits, n, signed=signed)
+    got = unpack_subbyte(data, bits, n)
     assert got.dtype == np.int32
-    assert got.tolist() == oracles.ref_unpack(data, bits, n, signed)
+    assert got.tolist() == oracles.ref_unpack(data, bits, n, True)
 
 
 def test_pack_matches_oracle_random():
     rng = np.random.default_rng(5)
     for _ in range(50):
         bits = int(rng.choice([2, 4, 8]))
-        signed = bool(rng.integers(2))
-        lo, hi = qrange(bits, signed)
+        lo, hi = qrange(bits, signed=True)
         v = rng.integers(lo, hi + 1, size=int(rng.integers(1, 40)))
-        data = pack_subbyte(v, bits, signed=signed)
-        assert data == bytes(oracles.ref_pack(v.tolist(), bits, signed))
-        assert oracles.ref_unpack(data, bits, v.size, signed) == v.tolist()
+        data = pack_subbyte(v, bits)
+        assert data == bytes(oracles.ref_pack(v.tolist(), bits, True))
+        assert oracles.ref_unpack(data, bits, v.size, True) == v.tolist()
 
 
 # ---------------------------------------------------------------------------
@@ -150,7 +147,7 @@ def test_weight_codes_decoded_once_read_only():
     codes = q.codes()
     assert codes is q.codes()
     assert codes.dtype == np.int8 and codes.shape == (2, 3)
-    assert np.array_equal(codes, unpack_subbyte(q.packed, 4, 6, signed=True).reshape(2, 3))
+    assert np.array_equal(codes, unpack_subbyte(q.packed, 4, 6).reshape(2, 3))
     with pytest.raises(ValueError):
         codes[0, 0] = 0
 
@@ -192,17 +189,39 @@ def test_scales_use_channel_absmax():
 # Activation fake-quant
 # ---------------------------------------------------------------------------
 
+def _walk_input(g, x: np.ndarray, clip: float, bits: int):
+    """The training forward's fake-quantized input and its PACT masks (the
+    input layer's cache entry of qat._walk) for the values x, laid out as
+    zero-padded images of g under the policy all-8 with the input at bits."""
+    in_tid = g.input_layer.id
+    shape = (-1,) + g.input_layer.output_shape
+    images = np.zeros(-(-x.size // np.prod(shape[1:])) * np.prod(shape[1:]), x.dtype)
+    images[:x.size] = x
+    policy = all_uniform_policy(g)
+    policy.act_bits[in_tid] = bits
+    ranges = {t: 1.0 for t in g.encoded_tensors()}
+    ranges[in_tid] = clip
+    cache = []
+    acts = qat._walk(g, qat.init_weights(g), images.reshape(shape), policy, ranges, cache)
+    entry = next(e for e in cache if e["layer"].id == in_tid)
+    return [a.ravel()[:x.size] for a in (acts[in_tid], entry["mask"], entry["act_over"])]
+
+
 def test_fake_quant_act_levels():
     x = np.linspace(0.0, 1.0, 101)
-    y = fake_quant_act(x, 1.0, 2)[0]
+    q, s = act_codes(x, 1.0, 2)
+    assert s == 1 / 3
+    assert set(q.tolist()) == {0.0, 1.0, 2.0, 3.0}
     levels = {0.0, 1 / 3, 2 / 3, 1.0}
-    assert all(min(abs(v - l) for l in levels) < 1e-9 for v in y)
+    assert all(min(abs(v - l) for l in levels) < 1e-9 for v in q * s)
 
 
 def test_fake_quant_act_clip_exact():
     for bits in (2, 4, 8):
         for clip in (1.0, 0.37, 5.5):
-            y = fake_quant_act(np.array([clip, clip * 2, -1.0]), clip, bits)[0]
+            q, s = act_codes(np.array([clip, clip * 2, -1.0]), clip, bits)
+            assert q.tolist() == [(1 << bits) - 1, (1 << bits) - 1, 0]
+            y = q * s
             assert y[0] == pytest.approx(clip, abs=1e-7)
             assert y[1] == pytest.approx(clip, abs=1e-7)
             assert y[2] == 0.0
@@ -211,10 +230,12 @@ def test_fake_quant_act_clip_exact():
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 @pytest.mark.parametrize("bits", [2, 4, 8])
 @pytest.mark.parametrize("clip", [1.0, 0.37, 5.5])
-def test_fake_quant_act_chain_matches_round_half_away(dtype, bits, clip):
-    """The in-place chain equals round_half_away(clip(x) / s) * s byte for byte,
-    exact ties (k + 1/2)*s included, leaves x unchanged, and its masks are the
-    PACT ones. -0.0 is the one input that differs: it gives +0.0, not -0.0."""
+def test_fake_quant_act_chain_matches_round_half_away(toy_graph, dtype, bits, clip):
+    """act_codes' codes times s equal round_half_away(clip(x) / s) * s byte for
+    byte, exact ties (k + 1/2)*s included, within [0, 2**bits - 1], and leave x
+    unchanged. -0.0 is the one input that differs: it gives +0.0, not -0.0.
+    The training forward's input is those codes times s for the float32
+    values, and its masks are the PACT ones."""
     rng = np.random.default_rng([bits, int(clip * 100)])
     s = clip / ((1 << bits) - 1)
     ties = ((np.arange((1 << bits) - 1) + 0.5) * s).astype(dtype)
@@ -228,21 +249,54 @@ def test_fake_quant_act_chain_matches_round_half_away(dtype, bits, clip):
     q = np.clip(x, 0.0, clip) / s
     assert np.count_nonzero(q - np.floor(q) == 0.5) >= len(ties) // 2  # exact ties present
     x0 = x.copy()
-    y, inside, over = fake_quant_act(x, clip, bits)
+    codes, s_out = act_codes(x, clip, bits)
+    assert s_out == s
     assert x.tobytes() == x0.tobytes()
+    assert codes.dtype == dtype and (codes == np.floor(codes)).all()
+    assert codes.min() == 0 and codes.max() == (1 << bits) - 1
+    y = codes * s
     want = round_half_away(np.clip(x, 0.0, clip) / s) * s
     assert y.dtype == want.dtype == dtype
     negzero = (x == 0) & np.signbit(x)
     assert negzero.sum() == 1
     assert np.signbit(want[negzero]).all() and not np.signbit(y[negzero]).any()
     assert y[~negzero].tobytes() == want[~negzero].tobytes()
-    assert np.array_equal(inside, (x > 0) & (x < clip))
-    assert np.array_equal(over, x >= clip)
+
+    x32 = x.astype(np.float32)
+    y_walk, inside, over = _walk_input(toy_graph, x32, clip, bits)
+    assert y_walk.tobytes() == (act_codes(x32, clip, bits)[0] * s).tobytes()
+    assert np.array_equal(inside, (x32 > 0) & (x32 < clip))
+    assert np.array_equal(over, x32 >= clip)
+
+
+@pytest.mark.parametrize("bits", [2, 4, 8])
+@pytest.mark.parametrize("clip", [1.0, 0.7313, 2.3, 5.5])
+def test_quantize_act_gives_the_training_codes_at_code_boundaries(toy_graph, bits, clip):
+    """The integer engine's input codes are the training forward's: on the
+    float32 values at and around every rounding boundary, quantize_act equals
+    rint(y / s) of the fake-quantized input y of qat._walk."""
+    x = oracles.code_boundary_values(clip, bits)
+    y, _, _ = _walk_input(toy_graph, x, clip, bits)
+    s = clip / ((1 << bits) - 1)
+    codes = quantize_act(x, clip, bits)
+    assert codes.dtype == np.int32
+    assert np.array_equal(codes, np.rint(y / s))
 
 
 def test_fake_quant_act_rejects_bad_clip():
-    with pytest.raises(ValueError):
-        fake_quant_act(np.zeros(3), 0.0, 8)
+    for clip in (0.0, -1.0, np.nan):
+        with pytest.raises(ValueError, match="is not positive"):
+            act_codes(np.zeros(3), clip, 8)
+        with pytest.raises(ValueError, match="is not positive"):
+            quantize_act(np.zeros(3), clip, 8)
+    # a scale below the smallest normal float32 would divide out of the code range
+    tiny = float(np.finfo(np.float32).tiny)
+    for clip, bits in ((1e-45, 2), (1e-40, 8), (0.99 * 255 * tiny, 8)):
+        with pytest.raises(ValueError, match="smallest normal float32"):
+            quantize_act(np.ones(3), clip, bits)
+    assert act_codes(np.ones(3), 1e-40, 8)[0].max() == 255  # a float64 batch encodes it
+    x = np.array([0.0, 100 * tiny, 1.0], np.float32)
+    assert quantize_act(x, 255 * tiny, 8).tolist() == [0, 100, 255]
 
 
 def test_quantize_act_top_code():
@@ -250,14 +304,16 @@ def test_quantize_act_top_code():
     assert np.array_equal(codes, [255, 0, 255])
 
 
-def test_fake_quant_act_gradient_fd():
-    # straight-through surrogate: central fd of clamp(x, 0, clip) per element
+def test_fake_quant_act_gradient_fd(toy_graph):
+    # straight-through surrogate: central fd of clamp(x, 0, clip) per element,
+    # against the PACT masks of the training forward's input
     rng = np.random.default_rng(21)
     clip = 0.8
     x = rng.uniform(-0.5, 1.3, size=256)
     keep = (np.abs(x) > 1e-3) & (np.abs(x - clip) > 1e-3)  # non-boundary only
-    x = x[keep]
-    _, inside, over = fake_quant_act(x, clip, 8)
+    x = x[keep].astype(np.float32)
+    _, inside, over = _walk_input(toy_graph, x, clip, 8)
+    x = x.astype(np.float64)
     eps = 1e-6
     surrogate = lambda v: np.clip(v, 0.0, clip)
     fd = (surrogate(x + eps) - surrogate(x - eps)) / (2 * eps)
@@ -283,7 +339,7 @@ def test_requant_fixed_points():
 def test_requant_quarterish_example():
     rq = compute_requant(1.0, np.array([0.251]), 1.0)
     acc = np.array([100], dtype=np.int64)
-    out = apply_requant(acc, rq, 8, signed=False)
+    out = apply_requant(acc, rq, 8)
     assert out[0] == 25
 
 
@@ -317,18 +373,18 @@ def test_apply_requant_matches_oracle_values():
     m_real = 0.0375
     rq = compute_requant(1.0, np.array([m_real]), 1.0)
     acc = rng.integers(-(2 ** 24), 2 ** 24, size=4000)
-    got = apply_requant(acc, rq, 8, signed=True)
-    lo, hi = qrange(8, signed=True)
+    got = apply_requant(acc, rq, 32)
+    lo, hi = qrange(32, signed=True)
     want = [oracles.ref_requant(int(a), int(rq.multiplier[0]), int(rq.shift[0]), lo, hi)
             for a in acc]
     assert np.array_equal(got, want)
 
 
-@pytest.mark.parametrize("bits, signed", [(2, False), (4, False), (8, False),
-                                          (8, True), (32, True)])
+@pytest.mark.parametrize("bits, signed", [(2, False), (4, False), (8, False), (32, True)])
 def test_apply_requant_matches_oracle_per_channel(bits, signed):
     """Shifts 0..62, one per channel, a zero multiplier, negative accumulators
-    and exact half ties, against the exact oracle."""
+    and exact half ties, against the exact oracle over the signed range at 32
+    bits and the unsigned one below."""
     rng = np.random.default_rng(29 + bits)
     shift = np.arange(63, dtype=np.int32)
     mult = rng.integers(1 << 30, 1 << 31, size=63).astype(np.int32)
@@ -346,7 +402,7 @@ def test_apply_requant_matches_oracle_per_channel(bits, signed):
     lo, hi = qrange(bits, signed)
     for m, a in ((mult, acc), (tie_mult, tie_acc)):
         rq = RequantParams(multiplier=m, shift=shift)
-        got = apply_requant(a, rq, bits, signed=signed)
+        got = apply_requant(a, rq, bits)
         want = [[oracles.ref_requant(int(v), int(m[c]), int(shift[c]), lo, hi)
                  for c, v in enumerate(row)] for row in a.tolist()]
         assert got.dtype == np.int32
@@ -355,7 +411,7 @@ def test_apply_requant_matches_oracle_per_channel(bits, signed):
 
 def test_apply_requant_saturates():
     rq = compute_requant(1.0, np.array([1.0]), 1.0)
-    out = apply_requant(np.array([300, -5], dtype=np.int64), rq, 8, signed=False)
+    out = apply_requant(np.array([300, -5], dtype=np.int64), rq, 8)
     assert np.array_equal(out, [255, 0])
 
 
@@ -409,7 +465,7 @@ _ROW_SHAPES = [(3, 63, 2, 3), (2, 63, 5, 6), (2, 63, 1, 1)]
 
 
 @pytest.mark.parametrize("dtype", [np.int64, np.float32, np.float64])
-@pytest.mark.parametrize("bits, signed", [(2, False), (8, False), (8, True), (32, True)])
+@pytest.mark.parametrize("bits, signed", [(2, False), (8, False), (32, True)])
 @pytest.mark.parametrize("ties", [False, True])
 def test_blocked_requant_matches_oracle(monkeypatch, dtype, bits, signed, ties):
     """Blocks of rows, several rows per block with a remainder and single rows
@@ -421,11 +477,11 @@ def test_blocked_requant_matches_oracle(monkeypatch, dtype, bits, signed, ties):
     exact_bits = 24 if dtype == np.float32 else 31
     for shape in _ROW_SHAPES:
         acc, rq, bias = _channel_requant(rng, shape, ties, exact_bits)
-        got = apply_requant(acc.astype(dtype), rq, bits, signed=signed, bias=bias)
+        got = apply_requant(acc.astype(dtype), rq, bits, bias=bias)
         assert got.dtype == np.int32 and got.shape == shape
         assert np.array_equal(got, _ref_channel_requant(acc, rq, bias, bits, signed)), shape
         # without a bias, acc alone must lie within int32
-        got = apply_requant(acc.astype(dtype), rq, bits, signed=signed)
+        got = apply_requant(acc.astype(dtype), rq, bits)
         assert np.array_equal(got, _ref_channel_requant(acc, rq, None, bits, signed)), shape
 
 
@@ -441,7 +497,7 @@ def test_blocked_requant_with_one_multiplier(monkeypatch, dtype, bits, signed):
         acc = rng.integers(-(1 << 23), 1 << 23, size=shape)
         bias = rng.integers(-(1 << 20), 1 << 20, size=shape[1]).astype(np.int32)
         for b in (None, bias):
-            got = apply_requant(acc.astype(dtype), rq, bits, signed=signed, bias=b)
+            got = apply_requant(acc.astype(dtype), rq, bits, bias=b)
             assert np.array_equal(got, _ref_channel_requant(acc, rq, b, bits, signed)), shape
 
 

@@ -114,6 +114,20 @@ def test_config_validation():
     SearchConfig(budget=BIG, episodes=1, warmup=1)  # boundary allowed
 
 
+def test_config_defaults_follow_the_mode():
+    """300 episodes and 60 warm-up per phase, doubled in concurrent mode; a
+    given count is kept and the other still defaults."""
+    for mode, (episodes, warmup) in (("independent", (300, 60)), ("concurrent", (600, 120))):
+        cfg = SearchConfig(budget=BIG, mode=mode)
+        assert (cfg.episodes, cfg.warmup) == (episodes, warmup)
+        cfg = SearchConfig(budget=BIG, mode=mode, episodes=700)
+        assert (cfg.episodes, cfg.warmup) == (700, warmup)
+        cfg = SearchConfig(budget=BIG, mode=mode, warmup=5)
+        assert (cfg.episodes, cfg.warmup) == (episodes, 5)
+    with pytest.raises(ValueError, match="warmup"):
+        SearchConfig(budget=BIG, mode="concurrent", episodes=100)  # 120 > 100
+
+
 # ---------------------------------------------------------------------------
 # Agent mechanics
 # ---------------------------------------------------------------------------
