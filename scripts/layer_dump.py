@@ -27,10 +27,11 @@ execute the same bytes, whereas models built on each side would differ with
 any change to the float forward that calibration runs. The fake-quant clips
 come from the same models. Weights and images depend on seeds only.
 
-`diff` says, per key, whether the two dumps hold identical arrays; for float
-arrays it gives the largest absolute difference. It exits 1 when an integer
-array or a search record differs, when a key's shapes differ or when a key is
-in one dump only.
+`diff` says, per key, whether the two dumps hold identical arrays. For an
+integer array that differs it gives how many elements differ out of how many,
+and for integer and float arrays the largest absolute difference. It exits 1
+when an integer array or a search record differs, when a key's shapes differ
+or when a key is in one dump only.
 """
 
 from __future__ import annotations
@@ -165,8 +166,12 @@ def diff(path_a: str, path_b: str) -> int:
                 same_int += 1
             else:
                 diff_int += 1
-                print(f"{'integer codes' if key.startswith('int/') else 'search record'}"
-                      f" differ: {key}")
+                if key.startswith("int/"):
+                    d = np.abs(x.astype(np.int64) - y)
+                    print(f"integer codes differ: {key}: {np.count_nonzero(d)} of {d.size}, "
+                          f"max |d| {d.max()}")
+                else:
+                    print(f"search record differs: {key}")
         else:
             d = float(np.abs(x.astype(np.float64) - y).max()) if x.size else 0.0
             kind = key.split("/")[-1].split(".")[0]  # logits or grad

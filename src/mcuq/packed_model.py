@@ -29,11 +29,13 @@ from .errors import ModelMismatchError, PackFormatError, PolicyError
 from .graph_ir import COMPUTE_KINDS, WEIGHTED_KINDS, NetworkGraph
 from .memory_model import QuantPolicy, validate_policy
 from .quantizer import (
+    F32_MAX,
     ByteReader,
     QuantizedTensor,
     RequantParams,
     SUB_BYTE_BITS,
     compute_requant,
+    normal_act_scale,
     quantize_weights_pc,
     round_half_away,
 )
@@ -85,7 +87,8 @@ def _bias_int(bias: np.ndarray, acc_scales: np.ndarray) -> np.ndarray:
 def build_packed_model(g: NetworkGraph, weights: dict, policy: QuantPolicy,
                        ranges: dict[int, float]) -> PackedModel:
     """Quantize weights/biases and precompute every requant for deployment; every
-    encoded tensor needs a clip in (0, float32 max], whose float32 deserialize accepts."""
+    encoded tensor needs a clip of at most float32 max that passes
+    normal_act_scale at its bits, as deserialize checks it."""
     validate_policy(g, policy)
     encoded = set(g.encoded_tensors())
     for t in encoded:
@@ -93,8 +96,9 @@ def build_packed_model(g: NetworkGraph, weights: dict, policy: QuantPolicy,
             raise PolicyError(f"tensor {t}: export needs sub-byte activation bits")
         if t not in ranges:
             raise PolicyError(f"tensor {t}: no calibrated activation range")
-        if not 0 < ranges[t] <= float(np.finfo(np.float32).max):  # NaN fails too
-            raise PolicyError(f"tensor {t}: clip {ranges[t]} is not a positive float32")
+        if not (normal_act_scale(ranges[t], policy.act_bits[t]) and ranges[t] <= F32_MAX):
+            raise PolicyError(f"tensor {t}: clip {ranges[t]} is not a float32 whose "
+                              f"{policy.act_bits[t]}-bit scale is normal")
 
     act_bits = {t: policy.act_bits[t] for t in sorted(encoded)}
     # clips round to f32 here so in-memory and deserialized models agree exactly
@@ -109,8 +113,6 @@ def build_packed_model(g: NetworkGraph, weights: dict, policy: QuantPolicy,
             wbits = policy.weight_bits[layer.id]
             if wbits not in SUB_BYTE_BITS:
                 raise PolicyError(f"layer {layer.id}: export needs sub-byte weight bits")
-            # f32 scales, as the container stores them: the requants below
-            # derive from exactly what a loaded model holds
             qw = quantize_weights_pc(weights[layer.id]["w"], wbits)
             acc_scales = s_ins[0] * qw.scales
             rec.weight_bits = wbits
@@ -189,8 +191,9 @@ def deserialize(data: bytes) -> PackedModel:
         tid, bits, clip = r.unpack("<IBf")
         if bits not in SUB_BYTE_BITS:
             raise PackFormatError(f"tensor {tid}: activation bits {bits} not in {SUB_BYTE_BITS}")
-        if not (math.isfinite(clip) and clip > 0):
-            raise PackFormatError(f"tensor {tid}: clip {clip} is not finite and positive")
+        if not (math.isfinite(clip) and normal_act_scale(clip, bits)):
+            raise PackFormatError(f"tensor {tid}: clip {clip} is not finite, or its "
+                                  f"{bits}-bit scale is not a normal float32")
         act_bits[tid] = bits
         act_clip[tid] = clip
     model = PackedModel(graph_layers=graph_layers, act_bits=act_bits,

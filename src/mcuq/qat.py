@@ -18,7 +18,8 @@ import numpy as np
 from .data import Dataset
 from .errors import ModelMismatchError, PackFormatError, PolicyError, TrainingDivergedError
 from .graph_ir import LINEAR_KINDS, WEIGHTED_KINDS, NetworkGraph, topo_order
-from .quantizer import CLIP_FLOOR, CONV_BLOCK, ByteReader, act_codes, fake_quant_weights
+from .quantizer import (CLIP_FLOOR, CONV_BLOCK, ByteReader, act_codes, fake_quant_weights,
+                        normal_act_scale)
 
 # kinds whose float-mode output passes through a plain ReLU
 _RELU_KINDS = WEIGHTED_KINDS + ("relu_clip",)
@@ -424,7 +425,6 @@ class _Adam:
         bc2 = 1.0 - ADAM_BETA2 ** self.t
         updates = {}
         for key, gval in grads.items():
-            gval = np.asarray(gval, dtype=np.float64)
             if key not in self.m:
                 self.m[key] = np.zeros_like(gval)
                 self.v[key] = np.zeros_like(gval)
@@ -463,11 +463,10 @@ def train_network(g: NetworkGraph, weights: dict, dataset: Dataset,
             grads = backward_network(g, weights, cache, dlogits)
             for key, u in opt.step(grads).items():
                 tag, i = key.split(".")
-                if tag == "clip":
-                    ranges[int(i)] = max(float(ranges[int(i)] - u), CLIP_FLOOR)
+                if tag == "clip":  # float32, as the container stores it
+                    ranges[int(i)] = float(np.float32(max(float(ranges[int(i)] - u), CLIP_FLOOR)))
                 else:
-                    old = weights[int(i)][tag]
-                    weights[int(i)][tag] = (old - u).astype(old.dtype)
+                    weights[int(i)][tag] = weights[int(i)][tag] - u
             losses.append(loss)
         val_top1 = evaluate(g, weights, dataset, split="val", policy=policy, ranges=ranges)
         history.append({"epoch": epoch, "loss": float(np.mean(losses)), "val_top1": val_top1})
@@ -572,9 +571,13 @@ def load_checkpoint(path: str) -> tuple[dict, dict[int, float]]:
         (ndim,) = r.unpack("<B")
         shape = r.unpack(f"<{ndim}I")
         arr = np.frombuffer(r.take(4 * math.prod(shape)), dtype="<f4").reshape(shape)
+        if not np.isfinite(arr).all():
+            raise PackFormatError(f"{path}: {tag}.{ident} holds values that are not finite")
         if tag == "clip":
-            if arr.size != 1 or not np.isfinite(arr).all() or arr.item() <= 0:
-                raise PackFormatError(f"{path}: clip {ident} is not one positive value")
+            # at 8 bits, the width that gives a clip its smallest scale
+            if arr.size != 1 or not normal_act_scale(arr.item(), 8):
+                raise PackFormatError(f"{path}: clip {ident} is not one positive value "
+                                      f"whose 8-bit scale is a normal float32")
             ranges[ident] = float(arr.item())
         elif tag in ("w", "b"):
             weights.setdefault(ident, {})[tag] = arr.copy()

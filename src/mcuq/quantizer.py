@@ -3,10 +3,13 @@
 Weights: symmetric signed per-output-channel, zero-point 0. Activations:
 unsigned per-tensor with a learnable upper clip (lower bound 0 after ReLU).
 Packed codes are signed weight codes, little-endian within each byte, lowest
-index in the least-significant bits, two's complement. act_codes is the one
-activation encoder, of the training forward and of the integer engine's
-input. The integer requantization and bias rounding still differ from the
-fake-quant forward's float rescale.
+index in the least-significant bits, two's complement. weight_codes is the
+one weight encoder, of the training forward (fake_quant_weights) and of the
+container (quantize_weights_pc), so the trained weights are the container's
+codes times its float32 scales. act_codes is the one activation encoder, of
+the training forward and of the integer engine's input. The integer
+requantization and bias rounding still differ from the fake-quant forward's
+float rescale.
 """
 
 from __future__ import annotations
@@ -20,6 +23,7 @@ import numpy as np
 from .errors import PackFormatError
 
 SUB_BYTE_BITS = (2, 4, 8)
+F32_MAX = float(np.finfo(np.float32).max)
 CLIP_FLOOR = 1e-3  # activation clips, calibrated or learned, never drop below this
 CALIB_PERCENTILE = 99.9  # calibration clips at this percentile of the observed values
 # elements of one block of the window kernels' im2col (conv2d) and channel
@@ -129,46 +133,50 @@ class ByteReader:
             raise PackFormatError(f"trailing bytes after {self.what}")
 
 
-def weight_scales_pc(w: np.ndarray, bits: int) -> np.ndarray:
-    """Per-output-channel symmetric scales; all-zero channels get scale 1."""
+def weight_codes(w: np.ndarray, bits: int) -> tuple[np.ndarray, np.ndarray]:
+    """The weight encoder of training and of the container: (codes, scales).
+
+    scales are float32, one per output channel (axis 0): the channel's
+    largest |w| over 2**(bits - 1) - 1. codes are round_half_away(w / s)
+    clipped to the signed range, integer-valued in w's dtype. A channel whose
+    scale falls below the smallest normal float32, an all-zero one included,
+    gets scale 1 and so codes 0.
+    """
     qpos = (1 << (bits - 1)) - 1
-    absmax = np.abs(w.reshape(w.shape[0], -1)).max(axis=1)
-    scales = np.where(absmax > 0, absmax / qpos, 1.0)
-    return scales.astype(np.float64)
-
-
-def _round_weights(w: np.ndarray, bits: int) -> tuple[np.ndarray, np.ndarray]:
-    """Per-channel codes (integer-valued floats) and the broadcastable scales."""
-    scales = weight_scales_pc(np.asarray(w, dtype=np.float64), bits)
-    lo, hi = qrange(bits, signed=True)
-    s = scales.reshape((-1,) + (1,) * (w.ndim - 1))
-    return np.clip(round_half_away(w / s), lo, hi), s
+    scales = (np.abs(w.reshape(len(w), -1)).max(axis=1) / qpos).astype(np.float32)
+    scales[scales < np.finfo(np.float32).tiny] = 1.0  # NaN stays, so training diverges
+    codes = round_half_away(w / scales.reshape((-1,) + (1,) * (w.ndim - 1)))
+    return np.clip(codes, -qpos - 1, qpos, out=codes), scales
 
 
 def quantize_weights_pc(w: np.ndarray, bits: int) -> QuantizedTensor:
-    """Uniform symmetric per-channel weight quantization (channel axis 0).
-
-    The scales are rounded to float32, as the packed container stores them,
-    after the codes are rounded at full precision.
-    """
+    """Pack weight_codes of w, taken as float32 as QAT trains it, with their
+    scales. Bad bits, or weights that are not finite in float32, raise
+    PackFormatError."""
     if bits not in SUB_BYTE_BITS:
-        raise ValueError(f"weight bits must be one of {SUB_BYTE_BITS}, got {bits}")
-    w = np.asarray(w, dtype=np.float64)
-    if not np.all(np.isfinite(w)):
-        raise ValueError("weights contain non-finite values")
-    q, s = _round_weights(w, bits)
-    return QuantizedTensor(
-        bits=bits,
-        packed=pack_subbyte(q, bits),
-        shape=w.shape,
-        scales=np.float32(s.ravel()).astype(np.float64),
-    )
+        raise PackFormatError(f"weight bits must be one of {SUB_BYTE_BITS}, got {bits}")
+    with np.errstate(over="ignore"):  # beyond float32 is inf, rejected below
+        w = np.asarray(w, dtype=np.float32)
+    if not np.isfinite(w).all():
+        raise PackFormatError("weights contain values that are not finite in float32")
+    codes, scales = weight_codes(w, bits)
+    return QuantizedTensor(bits=bits, packed=pack_subbyte(codes, bits), shape=w.shape,
+                           scales=scales.astype(np.float64))
 
 
 def fake_quant_weights(w: np.ndarray, bits: int) -> np.ndarray:
-    """Quantize-dequantize roundtrip used in the training forward pass."""
-    q, s = _round_weights(w, bits)
-    return (q * s).astype(w.dtype)
+    """Quantize-dequantize roundtrip used in the training forward pass:
+    codes * scales of weight_codes, in w's dtype."""
+    codes, scales = weight_codes(w, bits)
+    codes *= scales.reshape((-1,) + (1,) * (w.ndim - 1))
+    return codes
+
+
+def normal_act_scale(clip_max: float, bits: int, dtype=np.float32) -> bool:
+    """Whether the activation scale clip_max / (2**bits - 1) is a normal
+    positive number of dtype (NaN is not). Below that, act_codes' division
+    leaves the code range, so builds and loads check their clips with it."""
+    return clip_max / ((1 << bits) - 1) >= np.finfo(dtype).tiny
 
 
 def act_codes(x: np.ndarray, clip_max: float, bits: int) -> tuple[np.ndarray, float]:
@@ -179,14 +187,13 @@ def act_codes(x: np.ndarray, clip_max: float, bits: int) -> tuple[np.ndarray, fl
     fake-quantized x. The codes are one new array that the chain clip to
     [0, clip_max], /= s, += 0.5, floor writes in place: round_half_away of
     the clipped values, which are >= 0, but an input of -0.0 gives +0.0.
-    x is left unchanged. A clip_max whose s is not a normal positive number
-    of x's dtype (NaN included), where the codes would leave their range,
+    x is left unchanged. A clip_max that fails normal_act_scale in x's dtype
     raises ValueError.
     """
-    s = clip_max / ((1 << bits) - 1)
-    if not s >= np.finfo(x.dtype).tiny:
+    if not normal_act_scale(clip_max, bits, x.dtype):
         raise ValueError(f"clip_max {clip_max} is not positive or gives a scale below "
                          f"the smallest normal {x.dtype}")
+    s = clip_max / ((1 << bits) - 1)
     q = np.clip(x, 0.0, clip_max)
     q /= s
     q += 0.5
@@ -282,16 +289,17 @@ def apply_requant(acc: np.ndarray, rq: RequantParams, bits: int,
 
 def percentile_clip(values: np.ndarray) -> float:
     """Calibration clip: the CALIB_PERCENTILE percentile of the values, floored at
-    CLIP_FLOOR. A non-finite percentile (a NaN or inf sample) raises ValueError."""
+    CLIP_FLOOR and rounded to float32, as the container stores it. A percentile
+    that is not finite in float32 (a NaN or inf sample) raises ValueError."""
     # one copy whatever the layout; np.percentile partitions C order faster
     # than the channel-last memory order of the training engine's outputs
     v = np.asarray(values, dtype=np.float64, order="C").ravel()
     if v.size == 0:
         raise ValueError("empty calibration sample")
     clip = float(np.percentile(v, CALIB_PERCENTILE, method="linear"))
-    if not math.isfinite(clip):
-        raise ValueError(f"calibration percentile is {clip}, not finite")
-    return max(clip, CLIP_FLOOR)
+    if not abs(clip) <= F32_MAX:
+        raise ValueError(f"calibration percentile is {clip}, not finite in float32")
+    return float(np.float32(max(clip, CLIP_FLOOR)))
 
 
 def calibrate_act_ranges(g, weights, images) -> dict[int, float]:

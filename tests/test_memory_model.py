@@ -230,6 +230,41 @@ def test_enforce_infeasible_raises(toy_graph):
                     MemoryBudget(rom_bytes=10 ** 9, ram_bytes=ram_floor - 1))
 
 
+def test_enforce_on_random_graphs_meets_the_budget_or_raises():
+    """Seeded random graphs and policies, with some tensors frozen, under
+    budgets from a little below the floor (every free sub-byte tensor at 2
+    bits) up to the policy's own footprint: enforce_rom then enforce_ram
+    return a policy within budget by the oracles that raises no bitwidth, or
+    raise InfeasibleBudgetError where the floor itself is over budget."""
+    rng = np.random.default_rng(43)
+    seen = set()
+    for _ in range(120):
+        g = oracles.random_graph(rng)
+        p = oracles.random_policy(rng, g)
+        p.frozen_weights = {k for k in p.weight_bits if rng.random() < 0.2}
+        p.frozen_acts = {k for k in p.act_bits if rng.random() < 0.2}
+        floor = p.copy()
+        for bits, frozen in ((floor.weight_bits, p.frozen_weights),
+                             (floor.act_bits, p.frozen_acts)):
+            bits.update({k: 2 for k, v in bits.items() if k not in frozen and v != 32})
+        lo = oracles.ref_rom(g, floor), oracles.ref_ram(g, floor)[0]
+        hi = oracles.ref_rom(g, p), oracles.ref_ram(g, p)[0]
+        rom, ram = (int(rng.integers(max(1, l - (h - l) // 8), max(1, h) + 1))
+                    for l, h in zip(lo, hi))
+        b = MemoryBudget(rom_bytes=rom, ram_bytes=ram)
+        try:
+            q = enforce_ram(g, enforce_rom(g, p, b), b)
+        except InfeasibleBudgetError:
+            assert lo[0] > rom or lo[1] > ram
+            seen.add("infeasible")
+            continue
+        assert oracles.ref_rom(g, q) <= rom and oracles.ref_ram(g, q)[0] <= ram
+        for got, was in ((q.weight_bits, p.weight_bits), (q.act_bits, p.act_bits)):
+            assert got.keys() == was.keys() and all(got[k] <= was[k] for k in was)
+        seen.add("fits")
+    assert seen == {"fits", "infeasible"}
+
+
 def _three_pointwise_graph():
     """input (2,1,1) -> pointwise layers 1, 2, 3 of 8, 4 and 4 weights -> output."""
     shapes = [(2, 1, 1), (4, 1, 1), (1, 1, 1), (4, 1, 1)]

@@ -19,7 +19,7 @@ from mcuq.packed_model import (
     save_packed,
     serialize,
 )
-from mcuq.quantizer import QuantizedTensor, RequantParams
+from mcuq.quantizer import QuantizedTensor, RequantParams, quantize_act
 
 
 @pytest.fixture()
@@ -28,6 +28,26 @@ def toy_model(toy_graph, pretrained, toy_ranges):
     policy.weight_bits[3] = 4
     policy.act_bits[2] = 4
     return build_packed_model(toy_graph, pretrained[0], policy, toy_ranges)
+
+
+def test_trained_clips_are_the_containers_and_encode_the_training_input(
+        toy_graph, desk_small, pretrained, toy_ranges):
+    """After a QAT epoch the clips are float32 values, so the packed model
+    holds them unchanged, and the engine's input codes, decoded with the
+    model's scale, are the training forward's fake-quantized input."""
+    weights, ranges = qat.copy_weights(pretrained[0]), fresh_ranges(toy_ranges)
+    policy = all_uniform_policy(toy_graph)
+    policy.act_bits[0] = 4
+    qat.train_qat(toy_graph, weights, policy, ranges, desk_small,
+                  qat.TrainConfig(epochs=1, lr=1e-2))
+    t = toy_graph.input_layer.id
+    assert ranges[t] != toy_ranges[t]
+    model = build_packed_model(toy_graph, weights, policy, ranges)
+    assert model.act_clip == ranges
+    images = desk_small.val[0]
+    trained = qat._walk(toy_graph, weights, images, policy, ranges)[t]
+    codes = quantize_act(images, model.act_clip[t], policy.act_bits[t])
+    assert np.array_equal(trained, codes.astype(np.float32) * model.act_scale(t))
 
 
 def test_build_covers_compute_layers(toy_graph, toy_model):
@@ -80,13 +100,22 @@ def test_build_rejects_missing_range(toy_graph, pretrained, toy_ranges):
                            all_uniform_policy(toy_graph), ranges)
 
 
-@pytest.mark.parametrize("clip", [np.nan, np.inf, 0.0, -1.0, 1e39])  # 1e39: inf in float32
+# 1e39: inf in float32; 1e-36: its 8-bit scale is below the smallest normal float32
+@pytest.mark.parametrize("clip", [np.nan, np.inf, 0.0, -1.0, 1e39, 1e-36])
 def test_build_rejects_a_clip_that_is_not_a_positive_float32(toy_graph, pretrained,
                                                              toy_ranges, clip):
     ranges = fresh_ranges(toy_ranges)
     ranges[3] = clip
     with pytest.raises(PolicyError, match="tensor 3: clip"):
         build_packed_model(toy_graph, pretrained[0], all_uniform_policy(toy_graph), ranges)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_build_rejects_non_finite_weights(toy_graph, pretrained, toy_ranges, bad):
+    weights = qat.copy_weights(pretrained[0])
+    weights[3]["w"][2, 1, 0, 0] = bad
+    with pytest.raises(PackFormatError, match="not finite"):
+        build_packed_model(toy_graph, weights, all_uniform_policy(toy_graph), toy_ranges)
 
 
 def test_bias_overflow_rejected(toy_graph, pretrained, toy_ranges):
@@ -188,12 +217,15 @@ def _last_payload_len(model) -> int:
     (lambda b, m: _set(b, 25, "<f", float("nan")), "clip"),
     (lambda b, m: _set(b, 25, "<f", float("inf")), "clip"),
     (lambda b, m: _set(b, 25, "<f", 0.0), "clip"),
+    # a normal float32 whose 8-bit scale is not
+    (lambda b, m: _set(b, 25, "<f", 1e-37), "8-bit scale"),
     # the last record's payload, one byte longer or shorter than its codes
     (lambda b, m: _set(b, len(b) - _last_payload_len(m) - 8, "<Q",
                        _last_payload_len(m) + 1) + b"\0", "payload"),
     (lambda b, m: _set(b, len(b) - _last_payload_len(m) - 8, "<Q",
                        _last_payload_len(m) - 1)[:-1], "payload"),
-], ids=["act_bits", "nan_clip", "inf_clip", "zero_clip", "long_payload", "short_payload"])
+], ids=["act_bits", "nan_clip", "inf_clip", "zero_clip", "sub_normal_scale_clip",
+        "long_payload", "short_payload"])
 def test_deserialize_checks_contents(toy_model, spoil, match):
     blob = serialize(toy_model)
     with pytest.raises(PackFormatError, match=match):

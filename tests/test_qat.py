@@ -537,6 +537,9 @@ def _one_entry_checkpoint(key: bytes, values) -> bytes:
     (b"q.1", [1.0]),           # unknown tag
     (b"clip.1", [0.0]),        # a clip must be positive
     (b"clip.1", [1.0, 2.0]),   # and a single value
+    (b"clip.1", [1e-37]),      # whose 8-bit scale is a normal float32
+    (b"w.1", [1.0, np.nan]),   # weights and biases must be finite
+    (b"b.1", [-np.inf]),
 ])
 def test_checkpoint_rejects_malformed_entries(tmp_path, key, values):
     path = tmp_path / "bad.ckpt"

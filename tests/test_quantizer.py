@@ -24,7 +24,7 @@ from mcuq.quantizer import (
     quantize_weights_pc,
     round_half_away,
     unpack_subbyte,
-    weight_scales_pc,
+    weight_codes,
 )
 
 
@@ -154,12 +154,14 @@ def test_weight_codes_decoded_once_read_only():
 
 def test_weight_roundtrip_bound():
     rng = np.random.default_rng(9)
-    w = rng.normal(size=(6, 25)).astype(np.float64)
+    w = rng.normal(size=(6, 25)).astype(np.float32)
     q = quantize_weights_pc(w, 8)
-    # the codes round at full precision; the scales are stored as float32
-    assert np.array_equal(q.scales, np.float32(weight_scales_pc(w, 8)))
+    # the container holds weight_codes' codes and float32 scales
+    codes, scales = weight_codes(w, 8)
+    assert np.array_equal(q.codes(), codes) and np.array_equal(q.scales, scales)
+    # w / s rounds once in float32 before the codes round: 2**-24 of 127 codes
     err = np.abs(q.codes() * q.scales[:, None] - w)
-    assert (err <= q.scales[:, None] / 2 + 1e-12).all()
+    assert (err <= q.scales[:, None] * (0.5 + 1e-5)).all()
 
 
 def test_weight_codes_within_signed_range():
@@ -181,8 +183,60 @@ def test_fake_quant_weights_idempotent():
 
 def test_scales_use_channel_absmax():
     w = np.array([[0.1, -0.4], [2.0, 0.0]])
-    s = weight_scales_pc(w, 8)
-    assert np.allclose(s, [0.4 / 127, 2.0 / 127])
+    codes, s = weight_codes(w, 8)
+    assert s.dtype == np.float32 and codes.dtype == w.dtype
+    assert np.array_equal(s, np.float32([0.4 / 127, 2.0 / 127]))
+    codes, s = weight_codes(w.astype(np.float32), 8)
+    assert codes.dtype == np.float32 and np.array_equal(s, np.float32([0.4 / 127, 2.0 / 127]))
+
+
+@pytest.mark.parametrize("bits", [2, 4, 8])
+def test_fake_quant_weights_equal_the_containers_weights(toy_graph, residual_graph,
+                                                         mobilenet_graph, pretrained, bits):
+    """The trained weights are the container's codes times its scales, bit for
+    bit (+ 0.0 turns the -0.0 of a negative weight rounded to code 0 into the
+    container's +0.0), on every weighted layer of the three fixtures."""
+    for g, weights in ((toy_graph, pretrained[0]),
+                       (residual_graph, qat.init_weights(residual_graph)),
+                       (mobilenet_graph, qat.init_weights(mobilenet_graph))):
+        for lid, entry in weights.items():
+            w = entry["w"]
+            assert w.dtype == np.float32
+            q = quantize_weights_pc(w, bits)
+            fq = fake_quant_weights(w, bits)
+            want = np.float32(q.codes() * q.scales.reshape((-1,) + (1,) * (w.ndim - 1)))
+            assert fq.dtype == np.float32
+            assert np.array_equal((fq + 0.0).view(np.uint32), want.view(np.uint32)), (g, lid)
+
+
+@pytest.mark.parametrize("bits", [2, 4, 8])
+def test_a_channel_with_a_sub_normal_scale_encodes_as_zero(bits):
+    """Channel 0's scale would be sub-normal in float32 (channel 1's is normal,
+    at the smallest such value): scale 1 and codes 0, as for channel 2, all zero."""
+    qpos = (1 << (bits - 1)) - 1
+    tiny = np.finfo(np.float32).tiny
+    w = np.zeros((3, 4), np.float32)
+    w[0] = [1e-38 * qpos, -5e-39, 0.0, 1e-39]
+    w[1] = [tiny * qpos, 0.0, 0.0, -tiny]
+    codes, scales = weight_codes(w, bits)
+    assert scales.tolist() == [1.0, np.float32(tiny * qpos) / np.float32(qpos), 1.0]
+    assert scales[1] >= tiny
+    assert not codes[0].any() and not codes[2].any() and codes[1, 0] == qpos
+    q = quantize_weights_pc(w, bits)
+    assert q.scales.tolist() == scales.tolist() and np.array_equal(q.codes(), codes)
+    assert not fake_quant_weights(w, bits)[0].any()
+
+
+@pytest.mark.parametrize("w, bits", [
+    (np.array([[1.0, np.nan]]), 8),
+    (np.array([[np.inf, 1.0]], np.float32), 4),
+    (np.array([[1e39, 1.0]]), 2),   # finite, but not in float32
+    (np.ones((2, 2)), 3),
+    (np.ones((2, 2)), 16),
+])
+def test_quantize_weights_pc_rejects_non_finite_weights_and_bad_bits(w, bits):
+    with pytest.raises(PackFormatError):
+        quantize_weights_pc(w, bits)
 
 
 # ---------------------------------------------------------------------------
@@ -519,16 +573,16 @@ def test_percentile_clip_against_sort():
     v = rng.lognormal(size=20000)
     got = percentile_clip(v)
     want = float(np.percentile(v, 99.9, method="linear"))
-    assert got == pytest.approx(want, rel=1e-12)
+    assert got == float(np.float32(want))  # float32, as the container stores it
 
 
 def test_percentile_clip_floor_and_constant():
-    assert percentile_clip(np.full(100, 1e-9)) == 1e-3
-    assert percentile_clip(np.full(100, 0.42)) == pytest.approx(0.42)
+    assert percentile_clip(np.full(100, 1e-9)) == float(np.float32(1e-3))
+    assert percentile_clip(np.full(100, 0.42)) == float(np.float32(0.42))
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # numpy interpolating towards inf
-@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, 1e39])  # 1e39: inf in float32
 def test_percentile_clip_rejects_a_non_finite_percentile(bad):
     v = np.full(100, 0.5)
     v[-1] = bad
