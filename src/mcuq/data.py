@@ -5,9 +5,11 @@ from __future__ import annotations
 
 import gzip
 import json
+import math
 import os
 import re
 import struct
+import zlib
 from dataclasses import dataclass
 
 import numpy as np
@@ -16,6 +18,8 @@ from .errors import DatasetError
 from .graph_ir import _is_int
 
 NUM_SHAPE_CLASSES = 10
+SHAPE_HW = 28  # side of a synthetic shape image
+SHAPE_NOISE = 0.10  # std of the Gaussian noise added to each pixel
 
 
 @dataclass
@@ -134,18 +138,17 @@ def _render_shape(cls: int, hw: int, rng: np.random.Generator) -> np.ndarray:
     return img
 
 
-def synthetic_shapes(n_train: int, n_val: int, seed: int = 0, hw: int = 28,
-                     noise: float = 0.10) -> Dataset:
+def synthetic_shapes(n_train: int, n_val: int, seed: int = 0) -> Dataset:
     """Bundled desk-scale dataset: 10 shape classes, reproducible by seed."""
     if n_train < 1 or n_val < 1:
         raise DatasetError("need at least one sample per split")
     rng = np.random.default_rng(seed)
     n = n_train + n_val
     labels = rng.integers(0, NUM_SHAPE_CLASSES, size=n).astype(np.int64)
-    images = np.empty((n, 1, hw, hw), dtype=np.float32)
+    images = np.empty((n, 1, SHAPE_HW, SHAPE_HW), dtype=np.float32)
     for i, cls in enumerate(labels):
-        img = _render_shape(int(cls), hw, rng)
-        img += rng.normal(0.0, noise, size=img.shape).astype(np.float32)
+        img = _render_shape(int(cls), SHAPE_HW, rng)
+        img += rng.normal(0.0, SHAPE_NOISE, size=img.shape).astype(np.float32)
         images[i, 0] = np.clip(img, 0.0, 1.0)
     return Dataset(images=images, labels=labels, n_train=n_train)
 
@@ -158,15 +161,23 @@ def _open_maybe_gz(path: str):
     return gzip.open(path, "rb") if path.endswith(".gz") else open(path, "rb")
 
 
-def _read_idx(path: str) -> np.ndarray:
-    with _open_maybe_gz(path) as f:
-        magic = struct.unpack(">I", f.read(4))[0]
-        ndim = magic & 0xFF
-        if magic >> 8 != 0x000008:
-            raise DatasetError(f"{path}: bad IDX magic {magic:#x} (want uint8 data)")
-        dims = struct.unpack(f">{ndim}I", f.read(4 * ndim))
-        data = np.frombuffer(f.read(), dtype=np.uint8)
-    if data.size != int(np.prod(dims)):
+def _read_idx(path: str, ndim: int) -> np.ndarray:
+    """The ndim-D uint8 array of an IDX file; a file that cannot be read, or
+    whose header or size is wrong, raises DatasetError naming it."""
+    try:
+        with _open_maybe_gz(path) as f:
+            raw = f.read()
+    except (OSError, EOFError, zlib.error) as e:  # gzip.BadGzipFile is an OSError
+        raise DatasetError(f"{path}: cannot read: {e}") from e
+    if len(raw) < 4 or raw[:3] != b"\x00\x00\x08":
+        raise DatasetError(f"{path}: bad IDX magic {raw[:4].hex()} (want uint8 data)")
+    if raw[3] != ndim:
+        raise DatasetError(f"{path}: holds {raw[3]}-D data, want {ndim}-D")
+    if len(raw) < 4 + 4 * ndim:
+        raise DatasetError(f"{path}: IDX header truncated")
+    dims = struct.unpack_from(f">{ndim}I", raw, 4)
+    data = np.frombuffer(raw, dtype=np.uint8, offset=4 + 4 * ndim)
+    if data.size != math.prod(dims):
         raise DatasetError(f"{path}: payload size does not match header dims {dims}")
     return data.reshape(dims)
 
@@ -180,13 +191,17 @@ def _find_idx(dirname: str, stem: str) -> str:
 
 
 def load_idx_dir(dirname: str) -> Dataset:
-    """Load a directory holding the four standard MNIST-layout IDX files."""
-    tr_x = _read_idx(_find_idx(dirname, "train-images-idx3-ubyte"))
-    tr_y = _read_idx(_find_idx(dirname, "train-labels-idx1-ubyte"))
-    te_x = _read_idx(_find_idx(dirname, "t10k-images-idx3-ubyte"))
-    te_y = _read_idx(_find_idx(dirname, "t10k-labels-idx1-ubyte"))
+    """Load a directory holding the four standard MNIST-layout IDX files:
+    3-D images and 1-D labels, train and t10k images of one size."""
+    tr_x = _read_idx(_find_idx(dirname, "train-images-idx3-ubyte"), 3)
+    tr_y = _read_idx(_find_idx(dirname, "train-labels-idx1-ubyte"), 1)
+    te_x = _read_idx(_find_idx(dirname, "t10k-images-idx3-ubyte"), 3)
+    te_y = _read_idx(_find_idx(dirname, "t10k-labels-idx1-ubyte"), 1)
     if len(tr_x) != len(tr_y) or len(te_x) != len(te_y):
-        raise DatasetError("image/label counts disagree")
+        raise DatasetError(f"{dirname}: image/label counts disagree")
+    if tr_x.shape[1:] != te_x.shape[1:]:
+        raise DatasetError(f"{dirname}: train images are {tr_x.shape[1:]}, "
+                           f"t10k images {te_x.shape[1:]}")
     images = np.concatenate([tr_x, te_x]).astype(np.float32) / 255.0
     images = images[:, None, :, :]
     labels = np.concatenate([tr_y, te_y]).astype(np.int64)
@@ -239,7 +254,8 @@ def load_dataset(spec: str, seed: int = 0) -> Dataset:
 
     ``synthetic`` and ``synthetic:N_TRAIN,N_VAL`` build the bundled shape
     dataset, and any other ``synthetic:`` spec raises DatasetError; any other
-    spec is a directory, probed for IDX files first, then for raw .npy tensors.
+    spec is a directory: an IDX directory when it holds
+    train-images-idx3-ubyte[.gz], a raw-tensor directory otherwise.
     """
     if spec == "synthetic":
         return synthetic_shapes(4000, 1500, seed=seed)
@@ -252,7 +268,6 @@ def load_dataset(spec: str, seed: int = 0) -> Dataset:
         raise DatasetError(f"dataset path {spec!r} is not a directory")
     try:
         _find_idx(spec, "train-images-idx3-ubyte")
-        return load_idx_dir(spec)
     except DatasetError:
-        pass
-    return load_raw_dir(spec)
+        return load_raw_dir(spec)
+    return load_idx_dir(spec)

@@ -19,11 +19,13 @@ from .errors import DatasetError, GraphValidationError
 
 CONV_KINDS = ("conv2d", "depthwise_conv2d", "pointwise_conv2d")
 WEIGHTED_KINDS = CONV_KINDS + ("fully_connected",)
-# Kinds that run through qat.linear_fwd, in training and in the integer engine.
+# Kinds that run through kernels.linear_fwd, in training and in the integer engine.
 LINEAR_KINDS = WEIGHTED_KINDS + ("avg_pool",)
 # Kinds whose integer kernels consume encoded (quantized) input tensors.
 COMPUTE_KINDS = WEIGHTED_KINDS + ("add_residual", "avg_pool")
-ALL_KINDS = COMPUTE_KINDS + ("relu_clip", "input", "output")
+# Kinds the integer engine runs, each from its own PackedLayer record.
+RECORD_KINDS = COMPUTE_KINDS + ("relu_clip",)
+ALL_KINDS = RECORD_KINDS + ("input", "output")
 
 
 @dataclass(frozen=True)

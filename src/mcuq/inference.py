@@ -2,10 +2,10 @@
 
 Reference semantics for MCU backends: sub-byte codes, 32-bit accumulators
 (overflow raises), per-channel requantization, saturating residual adds.
-Every linear layer, avg_pool included, runs through the training engine's
-own linear_fwd, so the deployed arithmetic is the arithmetic that was
-trained. avg_pool is a depthwise layer whose every tap is weighted 1
-(qat.pool_weight), with no bias. run_codes_network walks the graph once and
+Every linear layer, avg_pool included, runs through kernels.linear_fwd, the
+training engine's own arithmetic, so the deployed arithmetic is the arithmetic
+that was trained. avg_pool is a depthwise layer whose every tap is weighted 1
+(kernels.pool_weight), with no bias. run_codes_network walks the graph once and
 keeps every layer's codes; run_codes_layer runs one layer. The input codes
 are quantizer.quantize_act's: act_codes of the float32 images, the codes the
 training forward fake-quantizes its input to.
@@ -20,7 +20,7 @@ sum of a fan_in-term dot product is an integer of magnitude at most
 
 and that bound holds whatever order the sums run in. BLAS's order, the
 blocked conv2d GEMMs and the per-tap depthwise sums over phase planes (see
-qat.linear_fwd) are therefore as exact as one dot product per output. x_max
+kernels) are therefore as exact as one dot product per output. x_max
 is the largest input code magnitude of the call, so _acc_bound decides per
 call:
 
@@ -48,9 +48,10 @@ import math
 
 import numpy as np
 
-from . import qat
+from . import qat  # evaluate_accuracy's fake-quant branch only
 from .errors import AccumulatorOverflowError, DatasetError, ModelMismatchError
-from .graph_ir import LINEAR_KINDS, NetworkGraph, topo_order
+from .graph_ir import LINEAR_KINDS, RECORD_KINDS, NetworkGraph, topo_order
+from .kernels import linear_fwd, pool_weight
 from .packed_model import INT32_MAX, INT32_MIN, PackedLayer, PackedModel, check_model_matches
 from .quantizer import apply_requant, qrange, quantize_act
 
@@ -89,13 +90,12 @@ def run_codes_layer(layer, rec: PackedLayer, in_codes: list[np.ndarray]) -> np.n
     if layer.kind in LINEAR_KINDS:
         x = in_codes[0]
         if layer.kind == "avg_pool":
-            (w, bias), w_max = qat.pool_weight(layer, 1, np.int32), 1
+            (w, bias), w_max = pool_weight(layer, 1, np.int32), 1
         else:
             w, bias, w_max = rec.weight.codes(), rec.bias_int, 1 << (rec.weight.bits - 1)
         x_max = max(int(x.max()), -int(x.min())) if x.size else 0
         dtype, check = _acc_bound(layer.id, math.prod(w.shape[1:]), x_max, w_max, bias)
-        z, _ = qat.linear_fwd(layer, x.astype(dtype), w.astype(dtype),
-                              np.zeros(len(bias), dtype))
+        z, _ = linear_fwd(layer, x.astype(dtype), w.astype(dtype), np.zeros(len(bias), dtype))
         if check:
             _check_acc(z, layer.id, bias)
         return apply_requant(z, rec.requants[0], out_bits, bias=bias)
@@ -119,7 +119,7 @@ def run_codes_network(g: NetworkGraph, model: PackedModel,
     codes = {in_tid: quantize_act(images, model.act_clip[in_tid], model.act_bits[in_tid])}
     for lid in topo_order(g):
         layer = g.layer(lid)
-        if layer.kind not in ("input", "output"):
+        if layer.kind in RECORD_KINDS:
             codes[lid] = run_codes_layer(layer, model.layers[lid],
                                          [codes[t] for t in layer.input_ids])
     return codes

@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ModelMismatchError, PackFormatError, PolicyError
-from .graph_ir import COMPUTE_KINDS, WEIGHTED_KINDS, NetworkGraph
+from .graph_ir import RECORD_KINDS, WEIGHTED_KINDS, NetworkGraph
 from .memory_model import QuantPolicy, validate_policy
 from .quantizer import (
     F32_MAX,
@@ -105,7 +105,7 @@ def build_packed_model(g: NetworkGraph, weights: dict, policy: QuantPolicy,
     act_clip = {t: float(np.float32(ranges[t])) for t in sorted(encoded)}
     model = PackedModel(graph_layers=len(g.layers), act_bits=act_bits, act_clip=act_clip)
     for layer in g.layers:
-        if layer.kind not in COMPUTE_KINDS and layer.kind != "relu_clip":
+        if layer.kind not in RECORD_KINDS:
             continue
         rec = PackedLayer(layer_id=layer.id, kind=layer.kind)
         s_ins = [model.act_scale(t) for t in layer.input_ids]
@@ -262,7 +262,7 @@ def check_model_matches(g: NetworkGraph, model: PackedModel) -> None:
         if t not in model.act_bits:
             raise ModelMismatchError(f"model lacks an encoding for tensor {t}")
     for layer in g.layers:
-        if layer.kind not in COMPUTE_KINDS and layer.kind != "relu_clip":
+        if layer.kind not in RECORD_KINDS:
             continue
         rec = model.layers.get(layer.id)
         if rec is None:

@@ -1,6 +1,6 @@
 """Quantization-aware training engine.
 
-Pure numpy forward/backward for the supported layer kinds. Weights train
+Network forward/backward over the layer arithmetic of kernels. Weights train
 through a straight-through estimator over the per-channel fake-quantizer;
 activation clips train with PACT-style gradients (pass-through inside the
 clip window, unit gradient to the clip where the input saturates).
@@ -8,7 +8,6 @@ clip window, unit gradient to the clip where the input saturates).
 
 from __future__ import annotations
 
-import itertools
 import math
 import struct
 from dataclasses import dataclass
@@ -18,13 +17,11 @@ import numpy as np
 from .data import Dataset
 from .errors import ModelMismatchError, PackFormatError, PolicyError, TrainingDivergedError
 from .graph_ir import LINEAR_KINDS, WEIGHTED_KINDS, NetworkGraph, topo_order
-from .quantizer import (CLIP_FLOOR, CONV_BLOCK, ByteReader, act_codes, fake_quant_weights,
-                        normal_act_scale)
+from .kernels import linear_bwd, linear_fwd, pool_weight
+from .quantizer import CLIP_FLOOR, ByteReader, act_codes, fake_quant_weights, normal_act_scale
 
 # kinds whose float-mode output passes through a plain ReLU
 _RELU_KINDS = WEIGHTED_KINDS + ("relu_clip",)
-# linear kinds that run on phase planes
-_WINDOW_KINDS = ("conv2d", "depthwise_conv2d", "avg_pool")
 
 CKPT_MAGIC = b"MQC1"
 CKPT_VERSION = 1
@@ -60,215 +57,6 @@ def init_weights(g: NetworkGraph, seed: int = 0) -> dict[int, dict[str, np.ndarr
 
 def copy_weights(weights: dict) -> dict:
     return {lid: {k: v.copy() for k, v in entry.items()} for lid, entry in weights.items()}
-
-
-# ---------------------------------------------------------------------------
-# Layer ops
-# ---------------------------------------------------------------------------
-
-def _phase_grid(layer, x_shape: tuple) -> tuple[int, int, int, int]:
-    """(oh, ow, h2, w2): a window layer's output size and the size of one phase plane."""
-    _, _, h, w = x_shape
-    s, p = layer.stride, layer.padding
-    oh = (h + 2 * p - layer.kernel_h) // s + 1
-    ow = (w + 2 * p - layer.kernel_w) // s + 1
-    # every tap of a kept output stays inside its image: for y < oh and tap
-    # row i, y + i//s <= (h + 2p - 1)//s < h2, and likewise for columns
-    return oh, ow, -(-(h + 2 * p) // s), -(-(w + 2 * p) // s)
-
-
-def _phases(planes: np.ndarray, x: np.ndarray, s: int, p: int, h2: int, w2: int):
-    """Yield (view of x, view of the planes) pairs of equal shape that put each
-    pixel of x, (N, C, H, W), at its place in the planes, whose flat axis runs
-    (y, n, x) over h2 rows of N images of w2 columns per phase."""
-    n, c, h, w = x.shape
-    grid = planes[..., :h2 * n * w2].reshape(s, s, c, h2, n, w2)
-    for a, b in itertools.product(range(s), repeat=2):
-        r0, c0 = (a - p) % s, (b - p) % s  # first input row and column of the phase
-        y0, x0 = (r0 + p) // s, (c0 + p) // s
-        rows, cols = len(range(r0, h, s)), len(range(c0, w, s))
-        yield (x[:, :, r0::s, c0::s],
-               grid[a, b, :, y0:y0 + rows, :, x0:x0 + cols].transpose(2, 0, 1, 3))
-
-
-def _taps(layer, n: int, w2: int) -> list[tuple[int, int, int]]:
-    """(a, b, offset) per kernel tap, row-major: tap (i, j) of output position
-    q = (y*N + n)*w2 + x reads plane (a, b) = (i % s, j % s) at q + offset,
-    offset = (i//s)*N*w2 + j//s."""
-    s = layer.stride
-    return [(i % s, j % s, (i // s) * n * w2 + j // s)
-            for i in range(layer.kernel_h) for j in range(layer.kernel_w)]
-
-
-def _col_blocks(planes: np.ndarray, taps: list, m: int):
-    """Yield (m0, cols): cols is the (kh*kw*C, mb) im2col block of output
-    positions m0 .. m0+mb, rows tap-major, held in one reused buffer."""
-    c = planes.shape[2]
-    k = len(taps) * c
-    step = max(1, min(m, CONV_BLOCK // k))
-    buf = np.empty(k * step, planes.dtype)
-    for m0 in range(0, m, step):
-        mb = min(step, m - m0)
-        cols = buf[:k * mb].reshape(len(taps), c, mb)
-        for t, (a, b, off) in enumerate(taps):
-            cols[t] = planes[a, b, :, m0 + off:m0 + off + mb]
-        yield m0, cols.reshape(k, mb)
-
-
-def _out_grid(flat: np.ndarray, kind: str, n: int, o: int, oh: int, w2: int) -> np.ndarray:
-    """A window kernel's flat output, positions in (y, n, x) order over the
-    oh computed rows, as an (N, O, oh, w2) view: (oh*N*w2, O) for the conv2d
-    GEMMs, (O, oh*N*w2) for the per-tap products. Columns x >= ow are computed
-    and dropped by the caller."""
-    if kind == "conv2d":
-        return flat.reshape(oh, n, w2, o).transpose(1, 3, 0, 2)
-    return flat.reshape(o, oh, n, w2).transpose(2, 0, 1, 3)
-
-
-def _window_fwd(layer, x: np.ndarray, w: np.ndarray, b: np.ndarray):
-    n, c = x.shape[:2]
-    s, o = layer.stride, len(b)
-    oh, ow, h2, w2 = _phase_grid(layer, x.shape)
-    m = oh * n * w2  # positions of the kept rows y < oh
-    taps = _taps(layer, n, w2)
-    dtype = np.result_type(x, w)
-    # tail: columns x >= ow of the last row read up to (kw-1)//s past the grid
-    planes = np.zeros((s, s, c, h2 * n * w2 + (layer.kernel_w - 1) // s), dtype)
-    for xv, pv in _phases(planes, x, s, layer.padding, h2, w2):
-        pv[...] = xv
-    if layer.kind == "conv2d":
-        wt = w.transpose(0, 2, 3, 1).reshape(o, -1)  # columns tap-major, as the blocks
-        zm = np.empty((m, o), dtype)
-        for m0, cols in _col_blocks(planes, taps, m):
-            np.matmul(cols.T, wt.T, out=zm[m0:m0 + cols.shape[1]])
-    else:  # one multiply-add per tap, (C, 1) weight columns, in blocks of channels
-        zm = np.empty((c, m), dtype)
-        wc, step = w.reshape(c, -1), max(1, CONV_BLOCK // m)
-        prod = np.empty((min(c, step), m), dtype)
-        (a0, b0, off0), *rest = taps
-        for c0 in range(0, c, step):
-            cs = slice(c0, c0 + step)
-            zb = zm[cs]
-            np.multiply(planes[a0, b0, cs, off0:off0 + m], wc[cs, :1], out=zb)
-            for t, (a, bb, off) in enumerate(rest, 1):
-                zb += np.multiply(planes[a, bb, cs, off:off + m], wc[cs, t, None],
-                                  out=prod[:len(zb)])
-    z = np.empty((n, o, oh, ow), dtype)
-    np.add(_out_grid(zm, layer.kind, n, o, oh, w2)[..., :ow], b[None, :, None, None], out=z)
-    return z, planes
-
-
-def _window_bwd(layer, dz: np.ndarray, planes: np.ndarray, w: np.ndarray,
-                x_shape: tuple, need_dx: bool):
-    n, o, oh, ow = dz.shape
-    c = x_shape[1]
-    _, _, h2, w2 = _phase_grid(layer, x_shape)
-    m = oh * n * w2
-    taps = _taps(layer, n, w2)
-    conv = layer.kind == "conv2d"
-    # dropped columns get a zero gradient, so they add nothing
-    dzm = np.zeros((m, o) if conv else (o, m), dz.dtype)
-    _out_grid(dzm, layer.kind, n, o, oh, w2)[..., :ow] = dz
-    dw = None  # avg_pool has no parameters
-    if conv:
-        dwt = np.zeros((len(taps) * c, o), np.result_type(planes, dz))
-        for m0, cols in _col_blocks(planes, taps, m):
-            dwt += cols @ dzm[m0:m0 + cols.shape[1]]
-        dw = dwt.reshape(layer.kernel_h, layer.kernel_w, c, o).transpose(3, 2, 0, 1)
-    elif layer.kind == "depthwise_conv2d":
-        dw = np.stack([planes[a, b, :, None, off:off + m] @ dzm[..., None] for a, b, off in taps],
-                      axis=1).reshape(w.shape)  # a (1, M) @ (M, 1) product per channel
-    dx = None
-    if need_dx:
-        dtype = np.result_type(w, dz)
-        if conv:
-            wt = w.transpose(0, 2, 3, 1).reshape(o, -1)
-            dcols = (wt.T @ dzm.T).reshape(len(taps), c, m)
-        else:
-            wc, prod = w.reshape(c, -1), np.empty((c, m), dtype)
-            dcols = (np.multiply(wc[:, t, None], dzm, out=prod) for t in range(len(taps)))
-        dplanes = np.zeros(planes.shape, dtype)
-        for (a, b, off), dcol in zip(taps, dcols):
-            dplanes[a, b, :, off:off + m] += dcol
-        dx = np.empty(x_shape, dtype)
-        for xv, pv in _phases(dplanes, dx, layer.stride, layer.padding, h2, w2):
-            xv[...] = pv
-    db = None if dw is None else dz.reshape(n, o, oh * ow).sum(axis=(0, 2))
-    return dx, dw, db
-
-
-def pool_weight(layer, value, dtype) -> tuple[np.ndarray, np.ndarray]:
-    """avg_pool as a depthwise layer: (w, b) weighting every tap by value, no bias."""
-    c = layer.out_channels
-    return np.full((c, layer.kernel_h, layer.kernel_w), value, dtype), np.zeros(c, dtype)
-
-
-def linear_fwd(layer, x: np.ndarray, w: np.ndarray, b: np.ndarray):
-    """One linear layer, z = w * x + b, in the dtype of its operands.
-
-    Serves the float32 training forward and the integer accumulator of the
-    deployed model, on float32 or float64 codes (whichever the accumulator
-    bound proves exact, see inference) with a zero bias; avg_pool runs on
-    pool_weight's constant kernel. Returns (z, cols): cols is the input as
-    the kernel's operand, which linear_bwd needs.
-
-    conv2d, depthwise_conv2d and avg_pool run over phase planes. The
-    zero-padded input is written once into s*s phase planes (s the stride),
-    plane (a, b) holding the padded pixels (s*Y + a, s*X + b) at (Y, X) of
-    an h2 x w2 grid per image. The batch is folded into one flat axis that
-    runs (y, n, x): row y of every image, then row y + 1. cols is the
-    (s, s, C, h2*N*w2 + (kw-1)//s) plane array for all three kinds, and tap
-    (i, j) of output position q = (y*N + n)*w2 + x is
-    plane[i%s, j%s, :, q + (i//s)*N*w2 + j//s]: one contiguous slice per tap.
-    The kernels compute the positions q < oh*N*w2 only, so the rows y >= oh
-    form a suffix that is never computed. The columns x >= ow of each kept
-    row are computed and dropped (on the toy CNN, 63 positions per image
-    for 49 kept in its third conv2d and 20 for 16 in its fourth); their
-    taps may read into the next image's row, or the (kw-1)//s tail past
-    the last one. conv2d builds blocks of at most CONV_BLOCK elements,
-    kh*kw*C rows by output positions, from those slices and multiplies each
-    by the weights in one GEMM. depthwise_conv2d and avg_pool run over
-    blocks of CONV_BLOCK // (oh*N*w2) channels (at least one), so a block's
-    sums and products stay in cache: the first tap's slice times its (C, 1)
-    weight column is written into the block, and each further tap's is
-    added, so every output sums its taps in the same order whatever the
-    block. The sums run in np.result_type(x, w).
-
-    pointwise_conv2d is one GEMM per image, w @ x[n] over the (C, H*W)
-    image, with the bias added in place. For pointwise_conv2d and
-    fully_connected cols is the input itself.
-    """
-    if layer.kind in _WINDOW_KINDS:
-        return _window_fwd(layer, x, w, b)
-    if layer.kind == "pointwise_conv2d":
-        n, c, h, wd = x.shape
-        z = np.matmul(w, x.reshape(n, c, h * wd))
-        z += b[:, None]
-        return z.reshape(n, len(b), h, wd), x
-    cols = x.reshape(x.shape[0], -1)  # fully_connected over the flattened input
-    return cols @ w.T + b, cols
-
-
-def linear_bwd(layer, dz: np.ndarray, cols: np.ndarray, w: np.ndarray, x_shape: tuple,
-               need_dx: bool = True):
-    """Adjoint of linear_fwd: (dx, dw, db) given dL/dz and the saved cols.
-
-    dx is None when need_dx is false; dw and db do not depend on it, and are
-    None for avg_pool, which has no parameters. The window kinds take dw from
-    the phase planes in cols: conv2d rebuilds each im2col block for one dw
-    GEMM per block, depthwise_conv2d takes one dot product per tap and
-    channel. Their column gradients (one GEMM for conv2d, the weight column
-    times dz per tap for depthwise_conv2d and avg_pool) go back into zeroed
-    planes by kh*kw contiguous slice-adds; dx is those planes un-phased and
-    cropped.
-    """
-    if layer.kind in _WINDOW_KINDS:
-        return _window_bwd(layer, dz, cols, w, x_shape, need_dx)
-    if layer.kind == "pointwise_conv2d":
-        dw = np.einsum("nohw,nchw->oc", dz, cols, optimize=True)
-        dx = np.einsum("oc,nohw->nchw", w, dz, optimize=True) if need_dx else None
-        return dx, dw, dz.sum(axis=(0, 2, 3))
-    return (dz @ w).reshape(x_shape) if need_dx else None, dz.T @ cols, dz.sum(axis=0)
 
 
 # ---------------------------------------------------------------------------

@@ -27,7 +27,7 @@ F32_MAX = float(np.finfo(np.float32).max)
 CLIP_FLOOR = 1e-3  # activation clips, calibrated or learned, never drop below this
 CALIB_PERCENTILE = 99.9  # calibration clips at this percentile of the observed values
 # elements of one block of the window kernels' im2col (conv2d) and channel
-# (depthwise, avg_pool) loops, see qat.linear_fwd, and of the requant epilogue
+# (depthwise, avg_pool) loops, see kernels, and of the requant epilogue
 CONV_BLOCK = 1 << 16
 
 

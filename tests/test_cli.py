@@ -333,6 +333,17 @@ def test_pretrain_on_a_malformed_raw_dataset_is_bad_input(in_tmp, capsys, labels
     assert not (in_tmp / "w.ckpt").exists()
 
 
+def test_pretrain_on_a_truncated_idx_dataset_is_bad_input(in_tmp, capsys):
+    idx = in_tmp / "idx"
+    idx.mkdir()
+    (idx / "train-images-idx3-ubyte").write_bytes(struct.pack(">I2I", 0x0803, 60, 28))
+    assert cli.main(["pretrain", "--graph", TOY, "--dataset", str(idx),
+                     "--out-checkpoint", "w.ckpt"]) == cli.EXIT_INPUT
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "train-images-idx3-ubyte" in err
+    assert "Traceback" not in err and not (in_tmp / "w.ckpt").exists()
+
+
 @pytest.mark.parametrize("command", [
     ["search", "--rom-bytes", "7000", "--ram-bytes", "1100", "--out-policy", "p.json"],
     ["finetune", "--policy", "p.json", "--out-checkpoint", "w.ckpt"],

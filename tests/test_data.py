@@ -161,6 +161,43 @@ def test_idx_truncated_payload(tmp_path):
         load_idx_dir(str(tmp_path))
 
 
+_GZ_HEADER = b"\x1f\x8b\x08\x00" + bytes(6)
+
+
+@pytest.mark.parametrize("gz, stem, corrupt, says", [
+    pytest.param(False, "train-images-idx3-ubyte",
+                 lambda p: p.write_bytes(struct.pack(">I2I", 0x0803, 12, 5)), "header truncated",
+                 id="truncated_header"),
+    pytest.param(True, "train-images-idx3-ubyte.gz",
+                 lambda p: p.write_bytes(p.read_bytes()[:-20]), "cannot read", id="truncated_gz"),
+    pytest.param(True, "train-labels-idx1-ubyte.gz",
+                 lambda p: p.write_bytes(b"not a gzip stream"), "cannot read", id="not_gzip"),
+    pytest.param(True, "t10k-images-idx3-ubyte.gz",
+                 lambda p: p.write_bytes(_GZ_HEADER + b"\xff" * 8), "cannot read",
+                 id="corrupt_deflate"),
+    pytest.param(False, "train-images-idx3-ubyte", lambda p: write_idx(p, np.arange(12)),
+                 "holds 1-D data, want 3-D", id="1d_images"),
+    pytest.param(False, "", lambda p: write_idx(p / "t10k-images-idx3-ubyte",
+                                                np.zeros((6, 4, 4))),
+                 "train images are (5, 5), t10k images (4, 4)", id="image_sizes_differ"),
+    pytest.param(False, "train-images-idx3-ubyte",
+                 lambda p: p.write_bytes(b"\x00\x00\x10\x03junk"), "bad IDX magic",
+                 id="bad_magic"),
+    pytest.param(False, "train-labels-idx1-ubyte",
+                 lambda p: write_idx(p, (np.arange(12) % 3)[:, None]), "holds 2-D data, want 1-D",
+                 id="2d_labels"),
+])
+def test_a_malformed_idx_dir_raises_a_dataset_error_naming_the_file(tmp_path, gz, stem,
+                                                                    corrupt, says):
+    """load_dataset reads a directory holding IDX train images as IDX, so the
+    error names the bad IDX file; it never falls back to raw tensors."""
+    make_idx_dir(tmp_path, gz=gz)
+    corrupt(tmp_path / stem)
+    with pytest.raises(DatasetError) as e:
+        load_dataset(str(tmp_path))
+    assert says in str(e.value) and str(tmp_path / stem) in str(e.value), str(e.value)
+
+
 # ---------------------------------------------------------------------------
 # Raw tensor directories
 # ---------------------------------------------------------------------------

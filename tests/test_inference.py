@@ -427,6 +427,31 @@ def test_weight_codes_unpacked_once(monkeypatch, residual_graph):
             assert not rec.weight.codes().flags.writeable
 
 
+class _NoTraining:
+    """Stands in for the qat module: any use of it fails the test."""
+
+    def __getattr__(self, name):
+        raise AssertionError(f"the integer path used qat.{name}")
+
+
+def test_integer_path_runs_no_training_code(monkeypatch, toy_graph, residual_graph, pretrained,
+                                            toy_ranges):
+    """run_batch_int takes its arithmetic from kernels: with inference.qat
+    replaced by a stub that raises on any use, it returns the same scores."""
+    rng = np.random.default_rng(6)
+    runs = []
+    for g, weights, ranges in (
+            (toy_graph, pretrained[0], toy_ranges),
+            (residual_graph, qat.init_weights(residual_graph, seed=5),
+             {t: 1.5 for t in residual_graph.encoded_tensors()})):
+        model = build_packed_model(g, weights, all_uniform_policy(g, 4), ranges)
+        images = rng.uniform(0, 1, size=(4,) + g.input_layer.output_shape).astype(np.float32)
+        runs.append((g, model, images, run_batch_int(g, model, images)))
+    monkeypatch.setattr(inference, "qat", _NoTraining())
+    for g, model, images, want in runs:
+        assert np.array_equal(run_batch_int(g, model, images), want)
+
+
 def test_input_codes_are_the_training_codes(toy_graph, pretrained, toy_ranges):
     """Images of values at and around every rounding boundary of the model's
     input clip: run_codes_network's input codes equal rint(y / s) of the

@@ -8,7 +8,7 @@ import pytest
 
 import oracles
 from conftest import fresh_ranges
-from mcuq import qat
+from mcuq import kernels, qat
 from mcuq.data import Dataset, synthetic_shapes
 from mcuq.errors import McuqError, ModelMismatchError, TrainingDivergedError
 from mcuq.graph_ir import COMPUTE_KINDS, WEIGHTED_KINDS, NetworkGraph, validate
@@ -163,7 +163,7 @@ def _window_operands(layer, draw, dtype, pool_value):
     pool_weight's constant pool_value for avg_pool, and w as the conv2d weight
     oracles.ref_conv2d takes, diagonal for the per-channel kinds."""
     if layer.kind == "avg_pool":
-        w, b = qat.pool_weight(layer, pool_value, dtype)
+        w, b = kernels.pool_weight(layer, pool_value, dtype)
     else:
         w, b = (draw(shape).astype(dtype) for shape in (layer.weight_shape, (layer.out_channels,)))
     if layer.kind == "conv2d":
@@ -196,8 +196,8 @@ def test_conv2d_matches_loop_reference(stride, padding):
                                         np.float64, 1)
         dz = rng.integers(-8, 8, size=(n, o, oh, ow)).astype(np.float64)
         case = f"{kind} k={kh}x{kw} hw={h}x{w} n={n}"
-        z, cols = qat.linear_fwd(layer, x, wt, b)
-        dx, dw, db = qat.linear_bwd(layer, dz, cols, wt, x.shape)
+        z, cols = kernels.linear_fwd(layer, x, wt, b)
+        dx, dw, db = kernels.linear_bwd(layer, dz, cols, wt, x.shape)
         rz, rdw, rdx = oracles.ref_conv2d(x, dense, b, stride, padding, dz)
         assert z.flags.c_contiguous, case
         assert np.array_equal(z, rz) and np.array_equal(dx, rdx), case
@@ -210,8 +210,8 @@ def test_conv2d_matches_loop_reference(stride, padding):
         x, dz = (rng.normal(size=a.shape).astype(np.float32) for a in (x, dz))
         wt, b, dense = _window_operands(layer, lambda shape: rng.normal(size=shape),
                                         np.float32, 1 / (kh * kw))
-        z, cols = qat.linear_fwd(layer, x, wt, b)
-        dx, dw, _ = qat.linear_bwd(layer, dz, cols, wt, x.shape)
+        z, cols = kernels.linear_fwd(layer, x, wt, b)
+        dx, dw, _ = kernels.linear_bwd(layer, dz, cols, wt, x.shape)
         rz, rdw, rdx = oracles.ref_conv2d(x, dense, b, stride, padding, dz)
         pairs = [(z, rz), (dx, rdx)] + ([] if dw is None else [(dw, rdw[diag, diag])])
         for got, want in pairs:
@@ -232,9 +232,9 @@ def test_window_channel_blocks_match_reference(monkeypatch, kind, stride, paddin
     oh, ow = (h + 2 * padding - k) // stride + 1, (w + 2 * padding - k) // stride + 1
     layer = oracles._mk(1, kind, [0], c, k, k, stride, padding, (c, h, w), (c, oh, ow),
                         bias=c)
-    _, _, _, w2 = qat._phase_grid(layer, (n, c, h, w))
+    w2 = kernels._geometry(layer, (n, c, h, w))[3]
     m = oh * n * w2  # the positions the kernel computes: rows y < oh of every image
-    assert c * m <= qat.CONV_BLOCK  # one block unpatched
+    assert c * m <= kernels.CONV_BLOCK  # one block unpatched
     x = rng.integers(-8, 8, size=(n, c, h, w)).astype(np.float64)
     wt, b, dense = _window_operands(layer, lambda shape: rng.integers(-8, 8, size=shape),
                                     np.float64, 1)
@@ -242,12 +242,12 @@ def test_window_channel_blocks_match_reference(monkeypatch, kind, stride, paddin
     x32 = rng.normal(size=x.shape).astype(np.float32)
     w32, b32, _ = _window_operands(layer, lambda shape: rng.normal(size=shape),
                                    np.float32, 1 / (k * k))
-    one_block = qat.linear_fwd(layer, x32, w32, b32)[0]
+    one_block = kernels.linear_fwd(layer, x32, w32, b32)[0]
     for block in (3 * m, 3 * m + m // 2, m - 1, 1):
-        monkeypatch.setattr(qat, "CONV_BLOCK", block)
-        z, _ = qat.linear_fwd(layer, x, wt, b)
+        monkeypatch.setattr(kernels, "CONV_BLOCK", block)
+        z, _ = kernels.linear_fwd(layer, x, wt, b)
         assert np.array_equal(z, rz), block
-        z32, _ = qat.linear_fwd(layer, x32, w32, b32)
+        z32, _ = kernels.linear_fwd(layer, x32, w32, b32)
         assert z32.dtype == np.float32 and z32.tobytes() == one_block.tobytes(), block
 
 
@@ -262,10 +262,10 @@ def test_linear_bwd_without_dx_keeps_dw_and_db(kind):
     layer = oracles._mk(1, kind, [0], o, k, k, s, p, (c, hw, hw), out, bias=o)
     x = rng.normal(size=(2, c, hw, hw)).astype(np.float32)
     w = rng.normal(size=layer.weight_shape).astype(np.float32)
-    z, cols = qat.linear_fwd(layer, x, w, np.zeros(o, np.float32))
+    z, cols = kernels.linear_fwd(layer, x, w, np.zeros(o, np.float32))
     dz = rng.normal(size=z.shape).astype(np.float32)
-    dx, dw, db = qat.linear_bwd(layer, dz, cols, w, x.shape)
-    none, dw2, db2 = qat.linear_bwd(layer, dz, cols, w, x.shape, need_dx=False)
+    dx, dw, db = kernels.linear_bwd(layer, dz, cols, w, x.shape)
+    none, dw2, db2 = kernels.linear_bwd(layer, dz, cols, w, x.shape, need_dx=False)
     assert dx.shape == x.shape and none is None
     assert np.array_equal(dw, dw2) and np.array_equal(db, db2)
 
