@@ -19,7 +19,13 @@
 - two seeded searches of toycnn_mnist (SEARCHES: independent mode seed 0 and
   concurrent mode seed 3, 12 episodes with 4 warm-up, a 7000/1100 B budget,
   synthetic_shapes(400, 150, seed=5), 1 pretrain epoch): the history CSV,
-  the best policy's JSON and the log lines as bytes, keys `search/...`.
+  the best policy's JSON and the log lines as bytes, keys `search/...`;
+- enforce_rom then enforce_ram of ENFORCE_POLICIES seeded random
+  MobileNetV1 policies at 2 MB / 512 kB, and of ENFORCE_GRAPHS seeded random
+  graphs under random policies (some entries frozen) and budgets from below
+  their floor to their own footprint: the enforced weight and activation bits
+  and footprint's per-step RAM, or the InfeasibleBudgetError's message as
+  bytes where one is raised, keys `enforce/...`.
 
 The packed models are read from DIR, and written there by the first run that
 misses them. Run the parent first, then the change on the same DIR: both then
@@ -30,8 +36,8 @@ come from the same models. Weights and images depend on seeds only.
 `diff` says, per key, whether the two dumps hold identical arrays. For an
 integer array that differs it gives how many elements differ out of how many,
 and for integer and float arrays the largest absolute difference. It exits 1
-when an integer array or a search record differs, when a key's shapes differ
-or when a key is in one dump only.
+when an integer array, a search record or an enforcement record differs,
+when a key's shapes differ or when a key is in one dump only.
 """
 
 from __future__ import annotations
@@ -47,6 +53,7 @@ sys.path[:0] = [os.path.join(HERE, "..", "src"), os.path.join(HERE, "..", "tests
 
 import oracles  # noqa: E402
 from mcuq import data, inference, memory_model, packed_model, qat, quantizer, search  # noqa: E402
+from mcuq.errors import InfeasibleBudgetError  # noqa: E402
 from mcuq.graph_ir import fixture_path, load_graph  # noqa: E402
 
 MBV1_BUDGET = memory_model.MemoryBudget(rom_bytes=2 * 2 ** 20, ram_bytes=512 * 2 ** 10)
@@ -54,6 +61,8 @@ RANDOM_GRAPHS = 24
 EVAL_BATCH = 128  # images per batch of `mcuq eval` (evaluate_accuracy's default)
 SEARCHES = (("independent", 0), ("concurrent", 3))  # (mode, seed)
 SEARCH_BUDGET = memory_model.MemoryBudget(rom_bytes=7000, ram_bytes=1100)
+ENFORCE_POLICIES = 64
+ENFORCE_GRAPHS = 24
 
 
 def _model(models_dir: str, name: str, build):
@@ -105,6 +114,49 @@ def _record_searches(out: dict) -> None:
             out[f"search/{mode}/{name}"] = np.frombuffer(text.encode(), np.uint8)
 
 
+def _enforced(out: dict, key: str, g, policy, budget) -> None:
+    """The enforced bits as (id, bits) rows and the per-step RAM, or the error message."""
+    try:
+        q = memory_model.enforce_ram(g, memory_model.enforce_rom(g, policy, budget), budget)
+    except InfeasibleBudgetError as e:
+        out[f"enforce/{key}/infeasible"] = np.frombuffer(str(e).encode(), np.uint8)
+        return
+    for name, bits in (("weight_bits", q.weight_bits), ("act_bits", q.act_bits)):
+        out[f"enforce/{key}/{name}"] = np.array(sorted(bits.items()), np.int64).reshape(-1, 2)
+    out[f"enforce/{key}/ram"] = np.array(memory_model.footprint(g, q).per_step_ram, np.int64)
+
+
+def _record_enforcement(out: dict) -> None:
+    """Enforced policies of MobileNetV1 and of random graphs, each from its own generator."""
+    g = load_graph(fixture_path("mobilenet_v1_224_100.json"))
+    cfg = search.SearchConfig(budget=MBV1_BUDGET)
+    items = search.decision_items(g, "concurrent")
+    rows = np.random.default_rng(ENFORCE_POLICIES).choice(
+        search.BIT_CHOICES, size=(ENFORCE_POLICIES, len(items))).tolist()
+    for i, row in enumerate(rows):
+        p = search.base_policy(g, cfg)
+        for (lid, is_weight), bits in zip(items, row):
+            (p.weight_bits if is_weight else p.act_bits)[lid] = bits
+        _enforced(out, f"mobilenet_v1_224/{i:02d}", g, p, MBV1_BUDGET)
+    # the cases of tests/oracles.random_enforce_case, drawn here with the older
+    # oracles API so that the parent checkout can run this script as it is
+    rng = np.random.default_rng(ENFORCE_GRAPHS)
+    for i in range(ENFORCE_GRAPHS):
+        g = oracles.random_graph(rng)
+        p = oracles.random_policy(rng, g)
+        p.frozen_weights = {k for k in p.weight_bits if rng.random() < 0.2}
+        p.frozen_acts = {k for k in p.act_bits if rng.random() < 0.2}
+        floor = p.copy()
+        for bits, frozen in ((floor.weight_bits, p.frozen_weights),
+                             (floor.act_bits, p.frozen_acts)):
+            bits.update({k: 2 for k, v in bits.items() if k not in frozen and v != 32})
+        lo = oracles.ref_rom(g, floor), oracles.ref_ram(g, floor)[0]
+        hi = oracles.ref_rom(g, p), oracles.ref_ram(g, p)[0]
+        rom, ram = (int(rng.integers(max(1, l - (h - l) // 8), max(1, h) + 1))
+                    for l, h in zip(lo, hi))
+        _enforced(out, f"random{i:02d}", g, p, memory_model.MemoryBudget(rom, ram))
+
+
 def dump(path: str, models_dir: str) -> None:
     os.makedirs(models_dir, exist_ok=True)
     out: dict[str, np.ndarray] = {}
@@ -145,6 +197,7 @@ def dump(path: str, models_dir: str) -> None:
     _record(out, "mobilenet_v1_224_all8", g, weights, memory_model.all_uniform_policy(g),
             models_dir, images, calib=calib, float_too=False)
     _record_searches(out)
+    _record_enforcement(out)
     np.savez_compressed(path, **out)
     print(f"{path}: {len(out)} arrays")
 
@@ -154,14 +207,14 @@ def diff(path_a: str, path_b: str) -> int:
     only = sorted(set(a.files) ^ set(b.files))
     for key in only:
         print(f"only in {path_a if key in a.files else path_b}: {key}")
-    same_int = diff_int = bad_shape = 0  # integer arrays and search records
+    same_int = diff_int = bad_shape = 0  # integer arrays, search and enforcement records
     worst: dict[str, float] = {}
     for key in sorted(set(a.files) & set(b.files)):
         x, y = a[key], b[key]
         if x.shape != y.shape:
             bad_shape += 1
             print(f"shapes differ: {key} {x.shape} vs {y.shape}")
-        elif key.startswith(("int/", "search/")):
+        elif key.startswith(("int/", "search/", "enforce/")):
             if np.array_equal(x, y):
                 same_int += 1
             else:
@@ -171,14 +224,15 @@ def diff(path_a: str, path_b: str) -> int:
                     print(f"integer codes differ: {key}: {np.count_nonzero(d)} of {d.size}, "
                           f"max |d| {d.max()}")
                 else:
-                    print(f"search record differs: {key}")
+                    print(f"{key.split('/')[0]} record differs: {key}")
         else:
             d = float(np.abs(x.astype(np.float64) - y).max()) if x.size else 0.0
             kind = key.split("/")[-1].split(".")[0]  # logits or grad
             worst[kind] = max(worst.get(kind, 0.0), d)
             if d:
                 print(f"{key}: max |d| {d:.3g} (largest |value| {np.abs(x).max():.3g})")
-    print(f"integer arrays and search records: {same_int} identical, {diff_int} differ")
+    print(f"integer arrays, search and enforcement records: {same_int} identical, "
+          f"{diff_int} differ")
     for kind, d in sorted(worst.items()):
         print(f"float {kind}: max |d| {d:.3g}")
     return 1 if diff_int or bad_shape or only else 0

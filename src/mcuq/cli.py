@@ -235,6 +235,8 @@ def cmd_footprint(a: dict, g) -> int:
     m2_ok = rep.ram_peak <= budget.ram_bytes
     print(f"rom_bytes={rep.rom_total}")
     print(f"ram_bytes={rep.ram_peak}")
+    print(f"ram_peak_step={rep.ram_peak_step}")
+    print("ram_peak_live=" + ",".join(f"{t}:{n}" for t, n in rep.ram_peak_live.items()))
     print(f"rom_budget={budget.rom_bytes}")
     print(f"ram_budget={budget.ram_bytes}")
     print(f"m1_ok={str(m1_ok).lower()}")

@@ -85,6 +85,20 @@ class NetworkGraph:
     def _encoded(self) -> tuple[int, ...]:
         return tuple(t for t in self.tensor_ids() if self.is_encoded(t))
 
+    @cached_property
+    def _spans(self) -> dict[int, range]:
+        step_of = {lid: i for i, lid in enumerate(self._order)}
+        last_use = {t: step_of[t] for t in self.tensor_ids()}
+        for layer in self.layers:
+            for t in layer.input_ids:
+                last_use[t] = max(last_use[t], step_of[layer.id])
+        return {t: range(step_of[t], last_use[t] + 1) for t in sorted(last_use, key=step_of.get)}
+
+    @cached_property
+    def _live(self) -> tuple[frozenset[int], ...]:
+        return tuple(frozenset(t for t, span in self._spans.items() if i in span)
+                     for i in range(len(self._order)))
+
     def layer(self, layer_id: int) -> LayerSpec:
         return self._by_id[layer_id]
 
@@ -122,6 +136,12 @@ class NetworkGraph:
     def encoded_tensors(self) -> tuple[int, ...]:
         """Tensors that need a quantized encoding, in layer order (found once)."""
         return self._encoded
+
+    def tensor_spans(self) -> dict[int, range]:
+        """Each activation tensor's schedule steps, from its producer's through
+        its last consumer's, keyed in the order the tensors are produced
+        (found once; callers must not change it)."""
+        return self._spans
 
     def decidable_act_tensors(self) -> list[int]:
         """Tensors the policy search acts on: those feeding quantized compute."""
@@ -253,19 +273,11 @@ def liveness(g: NetworkGraph) -> list[frozenset[int]]:
 
     A tensor's span runs from its producer's step through its last
     consumer's step; a step holds every tensor whose span covers it, so
-    skip-branch tensors stay live across the whole parallel branch.
+    skip-branch tensors stay live across the whole parallel branch. The
+    spans (NetworkGraph.tensor_spans) and the steps are worked out once per
+    graph.
     """
-    order = topo_order(g)
-    step_of = {lid: i for i, lid in enumerate(order)}
-    last_use = {t: step_of[t] for t in g.tensor_ids()}
-    for layer in g.layers:
-        for t in layer.input_ids:
-            last_use[t] = max(last_use[t], step_of[layer.id])
-    live: list[set[int]] = [set() for _ in order]
-    for t, last in last_use.items():
-        for i in range(step_of[t], last + 1):
-            live[i].add(t)
-    return [frozenset(cur) for cur in live]
+    return list(g._live)
 
 
 # the integer fields of a layer entry, with their defaults, and its integer lists

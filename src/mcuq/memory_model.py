@@ -8,6 +8,14 @@ out. RAM holds the activation tensors live at each step of the
 deterministic schedule. Tensors at 32 bits (full-precision
 placeholders, and tensors feeding only the output sink) cost 4 bytes per
 element and are never demoted.
+
+Each tensor's span of schedule steps (NetworkGraph.tensor_spans) is worked
+out once per graph and kept on it. A footprint adds each tensor's bytes to
+the steps of its span. Enforcement counts ROM and
+per-step RAM once per call, then applies each demotion as a delta: the weight
+bytes it saves off the ROM total, the tensor bytes it saves off the steps of
+that tensor's span. The greedy order is the one a full recount after every
+demotion gives: the largest tensor in bytes, at the first peak step for RAM.
 """
 
 from __future__ import annotations
@@ -17,7 +25,7 @@ import re
 from dataclasses import dataclass, field, replace
 
 from .errors import InfeasibleBudgetError, PolicyError
-from .graph_ir import NetworkGraph, _is_int, liveness, topo_order
+from .graph_ir import NetworkGraph, _is_int, topo_order
 
 VALID_BITS = (2, 4, 8, 32)
 REQUANT_BYTES_PER_CHANNEL = 8
@@ -108,6 +116,7 @@ class FootprintReport:
     ram_peak_step: int = -1
     per_step_ram: list[int] = field(default_factory=list)
     step_layer_ids: list[int] = field(default_factory=list)
+    ram_peak_live: dict[int, int] = field(default_factory=dict)  # tensor id -> bytes
 
 
 def validate_policy(g: NetworkGraph, p: QuantPolicy) -> None:
@@ -177,65 +186,89 @@ def rom_footprint(g: NetworkGraph, p: QuantPolicy) -> FootprintReport:
     return report
 
 
-def _fill_ram(report: FootprintReport, g: NetworkGraph, p: QuantPolicy,
-              order: list[int], live: list[frozenset[int]]) -> FootprintReport:
-    """Per-step RAM and its peak, given the schedule and its liveness table."""
-    report.step_layer_ids = order
-    for lid, tensors in zip(order, live):
-        step_bytes = sum(tensor_ram_bytes(g, p, t) for t in sorted(tensors))
-        report.per_step_ram.append(step_bytes)
-        if step_bytes > report.ram_peak:
-            report.ram_peak = step_bytes
-            report.ram_peak_step = lid
+def _ram_steps(g: NetworkGraph, p: QuantPolicy) -> list[int]:
+    """Per-step RAM: each tensor's bytes on every step of its span. Tensors
+    go in the order they are produced, so a missing entry is reported for
+    the tensor a step-by-step count would meet first."""
+    steps = [0] * len(topo_order(g))
+    for t, span in g.tensor_spans().items():
+        n = tensor_ram_bytes(g, p, t)
+        for i in span:
+            steps[i] += n
+    return steps
+
+
+def _live_at(g: NetworkGraph, step: int) -> list[int]:
+    """Ids of the tensors live at a schedule step, ascending."""
+    return sorted(t for t, span in g.tensor_spans().items() if step in span)
+
+
+def _fill_ram(report: FootprintReport, g: NetworkGraph, p: QuantPolicy) -> FootprintReport:
+    """Per-step RAM, its first peak and the tensors live there."""
+    order, steps = topo_order(g), _ram_steps(g, p)
+    report.step_layer_ids, report.per_step_ram = order, steps
+    top = max(steps)
+    if top > 0:
+        i = steps.index(top)
+        report.ram_peak, report.ram_peak_step = top, order[i]
+        report.ram_peak_live = {t: tensor_ram_bytes(g, p, t) for t in _live_at(g, i)}
     return report
 
 
 def ram_footprint(g: NetworkGraph, p: QuantPolicy) -> FootprintReport:
-    return _fill_ram(FootprintReport(), g, p, topo_order(g), liveness(g))
+    return _fill_ram(FootprintReport(), g, p)
 
 
 def footprint(g: NetworkGraph, p: QuantPolicy) -> FootprintReport:
-    return _fill_ram(rom_footprint(g, p), g, p, topo_order(g), liveness(g))
+    return _fill_ram(rom_footprint(g, p), g, p)
 
 
-def _demote_largest(bits: dict[int, int], ids, frozen: set[int], nbytes) -> bool:
+def _demote_largest(bits: dict[int, int], ids, frozen: set[int], nbytes):
     """Demote one step (8->4->2) the tensor of ids, neither frozen nor at 2
     bits, that takes the most bytes (nbytes(id)); ties go to the higher
-    bitwidth, then the lower id. False when no tensor is left to demote."""
+    bitwidth, then the lower id. Return its id and the bytes the demotion
+    saved, or None when no tensor is left to demote."""
     candidates = [i for i in ids if i not in frozen and bits.get(i) in DEMOTE]
     if not candidates:
-        return False
+        return None
     pick = max(candidates, key=lambda i: (nbytes(i), bits[i], -i))
+    was = nbytes(pick)
     bits[pick] = DEMOTE[bits[pick]]
-    return True
+    return pick, was - nbytes(pick)
 
 
 def enforce_rom(g: NetworkGraph, p: QuantPolicy, b: MemoryBudget) -> QuantPolicy:
     """Demote the largest non-frozen weight tensor (8->4->2) until ROM fits."""
     out = p.copy()
+    rom = rom_footprint(g, out).rom_total
     params = {l.id: l.param_count for l in g.weighted_layers()}
-    while rom_footprint(g, out).rom_total > b.rom_bytes:
-        if not _demote_largest(out.weight_bits, params, out.frozen_weights,
-                               lambda lid: weight_bytes(params[lid], out.weight_bits[lid])):
+    while rom > b.rom_bytes:
+        demoted = _demote_largest(out.weight_bits, params, out.frozen_weights,
+                                  lambda lid: weight_bytes(params[lid], out.weight_bits[lid]))
+        if demoted is None:
             raise InfeasibleBudgetError(
                 f"ROM budget {b.rom_bytes} B unreachable: every demotable weight tensor "
                 f"is already at 2 bits or frozen")
+        rom -= demoted[1]
     return out
 
 
 def enforce_ram(g: NetworkGraph, p: QuantPolicy, b: MemoryBudget) -> QuantPolicy:
     """Demote the largest non-frozen activation tensor live at the peak step until RAM fits."""
     out = p.copy()
-    order, live = topo_order(g), liveness(g)
-    while True:
-        report = _fill_ram(FootprintReport(), g, out, order, live)
-        if report.ram_peak <= b.ram_bytes:
-            return out
-        if not _demote_largest(out.act_bits, live[order.index(report.ram_peak_step)],
-                               out.frozen_acts, lambda t: tensor_ram_bytes(g, out, t)):
+    steps = _ram_steps(g, out)
+    while (top := max(steps)) > b.ram_bytes:
+        i = steps.index(top)
+        demoted = _demote_largest(out.act_bits, _live_at(g, i), out.frozen_acts,
+                                  lambda t: tensor_ram_bytes(g, out, t))
+        if demoted is None:
             raise InfeasibleBudgetError(
                 f"RAM budget {b.ram_bytes} B unreachable at step of layer "
-                f"{report.ram_peak_step}: every live tensor is frozen or at 2 bits")
+                f"{topo_order(g)[i]}: every live tensor is frozen or at 2 bits")
+        t, saved = demoted
+        for j in g.tensor_spans()[t]:
+            steps[j] -= saved
+    return out
 
 
 def rom_csv(report: FootprintReport) -> str:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from mcuq.errors import InfeasibleBudgetError
 from mcuq.graph_ir import (
     WEIGHTED_KINDS,
     LayerSpec,
@@ -18,7 +19,7 @@ from mcuq.graph_ir import (
     topo_order,
     validate,
 )
-from mcuq.memory_model import QuantPolicy
+from mcuq.memory_model import MemoryBudget, QuantPolicy
 
 
 # ---------------------------------------------------------------------------
@@ -308,6 +309,46 @@ def ref_ram(g: NetworkGraph, policy: QuantPolicy) -> tuple[int, list[int]]:
     return max(steps), steps
 
 
+def _ref_demote(bits: dict[int, int], ids, frozen: set[int], nbytes) -> bool:
+    """Demote 8->4 or 4->2 the free id of most nbytes(id), then higher bits, then lower id."""
+    free = sorted(i for i in ids if i not in frozen and bits.get(i) in (8, 4))
+    if not free:
+        return False
+    best = free[0]
+    for i in free[1:]:  # ascending ids: a later id wins only on strictly more bytes or bits
+        if (nbytes(i), bits[i]) > (nbytes(best), bits[best]):
+            best = i
+    bits[best] //= 2
+    return True
+
+
+def ref_enforce(g: NetworkGraph, policy: QuantPolicy, budget: MemoryBudget) -> QuantPolicy:
+    """Greedy ROM then RAM demotion, recounting ref_rom/ref_ram after every
+    single step. ROM demotes the weighted layer whose packed weights take the
+    most bytes; RAM demotes among the tensors live at the first peak step of
+    sim_liveness. Raises InfeasibleBudgetError, with the package's message,
+    when nothing demotable is left."""
+    out = policy.copy()
+    params = {l.id: l.param_count for l in g.weighted_layers()}
+    while ref_rom(g, out) > budget.rom_bytes:
+        if not _ref_demote(out.weight_bits, params, out.frozen_weights,
+                           lambda i: -(-params[i] * out.weight_bits[i] // 8)):
+            raise InfeasibleBudgetError(
+                f"ROM budget {budget.rom_bytes} B unreachable: every demotable weight tensor "
+                f"is already at 2 bits or frozen")
+    live = sim_liveness(g)
+    while True:
+        peak, steps = ref_ram(g, out)
+        if peak <= budget.ram_bytes:
+            return out
+        step = steps.index(peak)
+        if not _ref_demote(out.act_bits, live[step], out.frozen_acts,
+                           lambda t: ref_tensor_bytes(g, out, t)):
+            raise InfeasibleBudgetError(
+                f"RAM budget {budget.ram_bytes} B unreachable at step of layer "
+                f"{topo_order(g)[step]}: every live tensor is frozen or at 2 bits")
+
+
 # ---------------------------------------------------------------------------
 # Finite differences
 # ---------------------------------------------------------------------------
@@ -438,3 +479,23 @@ def random_policy(rng: np.random.Generator, g: NetworkGraph,
         act_bits={t: int(bits[rng.integers(0, len(bits))])
                   for t in g.encoded_tensors()},
     )
+
+
+def random_enforce_case(rng: np.random.Generator):
+    """A random graph and policy with about a fifth of its entries frozen, the
+    (ROM, RAM) floor with every free sub-byte entry at 2 bits, and a budget
+    drawn from a little below that floor up to the policy's own footprint."""
+    g = random_graph(rng)
+    p = random_policy(rng, g)
+    p.frozen_weights = {k for k in p.weight_bits if rng.random() < 0.2}
+    p.frozen_acts = {k for k in p.act_bits if rng.random() < 0.2}
+    floor = p.copy()
+    for bits, frozen in ((floor.weight_bits, p.frozen_weights),
+                         (floor.act_bits, p.frozen_acts)):
+        bits.update({k: 2 for k, v in bits.items() if k not in frozen and v != 32})
+    lo = ref_rom(g, floor), ref_ram(g, floor)[0]
+    hi = ref_rom(g, p), ref_ram(g, p)[0]
+    rom, ram = (int(rng.integers(max(1, l - (h - l) // 8), max(1, h) + 1))
+                for l, h in zip(lo, hi))
+    return g, p, lo, MemoryBudget(rom_bytes=rom, ram_bytes=ram)
+

@@ -12,10 +12,11 @@ import numpy as np
 import pytest
 
 import mcuq
+import oracles
 
 from mcuq import cli, qat
 from mcuq.data import Dataset, load_dataset, save_raw_dir
-from mcuq.graph_ir import fixture_path, load_graph
+from mcuq.graph_ir import fixture_path, load_graph, topo_order
 from mcuq.inference import evaluate_accuracy, per_class_csv
 from mcuq.memory_model import QuantPolicy, all_uniform_policy, footprint, validate_policy
 from mcuq.packed_model import build_packed_model, load_packed, save_packed
@@ -129,8 +130,23 @@ def test_footprint_prints_budget_verdicts(capsys, rom, ram, m1, m2, code):
     assert cli.main(["footprint", "--graph", TOY, "--rom-bytes", str(rom),
                      "--ram-bytes", str(ram)]) == code
     assert capsys.readouterr().out.splitlines() == [
-        "rom_bytes=12332", "ram_bytes=1960", f"rom_budget={rom}", f"ram_budget={ram}",
-        f"m1_ok={m1}", f"m2_ok={m2}"]
+        "rom_bytes=12332", "ram_bytes=1960", "ram_peak_step=3", "ram_peak_live=2:784,3:1176",
+        f"rom_budget={rom}", f"ram_budget={ram}", f"m1_ok={m1}", f"m2_ok={m2}"]
+
+
+@pytest.mark.parametrize("name", ["toycnn_mnist", "toy_residual", "mobilenet_v1_224_100"])
+def test_footprint_names_the_tensors_live_at_the_ram_peak(capsys, name):
+    """All-8: the tensors printed are those live at the peak step, and their
+    bytes add up to the RAM peak."""
+    path = fixture_path(name + ".json")
+    assert cli.main(["footprint", "--graph", path, "--rom-bytes", str(2 ** 30),
+                     "--ram-bytes", str(2 ** 30)]) == cli.EXIT_OK
+    out = dict(line.split("=", 1) for line in capsys.readouterr().out.splitlines())
+    live = {int(t): int(n) for t, n in (e.split(":") for e in out["ram_peak_live"].split(","))}
+    assert sum(live.values()) == int(out["ram_bytes"])
+    g = load_graph(path)
+    step = topo_order(g).index(int(out["ram_peak_step"]))
+    assert sorted(live) == sorted(oracles.sim_liveness(g)[step])
 
 
 def test_pretrain_prints_one_line_per_epoch(in_tmp, capsys):

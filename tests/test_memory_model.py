@@ -2,13 +2,15 @@
 
 import json
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 import oracles
+from mcuq import search
 from mcuq.errors import InfeasibleBudgetError, PolicyError
-from mcuq.graph_ir import NetworkGraph, validate
+from mcuq.graph_ir import NetworkGraph, topo_order, validate
 from mcuq.memory_model import (
     MemoryBudget,
     QuantPolicy,
@@ -81,6 +83,12 @@ def test_footprint_matches_oracle_random():
         assert rep.rom_total == oracles.ref_rom(g, p)
         peak, steps = oracles.ref_ram(g, p)
         assert rep.ram_peak == peak
+        step = steps.index(peak)
+        assert rep.ram_peak_live == {t: oracles.ref_tensor_bytes(g, p, t)
+                                     for t in oracles.sim_liveness(g)[step]}
+        rom = rom_footprint(g, p)
+        assert (rep.rom_total, rep.rom_per_layer) == (rom.rom_total, rom.rom_per_layer)
+        assert replace(rep, rom_total=0, rom_per_layer={}) == ram_footprint(g, p)
 
 
 # ---------------------------------------------------------------------------
@@ -239,19 +247,8 @@ def test_enforce_on_random_graphs_meets_the_budget_or_raises():
     rng = np.random.default_rng(43)
     seen = set()
     for _ in range(120):
-        g = oracles.random_graph(rng)
-        p = oracles.random_policy(rng, g)
-        p.frozen_weights = {k for k in p.weight_bits if rng.random() < 0.2}
-        p.frozen_acts = {k for k in p.act_bits if rng.random() < 0.2}
-        floor = p.copy()
-        for bits, frozen in ((floor.weight_bits, p.frozen_weights),
-                             (floor.act_bits, p.frozen_acts)):
-            bits.update({k: 2 for k, v in bits.items() if k not in frozen and v != 32})
-        lo = oracles.ref_rom(g, floor), oracles.ref_ram(g, floor)[0]
-        hi = oracles.ref_rom(g, p), oracles.ref_ram(g, p)[0]
-        rom, ram = (int(rng.integers(max(1, l - (h - l) // 8), max(1, h) + 1))
-                    for l, h in zip(lo, hi))
-        b = MemoryBudget(rom_bytes=rom, ram_bytes=ram)
+        g, p, lo, b = oracles.random_enforce_case(rng)
+        rom, ram = b.rom_bytes, b.ram_bytes
         try:
             q = enforce_ram(g, enforce_rom(g, p, b), b)
         except InfeasibleBudgetError:
@@ -263,6 +260,132 @@ def test_enforce_on_random_graphs_meets_the_budget_or_raises():
             assert got.keys() == was.keys() and all(got[k] <= was[k] for k in was)
         seen.add("fits")
     assert seen == {"fits", "infeasible"}
+
+
+def _enforced_or_error(enforce, g, p, b):
+    """The enforced policy, or the message of the InfeasibleBudgetError raised."""
+    try:
+        return enforce(g, p, b)
+    except InfeasibleBudgetError as e:
+        return f"InfeasibleBudgetError: {e}"
+
+
+def _enforce(g, p, b):
+    return enforce_ram(g, enforce_rom(g, p, b), b)
+
+
+def _assert_report_matches_the_oracles(g, q):
+    rep = footprint(g, q)
+    peak, steps = oracles.ref_ram(g, q)
+    assert rep.rom_total == oracles.ref_rom(g, q)
+    assert rep.per_step_ram == steps
+    assert (rep.ram_peak, rep.ram_peak_step) == (peak, topo_order(g)[steps.index(peak)])
+    assert list(rep.step_layer_ids) == list(topo_order(g))
+
+
+def test_enforce_matches_the_reference_greedy_on_random_graphs():
+    """200 seeded random graphs and policies (residual branches, 32-bit and
+    frozen entries), under budgets from below the floor to the policy's own
+    footprint: enforce_rom then enforce_ram return the policy of
+    oracles.ref_enforce, which recounts the footprint after every demotion,
+    or raise the same InfeasibleBudgetError; the enforced footprint is the
+    oracles' per-step RAM, first peak and ROM."""
+    rng = np.random.default_rng(47)
+    seen = set()
+    for _ in range(200):
+        g, p, _, b = oracles.random_enforce_case(rng)
+        got = _enforced_or_error(_enforce, g, p, b)
+        assert got == _enforced_or_error(oracles.ref_enforce, g, p, b)
+        if isinstance(got, str):
+            seen.add(got.split(" budget")[0])
+        else:
+            _assert_report_matches_the_oracles(g, got)
+            seen.add("fits")
+    assert seen == {"fits", "InfeasibleBudgetError: ROM", "InfeasibleBudgetError: RAM"}
+
+
+MBV1_BUDGET = MemoryBudget(rom_bytes=2 * 2 ** 20, ram_bytes=512 * 2 ** 10)
+
+
+def _mobilenet_pool(g, n, seed):
+    """n random 2/4/8 choices over the search's concurrent decisions."""
+    cfg = search.SearchConfig(budget=MBV1_BUDGET)
+    items = search.decision_items(g, "concurrent")
+    rng = np.random.default_rng(seed)
+    for row in rng.choice(search.BIT_CHOICES, size=(n, len(items))).tolist():
+        p = search.base_policy(g, cfg)
+        for (lid, is_weight), bits in zip(items, row):
+            (p.weight_bits if is_weight else p.act_bits)[lid] = bits
+        yield p
+
+
+def test_enforce_matches_the_reference_greedy_on_mobilenet(mobilenet_graph):
+    """256 seeded random MobileNetV1 policies at 2 MB / 512 kB."""
+    g = mobilenet_graph
+    demoted = 0
+    for p in _mobilenet_pool(g, 256, 53):
+        got = _enforce(g, p, MBV1_BUDGET)
+        assert got == oracles.ref_enforce(g, p, MBV1_BUDGET)
+        _assert_report_matches_the_oracles(g, got)
+        demoted += got != p
+    assert demoted > 128
+
+
+def test_a_missing_weight_entry_raises_a_policy_error(toy_graph):
+    p = all_uniform_policy(toy_graph)
+    del p.weight_bits[3]
+    b = MemoryBudget(rom_bytes=10 ** 9, ram_bytes=10 ** 9)
+    for call in (lambda: enforce_rom(toy_graph, p, b), lambda: footprint(toy_graph, p),
+                 lambda: rom_footprint(toy_graph, p)):
+        with pytest.raises(PolicyError, match=r"^missing weight_bits entry for layer 3$"):
+            call()
+
+
+def test_a_missing_act_entry_of_a_live_tensor_raises_a_policy_error(toy_graph):
+    """With tensors 2 and 4 missing, the one produced first is named."""
+    p = all_uniform_policy(toy_graph)
+    del p.act_bits[4], p.act_bits[2]
+    b = MemoryBudget(rom_bytes=10 ** 9, ram_bytes=1)
+    for call in (lambda: enforce_ram(toy_graph, p, b), lambda: footprint(toy_graph, p),
+                 lambda: ram_footprint(toy_graph, p)):
+        with pytest.raises(PolicyError, match=r"^missing act_bits entry for live tensor 2$"):
+            call()
+
+
+def test_32_bit_entries_are_never_demoted(toy_graph):
+    """32-bit weights and tensors keep their bits while the rest are demoted:
+    16625 B is the ROM with every other layer at 2 bits, 3430 B the RAM of
+    layer 3's step with tensor 3 at 2 bits beside the 32-bit tensor 2."""
+    p = all_uniform_policy(toy_graph)
+    p.weight_bits[3] = p.act_bits[2] = 32
+    b = MemoryBudget(rom_bytes=16625, ram_bytes=3430)
+    q = _enforce(toy_graph, p, b)
+    assert q.weight_bits == {1: 2, 2: 2, 3: 32, 4: 2, 6: 2}
+    assert q.act_bits == {0: 8, 1: 2, 2: 32, 3: 2, 4: 8, 5: 8}
+    assert q == oracles.ref_enforce(toy_graph, p, b)
+
+
+@pytest.mark.parametrize("acts, frozen, step", [
+    # every tensor at 32 bits: the peak is layer 3's step (tensors 2 and 3, 7840 B)
+    ({t: 32 for t in range(6)}, set(), 3),
+    # tensors 0 and 1 frozen at 8 bits, the rest at 32: the peak is layer 3's step
+    ({0: 8, 1: 8, 2: 32, 3: 32, 4: 32, 5: 32}, {0, 1}, 3),
+    # tensors 2 and 3 at 32 bits, the rest frozen: a demotion elsewhere would not help
+    ({0: 8, 1: 8, 2: 32, 3: 32, 4: 8, 5: 8}, {0, 1, 4, 5}, 3),
+])
+def test_a_budget_only_32_bit_or_frozen_tensors_could_meet_raises(toy_graph, acts, frozen,
+                                                                   step):
+    p = all_uniform_policy(toy_graph)
+    p.act_bits, p.frozen_acts = acts, frozen
+    ram = footprint(toy_graph, p).ram_peak
+    with pytest.raises(InfeasibleBudgetError, match=rf"^RAM budget {ram - 1} B unreachable "
+                       rf"at step of layer {step}: every live tensor is frozen or at 2 bits$"):
+        enforce_ram(toy_graph, p, MemoryBudget(rom_bytes=10 ** 9, ram_bytes=ram - 1))
+    p.weight_bits = {1: 32, 2: 32, 3: 8, 4: 32, 6: 8}
+    p.frozen_weights = {3, 6}
+    rom = footprint(toy_graph, p).rom_total
+    with pytest.raises(InfeasibleBudgetError, match=rf"^ROM budget {rom - 1} B unreachable"):
+        enforce_rom(toy_graph, p, MemoryBudget(rom_bytes=rom - 1, ram_bytes=10 ** 9))
 
 
 def _three_pointwise_graph():
