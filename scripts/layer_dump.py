@@ -21,9 +21,10 @@
   synthetic_shapes(400, 150, seed=5), 1 pretrain epoch): the history CSV,
   the best policy's JSON and the log lines as bytes, keys `search/...`;
 - enforce_rom then enforce_ram of ENFORCE_POLICIES seeded random
-  MobileNetV1 policies at 2 MB / 512 kB, and of ENFORCE_GRAPHS seeded random
-  graphs under random policies (some entries frozen) and budgets from below
-  their floor to their own footprint: the enforced weight and activation bits
+  MobileNetV1 policies at 2 MB / 512 kB, and of ENFORCE_GRAPHS cases of
+  oracles.random_enforce_case (random graphs under random policies, some
+  entries frozen, and budgets from below their floor to their own
+  footprint): the enforced weight and activation bits
   and footprint's per-step RAM, or the InfeasibleBudgetError's message as
   bytes where one is raised, keys `enforce/...`.
 
@@ -80,7 +81,7 @@ def _float_step(out: dict, key: str, g, weights, images, policy=None, model=None
     logits, cache = qat.forward_network(g, weights, images, policy, ranges, train=True)
     r = np.random.default_rng(3).normal(size=logits.shape).astype(np.float32)
     out[f"float/{key}/logits"] = logits
-    for name, grad in qat.backward_network(g, weights, cache, r).items():
+    for name, grad in qat.backward_network(g, cache, r).items():
         out[f"float/{key}/grad.{name}"] = np.asarray(grad)
 
 
@@ -138,23 +139,10 @@ def _record_enforcement(out: dict) -> None:
         for (lid, is_weight), bits in zip(items, row):
             (p.weight_bits if is_weight else p.act_bits)[lid] = bits
         _enforced(out, f"mobilenet_v1_224/{i:02d}", g, p, MBV1_BUDGET)
-    # the cases of tests/oracles.random_enforce_case, drawn here with the older
-    # oracles API so that the parent checkout can run this script as it is
     rng = np.random.default_rng(ENFORCE_GRAPHS)
     for i in range(ENFORCE_GRAPHS):
-        g = oracles.random_graph(rng)
-        p = oracles.random_policy(rng, g)
-        p.frozen_weights = {k for k in p.weight_bits if rng.random() < 0.2}
-        p.frozen_acts = {k for k in p.act_bits if rng.random() < 0.2}
-        floor = p.copy()
-        for bits, frozen in ((floor.weight_bits, p.frozen_weights),
-                             (floor.act_bits, p.frozen_acts)):
-            bits.update({k: 2 for k, v in bits.items() if k not in frozen and v != 32})
-        lo = oracles.ref_rom(g, floor), oracles.ref_ram(g, floor)[0]
-        hi = oracles.ref_rom(g, p), oracles.ref_ram(g, p)[0]
-        rom, ram = (int(rng.integers(max(1, l - (h - l) // 8), max(1, h) + 1))
-                    for l, h in zip(lo, hi))
-        _enforced(out, f"random{i:02d}", g, p, memory_model.MemoryBudget(rom, ram))
+        g, p, _, budget = oracles.random_enforce_case(rng)
+        _enforced(out, f"random{i:02d}", g, p, budget)
 
 
 def dump(path: str, models_dir: str) -> None:

@@ -78,7 +78,7 @@ class Tree:
         logits, cache = q.forward_network(self.g, weights, images[:32], policy=self.policy(bits),
                                           ranges=dict(ranges), train=True)
         _, dlogits = q.softmax_xent(logits, labels[:32])
-        return logits, q.backward_network(self.g, weights, cache, dlogits)
+        return logits, q.backward_network(self.g, cache, dlogits)
 
 
 def main(argv=None) -> int:

@@ -4,12 +4,16 @@ A graph is a DAG of layers. Every layer except the ``output`` sink produces
 exactly one activation tensor, identified by the producing layer's id. The
 execution schedule is the deterministic topological order (ties broken by
 ascending id), which makes activation liveness -- and therefore the RAM
-footprint -- reproducible.
+footprint -- reproducible. The layers never change, so each derived fact
+is worked out once per graph, on first use, and kept on it: the consumer
+index from the input ids; from it, the schedule, the encoded tensors and,
+with the schedule, each tensor's span of steps; from the spans, liveness.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import heapq
 import json
 import math
 from dataclasses import dataclass, field
@@ -76,10 +80,17 @@ class NetworkGraph:
     def __post_init__(self):
         object.__setattr__(self, "_by_id", {l.id: l for l in self.layers})
 
-    # the layers never change, so these are worked out on first use and kept
+    @cached_property
+    def _consumers(self) -> dict[int, list[LayerSpec]]:
+        index: dict[int, list[LayerSpec]] = {l.id: [] for l in self.layers}
+        for l in self.layers:
+            for t in dict.fromkeys(l.input_ids):
+                index[t].append(l)
+        return index
+
     @cached_property
     def _order(self) -> tuple[int, ...]:
-        return _topo_sort(self.layers)
+        return _topo_sort(self)
 
     @cached_property
     def _encoded(self) -> tuple[int, ...]:
@@ -88,11 +99,9 @@ class NetworkGraph:
     @cached_property
     def _spans(self) -> dict[int, range]:
         step_of = {lid: i for i, lid in enumerate(self._order)}
-        last_use = {t: step_of[t] for t in self.tensor_ids()}
-        for layer in self.layers:
-            for t in layer.input_ids:
-                last_use[t] = max(last_use[t], step_of[layer.id])
-        return {t: range(step_of[t], last_use[t] + 1) for t in sorted(last_use, key=step_of.get)}
+        return {t: range(step_of[t], max((step_of[c.id] for c in self._consumers[t]),
+                                         default=step_of[t]) + 1)
+                for t in sorted(self.tensor_ids(), key=step_of.get)}
 
     @cached_property
     def _live(self) -> tuple[frozenset[int], ...]:
@@ -120,7 +129,7 @@ class NetworkGraph:
         return [l for l in self.layers if l.kind in WEIGHTED_KINDS]
 
     def consumers(self, tensor_id: int) -> list[LayerSpec]:
-        return [l for l in self.layers if tensor_id in l.input_ids]
+        return list(self._consumers.get(tensor_id, ()))
 
     def tensor_ids(self) -> list[int]:
         """Ids of all activation tensors (one per non-output layer)."""
@@ -131,24 +140,22 @@ class NetworkGraph:
 
     def is_encoded(self, tensor_id: int) -> bool:
         """Whether a tensor needs a quantized encoding: any non-output layer consumes it."""
-        return any(c.kind != "output" for c in self.consumers(tensor_id))
+        return any(c.kind != "output" for c in self._consumers.get(tensor_id, ()))
 
     def encoded_tensors(self) -> tuple[int, ...]:
-        """Tensors that need a quantized encoding, in layer order (found once)."""
+        """Tensors that need a quantized encoding, in layer order."""
         return self._encoded
 
     def tensor_spans(self) -> dict[int, range]:
         """Each activation tensor's schedule steps, from its producer's through
         its last consumer's, keyed in the order the tensors are produced
-        (found once; callers must not change it)."""
+        (callers must not change it)."""
         return self._spans
 
     def decidable_act_tensors(self) -> list[int]:
         """Tensors the policy search acts on: those feeding quantized compute."""
-        return [
-            t for t in self.tensor_ids()
-            if any(c.kind in COMPUTE_KINDS for c in self.consumers(t))
-        ]
+        return [t for t in self.tensor_ids()
+                if any(c.kind in COMPUTE_KINDS for c in self._consumers[t])]
 
     def residual_tensors(self) -> set[int]:
         """Inputs and outputs of residual adds (held at fixed 8-bit by the search)."""
@@ -236,46 +243,35 @@ def _check_topology(layers: tuple[LayerSpec, ...]) -> None:
 
 
 def topo_order(g: NetworkGraph) -> tuple[int, ...]:
-    """Deterministic topological order: ready layers emitted by ascending id.
-
-    Sorted once per graph; raises GraphValidationError on a cycle.
-    """
+    """Deterministic topological order: ready layers emitted by ascending id
+    (raises GraphValidationError on a cycle)."""
     return g._order
 
 
-def _topo_sort(layers: tuple[LayerSpec, ...]) -> tuple[int, ...]:
-    indeg = {l.id: len(l.input_ids) for l in layers}
-    ready = sorted(lid for lid, d in indeg.items() if d == 0)
-    consumers: dict[int, list[int]] = {l.id: [] for l in layers}
-    for l in layers:
-        for ref in l.input_ids:
-            consumers[ref].append(l.id)
+def _topo_sort(g: NetworkGraph) -> tuple[int, ...]:
+    indeg = {l.id: len(l.input_ids) for l in g.layers}
+    ready = sorted(lid for lid, d in indeg.items() if d == 0)  # a sorted list is a heap
     order: list[int] = []
     while ready:
-        lid = ready.pop(0)
+        lid = heapq.heappop(ready)
         order.append(lid)
-        changed = False
-        for c in consumers[lid]:
-            indeg[c] -= 1
-            if indeg[c] == 0:
-                ready.append(c)
-                changed = True
-        if changed:
-            ready.sort()
-    if len(order) != len(layers):
+        for c in g._consumers[lid]:
+            indeg[c.id] -= c.input_ids.count(lid)
+            if indeg[c.id] == 0:
+                heapq.heappush(ready, c.id)
+    if len(order) != len(g.layers):
         stuck = sorted(lid for lid, d in indeg.items() if d > 0)
         raise GraphValidationError(f"graph contains a cycle through layers {stuck}")
     return tuple(order)
 
 
 def liveness(g: NetworkGraph) -> list[frozenset[int]]:
-    """Per execution step: ids of live activation tensors.
+    """Per execution step: ids of live activation tensors, the table that budget
+    enforcement and the footprint's peak read.
 
-    A tensor's span runs from its producer's step through its last
-    consumer's step; a step holds every tensor whose span covers it, so
-    skip-branch tensors stay live across the whole parallel branch. The
-    spans (NetworkGraph.tensor_spans) and the steps are worked out once per
-    graph.
+    A tensor's span (NetworkGraph.tensor_spans) runs from its producer's step
+    through its last consumer's; a step holds every tensor whose span covers
+    it, so skip-branch tensors stay live across the whole parallel branch.
     """
     return list(g._live)
 
@@ -311,9 +307,8 @@ def _layer_from_dict(d: dict) -> LayerSpec:
 
 def validate(g: NetworkGraph) -> NetworkGraph:
     _check_topology(g.layers)
-    by_id = {l.id: l for l in g.layers}
     for layer in g.layers:
-        _validate_layer(layer, by_id)
+        _validate_layer(layer, g._by_id)
     topo_order(g)  # raises on cycles
     return g
 

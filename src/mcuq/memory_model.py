@@ -1,21 +1,24 @@
 """ROM/RAM footprint computation and budget enforcement by bitwidth demotion.
 
-ROM holds weights (packed at their policy bits), biases (4 bytes each), and
-per-output-channel requantization constants (8 bytes: int32 multiplier and
-int32 shift). ROM always counts the bias and requant overheads, as the M1
-constraint of Rusci et al. (arXiv 1905.13082) does; no switch leaves them
-out. RAM holds the activation tensors live at each step of the
-deterministic schedule. Tensors at 32 bits (full-precision
-placeholders, and tensors feeding only the output sink) cost 4 bytes per
-element and are never demoted.
+ROM holds, per weighted layer, what the container puts on the device: the
+weight codes packed at their policy bits, 4 bytes per bias (the container
+keeps one per output channel; the MobileNetV1 fixture counts three) and 8
+bytes of requant (int32 multiplier and shift) per output channel, as the M1
+constraint of Rusci et al. (arXiv 1905.13082) counts them. Not charged: host
+metadata (float32 weight scales, shapes, clips, headers) and the on-device
+scalar requant of each avg_pool, relu_clip and add_residual record, 8 bytes
+per input (8 B on toycnn_mnist and MobileNetV1, 32 B on toy_residual).
 
-Each tensor's span of schedule steps (NetworkGraph.tensor_spans) is worked
-out once per graph and kept on it. A footprint adds each tensor's bytes to
-the steps of its span. Enforcement counts ROM and
-per-step RAM once per call, then applies each demotion as a delta: the weight
-bytes it saves off the ROM total, the tensor bytes it saves off the steps of
-that tensor's span. The greedy order is the one a full recount after every
-demotion gives: the largest tensor in bytes, at the first peak step for RAM.
+RAM holds the activation tensors live at each step of the deterministic
+schedule (graph_ir.liveness, worked out once per graph from each tensor's
+span of steps, NetworkGraph.tensor_spans). Tensors at 32 bits (full-precision
+placeholders, and tensors feeding only the output sink) cost 4 bytes per
+element and are never demoted. A footprint adds each tensor's bytes to the
+steps of its span. Enforcement counts ROM and per-step RAM once per call,
+then applies each demotion as a delta: the weight bytes it saves off the ROM
+total, the tensor bytes it saves off the steps of that tensor's span. The
+greedy order is the one a full recount after every demotion gives: the
+largest tensor in bytes, at the first peak step for RAM.
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ import re
 from dataclasses import dataclass, field, replace
 
 from .errors import InfeasibleBudgetError, PolicyError
-from .graph_ir import NetworkGraph, _is_int, topo_order
+from .graph_ir import NetworkGraph, _is_int, liveness, topo_order
 
 VALID_BITS = (2, 4, 8, 32)
 REQUANT_BYTES_PER_CHANNEL = 8
@@ -198,11 +201,6 @@ def _ram_steps(g: NetworkGraph, p: QuantPolicy) -> list[int]:
     return steps
 
 
-def _live_at(g: NetworkGraph, step: int) -> list[int]:
-    """Ids of the tensors live at a schedule step, ascending."""
-    return sorted(t for t, span in g.tensor_spans().items() if step in span)
-
-
 def _fill_ram(report: FootprintReport, g: NetworkGraph, p: QuantPolicy) -> FootprintReport:
     """Per-step RAM, its first peak and the tensors live there."""
     order, steps = topo_order(g), _ram_steps(g, p)
@@ -211,7 +209,7 @@ def _fill_ram(report: FootprintReport, g: NetworkGraph, p: QuantPolicy) -> Footp
     if top > 0:
         i = steps.index(top)
         report.ram_peak, report.ram_peak_step = top, order[i]
-        report.ram_peak_live = {t: tensor_ram_bytes(g, p, t) for t in _live_at(g, i)}
+        report.ram_peak_live = {t: tensor_ram_bytes(g, p, t) for t in sorted(liveness(g)[i])}
     return report
 
 
@@ -259,7 +257,7 @@ def enforce_ram(g: NetworkGraph, p: QuantPolicy, b: MemoryBudget) -> QuantPolicy
     steps = _ram_steps(g, out)
     while (top := max(steps)) > b.ram_bytes:
         i = steps.index(top)
-        demoted = _demote_largest(out.act_bits, _live_at(g, i), out.frozen_acts,
+        demoted = _demote_largest(out.act_bits, liveness(g)[i], out.frozen_acts,
                                   lambda t: tensor_ram_bytes(g, out, t))
         if demoted is None:
             raise InfeasibleBudgetError(

@@ -138,8 +138,7 @@ def forward_network(g: NetworkGraph, weights: dict, x: np.ndarray,
     return acts[g.output_layer.input_ids[0]].astype(np.float32), cache
 
 
-def backward_network(g: NetworkGraph, weights: dict, cache: list,
-                     dlogits: np.ndarray) -> dict[str, np.ndarray]:
+def backward_network(g: NetworkGraph, cache: list, dlogits: np.ndarray) -> dict[str, np.ndarray]:
     """Grads for weights, biases, and activation clips given dL/dlogits."""
     grads: dict[str, np.ndarray] = {}
     dacts: dict[int, np.ndarray] = {}
@@ -248,7 +247,7 @@ def train_network(g: NetworkGraph, weights: dict, dataset: Dataset,
             loss, dlogits = softmax_xent(logits, labels[idx])
             if not np.isfinite(loss):
                 raise TrainingDivergedError(f"loss became {loss} at epoch {epoch}")
-            grads = backward_network(g, weights, cache, dlogits)
+            grads = backward_network(g, cache, dlogits)
             for key, u in opt.step(grads).items():
                 tag, i = key.split(".")
                 if tag == "clip":  # float32, as the container stores it

@@ -32,6 +32,7 @@ from .graph_ir import ALL_KINDS, NetworkGraph, topo_order
 from .memory_model import (
     MemoryBudget,
     QuantPolicy,
+    all_uniform_policy,
     enforce_ram,
     enforce_rom,
     footprint,
@@ -280,15 +281,11 @@ def decision_items(g: NetworkGraph, phase: str,
 def base_policy(g: NetworkGraph, cfg: SearchConfig,
                 fixed_weight_bits: dict[int, int] | None = None) -> QuantPolicy:
     """All-8 starting point with the encoded residual activations frozen at 8-bit."""
-    weight_bits = {l.id: 8 for l in g.weighted_layers()}
-    if fixed_weight_bits:
-        weight_bits.update(fixed_weight_bits)
-    act_bits = {t: 8 for t in g.encoded_tensors()}
-    frozen_w = _frozen_ends(g, cfg.freeze_first_last)
-    if fixed_weight_bits:
-        frozen_w |= set(fixed_weight_bits)
-    return QuantPolicy(weight_bits=weight_bits, act_bits=act_bits, frozen_weights=frozen_w,
-                       frozen_acts=g.residual_tensors() & act_bits.keys())
+    p = all_uniform_policy(g)
+    p.weight_bits.update(fixed_weight_bits or {})
+    p.frozen_weights = _frozen_ends(g, cfg.freeze_first_last) | set(fixed_weight_bits or ())
+    p.frozen_acts = g.residual_tensors() & p.act_bits.keys()
+    return p
 
 
 def run_episode(g: NetworkGraph, agent: DDPGAgent, cfg: SearchConfig, episode: int,

@@ -232,14 +232,14 @@ def test_order_and_encodings_are_found_once(toy_graph, monkeypatch):
     g = replace_layer(toy_graph, 1)  # a fresh graph: nothing cached yet
     sorts, scans = [], []
     sort, is_encoded = graph_ir._topo_sort, NetworkGraph.is_encoded
-    monkeypatch.setattr(graph_ir, "_topo_sort", lambda layers: sorts.append(1) or sort(layers))
+    monkeypatch.setattr(graph_ir, "_topo_sort", lambda g: sorts.append(1) or sort(g))
     monkeypatch.setattr(NetworkGraph, "is_encoded",
                         lambda self, t: scans.append(t) or is_encoded(self, t))
     weights = qat.init_weights(g)
     x = np.zeros((2, 1, 28, 28), np.float32)
     for _ in range(2):
         logits, cache = qat.forward_network(g, weights, x, train=True)
-        qat.backward_network(g, weights, cache, logits)
+        qat.backward_network(g, cache, logits)
         search.observe(g, 3, True, 0.5)
     assert sorts == [1] and scans == list(g.tensor_ids())
     assert isinstance(topo_order(g), tuple) and topo_order(g) is topo_order(g)

@@ -10,7 +10,7 @@ import pytest
 import oracles
 from mcuq import search
 from mcuq.errors import InfeasibleBudgetError, PolicyError
-from mcuq.graph_ir import NetworkGraph, topo_order, validate
+from mcuq.graph_ir import NetworkGraph, liveness, topo_order, validate
 from mcuq.memory_model import (
     MemoryBudget,
     QuantPolicy,
@@ -302,6 +302,54 @@ def test_enforce_matches_the_reference_greedy_on_random_graphs():
             _assert_report_matches_the_oracles(g, got)
             seen.add("fits")
     assert seen == {"fits", "InfeasibleBudgetError: ROM", "InfeasibleBudgetError: RAM"}
+
+
+def _self_add_graph():
+    """A residual add (layer 3) that reads tensor 1 twice, listed before the
+    pointwise conv (layer 2) that also reads tensor 1 and runs first."""
+    mk, s = oracles._mk, (2, 4, 4)
+    return validate(NetworkGraph(layers=(
+        mk(0, "input", [], 1, 0, 0, 1, 0, (1, 4, 4), (1, 4, 4)),
+        mk(1, "conv2d", [0], 2, 3, 3, 1, 1, (1, 4, 4), s, 2),
+        mk(3, "add_residual", [1, 1], 2, 0, 0, 1, 0, s, s),
+        mk(2, "pointwise_conv2d", [1], 2, 1, 1, 1, 0, s, s, 2),
+        mk(4, "add_residual", [3, 2], 2, 0, 0, 1, 0, s, s),
+        mk(5, "avg_pool", [4], 2, 4, 4, 4, 0, s, (2, 1, 1)),
+        mk(6, "fully_connected", [5], 3, 0, 0, 1, 0, (2, 1, 1), (3, 1, 1), 3),
+        mk(7, "output", [6], 3, 0, 0, 1, 0, (3, 1, 1), (3, 1, 1)),
+    ), resolution=4, width_multiplier=1.0))
+
+
+def test_a_layer_reading_one_tensor_twice():
+    """The add waits for both of its reads of tensor 1, lists as one consumer
+    of it, and ends tensor 1's span; footprint and enforcement agree with the
+    oracles under budgets from below the floor to the all-8 footprint."""
+    g = _self_add_graph()
+    assert topo_order(g) == tuple(range(8))
+    assert [l.id for l in g.consumers(1)] == [3, 2]
+    assert list(g.tensor_spans().items()) == [
+        (0, range(0, 2)), (1, range(1, 4)), (2, range(2, 5)), (3, range(3, 5)),
+        (4, range(4, 6)), (5, range(5, 7)), (6, range(6, 8))]
+    assert liveness(g) == oracles.sim_liveness(g)
+    rng = np.random.default_rng(61)
+    policies = [all_uniform_policy(g)] + [oracles.random_policy(rng, g) for _ in range(20)]
+    for p in policies:
+        rep = footprint(g, p)
+        assert rep.rom_total == oracles.ref_rom(g, p)
+        assert (rep.ram_peak, rep.per_step_ram) == oracles.ref_ram(g, p)
+    hi = footprint(g, policies[0])
+    lo = footprint(g, all_uniform_policy(g, 2, 2))
+    seen = set()
+    for rom in np.linspace(lo.rom_total - 8, hi.rom_total, 6).astype(int).tolist():
+        for ram in np.linspace(lo.ram_peak - 8, hi.ram_peak, 6).astype(int).tolist():
+            b = MemoryBudget(rom_bytes=rom, ram_bytes=ram)
+            for p in policies:
+                got = _enforced_or_error(_enforce, g, p, b)
+                assert got == _enforced_or_error(oracles.ref_enforce, g, p, b)
+                if not isinstance(got, str):
+                    _assert_report_matches_the_oracles(g, got)
+                seen.add(isinstance(got, str))
+    assert seen == {False, True}
 
 
 MBV1_BUDGET = MemoryBudget(rom_bytes=2 * 2 ** 20, ram_bytes=512 * 2 ** 10)

@@ -6,11 +6,12 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import oracles
 from conftest import fresh_ranges
 from mcuq import packed_model, qat
 from mcuq.errors import McuqError, ModelMismatchError, PackFormatError, PolicyError
 from mcuq.inference import run_batch_int
-from mcuq.memory_model import all_uniform_policy
+from mcuq.memory_model import BIAS_BYTES, all_uniform_policy, rom_footprint
 from mcuq.packed_model import (
     build_packed_model,
     check_model_matches,
@@ -132,6 +133,37 @@ def test_residual_model_has_two_requants(residual_graph):
     model = build_packed_model(residual_graph, weights,
                                all_uniform_policy(residual_graph), ranges)
     assert len(model.layers[3].requants) == 2
+
+
+def _assert_rom_is_the_containers_on_device_bytes(g, policy, seed):
+    """Per weighted layer, the ROM the search budgets is the record's packed
+    codes, its int32 biases and its per-channel requant, plus BIAS_BYTES for
+    each bias the graph counts beyond one per output channel."""
+    weights = qat.init_weights(g, seed=seed)
+    model = build_packed_model(g, weights, policy, {t: 1.0 for t in g.encoded_tensors()})
+    rom = rom_footprint(g, policy).rom_per_layer
+    assert rom.keys() == {l.id for l in g.weighted_layers()}
+    for layer in g.weighted_layers():
+        rec, cout = model.layers[layer.id], layer.out_channels
+        requant = sum(rq.multiplier.nbytes + rq.shift.nbytes for rq in rec.requants)
+        assert (rec.bias_int.nbytes, requant) == (4 * cout, 8 * cout)
+        assert rom[layer.id] == (len(rec.weight.packed) + 4 * cout + 8 * cout
+                                 + (layer.bias_count - cout) * BIAS_BYTES)
+
+
+@pytest.mark.parametrize("bits", [2, 4, 8])
+def test_rom_is_the_containers_on_device_bytes_on_the_fixtures(
+        toy_graph, residual_graph, mobilenet_graph, bits):
+    for g in (toy_graph, residual_graph, mobilenet_graph):
+        _assert_rom_is_the_containers_on_device_bytes(g, all_uniform_policy(g, bits), bits)
+
+
+def test_rom_is_the_containers_on_device_bytes_on_random_graphs():
+    rng = np.random.default_rng(59)
+    for i in range(40):
+        g = oracles.random_graph(rng)
+        _assert_rom_is_the_containers_on_device_bytes(
+            g, oracles.random_policy(rng, g, allow_fp32=False), i)
 
 
 # ---------------------------------------------------------------------------

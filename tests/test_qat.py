@@ -131,7 +131,7 @@ def test_backward_matches_finite_differences_on_random_graphs():
         x = rng.uniform(0.1, 1.0, size=(2,) + g.input_layer.output_shape)
         logits, cache = qat.forward_network(g, weights, x, train=True)
         r = rng.normal(size=logits.shape).astype(np.float32)  # loss = sum(r * logits)
-        grads = qat.backward_network(g, weights, cache, r)
+        grads = qat.backward_network(g, cache, r)
         out_id = g.output_layer.input_ids[0]
 
         def loss():
@@ -289,9 +289,9 @@ def test_backward_skips_only_unused_input_grads(toy_graph, pretrained, toy_range
         logits, cache = qat.forward_network(toy_graph, weights, x, policy, ranges, train=True)
         r = np.random.default_rng(0).normal(size=logits.shape).astype(np.float32)
         monkeypatch.setattr(qat, "linear_bwd", spy)
-        grads = qat.backward_network(toy_graph, weights, cache, r)
+        grads = qat.backward_network(toy_graph, cache, r)
         monkeypatch.setattr(qat, "linear_bwd", always)
-        full = qat.backward_network(toy_graph, weights, cache, r)
+        full = qat.backward_network(toy_graph, cache, r)
         assert asked == {1: policy is not None, 2: True, 3: True, 4: True, 5: True, 6: True}
         assert ("clip.0" in grads) == (policy is not None)
         assert sorted(grads) == sorted(full)
