@@ -7,7 +7,9 @@ ascending id), which makes activation liveness -- and therefore the RAM
 footprint -- reproducible. The layers never change, so each derived fact
 is worked out once per graph, on first use, and kept on it: the consumer
 index from the input ids; from it, the schedule, the encoded tensors and,
-with the schedule, each tensor's span of steps; from the spans, liveness.
+with the schedule, each tensor's span of steps; from the spans, liveness;
+and from the layers alone, each tensor's element count and the weighted
+layers by id, which budget enforcement reads on every call.
 """
 
 from __future__ import annotations
@@ -89,6 +91,14 @@ class NetworkGraph:
         return index
 
     @cached_property
+    def _numel(self) -> dict[int, int]:
+        return {l.id: l.out_numel for l in self.layers}
+
+    @cached_property
+    def _weighted(self) -> dict[int, LayerSpec]:
+        return {l.id: l for l in self.layers if l.kind in WEIGHTED_KINDS}
+
+    @cached_property
     def _order(self) -> tuple[int, ...]:
         return _topo_sort(self)
 
@@ -126,7 +136,11 @@ class NetworkGraph:
             raise DatasetError(f"dataset images are {shape} (C, H, W), the graph's input is {want}")
 
     def weighted_layers(self) -> list[LayerSpec]:
-        return [l for l in self.layers if l.kind in WEIGHTED_KINDS]
+        return list(self._weighted.values())
+
+    def weighted_by_id(self) -> dict[int, LayerSpec]:
+        """The weighted layers keyed by id, in layer order (callers must not change it)."""
+        return self._weighted
 
     def consumers(self, tensor_id: int) -> list[LayerSpec]:
         return list(self._consumers.get(tensor_id, ()))
@@ -136,7 +150,7 @@ class NetworkGraph:
         return [l.id for l in self.layers if l.kind != "output"]
 
     def tensor_numel(self, tensor_id: int) -> int:
-        return self.layer(tensor_id).out_numel
+        return self._numel[tensor_id]
 
     def is_encoded(self, tensor_id: int) -> bool:
         """Whether a tensor needs a quantized encoding: any non-output layer consumes it."""
@@ -287,6 +301,17 @@ def _is_int(v) -> bool:
     return isinstance(v, int) and not isinstance(v, bool)
 
 
+def _unique_keys(pairs: list) -> dict:
+    """json object_pairs_hook: the object as a dict. Raises ValueError naming a
+    key the object holds twice, which json would load with its last value."""
+    out = {}
+    for k, v in pairs:
+        if k in out:
+            raise ValueError(f"duplicate key {k!r}")
+        out[k] = v
+    return out
+
+
 def _layer_from_dict(d: dict) -> LayerSpec:
     try:
         lid, kind = d["id"], str(d["kind"])
@@ -317,8 +342,8 @@ def load_graph(path: str) -> NetworkGraph:
     """Load and validate a graph JSON file."""
     with open(path, "r", encoding="utf-8") as f:
         try:
-            raw = json.load(f)
-        except json.JSONDecodeError as e:
+            raw = json.load(f, object_pairs_hook=_unique_keys)
+        except ValueError as e:  # JSONDecodeError, a duplicate key or a non-UTF-8 file
             raise GraphValidationError(f"cannot parse {path}: {e}") from e
     if not isinstance(raw, dict) or not isinstance(raw.get("layers"), list):
         raise GraphValidationError("top level must be an object with a 'layers' array")

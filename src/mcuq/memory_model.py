@@ -15,8 +15,9 @@ span of steps, NetworkGraph.tensor_spans). Tensors at 32 bits (full-precision
 placeholders, and tensors feeding only the output sink) cost 4 bytes per
 element and are never demoted. A footprint adds each tensor's bytes to the
 steps of its span. Enforcement counts ROM and per-step RAM once per call,
-then applies each demotion as a delta: the weight bytes it saves off the ROM
-total, the tensor bytes it saves off the steps of that tensor's span. The
+with one dict of each tensor's bytes at its current bits, then applies each
+demotion as a delta: it updates the demoted tensor's entry, and takes the
+bytes saved off the ROM total or off the steps of that tensor's span. The
 greedy order is the one a full recount after every demotion gives: the
 largest tensor in bytes, at the first peak step for RAM.
 """
@@ -26,9 +27,10 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass, field, replace
+from itertools import chain
 
 from .errors import InfeasibleBudgetError, PolicyError
-from .graph_ir import NetworkGraph, _is_int, liveness, topo_order
+from .graph_ir import NetworkGraph, _is_int, _unique_keys, liveness, topo_order
 
 VALID_BITS = (2, 4, 8, 32)
 REQUANT_BYTES_PER_CHANNEL = 8
@@ -60,11 +62,11 @@ class QuantPolicy:
     @staticmethod
     def from_json(text: str) -> "QuantPolicy":
         """Parse the form to_json writes: JSON-integer bits keyed by decimal
-        ids, and "w:<id>" or "a:<id>" frozen entries. Anything else raises
-        PolicyError naming the entry."""
+        ids, and "w:<id>" or "a:<id>" frozen entries. Anything else, a key
+        written twice included, raises PolicyError naming the entry."""
         try:
-            doc = json.loads(text)
-        except json.JSONDecodeError as e:
+            doc = json.loads(text, object_pairs_hook=_unique_keys)
+        except ValueError as e:  # JSONDecodeError or a duplicate key
             raise PolicyError(f"malformed policy file: {e}") from e
         if not isinstance(doc, dict):
             raise PolicyError("malformed policy file: top level must be an object")
@@ -125,27 +127,26 @@ class FootprintReport:
 def validate_policy(g: NetworkGraph, p: QuantPolicy) -> None:
     """Raise PolicyError unless p gives valid bits to exactly the graph's
     weighted layers and encoded tensors, and freezes only those."""
-    weighted, encoded = [l.id for l in g.weighted_layers()], g.encoded_tensors()
+    weighted, encoded = g.weighted_by_id(), g.encoded_tensors()
     for lid in weighted:
         if lid not in p.weight_bits:
             raise PolicyError(f"missing weight_bits entry for layer {lid}")
     for t in encoded:
         if t not in p.act_bits:
             raise PolicyError(f"missing act_bits entry for tensor {t}")
-    weighted, encoded = set(weighted), set(encoded)
     extra = sorted(p.weight_bits.keys() - weighted)
     if extra:
         raise PolicyError(f"weight_bits entries for layers {extra}, which have no weights")
     extra = sorted(p.act_bits.keys() - encoded)
     if extra:
         raise PolicyError(f"act_bits entries for tensors {extra}, which carry no encoding")
-    for k, v in list(p.weight_bits.items()) + list(p.act_bits.items()):
+    for k, v in chain(p.weight_bits.items(), p.act_bits.items()):
         if v not in VALID_BITS:
             raise PolicyError(f"bits for {k} must be in {VALID_BITS}, got {v}")
-    extra = sorted(p.frozen_weights - weighted)
+    extra = sorted(p.frozen_weights.difference(weighted))
     if extra:
         raise PolicyError(f"frozen weights of layers {extra}, which have no weights")
-    extra = sorted(p.frozen_acts - encoded)
+    extra = sorted(p.frozen_acts.difference(encoded))
     if extra:
         raise PolicyError(f"frozen activations of tensors {extra}, which carry no encoding")
 
@@ -179,37 +180,36 @@ def tensor_ram_bytes(g: NetworkGraph, p: QuantPolicy, tensor_id: int) -> int:
 
 
 def rom_footprint(g: NetworkGraph, p: QuantPolicy) -> FootprintReport:
-    report = FootprintReport()
-    for layer in g.weighted_layers():
-        if layer.id not in p.weight_bits:
-            raise PolicyError(f"missing weight_bits entry for layer {layer.id}")
-        b = layer_rom_bytes(layer, p.weight_bits[layer.id])
-        report.rom_per_layer[layer.id] = b
-        report.rom_total += b
-    return report
+    per_layer = {}
+    for lid, layer in g.weighted_by_id().items():
+        if lid not in p.weight_bits:
+            raise PolicyError(f"missing weight_bits entry for layer {lid}")
+        per_layer[lid] = layer_rom_bytes(layer, p.weight_bits[lid])
+    return FootprintReport(rom_total=sum(per_layer.values()), rom_per_layer=per_layer)
 
 
-def _ram_steps(g: NetworkGraph, p: QuantPolicy) -> list[int]:
-    """Per-step RAM: each tensor's bytes on every step of its span. Tensors
-    go in the order they are produced, so a missing entry is reported for
-    the tensor a step-by-step count would meet first."""
-    steps = [0] * len(topo_order(g))
+def _ram_steps(g: NetworkGraph, p: QuantPolicy) -> tuple[dict[int, int], list[int]]:
+    """Each tensor's bytes, and per-step RAM: each tensor's bytes on every
+    step of its span. Tensors go in the order they are produced, so a
+    missing entry is reported for the tensor a step-by-step count would
+    meet first."""
+    size, steps = {}, [0] * len(topo_order(g))
     for t, span in g.tensor_spans().items():
-        n = tensor_ram_bytes(g, p, t)
+        n = size[t] = tensor_ram_bytes(g, p, t)
         for i in span:
             steps[i] += n
-    return steps
+    return size, steps
 
 
 def _fill_ram(report: FootprintReport, g: NetworkGraph, p: QuantPolicy) -> FootprintReport:
     """Per-step RAM, its first peak and the tensors live there."""
-    order, steps = topo_order(g), _ram_steps(g, p)
+    order, (size, steps) = topo_order(g), _ram_steps(g, p)
     report.step_layer_ids, report.per_step_ram = order, steps
     top = max(steps)
     if top > 0:
         i = steps.index(top)
         report.ram_peak, report.ram_peak_step = top, order[i]
-        report.ram_peak_live = {t: tensor_ram_bytes(g, p, t) for t in sorted(liveness(g)[i])}
+        report.ram_peak_live = {t: size[t] for t in sorted(liveness(g)[i])}
     return report
 
 
@@ -221,28 +221,35 @@ def footprint(g: NetworkGraph, p: QuantPolicy) -> FootprintReport:
     return _fill_ram(rom_footprint(g, p), g, p)
 
 
-def _demote_largest(bits: dict[int, int], ids, frozen: set[int], nbytes):
+def _demote_largest(bits: dict[int, int], ids, frozen: set[int], size: dict[int, int], nbytes):
     """Demote one step (8->4->2) the tensor of ids, neither frozen nor at 2
-    bits, that takes the most bytes (nbytes(id)); ties go to the higher
-    bitwidth, then the lower id. Return its id and the bytes the demotion
-    saved, or None when no tensor is left to demote."""
-    candidates = [i for i in ids if i not in frozen and bits.get(i) in DEMOTE]
-    if not candidates:
+    bits, that takes the most bytes (size[id]); ties go to the higher
+    bitwidth, then the lower id. Set its size to nbytes(id) at the new bits;
+    return its id and the bytes the demotion saved, or None when no tensor
+    is left to demote."""
+    best = max(((size[i], bits[i], -i) for i in ids if i not in frozen and bits.get(i) in DEMOTE),
+               default=None)
+    if best is None:
         return None
-    pick = max(candidates, key=lambda i: (nbytes(i), bits[i], -i))
-    was = nbytes(pick)
+    was, _, neg_id = best
+    pick = -neg_id
     bits[pick] = DEMOTE[bits[pick]]
-    return pick, was - nbytes(pick)
+    size[pick] = nbytes(pick)
+    return pick, was - size[pick]
 
 
 def enforce_rom(g: NetworkGraph, p: QuantPolicy, b: MemoryBudget) -> QuantPolicy:
     """Demote the largest non-frozen weight tensor (8->4->2) until ROM fits."""
-    out = p.copy()
-    rom = rom_footprint(g, out).rom_total
-    params = {l.id: l.param_count for l in g.weighted_layers()}
+    out, layers, rom, size = p.copy(), g.weighted_by_id(), 0, {}
+    for lid, layer in layers.items():  # rom_footprint's total, and each layer's weight bytes
+        if lid not in out.weight_bits:
+            raise PolicyError(f"missing weight_bits entry for layer {lid}")
+        rom += layer_rom_bytes(layer, out.weight_bits[lid])
+        size[lid] = weight_bytes(layer.param_count, out.weight_bits[lid])
     while rom > b.rom_bytes:
-        demoted = _demote_largest(out.weight_bits, params, out.frozen_weights,
-                                  lambda lid: weight_bytes(params[lid], out.weight_bits[lid]))
+        demoted = _demote_largest(out.weight_bits, size, out.frozen_weights, size,
+                                  lambda lid: weight_bytes(layers[lid].param_count,
+                                                           out.weight_bits[lid]))
         if demoted is None:
             raise InfeasibleBudgetError(
                 f"ROM budget {b.rom_bytes} B unreachable: every demotable weight tensor "
@@ -254,10 +261,10 @@ def enforce_rom(g: NetworkGraph, p: QuantPolicy, b: MemoryBudget) -> QuantPolicy
 def enforce_ram(g: NetworkGraph, p: QuantPolicy, b: MemoryBudget) -> QuantPolicy:
     """Demote the largest non-frozen activation tensor live at the peak step until RAM fits."""
     out = p.copy()
-    steps = _ram_steps(g, out)
+    size, steps = _ram_steps(g, out)
     while (top := max(steps)) > b.ram_bytes:
         i = steps.index(top)
-        demoted = _demote_largest(out.act_bits, liveness(g)[i], out.frozen_acts,
+        demoted = _demote_largest(out.act_bits, liveness(g)[i], out.frozen_acts, size,
                                   lambda t: tensor_ram_bytes(g, out, t))
         if demoted is None:
             raise InfeasibleBudgetError(

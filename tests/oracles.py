@@ -9,9 +9,12 @@ the evidence.
 
 from __future__ import annotations
 
+from collections import Counter
+from dataclasses import replace
+
 import numpy as np
 
-from mcuq.errors import InfeasibleBudgetError
+from mcuq.errors import GraphValidationError, InfeasibleBudgetError
 from mcuq.graph_ir import (
     WEIGHTED_KINDS,
     LayerSpec,
@@ -269,7 +272,7 @@ def ref_conv2d(x: np.ndarray, w: np.ndarray, b: np.ndarray, stride: int, padding
 def sim_liveness(g: NetworkGraph) -> list[set[int]]:
     """Materializing execution: allocate on produce, free after the last consumer runs."""
     order = topo_order(g)
-    remaining = {t: len(g.consumers(t)) for t in g.tensor_ids()}
+    remaining = Counter(t for l in g.layers for t in l.input_ids)  # reads, not readers
     alive: set[int] = set()
     live_steps: list[set[int]] = []
     for lid in order:
@@ -470,6 +473,27 @@ def random_graph(rng: np.random.Generator, max_layers: int = 8) -> NetworkGraph:
                                  width_multiplier=1.0))
 
 
+def self_read_graphs(rng: np.random.Generator, n: int) -> list[NetworkGraph]:
+    """n random_graph draws with an add_residual, the first of which is
+    rewired to read one of its two inputs twice (random_graph never draws
+    such a layer). Draws without an add, or that validate rejects once
+    rewired, are skipped."""
+    out = []
+    while len(out) < n:
+        g = random_graph(rng)
+        add = next((l for l in g.layers if l.kind == "add_residual"), None)
+        if add is None:
+            continue
+        t = add.input_ids[int(rng.integers(0, 2))]
+        layers = tuple(replace(l, input_ids=(t, t)) if l is add else l for l in g.layers)
+        try:
+            out.append(validate(NetworkGraph(layers=layers, resolution=g.resolution,
+                                             width_multiplier=g.width_multiplier)))
+        except GraphValidationError:
+            continue
+    return out
+
+
 def random_policy(rng: np.random.Generator, g: NetworkGraph,
                   allow_fp32: bool = True) -> QuantPolicy:
     bits = (2, 4, 8, 32) if allow_fp32 else (2, 4, 8)
@@ -481,11 +505,12 @@ def random_policy(rng: np.random.Generator, g: NetworkGraph,
     )
 
 
-def random_enforce_case(rng: np.random.Generator):
-    """A random graph and policy with about a fifth of its entries frozen, the
-    (ROM, RAM) floor with every free sub-byte entry at 2 bits, and a budget
-    drawn from a little below that floor up to the policy's own footprint."""
-    g = random_graph(rng)
+def random_enforce_case(rng: np.random.Generator, g: NetworkGraph | None = None):
+    """A random graph (or g) and policy with about a fifth of its entries
+    frozen, the (ROM, RAM) floor with every free sub-byte entry at 2 bits, and
+    a budget drawn from a little below that floor up to the policy's own
+    footprint."""
+    g = random_graph(rng) if g is None else g
     p = random_policy(rng, g)
     p.frozen_weights = {k for k in p.weight_bits if rng.random() < 0.2}
     p.frozen_acts = {k for k in p.act_bits if rng.random() < 0.2}

@@ -11,6 +11,7 @@ from mcuq import graph_ir, qat, search
 from mcuq.errors import GraphValidationError
 from mcuq.graph_ir import (
     ALL_KINDS,
+    WEIGHTED_KINDS,
     LayerSpec,
     NetworkGraph,
     liveness,
@@ -217,6 +218,21 @@ def test_non_numeric_graph_field_rejected_on_load(tmp_path, field, value):
         load_graph(str(path))
 
 
+@pytest.mark.parametrize("old, new, key", [
+    ('"resolution": 28,', '"resolution": 28, "resolution": 14,', "resolution"),
+    ('"id": 2,', '"id": 2, "stride": 9,', "stride"),
+], ids=["resolution", "layer_stride"])
+def test_duplicate_key_rejected_on_load(tmp_path, old, new, key):
+    """json would keep a duplicated key's last value, so each file used to load."""
+    with open(graph_ir.fixture_path("toycnn_mnist.json"), encoding="utf-8") as f:
+        text = f.read()
+    assert text.count(old) == 1
+    path = tmp_path / "g.json"
+    path.write_text(text.replace(old, new))
+    with pytest.raises(GraphValidationError, match=f"duplicate key '{key}'"):
+        load_graph(str(path))
+
+
 # ---------------------------------------------------------------------------
 # Topological order and liveness
 # ---------------------------------------------------------------------------
@@ -248,6 +264,24 @@ def test_order_and_encodings_are_found_once(toy_graph, monkeypatch):
     assert g.encoded_tensors() == toy_graph.encoded_tensors()
 
 
+def test_numel_and_weighted_tables_match_the_layers(toy_graph, residual_graph, mobilenet_graph):
+    """The per-graph element counts and weighted layers are what the layers
+    say, on the fixtures and seeded random graphs; weighted_layers() hands
+    out a new list on every call."""
+    rng = np.random.default_rng(19)
+    graphs = [toy_graph, residual_graph, mobilenet_graph]
+    graphs += [oracles.random_graph(rng) for _ in range(60)]
+    for g in graphs:
+        for t in g.tensor_ids():
+            assert g.tensor_numel(t) == g.layer(t).out_numel
+        want = [l for l in g.layers if l.kind in WEIGHTED_KINDS]
+        got = g.weighted_layers()
+        assert got == want
+        got.append(g.layers[0])
+        assert g.weighted_layers() == want
+        assert list(g.weighted_by_id().items()) == [(l.id, l) for l in want]
+
+
 def test_topo_order_random_graphs():
     rng = np.random.default_rng(7)
     for _ in range(100):
@@ -266,6 +300,12 @@ def test_liveness_matches_simulation(toy_graph, residual_graph, mobilenet_graph)
         g = oracles.random_graph(rng)
         assert liveness(g) == oracles.sim_liveness(g)
     for g in (toy_graph, residual_graph, mobilenet_graph):
+        assert liveness(g) == oracles.sim_liveness(g)
+
+
+def test_liveness_of_a_layer_reading_one_tensor_twice():
+    """Random graphs whose add reads one tensor twice, against the simulation."""
+    for g in oracles.self_read_graphs(np.random.default_rng(13), 20):
         assert liveness(g) == oracles.sim_liveness(g)
 
 
@@ -296,6 +336,9 @@ def test_load_rejects_garbage(tmp_path):
         p.write_text(doc)
         with pytest.raises(GraphValidationError):
             load_graph(str(p))
+    p.write_bytes(b'{"layers": [\xff]}')  # not UTF-8
+    with pytest.raises(GraphValidationError, match="cannot parse"):
+        load_graph(str(p))
 
 
 def test_kind_tuple_is_frozen():

@@ -127,28 +127,42 @@ def test_random_graph_codes_match_oracle_per_layer():
         graphs += 1
         assert graphs <= 200, f"random graphs never produced {sorted(want - kinds)}"
         g = oracles.random_graph(rng)
-        policy = oracles.random_policy(rng, g, allow_fp32=False)
-        weights = qat.init_weights(g, seed=graphs)
-        for entry in weights.values():
-            entry["b"] = rng.normal(0.0, 0.1, size=entry["b"].shape).astype(np.float32)
-        images = rng.uniform(0, 1, size=(2,) + g.input_layer.output_shape).astype(np.float32)
-        model = build_packed_model(g, weights, policy, calibrate_act_ranges(g, weights, images))
-        codes = run_codes_network(g, model, images)
-        assert sorted(codes) == sorted(g.tensor_ids())
-        in_id = g.input_layer.id
-        assert np.array_equal(codes[in_id], quantize_act(images, model.act_clip[in_id],
-                                                         model.act_bits[in_id]))
-        for lid in topo_order(g):
-            layer = g.layer(lid)
-            if layer.kind in ("input", "output"):
-                continue
-            ins = [codes[t] for t in layer.input_ids]
-            for j in range(len(images)):
-                ref = oracles.ref_layer_codes(layer, model.layers[lid], [x[j] for x in ins])
-                assert np.array_equal(codes[lid][j], ref), f"graph {graphs} layer {lid}"
-        assert np.array_equal(run_batch_int(g, model, images),
-                              codes[g.output_layer.input_ids[0]])
+        _assert_codes_match_oracle_per_layer(g, rng, graphs)
         kinds |= {l.kind for l in g.layers} & want
+
+
+def test_codes_of_a_layer_reading_one_tensor_twice_match_oracle_per_layer():
+    """Random graphs whose add reads one tensor twice."""
+    rng = np.random.default_rng(29)
+    for i, g in enumerate(oracles.self_read_graphs(rng, 12)):
+        _assert_codes_match_oracle_per_layer(g, rng, i)
+
+
+def _assert_codes_match_oracle_per_layer(g, rng, seed):
+    """Under a random sub-byte policy, init_weights(seed) with random biases and
+    two random images: every layer's codes are the oracle's, and the input's
+    are quantize_act's."""
+    policy = oracles.random_policy(rng, g, allow_fp32=False)
+    weights = qat.init_weights(g, seed=seed)
+    for entry in weights.values():
+        entry["b"] = rng.normal(0.0, 0.1, size=entry["b"].shape).astype(np.float32)
+    images = rng.uniform(0, 1, size=(2,) + g.input_layer.output_shape).astype(np.float32)
+    model = build_packed_model(g, weights, policy, calibrate_act_ranges(g, weights, images))
+    codes = run_codes_network(g, model, images)
+    assert sorted(codes) == sorted(g.tensor_ids())
+    in_id = g.input_layer.id
+    assert np.array_equal(codes[in_id], quantize_act(images, model.act_clip[in_id],
+                                                     model.act_bits[in_id]))
+    for lid in topo_order(g):
+        layer = g.layer(lid)
+        if layer.kind in ("input", "output"):
+            continue
+        ins = [codes[t] for t in layer.input_ids]
+        for j in range(len(images)):
+            ref = oracles.ref_layer_codes(layer, model.layers[lid], [x[j] for x in ins])
+            assert np.array_equal(codes[lid][j], ref), f"graph {seed} layer {lid}"
+    assert np.array_equal(run_batch_int(g, model, images),
+                          codes[g.output_layer.input_ids[0]])
 
 
 @pytest.mark.parametrize("kh, kw, s, p", [

@@ -135,6 +135,9 @@ def test_policy_json_rejects_malformed():
     ('{"frozen": ["w:"]}', "frozen entry 'w:' id ''"),
     ('{"frozen": ["a:2.5"]}', "frozen entry 'a:2.5' id '2.5'"),
     ('{"frozen": "w:1"}', "frozen must be a list"),
+    # json alone would keep the last value of a duplicated key
+    ('{"weight_bits": {"1": 8, "1": 2}, "act_bits": {}}', "duplicate key '1'"),
+    ('{"act_bits": {"0": 8}, "act_bits": {}}', "duplicate key 'act_bits'"),
 ])
 def test_policy_json_accepts_only_what_to_json_writes(text, named):
     with pytest.raises(PolicyError, match=re.escape(named)):
@@ -349,6 +352,24 @@ def test_a_layer_reading_one_tensor_twice():
                 if not isinstance(got, str):
                     _assert_report_matches_the_oracles(g, got)
                 seen.add(isinstance(got, str))
+    assert seen == {False, True}
+
+
+def test_random_graphs_with_a_layer_reading_one_tensor_twice():
+    """Random graphs whose add reads one tensor twice, each under four random
+    enforcement cases: the policy's footprint is the oracles', and enforcement
+    gives ref_enforce's policy or error."""
+    rng = np.random.default_rng(67)
+    seen = set()
+    for g in oracles.self_read_graphs(rng, 30):
+        for _ in range(4):
+            _, p, _, b = oracles.random_enforce_case(rng, g)
+            _assert_report_matches_the_oracles(g, p)
+            got = _enforced_or_error(_enforce, g, p, b)
+            assert got == _enforced_or_error(oracles.ref_enforce, g, p, b)
+            if not isinstance(got, str):
+                _assert_report_matches_the_oracles(g, got)
+            seen.add(isinstance(got, str))
     assert seen == {False, True}
 
 

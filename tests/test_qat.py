@@ -13,7 +13,7 @@ from mcuq.data import Dataset, synthetic_shapes
 from mcuq.errors import McuqError, ModelMismatchError, TrainingDivergedError
 from mcuq.graph_ir import COMPUTE_KINDS, WEIGHTED_KINDS, NetworkGraph, validate
 from mcuq.memory_model import all_uniform_policy
-from mcuq.quantizer import CLIP_FLOOR
+from mcuq.quantizer import CLIP_FLOOR, calibrate_act_ranges
 
 
 def tiny_fc_graph(cin=2, classes=3):
@@ -147,6 +147,57 @@ def test_backward_matches_finite_differences_on_random_graphs():
                     assert got[i] == pytest.approx(fd[i], rel=1e-4, abs=1e-6), \
                         f"graph {graphs} {key}.{lid}[{i}]"
         covered |= {l.kind for l in g.layers if _has_weighted_ancestor(g, l)} & want
+
+
+class _Tap:
+    """Stands in for a cache entry's act_over and keeps the gradient dy that
+    backward_network multiplies by it: numpy hands dy * tap to __rmul__."""
+    __array_ufunc__ = None
+
+    def __rmul__(self, dy):
+        self.dy = dy.copy()
+        return np.zeros_like(dy)
+
+
+def _tapped_backward(g, cache, dlogits, ids, cut=None):
+    """backward_network on a copy of cache whose entries of ids carry a _Tap,
+    and whose entry of the layer cut, if given, masks all of its gradient;
+    the taps by id."""
+    entries = [dict(e) for e in cache]
+    by_id = {e["layer"].id: e for e in entries}
+    taps = {lid: _Tap() for lid in ids}
+    for lid, tap in taps.items():
+        by_id[lid].update(act_tid=lid, act_over=tap)
+    if cut is not None:
+        by_id[cut.id]["mask"] = np.zeros((len(dlogits),) + cut.output_shape, bool)
+    qat.backward_network(g, entries, dlogits)
+    return taps
+
+
+def test_backward_sends_twice_the_gradient_into_a_tensor_read_twice():
+    """Random graphs whose add reads tensor t twice, under random sub-byte
+    policies: cutting the add's gradient (a zero mask) takes twice the add's
+    input gradient off t's gradient, to float32 rounding of the other reads."""
+    rng = np.random.default_rng(71)
+    moved = 0
+    for i, g in enumerate(oracles.self_read_graphs(rng, 12)):
+        add = next(l for l in g.layers if l.kind == "add_residual"
+                   and l.input_ids[0] == l.input_ids[1])
+        t = add.input_ids[0]
+        weights = qat.init_weights(g, seed=i)
+        x = rng.uniform(0.1, 1.0, size=(2,) + g.input_layer.output_shape).astype(np.float32)
+        policy = oracles.random_policy(rng, g, allow_fp32=False)
+        logits, cache = qat.forward_network(g, weights, x, policy,
+                                            calibrate_act_ranges(g, weights, x), train=True)
+        dlogits = rng.normal(size=logits.shape).astype(np.float32)
+        full = _tapped_backward(g, cache, dlogits, (t, add.id))
+        cut = _tapped_backward(g, cache, dlogits, (t,), cut=add)
+        entry = next(e for e in cache if e["layer"] is add)
+        dz = full[add.id].dy * entry["mask"] if "mask" in entry else full[add.id].dy
+        scale = max(np.abs(full[t].dy).max(), np.abs(cut[t].dy).max())
+        np.testing.assert_allclose(full[t].dy - cut[t].dy, 2 * dz, rtol=0, atol=1e-6 * scale)
+        moved += bool(dz.any())
+    assert moved >= 6
 
 
 def _conv2d_cases(stride, padding):
