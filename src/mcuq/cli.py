@@ -21,7 +21,7 @@ import time
 from . import __version__, qat
 from .data import Dataset, DatasetError, load_dataset
 from .errors import McuqError, InfeasibleBudgetError
-from .graph_ir import load_graph
+from .graph_ir import _unique_keys, load_graph
 from .inference import evaluate_accuracy, per_class_csv
 from .memory_model import (
     MemoryBudget,
@@ -196,9 +196,9 @@ def _parse_args(parser: _Parser, argv=None) -> dict:
     if d.get("config"):
         try:
             with open(d["config"], "r", encoding="utf-8") as f:
-                file_cfg = json.load(f)
-        except (OSError, json.JSONDecodeError) as e:
-            raise DatasetError(f"cannot read config file: {e}") from e
+                file_cfg = json.load(f, object_pairs_hook=_unique_keys)
+        except (OSError, ValueError) as e:  # ValueError: malformed, duplicate key, non-UTF-8
+            raise DatasetError(f"cannot read config file {d['config']}: {e}") from e
         if not isinstance(file_cfg, dict):
             raise DatasetError("config file must hold a JSON object")
         keys = {k.replace("-", "_"): v for k, v in file_cfg.items()}

@@ -25,7 +25,7 @@ from .errors import DatasetError, GraphValidationError
 
 CONV_KINDS = ("conv2d", "depthwise_conv2d", "pointwise_conv2d")
 WEIGHTED_KINDS = CONV_KINDS + ("fully_connected",)
-# Kinds that run through kernels.linear_fwd, in training and in the integer engine.
+# Kinds that run through kernels.linear_acc, in training and in the integer engine.
 LINEAR_KINDS = WEIGHTED_KINDS + ("avg_pool",)
 # Kinds whose integer kernels consume encoded (quantized) input tensors.
 COMPUTE_KINDS = WEIGHTED_KINDS + ("add_residual", "avg_pool")

@@ -2,13 +2,14 @@
 
 Reference semantics for MCU backends: sub-byte codes, 32-bit accumulators
 (overflow raises), per-channel requantization, saturating residual adds.
-Every linear layer, avg_pool included, runs through kernels.linear_fwd, the
-training engine's own arithmetic, so the deployed arithmetic is the arithmetic
-that was trained. avg_pool is a depthwise layer whose every tap is weighted 1
-(kernels.pool_weight), with no bias. run_codes_network walks the graph once and
-keeps every layer's codes; run_codes_layer runs one layer. The input codes
-are quantizer.quantize_act's: act_codes of the float32 images, the codes the
-training forward fake-quantizes its input to.
+Every linear layer, avg_pool included, runs through kernels.linear_acc, the
+training forward's arithmetic without its bias, so the deployed arithmetic
+is the arithmetic that was trained. avg_pool is a depthwise layer whose
+every tap is weighted 1 (kernels.pool_weight), with no bias.
+run_codes_network walks the graph once and keeps every layer's codes;
+run_codes_layer runs one layer. The input codes are quantizer.quantize_act's:
+act_codes of the float32 images, the codes the training forward
+fake-quantizes its input to.
 
 The kernels run on BLAS, on the codes cast to the narrowest float type that
 holds every partial sum exactly. With input codes of magnitude up to x_max
@@ -20,9 +21,11 @@ sum of a fan_in-term dot product is an integer of magnitude at most
 
 and that bound holds whatever order the sums run in. BLAS's order, the
 blocked conv2d GEMMs and the per-tap depthwise sums over phase planes (see
-kernels) are therefore as exact as one dot product per output. x_max
-is the largest input code magnitude of the call, so _acc_bound decides per
-call:
+kernels) are therefore as exact as one dot product per output. x_max is
+the static bound 2**bits - 1 of the input's encoding, which run_codes_network
+passes, where it proves float32 with no int32 check; elsewhere it is the
+call's largest input code magnitude, which decides alike wherever the static
+bound proves. _acc_bound decides:
 
 - bound + 2**31 < 2**53, or the layer raises AccumulatorOverflowError
   instead of rounding (for 8-bit codes, up to a fan-in of about 2.8e11;
@@ -36,10 +39,10 @@ call:
   _check_acc would pass, so it is skipped. Elsewhere _check_acc takes the
   per-channel extremes of the accumulator plus that channel's bias.
 
-The kernel runs with a zero bias, so the bias never enters the float sums.
-The exact-integer float accumulator and the bias go to one requant epilogue
-(quantizer.apply_requant), which adds the bias in int64 as a per-channel
-offset.
+The kernel runs without a bias, so the bias never enters the float sums.
+Its output, uncopied (a strided view for the window kinds), and the bias go
+to one requant epilogue, quantizer.apply_requant, which adds the bias
+exactly: in float64 where that is provably exact, in int64 otherwise.
 """
 
 from __future__ import annotations
@@ -51,7 +54,7 @@ import numpy as np
 from . import qat  # evaluate_accuracy's fake-quant branch only
 from .errors import AccumulatorOverflowError, DatasetError, ModelMismatchError
 from .graph_ir import LINEAR_KINDS, RECORD_KINDS, NetworkGraph, topo_order
-from .kernels import linear_fwd, pool_weight
+from .kernels import linear_acc, pool_weight
 from .packed_model import INT32_MAX, INT32_MIN, PackedLayer, PackedModel, check_model_matches
 from .quantizer import apply_requant, qrange, quantize_act
 
@@ -84,8 +87,10 @@ def _check_acc(z: np.ndarray, layer_id: int, bias_int: np.ndarray) -> None:
             f"layer {layer_id}: 32-bit accumulator overflow (range [{lo}, {hi}])")
 
 
-def run_codes_layer(layer, rec: PackedLayer, in_codes: list[np.ndarray]) -> np.ndarray:
-    """One layer on batched integer codes (N, ...) -> output codes (N, ...)."""
+def run_codes_layer(layer, rec: PackedLayer, in_codes: list[np.ndarray],
+                    in_max: int | None = None) -> np.ndarray:
+    """One layer on batched integer codes (N, ...) -> output codes (N, ...);
+    in_max is a static bound of the input codes' magnitude, or None."""
     out_bits = rec.out_bits
     if layer.kind in LINEAR_KINDS:
         x = in_codes[0]
@@ -93,9 +98,13 @@ def run_codes_layer(layer, rec: PackedLayer, in_codes: list[np.ndarray]) -> np.n
             (w, bias), w_max = pool_weight(layer, 1, np.int32), 1
         else:
             w, bias, w_max = rec.weight.codes(), rec.bias_int, 1 << (rec.weight.bits - 1)
-        x_max = max(int(x.max()), -int(x.min())) if x.size else 0
-        dtype, check = _acc_bound(layer.id, math.prod(w.shape[1:]), x_max, w_max, bias)
-        z, _ = linear_fwd(layer, x.astype(dtype), w.astype(dtype), np.zeros(len(bias), dtype))
+        fan_in = math.prod(w.shape[1:])
+        static = in_max is not None and fan_in * in_max * w_max < F32_EXACT
+        dtype, check = _acc_bound(layer.id, fan_in, in_max, w_max, bias) if static else (None, True)
+        if check:  # the static bound proves nothing: bound this call's codes
+            x_max = max(int(x.max()), -int(x.min())) if x.size else 0
+            dtype, check = _acc_bound(layer.id, fan_in, x_max, w_max, bias)
+        z, _ = linear_acc(layer, x.astype(dtype), w.astype(dtype))
         if check:
             _check_acc(z, layer.id, bias)
         return apply_requant(z, rec.requants[0], out_bits, bias=bias)
@@ -120,8 +129,10 @@ def run_codes_network(g: NetworkGraph, model: PackedModel,
     for lid in topo_order(g):
         layer = g.layer(lid)
         if layer.kind in RECORD_KINDS:
+            src = layer.input_ids[0]
+            in_max = (1 << model.act_bits[src]) - 1 if src in model.act_bits else None
             codes[lid] = run_codes_layer(layer, model.layers[lid],
-                                         [codes[t] for t in layer.input_ids])
+                                         [codes[t] for t in layer.input_ids], in_max)
     return codes
 
 

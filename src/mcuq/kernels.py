@@ -1,4 +1,6 @@
-"""Layer arithmetic of both engines: linear_fwd and its adjoint linear_bwd.
+"""Layer arithmetic of both engines: linear_acc, the bias-free accumulator
+of the integer engine; linear_fwd, linear_acc plus the bias, the training
+forward; and linear_bwd, its adjoint.
 
 conv2d, depthwise_conv2d and avg_pool run over phase planes. The
 zero-padded input is written once into s*s phase planes (s the stride),
@@ -20,11 +22,15 @@ blocks of CONV_BLOCK // (oh*N*w2) channels (at least one), so a block's
 sums and products stay in cache: the first tap's slice times its (C, 1)
 weight column is written into the block, and each further tap's is
 added, so every output sums its taps in the same order whatever the
-block. The sums run in np.result_type(x, w).
+block. The sums run in np.result_type(x, w). linear_acc returns that
+flat output uncopied, as a strided (N, O, oh, ow) view (_out_grid).
+
+A global avg_pool (kernel H x W, padding 0) skips the phase planes: its
+(N, C) output takes the same tap products in the same row-major order,
+so the sums are bit-identical; its cols is the input, and dx is dz * w.
 
 pointwise_conv2d is one GEMM per image, w @ x[n] over the (C, H*W)
-image, with the bias added in place. For pointwise_conv2d and
-fully_connected cols is the input itself.
+image, and fully_connected one GEMM. For both cols is the input itself.
 """
 
 from __future__ import annotations
@@ -96,9 +102,9 @@ def _out_grid(flat: np.ndarray, kind: str, n: int, o: int, oh: int, w2: int) -> 
     return flat.reshape(o, oh, n, w2).transpose(2, 0, 1, 3)
 
 
-def _window_fwd(layer, x: np.ndarray, w: np.ndarray, b: np.ndarray):
+def _window_fwd(layer, x: np.ndarray, w: np.ndarray):
     n, c = x.shape[:2]
-    s, o = layer.stride, len(b)
+    s, o = layer.stride, len(w)
     oh, ow, h2, w2, m, taps, phases = _geometry(layer, x.shape)
     dtype = np.result_type(x, w)
     # tail: columns x >= ow of the last row read up to (kw-1)//s past the grid
@@ -122,9 +128,13 @@ def _window_fwd(layer, x: np.ndarray, w: np.ndarray, b: np.ndarray):
             for t, (a, bb, off) in enumerate(rest, 1):
                 zb += np.multiply(planes[a, bb, cs, off:off + m], wc[cs, t, None],
                                   out=prod[:len(zb)])
-    z = np.empty((n, o, oh, ow), dtype)
-    np.add(_out_grid(zm, layer.kind, n, o, oh, w2)[..., :ow], b[None, :, None, None], out=z)
-    return z, planes
+    return _out_grid(zm, layer.kind, n, o, oh, w2)[..., :ow], planes
+
+
+def _is_global(layer, x_shape: tuple) -> bool:
+    """Whether an avg_pool's window is its whole unpadded input."""
+    return layer.kind == "avg_pool" and (layer.padding, layer.kernel_h, layer.kernel_w) == \
+        (0,) + tuple(x_shape[2:])
 
 
 def _window_bwd(layer, dz: np.ndarray, planes: np.ndarray, w: np.ndarray,
@@ -170,24 +180,37 @@ def pool_weight(layer, value, dtype) -> tuple[np.ndarray, np.ndarray]:
     return np.full((c, layer.kernel_h, layer.kernel_w), value, dtype), np.zeros(c, dtype)
 
 
-def linear_fwd(layer, x: np.ndarray, w: np.ndarray, b: np.ndarray):
-    """One linear layer, z = w * x + b, in the dtype of its operands.
-
-    Serves the float32 training forward and the integer accumulator of the
-    deployed model, on float32 or float64 codes (whichever the accumulator
-    bound proves exact, see inference) with a zero bias; avg_pool runs on
-    pool_weight's constant kernel. Returns (z, cols): cols is the input as
-    the kernel's operand, which linear_bwd needs (module docstring).
+def linear_acc(layer, x: np.ndarray, w: np.ndarray):
+    """One linear layer without its bias, acc = w * x, in the dtype of its
+    operands: the integer engine's accumulator, on float32 or float64 codes
+    (whichever the accumulator bound proves exact, see inference); avg_pool
+    runs on pool_weight's constant kernel. Returns (acc, cols): acc is the
+    kernel's own output, uncopied, a strided view for the window kinds;
+    cols is the input as the kernel's operand, which linear_bwd needs.
     """
+    if _is_global(layer, x.shape):  # its taps in the phase-plane order, as bit-identical sums
+        wc, kw = w.reshape(len(w), -1), x.shape[3]
+        z = np.multiply(x[:, :, 0, 0], wc[:, 0])
+        prod = np.empty_like(z)
+        for t in range(1, wc.shape[1]):
+            z += np.multiply(x[:, :, t // kw, t % kw], wc[:, t], out=prod)
+        return z[:, :, None, None], x
     if layer.kind in _WINDOW_KINDS:
-        return _window_fwd(layer, x, w, b)
+        return _window_fwd(layer, x, w)
     if layer.kind == "pointwise_conv2d":
         n, c, h, wd = x.shape
-        z = np.matmul(w, x.reshape(n, c, h * wd))
-        z += b[:, None]
-        return z.reshape(n, len(b), h, wd), x
+        return np.matmul(w, x.reshape(n, c, h * wd)).reshape(n, len(w), h, wd), x
     cols = x.reshape(x.shape[0], -1)  # fully_connected over the flattened input
-    return cols @ w.T + b, cols
+    return cols @ w.T, cols
+
+
+def linear_fwd(layer, x: np.ndarray, w: np.ndarray, b: np.ndarray):
+    """The training forward, z = w * x + b: linear_acc plus the bias, in
+    place or, for a strided acc, into a C-contiguous z. Returns (z, cols)."""
+    acc, cols = linear_acc(layer, x, w)
+    z = acc if acc.flags.c_contiguous else np.empty(acc.shape, acc.dtype)
+    np.add(acc, b[:, None, None] if acc.ndim == 4 else b, out=z)
+    return z, cols
 
 
 def linear_bwd(layer, dz: np.ndarray, cols: np.ndarray, w: np.ndarray, x_shape: tuple,
@@ -203,6 +226,8 @@ def linear_bwd(layer, dz: np.ndarray, cols: np.ndarray, w: np.ndarray, x_shape: 
     planes by kh*kw contiguous slice-adds; dx is those planes un-phased and
     cropped.
     """
+    if _is_global(layer, x_shape):  # + 0.0: -0.0 to 0.0, as the zeroed planes make it
+        return (dz * w + 0.0 if need_dx else None), None, None
     if layer.kind in _WINDOW_KINDS:
         return _window_bwd(layer, dz, cols, w, x_shape, need_dx)
     if layer.kind == "pointwise_conv2d":

@@ -222,7 +222,7 @@ def deserialize(data: bytes) -> PackedModel:
             (count,) = r.unpack("<I")
             mult = np.frombuffer(r.take(4 * count), dtype="<i4").copy()
             shift = np.frombuffer(r.take(4 * count), dtype="<i4").copy()
-            # apply_requant's int64 arithmetic needs shifts in [0, 62]
+            # apply_requant's int64 chain needs shifts in [0, 62] (float64: <= 52 - bits)
             if count and (mult.min() < 0 or shift.min() < 0 or shift.max() > 62):
                 raise PackFormatError(f"layer {lid}: requant multiplier or shift out of range")
             rqs.append(RequantParams(multiplier=mult, shift=shift))

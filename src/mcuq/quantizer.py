@@ -230,61 +230,88 @@ def compute_requant(s_in: float, s_w: np.ndarray, s_out: float) -> RequantParams
     return RequantParams(multiplier=mult.astype(np.int32), shift=shift.astype(np.int32))
 
 
+def float64_exact(bits: int, shift: np.ndarray) -> bool:
+    """Whether apply_requant runs its exact float64 chain (its docstring)."""
+    return bits < 32 and int(np.max(shift, initial=0)) <= 52 - bits
+
+
 def apply_requant(acc: np.ndarray, rq: RequantParams, bits: int,
                   bias: np.ndarray | None = None) -> np.ndarray:
     """Requantize 32-bit accumulators to the output bit range with saturation:
     int32 sat(round((acc + bias) * multiplier / 2**shift)), half away from zero.
     The range is signed at 32 bits (raw logits) and unsigned below (activations).
 
-    acc holds integers, as int64 or int32 or as the exact-integer floats of a
-    float kernel; acc + bias lies within int32, so |acc| < 2**32. The
-    parameters are one multiplier and shift, or one per channel on axis 1 of
-    an (N, C, ...) acc; bias is one int32 per channel.
+    acc holds integers (int, or a float kernel's exact floats) in any layout,
+    and acc + bias lies within int32. The parameters are one multiplier and
+    shift, or one per channel on axis 1 of an (N, C, ...) acc; bias is one
+    int32 per channel. Blocks of at most CONV_BLOCK elements, whole images
+    where one fits (parameters laid out per image), else channels of one
+    image, are copied from acc into one buffer and requantized there.
 
-    One loop over blocks of whole rows, a row being one (image, channel)
-    pair: a block holds as many rows as fit in CONV_BLOCK elements, or
-    one longer row, in one reused int64 buffer. Per block the accumulators
-    are cast and multiplied in one pass, one per-row offset is added,
-    bias * multiplier + half with half = 2**shift // 2, and a floor shift and
-    the clip write the int32 output. Everything fits int64:
-    |acc * multiplier| < 2**63, the offset is below 2**62 + 2**61, and their
-    sum is (acc + bias) * multiplier plus at most 2**61.
-    One rounding rule: floor((p + half) / 2**shift) rounds p = (acc + bias) *
-    multiplier half away from zero where p >= 0. Signed outputs first take 1
-    off where p < 0 and shift > 0, which rounds a negative tie away from zero
-    and moves nothing else; unsigned ones need not, as p < 0 clips to 0.
+    Unsigned outputs whose largest shift is at most 52 - bits run in float64,
+    exactly: a = acc + bias (below 2**33) and m = multiplier * 2**-shift are
+    exact. Where |a * multiplier| < 2**52, so are a * m and a * m + 0.5 =
+    (a * multiplier + 2**(shift - 1)) / 2**shift (numerator below 2**53),
+    whose clip to [0, hi], truncated, is the exact result. Elsewhere
+    |a * m| >= 2**(52 - shift) >= 2**bits > hi, and rounding is monotone, so
+    the float and the exact value saturate alike.
+
+    Everything else runs in int64: p = (acc + bias) * multiplier as acc *
+    multiplier (below 2**63) plus bias * multiplier + half (below 2**62 +
+    2**61), half = 2**shift // 2, then floor((p + half) / 2**shift), which
+    rounds half away from zero where p >= 0, and the clip. Signed outputs
+    first take 1 off where p < 0 and shift > 0, which rounds a negative tie
+    away from zero and moves nothing else; unsigned ones clip p < 0 to 0.
     """
     acc = np.asarray(acc)
+    out = np.empty(acc.shape, np.int32)
+    view, outv = (acc, out) if acc.ndim >= 2 else (acc.reshape(1, 1, -1), out.reshape(1, 1, -1))
+    n, c = view.shape[:2]
     mult = np.atleast_1d(np.asarray(rq.multiplier, dtype=np.int64))
     shift = np.atleast_1d(np.asarray(rq.shift, dtype=np.int64))
-    n, c = acc.shape[:2] if acc.ndim >= 2 else (1, 1)
-    n_bias = c if bias is None else len(bias)
-    if mult.size not in (1, c) or n_bias != c:
+    bias = np.zeros(c, np.int64) if bias is None else np.asarray(bias, np.int64)
+    if mult.size not in (1, c) or len(bias) != c:
         raise ValueError(f"requant parameters for {mult.size} channels or a bias for "
-                         f"{n_bias} do not fit accumulators of shape {acc.shape}")
-    # per-row parameters, rows ordered (image, channel)
-    mult, shift = (np.tile(np.broadcast_to(v, c), n) for v in (mult, shift))
-    half = (1 << shift) >> 1
-    signed = bits == 32
-    off = half if bias is None else np.tile(np.asarray(bias) * mult[:c], n) + half
-    if signed:  # p + half < half where p < 0; rows of shift 0 never match
-        neg = np.where(shift > 0, half, np.iinfo(np.int64).min)
-    rows = acc.reshape(n * c, acc.size // max(1, n * c))
-    out = np.empty(rows.shape, np.int32)
-    step = max(1, CONV_BLOCK // max(1, rows.shape[1]))
-    buf = np.empty(min(step, len(rows)) * rows.shape[1], np.int64)
+                         f"{len(bias)} do not fit accumulators of shape {acc.shape}")
+    per_ch = (c,) + (1,) * (view.ndim - 2)
+    mult, shift, bias = (np.broadcast_to(v, c).reshape(per_ch) for v in (mult, shift, bias))
+    signed, exact = bits == 32, float64_exact(bits, shift)
     lo, hi = qrange(bits, signed)
-    for r0 in range(0, len(rows), step):
-        r = slice(r0, r0 + step)
-        block = rows[r]
+    if exact:
+        params = [bias.astype(np.float64), np.ldexp(mult.astype(np.float64), -shift)]
+    else:  # p + half < half where p < 0; channels of shift 0 never match
+        half = (1 << shift) >> 1
+        neg = np.where(shift > 0, half, np.iinfo(np.int64).min)
+        params = [mult, bias * mult + half, shift, neg]
+    row = math.prod(view.shape[2:])
+    if c * row <= CONV_BLOCK:  # blocks of whole images, parameters laid out per image
+        step = CONV_BLOCK // max(1, c * row)
+        blocks = [(slice(i, i + step), slice(None)) for i in range(0, n, step)]
+        if n > 1:
+            params = [np.ascontiguousarray(np.broadcast_to(v, view.shape[1:])) for v in params]
+    else:
+        step = max(1, CONV_BLOCK // row)
+        blocks = [((i, slice(c0, c0 + step)), slice(c0, c0 + step))
+                  for i in range(n) for c0 in range(0, c, step)]
+    buf = np.empty(view[blocks[0][0]].size if blocks else 0, np.float64 if exact else np.int64)
+    for idx, ch in blocks:
+        block = view[idx]
         p = buf[:block.size].reshape(block.shape)
-        np.multiply(block, mult[r, None], out=p, dtype=np.int64, casting="unsafe")
-        p += off[r, None]
-        if signed:
-            p -= p < neg[r, None]
-        p >>= shift[r, None]
-        np.clip(p, lo, hi, out=out[r])
-    return out.reshape(acc.shape)
+        np.copyto(p, block, casting="unsafe")  # the fastest read of a strided block
+        if exact:
+            b, m = (v[ch] for v in params)
+            p += b
+            p *= m
+            p += 0.5
+        else:
+            m, off, sh, neg = (v[ch] for v in params)
+            p *= m
+            p += off
+            if signed:
+                p -= p < neg
+            p >>= sh
+        np.clip(p, lo, hi, out=outv[idx], casting="unsafe")  # truncates a float p
+    return out
 
 
 def percentile_clip(values: np.ndarray) -> float:

@@ -15,7 +15,7 @@ import mcuq
 import oracles
 
 from mcuq import cli, qat
-from mcuq.data import Dataset, load_dataset, save_raw_dir
+from mcuq.data import Dataset, DatasetError, load_dataset, save_raw_dir
 from mcuq.graph_ir import fixture_path, load_graph, topo_order
 from mcuq.inference import evaluate_accuracy, per_class_csv
 from mcuq.memory_model import QuantPolicy, all_uniform_policy, footprint, validate_policy
@@ -63,6 +63,20 @@ def test_unreadable_config_is_bad_input(in_tmp):
     (in_tmp / "cfg.json").write_text("[1, 2]")
     assert cli.main(["footprint", "--graph", TOY, "--rom-bytes", "1", "--ram-bytes", "1",
                      "--config", "cfg.json"]) == cli.EXIT_INPUT
+
+
+@pytest.mark.parametrize("content", [
+    pytest.param(b'{"epochs": 5, "epochs": 1}', id="duplicate_key"),
+    pytest.param(b'{"lr": 0.5, "\xff": 1}', id="not_utf8"),
+])
+def test_config_file_with_a_duplicate_key_or_bad_encoding_is_bad_input(in_tmp, content):
+    """json would load a repeated key with its last value and a non-UTF-8 file
+    as a bare UnicodeDecodeError; both raise DatasetError naming the file."""
+    (in_tmp / "cfg.json").write_bytes(content)
+    base = ["pretrain", "--graph", TOY, "--dataset", DATA, "--out-checkpoint", "w.ckpt"]
+    with pytest.raises(DatasetError, match="cfg.json"):
+        parsed(base + ["--config", "cfg.json"])
+    assert cli.main(base + ["--config", "cfg.json"]) == cli.EXIT_INPUT
 
 
 @pytest.mark.parametrize("argv, code", [

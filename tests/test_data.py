@@ -237,6 +237,20 @@ def test_raw_dir_rejects_a_split_without_an_integer_n_train(tmp_path, split):
         load_raw_dir(_raw_dir(tmp_path, split=split))
 
 
+@pytest.mark.parametrize("split, match", [
+    pytest.param(b'{"n_train": 8, "n_train": 2}', "duplicate key 'n_train'", id="duplicate_key"),
+    pytest.param(b'{"n_train": 8, "\xff": 1}', "codec", id="not_utf8"),
+])
+def test_raw_dir_rejects_a_duplicate_key_or_bad_encoding_in_split(tmp_path, split, match):
+    """json would load a repeated n_train with its last value and a non-UTF-8
+    file as a bare UnicodeDecodeError; both raise DatasetError naming the file."""
+    d = _raw_dir(tmp_path)
+    (tmp_path / "raw" / "split.json").write_bytes(split)
+    with pytest.raises(DatasetError, match=match) as e:
+        load_raw_dir(d)
+    assert "split.json" in str(e.value)
+
+
 def test_raw_dir_reads_an_integer_n_train(tmp_path):
     assert load_raw_dir(_raw_dir(tmp_path, split='{"n_train": 6}')).n_train == 6
 

@@ -549,3 +549,77 @@ def test_library_walks_check_the_batch_geometry(toy_graph, pretrained, toy_range
         with pytest.raises(DatasetError, match=r"dataset images are .* the graph's input is "
                                                r"\(1, 28, 28\)"):
             run()
+
+
+class _CountedCodes(np.ndarray):
+    """Input codes that count the max/min calls of the per-call bound."""
+    calls = 0
+
+    def max(self, *args, **kwargs):
+        _CountedCodes.calls += 1
+        return super().max(*args, **kwargs)
+
+    def min(self, *args, **kwargs):
+        _CountedCodes.calls += 1
+        return super().min(*args, **kwargs)
+
+
+@pytest.mark.parametrize("fan_in, code, in_max, bias, dtype, per_call", [
+    pytest.param(4, 255, 255, 0, np.float32, False, id="static_proves_float32"),
+    pytest.param(4, 255, None, 0, np.float32, True, id="no_static_bound"),
+    pytest.param(4, 255, 255, 2 ** 31 - 1 - 4 * 255 * 127, np.float32, True,
+                 id="static_needs_int32_check"),
+    pytest.param(576, 227, 255, 0, np.float32, True, id="static_fails_float32_codes_below"),
+    pytest.param(576, 255, 255, 0, np.float64, True, id="static_fails_float32_codes_at"),
+])
+def test_static_input_bound_is_used_only_where_it_proves_float32(monkeypatch, fan_in, code,
+                                                                 in_max, bias, dtype, per_call):
+    """A linear layer takes the kernel dtype from the static bound of its input
+    encoding only where that proves float32 with no int32 check; elsewhere it
+    bounds the call's own codes, as without a static bound, and so picks the
+    dtype and the check the per-call bound gives (576 * 227 * 128 < 2**24 <=
+    576 * 255 * 128)."""
+    layer = oracles._mk(1, "fully_connected", [0], 1, 0, 0, 1, 0,
+                        (fan_in, 1, 1), (1, 1, 1), bias=1)
+    qw = QuantizedTensor(bits=8, packed=pack_subbyte(np.full(fan_in, 127), 8),
+                         shape=(1, fan_in), scales=np.ones(1))
+    rq = RequantParams(multiplier=np.array([1 << 30], dtype=np.int32),
+                       shift=np.array([54], dtype=np.int32))
+    rec = PackedLayer(layer_id=1, kind="fully_connected", weight_bits=8, out_bits=8,
+                      weight=qw, bias_int=np.array([bias], dtype=np.int32), requants=(rq,))
+    x = np.full((2, fan_in, 1, 1), code, dtype=np.int32).view(_CountedCodes)
+    seen, checks = [], []
+    real_acc, real_check = inference.linear_acc, inference._check_acc
+    monkeypatch.setattr(inference, "linear_acc",
+                        lambda layer, x, w: seen.append(x.dtype) or real_acc(layer, x, w))
+    monkeypatch.setattr(inference, "_check_acc",
+                        lambda *a: checks.append(a[1]) or real_check(*a))
+    _CountedCodes.calls = 0
+    out = run_codes_layer(layer, rec, [x], in_max)
+    assert seen == [dtype] and (_CountedCodes.calls > 0) == per_call
+    assert checks == ([1] if bias else [])
+    assert np.array_equal(np.asarray(out[0]), oracles.ref_layer_codes(layer, rec, [x[0]]))
+
+
+def test_network_passes_each_linear_layer_its_input_encodings_bound(monkeypatch, toy_graph,
+                                                                    pretrained, toy_ranges,
+                                                                    desk_small):
+    """run_codes_network gives each layer 2**bits - 1 of its first input's
+    encoding, and the codes equal those of runs without the static bound."""
+    policy = oracles.random_policy(np.random.default_rng(3), toy_graph, allow_fp32=False)
+    model = build_packed_model(toy_graph, pretrained[0], policy, fresh_ranges(toy_ranges))
+    images = desk_small.images[:5]
+    bounds, real = {}, inference.run_codes_layer
+
+    def spy(layer, rec, in_codes, in_max=None):
+        bounds[layer.id] = in_max
+        return real(layer, rec, in_codes, in_max)
+
+    monkeypatch.setattr(inference, "run_codes_layer", spy)
+    codes = run_codes_network(toy_graph, model, images)
+    assert bounds == {lid: (1 << model.act_bits[toy_graph.layer(lid).input_ids[0]]) - 1
+                      for lid in model.layers}
+    for lid in model.layers:
+        layer = toy_graph.layer(lid)
+        want = real(layer, model.layers[lid], [codes[t] for t in layer.input_ids])
+        assert np.array_equal(codes[lid], want), lid

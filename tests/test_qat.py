@@ -302,6 +302,65 @@ def test_window_channel_blocks_match_reference(monkeypatch, kind, stride, paddin
         assert z32.dtype == np.float32 and z32.tobytes() == one_block.tobytes(), block
 
 
+# (kind, kernel side, stride, padding, input side) of one layer per linear
+# kind; the last avg_pool covers its whole input, the global pool
+_ACC_LAYERS = [("conv2d", 3, 2, 1, 9), ("depthwise_conv2d", 3, 1, 1, 7),
+               ("pointwise_conv2d", 1, 1, 0, 5), ("fully_connected", 0, 1, 0, 3),
+               ("avg_pool", 2, 2, 0, 6), ("avg_pool", 4, 4, 0, 4)]
+
+
+@pytest.mark.parametrize("kind, k, s, p, hw", _ACC_LAYERS)
+def test_linear_acc_plus_bias_is_linear_fwd(kind, k, s, p, hw):
+    """The bias-free accumulator plus the bias is the training forward, bit
+    for bit; acc is the kernel's own output, a strided view for the phase-
+    plane kinds, and C-contiguous z has acc's shape."""
+    rng = np.random.default_rng(len(kind) + k)
+    c = 3
+    o = 5 if kind in ("conv2d", "pointwise_conv2d", "fully_connected") else c
+    ohw = 1 if kind == "fully_connected" else (hw + 2 * p - k) // s + 1
+    layer = oracles._mk(1, kind, [0], o, k, k, s, p, (c, hw, hw), (o, ohw, ohw), bias=o)
+    x = rng.normal(size=(4, c, hw, hw)).astype(np.float32)
+    if kind == "avg_pool":
+        w, b = kernels.pool_weight(layer, 1 / (k * k), np.float32)
+    else:
+        w = rng.normal(size=layer.weight_shape).astype(np.float32)
+        b = rng.normal(size=o).astype(np.float32)
+    acc, cols = kernels.linear_acc(layer, x, w)
+    z, cols_fwd = kernels.linear_fwd(layer, x, w, b)
+    assert z.flags.c_contiguous and z.shape == acc.shape and z.dtype == np.float32
+    assert kernels._is_global(layer, x.shape) == (kind == "avg_pool" and k == hw)
+    window = kind in ("conv2d", "depthwise_conv2d") or kind == "avg_pool" and k < hw
+    assert acc.flags.c_contiguous != window
+    added = acc + (b[:, None, None] if acc.ndim == 4 else b)
+    assert np.ascontiguousarray(added).tobytes() == z.tobytes()
+    assert np.array_equal(cols, cols_fwd)
+
+
+@pytest.mark.parametrize("n, c, hw", [(32, 32, 4), (3, 5, 7), (2, 1, 1)])
+def test_global_avg_pool_is_bit_identical_to_phase_planes(monkeypatch, n, c, hw):
+    """A pool whose window covers its unpadded input sums its taps in the
+    row-major order of the phase-plane path: forward and dx are bit-identical
+    to that path's, signed zeros included, in float32 with the training
+    weight 1/area and in float64 with the integer engine's weight 1."""
+    layer = oracles._mk(1, "avg_pool", [0], c, hw, hw, hw, 0, (c, hw, hw), (c, 1, 1), bias=c)
+    rng = np.random.default_rng([n, c, hw])
+    assert kernels._is_global(layer, (n, c, hw, hw))
+    for dtype, value in ((np.float32, 1 / (hw * hw)), (np.float64, 1)):
+        x = rng.normal(size=(n, c, hw, hw)).astype(dtype)
+        dz = rng.normal(size=(n, c, 1, 1)).astype(dtype)
+        x.flat[::7], dz.flat[::5] = -0.0, -0.0
+        w, b = kernels.pool_weight(layer, value, dtype)
+        runs = []
+        for is_global in (kernels._is_global, lambda layer, shape: False):
+            monkeypatch.setattr(kernels, "_is_global", is_global)
+            z, cols = kernels.linear_fwd(layer, x, w, b)
+            dx, dw, db = kernels.linear_bwd(layer, dz, cols, w, x.shape)
+            assert dw is None and db is None
+            assert kernels.linear_bwd(layer, dz, cols, w, x.shape, need_dx=False)[0] is None
+            runs.append((z.dtype, z.shape, z.tobytes(), dx.dtype, dx.shape, dx.tobytes()))
+        assert runs[0] == runs[1], dtype
+
+
 @pytest.mark.parametrize("kind", WEIGHTED_KINDS)
 def test_linear_bwd_without_dx_keeps_dw_and_db(kind):
     rng = np.random.default_rng(5)

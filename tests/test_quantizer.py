@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import oracles
-from mcuq import qat, quantizer
+from mcuq import kernels, qat, quantizer
 from mcuq.errors import PackFormatError
 from mcuq.graph_ir import fixture_path, load_graph
 from mcuq.memory_model import all_uniform_policy
@@ -511,9 +511,10 @@ def _ref_channel_requant(acc, rq, bias, bits, signed):
     return out
 
 
-# (N, C, H, W) accumulators against a block of 24 elements: rows of 6 (4 rows a
-# block, 189 rows, a remainder of 1), rows of 30 (each longer than a block, so
-# a block of its own), and rows of 1 (24 rows a block, a remainder of 6)
+# (N, C, H, W) accumulators against a block of 24 elements, each image larger
+# than a block, so blocks of channels of one image: 4 channels of 6 (15 blocks
+# and a remainder of 3 per image), one channel of 30 (longer than a block, so
+# a block of its own), and 24 channels of 1 (a remainder of 15)
 _BLOCK = 24
 _ROW_SHAPES = [(3, 63, 2, 3), (2, 63, 5, 6), (2, 63, 1, 1)]
 
@@ -553,6 +554,114 @@ def test_blocked_requant_with_one_multiplier(monkeypatch, dtype, bits, signed):
         for b in (None, bias):
             got = apply_requant(acc.astype(dtype), rq, bits, bias=b)
             assert np.array_equal(got, _ref_channel_requant(acc, rq, b, bits, signed)), shape
+
+
+def _float64_boundary_case(rng, bits: int, top: int, shape: tuple, acc_bits: int):
+    """(acc, RequantParams, bias) of (N, 16, ...) accumulators whose largest
+    shift is top (channels 0 and 1), with shift 0 (channel 2), a zero
+    multiplier (channel 3), exact half ties inside the output range (channels
+    4-9), biases at both ends of int32 (channels 10 and 11), accumulators
+    around the saturating value 2**bits - 1/2 (channels 12 and 13) and across
+    the output range (14 and 15), and zeros throughout. |acc| stays below
+    2**(acc_bits - 1) and acc + bias within int32."""
+    c, hi = shape[1], 2 ** bits - 1
+    col = (slice(None),) + (None,) * (len(shape) - 2)
+    shift = rng.integers(0, top + 1, size=c)
+    shift[:3] = top, top, 0
+    mult = rng.integers(1 << 30, 1 << 31, size=c)
+    mult[3] = 0
+    # ties: with mult = 2**(s - 1), every odd a = acc + bias is a tie; with
+    # mult = 2**30, every a = (2k + 1) * 2**(s - 31)
+    shift[4:10] = 1, 17, 31, 32, 40, top
+    mult[4:7] = 1 << (shift[4:7] - 1)
+    mult[7:10] = 1 << 30
+    bias = rng.integers(-(1 << 31), 1 << 31, size=c)
+    bias[10:12] = (1 << 31) - 1, -(1 << 31)
+    bias[4:10] = rng.integers(-50, 50, size=6)
+    bias[12:] = rng.integers(-50, 50, size=c - 12)
+    spread = 1 << (acc_bits - 1)
+    a = rng.integers(1 - spread, spread, size=shape) + bias[col]
+    # channels 4-9 and 12-15: a * multiplier / 2**shift over [-1, hi + 1]
+    unit = 2.0 ** shift / np.maximum(mult, 1)
+    for ch in list(range(4, 10)) + [14, 15]:
+        a[:, ch] = np.floor(rng.uniform(-1, hi + 1, size=a[:, ch].shape) * unit[ch])
+    for ch in (12, 13):
+        a[:, ch] = np.floor((hi + 0.5) * unit[ch]) + rng.integers(-3, 4, size=a[:, ch].shape)
+    a[:, 4:7] |= 1  # odd: ties at shifts 1, 17 and 31
+    g = (1 << (shift[7:10] - 30))[col]
+    a[:, 7:10] = (a[:, 7:10] // g) * g + g // 2
+    acc = np.clip(a - bias[col], 1 - spread, spread - 1)
+    acc[rng.random(shape) < 0.1] = 0
+    acc = np.clip(acc, -(1 << 31) - bias[col], (1 << 31) - 1 - bias[col])
+    return acc, RequantParams(multiplier=mult.astype(np.int32), shift=shift.astype(np.int32)), \
+        bias.astype(np.int32)
+
+
+@pytest.mark.parametrize("dtype, acc_bits", [(np.int64, 33), (np.float64, 33), (np.float32, 24)])
+@pytest.mark.parametrize("bits", [2, 4, 8])
+@pytest.mark.parametrize("top", [52, 53], ids=["shift_52-bits", "shift_53-bits"])
+def test_requant_at_the_float64_boundary_matches_oracle(dtype, acc_bits, bits, top):
+    """The float64 chain runs where the largest shift is 52 - bits and the
+    int64 chain one shift later; both equal the exact oracle on ties,
+    saturation at both ends, zero and negative accumulators, zero multipliers
+    and |acc + bias| up to 2**31 - 1, on float32 accumulators (below 2**24,
+    as a float32 kernel's) and on int64 and float64 ones."""
+    rng = np.random.default_rng([bits, top, acc_bits])
+    acc, rq, bias = _float64_boundary_case(rng, bits, top - bits, (6, 16, 3, 5), acc_bits)
+    assert quantizer.float64_exact(bits, rq.shift) is (top == 52)
+    got = apply_requant(acc.astype(dtype), rq, bits, bias=bias)
+    want = _ref_channel_requant(acc, rq, bias, bits, False)
+    assert got.dtype == np.int32 and np.array_equal(got, want)
+    a = acc + bias[:, None, None].astype(np.int64)
+    m, sh = rq.multiplier.astype(np.int64)[:, None, None], rq.shift[:, None, None]
+    p = [int(v) for v in (a * m).ravel()]  # exact products
+    tie = np.array([s > 0 and v % (1 << s) == 1 << (s - 1)
+                    for v, s in zip(p, np.broadcast_to(sh, a.shape).ravel().tolist())])
+    inside = ((want > 0) & (want < 2 ** bits - 1)).ravel()
+    assert (tie & inside).sum() > 100
+    assert (want == 0).sum() > 50 and (want == 2 ** bits - 1).sum() > 50
+    assert np.abs(a).max() >= 2 ** 31 - 2 ** 24 and (a < 0).any() and (acc == 0).any()
+
+
+def _kernel_view(rng, kind: str, n: int, o: int, oh: int, ow: int, w2: int, dtype):
+    """An (N, O, oh, ow) accumulator as a window kernel leaves it: a strided
+    view of its flat per-position output (kernels._out_grid), integers below
+    2**23 in magnitude."""
+    flat_shape = (oh * n * w2, o) if kind == "conv2d" else (o, oh * n * w2)
+    flat = rng.integers(-(1 << 23), 1 << 23, size=flat_shape).astype(dtype)
+    view = kernels._out_grid(flat, kind, n, o, oh, w2)[..., :ow]
+    assert not view.flags.c_contiguous
+    return view
+
+
+@pytest.mark.parametrize("kind", ["conv2d", "depthwise_conv2d"])
+@pytest.mark.parametrize("n, block", [
+    pytest.param(92, None, id="92_images_default_block"),   # blocks of 55 images, then 37
+    pytest.param(7, 3 * 24 * 49 + 5, id="3_images_a_block"),  # 3, 3, then 1
+    pytest.param(2, 24 * 10, id="channel_blocks"),            # 4 channels, per image
+    pytest.param(2, 20, id="one_channel_a_block"),            # a channel longer than a block
+])
+@pytest.mark.parametrize("bits", [4, 8, 32])
+def test_requant_of_a_strided_kernel_view_matches_oracle(monkeypatch, kind, n, block, bits):
+    """apply_requant reads the window kernels' strided (N, O, oh, ow) view in
+    blocks of whole images or of channels, with the float64 chain (unsigned
+    outputs, shifts up to 52 - bits) and the int64 one (raw logits); every
+    code equals the exact oracle and the result of a contiguous copy."""
+    if block is not None:
+        monkeypatch.setattr(quantizer, "CONV_BLOCK", block)
+    rng = np.random.default_rng([n, bits, len(kind)])
+    o, oh, ow, w2 = 24, 7, 7, 9  # the toy CNN's third conv2d at stride 1
+    view = _kernel_view(rng, kind, n, o, oh, ow, w2, np.float32)
+    shift = rng.integers(20, 44 if bits < 32 else 62, size=o)
+    rq = RequantParams(multiplier=rng.integers(1 << 30, 1 << 31, size=o).astype(np.int32),
+                       shift=shift.astype(np.int32))
+    bias = rng.integers(-(1 << 26), 1 << 26, size=o).astype(np.int32)
+    assert quantizer.float64_exact(bits, rq.shift) is (bits < 32)
+    got = apply_requant(view, rq, bits, bias=bias)
+    assert got.shape == view.shape and got.flags.c_contiguous
+    assert np.array_equal(got, apply_requant(np.ascontiguousarray(view), rq, bits, bias=bias))
+    want = _ref_channel_requant(view.astype(np.int64), rq, bias, bits, bits == 32)
+    assert np.array_equal(got, want)
 
 
 def test_apply_requant_rejects_mismatched_parameters():
