@@ -2,7 +2,10 @@
 
 Builds the MobileNetV1-224 description (width 1.0, 1000 classes), the
 5-layer desk-scale CNN, and a small residual graph, then sanity-checks the
-headline byte counts before writing JSON into src/mcuq/fixtures/.
+headline byte counts before writing JSON into OUT_DIR (default
+src/mcuq/fixtures/).
+
+Usage: python scripts/gen_fixtures.py [OUT_DIR]
 """
 
 import os
@@ -134,8 +137,7 @@ def toy_residual():
     return b.graph()
 
 
-def main():
-    out_dir = os.path.join(os.path.dirname(__file__), "..", "src", "mcuq", "fixtures")
+def main(out_dir=os.path.join(os.path.dirname(__file__), "..", "src", "mcuq", "fixtures")):
     os.makedirs(out_dir, exist_ok=True)
 
     mn = mobilenet_v1()
@@ -165,4 +167,4 @@ def main():
 
 
 if __name__ == "__main__":
-    main()
+    main(*sys.argv[1:])

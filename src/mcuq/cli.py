@@ -6,6 +6,12 @@ writes the run's manifest (config snapshot, seed, input hashes, version,
 duration), so results are auditable and reproducible. A run stopped by an
 error writes none.
 
+--config FILE is a JSON object of flag defaults, keyed by flag name with
+dashes or underscores; flags given on the command line win. Values are typed
+like their flags: a switch takes a JSON boolean, a typed flag a number or a
+string its type reads, any other flag a string (one of its choices). A key of
+another command's flag is ignored. An unknown key or a bad value exits 64.
+
 Exit codes: 0 ok, 1 bad input, 2 constraint violation, 64 usage error.
 """
 
@@ -21,13 +27,14 @@ import time
 from . import __version__, qat
 from .data import Dataset, DatasetError, load_dataset
 from .errors import McuqError, InfeasibleBudgetError
-from .graph_ir import _unique_keys, load_graph
+from .graph_ir import load_graph, read_json
 from .inference import evaluate_accuracy, per_class_csv
 from .memory_model import (
     MemoryBudget,
     QuantPolicy,
     all_uniform_policy,
     footprint,
+    load_policy,
     ram_csv,
     rom_csv,
     validate_policy,
@@ -194,26 +201,46 @@ def _parse_args(parser: _Parser, argv=None) -> dict:
     """
     d = vars(parser.parse_args(argv))
     if d.get("config"):
-        try:
-            with open(d["config"], "r", encoding="utf-8") as f:
-                file_cfg = json.load(f, object_pairs_hook=_unique_keys)
-        except (OSError, ValueError) as e:  # ValueError: malformed, duplicate key, non-UTF-8
-            raise DatasetError(f"cannot read config file {d['config']}: {e}") from e
-        if not isinstance(file_cfg, dict):
-            raise DatasetError("config file must hold a JSON object")
-        keys = {k.replace("-", "_"): v for k, v in file_cfg.items()}
-        parser.commands[d["command"]].set_defaults(
-            **{k: v for k, v in keys.items() if k in d and k not in ("command", "config")})
+        cfg = read_json(d["config"], DatasetError)
+        parser.commands[d["command"]].set_defaults(**_config_defaults(parser, d["command"], cfg))
         d = vars(parser.parse_args(argv))
     if d.get("seed") is None:
         d["seed"] = _env_seed()
     return d
 
 
+def _config_defaults(parser: _Parser, command: str, cfg: dict) -> dict:
+    """The --config values of command's flags, typed as the module docstring
+    says; a typed flag's value goes in as text, which its type then reads. A
+    flag given under both spellings is a usage error too."""
+    known = {a.dest for sub in parser.commands.values() for a in sub._actions}
+    flags = {a.dest: a for a in parser.commands[command]._actions
+             if a.dest not in ("help", "config")}
+    out = {}
+    for key, v in cfg.items():
+        dest = key.replace("-", "_")
+        if dest not in known:
+            raise _UsageError(f"config key {key!r} names no flag of any command")
+        a = flags.get(dest)
+        if a is None:
+            continue
+        if dest in out:
+            raise _UsageError(f"config key {key!r} sets {a.option_strings[0]} twice")
+        if a.nargs == 0:  # a switch
+            ok = isinstance(v, bool)
+        elif a.type is not None:
+            ok = isinstance(v, (int, float, str)) and not isinstance(v, bool)
+        else:
+            ok = isinstance(v, str) and (a.choices is None or v in a.choices)
+        if not ok:
+            raise _UsageError(f"config key {key!r}: {a.option_strings[0]} cannot take {v!r}")
+        out[dest] = str(v) if a.type is not None else v
+    return out
+
+
 def _load_policy(path: str, g) -> QuantPolicy:
     """The policy in a JSON file, validated against the graph."""
-    with open(path, "r", encoding="utf-8") as f:
-        policy = QuantPolicy.from_json(f.read())
+    policy = load_policy(path)
     validate_policy(g, policy)
     return policy
 

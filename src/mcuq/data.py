@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DatasetError
-from .graph_ir import _is_int, _unique_keys
+from .graph_ir import is_int, read_json
 
 NUM_SHAPE_CLASSES = 10
 SHAPE_HW = 28  # side of a synthetic shape image
@@ -228,13 +228,8 @@ def load_raw_dir(dirname: str) -> Dataset:
         raise DatasetError(f"{dirname}: labels.npy must hold integers, got {labels.dtype}")
     split_path = os.path.join(dirname, "split.json")
     if os.path.exists(split_path):
-        try:
-            with open(split_path, "r", encoding="utf-8") as f:
-                split = json.load(f, object_pairs_hook=_unique_keys)
-        except ValueError as e:  # malformed JSON, a duplicate key or a non-UTF-8 file
-            raise DatasetError(f"{split_path}: malformed JSON: {e}") from e
-        n_train = split.get("n_train") if isinstance(split, dict) else None
-        if not _is_int(n_train):
+        n_train = read_json(split_path, DatasetError).get("n_train")
+        if not is_int(n_train):
             raise DatasetError(f"{split_path}: must be an object with an integer n_train")
     else:
         n_train = int(0.8 * len(images))

@@ -10,6 +10,13 @@ index from the input ids; from it, the schedule, the encoded tensors and,
 with the schedule, each tensor's span of steps; from the spans, liveness;
 and from the layers alone, each tensor's element count and the weighted
 layers by id, which budget enforcement reads on every call.
+
+read_json is the one reader of every JSON input: graph, policy, --config and
+a raw dataset's split.json. A file must be UTF-8 and hold one JSON object,
+parsed strictly: NaN and Infinity are not JSON, and no object may hold a key
+twice. Any failure raises the caller's McuqError subclass, naming the file.
+The formats share two more rules: is_int, a JSON integer, and check_keys,
+which rejects a key a format does not define.
 """
 
 from __future__ import annotations
@@ -18,10 +25,12 @@ import dataclasses
 import heapq
 import json
 import math
+import sys
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from functools import cached_property
 
-from .errors import DatasetError, GraphValidationError
+from .errors import DatasetError, GraphValidationError, McuqError
 
 CONV_KINDS = ("conv2d", "depthwise_conv2d", "pointwise_conv2d")
 WEIGHTED_KINDS = CONV_KINDS + ("fully_connected",)
@@ -239,6 +248,13 @@ def _validate_layer(layer: LayerSpec, by_id: dict[int, LayerSpec]) -> None:
         if layer.output_shape != layer.input_shape:
             raise GraphValidationError(f"{layer.kind} must preserve shape", lid)
 
+    if layer.out_channels != layer.output_shape[0]:
+        raise GraphValidationError(f"out_channels {layer.out_channels} != output_shape "
+                                   f"{layer.output_shape} channels", lid)
+    if layer.kind not in CONV_KINDS + ("avg_pool",) and (
+            layer.kernel_h, layer.kernel_w, layer.stride, layer.padding) != (0, 0, 1, 0):
+        raise GraphValidationError(f"{layer.kind} takes no kernel, stride or padding", lid)
+
     expect_p = _expected_params(layer)
     if layer.param_count != expect_p:
         raise GraphValidationError(
@@ -294,9 +310,11 @@ def liveness(g: NetworkGraph) -> list[frozenset[int]]:
 _INT_FIELDS = {"out_channels": 0, "kernel_h": 0, "kernel_w": 0, "stride": 1, "padding": 0,
                "param_count": 0, "bias_count": 0}
 _INT_LISTS = ("input_ids", "input_shape", "output_shape")
+_LAYER_KEYS = ("id", "kind", *_INT_FIELDS, *_INT_LISTS)
+_GRAPH_KEYS = ("resolution", "width_multiplier", "layers")
 
 
-def _is_int(v) -> bool:
+def is_int(v) -> bool:
     """Whether v is a JSON integer; int() would also take 2.9, "1" and true."""
     return isinstance(v, int) and not isinstance(v, bool)
 
@@ -312,6 +330,35 @@ def _unique_keys(pairs: list) -> dict:
     return out
 
 
+def _not_json(name: str):
+    """json parse_constant hook: NaN, Infinity and -Infinity are not JSON."""
+    raise ValueError(f"{name} is not a JSON value")
+
+
+def read_json(path: str, error: type[McuqError]) -> dict:
+    """The JSON object in the UTF-8 file at path. Raises error, naming the file,
+    when it cannot be read, is not UTF-8 or strict JSON, holds a key twice in
+    one object, nests too deep or holds anything but an object."""
+    try:
+        with open(path, "r", encoding="utf-8") as f:
+            doc = json.load(f, object_pairs_hook=_unique_keys, parse_constant=_not_json)
+    except OSError as e:
+        raise error(f"cannot read {path}: {e}") from e
+    except (ValueError, RecursionError) as e:  # ValueError: decode, syntax or a hook
+        raise error(f"cannot parse {path}: {e}") from e
+    if not isinstance(doc, dict):
+        raise error(f"cannot parse {path}: top level must be an object")
+    return doc
+
+
+def check_keys(doc: dict, keys: tuple[str, ...], error: Callable[[str], McuqError]) -> None:
+    """Raise error naming the keys of doc outside keys: a misspelt field of a
+    file would otherwise load as its default."""
+    other = sorted(doc.keys() - set(keys))
+    if other:
+        raise error(f"unknown keys {other}, expected some of {list(keys)}")
+
+
 def _layer_from_dict(d: dict) -> LayerSpec:
     try:
         lid, kind = d["id"], str(d["kind"])
@@ -319,13 +366,14 @@ def _layer_from_dict(d: dict) -> LayerSpec:
         lists = {k: d.get(k, []) if k == "input_ids" else d[k] for k in _INT_LISTS}
     except (KeyError, TypeError) as e:
         raise GraphValidationError(f"malformed layer entry: {e}") from e
-    if not _is_int(lid):
+    if not is_int(lid):
         raise GraphValidationError(f"malformed layer entry: id {lid!r} is not an integer")
+    check_keys(d, _LAYER_KEYS, lambda msg: GraphValidationError(msg, lid))
     for k, v in ints.items():
-        if not _is_int(v):
+        if not is_int(v):
             raise GraphValidationError(f"{k} {v!r} is not an integer", lid)
     for k, v in lists.items():
-        if not isinstance(v, list) or not all(map(_is_int, v)):
+        if not isinstance(v, list) or not all(map(is_int, v)):
             raise GraphValidationError(f"{k} {v!r} is not a list of integers", lid)
     return LayerSpec(id=lid, kind=kind, **ints, **{k: tuple(v) for k, v in lists.items()})
 
@@ -340,20 +388,17 @@ def validate(g: NetworkGraph) -> NetworkGraph:
 
 def load_graph(path: str) -> NetworkGraph:
     """Load and validate a graph JSON file."""
-    with open(path, "r", encoding="utf-8") as f:
-        try:
-            raw = json.load(f, object_pairs_hook=_unique_keys)
-        except ValueError as e:  # JSONDecodeError, a duplicate key or a non-UTF-8 file
-            raise GraphValidationError(f"cannot parse {path}: {e}") from e
-    if not isinstance(raw, dict) or not isinstance(raw.get("layers"), list):
+    raw = read_json(path, GraphValidationError)
+    if not isinstance(raw.get("layers"), list):
         raise GraphValidationError("top level must be an object with a 'layers' array")
+    check_keys(raw, _GRAPH_KEYS, GraphValidationError)
     layers = tuple(_layer_from_dict(d) for d in raw["layers"])
     resolution = raw.get("resolution", 0)
     width = raw.get("width_multiplier", 1.0)
-    if not _is_int(resolution):
+    if not is_int(resolution):
         raise GraphValidationError(f"resolution {resolution!r} is not an integer")
-    if not (_is_int(width) or isinstance(width, float)):
-        raise GraphValidationError(f"width_multiplier {width!r} is not a number")
+    if not (is_int(width) or isinstance(width, float)) or abs(width) > sys.float_info.max:
+        raise GraphValidationError(f"width_multiplier {width!r} is not a finite number")
     g = NetworkGraph(layers=layers, resolution=resolution, width_multiplier=float(width))
     return validate(g)
 
@@ -372,5 +417,5 @@ def save_graph(g: NetworkGraph, path: str) -> None:
         "layers": [dataclasses.asdict(l) for l in g.layers],
     }
     with open(path, "w", encoding="utf-8") as f:
-        json.dump(doc, f, indent=1)
+        json.dump(doc, f, indent=1, allow_nan=False)
         f.write("\n")

@@ -30,7 +30,7 @@ from dataclasses import dataclass, field, replace
 from itertools import chain
 
 from .errors import InfeasibleBudgetError, PolicyError
-from .graph_ir import NetworkGraph, _is_int, _unique_keys, liveness, topo_order
+from .graph_ir import NetworkGraph, check_keys, is_int, liveness, read_json, topo_order
 
 VALID_BITS = (2, 4, 8, 32)
 REQUANT_BYTES_PER_CHANNEL = 8
@@ -59,29 +59,25 @@ class QuantPolicy:
         }
         return json.dumps(doc, indent=1) + "\n"
 
-    @staticmethod
-    def from_json(text: str) -> "QuantPolicy":
-        """Parse the form to_json writes: JSON-integer bits keyed by decimal
-        ids, and "w:<id>" or "a:<id>" frozen entries. Anything else, a key
-        written twice included, raises PolicyError naming the entry."""
-        try:
-            doc = json.loads(text, object_pairs_hook=_unique_keys)
-        except ValueError as e:  # JSONDecodeError or a duplicate key
-            raise PolicyError(f"malformed policy file: {e}") from e
-        if not isinstance(doc, dict):
-            raise PolicyError("malformed policy file: top level must be an object")
-        wb, ab = (_bits_table(doc, name) for name in ("weight_bits", "act_bits"))
-        frozen = doc.get("frozen", [])
-        if not isinstance(frozen, list):
-            raise PolicyError("malformed policy file: frozen must be a list")
-        fw, fa = set(), set()
-        for item in frozen:
-            tag, _, ident = item.partition(":") if isinstance(item, str) else ("", "", "")
-            if tag not in ("w", "a"):
-                raise PolicyError(f"malformed policy file: frozen entry {item!r} is not "
-                                  f"'w:<id>' or 'a:<id>'")
-            (fw if tag == "w" else fa).add(_policy_id(ident, f"frozen entry {item!r}"))
-        return QuantPolicy(wb, ab, fw, fa)
+
+def load_policy(path: str) -> QuantPolicy:
+    """The policy in a file of the form QuantPolicy.to_json writes: JSON-integer bits
+    keyed by decimal ids, and "w:<id>" or "a:<id>" frozen entries. Anything else,
+    a key written twice or one of another name included, raises PolicyError."""
+    doc = read_json(path, PolicyError)
+    check_keys(doc, ("weight_bits", "act_bits", "frozen"), PolicyError)
+    wb, ab = (_bits_table(doc, name) for name in ("weight_bits", "act_bits"))
+    frozen = doc.get("frozen", [])
+    if not isinstance(frozen, list):
+        raise PolicyError("malformed policy file: frozen must be a list")
+    fw, fa = set(), set()
+    for item in frozen:
+        tag, _, ident = item.partition(":") if isinstance(item, str) else ("", "", "")
+        if tag not in ("w", "a"):
+            raise PolicyError(f"malformed policy file: frozen entry {item!r} is not "
+                              f"'w:<id>' or 'a:<id>'")
+        (fw if tag == "w" else fa).add(_policy_id(ident, f"frozen entry {item!r}"))
+    return QuantPolicy(wb, ab, fw, fa)
 
 
 def _policy_id(key: str, where: str) -> int:
@@ -97,7 +93,7 @@ def _bits_table(doc: dict, name: str) -> dict[int, int]:
         raise PolicyError(f"malformed policy file: {name} must be an object")
     out = {}
     for k, v in table.items():
-        if not _is_int(v):
+        if not is_int(v):
             raise PolicyError(f"malformed policy file: {name}[{k!r}] = {v!r} is not an integer")
         out[_policy_id(k, name)] = v
     return out

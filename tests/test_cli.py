@@ -16,9 +16,10 @@ import oracles
 
 from mcuq import cli, qat
 from mcuq.data import Dataset, DatasetError, load_dataset, save_raw_dir
+from mcuq.errors import PolicyError
 from mcuq.graph_ir import fixture_path, load_graph, topo_order
 from mcuq.inference import evaluate_accuracy, per_class_csv
-from mcuq.memory_model import QuantPolicy, all_uniform_policy, footprint, validate_policy
+from mcuq.memory_model import all_uniform_policy, footprint, load_policy, validate_policy
 from mcuq.packed_model import build_packed_model, load_packed, save_packed
 from mcuq.quantizer import calibrate_act_ranges
 
@@ -59,24 +60,83 @@ def test_config_file_reaches_the_run(in_tmp):
     assert (cfg["epochs"], cfg["lr"], cfg["batch_size"], manifest["seed"]) == (1, 2e-3, 16, 7)
 
 
-def test_unreadable_config_is_bad_input(in_tmp):
+def test_unreadable_config_is_bad_input(in_tmp, capsys):
     (in_tmp / "cfg.json").write_text("[1, 2]")
     assert cli.main(["footprint", "--graph", TOY, "--rom-bytes", "1", "--ram-bytes", "1",
                      "--config", "cfg.json"]) == cli.EXIT_INPUT
+    assert capsys.readouterr().err == "error: cannot parse cfg.json: top level must be an object\n"
 
 
 @pytest.mark.parametrize("content", [
     pytest.param(b'{"epochs": 5, "epochs": 1}', id="duplicate_key"),
     pytest.param(b'{"lr": 0.5, "\xff": 1}', id="not_utf8"),
+    pytest.param(b'{"lr": NaN}', id="nan"),
 ])
 def test_config_file_with_a_duplicate_key_or_bad_encoding_is_bad_input(in_tmp, content):
-    """json would load a repeated key with its last value and a non-UTF-8 file
-    as a bare UnicodeDecodeError; both raise DatasetError naming the file."""
+    """json would load a repeated key with its last value, NaN (not JSON) as a
+    float and a non-UTF-8 file as a bare UnicodeDecodeError; each raises
+    DatasetError naming the file."""
     (in_tmp / "cfg.json").write_bytes(content)
     base = ["pretrain", "--graph", TOY, "--dataset", DATA, "--out-checkpoint", "w.ckpt"]
     with pytest.raises(DatasetError, match="cfg.json"):
         parsed(base + ["--config", "cfg.json"])
     assert cli.main(base + ["--config", "cfg.json"]) == cli.EXIT_INPUT
+
+
+_FOOTPRINT = ["footprint", "--graph", TOY, "--rom-bytes", "1", "--ram-bytes", "1"]
+_SEARCH = ["search", "--graph", TOY, "--dataset", DATA, "--rom-bytes", "1", "--ram-bytes", "1",
+           "--out-policy", "p.json"]
+_PRETRAIN = ["pretrain", "--graph", TOY, "--dataset", DATA, "--out-checkpoint", "w.ckpt"]
+
+
+@pytest.mark.parametrize("argv, cfg, says", [
+    pytest.param(_PRETRAIN, {"epochs": 0.5}, "invalid int value: '0.5'", id="fractional_int"),
+    pytest.param(_PRETRAIN, {"epochs": [1]}, "--epochs cannot take [1]", id="list"),
+    pytest.param(_PRETRAIN, {"lr": "abc"}, "invalid float value: 'abc'", id="bad_float_text"),
+    pytest.param(_PRETRAIN, {"lr": True}, "--lr cannot take True", id="bool_for_number"),
+    pytest.param(_SEARCH, {"freeze_first_last": "no"}, "--freeze-first-last cannot take 'no'",
+                 id="text_for_switch"),
+    pytest.param(_SEARCH, {"mode": "bogus"}, "--mode cannot take 'bogus'", id="not_a_choice"),
+    pytest.param(_FOOTPRINT, {"policy": 0}, "--policy cannot take 0", id="number_for_path"),
+    pytest.param(_FOOTPRINT, {"rom-bytez": 1}, "'rom-bytez' names no flag", id="unknown_key"),
+    pytest.param(_PRETRAIN, {"batch-size": 8, "batch_size": 16}, "--batch-size twice",
+                 id="both_spellings"),
+])
+def test_config_value_the_command_line_could_not_give_is_a_usage_error(in_tmp, capsys, argv,
+                                                                       cfg, says):
+    """Values used to reach the run untyped: 0.5 epochs and [1] ended in a
+    TypeError from range(), "no" switched the flag on and a policy of 0 read
+    stdin; misspelt keys were ignored."""
+    (in_tmp / "cfg.json").write_text(json.dumps(cfg))
+    assert cli.main(argv + ["--config", "cfg.json"]) == cli.EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("usage error: ") and says in err, err
+
+
+def test_config_values_take_the_flags_types(in_tmp):
+    (in_tmp / "cfg.json").write_text(json.dumps(
+        {"freeze-first-last": True, "proxy_train_frac": 1, "seed": "5", "mode": "concurrent",
+         "lr": 0.5, "epochs": 2}))  # the last two name pretrain's flags: ignored by search
+    a = parsed(_SEARCH + ["--config", "cfg.json"])
+    assert (a["freeze_first_last"], a["proxy_train_frac"], a["seed"], a["mode"]) == (
+        True, 1.0, 5, "concurrent")
+    assert type(a["proxy_train_frac"]) is float and "lr" not in a
+
+
+@pytest.mark.parametrize("content, says", [
+    pytest.param(b'{"weight_bits": {"1": 8}, "\xff": 1}', "cannot parse p.json: 'utf-8' codec",
+                 id="not_utf8"),
+    pytest.param(None, "cannot read p.json: [Errno 2]", id="missing"),
+])
+def test_unreadable_policy_file_is_bad_input(in_tmp, capsys, content, says):
+    """Each used to escape as a bare UnicodeDecodeError or OSError."""
+    if content is not None:
+        (in_tmp / "p.json").write_bytes(content)
+    with pytest.raises(PolicyError, match=re.escape(says)):
+        cli._load_policy("p.json", load_graph(TOY))
+    assert cli.main(_FOOTPRINT + ["--policy", "p.json"]) == cli.EXIT_INPUT
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {says}") and "Traceback" not in err, err
 
 
 @pytest.mark.parametrize("argv, code", [
@@ -437,7 +497,7 @@ def test_search_writes_a_policy_that_fits_its_budget(in_tmp, capsys):
     assert sorted(best) == ["best_ram_bytes", "best_rom_bytes", "best_top1"]
     assert 0.0 <= float(best["best_top1"]) <= 1.0
     g = load_graph(TOY)
-    policy = QuantPolicy.from_json((in_tmp / "p.json").read_text())
+    policy = load_policy("p.json")
     validate_policy(g, policy)
     rep = footprint(g, policy)
     assert (rep.rom_total, rep.ram_peak) == (int(best["best_rom_bytes"]),

@@ -231,7 +231,8 @@ def _raw_dir(tmp_path, labels=None, split=None) -> str:
 
 
 @pytest.mark.parametrize("split", ["{}", '{"n_train": 8.9}', '{"n_train": "8"}',
-                                   '{"n_train": true}', "[8]", "8", '{"n_train": 8'])
+                                   '{"n_train": true}', "[8]", "8", '{"n_train": 8',
+                                   '{"n_train": NaN}'])
 def test_raw_dir_rejects_a_split_without_an_integer_n_train(tmp_path, split):
     with pytest.raises(DatasetError, match="split.json"):
         load_raw_dir(_raw_dir(tmp_path, split=split))

@@ -1,7 +1,10 @@
 """Graph IR: fixture anchors, validation, topological order, liveness."""
 
 import dataclasses
+import importlib.util
 import json
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -122,6 +125,19 @@ def test_error_carries_layer_id(toy_graph):
     assert "layer 3" in str(ei.value)
 
 
+@pytest.mark.parametrize("lid, fields, says", [
+    (0, {"out_channels": 0}, "out_channels 0 != output_shape (1, 28, 28)"),
+    (7, {"out_channels": 9}, "out_channels 9 != output_shape (10, 1, 1)"),
+    (6, {"kernel_h": 70}, "fully_connected takes no kernel, stride or padding"),
+    (7, {"padding": 4}, "output takes no kernel, stride or padding"),
+    (0, {"stride": 2}, "input takes no kernel, stride or padding"),
+])
+def test_fields_a_kind_does_not_use_keep_their_defaults(toy_graph, lid, fields, says):
+    """A file could set them to anything and load: the engines never read them."""
+    with pytest.raises(GraphValidationError, match=re.escape(f"layer {lid}: {says}")):
+        validate(replace_layer(toy_graph, lid, **fields))
+
+
 @pytest.mark.parametrize("kind", ["conv2d", "depthwise_conv2d", "pointwise_conv2d", "avg_pool"])
 @pytest.mark.parametrize("field, value", [
     ("kernel_h", 0), ("kernel_w", -1), ("stride", 0), ("stride", -2), ("padding", -1)])
@@ -207,7 +223,8 @@ def test_non_integer_layer_field_rejected_on_load(tmp_path, lid, field, value):
 
 @pytest.mark.parametrize("field, value", [
     ("resolution", 28.5), ("resolution", "28"), ("width_multiplier", "1.0"),
-    ("width_multiplier", True)])
+    ("width_multiplier", True),
+    pytest.param("width_multiplier", 10**400, id="width_multiplier-10**400")])
 def test_non_numeric_graph_field_rejected_on_load(tmp_path, field, value):
     with open(graph_ir.fixture_path("toycnn_mnist.json"), encoding="utf-8") as f:
         doc = json.load(f)
@@ -231,6 +248,45 @@ def test_duplicate_key_rejected_on_load(tmp_path, old, new, key):
     path.write_text(text.replace(old, new))
     with pytest.raises(GraphValidationError, match=f"duplicate key '{key}'"):
         load_graph(str(path))
+
+
+@pytest.mark.parametrize("old, new, says", [
+    ('"width_multiplier": 1.0', '"width_multiplier": NaN', "cannot parse .*NaN is not a JSON value"),
+    ('"width_multiplier": 1.0', '"width_multiplier": Infinity', "Infinity is not a JSON value"),
+    ('"stride": 2', '"stride": -Infinity', "-Infinity is not a JSON value"),
+    ('"width_multiplier": 1.0', '"width_multiplier": 1e400', "width_multiplier inf is not a finite"),
+    ('"resolution": 28', '"resolutoin": 28', r"unknown keys \['resolutoin'\]"),
+    ('"bias_count": 10', '"bias_cownt": 10', r"layer 6: unknown keys \['bias_cownt'\]"),
+], ids=["nan", "infinity", "minus_infinity", "overflow", "top_level_typo", "layer_typo"])
+def test_graph_file_outside_the_format_rejected_on_load(tmp_path, old, new, says):
+    """json reads NaN and Infinity, which are not JSON, and a misspelt key would
+    load its field's default, so each file used to load."""
+    with open(graph_ir.fixture_path("toycnn_mnist.json"), encoding="utf-8") as f:
+        text = f.read()
+    assert old in text
+    path = tmp_path / "g.json"
+    path.write_text(text.replace(old, new, 1))
+    with pytest.raises(GraphValidationError, match=says):
+        load_graph(str(path))
+
+
+def test_save_graph_writes_only_strict_json(tmp_path, toy_graph):
+    g = dataclasses.replace(toy_graph, width_multiplier=float("nan"))
+    with pytest.raises(ValueError):
+        save_graph(g, str(tmp_path / "g.json"))
+
+
+def test_bundled_fixtures_are_what_gen_fixtures_writes(tmp_path):
+    script = Path(__file__).parents[1] / "scripts" / "gen_fixtures.py"
+    spec = importlib.util.spec_from_file_location("gen_fixtures", script)
+    gen = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(gen)
+    gen.main(str(tmp_path))
+    names = ("mobilenet_v1_224_100.json", "toycnn_mnist.json", "toy_residual.json")
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(names)
+    for name in names:
+        assert (tmp_path / name).read_bytes() == Path(graph_ir.fixture_path(name)).read_bytes()
+        load_graph(str(tmp_path / name))
 
 
 # ---------------------------------------------------------------------------
@@ -339,6 +395,12 @@ def test_load_rejects_garbage(tmp_path):
     p.write_bytes(b'{"layers": [\xff]}')  # not UTF-8
     with pytest.raises(GraphValidationError, match="cannot parse"):
         load_graph(str(p))
+    for doc, says in (("[1]", "top level must be an object"), ("[" * 10**5, "recursion")):
+        p.write_text(doc)
+        with pytest.raises(GraphValidationError, match=f"cannot parse {re.escape(str(p))}: .*{says}"):
+            load_graph(str(p))
+    with pytest.raises(GraphValidationError, match="cannot read .*missing.json"):
+        load_graph(str(tmp_path / "missing.json"))
 
 
 def test_kind_tuple_is_frozen():

@@ -19,6 +19,7 @@ from mcuq.memory_model import (
     enforce_rom,
     footprint,
     layer_rom_bytes,
+    load_policy,
     ram_csv,
     ram_footprint,
     rom_csv,
@@ -95,7 +96,13 @@ def test_footprint_matches_oracle_random():
 # Policy container
 # ---------------------------------------------------------------------------
 
-def test_policy_json_schema(toy_graph):
+def _policy(tmp_path, text: str) -> QuantPolicy:
+    path = tmp_path / "p.json"
+    path.write_text(text)
+    return load_policy(str(path))
+
+
+def test_policy_json_schema(tmp_path, toy_graph):
     p = all_uniform_policy(toy_graph)
     p.weight_bits[3] = 4
     p.act_bits[2] = 2
@@ -105,17 +112,17 @@ def test_policy_json_schema(toy_graph):
     assert doc["weight_bits"]["3"] == 4
     assert doc["act_bits"]["2"] == 2
     assert doc["frozen"] == ["w:1", "a:0"]
-    back = QuantPolicy.from_json(p.to_json())
+    back = _policy(tmp_path, p.to_json())
     assert back.weight_bits == p.weight_bits
     assert back.act_bits == p.act_bits
     assert back.frozen_weights == {1} and back.frozen_acts == {0}
 
 
-def test_policy_json_rejects_malformed():
+def test_policy_json_rejects_malformed(tmp_path):
     with pytest.raises(PolicyError):
-        QuantPolicy.from_json('{"weight_bits": "nope"}')
+        _policy(tmp_path, '{"weight_bits": "nope"}')
     with pytest.raises(PolicyError):
-        QuantPolicy.from_json("not json at all")
+        _policy(tmp_path, "not json at all")
 
 
 @pytest.mark.parametrize("text, named", [
@@ -138,15 +145,18 @@ def test_policy_json_rejects_malformed():
     # json alone would keep the last value of a duplicated key
     ('{"weight_bits": {"1": 8, "1": 2}, "act_bits": {}}', "duplicate key '1'"),
     ('{"act_bits": {"0": 8}, "act_bits": {}}', "duplicate key 'act_bits'"),
+    ('{"act_bits": {"0": NaN}}', "NaN is not a JSON value"),
+    # a misspelt key would load as no entries: here, nothing frozen
+    ('{"weight_bits": {}, "frozem": ["w:1"]}', "unknown keys ['frozem']"),
 ])
-def test_policy_json_accepts_only_what_to_json_writes(text, named):
+def test_policy_json_accepts_only_what_to_json_writes(tmp_path, text, named):
     with pytest.raises(PolicyError, match=re.escape(named)):
-        QuantPolicy.from_json(text)
+        _policy(tmp_path, text)
 
 
-def test_policy_json_round_trips_negative_ids():
+def test_policy_json_round_trips_negative_ids(tmp_path):
     p = QuantPolicy({-1: 4, 0: 8}, {-2: 2}, {-1}, {-2})
-    assert QuantPolicy.from_json(p.to_json()) == p
+    assert _policy(tmp_path, p.to_json()) == p
 
 
 def test_validate_policy_rejects_entries_the_graph_has_no_use_for(toy_graph):
