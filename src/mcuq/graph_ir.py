@@ -251,6 +251,13 @@ def _validate_layer(layer: LayerSpec, by_id: dict[int, LayerSpec]) -> None:
     if layer.out_channels != layer.output_shape[0]:
         raise GraphValidationError(f"out_channels {layer.out_channels} != output_shape "
                                    f"{layer.output_shape} channels", lid)
+    if layer.kind in WEIGHTED_KINDS:
+        if layer.bias_count < 0 or layer.bias_count % layer.out_channels:
+            raise GraphValidationError(f"bias_count {layer.bias_count} is not a multiple >= 0 of "
+                                       f"out_channels {layer.out_channels}", lid)
+    elif layer.bias_count:
+        raise GraphValidationError(f"{layer.kind} has no bias, got bias_count "
+                                   f"{layer.bias_count}", lid)
     if layer.kind not in CONV_KINDS + ("avg_pool",) and (
             layer.kernel_h, layer.kernel_w, layer.stride, layer.padding) != (0, 0, 1, 0):
         raise GraphValidationError(f"{layer.kind} takes no kernel, stride or padding", lid)
@@ -259,8 +266,6 @@ def _validate_layer(layer: LayerSpec, by_id: dict[int, LayerSpec]) -> None:
     if layer.param_count != expect_p:
         raise GraphValidationError(
             f"param_count {layer.param_count} != {expect_p} forced by shapes", lid)
-    if layer.bias_count < 0:
-        raise GraphValidationError("bias_count must be >= 0", lid)
 
 
 def _check_topology(layers: tuple[LayerSpec, ...]) -> None:

@@ -129,8 +129,8 @@ def run_codes_network(g: NetworkGraph, model: PackedModel,
     for lid in topo_order(g):
         layer = g.layer(lid)
         if layer.kind in RECORD_KINDS:
-            src = layer.input_ids[0]
-            in_max = (1 << model.act_bits[src]) - 1 if src in model.act_bits else None
+            # a record layer's input is encoded, so check_model_matches found its bits
+            in_max = (1 << model.act_bits[layer.input_ids[0]]) - 1
             codes[lid] = run_codes_layer(layer, model.layers[lid],
                                          [codes[t] for t in layer.input_ids], in_max)
     return codes

@@ -205,10 +205,9 @@ def deserialize(data: bytes) -> PackedModel:
             raise PackFormatError(f"unknown layer kind code {kcode}")
         rec = PackedLayer(layer_id=lid, kind=_CODE_KIND[kcode],
                           weight_bits=wbits, out_bits=obits)
-        (ndim,) = r.unpack("<B")
-        shape = r.unpack(f"<{ndim}I") if ndim else ()
+        shape = r.shape(f"layer {lid}: weight")
         scales = bias = None
-        if ndim:
+        if shape:
             cout = shape[0]
             scales = np.frombuffer(r.take(4 * cout), dtype="<f4")
             # isfinite first: comparing or casting a signalling NaN warns
@@ -228,12 +227,12 @@ def deserialize(data: bytes) -> PackedModel:
             rqs.append(RequantParams(multiplier=mult, shift=shift))
         rec.requants = tuple(rqs)
         (plen,) = r.unpack("<Q")
-        want = (math.prod(shape) * wbits + 7) // 8 if ndim else 0
+        want = (math.prod(shape) * wbits + 7) // 8 if shape else 0
         if plen != want:
             raise PackFormatError(f"layer {lid}: weight payload of {plen} bytes, "
                                   f"{want} expected")
         payload = r.take(plen)
-        if ndim:
+        if shape:
             rec.weight = QuantizedTensor(bits=wbits, packed=payload, shape=shape,
                                          scales=scales)
             rec.bias_int = bias

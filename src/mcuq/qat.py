@@ -355,8 +355,7 @@ def load_checkpoint(path: str) -> tuple[dict, dict[int, float]]:
     for _ in range(count):
         (klen,) = r.unpack("<H")
         tag, ident = _checkpoint_key(r.take(klen))
-        (ndim,) = r.unpack("<B")
-        shape = r.unpack(f"<{ndim}I")
+        shape = r.shape(f"{path}: {tag}.{ident}")
         arr = np.frombuffer(r.take(4 * math.prod(shape)), dtype="<f4").reshape(shape)
         if not np.isfinite(arr).all():
             raise PackFormatError(f"{path}: {tag}.{ident} holds values that are not finite")

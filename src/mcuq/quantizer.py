@@ -26,6 +26,7 @@ SUB_BYTE_BITS = (2, 4, 8)
 F32_MAX = float(np.finfo(np.float32).max)
 CLIP_FLOOR = 1e-3  # activation clips, calibrated or learned, never drop below this
 CALIB_PERCENTILE = 99.9  # calibration clips at this percentile of the observed values
+MAX_RANK = 4  # highest array rank the checkpoint and container formats store
 # elements of one block of the window kernels' im2col (conv2d) and channel
 # (depthwise, avg_pool) loops, see kernels, and of the requant epilogue
 CONV_BLOCK = 1 << 16
@@ -127,6 +128,14 @@ class ByteReader:
 
     def unpack(self, fmt: str):
         return struct.unpack(fmt, self.take(struct.calcsize(fmt)))
+
+    def shape(self, what: str) -> tuple[int, ...]:
+        """A rank byte, then that many uint32 dimensions; a rank above MAX_RANK,
+        which no writer stores, raises (numpy would fail above 64)."""
+        (ndim,) = self.unpack("<B")
+        if ndim > MAX_RANK:
+            raise PackFormatError(f"{what} has rank {ndim}, more than {MAX_RANK}")
+        return self.unpack(f"<{ndim}I")
 
     def finish(self) -> None:
         if self.pos != len(self.data):

@@ -1,0 +1,42 @@
+"""scripts/ab.py: each subject, this checkout against itself, agrees in full."""
+
+import importlib.util
+import re
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).parents[1]
+
+
+@pytest.fixture()
+def ab(monkeypatch):
+    """The harness module; main's one-BLAS-thread pin is undone afterwards."""
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        monkeypatch.setenv(var, "1")
+    spec = importlib.util.spec_from_file_location("ab", ROOT / "scripts" / "ab.py")
+    mod = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(mod)
+    return mod
+
+
+@pytest.mark.parametrize("subject, agreements", [
+    ("enforce", ["differ in 0 of 2048 policies"]),
+    ("int", ["codes identical on 7 of 7 layers"] * 4 + ["codes identical on 30 of 30 layers"]),
+    ("qat", ["top-1 identical in 2 of 2"]),
+])
+def test_each_subject_agrees_in_full_on_one_tree(ab, capsys, subject, agreements):
+    assert ab.main([str(ROOT), str(ROOT), subject, "--pairs", "2"]) == 0
+    out = capsys.readouterr().out
+    lines = [l for l in out.splitlines() if "change/parent median" in l]
+    assert len(lines) == len(agreements)
+    for line, agreement in zip(lines, agreements):
+        assert re.search(r"median x\d\.\d{3} \(quartiles .*\); change faster in [0-2] of 2; ", line)
+        assert line.endswith(agreement)
+    diffs = re.findall(r"max \|d\| (\S+)", out)  # qat's logits and gradients
+    assert set(diffs) == ({"0"} if subject == "qat" else set())
+
+
+def test_a_tree_without_the_package_is_refused(ab, tmp_path):
+    with pytest.raises(SystemExit, match="no mcuq package"):
+        ab.main([str(tmp_path), str(ROOT), "enforce"])

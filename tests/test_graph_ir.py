@@ -221,6 +221,23 @@ def test_non_integer_layer_field_rejected_on_load(tmp_path, lid, field, value):
         load_graph(str(path))
 
 
+@pytest.mark.parametrize("name, lid, bias, says", [
+    ("toy_residual.json", 6, 4, "bias_count 4 is not a multiple >= 0 of out_channels 5"),
+    ("toy_residual.json", 6, -5, "bias_count -5 is not a multiple >= 0"),
+    ("toycnn_mnist.json", 5, 1, "avg_pool has no bias, got bias_count 1"),
+], ids=["digit_flip", "negative", "weight_free"])
+def test_bias_count_outside_its_layer_rejected_on_load(tmp_path, name, lid, bias, says):
+    """A bias_count off a whole number of biases per output channel would move
+    ROM silently: the residual file's 5 -> 4 saves 4 bytes."""
+    with open(graph_ir.fixture_path(name), encoding="utf-8") as f:
+        doc = json.load(f)
+    doc["layers"][lid]["bias_count"] = bias
+    path = tmp_path / "g.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(GraphValidationError, match=f"layer {lid}: {says}"):
+        load_graph(str(path))
+
+
 @pytest.mark.parametrize("field, value", [
     ("resolution", 28.5), ("resolution", "28"), ("width_multiplier", "1.0"),
     ("width_multiplier", True),

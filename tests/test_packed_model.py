@@ -280,6 +280,21 @@ def test_deserialize_checks_weight_scales_and_requants(toy_model, field, value, 
         deserialize(serialize(toy_model))
 
 
+@pytest.mark.parametrize("rank", [5, 65])
+def test_deserialize_rejects_a_weight_rank_no_writer_stores(toy_model, rank):
+    """A record of rank 65 with a zero dimension has a 0-byte payload, but numpy
+    cannot reshape to it and would raise a bare ValueError. No writer stores rank 5."""
+    rec = toy_model.layers[1]
+    rec.weight = replace(rec.weight, shape=(0,), scales=np.zeros(0), packed=b"")
+    rec.bias_int = np.zeros(0, dtype=np.int32)
+    blob = serialize(toy_model)
+    at = 24 + 9 * len(toy_model.act_bits) + 7  # the rank byte of the first record, layer 1's
+    assert blob[at:at + 5] == struct.pack("<BI", 1, 0)
+    blob = blob[:at] + struct.pack(f"<B{rank}I", rank, 0, *[1] * (rank - 1)) + blob[at + 5:]
+    with pytest.raises(PackFormatError, match=f"layer 1: weight has rank {rank}, more than 4"):
+        deserialize(blob)
+
+
 def test_corrupted_models_load_and_run_or_raise_mcuq_error(residual_graph):
     """Seeded random corruptions: 1-3 bytes, a fifth also truncated."""
     weights = qat.init_weights(residual_graph, seed=5)

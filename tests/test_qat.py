@@ -10,7 +10,7 @@ import oracles
 from conftest import fresh_ranges
 from mcuq import kernels, qat
 from mcuq.data import Dataset, synthetic_shapes
-from mcuq.errors import McuqError, ModelMismatchError, TrainingDivergedError
+from mcuq.errors import McuqError, ModelMismatchError, PackFormatError, TrainingDivergedError
 from mcuq.graph_ir import COMPUTE_KINDS, WEIGHTED_KINDS, NetworkGraph, validate
 from mcuq.memory_model import all_uniform_policy
 from mcuq.quantizer import CLIP_FLOOR, calibrate_act_ranges
@@ -655,6 +655,17 @@ def test_checkpoint_rejects_malformed_entries(tmp_path, key, values):
     path = tmp_path / "bad.ckpt"
     path.write_bytes(_one_entry_checkpoint(key, values))
     with pytest.raises(McuqError):
+        qat.load_checkpoint(str(path))
+
+
+@pytest.mark.parametrize("rank", [5, 65])
+def test_checkpoint_rejects_a_rank_no_writer_stores(tmp_path, rank):
+    """An entry of rank 65 with a zero dimension holds 0 bytes, but numpy cannot
+    reshape to it and would raise a bare ValueError. No writer stores rank 5."""
+    path = tmp_path / "bad.ckpt"
+    path.write_bytes(qat.CKPT_MAGIC + struct.pack("<IIH", qat.CKPT_VERSION, 1, 3) + b"w.1"
+                     + struct.pack(f"<B{rank}I", rank, 0, *[1] * (rank - 1)))
+    with pytest.raises(PackFormatError, match=f"w.1 has rank {rank}, more than 4"):
         qat.load_checkpoint(str(path))
 
 
