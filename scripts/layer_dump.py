@@ -26,7 +26,13 @@
   entries frozen, and budgets from below their floor to their own
   footprint): the enforced weight and activation bits
   and footprint's per-step RAM, or the InfeasibleBudgetError's message as
-  bytes where one is raised, keys `enforce/...`.
+  bytes where one is raised, keys `enforce/...`;
+- the per-class (count, correct) rows of inference.evaluate_accuracy for
+  toycnn_mnist's two models on the SCORE_VAL val images of a seeded
+  synthetic_shapes set (two 128-image batches and a last batch of 44): the
+  fake-quant model under the model's clips and the packed model, keys
+  `score/toycnn_mnist/{all8,sub}/{fq,int}`. qat.evaluate, which scores
+  training and search, counts through the same function.
 
 The packed models are read from DIR, and written there by the first run that
 misses them. Run the parent first, then the change on the same DIR: both then
@@ -37,7 +43,7 @@ come from the same models. Weights and images depend on seeds only.
 `diff` says, per key, whether the two dumps hold identical arrays. For an
 integer array that differs it gives how many elements differ out of how many,
 and for integer and float arrays the largest absolute difference. It exits 1
-when an integer array, a search record or an enforcement record differs,
+when an integer array, a search, enforcement or score record differs,
 when a key's shapes differ or when a key is in one dump only.
 """
 
@@ -64,6 +70,7 @@ SEARCHES = (("independent", 0), ("concurrent", 3))  # (mode, seed)
 SEARCH_BUDGET = memory_model.MemoryBudget(rom_bytes=7000, ram_bytes=1100)
 ENFORCE_POLICIES = 64
 ENFORCE_GRAPHS = 24
+SCORE_VAL = 300  # val images scored per model: batches of 128, 128 and 44
 
 
 def _model(models_dir: str, name: str, build):
@@ -86,9 +93,10 @@ def _float_step(out: dict, key: str, g, weights, images, policy=None, model=None
 
 
 def _record(out: dict, key: str, g, weights, policy, models_dir: str, images,
-            calib=None, float_too=True, eval_batch=None):
+            calib=None, float_too=True, eval_batch=None, score=None):
     """The integer codes of key's model on images, and on eval_batch when one
-    is given (keys `int/{key}/eval/...`)."""
+    is given (keys `int/{key}/eval/...`); with a score dataset, the per-class
+    rows of both models' top-1 on its val split (keys `score/{key}/...`)."""
     model = _model(models_dir, key, lambda: packed_model.build_packed_model(
         g, weights, policy, quantizer.calibrate_act_ranges(
             g, weights, images if calib is None else calib)))
@@ -98,6 +106,11 @@ def _record(out: dict, key: str, g, weights, policy, models_dir: str, images,
                 out[f"int/{tag}/{lid}"] = codes
     if float_too:
         _float_step(out, f"{key}/fq", g, weights, images, policy, model)
+    if score is not None:
+        for tag, kw in (("fq", dict(weights=weights, policy=policy, ranges=model.act_clip)),
+                        ("int", dict(model=model))):
+            _, rows = inference.evaluate_accuracy(g, score, **kw)
+            out[f"score/{key}/{tag}"] = np.array([(r["count"], r["correct"]) for r in rows])
 
 
 def _record_searches(out: dict) -> None:
@@ -158,11 +171,13 @@ def dump(path: str, models_dir: str) -> None:
         # every other key keeps its images
         eval_batch = None if name != "toycnn_mnist" else np.random.default_rng(
             EVAL_BATCH).uniform(0, 1, size=(EVAL_BATCH,) + shape).astype(np.float32)
+        score = None if name != "toycnn_mnist" else data.synthetic_shapes(
+            1, SCORE_VAL, seed=SCORE_VAL)
         _float_step(out, f"{name}/float", g, weights, images)
         _record(out, f"{name}/all8", g, weights, memory_model.all_uniform_policy(g),
-                models_dir, images, float_too=False, eval_batch=eval_batch)
+                models_dir, images, float_too=False, eval_batch=eval_batch, score=score)
         _record(out, f"{name}/sub", g, weights, oracles.random_policy(rng, g, allow_fp32=False),
-                models_dir, images, eval_batch=eval_batch)
+                models_dir, images, eval_batch=eval_batch, score=score)
     for i in range(RANDOM_GRAPHS):
         g = oracles.random_graph(rng)
         weights = qat.init_weights(g, seed=i)
@@ -195,14 +210,14 @@ def diff(path_a: str, path_b: str) -> int:
     only = sorted(set(a.files) ^ set(b.files))
     for key in only:
         print(f"only in {path_a if key in a.files else path_b}: {key}")
-    same_int = diff_int = bad_shape = 0  # integer arrays, search and enforcement records
+    same_int = diff_int = bad_shape = 0  # integer arrays, search, enforcement, score records
     worst: dict[str, float] = {}
     for key in sorted(set(a.files) & set(b.files)):
         x, y = a[key], b[key]
         if x.shape != y.shape:
             bad_shape += 1
             print(f"shapes differ: {key} {x.shape} vs {y.shape}")
-        elif key.startswith(("int/", "search/", "enforce/")):
+        elif key.startswith(("int/", "search/", "enforce/", "score/")):
             if np.array_equal(x, y):
                 same_int += 1
             else:
@@ -219,7 +234,7 @@ def diff(path_a: str, path_b: str) -> int:
             worst[kind] = max(worst.get(kind, 0.0), d)
             if d:
                 print(f"{key}: max |d| {d:.3g} (largest |value| {np.abs(x).max():.3g})")
-    print(f"integer arrays, search and enforcement records: {same_int} identical, "
+    print(f"integer arrays, search, enforcement and score records: {same_int} identical, "
           f"{diff_int} differ")
     for kind, d in sorted(worst.items()):
         print(f"float {kind}: max |d| {d:.3g}")

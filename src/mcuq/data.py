@@ -9,6 +9,7 @@ import math
 import os
 import re
 import struct
+import tokenize
 import zlib
 from dataclasses import dataclass
 
@@ -212,16 +213,32 @@ def load_idx_dir(dirname: str) -> Dataset:
 # Raw-tensor directory: images.npy (N,C,H,W), labels.npy, optional split.json.
 # ---------------------------------------------------------------------------
 
-def load_raw_dir(dirname: str) -> Dataset:
+def _load_npy(path: str) -> np.ndarray:
+    """The array in a .npy file; one that cannot be read or parsed, or holds
+    bytes after its array, raises DatasetError naming it (np.load parses the
+    header with Python's tokenizer and literal_eval, whence their exceptions)."""
     try:
-        images = np.load(os.path.join(dirname, "images.npy"))
-        labels = np.load(os.path.join(dirname, "labels.npy"))
-    except (OSError, ValueError) as e:
-        raise DatasetError(f"cannot load raw tensors from {dirname}: {e}") from e
+        with open(path, "rb") as f:
+            arr = np.load(f)
+            trailing = f.read(1)
+    except (OSError, ValueError, EOFError, SyntaxError, TypeError, MemoryError,
+            tokenize.TokenError) as e:
+        raise DatasetError(f"{path}: cannot load: {e}") from e
+    if not isinstance(arr, np.ndarray):  # an .npz archive loads as a lazy mapping
+        arr.close()
+        raise DatasetError(f"{path}: is an .npz archive, not a .npy array")
+    if trailing:
+        raise DatasetError(f"{path}: trailing bytes after the array")
+    return arr
+
+
+def load_raw_dir(dirname: str) -> Dataset:
+    images = _load_npy(os.path.join(dirname, "images.npy"))
+    labels = _load_npy(os.path.join(dirname, "labels.npy"))
     if images.dtype == np.uint8:
         images = images.astype(np.float32) / 255.0
-    elif not (np.isfinite(images).all() and images.min(initial=0) >= 0
-              and images.max(initial=0) <= 1):
+    elif not (images.dtype.kind in "biuf" and np.isfinite(images).all()
+              and images.min(initial=0) >= 0 and images.max(initial=0) <= 1):
         raise DatasetError(f"{dirname}: images must be uint8, or finite and within [0, 1]")
     images = images.astype(np.float32)
     if not np.issubdtype(labels.dtype, np.integer):

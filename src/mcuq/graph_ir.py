@@ -25,6 +25,7 @@ import dataclasses
 import heapq
 import json
 import math
+import re
 import sys
 from collections.abc import Callable
 from dataclasses import dataclass, field
@@ -322,6 +323,12 @@ _GRAPH_KEYS = ("resolution", "width_multiplier", "layers")
 def is_int(v) -> bool:
     """Whether v is a JSON integer; int() would also take 2.9, "1" and true."""
     return isinstance(v, int) and not isinstance(v, bool)
+
+
+def decimal_id(text: str) -> int | None:
+    """The layer or tensor id that text spells as str(id) writes it, or None;
+    int() would also take "01", " 1", "+1" and "1_0"."""
+    return int(text) if re.fullmatch(r"0|-?[1-9][0-9]*", text) else None
 
 
 def _unique_keys(pairs: list) -> dict:

@@ -25,12 +25,19 @@ largest tensor in bytes, at the first peak step for RAM.
 from __future__ import annotations
 
 import json
-import re
 from dataclasses import dataclass, field, replace
 from itertools import chain
 
 from .errors import InfeasibleBudgetError, PolicyError
-from .graph_ir import NetworkGraph, check_keys, is_int, liveness, read_json, topo_order
+from .graph_ir import (
+    NetworkGraph,
+    check_keys,
+    decimal_id,
+    is_int,
+    liveness,
+    read_json,
+    topo_order,
+)
 
 VALID_BITS = (2, 4, 8, 32)
 REQUANT_BYTES_PER_CHANNEL = 8
@@ -82,9 +89,10 @@ def load_policy(path: str) -> QuantPolicy:
 
 def _policy_id(key: str, where: str) -> int:
     """A layer or tensor id as to_json writes it: a decimal integer string."""
-    if not re.fullmatch(r"0|-?[1-9][0-9]*", key):
+    ident = decimal_id(key)
+    if ident is None:
         raise PolicyError(f"malformed policy file: {where} id {key!r} is not a decimal integer")
-    return int(key)
+    return ident
 
 
 def _bits_table(doc: dict, name: str) -> dict[int, int]:

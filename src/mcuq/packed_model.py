@@ -184,11 +184,15 @@ def deserialize(data: bytes) -> PackedModel:
     if version != VERSION:
         raise PackFormatError(f"unsupported packed-model version {version}")
     (logits_scale,) = r.unpack("<f")
+    if not (math.isfinite(logits_scale) and logits_scale >= 0):
+        raise PackFormatError(f"logits scale {logits_scale} is not a finite value >= 0")
     (n_act,) = r.unpack("<I")
     act_bits: dict[int, int] = {}
     act_clip: dict[int, float] = {}
     for _ in range(n_act):
         tid, bits, clip = r.unpack("<IBf")
+        if tid in act_bits:
+            raise PackFormatError(f"tensor {tid}: encoding written twice")
         if bits not in SUB_BYTE_BITS:
             raise PackFormatError(f"tensor {tid}: activation bits {bits} not in {SUB_BYTE_BITS}")
         if not (math.isfinite(clip) and normal_act_scale(clip, bits)):
@@ -201,6 +205,8 @@ def deserialize(data: bytes) -> PackedModel:
     (n_rec,) = r.unpack("<I")
     for _ in range(n_rec):
         lid, kcode, wbits, obits = r.unpack("<IBBB")
+        if lid in model.layers:
+            raise PackFormatError(f"layer {lid}: record written twice")
         if kcode not in _CODE_KIND:
             raise PackFormatError(f"unknown layer kind code {kcode}")
         rec = PackedLayer(layer_id=lid, kind=_CODE_KIND[kcode],
@@ -247,8 +253,12 @@ def save_packed(model: PackedModel, path: str) -> None:
 
 
 def load_packed(path: str) -> PackedModel:
-    with open(path, "rb") as f:
-        return deserialize(f.read())
+    try:
+        with open(path, "rb") as f:
+            data = f.read()
+    except OSError as e:
+        raise PackFormatError(f"cannot read {path}: {e}") from e
+    return deserialize(data)
 
 
 def check_model_matches(g: NetworkGraph, model: PackedModel) -> None:
@@ -260,6 +270,14 @@ def check_model_matches(g: NetworkGraph, model: PackedModel) -> None:
     for t in encoded:
         if t not in model.act_bits:
             raise ModelMismatchError(f"model lacks an encoding for tensor {t}")
+    extra = sorted(model.act_bits.keys() - encoded)
+    if extra:
+        raise ModelMismatchError(f"model has encodings for tensors {extra}, "
+                                 f"which carry none in the graph")
+    extra = sorted(model.layers.keys() - {l.id for l in g.layers if l.kind in RECORD_KINDS})
+    if extra:
+        raise ModelMismatchError(f"model has records for layers {extra}, "
+                                 f"which take none in the graph")
     for layer in g.layers:
         if layer.kind not in RECORD_KINDS:
             continue

@@ -16,7 +16,7 @@ import numpy as np
 
 from .data import Dataset
 from .errors import ModelMismatchError, PackFormatError, PolicyError, TrainingDivergedError
-from .graph_ir import LINEAR_KINDS, WEIGHTED_KINDS, NetworkGraph, topo_order
+from .graph_ir import LINEAR_KINDS, WEIGHTED_KINDS, NetworkGraph, decimal_id, topo_order
 from .kernels import linear_bwd, linear_fwd, pool_weight
 from .quantizer import CLIP_FLOOR, ByteReader, act_codes, fake_quant_weights, normal_act_scale
 
@@ -29,7 +29,6 @@ CKPT_VERSION = 1
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
-EVAL_BATCH = 256   # images per forward in evaluate
 CALIB_BATCH = 128  # images per forward in collect_activations
 
 
@@ -283,14 +282,12 @@ def train_qat(g: NetworkGraph, weights: dict, policy, ranges: dict[int, float],
 
 def evaluate(g: NetworkGraph, weights: dict, dataset: Dataset, split: str = "val",
              policy=None, ranges=None) -> float:
-    """Top-1 accuracy on a split ("val", "train", or "all")."""
-    images, labels = dataset.split(split)
-    correct = 0
-    for start in range(0, len(images), EVAL_BATCH):
-        logits, _ = forward_network(g, weights, images[start:start + EVAL_BATCH],
-                                    policy=policy, ranges=ranges)
-        correct += int((logits.argmax(axis=1) == labels[start:start + EVAL_BATCH]).sum())
-    return correct / len(images)
+    """Top-1 accuracy on a split ("val", "train", or "all"): evaluate_accuracy's,
+    so training, search and `mcuq eval` count over the same batches."""
+    from . import inference  # deferred: inference builds on this module
+
+    return inference.evaluate_accuracy(g, dataset, weights=weights, policy=policy,
+                                       ranges=ranges, split=split)[0]
 
 
 def collect_activations(g: NetworkGraph, weights: dict,
@@ -334,17 +331,25 @@ def save_checkpoint(path: str, weights: dict, ranges: dict[int, float] | None = 
 
 
 def _checkpoint_key(key: bytes) -> tuple[str, int]:
+    """(tag, id) of a key "tag.id", the id in the decimal form str(id) writes."""
     try:
         tag, ident = key.decode("utf-8").split(".", 1)
-        return tag, int(ident)
     except ValueError as e:  # UnicodeDecodeError is a ValueError too
         raise PackFormatError(f"malformed checkpoint key {key!r}") from e
+    lid = decimal_id(ident)
+    if lid is None:
+        raise PackFormatError(f"malformed checkpoint key {key!r}")
+    return tag, lid
 
 
 def load_checkpoint(path: str) -> tuple[dict, dict[int, float]]:
-    """Weights and clips saved by save_checkpoint; a malformed file raises PackFormatError."""
-    with open(path, "rb") as f:
-        r = ByteReader(f.read(), f"checkpoint {path}")
+    """Weights and clips saved by save_checkpoint; a malformed file, or one that
+    holds a key twice, raises PackFormatError."""
+    try:
+        with open(path, "rb") as f:
+            r = ByteReader(f.read(), f"checkpoint {path}")
+    except OSError as e:
+        raise PackFormatError(f"cannot read {path}: {e}") from e
     if r.take(4) != CKPT_MAGIC:
         raise PackFormatError(f"{path}: not a checkpoint file")
     version, count = r.unpack("<II")
@@ -352,9 +357,13 @@ def load_checkpoint(path: str) -> tuple[dict, dict[int, float]]:
         raise PackFormatError(f"{path}: unsupported checkpoint version {version}")
     weights: dict[int, dict[str, np.ndarray]] = {}
     ranges: dict[int, float] = {}
+    seen: set[tuple[str, int]] = set()
     for _ in range(count):
         (klen,) = r.unpack("<H")
         tag, ident = _checkpoint_key(r.take(klen))
+        if (tag, ident) in seen:
+            raise PackFormatError(f"{path}: {tag}.{ident} written twice")
+        seen.add((tag, ident))
         shape = r.shape(f"{path}: {tag}.{ident}")
         arr = np.frombuffer(r.take(4 * math.prod(shape)), dtype="<f4").reshape(shape)
         if not np.isfinite(arr).all():

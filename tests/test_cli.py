@@ -527,3 +527,26 @@ def test_finetune_writes_a_checkpoint_and_a_model_that_eval_accepts(in_tmp, caps
     _check_manifests(("ft.ckpt.manifest.json",), "finetune",
                      {"graph": _sha256(TOY), "dataset": hashlib.sha256(DATA.encode()).hexdigest(),
                       "policy": _sha256("p.json")})
+
+
+def test_eval_of_a_checkpoint_prints_the_top1_training_reports(in_tmp, capsys):
+    """`mcuq eval --weights` and qat.evaluate, which scores training and search,
+    count the same top-1 over the same batches. The 1500-image val split ends
+    in a batch of 92, whose fully_connected logits differ by float32 rounding
+    from those of the same images in a larger batch; counted over 256-image
+    batches, a near-tie flips and the top-1 reads 0.102."""
+    g = load_graph(TOY)
+    weights = qat.init_weights(g, seed=1)
+    rng = np.random.default_rng(0)
+    ds = Dataset(images=rng.uniform(0, 1, size=(2500, 1, 28, 28)).astype(np.float32),
+                 labels=rng.integers(0, 10, size=2500), n_train=1000)
+    save_raw_dir(ds, "raw")
+    qat.save_checkpoint("w.ckpt", weights, calibrate_act_ranges(g, weights, ds.train[0][:256]))
+    policy = oracles.random_policy(np.random.default_rng(3), g, allow_fp32=False)
+    (in_tmp / "p.json").write_text(policy.to_json())
+    assert cli.main(["eval", "--graph", TOY, "--dataset", "raw", "--weights", "w.ckpt",
+                     "--policy", "p.json"]) == cli.EXIT_OK
+    weights, ranges = qat.load_checkpoint("w.ckpt")
+    top1 = qat.evaluate(g, weights, ds, policy=policy, ranges=ranges)
+    assert capsys.readouterr().out == f"top1={top1!r}\n"
+    assert top1 == 0.10266666666666667

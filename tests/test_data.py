@@ -1,6 +1,7 @@
 """Dataset loaders, the synthetic desk set, and proxy sampling."""
 
 import gzip
+import io
 import struct
 
 import numpy as np
@@ -280,6 +281,67 @@ def test_raw_dir_accepts_float64_images_in_the_unit_range(tmp_path):
     np.save(tmp_path / "raw" / "images.npy", np.linspace(0, 1, 40).reshape(10, 1, 2, 2))
     back = load_raw_dir(path)
     assert back.images.dtype == np.float32 and back.images.max() == 1.0
+
+
+def _npy_header(**fields) -> bytes:
+    buf = io.BytesIO()
+    np.lib.format.write_array_header_1_0(buf, fields)
+    return buf.getvalue()
+
+
+def _spoil(at: int, char: bytes):
+    return lambda b: b[:at] + char + b[at + 1:]
+
+
+@pytest.mark.parametrize("name, spoil", [
+    pytest.param("labels.npy", _spoil(8, b"0"), id="TokenError"),  # header length
+    pytest.param("labels.npy", _spoil(21, b","), id="SyntaxError"),
+    pytest.param("labels.npy", _spoil(26, b"b"), id="TypeError"),  # a bytes key
+    pytest.param("images.npy", lambda b: b"", id="EOFError"),
+    pytest.param("images.npy", lambda b: _npy_header(
+        descr="<f8", fortran_order=False, shape=(10 ** 13,)) + b"\0" * 8, id="MemoryError"),
+])
+@pytest.mark.filterwarnings("ignore:Reading `.npy`")  # a header numpy takes for Python 2's
+def test_raw_dir_rejects_a_malformed_npy_naming_the_file(tmp_path, name, spoil):
+    """np.load parses the header with Python's tokenizer and literal_eval, and
+    each case makes it raise the exception its id names."""
+    d = _raw_dir(tmp_path)
+    path = tmp_path / "raw" / name
+    path.write_bytes(spoil(path.read_bytes()))
+    with pytest.raises(DatasetError, match="cannot load") as e:
+        load_raw_dir(d)
+    assert str(e.value).startswith(str(path))
+
+
+def test_raw_dir_rejects_images_of_a_byte_string_dtype(tmp_path):
+    """A changed descr ('<f4' to '|S4') gives byte-string images, on which
+    isfinite raises a bare TypeError."""
+    d = _raw_dir(tmp_path)
+    path = tmp_path / "raw" / "images.npy"
+    path.write_bytes(path.read_bytes().replace(b"'<f4'", b"'|S4'"))
+    with pytest.raises(DatasetError, match="images must be uint8"):
+        load_raw_dir(d)
+
+
+@pytest.mark.parametrize("at", [-1, None], ids=["inside", "after"])
+def test_raw_dir_rejects_a_npy_with_a_byte_added_to_its_data(tmp_path, at):
+    """np.load reads the bytes the header asks for and ignores the rest, so a
+    byte inserted into the data would load as shifted values."""
+    d = _raw_dir(tmp_path)
+    path = tmp_path / "raw" / "labels.npy"
+    data = path.read_bytes()
+    at = len(data) if at is None else len(data) + at
+    path.write_bytes(data[:at] + b"\x07" + data[at:])
+    with pytest.raises(DatasetError, match="labels.npy: trailing bytes after the array"):
+        load_raw_dir(d)
+
+
+def test_raw_dir_rejects_an_npz_archive(tmp_path):
+    d = _raw_dir(tmp_path)
+    with open(tmp_path / "raw" / "labels.npy", "wb") as f:
+        np.savez(f, labels=np.arange(10))
+    with pytest.raises(DatasetError, match="labels.npy: is an .npz archive"):
+        load_raw_dir(d)
 
 
 def test_raw_dir_missing(tmp_path):

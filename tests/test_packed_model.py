@@ -1,5 +1,6 @@
 """Packed model construction and the MPQ1 container format."""
 
+import re
 import struct
 from dataclasses import replace
 
@@ -293,6 +294,51 @@ def test_deserialize_rejects_a_weight_rank_no_writer_stores(toy_model, rank):
     blob = blob[:at] + struct.pack(f"<B{rank}I", rank, 0, *[1] * (rank - 1)) + blob[at + 5:]
     with pytest.raises(PackFormatError, match=f"layer 1: weight has rank {rank}, more than 4"):
         deserialize(blob)
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), -3.0])
+def test_deserialize_rejects_a_logits_scale_not_finite_and_nonnegative(toy_model, value):
+    with pytest.raises(PackFormatError, match=f"logits scale {value}"):
+        deserialize(_set(serialize(toy_model), 12, "<f", value))
+
+
+def test_deserialize_rejects_a_tensor_encoding_written_twice(toy_model):
+    """Without the check the last copy wins. The act table starts at byte 20,
+    9 bytes an entry."""
+    blob = serialize(toy_model)
+    n = len(toy_model.act_bits)
+    blob = _set(blob, 16, "<I", n + 1)
+    blob = blob[:20 + 9 * n] + blob[20:29] + blob[20 + 9 * n:]
+    with pytest.raises(PackFormatError, match="tensor 0: encoding written twice"):
+        deserialize(blob)
+
+
+def test_deserialize_rejects_a_layer_record_written_twice(toy_model):
+    """serialize writes each record's own layer id, so a record filed under a
+    second key is written twice. Without the check the last copy wins."""
+    toy_model.layers[77] = replace(toy_model.layers[5])
+    with pytest.raises(PackFormatError, match="layer 5: record written twice"):
+        deserialize(serialize(toy_model))
+
+
+@pytest.mark.parametrize("spoil, match", [
+    (lambda m: (m.act_bits.update({99: 8}), m.act_clip.update({99: 1.0})),
+     r"encodings for tensors \[99\]"),
+    (lambda m: m.layers.update({77: replace(m.layers[5], layer_id=77)}),
+     r"records for layers \[77\]"),
+], ids=["tensor_99", "layer_77"])
+def test_a_model_with_ids_its_graph_lacks_is_a_mismatch(toy_graph, toy_model, spoil, match):
+    """Both load from a file, and without the check they run."""
+    spoil(toy_model)
+    model = deserialize(serialize(toy_model))
+    with pytest.raises(ModelMismatchError, match=match):
+        check_model_matches(toy_graph, model)
+
+
+def test_load_packed_of_a_file_that_cannot_be_read_raises_naming_it(tmp_path):
+    path = str(tmp_path / "missing.mpq")
+    with pytest.raises(PackFormatError, match=f"cannot read {re.escape(path)}: "):
+        load_packed(path)
 
 
 def test_corrupted_models_load_and_run_or_raise_mcuq_error(residual_graph):

@@ -1,6 +1,7 @@
 """Training loop: forward/backward, Adam, fake-quant training, checkpoints."""
 
 import itertools
+import re
 import struct
 
 import numpy as np
@@ -634,10 +635,13 @@ def test_checkpoint_every_prefix_raises_mcuq_error(tmp_path, residual_graph):
         qat.load_checkpoint(str(cut))
 
 
-def _one_entry_checkpoint(key: bytes, values) -> bytes:
-    arr = np.asarray(values, dtype="<f4")
-    return (qat.CKPT_MAGIC + struct.pack("<IIH", qat.CKPT_VERSION, 1, len(key)) + key
-            + struct.pack("<BI", 1, arr.size) + arr.tobytes())
+def _checkpoint_bytes(*entries) -> bytes:
+    """A checkpoint of (key, values) entries in the given order, each 1-D."""
+    out = qat.CKPT_MAGIC + struct.pack("<II", qat.CKPT_VERSION, len(entries))
+    for key, values in entries:
+        arr = np.asarray(values, dtype="<f4")
+        out += struct.pack("<H", len(key)) + key + struct.pack("<BI", 1, arr.size) + arr.tobytes()
+    return out
 
 
 @pytest.mark.parametrize("key, values", [
@@ -653,7 +657,7 @@ def _one_entry_checkpoint(key: bytes, values) -> bytes:
 ])
 def test_checkpoint_rejects_malformed_entries(tmp_path, key, values):
     path = tmp_path / "bad.ckpt"
-    path.write_bytes(_one_entry_checkpoint(key, values))
+    path.write_bytes(_checkpoint_bytes((key, values)))
     with pytest.raises(McuqError):
         qat.load_checkpoint(str(path))
 
@@ -672,7 +676,31 @@ def test_checkpoint_rejects_a_rank_no_writer_stores(tmp_path, rank):
 def test_checkpoint_entry_builder_matches_save(tmp_path):
     path = tmp_path / "ok.ckpt"
     qat.save_checkpoint(str(path), {}, {1: 2.0})
-    assert path.read_bytes() == _one_entry_checkpoint(b"clip.1", [2.0])
+    assert path.read_bytes() == _checkpoint_bytes((b"clip.1", [2.0]))
+
+
+@pytest.mark.parametrize("key", [b"w.01", b"w. 1", b"w.+1", b"w.1 ", b"w.1_0", b"clip.-0"])
+def test_checkpoint_rejects_an_id_not_written_as_str_writes_it(tmp_path, key):
+    """int() would read each as a layer id. Ids take the one form str(id)
+    writes, as in policy files."""
+    path = tmp_path / "bad.ckpt"
+    path.write_bytes(_checkpoint_bytes((key, [1.0])))
+    with pytest.raises(PackFormatError, match="malformed checkpoint key"):
+        qat.load_checkpoint(str(path))
+
+
+def test_checkpoint_rejects_a_key_written_twice(tmp_path):
+    """Without the check the last copy wins, and clip.1 loads as 2.0."""
+    path = tmp_path / "twice.ckpt"
+    path.write_bytes(_checkpoint_bytes((b"clip.1", [1.0]), (b"clip.1", [2.0])))
+    with pytest.raises(PackFormatError, match="clip.1 written twice"):
+        qat.load_checkpoint(str(path))
+
+
+def test_checkpoint_that_cannot_be_read_raises_naming_it(tmp_path):
+    path = str(tmp_path / "missing.ckpt")
+    with pytest.raises(PackFormatError, match=f"cannot read {re.escape(path)}: "):
+        qat.load_checkpoint(path)
 
 
 def _drop_b1(w, r):
