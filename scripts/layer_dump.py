@@ -27,6 +27,13 @@
   footprint): the enforced weight and activation bits
   and footprint's per-step RAM, or the InfeasibleBudgetError's message as
   bytes where one is raised, keys `enforce/...`;
+- the clips of quantizer.calibrate_act_ranges, one key per encoded tensor:
+  toycnn_mnist pretrained as in each of SEARCHES, on the first 256 and on
+  all 400 of its train images; toy_residual on CALIB_RESIDUAL uniform images
+  and each random graph on CALIB_RANDOM, each set from its own generator so
+  no other key changes its inputs; MobileNetV1 on the 4 images its two models
+  calibrate on, keys `clip/...`. Every set but MobileNetV1's is larger than
+  one 128-image batch;
 - the per-class (count, correct) rows of inference.evaluate_accuracy for
   toycnn_mnist's two models on the SCORE_VAL val images of a seeded
   synthetic_shapes set (two 128-image batches and a last batch of 44): the
@@ -43,7 +50,7 @@ come from the same models. Weights and images depend on seeds only.
 `diff` says, per key, whether the two dumps hold identical arrays. For an
 integer array that differs it gives how many elements differ out of how many,
 and for integer and float arrays the largest absolute difference. It exits 1
-when an integer array, a search, enforcement or score record differs,
+when an integer array, a clip, a search, enforcement or score record differs,
 when a key's shapes differ or when a key is in one dump only.
 """
 
@@ -71,6 +78,9 @@ SEARCH_BUDGET = memory_model.MemoryBudget(rom_bytes=7000, ram_bytes=1100)
 ENFORCE_POLICIES = 64
 ENFORCE_GRAPHS = 24
 SCORE_VAL = 300  # val images scored per model: batches of 128, 128 and 44
+CALIB_SEARCH = (256, 400)  # toycnn_mnist train images calibrated on after each search
+CALIB_RESIDUAL = 300  # toy_residual calibration images
+CALIB_RANDOM = 130  # calibration images per random graph
 
 
 def _model(models_dir: str, name: str, build):
@@ -113,8 +123,15 @@ def _record(out: dict, key: str, g, weights, policy, models_dir: str, images,
             out[f"score/{key}/{tag}"] = np.array([(r["count"], r["correct"]) for r in rows])
 
 
+def _record_clips(out: dict, key: str, g, weights, images) -> None:
+    """calibrate_act_ranges of images, one key `clip/{key}/{tensor id}` a clip."""
+    for t, clip in quantizer.calibrate_act_ranges(g, weights, images).items():
+        out[f"clip/{key}/{t}"] = np.array([clip])
+
+
 def _record_searches(out: dict) -> None:
-    """History CSV, best policy JSON and log lines of each of SEARCHES, as bytes."""
+    """History CSV, best policy JSON and log lines of each of SEARCHES, as bytes,
+    and the clips of its pretrained weights on CALIB_SEARCH train images."""
     g = load_graph(fixture_path("toycnn_mnist.json"))
     dataset = data.synthetic_shapes(400, 150, seed=5)
     for mode, seed in SEARCHES:
@@ -126,6 +143,9 @@ def _record_searches(out: dict) -> None:
                            ("policy", result.best_policy.to_json()),
                            ("log", "\n".join(lines))):
             out[f"search/{mode}/{name}"] = np.frombuffer(text.encode(), np.uint8)
+        for n in CALIB_SEARCH:
+            _record_clips(out, f"toycnn_mnist/{mode}/{n}", g, result.pretrained,
+                          dataset.train[0][:n])
 
 
 def _enforced(out: dict, key: str, g, policy, budget) -> None:
@@ -178,6 +198,10 @@ def dump(path: str, models_dir: str) -> None:
                 models_dir, images, float_too=False, eval_batch=eval_batch, score=score)
         _record(out, f"{name}/sub", g, weights, oracles.random_policy(rng, g, allow_fp32=False),
                 models_dir, images, eval_batch=eval_batch, score=score)
+        if name == "toy_residual":
+            _record_clips(out, name, g, weights, np.random.default_rng(CALIB_RESIDUAL).uniform(
+                0, 1, size=(CALIB_RESIDUAL,) + shape).astype(np.float32))
+    calib_rng = np.random.default_rng(CALIB_RANDOM)
     for i in range(RANDOM_GRAPHS):
         g = oracles.random_graph(rng)
         weights = qat.init_weights(g, seed=i)
@@ -187,6 +211,8 @@ def dump(path: str, models_dir: str) -> None:
         _float_step(out, f"random{i:02d}/float", g, weights, images)
         _record(out, f"random{i:02d}", g, weights,
                 oracles.random_policy(rng, g, allow_fp32=False), models_dir, images)
+        _record_clips(out, f"random{i:02d}", g, weights, calib_rng.uniform(
+            0, 1, size=(CALIB_RANDOM,) + g.input_layer.output_shape).astype(np.float32))
     g = load_graph(fixture_path("mobilenet_v1_224_100.json"))
     policy = search.base_policy(g, search.SearchConfig(budget=MBV1_BUDGET))
     policy = memory_model.enforce_ram(g, memory_model.enforce_rom(g, policy, MBV1_BUDGET),
@@ -195,6 +221,7 @@ def dump(path: str, models_dir: str) -> None:
     images = rng.uniform(0, 1, size=(2,) + shape).astype(np.float32)
     calib = rng.uniform(0, 1, size=(4,) + shape).astype(np.float32)
     weights = qat.init_weights(g, seed=0)
+    _record_clips(out, "mobilenet_v1_224", g, weights, calib)
     _record(out, "mobilenet_v1_224", g, weights, policy, models_dir,
             images, calib=calib, float_too=False)
     _record(out, "mobilenet_v1_224_all8", g, weights, memory_model.all_uniform_policy(g),
@@ -210,14 +237,14 @@ def diff(path_a: str, path_b: str) -> int:
     only = sorted(set(a.files) ^ set(b.files))
     for key in only:
         print(f"only in {path_a if key in a.files else path_b}: {key}")
-    same_int = diff_int = bad_shape = 0  # integer arrays, search, enforcement, score records
+    same_int = diff_int = bad_shape = 0  # integer arrays, clip, search, enforcement, score records
     worst: dict[str, float] = {}
     for key in sorted(set(a.files) & set(b.files)):
         x, y = a[key], b[key]
         if x.shape != y.shape:
             bad_shape += 1
             print(f"shapes differ: {key} {x.shape} vs {y.shape}")
-        elif key.startswith(("int/", "search/", "enforce/", "score/")):
+        elif key.startswith(("int/", "clip/", "search/", "enforce/", "score/")):
             if np.array_equal(x, y):
                 same_int += 1
             else:
@@ -234,7 +261,7 @@ def diff(path_a: str, path_b: str) -> int:
             worst[kind] = max(worst.get(kind, 0.0), d)
             if d:
                 print(f"{key}: max |d| {d:.3g} (largest |value| {np.abs(x).max():.3g})")
-    print(f"integer arrays, search, enforcement and score records: {same_int} identical, "
+    print(f"integer arrays, clip, search, enforcement and score records: {same_int} identical, "
           f"{diff_int} differ")
     for kind, d in sorted(worst.items()):
         print(f"float {kind}: max |d| {d:.3g}")

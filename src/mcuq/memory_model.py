@@ -25,7 +25,7 @@ largest tensor in bytes, at the first peak step for RAM.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from itertools import chain
 
 from .errors import InfeasibleBudgetError, PolicyError

@@ -18,7 +18,8 @@ from .data import Dataset
 from .errors import ModelMismatchError, PackFormatError, PolicyError, TrainingDivergedError
 from .graph_ir import LINEAR_KINDS, WEIGHTED_KINDS, NetworkGraph, decimal_id, topo_order
 from .kernels import linear_bwd, linear_fwd, pool_weight
-from .quantizer import CLIP_FLOOR, ByteReader, act_codes, fake_quant_weights, normal_act_scale
+from .quantizer import (CLIP_FLOOR, ByteReader, act_codes, fake_quant_weights, normal_act_scale,
+                        percentile_clip)
 
 # kinds whose float-mode output passes through a plain ReLU
 _RELU_KINDS = WEIGHTED_KINDS + ("relu_clip",)
@@ -29,7 +30,6 @@ CKPT_VERSION = 1
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
-CALIB_BATCH = 128  # images per forward in collect_activations
 
 
 @dataclass
@@ -63,15 +63,17 @@ def copy_weights(weights: dict) -> dict:
 # ---------------------------------------------------------------------------
 
 def _walk(g: NetworkGraph, weights: dict, x: np.ndarray, policy=None,
-          ranges: dict[int, float] | None = None,
-          cache: list | None = None) -> dict[int, np.ndarray]:
-    """Every activation of the network on a batch, by tensor id (see
-    forward_network). When cache is a list, each layer appends what
-    backward_network needs to it."""
+          ranges: dict[int, float] | None = None, cache: list | None = None):
+    """Yield (tensor id, activation) of every layer but the output on a batch,
+    in schedule order (see forward_network). The walk holds only the live set:
+    after each step it drops the tensors whose span (g.tensor_spans()) ends
+    there, and what a caller keeps is the caller's to hold. When cache is a
+    list, each layer appends what backward_network needs to it."""
     g.check_batch(x)
     encoded = set(g.encoded_tensors())
+    spans = g.tensor_spans()
     acts: dict[int, np.ndarray] = {}
-    for lid in topo_order(g):
+    for step, lid in enumerate(topo_order(g)):
         layer = g.layer(lid)
         if layer.kind == "output":
             continue
@@ -118,7 +120,9 @@ def _walk(g: NetworkGraph, weights: dict, x: np.ndarray, policy=None,
         acts[lid] = y
         if cache is not None:
             cache.append(entry)
-    return acts
+        z = xin = cols = entry = None  # no step's buffers outlive it
+        yield lid, y
+        acts = {t: a for t, a in acts.items() if step + 1 in spans[t]}
 
 
 def forward_network(g: NetworkGraph, weights: dict, x: np.ndarray,
@@ -133,8 +137,9 @@ def forward_network(g: NetworkGraph, weights: dict, x: np.ndarray,
     unless train=True.
     """
     cache = [] if train else None
-    acts = _walk(g, weights, x, policy, ranges, cache)
-    return acts[g.output_layer.input_ids[0]].astype(np.float32), cache
+    out = g.output_layer.input_ids[0]
+    (logits,) = [y for t, y in _walk(g, weights, x, policy, ranges, cache) if t == out]
+    return logits.astype(np.float32), cache
 
 
 def backward_network(g: NetworkGraph, cache: list, dlogits: np.ndarray) -> dict[str, np.ndarray]:
@@ -291,19 +296,11 @@ def evaluate(g: NetworkGraph, weights: dict, dataset: Dataset, split: str = "val
 
 
 def collect_activations(g: NetworkGraph, weights: dict,
-                        images: np.ndarray) -> dict[int, np.ndarray]:
-    """Float-forward values of every encoded tensor, for range calibration.
-
-    Each tensor's batches are concatenated along the batch axis; a single
-    batch is returned as computed, without a copy.
-    """
-    encoded = g.encoded_tensors()
-    chunks: dict[int, list] = {t: [] for t in encoded}
-    for start in range(0, len(images), CALIB_BATCH):
-        acts = _walk(g, weights, images[start:start + CALIB_BATCH])
-        for t in encoded:
-            chunks[t].append(acts[t])
-    return {t: v[0] if len(v) == 1 else np.concatenate(v) for t, v in chunks.items()}
+                        images: np.ndarray) -> dict[int, float]:
+    """Calibration clips by encoded tensor id: one float walk over all the
+    images, each tensor's percentile_clip taken as the walk yields it."""
+    encoded = set(g.encoded_tensors())
+    return {t: percentile_clip(y) for t, y in _walk(g, weights, images) if t in encoded}
 
 
 # ---------------------------------------------------------------------------

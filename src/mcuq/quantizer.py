@@ -327,12 +327,11 @@ def percentile_clip(values: np.ndarray) -> float:
     """Calibration clip: the CALIB_PERCENTILE percentile of the values, floored at
     CLIP_FLOOR and rounded to float32, as the container stores it. A percentile
     that is not finite in float32 (a NaN or inf sample) raises ValueError."""
-    # one copy whatever the layout; np.percentile partitions C order faster
-    # than the channel-last memory order of the training engine's outputs
-    v = np.asarray(values, dtype=np.float64, order="C").ravel()
+    # the float64 cast is the one copy: np.percentile partitions it in place
+    v = np.array(values, dtype=np.float64, order="C").ravel()
     if v.size == 0:
         raise ValueError("empty calibration sample")
-    clip = float(np.percentile(v, CALIB_PERCENTILE, method="linear"))
+    clip = float(np.percentile(v, CALIB_PERCENTILE, method="linear", overwrite_input=True))
     if not abs(clip) <= F32_MAX:
         raise ValueError(f"calibration percentile is {clip}, not finite in float32")
     return float(np.float32(max(clip, CLIP_FLOOR)))
@@ -344,5 +343,4 @@ def calibrate_act_ranges(g, weights, images) -> dict[int, float]:
 
     if len(images) == 0:
         raise ValueError("empty calibration set")
-    acts = qat.collect_activations(g, weights, images)
-    return {t: percentile_clip(v) for t, v in acts.items()}
+    return qat.collect_activations(g, weights, images)

@@ -15,7 +15,6 @@ from mcuq.errors import GraphValidationError
 from mcuq.graph_ir import (
     ALL_KINDS,
     WEIGHTED_KINDS,
-    LayerSpec,
     NetworkGraph,
     liveness,
     load_graph,

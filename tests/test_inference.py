@@ -9,7 +9,7 @@ import oracles
 from conftest import fresh_ranges
 from mcuq import inference, qat, quantizer
 from mcuq.errors import AccumulatorOverflowError, DatasetError
-from mcuq.graph_ir import COMPUTE_KINDS, NetworkGraph, topo_order, validate
+from mcuq.graph_ir import COMPUTE_KINDS, topo_order
 from mcuq.inference import (
     evaluate_accuracy,
     per_class_csv,
@@ -480,7 +480,7 @@ def test_input_codes_are_the_training_codes(toy_graph, pretrained, toy_ranges):
     images[:x.size] = x
     images = images.reshape((-1,) + toy_graph.input_layer.output_shape)
     codes = run_codes_network(toy_graph, model, images)[in_tid]
-    y = qat._walk(toy_graph, weights, images, policy, model.act_clip)[in_tid]
+    y = dict(qat._walk(toy_graph, weights, images, policy, model.act_clip))[in_tid]
     assert np.array_equal(codes, np.rint(y / model.act_scale(in_tid)))
 
 

@@ -47,7 +47,7 @@ def test_trained_clips_are_the_containers_and_encode_the_training_input(
     model = build_packed_model(toy_graph, weights, policy, ranges)
     assert model.act_clip == ranges
     images = desk_small.val[0]
-    trained = qat._walk(toy_graph, weights, images, policy, ranges)[t]
+    trained = dict(qat._walk(toy_graph, weights, images, policy, ranges))[t]
     codes = quantize_act(images, model.act_clip[t], policy.act_bits[t])
     assert np.array_equal(trained, codes.astype(np.float32) * model.act_scale(t))
 

@@ -3,6 +3,7 @@
 import itertools
 import re
 import struct
+import weakref
 
 import numpy as np
 import pytest
@@ -12,9 +13,10 @@ from conftest import fresh_ranges
 from mcuq import kernels, qat
 from mcuq.data import Dataset, synthetic_shapes
 from mcuq.errors import McuqError, ModelMismatchError, PackFormatError, TrainingDivergedError
-from mcuq.graph_ir import COMPUTE_KINDS, WEIGHTED_KINDS, NetworkGraph, validate
+from mcuq.graph_ir import (COMPUTE_KINDS, WEIGHTED_KINDS, NetworkGraph, liveness, topo_order,
+                           validate)
 from mcuq.memory_model import all_uniform_policy
-from mcuq.quantizer import CLIP_FLOOR, calibrate_act_ranges
+from mcuq.quantizer import CLIP_FLOOR, calibrate_act_ranges, percentile_clip
 
 
 def tiny_fc_graph(cin=2, classes=3):
@@ -136,7 +138,7 @@ def test_backward_matches_finite_differences_on_random_graphs():
         out_id = g.output_layer.input_ids[0]
 
         def loss():
-            return float((qat._walk(g, weights, x)[out_id] * r).sum())
+            return float((dict(qat._walk(g, weights, x))[out_id] * r).sum())
 
         for lid, entry in weights.items():
             for key in ("w", "b"):
@@ -747,8 +749,45 @@ def test_evaluate_splits(toy_graph, pretrained, desk_small):
     assert al == pytest.approx(want, abs=1e-9)
 
 
+def _walk_breaches(g, weights, x, policy=None, ranges=None) -> list[tuple[int, int]]:
+    """(step, tensor) for each array qat._walk yielded that is still alive at a
+    later yield although its tensor is not live at that step (liveness) and it
+    is not the very array of a tensor that is."""
+    live, step_of = liveness(g), {lid: i for i, lid in enumerate(topo_order(g))}
+    refs: dict[int, weakref.ref] = {}
+    breaches = []
+    for t, y in qat._walk(g, weights, x, policy, ranges):
+        refs[t] = weakref.ref(y)
+        step = step_of[t]
+        alive = {u: r() for u, r in refs.items()}  # None once collected
+        held = {id(a) for u, a in alive.items() if u in live[step]}
+        breaches += [(step, u) for u, a in alive.items() if a is not None and id(a) not in held]
+        del alive  # holds the arrays until the next yield otherwise
+    return breaches
+
+
+def test_walk_holds_only_the_live_set(toy_graph, residual_graph):
+    """Without a cache the walk keeps no activation past its span, in float
+    mode and under a random policy."""
+    rng = np.random.default_rng(25)
+    graphs = [toy_graph, residual_graph, *(oracles.random_graph(rng) for _ in range(20)),
+              *oracles.self_read_graphs(rng, 5)]
+    for i, g in enumerate(graphs):
+        weights = qat.init_weights(g, seed=i)
+        x = rng.uniform(0, 1, size=(2,) + g.input_layer.output_shape).astype(np.float32)
+        ranges = {t: 1.0 for t in g.encoded_tensors()}
+        policy = oracles.random_policy(rng, g)
+        assert _walk_breaches(g, weights, x) == [], f"graph {i}, float"
+        assert _walk_breaches(g, weights, x, policy, ranges) == [], f"graph {i}, {policy}"
+
+
 def test_collect_activations_covers_encoded(toy_graph, pretrained, desk_small):
+    """One walk's clips equal percentile_clip of each encoded tensor's values
+    gathered from two half-batch walks: the clips do not depend on the batch."""
     weights, _ = pretrained
-    acts = qat.collect_activations(toy_graph, weights, desk_small.images[:32])
-    assert tuple(sorted(acts)) == toy_graph.encoded_tensors()
-    assert all(v.size > 0 for v in acts.values())
+    images = desk_small.images[:32]
+    clips = qat.collect_activations(toy_graph, weights, images)
+    assert tuple(sorted(clips)) == toy_graph.encoded_tensors()
+    halves = [dict(qat._walk(toy_graph, weights, h)) for h in (images[:16], images[16:])]
+    for t, clip in clips.items():
+        assert clip == percentile_clip(np.concatenate([h[t] for h in halves]))

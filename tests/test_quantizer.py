@@ -6,7 +6,6 @@ import pytest
 import oracles
 from mcuq import kernels, qat, quantizer
 from mcuq.errors import PackFormatError
-from mcuq.graph_ir import fixture_path, load_graph
 from mcuq.memory_model import all_uniform_policy
 from mcuq.packed_model import PackedModel
 from mcuq.quantizer import (
@@ -256,7 +255,8 @@ def _walk_input(g, x: np.ndarray, clip: float, bits: int):
     ranges = {t: 1.0 for t in g.encoded_tensors()}
     ranges[in_tid] = clip
     cache = []
-    acts = qat._walk(g, qat.init_weights(g), images.reshape(shape), policy, ranges, cache)
+    acts = dict(qat._walk(g, qat.init_weights(g), images.reshape(shape), policy, ranges,
+                          cache))
     entry = next(e for e in cache if e["layer"].id == in_tid)
     return [a.ravel()[:x.size] for a in (acts[in_tid], entry["mask"], entry["act_over"])]
 

@@ -12,7 +12,6 @@ from mcuq.search import (
     BIT_MIDPOINT,
     OBS_DIM,
     DDPGAgent,
-    EpisodeRecord,
     ReplayBuffer,
     SearchConfig,
     base_policy,
