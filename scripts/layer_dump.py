@@ -12,8 +12,12 @@
   policies (2 images each) and of MobileNetV1-224 under the enforced all-8
   anchor and under the unenforced all-8 policy (2 images each), keys
   `int/...`; the unenforced model keeps the 8-bit layers of fan-in 1024 (27
-  and 29), whose accumulator bound takes the engine's float64 path, while the
-  anchor's layers all run in float32;
+  and 29), which check_model_matches's per-channel accumulator bound proves
+  float32, as it does every layer of the anchor. No model here runs the
+  engine's float64 kernel path. Only tests/test_inference.py runs it, on
+  layers built past the float32 bound:
+  test_same_sign_sums_near_the_float32_bound_are_exact (fan-in 576) and
+  test_int32_check_is_per_channel (fan-in 66311);
 - the float32 logits and every backward_network gradient of the toy graphs and
   the random graphs, in float mode and under the sub-byte policy, keys `float/...`;
 - two seeded searches of toycnn_mnist (SEARCHES: independent mode seed 0 and

@@ -36,7 +36,7 @@ class ModelMismatchError(McuqError, ValueError):
 
 
 class AccumulatorOverflowError(McuqError, ArithmeticError):
-    """A 32-bit integer accumulator overflowed."""
+    """A linear layer's int32 accumulator could overflow: raised when a model is checked."""
 
 
 class TrainingDivergedError(McuqError, RuntimeError):

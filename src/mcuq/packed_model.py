@@ -25,8 +25,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ModelMismatchError, PackFormatError, PolicyError
-from .graph_ir import RECORD_KINDS, WEIGHTED_KINDS, NetworkGraph
+from .errors import AccumulatorOverflowError, ModelMismatchError, PackFormatError, PolicyError
+from .graph_ir import LINEAR_KINDS, RECORD_KINDS, WEIGHTED_KINDS, NetworkGraph
 from .memory_model import QuantPolicy, validate_policy
 from .quantizer import (
     F32_MAX,
@@ -51,6 +51,7 @@ _KIND_CODE = {
 _CODE_KIND = {i: k for k, i in _KIND_CODE.items()}
 
 INT32_MIN, INT32_MAX = -(1 << 31), (1 << 31) - 1
+F32_EXACT = 1 << 24  # float32 represents every integer of smaller magnitude
 
 
 @dataclass
@@ -136,6 +137,7 @@ def build_packed_model(g: NetworkGraph, weights: dict, policy: QuantPolicy,
         model.layers[layer.id] = rec
     # f32 like the clips, so a deserialized model is bit-identical
     model.logits_scale = float(np.float32(model.logits_scale))
+    check_model_matches(g, model)  # never write a model that the engine refuses
     return model
 
 
@@ -261,8 +263,27 @@ def load_packed(path: str) -> PackedModel:
     return deserialize(data)
 
 
-def check_model_matches(g: NetworkGraph, model: PackedModel) -> None:
-    """Raise ModelMismatchError when a model cannot run on a graph."""
+def _kernel_dtype(layer, rec: PackedLayer, in_max: int) -> type:
+    """The kernel dtype, float32 or float64, that the inference docstring proves
+    exact for a linear layer on input codes in [0, in_max]. Raises
+    AccumulatorOverflowError naming the first channel whose accumulator range,
+    bias included, leaves int32."""
+    if rec.weight is None:  # avg_pool weights every tap 1, with no bias
+        taps = layer.kernel_h * layer.kernel_w
+        neg, pos, peak, bias = np.zeros(1, np.int64), np.full(1, taps, np.int64), taps, 0
+    else:
+        (neg, pos, peak), bias = rec.weight.channel_sums(), rec.bias_int
+    lo, hi = in_max * neg + bias, in_max * pos + bias
+    if lo.min(initial=0) < INT32_MIN or hi.max(initial=0) > INT32_MAX:
+        c = np.flatnonzero((lo < INT32_MIN) | (hi > INT32_MAX))[0]
+        raise AccumulatorOverflowError(f"layer {layer.id} channel {c}: accumulator range "
+                                       f"[{lo[c]}, {hi[c]}] leaves int32")
+    return np.float32 if in_max * peak < F32_EXACT else np.float64
+
+
+def check_model_matches(g: NetworkGraph, model: PackedModel) -> dict[int, type]:
+    """Each linear layer's kernel dtype by id; raises ModelMismatchError when a model
+    cannot run on a graph, AccumulatorOverflowError where _kernel_dtype does."""
     if model.graph_layers != len(g.layers):
         raise ModelMismatchError(
             f"model built for {model.graph_layers} layers, graph has {len(g.layers)}")
@@ -278,6 +299,7 @@ def check_model_matches(g: NetworkGraph, model: PackedModel) -> None:
     if extra:
         raise ModelMismatchError(f"model has records for layers {extra}, "
                                  f"which take none in the graph")
+    dtypes = {}
     for layer in g.layers:
         if layer.kind not in RECORD_KINDS:
             continue
@@ -303,3 +325,7 @@ def check_model_matches(g: NetworkGraph, model: PackedModel) -> None:
                 np.size(rq.multiplier) != width or np.size(rq.shift) != width
                 for rq in rec.requants):
             raise ModelMismatchError(f"layer {layer.id}: requants do not match the graph")
+        if layer.kind in LINEAR_KINDS:  # its input feeds compute, so it is encoded
+            in_max = (1 << model.act_bits[layer.input_ids[0]]) - 1
+            dtypes[layer.id] = _kernel_dtype(layer, rec, in_max)
+    return dtypes

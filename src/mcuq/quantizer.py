@@ -53,12 +53,18 @@ class QuantizedTensor:
     shape: tuple[int, ...]
     scales: np.ndarray  # one per output channel (axis 0)
     _codes: np.ndarray = field(init=False, repr=False, compare=False)
+    _sums: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         q = unpack_subbyte(self.packed, self.bits, self.numel)
         q = q.astype(np.int8).reshape(self.shape)
         q.setflags(write=False)
         object.__setattr__(self, "_codes", q)
+        rows = q.reshape(self.shape[0], math.prod(self.shape[1:]))
+        pos = np.maximum(rows, 0).sum(axis=1, dtype=np.int64)
+        neg = rows.sum(axis=1, dtype=np.int64) - pos
+        peak = int(max(pos.max(initial=0), -neg.min(initial=0)))
+        object.__setattr__(self, "_sums", (neg, pos, peak))
 
     @property
     def numel(self) -> int:
@@ -67,6 +73,11 @@ class QuantizedTensor:
     def codes(self) -> np.ndarray:
         """The decoded codes, int8 in `shape`, read-only."""
         return self._codes
+
+    def channel_sums(self) -> tuple[np.ndarray, np.ndarray, int]:
+        """(neg, pos, peak): each output channel's int64 sum of its negative
+        codes and of its positive codes, and the largest magnitude of either."""
+        return self._sums
 
 
 @dataclass(frozen=True)

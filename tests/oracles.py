@@ -232,6 +232,23 @@ def ref_layer_codes(layer: LayerSpec, rec, in_codes: list[np.ndarray]) -> np.nda
     raise AssertionError(f"no reference for kind {layer.kind}")
 
 
+def ref_acc_range(layer: LayerSpec, rec, in_max: int) -> list[tuple[int, int, int]]:
+    """Per output channel of a linear layer on input codes in [0, in_max], in
+    python ints: (lo, hi) of its accumulator plus bias over every such input,
+    each product at its own extreme, and the largest magnitude that a partial
+    sum of its products can reach. avg_pool weights each tap 1, with no bias."""
+    if rec.weight is None:
+        taps = layer.kernel_h * layer.kernel_w
+        return [(0, in_max * taps, in_max * taps)] * layer.out_channels
+    out = []
+    for row, b in zip(rec.weight.codes().reshape(len(rec.bias_int), -1).tolist(),
+                      rec.bias_int.tolist()):
+        low = sum(min(v * in_max, 0) for v in row)
+        high = sum(max(v * in_max, 0) for v in row)
+        out.append((low + b, high + b, max(high, -low)))
+    return out
+
+
 # ---------------------------------------------------------------------------
 # Float conv2d reference (loops over output positions and kernel taps)
 # ---------------------------------------------------------------------------

@@ -305,6 +305,26 @@ def test_eval_of_a_model_whose_pool_carries_weight_bits_is_bad_input(in_tmp, cap
     assert "layer 5" in err and "weight bits" in err and "Traceback" not in err
 
 
+def test_eval_of_a_model_that_could_overflow_int32_is_bad_input(in_tmp, capsys):
+    """2**31 - 1 in the stored bias of a logits channel with a positive weight
+    code: eval refuses the model, naming layer and channel, and writes no
+    report."""
+    g = load_graph(TOY)
+    weights = qat.init_weights(g, seed=3)
+    ranges = calibrate_act_ranges(g, weights, load_dataset(DATA, seed=0).train[0])
+    model = build_packed_model(g, weights, all_uniform_policy(g), ranges)
+    rec = model.layers[6]  # fully_connected, codes (classes, fan-in)
+    c = int(np.flatnonzero((rec.weight.codes() > 0).any(axis=1))[0])
+    rec.bias_int[c] = 2 ** 31 - 1
+    save_packed(model, "bad.mpq")
+    assert cli.main(["eval", "--graph", TOY, "--dataset", DATA, "--model", "bad.mpq",
+                     "--per-class-csv", "c.csv"]) == cli.EXIT_INPUT
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: layer 6 channel {c}: accumulator range [")
+    assert err.rstrip().endswith("leaves int32") and "Traceback" not in err
+    assert os.listdir(in_tmp) == ["bad.mpq"]
+
+
 def _sha256(path) -> str:
     return hashlib.sha256(open(path, "rb").read()).hexdigest()
 

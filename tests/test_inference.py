@@ -1,6 +1,7 @@
 """Integer execution: identity cases, oracle agreement, saturation, accuracy."""
 
 import types
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -19,7 +20,14 @@ from mcuq.inference import (
     run_network_int,
 )
 from mcuq.memory_model import all_uniform_policy
-from mcuq.packed_model import PackedLayer, build_packed_model, deserialize, serialize
+from mcuq.packed_model import (
+    PackedLayer,
+    _kernel_dtype,
+    build_packed_model,
+    check_model_matches,
+    deserialize,
+    serialize,
+)
 from mcuq.quantizer import (
     QuantizedTensor,
     RequantParams,
@@ -29,16 +37,34 @@ from mcuq.quantizer import (
 )
 
 
+def _unit_rq(n_ch):
+    """A requant of M = 1 on n_ch channels."""
+    return RequantParams(multiplier=np.full(n_ch, 1 << 30, dtype=np.int32),
+                         shift=np.full(n_ch, 30, dtype=np.int32))
+
+
 def identity_conv_rec(n_ch=1, bits=8):
     """1x1 conv with weight code 1 at scale 1 and unit requant (M = 1)."""
     codes = np.ones((n_ch, n_ch, 1, 1), dtype=np.int64)
     qw = QuantizedTensor(bits=8, packed=pack_subbyte(np.eye(n_ch).reshape(-1), 8),
                          shape=(n_ch, n_ch, 1, 1), scales=np.ones(n_ch))
-    rq = RequantParams(multiplier=np.full(n_ch, 1 << 30, dtype=np.int32),
-                       shift=np.full(n_ch, 30, dtype=np.int32))
     return PackedLayer(layer_id=1, kind="conv2d", weight_bits=8, out_bits=bits,
                        weight=qw, bias_int=np.zeros(n_ch, dtype=np.int32),
-                       requants=(rq,)), codes
+                       requants=(_unit_rq(n_ch),)), codes
+
+
+def _fc(codes, bias, bits=8):
+    """A fully_connected layer of weight codes (C, fan_in) at bits, an int32
+    bias per channel and M = 1 to raw 32-bit outputs, and its record."""
+    c, fan_in = codes.shape
+    layer = oracles._mk(1, "fully_connected", [0], c, 0, 0, 1, 0, (fan_in, 1, 1), (c, 1, 1),
+                        bias=c)
+    qw = QuantizedTensor(bits=bits, packed=pack_subbyte(codes, bits), shape=(c, fan_in),
+                         scales=np.ones(c))
+    return layer, PackedLayer(layer_id=1, kind="fully_connected", weight_bits=bits,
+                              out_bits=32, weight=qw,
+                              bias_int=np.asarray(bias, dtype=np.int32),
+                              requants=(_unit_rq(c),))
 
 
 def test_identity_conv_passes_codes_through():
@@ -46,7 +72,7 @@ def test_identity_conv_passes_codes_through():
                         bias=1)
     rec, _ = identity_conv_rec()
     x = np.arange(256, dtype=np.int32).reshape(16, 1, 4, 4)[:16]
-    out = run_codes_layer(layer, rec, [x])
+    out = run_codes_layer(layer, rec, [x], np.float64)
     assert np.array_equal(out, x)
 
 
@@ -55,7 +81,7 @@ def test_identity_conv_full_code_range():
                         bias=1)
     rec, _ = identity_conv_rec()
     x = np.arange(256, dtype=np.int32).reshape(1, 1, 16, 16)
-    assert np.array_equal(run_codes_layer(layer, rec, [x]), x)
+    assert np.array_equal(run_codes_layer(layer, rec, [x], np.float64), x)
 
 
 def toy_int_model(toy_graph, weights, ranges, policy=None):
@@ -182,7 +208,7 @@ def test_overlapping_and_padded_pools_match_oracle(kh, kw, s, p, out_bits):
                                    0.9 * 255 / ((1 << out_bits) - 1))
     rec = PackedLayer(layer_id=1, kind="avg_pool", out_bits=out_bits, requants=(rq,))
     x = rng.integers(0, 256, size=(4, c, h, w)).astype(np.int32)
-    out = run_codes_layer(layer, rec, [x])
+    out = run_codes_layer(layer, rec, [x], _kernel_dtype(layer, rec, 255))
     assert out.shape == (4, c, oh, ow)
     for j in range(len(x)):
         assert np.array_equal(out[j], oracles.ref_layer_codes(layer, rec, [x[j]])), j
@@ -205,12 +231,17 @@ def test_all_codes_stay_in_declared_range(toy_graph, pretrained, toy_ranges):
 
 
 def test_saturation_clamps_not_wraps():
-    layer = oracles._mk(1, "conv2d", [0], 1, 1, 1, 1, 0, (1, 2, 2), (1, 2, 2),
-                        bias=1)
-    rec, _ = identity_conv_rec(bits=8)
-    big = np.full((1, 1, 2, 2), 4000, dtype=np.int32)
-    out = run_codes_layer(layer, rec, [big])
-    assert np.array_equal(out, np.full((1, 1, 2, 2), 255))
+    """A 3x3 conv of weight codes 127 on input codes 255 sums to 291465, which
+    saturates to 255 at M = 1."""
+    layer = oracles._mk(1, "conv2d", [0], 1, 3, 3, 1, 0, (1, 3, 3), (1, 1, 1), bias=1)
+    qw = QuantizedTensor(bits=8, packed=pack_subbyte(np.full(9, 127), 8),
+                         shape=(1, 1, 3, 3), scales=np.ones(1))
+    rec = PackedLayer(layer_id=1, kind="conv2d", weight_bits=8, out_bits=8, weight=qw,
+                      bias_int=np.zeros(1, dtype=np.int32), requants=(_unit_rq(1),))
+    x = np.full((1, 1, 3, 3), 255, dtype=np.int32)
+    assert oracles.ref_layer_codes(layer, replace(rec, out_bits=32), [x[0]]).item() == 291465
+    out = run_codes_layer(layer, rec, [x], _kernel_dtype(layer, rec, 255))
+    assert np.array_equal(out, np.full((1, 1, 1, 1), 255))
 
 
 def test_int_batch_matches_single(toy_graph, pretrained, toy_ranges, desk_small):
@@ -241,141 +272,91 @@ def test_int_top1_equals_fake_quant_top1(toy_graph, pretrained, toy_ranges, desk
 
 
 def test_overflow_check_flags_int32_excess():
-    layer = oracles._mk(1, "fully_connected", [0], 1, 0, 0, 1, 0,
-                        (4, 1, 1), (1, 1, 1), bias=1)
-    qw = QuantizedTensor(bits=8, packed=pack_subbyte(np.full(4, 127), 8),
-                         shape=(1, 4), scales=np.ones(1))
-    rq = RequantParams(multiplier=np.array([1 << 30], dtype=np.int32),
-                       shift=np.array([30], dtype=np.int32))
-    rec = PackedLayer(layer_id=1, kind="fully_connected", weight_bits=8, out_bits=32,
-                      weight=qw, bias_int=np.array([2 ** 31 - 1], dtype=np.int32),
-                      requants=(rq,))
-    x = np.full((1, 4, 1, 1), 255, dtype=np.int64)
-    with pytest.raises(AccumulatorOverflowError):
-        run_codes_layer(layer, rec, [x])
-    # a 7x7 pool of codes near 2**31 - 1: its float64 window sums pass int32
-    pool = oracles._mk(1, "avg_pool", [0], 1, 7, 7, 7, 0, (1, 7, 7), (1, 1, 1))
-    rec = PackedLayer(layer_id=1, kind="avg_pool", out_bits=8, requants=(
-        quantizer.compute_requant(1.0, np.array([1.0 / 49]), 1.0),))
-    x = np.full((1, 1, 7, 7), 2 ** 31 - 2, dtype=np.int64)
-    with pytest.raises(AccumulatorOverflowError, match="layer 1"):
-        run_codes_layer(pool, rec, [x])
+    """Fan-in 4 of weight codes 127 under a bias of 2**31 - 1: on 8-bit input
+    codes its accumulator could reach 2**31 - 1 + 4 * 255 * 127, so the model
+    is refused before it runs."""
+    layer, rec = _fc(np.full((1, 4), 127), [2 ** 31 - 1])
+    with pytest.raises(AccumulatorOverflowError, match="layer 1 channel 0: accumulator range "
+                                                       r"\[2147483647, 2147613187\] leaves int32"):
+        _kernel_dtype(layer, rec, 255)
 
 
-# 2x2 conv2d, one input channel, weight codes 1 (channel 0) and 127 (channel 1):
-# at input codes up to _K channel 1's sums reach 4 * 127 * _K = 2**31 - 8 and
-# channel 0's 4 * _K, so the bound 4 * _K * 2**7 passes int32 and the check runs
-_K = 4227330
+# fully_connected of fan-in 66311 on 8-bit input codes (in_max 255): channel 1
+# of codes 127 reaches 255 * 127 * 66311 = 2**31 - 1913, channel 0 of codes 1
+# reaches 255 * 66311 + _BIAS0 = 2**31 - 1
+_FAN_IN, _BIAS0 = 66311, 2130574342
 
 
 @pytest.mark.parametrize("bias0, overflows", [
-    pytest.param(2 ** 31 - 1 - 4 * _K, False, id="each_channel_fits"),
-    pytest.param(2 ** 31 - 4 * _K, True, id="channel_0_overflows"),
+    pytest.param(_BIAS0, False, id="each_channel_fits"),
+    pytest.param(_BIAS0 + 1, True, id="channel_0_overflows"),
 ])
 def test_int32_check_is_per_channel(bias0, overflows):
     """Channel 0 holds small sums under a bias near 2**31, channel 1 sums near
     2**31 under a zero bias: every accumulator fits int32, though the largest
-    sum plus the largest bias does not. One more on channel 0's bias overflows
-    channel 0 alone."""
-    layer = oracles._mk(1, "conv2d", [0], 2, 2, 2, 1, 0, (1, 3, 3), (2, 2, 2), bias=1)
-    codes = np.repeat([1, 127], 4)
-    qw = QuantizedTensor(bits=8, packed=pack_subbyte(codes, 8),
-                         shape=(2, 1, 2, 2), scales=np.ones(2))
-    rq = RequantParams(multiplier=np.full(2, 1 << 30, dtype=np.int32),
-                       shift=np.full(2, 30, dtype=np.int32))  # M = 1
-    rec = PackedLayer(layer_id=1, kind="conv2d", weight_bits=8, out_bits=32, weight=qw,
-                      bias_int=np.array([bias0, 0], dtype=np.int32), requants=(rq,))
-    x = np.random.default_rng(5).integers(0, _K, size=(2, 1, 3, 3))
-    x[0] = _K  # image 0 reaches both channels' largest sums
-    assert inference._acc_bound(1, 4, _K, 2 ** 7, rec.bias_int)[1]
+    sum plus the largest bias does not, and all-255 inputs reach both maxima.
+    One more on channel 0's bias is refused, naming channel 0."""
+    layer, rec = _fc(np.repeat([[1], [127]], _FAN_IN, axis=1), [bias0, 0])
     if overflows:
-        with pytest.raises(AccumulatorOverflowError, match="layer 1"):
-            run_codes_layer(layer, rec, [x])
+        with pytest.raises(AccumulatorOverflowError, match="layer 1 channel 0: "):
+            _kernel_dtype(layer, rec, 255)
         return
-    out = run_codes_layer(layer, rec, [x])
+    dtype = _kernel_dtype(layer, rec, 255)
+    assert dtype is np.float64  # 255 * 127 * 66311 passes 2**24
+    x = np.random.default_rng(5).integers(0, 256, size=(2, _FAN_IN, 1, 1))
+    x[0] = 255
+    out = run_codes_layer(layer, rec, [x], dtype)
     for j in range(len(x)):
         assert np.array_equal(out[j], oracles.ref_layer_codes(layer, rec, [x[j]])), j
-    assert out[0, 0].max() == 2 ** 31 - 1 and out[0, 1].max() == 2 ** 31 - 8
+    assert out[0].tolist() == [2 ** 31 - 1, 2 ** 31 - 1913]
 
 
-# fan-in 4 at x_max 255 and 8-bit weights: fan_in * x_max * 2**7 = 130560
-_PROOF_BOUND = 4 * 255 * 128
+# fan-in 4 at in_max 255 and 8-bit weights: the coarse bound fan_in * in_max * 2**7
+_COARSE_BOUND = 4 * 255 * 128
 
 
-@pytest.mark.parametrize("bias, checked", [
-    pytest.param(2 ** 31 - 1 - _PROOF_BOUND, False, id="bound_at_int32_max"),
-    pytest.param(2 ** 31 - _PROOF_BOUND, True, id="bias_one_larger"),
+@pytest.mark.parametrize("bias, refused", [
+    pytest.param(2 ** 31 - 1 - _COARSE_BOUND, False, id="bound_at_int32_max"),
+    pytest.param(2 ** 31 - _COARSE_BOUND, False, id="bias_one_larger"),
     pytest.param(2 ** 31 - 1, True, id="overflow"),
 ])
-def test_int32_proof_skips_only_a_passing_check(monkeypatch, bias, checked):
-    """A weighted layer with unsigned 8-bit output skips _check_acc exactly
-    where fan_in * x_max * 2**(w_bits - 1) + max|bias| <= 2**31 - 1; past it
-    the check runs, and raises on a real overflow."""
-    layer = oracles._mk(1, "fully_connected", [0], 1, 0, 0, 1, 0,
-                        (4, 1, 1), (1, 1, 1), bias=1)
-    qw = QuantizedTensor(bits=8, packed=pack_subbyte(np.full(4, 127), 8),
-                         shape=(1, 4), scales=np.ones(1))
-    rq = RequantParams(multiplier=np.array([1 << 30], dtype=np.int32),
-                       shift=np.array([54], dtype=np.int32))  # M = 2**-24
-    rec = PackedLayer(layer_id=1, kind="fully_connected", weight_bits=8, out_bits=8,
-                      weight=qw, bias_int=np.array([bias], dtype=np.int32), requants=(rq,))
-    x = np.full((1, 4, 1, 1), 255, dtype=np.int32)
-    calls = []
-    real = inference._check_acc
-    monkeypatch.setattr(inference, "_check_acc", lambda *a: calls.append(a[1]) or real(*a))
-    assert inference._acc_bound(1, 4, 255, 2 ** 7, rec.bias_int)[1] is checked
-    if 4 * 255 * 127 + bias > 2 ** 31 - 1:
-        with pytest.raises(AccumulatorOverflowError, match="layer 1"):
-            run_codes_layer(layer, rec, [x])
-    else:
-        out = run_codes_layer(layer, rec, [x])
-        assert np.array_equal(out[0], oracles.ref_layer_codes(layer, rec, [x[0]]))
-        assert 0 < out[0, 0] < 255
-    assert calls == ([1] if checked else [])
-
-
-@pytest.mark.parametrize("x_max, w_bits", [(255, 8), (15, 4), (3, 2), (2 ** 31 - 1, 8)])
-def test_float64_exactness_bound_is_checked(x_max, w_bits):
-    # first fan-in whose bound fan_in * x_max * 2**(w_bits - 1) + 2**31 reaches 2**53
-    first_bad = -(-(2 ** 53 - 2 ** 31) // (x_max * 2 ** (w_bits - 1)))
-    bias = np.zeros(1, dtype=np.int32)
-    inference._acc_bound(7, first_bad - 1, x_max, 2 ** (w_bits - 1), bias)
-    with pytest.raises(AccumulatorOverflowError, match="layer 7"):
-        inference._acc_bound(7, first_bad, x_max, 2 ** (w_bits - 1), bias)
-
-
-def test_run_codes_layer_checks_the_float64_range():
-    # codes far past any activation width, as a malformed caller could pass
-    fan_in = 2 ** 15 + 1
-    layer = oracles._mk(1, "fully_connected", [0], 1, 0, 0, 1, 0,
-                        (fan_in, 1, 1), (1, 1, 1), bias=1)
-    qw = QuantizedTensor(bits=8, packed=pack_subbyte(np.full(fan_in, -128), 8),
-                         shape=(1, fan_in), scales=np.ones(1))
-    rq = RequantParams(multiplier=np.array([1 << 30], dtype=np.int32),
-                       shift=np.array([30], dtype=np.int32))
-    rec = PackedLayer(layer_id=1, kind="fully_connected", weight_bits=8, out_bits=32,
-                      weight=qw, bias_int=np.zeros(1, dtype=np.int32), requants=(rq,))
-    x = np.full((1, fan_in, 1, 1), 2 ** 31 - 1, dtype=np.int64)
-    with pytest.raises(AccumulatorOverflowError, match="float64"):
-        run_codes_layer(layer, rec, [x])
+def test_int32_proof_skips_only_a_passing_check(bias, refused):
+    """Fan-in 4 of weight codes 127 on 8-bit inputs: the proof refuses the
+    layer only where its channel's range 4 * 255 * 127 + bias leaves int32, so
+    a bias one past the coarse bound fan_in * in_max * 2**7 is accepted. An
+    accepted layer runs with no check of its own, reads no range of its input
+    codes, and reaches its largest sum exactly."""
+    layer, rec = _fc(np.full((1, 4), 127), [bias])
+    if refused:
+        with pytest.raises(AccumulatorOverflowError, match="layer 1 channel 0: "):
+            _kernel_dtype(layer, rec, 255)
+        return
+    dtype = _kernel_dtype(layer, rec, 255)
+    assert dtype is np.float32  # 4 * 255 * 127 is below 2**24
+    x = np.full((1, 4, 1, 1), 255, dtype=np.int32).view(_CountedCodes)
+    _CountedCodes.calls = 0
+    out = run_codes_layer(layer, rec, [x], dtype)
+    assert _CountedCodes.calls == 0
+    assert np.array_equal(out[0], oracles.ref_layer_codes(layer, rec, [np.asarray(x[0])]))
+    assert out[0].item() == 4 * 255 * 127 + bias
 
 
 @pytest.mark.parametrize("a_bits", [2, 4, 8])
 @pytest.mark.parametrize("w_bits", [2, 4, 8])
 def test_float32_bound_at_its_boundary(a_bits, w_bits):
-    x_max = 2 ** a_bits - 1
-    # first fan-in whose bound fan_in * x_max * 2**(w_bits - 1) reaches 2**24
-    first_f64 = -(-2 ** 24 // (x_max * 2 ** (w_bits - 1)))
-    bias = np.zeros(1, dtype=np.int32)
-    dtype, _ = inference._acc_bound(1, first_f64 - 1, x_max, 2 ** (w_bits - 1), bias)
-    assert dtype is np.float32
-    dtype, _ = inference._acc_bound(1, first_f64, x_max, 2 ** (w_bits - 1), bias)
-    assert dtype is np.float64
+    """Every weight code at -2**(w_bits - 1), where the per-channel bound is
+    fan_in * in_max * 2**(w_bits - 1): float32 up to the last fan-in below
+    2**24, float64 from the first that reaches it."""
+    in_max = 2 ** a_bits - 1
+    first_f64 = -(-2 ** 24 // (in_max * 2 ** (w_bits - 1)))
+    for fan_in, dtype in ((first_f64 - 1, np.float32), (first_f64, np.float64)):
+        layer, rec = _fc(np.full((1, fan_in), -2 ** (w_bits - 1)), [0], bits=w_bits)
+        assert _kernel_dtype(layer, rec, in_max) is dtype
 
 
 # (kh, kw, input shape) of a one-output layer, per (kind, fan-in). Fan-in 576
 # (24 * 24, the smallest square kernel) is the first where every sum of codes
-# in [230, 255] times 127 passes 2**24; 514 * 255 * 128 is just below 2**24
+# in [230, 255] times 127 passes 2**24; 514 * 255 * 127 is below 2**24
 _ONE_DOT_LAYERS = {
     ("fully_connected", 576): (0, 0, (576, 1, 1)),
     ("pointwise_conv2d", 576): (1, 1, (576, 1, 1)),
@@ -398,10 +379,8 @@ def test_same_sign_sums_near_the_float32_bound_are_exact(kind, fan_in):
     layer = oracles._mk(1, kind, [0], 1, kh, kw, 1, 0, in_shape, (1, 1, 1), bias=1)
     qw = QuantizedTensor(bits=8, packed=pack_subbyte(np.full(fan_in, 127), 8),
                          shape=layer.weight_shape, scales=np.ones(1))
-    rq = RequantParams(multiplier=np.array([1 << 30], dtype=np.int32),
-                       shift=np.array([30], dtype=np.int32))
     rec = PackedLayer(layer_id=1, kind=kind, weight_bits=8, out_bits=32, weight=qw,
-                      bias_int=np.array([-3], dtype=np.int32), requants=(rq,))
+                      bias_int=np.array([-3], dtype=np.int32), requants=(_unit_rq(1),))
     rng = np.random.default_rng(fan_in)
     x = rng.integers(230, 256, size=(3,) + in_shape).astype(np.int32)
     flat = x.reshape(3, -1)
@@ -409,11 +388,11 @@ def test_same_sign_sums_near_the_float32_bound_are_exact(kind, fan_in):
     flat[flat.sum(axis=1) % 2 == 0, 1] ^= 1  # an odd sum per image
     sums = 127 * flat.sum(axis=1, dtype=np.int64)
     above = fan_in == 576
-    dtype, _ = inference._acc_bound(1, fan_in, 255, 2 ** 7, rec.bias_int)
+    dtype = _kernel_dtype(layer, rec, 255)
     assert dtype is (np.float64 if above else np.float32)
     assert (sums > 2 ** 24).all() if above else (sums < 2 ** 24).all()
     assert (sums.astype(np.float32).astype(np.int64) != sums).all() == above
-    out = run_codes_layer(layer, rec, [x]).reshape(3)
+    out = run_codes_layer(layer, rec, [x], dtype).reshape(3)
     for j in range(len(x)):
         assert out[j] == oracles.ref_layer_codes(layer, rec, [x[j]]).reshape(()), j
     assert np.array_equal(out, sums - 3)
@@ -552,7 +531,7 @@ def test_library_walks_check_the_batch_geometry(toy_graph, pretrained, toy_range
 
 
 class _CountedCodes(np.ndarray):
-    """Input codes that count the max/min calls of the per-call bound."""
+    """Input codes that count the max/min calls made on them."""
     calls = 0
 
     def max(self, *args, **kwargs):
@@ -564,62 +543,67 @@ class _CountedCodes(np.ndarray):
         return super().min(*args, **kwargs)
 
 
-@pytest.mark.parametrize("fan_in, code, in_max, bias, dtype, per_call", [
-    pytest.param(4, 255, 255, 0, np.float32, False, id="static_proves_float32"),
-    pytest.param(4, 255, None, 0, np.float32, True, id="no_static_bound"),
-    pytest.param(4, 255, 255, 2 ** 31 - 1 - 4 * 255 * 127, np.float32, True,
+@pytest.mark.parametrize("fan_in, code, in_max, bias, dtype", [
+    pytest.param(4, 255, 255, 0, np.float32, id="static_proves_float32"),
+    pytest.param(4, 255, None, 0, np.float64, id="no_static_bound"),
+    pytest.param(4, 255, 255, 2 ** 31 - 1 - 4 * 255 * 127, np.float32,
                  id="static_needs_int32_check"),
-    pytest.param(576, 227, 255, 0, np.float32, True, id="static_fails_float32_codes_below"),
-    pytest.param(576, 255, 255, 0, np.float64, True, id="static_fails_float32_codes_at"),
+    pytest.param(576, 227, 255, 0, np.float64, id="static_fails_float32_codes_below"),
+    pytest.param(576, 255, 255, 0, np.float64, id="static_fails_float32_codes_at"),
 ])
 def test_static_input_bound_is_used_only_where_it_proves_float32(monkeypatch, fan_in, code,
-                                                                 in_max, bias, dtype, per_call):
-    """A linear layer takes the kernel dtype from the static bound of its input
-    encoding only where that proves float32 with no int32 check; elsewhere it
-    bounds the call's own codes, as without a static bound, and so picks the
-    dtype and the check the per-call bound gives (576 * 227 * 128 < 2**24 <=
-    576 * 255 * 128)."""
-    layer = oracles._mk(1, "fully_connected", [0], 1, 0, 0, 1, 0,
-                        (fan_in, 1, 1), (1, 1, 1), bias=1)
-    qw = QuantizedTensor(bits=8, packed=pack_subbyte(np.full(fan_in, 127), 8),
-                         shape=(1, fan_in), scales=np.ones(1))
-    rq = RequantParams(multiplier=np.array([1 << 30], dtype=np.int32),
-                       shift=np.array([54], dtype=np.int32))
-    rec = PackedLayer(layer_id=1, kind="fully_connected", weight_bits=8, out_bits=8,
-                      weight=qw, bias_int=np.array([bias], dtype=np.int32), requants=(rq,))
+                                                                 in_max, bias, dtype):
+    """A linear layer's kernel dtype comes from the static bound of its input
+    encoding alone: float32 only where that bound proves it exact, float64
+    elsewhere, also on a call whose own codes would fit float32 (576 * 227 *
+    127 < 2**24 <= 576 * 255 * 127). A caller with no encoding at hand (in_max
+    None) passes float64, exact for any proven layer. A bias that takes the
+    range to exactly 2**31 - 1 needs no check of its own, and no call reads
+    its codes' range."""
+    layer, rec = _fc(np.full((1, fan_in), 127), [bias])
+    run_dtype = np.float64 if in_max is None else _kernel_dtype(layer, rec, in_max)
+    assert run_dtype is dtype
     x = np.full((2, fan_in, 1, 1), code, dtype=np.int32).view(_CountedCodes)
-    seen, checks = [], []
-    real_acc, real_check = inference.linear_acc, inference._check_acc
+    seen, real_acc = [], inference.linear_acc
     monkeypatch.setattr(inference, "linear_acc",
                         lambda layer, x, w: seen.append(x.dtype) or real_acc(layer, x, w))
-    monkeypatch.setattr(inference, "_check_acc",
-                        lambda *a: checks.append(a[1]) or real_check(*a))
     _CountedCodes.calls = 0
-    out = run_codes_layer(layer, rec, [x], in_max)
-    assert seen == [dtype] and (_CountedCodes.calls > 0) == per_call
-    assert checks == ([1] if bias else [])
-    assert np.array_equal(np.asarray(out[0]), oracles.ref_layer_codes(layer, rec, [x[0]]))
+    out = run_codes_layer(layer, rec, [x], run_dtype)
+    assert seen == [dtype] and _CountedCodes.calls == 0
+    assert np.array_equal(np.asarray(out[0]),
+                          oracles.ref_layer_codes(layer, rec, [np.asarray(x[0])]))
 
 
 def test_network_passes_each_linear_layer_its_input_encodings_bound(monkeypatch, toy_graph,
                                                                     pretrained, toy_ranges,
                                                                     desk_small):
-    """run_codes_network gives each layer 2**bits - 1 of its first input's
-    encoding, and the codes equal those of runs without the static bound."""
+    """run_codes_network runs every linear layer's kernel in the dtype that
+    check_model_matches proved from 2**bits - 1 of the layer's input encoding,
+    reads no max or min of any layer's input codes, and gives the codes of
+    float64 runs, which are exact for any proven layer."""
     policy = oracles.random_policy(np.random.default_rng(3), toy_graph, allow_fp32=False)
     model = build_packed_model(toy_graph, pretrained[0], policy, fresh_ranges(toy_ranges))
-    images = desk_small.images[:5]
-    bounds, real = {}, inference.run_codes_layer
+    dtypes = check_model_matches(toy_graph, model)
+    assert dtypes == {
+        l.id: _kernel_dtype(l, model.layers[l.id], (1 << model.act_bits[l.input_ids[0]]) - 1)
+        for l in toy_graph.layers if l.kind in inference.LINEAR_KINDS}
+    seen, real_layer, real_acc = {}, inference.run_codes_layer, inference.linear_acc
 
-    def spy(layer, rec, in_codes, in_max=None):
-        bounds[layer.id] = in_max
-        return real(layer, rec, in_codes, in_max)
+    def spy(layer, rec, in_codes, dtype):
+        return real_layer(layer, rec, [x.view(_CountedCodes) for x in in_codes], dtype)
+
+    def acc(layer, x, w):
+        seen[layer.id] = (x.dtype, w.dtype)
+        return real_acc(layer, x, w)
 
     monkeypatch.setattr(inference, "run_codes_layer", spy)
-    codes = run_codes_network(toy_graph, model, images)
-    assert bounds == {lid: (1 << model.act_bits[toy_graph.layer(lid).input_ids[0]]) - 1
-                      for lid in model.layers}
+    monkeypatch.setattr(inference, "linear_acc", acc)
+    _CountedCodes.calls = 0
+    codes = run_codes_network(toy_graph, model, desk_small.images[:5])
+    assert seen == {lid: (d, d) for lid, d in dtypes.items()}
+    assert _CountedCodes.calls == 0
     for lid in model.layers:
         layer = toy_graph.layer(lid)
-        want = real(layer, model.layers[lid], [codes[t] for t in layer.input_ids])
+        want = real_layer(layer, model.layers[lid], [codes[t] for t in layer.input_ids],
+                          np.float64 if lid in dtypes else None)
         assert np.array_equal(codes[lid], want), lid

@@ -10,10 +10,19 @@ import pytest
 import oracles
 from conftest import fresh_ranges
 from mcuq import packed_model, qat
-from mcuq.errors import McuqError, ModelMismatchError, PackFormatError, PolicyError
+from mcuq.errors import (
+    AccumulatorOverflowError,
+    McuqError,
+    ModelMismatchError,
+    PackFormatError,
+    PolicyError,
+)
+from mcuq.graph_ir import LINEAR_KINDS
 from mcuq.inference import run_batch_int
 from mcuq.memory_model import BIAS_BYTES, all_uniform_policy, rom_footprint
 from mcuq.packed_model import (
+    INT32_MAX,
+    INT32_MIN,
     build_packed_model,
     check_model_matches,
     deserialize,
@@ -389,6 +398,83 @@ def test_check_model_matches_record_arithmetic(toy_graph, toy_model, spoil, matc
     spoil(toy_model)
     with pytest.raises(ModelMismatchError, match=match):
         check_model_matches(toy_graph, toy_model)
+
+
+def _positive_channel(rec) -> int:
+    """The first output channel of a weighted record with a positive weight code."""
+    rows = rec.weight.codes().reshape(len(rec.bias_int), -1)
+    return int(np.flatnonzero((rows > 0).any(axis=1))[0])
+
+
+def test_build_refuses_a_bias_whose_accumulator_could_overflow_int32(toy_graph, pretrained,
+                                                                     toy_ranges):
+    """A float bias that rounds to a valid int32 bias_int, 2**31 - 2, on a
+    channel whose positive weight codes take its accumulator past 2**31 - 1
+    on 8-bit inputs: the writer refuses the model, naming layer and channel."""
+    weights, policy = qat.copy_weights(pretrained[0]), all_uniform_policy(toy_graph)
+    model = build_packed_model(toy_graph, weights, policy, toy_ranges)
+    rec, c = model.layers[6], _positive_channel(model.layers[6])
+    s_in = model.act_scale(toy_graph.layer(6).input_ids[0])
+    weights[6]["b"] = weights[6]["b"].astype(np.float64)
+    weights[6]["b"][c] = (INT32_MAX - 1) * (s_in * rec.weight.scales[c])
+    assert packed_model._bias_int(weights[6]["b"], s_in * rec.weight.scales)[c] == INT32_MAX - 1
+    with pytest.raises(AccumulatorOverflowError, match=f"layer 6 channel {c}: "):
+        build_packed_model(toy_graph, weights, policy, toy_ranges)
+
+
+def test_a_stored_bias_that_could_overflow_int32_is_refused_at_load(toy_graph, toy_model):
+    """2**31 - 1 in the stored bias of a channel with a positive weight code:
+    the file loads, and check_model_matches refuses it, naming the layer and
+    the channel, before any input runs."""
+    rec = toy_model.layers[6]
+    c = _positive_channel(rec)
+    rec.bias_int[c] = INT32_MAX
+    model = deserialize(serialize(toy_model))
+    with pytest.raises(AccumulatorOverflowError, match=rf"layer 6 channel {c}: accumulator "
+                                                       r"range \[-?\d+, \d+\] leaves int32"):
+        check_model_matches(toy_graph, model)
+
+
+def test_accumulator_proof_matches_the_oracle_on_random_graphs():
+    """200 seeded random graphs under random sub-byte policies with random
+    biases: check_model_matches's dtypes are the float32/float64 split of
+    oracles.ref_acc_range. A weighted layer's channel whose bias puts its
+    range's top at INT32_MAX, or its bottom at INT32_MIN, is accepted; one
+    further is refused."""
+    rng = np.random.default_rng(26)
+    for i in range(200):
+        g = oracles.random_graph(rng)
+        weights = qat.init_weights(g, seed=i)
+        for entry in weights.values():
+            entry["b"] = rng.normal(0.0, 0.1, size=entry["b"].shape).astype(np.float32)
+        model = build_packed_model(g, weights, oracles.random_policy(rng, g, allow_fp32=False),
+                                   {t: 1.5 for t in g.encoded_tensors()})
+        in_max = {l.id: (1 << model.act_bits[l.input_ids[0]]) - 1
+                  for l in g.layers if l.kind in LINEAR_KINDS}
+        peaks = {lid: max(p for *_, p in oracles.ref_acc_range(g.layer(lid), model.layers[lid], m))
+                 for lid, m in in_max.items()}
+        assert check_model_matches(g, model) == {
+            lid: np.float32 if p < 2 ** 24 else np.float64 for lid, p in peaks.items()}, i
+        if not g.weighted_layers():
+            continue
+        layer = g.weighted_layers()[int(rng.integers(len(g.weighted_layers())))]
+        rec = model.layers[layer.id]
+        bias = rec.bias_int
+        free = oracles.ref_acc_range(layer, replace(rec, bias_int=np.zeros_like(bias)),
+                                     in_max[layer.id])
+        for side, edge, step in ((1, INT32_MAX, 1), (0, INT32_MIN, -1)):
+            c = max(range(len(free)), key=lambda k: abs(free[k][side]))
+            if free[c][side] == 0:  # no code of that sign: one further does not fit int32
+                continue
+            for extra in (0, step):
+                rec.bias_int = bias.copy()
+                rec.bias_int[c] = edge - free[c][side] + extra
+                if extra:
+                    with pytest.raises(AccumulatorOverflowError,
+                                       match=f"layer {layer.id} channel {c}: "):
+                        check_model_matches(g, model)
+                else:
+                    check_model_matches(g, model)
 
 
 # a 1-element 8-bit weight tensor with its 1-byte payload
