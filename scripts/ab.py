@@ -148,7 +148,7 @@ def _int_case(trees: tuple, label: str, pairs: int, name: str, blob: bytes, imag
         return tree.inference.run_batch_int(graph[tree], model[tree], images)
 
     def agree(outputs) -> str:
-        codes = [t.inference.run_codes_network(graph[t], model[t], images) for t in trees]
+        codes = [dict(t.inference.run_codes_network(graph[t], model[t], images)) for t in trees]
         keys = codes[0].keys() | codes[1].keys()
         same = sum(np.array_equal(codes[0].get(k), codes[1].get(k)) for k in keys)
         return f"codes identical on {same} of {len(keys)} layers"

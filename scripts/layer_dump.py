@@ -16,8 +16,10 @@
   float32, as it does every layer of the anchor. No model here runs the
   engine's float64 kernel path. Only tests/test_inference.py runs it, on
   layers built past the float32 bound:
-  test_same_sign_sums_near_the_float32_bound_are_exact (fan-in 576) and
-  test_int32_check_is_per_channel (fan-in 66311);
+  test_same_sign_sums_near_the_float32_bound_are_exact (fan-in 576),
+  test_int32_check_is_per_channel (fan-in 66311) and, inside a network walk,
+  test_float64_kernel_inside_a_network_walk (MobileNetV1's classifier,
+  fan-in 1024);
 - the float32 logits and every backward_network gradient of the toy graphs and
   the random graphs, in float mode and under the sub-byte policy, keys `float/...`;
 - two seeded searches of toycnn_mnist (SEARCHES: independent mode seed 0 and
@@ -116,7 +118,7 @@ def _record(out: dict, key: str, g, weights, policy, models_dir: str, images,
             g, weights, images if calib is None else calib)))
     for tag, batch in ((key, images), (f"{key}/eval", eval_batch)):
         if batch is not None:
-            for lid, codes in inference.run_codes_network(g, model, batch).items():
+            for lid, codes in inference.run_codes_network(g, model, batch):
                 out[f"int/{tag}/{lid}"] = codes
     if float_too:
         _float_step(out, f"{key}/fq", g, weights, images, policy, model)

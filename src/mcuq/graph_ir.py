@@ -27,7 +27,7 @@ import json
 import math
 import re
 import sys
-from collections.abc import Callable
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -310,6 +310,26 @@ def liveness(g: NetworkGraph) -> list[frozenset[int]]:
     it, so skip-branch tensors stay live across the whole parallel branch.
     """
     return list(g._live)
+
+
+def walk(g: NetworkGraph, x,
+         step: Callable[[LayerSpec, list], object]) -> Iterator[tuple[int, object]]:
+    """A forward pass of g on x, one step function per engine. In schedule
+    order (topo_order), every layer but the output gets the value
+    step(layer, [values of its inputs]), the input layer's inputs being [x],
+    and (tensor id, value) is yielded. The walk holds only the live set: after
+    each step it drops the values whose span (NetworkGraph.tensor_spans) ends
+    there, so at the yield of step i it holds exactly liveness(g)[i]. What a
+    caller keeps of the values is the caller's to hold."""
+    spans, held = g.tensor_spans(), {}
+    for i, lid in enumerate(topo_order(g)):
+        layer = g.layer(lid)
+        if layer.kind == "output":
+            continue
+        held[lid] = step(layer, [x] if layer.kind == "input"
+                         else [held[t] for t in layer.input_ids])
+        yield lid, held[lid]
+        held = {t: v for t, v in held.items() if i + 1 in spans[t]}
 
 
 # the integer fields of a layer entry, with their defaults, and its integer lists

@@ -7,10 +7,10 @@ Every linear layer, avg_pool included, runs through kernels.linear_acc, the
 training forward's arithmetic without its bias, so the deployed arithmetic
 is the arithmetic that was trained. avg_pool is a depthwise layer whose
 every tap is weighted 1 (kernels.pool_weight), with no bias.
-run_codes_network walks the graph once and keeps every layer's codes;
-run_codes_layer runs one layer. The input codes are quantizer.quantize_act's:
-act_codes of the float32 images, the codes the training forward
-fake-quantizes its input to.
+run_codes_network yields every layer's codes as graph_ir.walk runs them,
+holding only the live set; run_codes_layer runs one layer. The input codes
+are quantizer.quantize_act's: act_codes of the float32 images, the codes the
+training forward fake-quantizes its input to.
 
 The kernels run on BLAS, on the codes cast to a float type that holds every
 partial sum exactly; check_model_matches proves which, once per model, from
@@ -37,11 +37,13 @@ exactly: in float64 where that is provably exact, in int64 otherwise.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
+
 import numpy as np
 
 from . import qat  # evaluate_accuracy's fake-quant branch only
 from .errors import DatasetError, ModelMismatchError
-from .graph_ir import LINEAR_KINDS, RECORD_KINDS, NetworkGraph, topo_order
+from .graph_ir import LINEAR_KINDS, NetworkGraph, walk
 from .kernels import linear_acc, pool_weight
 from .packed_model import PackedLayer, PackedModel, check_model_matches
 from .quantizer import apply_requant, qrange, quantize_act
@@ -70,24 +72,26 @@ def run_codes_layer(layer, rec: PackedLayer, in_codes: list[np.ndarray],
 
 
 def run_codes_network(g: NetworkGraph, model: PackedModel,
-                      images: np.ndarray) -> dict[int, np.ndarray]:
-    """Integer forward of a float image batch: every layer's int32 output
-    codes (N, ...) by tensor id, the input's included."""
+                      images: np.ndarray) -> Iterator[tuple[int, np.ndarray]]:
+    """graph_ir.walk of the integer forward on a float image batch: yields
+    (tensor id, int32 output codes (N, ...)) of every layer, the input's
+    included. dict() of it keeps every layer's codes."""
     g.check_batch(images)
     dtypes = check_model_matches(g, model)
-    in_tid = g.input_layer.id
-    codes = {in_tid: quantize_act(images, model.act_clip[in_tid], model.act_bits[in_tid])}
-    for lid in topo_order(g):
-        layer = g.layer(lid)
-        if layer.kind in RECORD_KINDS:
-            codes[lid] = run_codes_layer(layer, model.layers[lid],
-                                         [codes[t] for t in layer.input_ids], dtypes.get(lid))
-    return codes
+
+    def step(layer, ins: list[np.ndarray]) -> np.ndarray:
+        if layer.kind == "input":
+            return quantize_act(ins[0], model.act_clip[layer.id], model.act_bits[layer.id])
+        return run_codes_layer(layer, model.layers[layer.id], ins, dtypes.get(layer.id))
+
+    return walk(g, images, step)
 
 
 def run_batch_int(g: NetworkGraph, model: PackedModel, images: np.ndarray) -> np.ndarray:
     """Integer forward of a float image batch; returns int32 scores (N, classes)."""
-    return run_codes_network(g, model, images)[g.output_layer.input_ids[0]]
+    out = g.output_layer.input_ids[0]
+    (scores,) = [y for t, y in run_codes_network(g, model, images) if t == out]
+    return scores
 
 
 def run_network_int(g: NetworkGraph, model: PackedModel,

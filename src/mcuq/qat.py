@@ -16,7 +16,7 @@ import numpy as np
 
 from .data import Dataset
 from .errors import ModelMismatchError, PackFormatError, PolicyError, TrainingDivergedError
-from .graph_ir import LINEAR_KINDS, WEIGHTED_KINDS, NetworkGraph, decimal_id, topo_order
+from .graph_ir import LINEAR_KINDS, WEIGHTED_KINDS, NetworkGraph, decimal_id, walk
 from .kernels import linear_bwd, linear_fwd, pool_weight
 from .quantizer import (CLIP_FLOOR, ByteReader, act_codes, fake_quant_weights, normal_act_scale,
                         percentile_clip)
@@ -38,6 +38,22 @@ class TrainConfig:
     batch_size: int = 32
     lr: float = 1e-4
     seed: int = 0
+
+    def __post_init__(self):
+        check_schedule(self, "epochs", "lr")
+
+
+def check_schedule(cfg, epochs: str, lr: str) -> None:
+    """ValueError naming the first of cfg's training fields out of its domain:
+    the epoch count named epochs below 0 (0 epochs trains nothing, which
+    train_qat allows), batch_size below 1, or the learning rate named lr not
+    finite and > 0."""
+    rules = ((epochs, lambda v: v >= 0, ">= 0"), ("batch_size", lambda v: v >= 1, ">= 1"),
+             (lr, lambda v: math.isfinite(v) and v > 0, "finite and > 0"))
+    for name, ok, rule in rules:
+        v = getattr(cfg, name)
+        if not ok(v):
+            raise ValueError(f"{name} must be {rule}, got {v!r}")
 
 
 def init_weights(g: NetworkGraph, seed: int = 0) -> dict[int, dict[str, np.ndarray]]:
@@ -64,25 +80,17 @@ def copy_weights(weights: dict) -> dict:
 
 def _walk(g: NetworkGraph, weights: dict, x: np.ndarray, policy=None,
           ranges: dict[int, float] | None = None, cache: list | None = None):
-    """Yield (tensor id, activation) of every layer but the output on a batch,
-    in schedule order (see forward_network). The walk holds only the live set:
-    after each step it drops the tensors whose span (g.tensor_spans()) ends
-    there, and what a caller keeps is the caller's to hold. When cache is a
-    list, each layer appends what backward_network needs to it."""
+    """graph_ir.walk of the float forward on a batch (see forward_network).
+    When cache is a list, each layer appends what backward_network needs to it."""
     g.check_batch(x)
     encoded = set(g.encoded_tensors())
-    spans = g.tensor_spans()
-    acts: dict[int, np.ndarray] = {}
-    for step, lid in enumerate(topo_order(g)):
-        layer = g.layer(lid)
-        if layer.kind == "output":
-            continue
-        entry = {"layer": layer}
 
+    def step(layer, ins: list[np.ndarray]) -> np.ndarray:
+        lid, entry = layer.id, {"layer": layer}
         if layer.kind == "input":
-            z = x.astype(np.float32)
+            z = ins[0].astype(np.float32)
         elif layer.kind in LINEAR_KINDS:
-            xin = acts[layer.input_ids[0]]
+            xin = ins[0]
             if layer.kind == "avg_pool":
                 wq, b = pool_weight(layer, 1.0 / (layer.kernel_h * layer.kernel_w), xin.dtype)
             else:
@@ -92,9 +100,9 @@ def _walk(g: NetworkGraph, weights: dict, x: np.ndarray, policy=None,
             z, cols = linear_fwd(layer, xin, wq, b)
             entry.update(cols=cols, wq=wq, x_shape=xin.shape)
         elif layer.kind == "add_residual":
-            z = acts[layer.input_ids[0]] + acts[layer.input_ids[1]]
+            z = ins[0] + ins[1]
         elif layer.kind == "relu_clip":
-            z = acts[layer.input_ids[0]]
+            z = ins[0]
         else:
             raise PolicyError(f"cannot execute layer kind {layer.kind!r}")
 
@@ -117,12 +125,11 @@ def _walk(g: NetworkGraph, weights: dict, x: np.ndarray, policy=None,
                 entry.update(mask=z > 0)
         else:
             y = z
-        acts[lid] = y
         if cache is not None:
             cache.append(entry)
-        z = xin = cols = entry = None  # no step's buffers outlive it
-        yield lid, y
-        acts = {t: a for t, a in acts.items() if step + 1 in spans[t]}
+        return y
+
+    return walk(g, x, step)
 
 
 def forward_network(g: NetworkGraph, weights: dict, x: np.ndarray,

@@ -88,6 +88,11 @@ class SearchConfig:
         self.warmup = 60 * scale if self.warmup is None else self.warmup
         if not 0 < self.warmup <= self.episodes:
             raise ValueError("need 0 < warmup <= episodes")
+        for name in ("proxy_train_frac", "proxy_val_frac"):
+            frac = getattr(self, name)
+            if not 0 < frac <= 1:
+                raise ValueError(f"{name} must be in (0, 1], got {frac!r}")
+        qat.check_schedule(self, "pretrain_epochs", "pretrain_lr")
 
 
 @dataclass

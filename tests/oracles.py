@@ -9,6 +9,7 @@ the evidence.
 
 from __future__ import annotations
 
+import weakref
 from collections import Counter
 from dataclasses import replace
 
@@ -302,6 +303,24 @@ def sim_liveness(g: NetworkGraph) -> list[set[int]]:
         # tensors whose consumers all ran (or that never had any) free here
         alive = {t for t in alive if remaining.get(t, 0) > 0}
     return live_steps
+
+
+def live_set_breaches(g: NetworkGraph, pairs) -> list[tuple[int, int]]:
+    """(step, tensor) for each array of pairs, the (tensor id, array) a walk
+    yields in schedule order, that is still alive at a later yield although
+    its tensor is not live at that step (sim_liveness) and it is not the very
+    array of a tensor that is."""
+    live, step_of = sim_liveness(g), {lid: i for i, lid in enumerate(topo_order(g))}
+    refs: dict[int, weakref.ref] = {}
+    breaches = []
+    for t, y in pairs:
+        refs[t] = weakref.ref(y)
+        step = step_of[t]
+        alive = {u: r() for u, r in refs.items()}  # None once collected
+        held = {id(a) for u, a in alive.items() if u in live[step]}
+        breaches += [(step, u) for u, a in alive.items() if a is not None and id(a) not in held]
+        del alive  # holds the arrays until the next yield otherwise
+    return breaches
 
 
 def ref_tensor_bytes(g: NetworkGraph, policy: QuantPolicy, t: int) -> int:

@@ -123,6 +123,24 @@ def test_config_values_take_the_flags_types(in_tmp):
     assert type(a["proxy_train_frac"]) is float and "lr" not in a
 
 
+@pytest.mark.parametrize("argv, field", [
+    pytest.param(_SEARCH + ["--out-weights", "w.ckpt", "--proxy-train-frac", frac],
+                 "proxy_train_frac", id=f"frac_{frac}") for frac in ("inf", "-1", "0")] + [
+    pytest.param(_PRETRAIN + ["--batch-size", "-5"], "batch_size", id="batch_size_-5"),
+    pytest.param(_PRETRAIN + ["--epochs", "-1"], "epochs", id="epochs_-1"),
+    pytest.param(_PRETRAIN + ["--lr", "nan"], "lr", id="lr_nan"),
+])
+def test_a_numeric_flag_outside_its_domain_is_bad_input(in_tmp, capsys, argv, field):
+    """Each used to run: a fraction of inf escaped as an OverflowError
+    traceback, -1 and 0 trained on a 1-image proxy, and a batch size of -5 or
+    -1 epochs wrote an untrained checkpoint, after printing loss nan or
+    top1=0.0."""
+    assert cli.main(argv) == cli.EXIT_INPUT
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {field} must be ") and "Traceback" not in err, err
+    assert not any(in_tmp.iterdir())  # no policy, checkpoint or manifest
+
+
 @pytest.mark.parametrize("content, says", [
     pytest.param(b'{"weight_bits": {"1": 8}, "\xff": 1}', "cannot parse p.json: 'utf-8' codec",
                  id="not_utf8"),

@@ -8,7 +8,7 @@ import pytest
 
 import oracles
 from conftest import fresh_ranges
-from mcuq import inference, qat, quantizer
+from mcuq import inference, qat, quantizer, search
 from mcuq.errors import AccumulatorOverflowError, DatasetError
 from mcuq.graph_ir import COMPUTE_KINDS, topo_order
 from mcuq.inference import (
@@ -19,7 +19,7 @@ from mcuq.inference import (
     run_codes_network,
     run_network_int,
 )
-from mcuq.memory_model import all_uniform_policy
+from mcuq.memory_model import MemoryBudget, all_uniform_policy, enforce_ram, enforce_rom
 from mcuq.packed_model import (
     PackedLayer,
     _kernel_dtype,
@@ -174,7 +174,7 @@ def _assert_codes_match_oracle_per_layer(g, rng, seed):
         entry["b"] = rng.normal(0.0, 0.1, size=entry["b"].shape).astype(np.float32)
     images = rng.uniform(0, 1, size=(2,) + g.input_layer.output_shape).astype(np.float32)
     model = build_packed_model(g, weights, policy, calibrate_act_ranges(g, weights, images))
-    codes = run_codes_network(g, model, images)
+    codes = dict(run_codes_network(g, model, images))
     assert sorted(codes) == sorted(g.tensor_ids())
     in_id = g.input_layer.id
     assert np.array_equal(codes[in_id], quantize_act(images, model.act_clip[in_id],
@@ -189,6 +189,52 @@ def _assert_codes_match_oracle_per_layer(g, rng, seed):
             assert np.array_equal(codes[lid][j], ref), f"graph {seed} layer {lid}"
     assert np.array_equal(run_batch_int(g, model, images),
                           codes[g.output_layer.input_ids[0]])
+
+
+def test_integer_walk_holds_only_the_live_set(toy_graph, residual_graph, mobilenet_graph):
+    """The integer engine keeps no layer's codes past its span (the RAM model's
+    live set): on the toy fixtures and random graphs under sub-byte policies,
+    and on the MobileNetV1 anchor at batch 1."""
+    rng = np.random.default_rng(27)
+    graphs = [toy_graph, residual_graph, *(oracles.random_graph(rng) for _ in range(20)),
+              *oracles.self_read_graphs(rng, 5)]
+    for i, g in enumerate(graphs):
+        weights = qat.init_weights(g, seed=i)
+        images = rng.uniform(0, 1, size=(2,) + g.input_layer.output_shape).astype(np.float32)
+        policy = oracles.random_policy(rng, g, allow_fp32=False)
+        model = build_packed_model(g, weights, policy, calibrate_act_ranges(g, weights, images))
+        assert oracles.live_set_breaches(g, run_codes_network(g, model, images)) == [], i
+    g = mobilenet_graph
+    budget = MemoryBudget(rom_bytes=2 * 2 ** 20, ram_bytes=512 * 2 ** 10)
+    policy = search.base_policy(g, search.SearchConfig(budget=budget))
+    policy = enforce_ram(g, enforce_rom(g, policy, budget), budget)
+    weights = qat.init_weights(g, seed=27)
+    image = rng.uniform(0, 1, size=(1,) + g.input_layer.output_shape).astype(np.float32)
+    model = build_packed_model(g, weights, policy, calibrate_act_ranges(g, weights, image))
+    assert oracles.live_set_breaches(g, run_codes_network(g, model, image)) == []
+
+
+def test_float64_kernel_inside_a_network_walk(mobilenet_graph):
+    """MobileNetV1's classifier (fan-in 1024) with every weight code near 127
+    and its input clip cut to 1/16, so that its input codes sit near 255: its
+    sums pass 2**24, check_model_matches proves it float64 (and every other
+    layer float32), and the walk's codes for it are the oracle's."""
+    g, rng = mobilenet_graph, np.random.default_rng(26)
+    fc = g.layer(29)
+    weights = qat.init_weights(g, seed=26)
+    weights[fc.id]["w"] = np.float32(0.01) + rng.normal(
+        0.0, 1e-4, size=fc.weight_shape).astype(np.float32)
+    image = rng.uniform(0, 1, size=(1,) + g.input_layer.output_shape).astype(np.float32)
+    ranges = calibrate_act_ranges(g, weights, image)
+    ranges[fc.input_ids[0]] /= 16
+    model = build_packed_model(g, weights, all_uniform_policy(g), ranges)
+    dtypes = check_model_matches(g, model)
+    assert dtypes == {lid: np.float64 if lid == fc.id else np.float32 for lid in dtypes}
+    codes = dict(run_codes_network(g, model, image))
+    x = codes[fc.input_ids[0]][0]
+    assert int((model.layers[fc.id].weight.codes() @ x.reshape(-1).astype(np.int64)).max()) \
+        >= 2 ** 24
+    assert np.array_equal(codes[fc.id][0], oracles.ref_layer_codes(fc, model.layers[fc.id], [x]))
 
 
 @pytest.mark.parametrize("kh, kw, s, p", [
@@ -458,7 +504,7 @@ def test_input_codes_are_the_training_codes(toy_graph, pretrained, toy_ranges):
     images = np.zeros(-(-x.size // per_image) * per_image, np.float32)
     images[:x.size] = x
     images = images.reshape((-1,) + toy_graph.input_layer.output_shape)
-    codes = run_codes_network(toy_graph, model, images)[in_tid]
+    codes = dict(run_codes_network(toy_graph, model, images))[in_tid]
     y = dict(qat._walk(toy_graph, weights, images, policy, model.act_clip))[in_tid]
     assert np.array_equal(codes, np.rint(y / model.act_scale(in_tid)))
 
@@ -599,7 +645,7 @@ def test_network_passes_each_linear_layer_its_input_encodings_bound(monkeypatch,
     monkeypatch.setattr(inference, "run_codes_layer", spy)
     monkeypatch.setattr(inference, "linear_acc", acc)
     _CountedCodes.calls = 0
-    codes = run_codes_network(toy_graph, model, desk_small.images[:5])
+    codes = dict(run_codes_network(toy_graph, model, desk_small.images[:5]))
     assert seen == {lid: (d, d) for lid, d in dtypes.items()}
     assert _CountedCodes.calls == 0
     for lid in model.layers:

@@ -3,7 +3,6 @@
 import itertools
 import re
 import struct
-import weakref
 
 import numpy as np
 import pytest
@@ -13,8 +12,7 @@ from conftest import fresh_ranges
 from mcuq import kernels, qat
 from mcuq.data import Dataset, synthetic_shapes
 from mcuq.errors import McuqError, ModelMismatchError, PackFormatError, TrainingDivergedError
-from mcuq.graph_ir import (COMPUTE_KINDS, WEIGHTED_KINDS, NetworkGraph, liveness, topo_order,
-                           validate)
+from mcuq.graph_ir import COMPUTE_KINDS, WEIGHTED_KINDS, NetworkGraph, validate
 from mcuq.memory_model import all_uniform_policy
 from mcuq.quantizer import CLIP_FLOOR, calibrate_act_ranges, percentile_clip
 
@@ -749,23 +747,6 @@ def test_evaluate_splits(toy_graph, pretrained, desk_small):
     assert al == pytest.approx(want, abs=1e-9)
 
 
-def _walk_breaches(g, weights, x, policy=None, ranges=None) -> list[tuple[int, int]]:
-    """(step, tensor) for each array qat._walk yielded that is still alive at a
-    later yield although its tensor is not live at that step (liveness) and it
-    is not the very array of a tensor that is."""
-    live, step_of = liveness(g), {lid: i for i, lid in enumerate(topo_order(g))}
-    refs: dict[int, weakref.ref] = {}
-    breaches = []
-    for t, y in qat._walk(g, weights, x, policy, ranges):
-        refs[t] = weakref.ref(y)
-        step = step_of[t]
-        alive = {u: r() for u, r in refs.items()}  # None once collected
-        held = {id(a) for u, a in alive.items() if u in live[step]}
-        breaches += [(step, u) for u, a in alive.items() if a is not None and id(a) not in held]
-        del alive  # holds the arrays until the next yield otherwise
-    return breaches
-
-
 def test_walk_holds_only_the_live_set(toy_graph, residual_graph):
     """Without a cache the walk keeps no activation past its span, in float
     mode and under a random policy."""
@@ -777,8 +758,9 @@ def test_walk_holds_only_the_live_set(toy_graph, residual_graph):
         x = rng.uniform(0, 1, size=(2,) + g.input_layer.output_shape).astype(np.float32)
         ranges = {t: 1.0 for t in g.encoded_tensors()}
         policy = oracles.random_policy(rng, g)
-        assert _walk_breaches(g, weights, x) == [], f"graph {i}, float"
-        assert _walk_breaches(g, weights, x, policy, ranges) == [], f"graph {i}, {policy}"
+        assert oracles.live_set_breaches(g, qat._walk(g, weights, x)) == [], f"graph {i}, float"
+        assert oracles.live_set_breaches(g, qat._walk(g, weights, x, policy, ranges)) == [], \
+            f"graph {i}, {policy}"
 
 
 def test_collect_activations_covers_encoded(toy_graph, pretrained, desk_small):
