@@ -20,7 +20,6 @@ load time so a shipped file pins its own arithmetic.
 from __future__ import annotations
 
 import math
-import struct
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -31,6 +30,7 @@ from .memory_model import QuantPolicy, validate_policy
 from .quantizer import (
     F32_MAX,
     ByteReader,
+    ByteWriter,
     QuantizedTensor,
     RequantParams,
     SUB_BYTE_BITS,
@@ -146,49 +146,33 @@ def build_packed_model(g: NetworkGraph, weights: dict, policy: QuantPolicy,
 # ---------------------------------------------------------------------------
 
 def serialize(model: PackedModel) -> bytes:
-    out = bytearray()
-    out += MAGIC
-    out += struct.pack("<II", VERSION, model.graph_layers)
-    out += struct.pack("<f", model.logits_scale)
-    out += struct.pack("<I", len(model.act_bits))
+    w = ByteWriter(MAGIC, VERSION)
+    w.pack("<IfI", model.graph_layers, model.logits_scale, len(model.act_bits))
     for tid in sorted(model.act_bits):
-        out += struct.pack("<IBf", tid, model.act_bits[tid], model.act_clip[tid])
-    out += struct.pack("<I", len(model.layers))
+        w.pack("<IBf", tid, model.act_bits[tid], model.act_clip[tid])
+    w.pack("<I", len(model.layers))
     for lid in sorted(model.layers):
         rec = model.layers[lid]
-        out += struct.pack("<IBBB", rec.layer_id, _KIND_CODE[rec.kind],
-                           rec.weight_bits, rec.out_bits)
+        w.pack("<IBBB", rec.layer_id, _KIND_CODE[rec.kind], rec.weight_bits, rec.out_bits)
+        w.shape(() if rec.weight is None else rec.weight.shape)
         if rec.weight is not None:
-            shape = rec.weight.shape
-            out += struct.pack("<B", len(shape))
-            out += struct.pack(f"<{len(shape)}I", *shape)
-            out += rec.weight.scales.astype("<f4").tobytes()
-            out += rec.bias_int.astype("<i4").tobytes()
-        else:
-            out += struct.pack("<B", 0)
-        out += struct.pack("<B", len(rec.requants))
+            w.array(rec.weight.scales, "<f4")
+            w.array(rec.bias_int, "<i4")
+        w.pack("<B", len(rec.requants))
         for rq in rec.requants:
-            mult = np.atleast_1d(rq.multiplier).astype("<i4")
-            shift = np.atleast_1d(rq.shift).astype("<i4")
-            out += struct.pack("<I", mult.size)
-            out += mult.tobytes() + shift.tobytes()
+            w.pack("<I", np.size(rq.multiplier))
+            w.array(rq.multiplier, "<i4")
+            w.array(rq.shift, "<i4")
         payload = rec.weight.packed if rec.weight is not None else b""
-        out += struct.pack("<Q", len(payload))
-        out += payload
-    return bytes(out)
+        w.pack(f"<Q{len(payload)}s", len(payload), payload)
+    return w.finish()
 
 
 def deserialize(data: bytes) -> PackedModel:
-    r = ByteReader(data, "packed-model file")
-    if r.take(4) != MAGIC:
-        raise PackFormatError("not a packed model (bad magic)")
-    version, graph_layers = r.unpack("<II")
-    if version != VERSION:
-        raise PackFormatError(f"unsupported packed-model version {version}")
-    (logits_scale,) = r.unpack("<f")
+    r = ByteReader(data, "packed-model file", MAGIC, VERSION)
+    graph_layers, logits_scale, n_act = r.unpack("<IfI")
     if not (math.isfinite(logits_scale) and logits_scale >= 0):
         raise PackFormatError(f"logits scale {logits_scale} is not a finite value >= 0")
-    (n_act,) = r.unpack("<I")
     act_bits: dict[int, int] = {}
     act_clip: dict[int, float] = {}
     for _ in range(n_act):
@@ -214,21 +198,16 @@ def deserialize(data: bytes) -> PackedModel:
         rec = PackedLayer(layer_id=lid, kind=_CODE_KIND[kcode],
                           weight_bits=wbits, out_bits=obits)
         shape = r.shape(f"layer {lid}: weight")
-        scales = bias = None
         if shape:
-            cout = shape[0]
-            scales = np.frombuffer(r.take(4 * cout), dtype="<f4")
+            scales = r.array("<f4", shape[0])
             # isfinite first: comparing or casting a signalling NaN warns
             if not (np.isfinite(scales).all() and (scales > 0).all()):
                 raise PackFormatError(f"layer {lid}: weight scales must be finite and > 0")
-            scales = scales.astype(np.float64)
-            bias = np.frombuffer(r.take(4 * cout), dtype="<i4").copy()
-        (n_rq,) = r.unpack("<B")
+            bias = r.array("<i4", shape[0]).copy()
         rqs = []
-        for _ in range(n_rq):
+        for _ in range(r.unpack("<B")[0]):
             (count,) = r.unpack("<I")
-            mult = np.frombuffer(r.take(4 * count), dtype="<i4").copy()
-            shift = np.frombuffer(r.take(4 * count), dtype="<i4").copy()
+            mult, shift = r.array("<i4", count).copy(), r.array("<i4", count).copy()
             # apply_requant's int64 chain needs shifts in [0, 62] (float64: <= 52 - bits)
             if count and (mult.min() < 0 or shift.min() < 0 or shift.max() > 62):
                 raise PackFormatError(f"layer {lid}: requant multiplier or shift out of range")
@@ -242,7 +221,7 @@ def deserialize(data: bytes) -> PackedModel:
         payload = r.take(plen)
         if shape:
             rec.weight = QuantizedTensor(bits=wbits, packed=payload, shape=shape,
-                                         scales=scales)
+                                         scales=scales.astype(np.float64))
             rec.bias_int = bias
         model.layers[lid] = rec
     r.finish()
@@ -250,8 +229,9 @@ def deserialize(data: bytes) -> PackedModel:
 
 
 def save_packed(model: PackedModel, path: str) -> None:
+    data = serialize(model)  # before the open, so a failed build leaves no file behind
     with open(path, "wb") as f:
-        f.write(serialize(model))
+        f.write(data)
 
 
 def load_packed(path: str) -> PackedModel:

@@ -9,23 +9,23 @@ clip window, unit gradient to the clip where the input saturates).
 from __future__ import annotations
 
 import math
-import struct
 from dataclasses import dataclass
 
 import numpy as np
 
 from .data import Dataset
 from .errors import ModelMismatchError, PackFormatError, PolicyError, TrainingDivergedError
-from .graph_ir import LINEAR_KINDS, WEIGHTED_KINDS, NetworkGraph, decimal_id, walk
+from .graph_ir import LINEAR_KINDS, WEIGHTED_KINDS, NetworkGraph, walk
 from .kernels import linear_bwd, linear_fwd, pool_weight
-from .quantizer import (CLIP_FLOOR, ByteReader, act_codes, fake_quant_weights, normal_act_scale,
-                        percentile_clip)
+from .quantizer import (CLIP_FLOOR, ByteReader, ByteWriter, act_codes, fake_quant_weights,
+                        normal_act_scale, percentile_clip)
 
 # kinds whose float-mode output passes through a plain ReLU
 _RELU_KINDS = WEIGHTED_KINDS + ("relu_clip",)
 
 CKPT_MAGIC = b"MQC1"
-CKPT_VERSION = 1
+CKPT_VERSION = 2
+CKPT_TAGS = ("w", "b", "clip")  # pinned by the file format, as tag codes 0, 1, 2
 
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
@@ -312,76 +312,60 @@ def collect_activations(g: NetworkGraph, weights: dict,
 
 # ---------------------------------------------------------------------------
 # Checkpoints: flat binary, deterministic byte-for-byte for a given state.
+#
+#     magic "MQC1" | u32 version | u32 entry count
+#     per entry, in (tag, id) order:
+#         u8 tag (an index of CKPT_TAGS), u32 id    (layer id; tensor id for a clip)
+#         u8 ndim, u32 dims[ndim], f32 values[prod(dims)]
 # ---------------------------------------------------------------------------
 
 def save_checkpoint(path: str, weights: dict, ranges: dict[int, float] | None = None):
-    entries: dict[str, np.ndarray] = {}
-    for lid, entry in weights.items():
-        entries[f"w.{lid}"] = np.asarray(entry["w"], dtype=np.float32)
-        entries[f"b.{lid}"] = np.asarray(entry["b"], dtype=np.float32)
-    for tid, clip in (ranges or {}).items():
-        entries[f"clip.{tid}"] = np.asarray([clip], dtype=np.float32)
+    entries = {(tag, lid): weights[lid][CKPT_TAGS[tag]] for lid in weights for tag in (0, 1)}
+    entries.update({(2, tid): [clip] for tid, clip in (ranges or {}).items()})
+    w = ByteWriter(CKPT_MAGIC, CKPT_VERSION)
+    w.pack("<I", len(entries))
+    for key in sorted(entries):
+        arr = np.asarray(entries[key], dtype="<f4")
+        w.pack("<BI", *key)
+        w.shape(arr.shape)
+        w.array(arr, "<f4")
+    data = w.finish()  # before the open, so a failed build leaves no file behind
     with open(path, "wb") as f:
-        f.write(CKPT_MAGIC)
-        f.write(struct.pack("<II", CKPT_VERSION, len(entries)))
-        for key in sorted(entries):
-            arr = entries[key]
-            kb = key.encode("utf-8")
-            f.write(struct.pack("<H", len(kb)))
-            f.write(kb)
-            f.write(struct.pack("<B", arr.ndim))
-            f.write(struct.pack(f"<{arr.ndim}I", *arr.shape))
-            f.write(arr.astype("<f4").tobytes())
-
-
-def _checkpoint_key(key: bytes) -> tuple[str, int]:
-    """(tag, id) of a key "tag.id", the id in the decimal form str(id) writes."""
-    try:
-        tag, ident = key.decode("utf-8").split(".", 1)
-    except ValueError as e:  # UnicodeDecodeError is a ValueError too
-        raise PackFormatError(f"malformed checkpoint key {key!r}") from e
-    lid = decimal_id(ident)
-    if lid is None:
-        raise PackFormatError(f"malformed checkpoint key {key!r}")
-    return tag, lid
+        f.write(data)
 
 
 def load_checkpoint(path: str) -> tuple[dict, dict[int, float]]:
     """Weights and clips saved by save_checkpoint; a malformed file, or one that
-    holds a key twice, raises PackFormatError."""
+    holds an entry twice, raises PackFormatError."""
     try:
         with open(path, "rb") as f:
-            r = ByteReader(f.read(), f"checkpoint {path}")
+            data = f.read()
     except OSError as e:
         raise PackFormatError(f"cannot read {path}: {e}") from e
-    if r.take(4) != CKPT_MAGIC:
-        raise PackFormatError(f"{path}: not a checkpoint file")
-    version, count = r.unpack("<II")
-    if version != CKPT_VERSION:
-        raise PackFormatError(f"{path}: unsupported checkpoint version {version}")
+    r = ByteReader(data, f"checkpoint {path}", CKPT_MAGIC, CKPT_VERSION)
     weights: dict[int, dict[str, np.ndarray]] = {}
     ranges: dict[int, float] = {}
-    seen: set[tuple[str, int]] = set()
-    for _ in range(count):
-        (klen,) = r.unpack("<H")
-        tag, ident = _checkpoint_key(r.take(klen))
-        if (tag, ident) in seen:
-            raise PackFormatError(f"{path}: {tag}.{ident} written twice")
-        seen.add((tag, ident))
-        shape = r.shape(f"{path}: {tag}.{ident}")
-        arr = np.frombuffer(r.take(4 * math.prod(shape)), dtype="<f4").reshape(shape)
+    seen: set[tuple[int, int]] = set()
+    for _ in range(r.unpack("<I")[0]):
+        code, ident = r.unpack("<BI")
+        if code >= len(CKPT_TAGS):
+            raise PackFormatError(f"{path}: unknown checkpoint tag code {code}")
+        name = f"{CKPT_TAGS[code]}.{ident}"
+        if (code, ident) in seen:
+            raise PackFormatError(f"{path}: {name} written twice")
+        seen.add((code, ident))
+        shape = r.shape(f"{path}: {name}")
+        arr = r.array("<f4", math.prod(shape)).reshape(shape)
         if not np.isfinite(arr).all():
-            raise PackFormatError(f"{path}: {tag}.{ident} holds values that are not finite")
-        if tag == "clip":
+            raise PackFormatError(f"{path}: {name} holds values that are not finite")
+        if CKPT_TAGS[code] == "clip":
             # at 8 bits, the width that gives a clip its smallest scale
             if arr.size != 1 or not normal_act_scale(arr.item(), 8):
                 raise PackFormatError(f"{path}: clip {ident} is not one positive value "
                                       f"whose 8-bit scale is a normal float32")
             ranges[ident] = float(arr.item())
-        elif tag in ("w", "b"):
-            weights.setdefault(ident, {})[tag] = arr.copy()
         else:
-            raise PackFormatError(f"{path}: unknown checkpoint entry {tag}.{ident}")
+            weights.setdefault(ident, {})[CKPT_TAGS[code]] = arr.copy()
     r.finish()
     return weights, ranges
 

@@ -122,13 +122,42 @@ def unpack_subbyte(data: bytes, bits: int, n: int) -> np.ndarray:
     return fields[:n].astype(np.int32)
 
 
-class ByteReader:
-    """Sequential reader over a binary file; running short raises PackFormatError."""
+class ByteWriter:
+    """Sequential writer of a binary file: magic, a u32 version, then what the
+    caller packs, all little-endian; finish() returns the file's bytes."""
 
-    def __init__(self, data: bytes, what: str):
+    def __init__(self, magic: bytes, version: int):
+        self.out = bytearray(magic)
+        self.pack("<I", version)
+
+    def pack(self, fmt: str, *values) -> None:
+        self.out += struct.pack(fmt, *values)
+
+    def shape(self, dims) -> None:
+        """A rank byte, then the dimensions as uint32 (ByteReader.shape)."""
+        self.pack(f"<B{len(dims)}I", len(dims), *dims)
+
+    def array(self, a, dtype: str) -> None:
+        self.out += np.asarray(a).astype(dtype).tobytes()
+
+    def finish(self) -> bytes:
+        return bytes(self.out)
+
+
+class ByteReader:
+    """Sequential reader over a binary file that ByteWriter wrote with this
+    magic and version; a wrong magic or version, or running short, raises
+    PackFormatError."""
+
+    def __init__(self, data: bytes, what: str, magic: bytes, version: int):
         self.data = data
         self.what = what  # names the file in error messages
         self.pos = 0
+        if self.take(len(magic)) != magic:
+            raise PackFormatError(f"{what}: bad magic, not a {magic.decode()} file")
+        (got,) = self.unpack("<I")
+        if got != version:
+            raise PackFormatError(f"{what}: unsupported version {got}, expected {version}")
 
     def take(self, n: int) -> bytes:
         if self.pos + n > len(self.data):
@@ -139,6 +168,11 @@ class ByteReader:
 
     def unpack(self, fmt: str):
         return struct.unpack(fmt, self.take(struct.calcsize(fmt)))
+
+    def array(self, dtype: str, n: int) -> np.ndarray:
+        """n values of dtype, a read-only view of the file."""
+        dt = np.dtype(dtype)
+        return np.frombuffer(self.take(dt.itemsize * n), dtype=dt)
 
     def shape(self, what: str) -> tuple[int, ...]:
         """A rank byte, then that many uint32 dimensions; a rank above MAX_RANK,

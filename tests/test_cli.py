@@ -285,14 +285,13 @@ def test_export_of_a_truncated_checkpoint_is_bad_input(in_tmp, capsys):
 
 def test_export_of_a_checkpoint_lacking_a_bias_is_bad_input(in_tmp):
     g = load_graph(TOY)
-    entries = {f"{tag}.{lid}": arr for lid, entry in qat.init_weights(g).items()
+    entries = {(qat.CKPT_TAGS.index(tag), lid): arr for lid, entry in qat.init_weights(g).items()
                for tag, arr in entry.items() if (tag, lid) != ("b", 1)}
-    entries.update({f"clip.{t}": np.ones(1) for t in g.encoded_tensors()})
-    blob = bytearray(b"MQC1" + struct.pack("<II", 1, len(entries)))
+    entries.update({(qat.CKPT_TAGS.index("clip"), t): np.ones(1) for t in g.encoded_tensors()})
+    blob = bytearray(qat.CKPT_MAGIC + struct.pack("<II", qat.CKPT_VERSION, len(entries)))
     for key in sorted(entries):
         arr = np.asarray(entries[key], dtype="<f4")
-        blob += struct.pack("<H", len(key)) + key.encode()
-        blob += struct.pack(f"<B{arr.ndim}I", arr.ndim, *arr.shape) + arr.tobytes()
+        blob += struct.pack(f"<BIB{arr.ndim}I", *key, arr.ndim, *arr.shape) + arr.tobytes()
     (in_tmp / "w.ckpt").write_bytes(bytes(blob))
     (in_tmp / "p.json").write_text(all_uniform_policy(g).to_json())
     env = dict(os.environ)

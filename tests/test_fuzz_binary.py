@@ -78,7 +78,7 @@ def _checkpoint_entries(data: bytes) -> list[tuple[int, int, int]]:
     (count,) = struct.unpack_from("<I", data, 8)
     spans, pos = [], 12
     for _ in range(count):
-        at = pos + 2 + struct.unpack_from("<H", data, pos)[0]
+        at = pos + 5  # after the u8 tag and the u32 id
         dims = struct.unpack_from(f"<{data[at]}I", data, at + 1)
         end = at + 1 + 4 * len(dims) + 4 * math.prod(dims)
         spans.append((8, pos, end))
