@@ -197,6 +197,8 @@ def _expected_params(layer: LayerSpec) -> int:
 
 def _validate_layer(layer: LayerSpec, by_id: dict[int, LayerSpec]) -> None:
     lid = layer.id
+    if not 0 <= lid < 1 << 32:  # the u32 that the checkpoint and the container store
+        raise GraphValidationError("id is outside [0, 2^32 - 1]", lid)
     if layer.kind not in ALL_KINDS:
         raise GraphValidationError(f"unknown kind {layer.kind!r}", lid)
 

@@ -10,6 +10,7 @@ Binary layout (all integers little-endian):
         f32 scales[cout], i32 bias[cout]       (weighted kinds only)
         u8 n_rq | per rq: u32 count, i32 mult[count], i32 shift[count]
         u64 payload_len, payload               (packed weight codes)
+    u32 CRC32 of every byte before it
 
 Every compute layer gets a record; avg_pool and relu_clip carry a single
 scalar requant, add_residual carries one per input, weighted layers carry a
@@ -41,7 +42,7 @@ from .quantizer import (
 )
 
 MAGIC = b"MPQ1"
-VERSION = 1
+VERSION = 2
 
 # Pinned by the file format: a new kind takes a new code, never an old one.
 _KIND_CODE = {
@@ -216,8 +217,7 @@ def deserialize(data: bytes) -> PackedModel:
         (plen,) = r.unpack("<Q")
         want = (math.prod(shape) * wbits + 7) // 8 if shape else 0
         if plen != want:
-            raise PackFormatError(f"layer {lid}: weight payload of {plen} bytes, "
-                                  f"{want} expected")
+            raise PackFormatError(f"layer {lid}: weight payload of {plen} bytes, {want} expected")
         payload = r.take(plen)
         if shape:
             rec.weight = QuantizedTensor(bits=wbits, packed=payload, shape=shape,

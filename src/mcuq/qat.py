@@ -314,9 +314,9 @@ def collect_activations(g: NetworkGraph, weights: dict,
 # Checkpoints: flat binary, deterministic byte-for-byte for a given state.
 #
 #     magic "MQC1" | u32 version | u32 entry count
-#     per entry, in (tag, id) order:
-#         u8 tag (an index of CKPT_TAGS), u32 id    (layer id; tensor id for a clip)
+#     per entry, in (tag, id) order: u8 tag (a CKPT_TAGS index), u32 id (a clip's: tensor id)
 #         u8 ndim, u32 dims[ndim], f32 values[prod(dims)]
+#     u32 CRC32 of every byte before it
 # ---------------------------------------------------------------------------
 
 def save_checkpoint(path: str, weights: dict, ranges: dict[int, float] | None = None):

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 import struct
+import zlib
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -123,8 +124,8 @@ def unpack_subbyte(data: bytes, bits: int, n: int) -> np.ndarray:
 
 
 class ByteWriter:
-    """Sequential writer of a binary file: magic, a u32 version, then what the
-    caller packs, all little-endian; finish() returns the file's bytes."""
+    """Sequential writer of a binary file: magic, a u32 version, then what the caller
+    packs, all little-endian; finish() appends their CRC32 as a u32 trailer."""
 
     def __init__(self, magic: bytes, version: int):
         self.out = bytearray(magic)
@@ -141,16 +142,17 @@ class ByteWriter:
         self.out += np.asarray(a).astype(dtype).tobytes()
 
     def finish(self) -> bytes:
+        self.pack("<I", zlib.crc32(self.out))
         return bytes(self.out)
 
 
 class ByteReader:
-    """Sequential reader over a binary file that ByteWriter wrote with this
-    magic and version; a wrong magic or version, or running short, raises
-    PackFormatError."""
+    """Sequential reader of a file that ByteWriter wrote with this magic and version.
+    A wrong magic or version, running short or, at finish once the structure has
+    parsed, bytes left over or a wrong CRC32 trailer raise PackFormatError."""
 
     def __init__(self, data: bytes, what: str, magic: bytes, version: int):
-        self.data = data
+        self.data, self.crc = data[:-4], data[-4:]  # the trailer is set aside
         self.what = what  # names the file in error messages
         self.pos = 0
         if self.take(len(magic)) != magic:
@@ -185,6 +187,8 @@ class ByteReader:
     def finish(self) -> None:
         if self.pos != len(self.data):
             raise PackFormatError(f"trailing bytes after {self.what}")
+        if self.crc != struct.pack("<I", zlib.crc32(self.data)):
+            raise PackFormatError(f"{self.what}: CRC32 mismatch, the file is corrupt")
 
 
 def weight_codes(w: np.ndarray, bits: int) -> tuple[np.ndarray, np.ndarray]:

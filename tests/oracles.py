@@ -10,6 +10,7 @@ the evidence.
 from __future__ import annotations
 
 import weakref
+import zlib
 from collections import Counter
 from dataclasses import replace
 
@@ -106,6 +107,30 @@ def ref_unpack(data: bytes, bits: int, n: int, signed: bool = False) -> list[int
             v -= 1 << bits
         out.append(v)
     return out
+
+
+def seal(body: bytes) -> bytes:
+    """body as a file that ByteReader accepts: with the trailer that ByteWriter
+    appends, the CRC32 of every byte before it as a little-endian u32. Tests
+    that build or patch a file by hand seal it, so its contents are checked."""
+    return body + zlib.crc32(body).to_bytes(4, "little")
+
+
+# What each of HEADER_SPOILS makes the load of a spoiled file say.
+HEADER_SPOILS = {"magic": "bad magic", "version_1": "unsupported version 1",
+                 "trailer": "CRC32 mismatch"}
+
+
+def spoil_header(data: bytes, how: str) -> bytes:
+    """A file that ByteWriter wrote, spoiled as HEADER_SPOILS names: another
+    magic, or version 1, each re-sealed so the header check itself must raise,
+    or one flipped bit in the trailer."""
+    body = data[:-4]
+    if how == "magic":
+        return seal(b"XXXX" + body[4:])
+    if how == "version_1":
+        return seal(body[:4] + (1).to_bytes(4, "little") + body[8:])
+    return data[:-1] + bytes([data[-1] ^ 0x80])
 
 
 # ---------------------------------------------------------------------------

@@ -292,7 +292,7 @@ def test_export_of_a_checkpoint_lacking_a_bias_is_bad_input(in_tmp):
     for key in sorted(entries):
         arr = np.asarray(entries[key], dtype="<f4")
         blob += struct.pack(f"<BIB{arr.ndim}I", *key, arr.ndim, *arr.shape) + arr.tobytes()
-    (in_tmp / "w.ckpt").write_bytes(bytes(blob))
+    (in_tmp / "w.ckpt").write_bytes(oracles.seal(bytes(blob)))
     (in_tmp / "p.json").write_text(all_uniform_policy(g).to_json())
     env = dict(os.environ)
     src = os.path.dirname(os.path.dirname(mcuq.__file__))
@@ -302,6 +302,24 @@ def test_export_of_a_checkpoint_lacking_a_bias_is_bad_input(in_tmp):
                          capture_output=True, text=True, env=env, timeout=120)
     assert run.returncode == cli.EXIT_INPUT
     assert "lacks b.1" in run.stderr and "Traceback" not in run.stderr
+
+
+@pytest.mark.parametrize("move", [lambda i: i + (1 << 32), lambda i: -i], ids=["shift", "negate"])
+def test_export_on_a_graph_whose_ids_leave_u32_is_bad_input(in_tmp, capsys, move):
+    """The checkpoint and the container store ids as u32, so the graph's load
+    refuses such an id before anything is written."""
+    g = load_graph(TOY)
+    qat.save_checkpoint("w.ckpt", qat.init_weights(g), {t: 1.0 for t in g.encoded_tensors()})
+    (in_tmp / "p.json").write_text(all_uniform_policy(g).to_json())
+    doc = json.loads(open(TOY, encoding="utf-8").read())
+    for layer in doc["layers"]:
+        layer["id"], layer["input_ids"] = move(layer["id"]), list(map(move, layer["input_ids"]))
+    (in_tmp / "g.json").write_text(json.dumps(doc))
+    assert cli.main(["export", "--graph", "g.json", "--weights", "w.ckpt", "--policy", "p.json",
+                     "--out", "m.mpq"]) == cli.EXIT_INPUT
+    err = capsys.readouterr().err
+    assert err.startswith("error: layer ") and "id is outside" in err and "Traceback" not in err
+    assert not (in_tmp / "m.mpq").exists()
 
 
 def test_eval_of_a_model_whose_pool_carries_weight_bits_is_bad_input(in_tmp, capsys):

@@ -9,6 +9,11 @@ exception fails the case. The fuzz_* functions return how many cases loaded:
 flipped values that a format without a checksum cannot tell from written
 ones (a .gz file's CRC32 guards its content, so its loads hold the written
 values).
+
+The checkpoint and the container end in a CRC32 trailer, so each of their
+mutants is tried twice. As written it must raise PackFormatError. Re-sealed
+with a fresh trailer (oracles.seal) it must raise or load as above, which
+keeps the parsers' own checks exercised; the count is of these loads.
 """
 
 import gzip
@@ -74,7 +79,8 @@ def test_mutants_cover_every_kind():
 # ---------------------------------------------------------------------------
 
 def _checkpoint_entries(data: bytes) -> list[tuple[int, int, int]]:
-    """(count offset, start, end) of each entry of a checkpoint."""
+    """(count offset, start, end) of each entry of a checkpoint, whose last ends
+    at its trailer."""
     (count,) = struct.unpack_from("<I", data, 8)
     spans, pos = [], 12
     for _ in range(count):
@@ -94,6 +100,9 @@ def fuzz_checkpoint(tmp_path, g) -> int:
     loaded = 0
     for bad in mutants(data, 1, repeat=repeat_entry(_checkpoint_entries(data), "<I")):
         path.write_bytes(bad)
+        with pytest.raises(PackFormatError):
+            qat.load_checkpoint(str(path))
+        path.write_bytes(oracles.seal(bad[:-4]))
         try:
             weights, ranges = qat.load_checkpoint(str(path))
             qat.check_checkpoint_matches(g, weights, ranges)
@@ -119,11 +128,11 @@ def test_checkpoint(tmp_path, residual_graph):
 def _container_entries(model) -> list[tuple[int, int, int]]:
     """(count offset, start, end) of each act-table entry and each record of
     serialize(model). Records are written in id order, so record k ends where
-    a file of the first k + 1 records ends."""
+    a file of the first k + 1 records ends, before its trailer."""
     n_act = len(model.act_bits)
     spans = [(16, 20 + 9 * i, 29 + 9 * i) for i in range(n_act)]
     ids = sorted(model.layers)
-    ends = [len(serialize(replace(model, layers={lid: model.layers[lid] for lid in ids[:k]})))
+    ends = [len(serialize(replace(model, layers={lid: model.layers[lid] for lid in ids[:k]}))) - 4
             for k in range(len(ids) + 1)]
     return spans + [(20 + 9 * n_act, a, b) for a, b in zip(ends, ends[1:])]
 
@@ -136,8 +145,10 @@ def fuzz_container(g) -> int:
     images = np.random.default_rng(31).uniform(0, 1.5, size=(2,) + g.input_layer.output_shape)
     loaded = 0
     for bad in mutants(data, 2, repeat=repeat_entry(_container_entries(model), "<I")):
+        with pytest.raises(PackFormatError):
+            deserialize(bad)
         try:
-            m = deserialize(bad)
+            m = deserialize(oracles.seal(bad[:-4]))
             check_model_matches(g, m)
         except (PackFormatError, ModelMismatchError, AccumulatorOverflowError):
             continue
@@ -158,7 +169,7 @@ def test_container_entries_are_the_files_entries(residual_graph):
                                {t: 1.5 for t in residual_graph.encoded_tensors()})
     data, spans = serialize(model), _container_entries(model)
     assert len(spans) == len(model.act_bits) + len(model.layers)
-    assert spans[-1][2] == len(data)
+    assert spans[-1][2] == len(data) - 4  # the trailer follows the last record
     assert [struct.unpack_from("<I", data, b)[0] for _, b, _ in spans[len(model.act_bits):]] \
         == sorted(model.layers)
 

@@ -86,6 +86,15 @@ def test_duplicate_id_rejected(toy_graph):
         validate(NetworkGraph(layers=bad, resolution=28, width_multiplier=1.0))
 
 
+@pytest.mark.parametrize("lid", [-1, 1 << 32])
+def test_an_id_outside_u32_rejected(toy_graph, lid):
+    """The checkpoint and the container store ids as u32; struct.pack would
+    raise only when a file is written."""
+    bad = tuple(toy_graph.layers[:-1]) + (dataclasses.replace(toy_graph.layers[-1], id=lid),)
+    with pytest.raises(GraphValidationError, match=rf"layer {lid}: id is outside \[0, 2\^32 - 1\]"):
+        validate(NetworkGraph(layers=bad, resolution=28, width_multiplier=1.0))
+
+
 def test_unknown_kind_rejected(toy_graph):
     with pytest.raises(GraphValidationError):
         validate(replace_layer(toy_graph, 3, kind="maxpool"))

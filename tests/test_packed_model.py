@@ -245,6 +245,7 @@ def test_deserialize_rejects_truncation(toy_model):
 
 
 def _set(blob: bytes, offset: int, fmt: str, value) -> bytes:
+    """blob, a file's bytes before its trailer, with value packed at offset."""
     b = bytearray(blob)
     struct.pack_into(fmt, b, offset, value)
     return bytes(b)
@@ -269,9 +270,9 @@ def _last_payload_len(model) -> int:
 ], ids=["act_bits", "nan_clip", "inf_clip", "zero_clip", "sub_normal_scale_clip",
         "long_payload", "short_payload"])
 def test_deserialize_checks_contents(toy_model, spoil, match):
-    blob = serialize(toy_model)
+    blob = serialize(toy_model)[:-4]
     with pytest.raises(PackFormatError, match=match):
-        deserialize(spoil(blob, toy_model))
+        deserialize(oracles.seal(spoil(blob, toy_model)))
 
 
 @pytest.mark.parametrize("field, value, match", [
@@ -297,29 +298,29 @@ def test_deserialize_rejects_a_weight_rank_no_writer_stores(toy_model, rank):
     rec = toy_model.layers[1]
     rec.weight = replace(rec.weight, shape=(0,), scales=np.zeros(0), packed=b"")
     rec.bias_int = np.zeros(0, dtype=np.int32)
-    blob = serialize(toy_model)
+    blob = serialize(toy_model)[:-4]
     at = 24 + 9 * len(toy_model.act_bits) + 7  # the rank byte of the first record, layer 1's
     assert blob[at:at + 5] == struct.pack("<BI", 1, 0)
     blob = blob[:at] + struct.pack(f"<B{rank}I", rank, 0, *[1] * (rank - 1)) + blob[at + 5:]
     with pytest.raises(PackFormatError, match=f"layer 1: weight has rank {rank}, more than 4"):
-        deserialize(blob)
+        deserialize(oracles.seal(blob))
 
 
 @pytest.mark.parametrize("value", [float("nan"), float("inf"), -3.0])
 def test_deserialize_rejects_a_logits_scale_not_finite_and_nonnegative(toy_model, value):
     with pytest.raises(PackFormatError, match=f"logits scale {value}"):
-        deserialize(_set(serialize(toy_model), 12, "<f", value))
+        deserialize(oracles.seal(_set(serialize(toy_model)[:-4], 12, "<f", value)))
 
 
 def test_deserialize_rejects_a_tensor_encoding_written_twice(toy_model):
     """Without the check the last copy wins. The act table starts at byte 20,
     9 bytes an entry."""
-    blob = serialize(toy_model)
+    blob = serialize(toy_model)[:-4]
     n = len(toy_model.act_bits)
     blob = _set(blob, 16, "<I", n + 1)
     blob = blob[:20 + 9 * n] + blob[20:29] + blob[20 + 9 * n:]
     with pytest.raises(PackFormatError, match="tensor 0: encoding written twice"):
-        deserialize(blob)
+        deserialize(oracles.seal(blob))
 
 
 def test_deserialize_rejects_a_layer_record_written_twice(toy_model):
@@ -344,6 +345,12 @@ def test_a_model_with_ids_its_graph_lacks_is_a_mismatch(toy_graph, toy_model, sp
         check_model_matches(toy_graph, model)
 
 
+@pytest.mark.parametrize("how", list(oracles.HEADER_SPOILS))
+def test_container_header_and_trailer_are_checked(toy_model, how):
+    with pytest.raises(PackFormatError, match=oracles.HEADER_SPOILS[how]):
+        deserialize(oracles.spoil_header(serialize(toy_model), how))
+
+
 def test_load_packed_of_a_file_that_cannot_be_read_raises_naming_it(tmp_path):
     path = str(tmp_path / "missing.mpq")
     with pytest.raises(PackFormatError, match=f"cannot read {re.escape(path)}: "):
@@ -351,11 +358,12 @@ def test_load_packed_of_a_file_that_cannot_be_read_raises_naming_it(tmp_path):
 
 
 def test_corrupted_models_load_and_run_or_raise_mcuq_error(residual_graph):
-    """Seeded random corruptions: 1-3 bytes, a fifth also truncated."""
+    """Seeded random corruptions: 1-3 bytes, a fifth also truncated, each file
+    re-sealed so that its contents are checked."""
     weights = qat.init_weights(residual_graph, seed=5)
     ranges = {t: 1.5 for t in residual_graph.encoded_tensors()}
     blob = serialize(build_packed_model(residual_graph, weights,
-                                        all_uniform_policy(residual_graph), ranges))
+                                        all_uniform_policy(residual_graph), ranges))[:-4]
     rng = np.random.default_rng(31)
     images = rng.uniform(0, 1.5, size=(2, 3, 8, 8)).astype(np.float32)
     loaded = 0
@@ -366,7 +374,7 @@ def test_corrupted_models_load_and_run_or_raise_mcuq_error(residual_graph):
         if rng.random() < 0.2:
             bad = bad[:rng.integers(len(bad))]
         try:
-            run_batch_int(residual_graph, deserialize(bytes(bad)), images)
+            run_batch_int(residual_graph, deserialize(oracles.seal(bytes(bad))), images)
             loaded += 1
         except McuqError:
             pass

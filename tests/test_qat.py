@@ -644,7 +644,7 @@ def _checkpoint_bytes(*entries) -> bytes:
     for key, values in entries:
         arr = np.asarray(values, dtype="<f4")
         out += struct.pack("<BIBI", *key, 1, arr.size) + arr.tobytes()
-    return out
+    return oracles.seal(out)
 
 
 @pytest.mark.parametrize("key, values", [
@@ -668,8 +668,8 @@ def test_checkpoint_rejects_a_rank_no_writer_stores(tmp_path, rank):
     """An entry of rank 65 with a zero dimension holds 0 bytes, but numpy cannot
     reshape to it and would raise a bare ValueError. No writer stores rank 5."""
     path = tmp_path / "bad.ckpt"
-    path.write_bytes(qat.CKPT_MAGIC + struct.pack("<IIBI", qat.CKPT_VERSION, 1, W, 1)
-                     + struct.pack(f"<B{rank}I", rank, 0, *[1] * (rank - 1)))
+    path.write_bytes(oracles.seal(qat.CKPT_MAGIC + struct.pack("<IIBI", qat.CKPT_VERSION, 1, W, 1)
+                                  + struct.pack(f"<B{rank}I", rank, 0, *[1] * (rank - 1))))
     with pytest.raises(PackFormatError, match=f"w.1 has rank {rank}, more than 4"):
         qat.load_checkpoint(str(path))
 
@@ -686,6 +686,15 @@ def test_checkpoint_rejects_a_key_written_twice(tmp_path):
     path = tmp_path / "twice.ckpt"
     path.write_bytes(_checkpoint_bytes(((CLIP, 1), [1.0]), ((CLIP, 1), [2.0])))
     with pytest.raises(PackFormatError, match="clip.1 written twice"):
+        qat.load_checkpoint(str(path))
+
+
+@pytest.mark.parametrize("how", list(oracles.HEADER_SPOILS))
+def test_checkpoint_header_and_trailer_are_checked(tmp_path, toy_graph, how):
+    path = tmp_path / "w.ckpt"
+    qat.save_checkpoint(str(path), qat.init_weights(toy_graph), {1: 2.0})
+    path.write_bytes(oracles.spoil_header(path.read_bytes(), how))
+    with pytest.raises(PackFormatError, match=oracles.HEADER_SPOILS[how]):
         qat.load_checkpoint(str(path))
 
 
