@@ -51,7 +51,10 @@ The packed models are read from DIR, and written there by the first run that
 misses them. Run the parent first, then the change on the same DIR: both then
 execute the same bytes, whereas models built on each side would differ with
 any change to the float forward that calibration runs. The fake-quant clips
-come from the same models. Weights and images depend on seeds only.
+come from the same models. Weights and images depend on seeds only. A change
+that bumps the container's version cannot read the parent's models: give
+each side its own DIR, which compares the same models only while
+build_packed_model and calibration are unchanged.
 
 `diff` says, per key, whether the two dumps hold identical arrays. For an
 integer array that differs it gives how many elements differ out of how many,
