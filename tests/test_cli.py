@@ -311,7 +311,8 @@ def test_export_on_a_graph_whose_ids_leave_u32_is_bad_input(in_tmp, capsys, move
     g = load_graph(TOY)
     qat.save_checkpoint("w.ckpt", qat.init_weights(g), {t: 1.0 for t in g.encoded_tensors()})
     (in_tmp / "p.json").write_text(all_uniform_policy(g).to_json())
-    doc = json.loads(open(TOY, encoding="utf-8").read())
+    with open(TOY, encoding="utf-8") as f:
+        doc = json.load(f)
     for layer in doc["layers"]:
         layer["id"], layer["input_ids"] = move(layer["id"]), list(map(move, layer["input_ids"]))
     (in_tmp / "g.json").write_text(json.dumps(doc))
