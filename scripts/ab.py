@@ -88,11 +88,17 @@ def _toy_pretrained(parent, seed: int, n_val: int):
     return g, ds, weights, parent.quantizer.calibrate_act_ranges(g, weights, ds.train[0][:256])
 
 
+def _grad_names(grads: dict) -> dict:
+    """grads keyed "tag.id", whether a tree keys them so or as (tag, id)."""
+    return {k if isinstance(k, str) else "%s.%d" % k: v for k, v in grads.items()}
+
+
 def qat_cases(trees: tuple, seed: int) -> list[Case]:
     """One `train_qat` epoch of the toy CNN (40 pairs): pair i trains with seed + i
     under the i-th seeded random 2/4/8-bit policy, from the same weights and clips,
     on the parent's 800/150 synthetic set (the `toy_search` proxy's size). Agreement:
-    identical top-1s, and max |d| of the logits and every gradient of one step."""
+    identical top-1s, and max |d| of the logits and every gradient of one step, each
+    named "tag.id"."""
     import numpy as np
 
     graph = {t: _graph(t, "toycnn_mnist") for t in trees}
@@ -120,7 +126,7 @@ def qat_cases(trees: tuple, seed: int) -> list[Case]:
         logits, cache = q.forward_network(graph[tree], weights, images[:32], train=True,
                                           policy=policy(tree, 0), ranges=dict(ranges))
         _, dlogits = q.softmax_xent(logits, labels[:32])
-        return logits, q.backward_network(graph[tree], cache, dlogits)
+        return logits, _grad_names(q.backward_network(graph[tree], cache, dlogits))
 
     def agree(outputs) -> str:
         same = sum(a == b for a, b in zip(outputs[0][1:], outputs[1][1:]))

@@ -107,8 +107,8 @@ def _float_step(out: dict, key: str, g, weights, images, policy=None, model=None
     logits, cache = qat.forward_network(g, weights, images, policy, ranges, train=True)
     r = np.random.default_rng(3).normal(size=logits.shape).astype(np.float32)
     out[f"float/{key}/logits"] = logits
-    for name, grad in qat.backward_network(g, cache, r).items():
-        out[f"float/{key}/grad.{name}"] = np.asarray(grad)
+    for (tag, i), grad in qat.backward_network(g, cache, r).items():
+        out[f"float/{key}/grad.{tag}.{i}"] = np.asarray(grad)
 
 
 def _record(out: dict, key: str, g, weights, policy, models_dir: str, images,

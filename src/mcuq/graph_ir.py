@@ -1,7 +1,8 @@
 """Network graph loading, validation, and analysis.
 
 A graph is a DAG of layers. Every layer except the ``output`` sink produces
-exactly one activation tensor, identified by the producing layer's id. The
+exactly one activation tensor, identified by the producing layer's id, which
+some other layer consumes: the output's one input is the logits. The
 execution schedule is the deterministic topological order (ties broken by
 ascending id), which makes activation liveness -- and therefore the RAM
 footprint -- reproducible. The layers never change, so each derived fact
@@ -417,6 +418,9 @@ def validate(g: NetworkGraph) -> NetworkGraph:
     for layer in g.layers:
         _validate_layer(layer, g._by_id)
     topo_order(g)  # raises on cycles
+    dead = [l.id for l in g.layers if l.kind != "output" and not g._consumers[l.id]]
+    if dead:
+        raise GraphValidationError(f"layers {dead} are dead: no layer consumes them")
     return g
 
 

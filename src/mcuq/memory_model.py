@@ -12,14 +12,14 @@ per input (8 B on toycnn_mnist and MobileNetV1, 32 B on toy_residual).
 RAM holds the activation tensors live at each step of the deterministic
 schedule (graph_ir.liveness, worked out once per graph from each tensor's
 span of steps, NetworkGraph.tensor_spans). Tensors at 32 bits (full-precision
-placeholders, and tensors feeding only the output sink) cost 4 bytes per
-element and are never demoted. A footprint adds each tensor's bytes to the
-steps of its span. Enforcement counts ROM and per-step RAM once per call,
-with one dict of each tensor's bytes at its current bits, then applies each
-demotion as a delta: it updates the demoted tensor's entry, and takes the
-bytes saved off the ROM total or off the steps of that tensor's span. The
-greedy order is the one a full recount after every demotion gives: the
-largest tensor in bytes, at the first peak step for RAM.
+placeholders, and the logits) cost 4 bytes per element and are never demoted.
+A footprint adds each tensor's bytes to the steps of its span. Enforcement
+counts ROM and per-step RAM once per call, with one dict of each tensor's
+bytes at its current bits, then applies each demotion as a delta: it updates
+the demoted tensor's entry, and takes the bytes saved off the ROM total or off
+the steps of that tensor's span. The greedy order is the one a full recount
+after every demotion gives: the largest tensor in bytes, at the first peak
+step for RAM.
 """
 
 from __future__ import annotations
@@ -179,7 +179,7 @@ def tensor_ram_bytes(g: NetworkGraph, p: QuantPolicy, tensor_id: int) -> int:
     if bits is None:
         if g.is_encoded(tensor_id):
             raise PolicyError(f"missing act_bits entry for live tensor {tensor_id}")
-        return numel * 4  # unencoded sink input (e.g. 32-bit logits)
+        return numel * 4  # the logits, unencoded at 32 bits
     return (numel * bits + 7) // 8
 
 

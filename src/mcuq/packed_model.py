@@ -240,7 +240,10 @@ def load_packed(path: str) -> PackedModel:
             data = f.read()
     except OSError as e:
         raise PackFormatError(f"cannot read {path}: {e}") from e
-    return deserialize(data)
+    try:
+        return deserialize(data)
+    except PackFormatError as e:
+        raise PackFormatError(f"{path}: {e}") from e
 
 
 def _kernel_dtype(layer, rec: PackedLayer, in_max: int) -> type:

@@ -118,7 +118,7 @@ def _walk(g: NetworkGraph, weights: dict, x: np.ndarray, policy=None,
             y *= s
             if cache is not None:  # PACT masks: to z where 0 < z < clip, to the clip above
                 over = z >= clip
-                entry.update(mask=(z > 0) ^ over, act_over=over, act_tid=lid)
+                entry.update(mask=(z > 0) ^ over, act_over=over)
         elif layer.kind in _RELU_KINDS and lid in encoded:
             y = np.maximum(z, 0.0)
             if cache is not None:
@@ -149,18 +149,17 @@ def forward_network(g: NetworkGraph, weights: dict, x: np.ndarray,
     return logits.astype(np.float32), cache
 
 
-def backward_network(g: NetworkGraph, cache: list, dlogits: np.ndarray) -> dict[str, np.ndarray]:
-    """Grads for weights, biases, and activation clips given dL/dlogits."""
-    grads: dict[str, np.ndarray] = {}
-    dacts: dict[int, np.ndarray] = {}
-    out_layer = g.output_layer
-    dacts[out_layer.input_ids[0]] = dlogits.astype(np.float32)
+def backward_network(g: NetworkGraph, cache: list, dlogits: np.ndarray) -> dict:
+    """Grads for weights, biases, and activation clips given dL/dlogits, keyed (tag, id)
+    as a checkpoint keys them: ("w", layer id), ("b", layer id), ("clip", tensor id)."""
+    grads: dict[tuple[str, int], np.ndarray] = {}
+    dacts = {g.output_layer.input_ids[0]: dlogits.astype(np.float32)}
     # tensors whose gradient is used: those with a parameter at or above them,
     # a weighted layer or a trained activation clip (the input's included)
     wants: set[int] = set()
     for entry in cache:
         layer = entry["layer"]
-        if layer.kind in WEIGHTED_KINDS or "act_tid" in entry \
+        if layer.kind in WEIGHTED_KINDS or "act_over" in entry \
                 or not wants.isdisjoint(layer.input_ids):
             wants.add(layer.id)
 
@@ -170,20 +169,16 @@ def backward_network(g: NetworkGraph, cache: list, dlogits: np.ndarray) -> dict[
         if dy is None:
             continue
         # back through the output encoding: saturated part to the clip, masked to z
-        if "act_tid" in entry:
-            key = f"clip.{entry['act_tid']}"
-            grads[key] = grads.get(key, 0.0) + float((dy * entry["act_over"]).sum())
+        if "act_over" in entry:
+            grads["clip", layer.id] = float((dy * entry["act_over"]).sum())
         dz = dy * entry["mask"] if "mask" in entry else dy
-
-        if layer.kind == "input":
-            continue
         need_dx = not wants.isdisjoint(layer.input_ids)
         if layer.kind in LINEAR_KINDS:
             dx, dw, db = linear_bwd(layer, dz, entry["cols"], entry["wq"], entry["x_shape"],
                                     need_dx)
             if layer.kind in WEIGHTED_KINDS:
-                grads[f"w.{layer.id}"] = dw  # STE: latent weight takes the fake-quant grad
-                grads[f"b.{layer.id}"] = db
+                grads["w", layer.id] = dw  # STE: latent weight takes the fake-quant grad
+                grads["b", layer.id] = db
         else:  # add_residual, relu_clip: dx is dz
             dx = dz
         if not need_dx:
@@ -212,11 +207,11 @@ def softmax_xent(logits: np.ndarray, labels: np.ndarray) -> tuple[float, np.ndar
 class _Adam:
     def __init__(self, lr: float):
         self.lr = lr
-        self.m: dict[str, np.ndarray] = {}
-        self.v: dict[str, np.ndarray] = {}
+        self.m: dict[tuple[str, int], np.ndarray] = {}
+        self.v: dict[tuple[str, int], np.ndarray] = {}
         self.t = 0
 
-    def step(self, grads: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
+    def step(self, grads: dict) -> dict:
         """One Adam step: {key: update} for the caller to subtract from each parameter."""
         self.t += 1
         bc1 = 1.0 - ADAM_BETA1 ** self.t
@@ -259,12 +254,11 @@ def train_network(g: NetworkGraph, weights: dict, dataset: Dataset,
             if not np.isfinite(loss):
                 raise TrainingDivergedError(f"loss became {loss} at epoch {epoch}")
             grads = backward_network(g, cache, dlogits)
-            for key, u in opt.step(grads).items():
-                tag, i = key.split(".")
+            for (tag, i), u in opt.step(grads).items():
                 if tag == "clip":  # float32, as the container stores it
-                    ranges[int(i)] = float(np.float32(max(float(ranges[int(i)] - u), CLIP_FLOOR)))
+                    ranges[i] = float(np.float32(max(float(ranges[i] - u), CLIP_FLOOR)))
                 else:
-                    weights[int(i)][tag] = weights[int(i)][tag] - u
+                    weights[i][tag] = weights[i][tag] - u
             losses.append(loss)
         val_top1 = evaluate(g, weights, dataset, split="val", policy=policy, ranges=ranges)
         history.append({"epoch": epoch, "loss": float(np.mean(losses)), "val_top1": val_top1})

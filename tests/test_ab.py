@@ -35,6 +35,15 @@ def test_each_subject_agrees_in_full_on_one_tree(ab, capsys, subject, agreements
         assert line.endswith(agreement)
     diffs = re.findall(r"max \|d\| (\S+)", out)  # qat's logits and gradients
     assert set(diffs) == ({"0"} if subject == "qat" else set())
+    names = re.findall(r"grad (\S+):", out)  # qat's, each "tag.id"
+    assert bool(names) == (subject == "qat")
+    assert all(re.fullmatch(r"(w|b|clip)\.\d+", name) for name in names)
+
+
+def test_gradients_are_named_tag_dot_id_whichever_spelling_a_tree_keys(ab):
+    """A tree that keys its gradients "w.3" compares with one that keys them ("w", 3)."""
+    named = {"w.3": 1.0, "clip.0": 2.0}
+    assert ab._grad_names({("w", 3): 1.0, ("clip", 0): 2.0}) == ab._grad_names(named) == named
 
 
 def test_a_tree_without_the_package_is_refused(ab, tmp_path):

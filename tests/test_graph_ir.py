@@ -95,6 +95,24 @@ def test_an_id_outside_u32_rejected(toy_graph, lid):
         validate(NetworkGraph(layers=bad, resolution=28, width_multiplier=1.0))
 
 
+def _relu_clip_on(g, lid, src):
+    shape = g.layer(src).output_shape
+    return graph_ir.LayerSpec(id=lid, kind="relu_clip", input_ids=(src,), out_channels=shape[0],
+                              kernel_h=0, kernel_w=0, stride=1, padding=0, input_shape=shape,
+                              output_shape=shape, param_count=0, bias_count=0)
+
+
+@pytest.mark.parametrize("branches, dead", [({8: 2}, "[8]"), ({8: 2, 9: 0}, "[8, 9]")])
+def test_a_dead_layer_rejected(toy_graph, branches, dead):
+    """A non-output layer that no layer consumes would be taken for the logits
+    (its scale written as the container's logits_scale) and held to the end of
+    the walk, past its span."""
+    extra = tuple(_relu_clip_on(toy_graph, lid, src) for lid, src in branches.items())
+    g = NetworkGraph(layers=toy_graph.layers + extra, resolution=28, width_multiplier=1.0)
+    with pytest.raises(GraphValidationError, match=re.escape(f"layers {dead} are dead")):
+        validate(g)
+
+
 def test_unknown_kind_rejected(toy_graph):
     with pytest.raises(GraphValidationError):
         validate(replace_layer(toy_graph, 3, kind="maxpool"))

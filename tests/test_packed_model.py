@@ -357,6 +357,15 @@ def test_load_packed_of_a_file_that_cannot_be_read_raises_naming_it(tmp_path):
         load_packed(path)
 
 
+@pytest.mark.parametrize("how", ["truncated", *oracles.HEADER_SPOILS])
+def test_load_packed_names_the_file_in_a_format_error(toy_model, tmp_path, how):
+    path, data = tmp_path / "m.mpq", serialize(toy_model)
+    says = {"truncated": "truncated packed-model file", **oracles.HEADER_SPOILS}[how]
+    path.write_bytes(data[:40] if how == "truncated" else oracles.spoil_header(data, how))
+    with pytest.raises(PackFormatError, match=f"^{re.escape(str(path))}: .*{says}"):
+        load_packed(str(path))
+
+
 def test_corrupted_models_load_and_run_or_raise_mcuq_error(residual_graph):
     """Seeded random corruptions: 1-3 bytes, a fifth also truncated, each file
     re-sealed so that its contents are checked."""

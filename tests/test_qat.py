@@ -1,6 +1,7 @@
 """Training loop: forward/backward, Adam, fake-quant training, checkpoints."""
 
 import itertools
+import math
 import re
 import struct
 
@@ -14,7 +15,7 @@ from mcuq.data import Dataset, synthetic_shapes
 from mcuq.errors import McuqError, ModelMismatchError, PackFormatError, TrainingDivergedError
 from mcuq.graph_ir import COMPUTE_KINDS, WEIGHTED_KINDS, NetworkGraph, validate
 from mcuq.memory_model import all_uniform_policy
-from mcuq.quantizer import CLIP_FLOOR, calibrate_act_ranges, percentile_clip
+from mcuq.quantizer import CLIP_FLOOR, ByteReader, calibrate_act_ranges, percentile_clip
 
 
 def tiny_fc_graph(cin=2, classes=3):
@@ -143,7 +144,7 @@ def test_backward_matches_finite_differences_on_random_graphs():
                 arr = entry[key]
                 idx = rng.choice(arr.size, size=min(arr.size, 4), replace=False).tolist()
                 fd = oracles.fd_grad(loss, arr, idx, eps=1e-6)
-                got = grads[f"{key}.{lid}"].reshape(-1)
+                got = grads[key, lid].reshape(-1)
                 for i in idx:
                     assert got[i] == pytest.approx(fd[i], rel=1e-4, abs=1e-6), \
                         f"graph {graphs} {key}.{lid}[{i}]"
@@ -168,7 +169,7 @@ def _tapped_backward(g, cache, dlogits, ids, cut=None):
     by_id = {e["layer"].id: e for e in entries}
     taps = {lid: _Tap() for lid in ids}
     for lid, tap in taps.items():
-        by_id[lid].update(act_tid=lid, act_over=tap)
+        by_id[lid]["act_over"] = tap
     if cut is not None:
         by_id[cut.id]["mask"] = np.zeros((len(dlogits),) + cut.output_shape, bool)
     qat.backward_network(g, entries, dlogits)
@@ -404,7 +405,7 @@ def test_backward_skips_only_unused_input_grads(toy_graph, pretrained, toy_range
         monkeypatch.setattr(qat, "linear_bwd", always)
         full = qat.backward_network(toy_graph, cache, r)
         assert asked == {1: policy is not None, 2: True, 3: True, 4: True, 5: True, 6: True}
-        assert ("clip.0" in grads) == (policy is not None)
+        assert (("clip", 0) in grads) == (policy is not None)
         assert sorted(grads) == sorted(full)
         assert all(np.array_equal(grads[k], full[k]) for k in grads)
 
@@ -687,6 +688,26 @@ def test_checkpoint_rejects_a_key_written_twice(tmp_path):
     path.write_bytes(_checkpoint_bytes(((CLIP, 1), [1.0]), ((CLIP, 1), [2.0])))
     with pytest.raises(PackFormatError, match="clip.1 written twice"):
         qat.load_checkpoint(str(path))
+
+
+@pytest.mark.parametrize("graph", ["toy_graph", "residual_graph"])
+def test_gradients_are_keyed_as_the_checkpoint_keys_its_entries(tmp_path, request, graph):
+    """One fake-quant step trains exactly the entries that save_checkpoint
+    writes: gradient key (tag, id) is entry (CKPT_TAGS.index(tag), id)."""
+    g = request.getfixturevalue(graph)
+    weights, ranges = qat.init_weights(g), {t: 1.0 for t in g.encoded_tensors()}
+    x = np.random.default_rng(0).uniform(0, 1, size=(2,) + g.input_layer.output_shape)
+    logits, cache = qat.forward_network(g, weights, x, all_uniform_policy(g), ranges, train=True)
+    grads = qat.backward_network(g, cache, np.ones_like(logits))
+    qat.save_checkpoint(str(tmp_path / "w.ckpt"), weights, ranges)
+    r = ByteReader((tmp_path / "w.ckpt").read_bytes(), "checkpoint", qat.CKPT_MAGIC,
+                   qat.CKPT_VERSION)
+    written = set()
+    for _ in range(r.unpack("<I")[0]):
+        written.add(r.unpack("<BI"))
+        r.array("<f4", math.prod(r.shape("entry")))
+    r.finish()
+    assert {(qat.CKPT_TAGS.index(tag), i) for tag, i in grads} == written
 
 
 @pytest.mark.parametrize("how", list(oracles.HEADER_SPOILS))
