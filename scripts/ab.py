@@ -1,6 +1,6 @@
 """Lockstep A/B of two checkouts of mcuq, in one process.
 
-    python scripts/ab.py PARENT_DIR CHANGE_DIR {qat,int,enforce} [--pairs N] [--seed 0]
+    python scripts/ab.py PARENT_DIR CHANGE_DIR {qat,kernels,int,enforce} [--pairs N] [--seed 0]
 
 Both trees' `src/mcuq` packages are imported side by side, as `mcuq_parent` and
 `mcuq_change`, with one BLAS thread. The subject builds its cases from the seed
@@ -51,8 +51,8 @@ def _import_tree(root: str, alias: str):
     mod = importlib.util.module_from_spec(spec)
     sys.modules[alias] = mod
     spec.loader.exec_module(mod)
-    for sub in ("data", "graph_ir", "inference", "memory_model", "packed_model", "qat",
-                "quantizer", "search"):
+    for sub in ("data", "graph_ir", "inference", "kernels", "memory_model", "packed_model",
+                "qat", "quantizer", "search"):
         importlib.import_module(f"{alias}.{sub}")
     return mod
 
@@ -142,6 +142,79 @@ def qat_cases(trees: tuple, seed: int) -> list[Case]:
         return "\n".join(lines)
 
     return [Case("train_qat epoch", 40, run, agree)]
+
+
+def _relative(want, got) -> str:
+    """max |d| of two arrays over want's largest |value|, in float64."""
+    import numpy as np
+
+    want = np.asarray(want, np.float64)
+    return f"{float(np.abs(want - got).max() / max(float(np.abs(want).max()), 1e-300)):.3g}"
+
+
+def kernel_cases(trees: tuple, seed: int) -> list[Case]:
+    """`linear_fwd` and `linear_bwd` of the toy CNN's four conv2d layers at batch 32
+    and 128 (60 pairs each), on the operands of one fake-quant training step that the
+    parent's qat passes its kernels: the input, the weights fake-quantized under a
+    seeded random 2/4/8-bit policy, the bias, dL/dz and need_dx, from the pretrained
+    weights and clips on the first train images. Each tree's backward takes the cols
+    of its own forward. Agreement: max |d| of z, or of dx and dw, each over the
+    parent's largest |value|."""
+    import numpy as np
+
+    parent, cases = trees[0], []
+    g, ds, weights, ranges = _toy_pretrained(parent, seed, 150)
+    rng, bits = np.random.default_rng([seed, 2]), parent.search.BIT_CHOICES
+    policy = parent.memory_model.all_uniform_policy(g)
+    for table in (policy.weight_bits, policy.act_bits):
+        table.update({key: int(rng.choice(bits)) for key in table})
+    q, calls = parent.qat, {}  # (batch, layer id) -> [x, w, b, dz, need_dx]
+    fwd, bwd = q.linear_fwd, q.linear_bwd
+
+    def spy_fwd(layer, x, w, b):
+        if layer.kind == "conv2d":
+            calls[len(x), layer.id] = [x, w, b]
+        return fwd(layer, x, w, b)
+
+    def spy_bwd(layer, dz, cols, w, x_shape, need_dx=True):
+        if layer.kind == "conv2d":
+            calls[len(dz), layer.id] += [dz, need_dx]
+        return bwd(layer, dz, cols, w, x_shape, need_dx)
+
+    q.linear_fwd, q.linear_bwd = spy_fwd, spy_bwd
+    try:
+        for batch in (32, 128):
+            images, labels = (a[:batch] for a in ds.train)
+            logits, cache = q.forward_network(g, weights, images, train=True, policy=policy,
+                                              ranges=dict(ranges))
+            q.backward_network(g, cache, q.softmax_xent(logits, labels)[1])
+    finally:
+        q.linear_fwd, q.linear_bwd = fwd, bwd
+
+    def agree_z(outputs) -> str:
+        return f"z max |d| {_relative(outputs[0][0], outputs[1][0])}"
+
+    def agree_grads(outputs) -> str:
+        (dxp, dwp, _), (dxc, dwc, _) = outputs[0][0], outputs[1][0]
+        dx = "no dx" if dxp is None else f"dx max |d| {_relative(dxp, dxc)}"
+        return f"{dx} and dw max |d| {_relative(dwp, dwc)}"
+
+    graph = {t: _graph(t, "toycnn_mnist") for t in trees}
+    for (batch, lid), (x, w, b, dz, need_dx) in sorted(calls.items(), key=lambda kv: kv[0][::-1]):
+        layer = {t: graph[t].layer(lid) for t in trees}
+        cols = {t: t.kernels.linear_fwd(layer[t], x, w, b)[1] for t in trees}
+
+        def forward(tree, i: int, layer=layer, x=x, w=w, b=b):
+            return tree.kernels.linear_fwd(layer[tree], x, w, b)[0]
+
+        def backward(tree, i: int, layer=layer, cols=cols, x=x, w=w, dz=dz, need_dx=need_dx):
+            return tree.kernels.linear_bwd(layer[tree], dz, cols[tree], w, x.shape, need_dx)
+
+        label = f"conv2d layer {lid}, batch {batch}"
+        cases += [Case(f"{label}, forward", 60, forward, agree_z),
+                  Case(f"{label}, backward{'' if need_dx else ' without dx'}", 60, backward,
+                       agree_grads)]
+    return cases
 
 
 def _int_case(trees: tuple, label: str, pairs: int, name: str, blob: bytes, images) -> Case:
@@ -241,7 +314,8 @@ def enforce_cases(trees: tuple, seed: int) -> list[Case]:
     return [Case(f"enforcement, {BLOCK}-policy blocks", 40, run, agree)]
 
 
-SUBJECTS = {"qat": qat_cases, "int": int_cases, "enforce": enforce_cases}
+SUBJECTS = {"qat": qat_cases, "kernels": kernel_cases, "int": int_cases,
+            "enforce": enforce_cases}
 
 
 def main(argv=None) -> int:

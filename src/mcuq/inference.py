@@ -30,9 +30,10 @@ per-tap depthwise sums over phase planes (see kernels) are therefore as
 exact as one dot product per output.
 
 The kernel runs without a bias, so the bias never enters the float sums.
-Its output, uncopied (a strided view for the window kinds), and the bias go
-to one requant epilogue, quantizer.apply_requant, which adds the bias
-exactly: in float64 where that is provably exact, in int64 otherwise.
+Its output, uncopied (a strided view for the window kinds; conv2d computes
+only the outputs it keeps), and the bias go to one requant epilogue,
+quantizer.apply_requant, which adds the bias exactly: in float64 where that
+is provably exact, in int64 otherwise.
 """
 
 from __future__ import annotations

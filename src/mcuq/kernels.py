@@ -5,24 +5,25 @@ forward; and linear_bwd, its adjoint.
 conv2d, depthwise_conv2d and avg_pool run over phase planes. The
 zero-padded input is written once into s*s phase planes (s the stride),
 plane (a, b) holding the padded pixels (s*Y + a, s*X + b) at (Y, X) of
-an h2 x w2 grid per image. The batch is folded into one flat axis that
-runs (y, n, x): row y of every image, then row y + 1. cols is the
-(s, s, C, h2*N*w2 + (kw-1)//s) plane array for all three kinds, and tap
-(i, j) of output position q = (y*N + n)*w2 + x is
-plane[i%s, j%s, :, q + (i//s)*N*w2 + j//s]: one contiguous slice per tap.
-The kernels compute the positions q < oh*N*w2 only, so the rows y >= oh
-form a suffix that is never computed. The columns x >= ow of each kept
-row are computed and dropped (on the toy CNN, 63 positions per image
-for 49 kept in its third conv2d and 20 for 16 in its fourth); their
-taps may read into the next image's row, or the (kw-1)//s tail past
-the last one. conv2d builds blocks of at most CONV_BLOCK elements,
-kh*kw*C rows by output positions, from those slices and multiplies each
-by the weights in one GEMM. depthwise_conv2d and avg_pool run over
-blocks of CONV_BLOCK // (oh*N*w2) channels (at least one), so a block's
-sums and products stay in cache: the first tap's slice times its (C, 1)
-weight column is written into the block, and each further tap's is
-added, so every output sums its taps in the same order whatever the
-block. The sums run in np.result_type(x, w). linear_acc returns that
+an h2 x w2 grid per image; tap (i, j) of output (y, x) reads plane
+(i%s, j%s) at (y + i//s, x + j//s). conv2d folds the batch innermost,
+planes (s, s, C, h2, w2*N) running (Y, X, n), so the kept positions x < ow
+of an output row, every image, are one run of ow*N: it computes exactly
+the oh*ow*N outputs it keeps, as CMSIS-NN does. Its im2col blocks of at
+most CONV_BLOCK elements, kh*kw*C rows by positions, are whole output rows
+while they fit, else chunks of one row, each tap's slice a (C, rows, run)
+view; one GEMM a block multiplies them by the weights. depthwise_conv2d
+and avg_pool keep the (y, n, x) fold, whose fill copies whole image rows
+(the batch-innermost fill was 4-6x slower on MobileNetV1's maps at N=4;
+at N=1 the folds are one): planes (s, s, C, h2*N*w2 + (kw-1)//s), tap
+(i, j) of q = (y*N + n)*w2 + x at plane[i%s, j%s, :, q + (i//s)*N*w2 +
+j//s], one contiguous slice per tap. They compute q < oh*N*w2 and drop
+the columns x >= ow, whose taps may read into the next image's row or
+the tail, in blocks of CONV_BLOCK // (oh*N*w2) channels (at least one),
+so a block's sums and products stay in cache: the first tap's slice
+times its (C, 1) weight column is written into the block and each further
+tap's is added, so every output sums its taps in the same order whatever
+the block. The sums run in np.result_type(x, w). linear_acc returns the
 flat output uncopied, as a strided (N, O, oh, ow) view (_out_grid).
 
 A global avg_pool (kernel H x W, padding 0) skips the phase planes: its
@@ -48,58 +49,68 @@ _WINDOW_KINDS = ("conv2d", "depthwise_conv2d", "avg_pool")
 def _geometry(layer, x_shape: tuple):
     """(oh, ow, h2, w2, m, taps, phases) of a window layer on an (N, C, H, W)
     input: the output size, one image's rows and columns in a phase plane,
-    the m = oh*N*w2 positions computed, (a, b, offset) per tap, row-major,
-    and (a, b, r0, c0, y0, x0, rows, cols) per phase: its rows x cols input
-    pixels from (r0, c0), every s-th, go to plane (a, b) from (y0, x0)."""
+    the m positions computed (oh*ow*N for conv2d, oh*N*w2 otherwise), the
+    taps, row-major, and (a, b, r0, c0, y0, x0, rows, cols) per phase: its
+    rows x cols input pixels from (r0, c0), every s-th, go to plane (a, b)
+    from (y0, x0). A conv2d tap is (a, b, row offset, offset in the (X, n)
+    run), the others' (a, b, flat offset)."""
     n, _, h, w = x_shape
     s, p, kh, kw = layer.stride, layer.padding, layer.kernel_h, layer.kernel_w
     oh, ow = (h + 2 * p - kh) // s + 1, (w + 2 * p - kw) // s + 1
     # every tap of a kept output stays inside its image: for y < oh and tap
     # row i, y + i//s <= (h + 2p - 1)//s < h2, and likewise for columns
     h2, w2 = -(-(h + 2 * p) // s), -(-(w + 2 * p) // s)
-    taps = [(i % s, j % s, (i // s) * n * w2 + j // s) for i in range(kh) for j in range(kw)]
+    conv = layer.kind == "conv2d"
+    taps = [(i % s, j % s) + ((i // s, j // s * n) if conv else (i // s * n * w2 + j // s,))
+            for i in range(kh) for j in range(kw)]
     phases = []
     for a, b in itertools.product(range(s), repeat=2):
         r0, c0 = (a - p) % s, (b - p) % s
         y0, x0 = (r0 + p) // s, (c0 + p) // s
         phases.append((a, b, r0, c0, y0, x0, len(range(r0, h, s)), len(range(c0, w, s))))
-    return oh, ow, h2, w2, oh * n * w2, taps, phases
+    return oh, ow, h2, w2, oh * ow * n if conv else oh * n * w2, taps, phases
 
 
 def _phases(planes: np.ndarray, x: np.ndarray, h2: int, w2: int, phases: list):
     """Yield (view of x, view of the planes) pairs of equal shape that put each
-    pixel of x, (N, C, H, W), at its place in the planes, whose flat axis runs
-    (y, n, x) over h2 rows of N images of w2 columns per phase."""
+    pixel of x, (N, C, H, W), at its place in the planes: conv2d's, 5-D, run
+    (y, x, n), the others' flat axis (y, n, x)."""
     s, n = planes.shape[0], x.shape[0]
-    grid = planes[..., :h2 * n * w2].reshape(planes.shape[:3] + (h2, n, w2))
+    if planes.ndim == 5:
+        grid = planes.reshape(planes.shape[:3] + (h2, w2, n)).swapaxes(4, 5)
+    else:
+        grid = planes[..., :h2 * n * w2].reshape(planes.shape[:3] + (h2, n, w2))
     for a, b, r0, c0, y0, x0, rows, cols in phases:
         yield (x[:, :, r0::s, c0::s],
                grid[a, b, :, y0:y0 + rows, :, x0:x0 + cols].transpose(2, 0, 1, 3))
 
 
-def _col_blocks(planes: np.ndarray, taps: list, m: int):
-    """Yield (m0, cols): cols is the (kh*kw*C, mb) im2col block of output
-    positions m0 .. m0+mb, rows tap-major, held in one reused buffer."""
+def _col_blocks(planes: np.ndarray, taps: list, oh: int, run: int):
+    """Yield (m0, cols): cols is the (kh*kw*C, mb) im2col block of conv2d's
+    output positions m0 .. m0+mb, rows tap-major, held in one reused buffer:
+    whole output rows of run = ow*N positions while they fit in CONV_BLOCK,
+    else chunks of one row."""
     c = planes.shape[2]
     k = len(taps) * c
-    step = max(1, min(m, CONV_BLOCK // k))
-    buf = np.empty(k * step, planes.dtype)
-    for m0 in range(0, m, step):
-        mb = min(step, m - m0)
-        cols = buf[:k * mb].reshape(len(taps), c, mb)
-        for t, (a, b, off) in enumerate(taps):
-            cols[t] = planes[a, b, :, m0 + off:m0 + off + mb]
-        yield m0, cols.reshape(k, mb)
+    step = max(1, CONV_BLOCK // k)
+    rows, chunk = (min(oh, step // run), run) if step >= run else (1, step)
+    buf = np.empty(k * rows * chunk, planes.dtype)
+    for y0, p0 in itertools.product(range(0, oh, rows), range(0, run, chunk)):
+        r, mb = min(rows, oh - y0), min(chunk, run - p0)
+        cols = buf[:k * r * mb].reshape(len(taps), c, r, mb)
+        for t, (a, b, dy, dp) in enumerate(taps):
+            cols[t] = planes[a, b, :, y0 + dy:y0 + dy + r, p0 + dp:p0 + dp + mb]
+        yield y0 * run + p0, cols.reshape(k, r * mb)
 
 
-def _out_grid(flat: np.ndarray, kind: str, n: int, o: int, oh: int, w2: int) -> np.ndarray:
-    """A window kernel's flat output, positions in (y, n, x) order over the
-    oh computed rows, as an (N, O, oh, w2) view: (oh*N*w2, O) for the conv2d
-    GEMMs, (O, oh*N*w2) for the per-tap products. Columns x >= ow are computed
-    and dropped by the caller."""
+def _out_grid(flat: np.ndarray, kind: str, n: int, o: int, oh: int, ow: int,
+              w2: int) -> np.ndarray:
+    """A window kernel's flat output as an (N, O, oh, ow) view: conv2d's
+    (oh*ow*N, O) GEMM output, positions (y, x, n), or the per-tap products'
+    (O, oh*N*w2), positions (y, n, x), whose columns x >= ow it drops."""
     if kind == "conv2d":
-        return flat.reshape(oh, n, w2, o).transpose(1, 3, 0, 2)
-    return flat.reshape(o, oh, n, w2).transpose(2, 0, 1, 3)
+        return flat.reshape(oh, ow, n, o).transpose(2, 3, 0, 1)
+    return flat.reshape(o, oh, n, w2).transpose(2, 0, 1, 3)[..., :ow]
 
 
 def _window_fwd(layer, x: np.ndarray, w: np.ndarray):
@@ -107,14 +118,17 @@ def _window_fwd(layer, x: np.ndarray, w: np.ndarray):
     s, o = layer.stride, len(w)
     oh, ow, h2, w2, m, taps, phases = _geometry(layer, x.shape)
     dtype = np.result_type(x, w)
-    # tail: columns x >= ow of the last row read up to (kw-1)//s past the grid
-    planes = np.zeros((s, s, c, h2 * n * w2 + (layer.kernel_w - 1) // s), dtype)
+    conv = layer.kind == "conv2d"
+    # (y, n, x) planes have a tail: columns x >= ow of the last row read up to
+    # (kw-1)//s past the grid
+    planes = np.zeros((s, s, c) + ((h2, w2 * n) if conv else
+                                   (h2 * n * w2 + (layer.kernel_w - 1) // s,)), dtype)
     for xv, pv in _phases(planes, x, h2, w2, phases):
         pv[...] = xv
-    if layer.kind == "conv2d":
+    if conv:
         wt = w.transpose(0, 2, 3, 1).reshape(o, -1)  # columns tap-major, as the blocks
         zm = np.empty((m, o), dtype)
-        for m0, cols in _col_blocks(planes, taps, m):
+        for m0, cols in _col_blocks(planes, taps, oh, ow * n):
             np.matmul(cols.T, wt.T, out=zm[m0:m0 + cols.shape[1]])
     else:  # one multiply-add per tap, (C, 1) weight columns, in blocks of channels
         zm = np.empty((c, m), dtype)
@@ -128,7 +142,7 @@ def _window_fwd(layer, x: np.ndarray, w: np.ndarray):
             for t, (a, bb, off) in enumerate(rest, 1):
                 zb += np.multiply(planes[a, bb, cs, off:off + m], wc[cs, t, None],
                                   out=prod[:len(zb)])
-    return _out_grid(zm, layer.kind, n, o, oh, w2)[..., :ow], planes
+    return _out_grid(zm, layer.kind, n, o, oh, ow, w2), planes
 
 
 def _is_global(layer, x_shape: tuple) -> bool:
@@ -143,13 +157,14 @@ def _window_bwd(layer, dz: np.ndarray, planes: np.ndarray, w: np.ndarray,
     c = x_shape[1]
     _, _, h2, w2, m, taps, phases = _geometry(layer, x_shape)
     conv = layer.kind == "conv2d"
-    # dropped columns get a zero gradient, so they add nothing
-    dzm = np.zeros((m, o) if conv else (o, m), dz.dtype)
-    _out_grid(dzm, layer.kind, n, o, oh, w2)[..., :ow] = dz
+    # conv2d's dzm holds only kept positions; the others' dropped columns get a
+    # zero gradient, so they add nothing
+    dzm = np.empty((m, o), dz.dtype) if conv else np.zeros((o, m), dz.dtype)
+    _out_grid(dzm, layer.kind, n, o, oh, ow, w2)[...] = dz
     dw = None  # avg_pool has no parameters
     if conv:
         dwt = np.zeros((len(taps) * c, o), np.result_type(planes, dz))
-        for m0, cols in _col_blocks(planes, taps, m):
+        for m0, cols in _col_blocks(planes, taps, oh, ow * n):
             dwt += cols @ dzm[m0:m0 + cols.shape[1]]
         dw = dwt.reshape(layer.kernel_h, layer.kernel_w, c, o).transpose(3, 2, 0, 1)
     elif layer.kind == "depthwise_conv2d":
@@ -158,15 +173,16 @@ def _window_bwd(layer, dz: np.ndarray, planes: np.ndarray, w: np.ndarray,
     dx = None
     if need_dx:
         dtype = np.result_type(w, dz)
+        dplanes = np.zeros(planes.shape, dtype)
         if conv:
             wt = w.transpose(0, 2, 3, 1).reshape(o, -1)
-            dcols = (wt.T @ dzm.T).reshape(len(taps), c, m)
+            dcols = (wt.T @ dzm.T).reshape(len(taps), c, oh, ow * n)
+            for (a, b, dy, dp), dcol in zip(taps, dcols):
+                dplanes[a, b, :, dy:dy + oh, dp:dp + ow * n] += dcol
         else:
             wc, prod = w.reshape(c, -1), np.empty((c, m), dtype)
-            dcols = (np.multiply(wc[:, t, None], dzm, out=prod) for t in range(len(taps)))
-        dplanes = np.zeros(planes.shape, dtype)
-        for (a, b, off), dcol in zip(taps, dcols):
-            dplanes[a, b, :, off:off + m] += dcol
+            for t, (a, b, off) in enumerate(taps):
+                dplanes[a, b, :, off:off + m] += np.multiply(wc[:, t, None], dzm, out=prod)
         dx = np.empty(x_shape, dtype)
         for xv, pv in _phases(dplanes, dx, h2, w2, phases):
             xv[...] = pv
@@ -205,11 +221,12 @@ def linear_acc(layer, x: np.ndarray, w: np.ndarray):
 
 
 def linear_fwd(layer, x: np.ndarray, w: np.ndarray, b: np.ndarray):
-    """The training forward, z = w * x + b: linear_acc plus the bias, in
-    place or, for a strided acc, into a C-contiguous z. Returns (z, cols)."""
+    """The training forward, z = w * x + b: linear_acc plus the bias, added in
+    place to acc or, for a strided acc, to a C-contiguous copy of it (a copy
+    and an add read the view faster than np.add into z). Returns (z, cols)."""
     acc, cols = linear_acc(layer, x, w)
-    z = acc if acc.flags.c_contiguous else np.empty(acc.shape, acc.dtype)
-    np.add(acc, b[:, None, None] if acc.ndim == 4 else b, out=z)
+    z = np.ascontiguousarray(acc)
+    z += b[:, None, None] if z.ndim == 4 else b
     return z, cols
 
 
@@ -221,10 +238,10 @@ def linear_bwd(layer, dz: np.ndarray, cols: np.ndarray, w: np.ndarray, x_shape: 
     None for avg_pool, which has no parameters. The window kinds take dw from
     the phase planes in cols: conv2d rebuilds each im2col block for one dw
     GEMM per block, depthwise_conv2d takes one dot product per tap and
-    channel. Their column gradients (one GEMM for conv2d, the weight column
-    times dz per tap for depthwise_conv2d and avg_pool) go back into zeroed
-    planes by kh*kw contiguous slice-adds; dx is those planes un-phased and
-    cropped.
+    channel. Their column gradients (one GEMM over the kept positions for
+    conv2d, the weight column times dz per tap for depthwise_conv2d and
+    avg_pool) go back into zeroed planes by kh*kw slice-adds; dx is those
+    planes un-phased and cropped.
     """
     if _is_global(layer, x_shape):  # + 0.0: -0.0 to 0.0, as the zeroed planes make it
         return (dz * w + 0.0 if need_dx else None), None, None

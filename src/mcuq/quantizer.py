@@ -28,8 +28,9 @@ F32_MAX = float(np.finfo(np.float32).max)
 CLIP_FLOOR = 1e-3  # activation clips, calibrated or learned, never drop below this
 CALIB_PERCENTILE = 99.9  # calibration clips at this percentile of the observed values
 MAX_RANK = 4  # highest array rank the checkpoint and container formats store
-# elements of one block of the window kernels' im2col (conv2d) and channel
-# (depthwise, avg_pool) loops, see kernels, and of the requant epilogue
+# elements of one block of the window kernels (see kernels): conv2d's im2col
+# (whole output rows while they fit, else chunks of a row), the depthwise and
+# avg_pool channel loops; and of one requant epilogue block
 CONV_BLOCK = 1 << 16
 
 

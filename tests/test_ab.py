@@ -40,6 +40,20 @@ def test_each_subject_agrees_in_full_on_one_tree(ab, capsys, subject, agreements
     assert all(re.fullmatch(r"(w|b|clip)\.\d+", name) for name in names)
 
 
+def test_kernels_subject_times_every_toy_conv_layer_both_ways(ab, capsys):
+    """`kernels` runs the toy CNN's conv2d layers 1-4 at batch 32 and 128, forward
+    and backward, and one tree against itself agrees to 0 in z, dx and dw."""
+    assert ab.main([str(ROOT), str(ROOT), "kernels", "--pairs", "2"]) == 0
+    lines = [l for l in capsys.readouterr().out.splitlines() if "change/parent median" in l]
+    labels = [re.match(r"conv2d layer (\d), batch (\d+), (forward|backward)", l).groups()
+              for l in lines]
+    assert labels == [(str(lid), str(batch), way) for lid in range(1, 5) for batch in (32, 128)
+                      for way in ("forward", "backward")]
+    for line in lines:
+        assert line.endswith("z max |d| 0" if "forward" in line else "and dw max |d| 0"), line
+        assert re.findall(r"max \|d\| (\S+)", line) == ["0"] * (1 + line.count("dx max"))
+
+
 def test_gradients_are_named_tag_dot_id_whichever_spelling_a_tree_keys(ab):
     """A tree that keys its gradients "w.3" compares with one that keys them ("w", 3)."""
     named = {"w.3": 1.0, "clip.0": 2.0}

@@ -285,8 +285,7 @@ def test_window_channel_blocks_match_reference(monkeypatch, kind, stride, paddin
     oh, ow = (h + 2 * padding - k) // stride + 1, (w + 2 * padding - k) // stride + 1
     layer = oracles._mk(1, kind, [0], c, k, k, stride, padding, (c, h, w), (c, oh, ow),
                         bias=c)
-    w2 = kernels._geometry(layer, (n, c, h, w))[3]
-    m = oh * n * w2  # the positions the kernel computes: rows y < oh of every image
+    m = kernels._geometry(layer, (n, c, h, w))[4]  # the positions the kernel computes
     assert c * m <= kernels.CONV_BLOCK  # one block unpatched
     x = rng.integers(-8, 8, size=(n, c, h, w)).astype(np.float64)
     wt, b, dense = _window_operands(layer, lambda shape: rng.integers(-8, 8, size=shape),
@@ -302,6 +301,73 @@ def test_window_channel_blocks_match_reference(monkeypatch, kind, stride, paddin
         assert np.array_equal(z, rz), block
         z32, _ = kernels.linear_fwd(layer, x32, w32, b32)
         assert z32.dtype == np.float32 and z32.tobytes() == one_block.tobytes(), block
+
+
+def _row_blocks(oh: int, run: int):
+    """(positions per block, what they cover) of a conv2d with oh output rows
+    of run positions: several whole-row blocks and a shorter last one, and
+    chunks below one row, the last one shorter, where oh and run allow. No
+    block holds a single position: numpy multiplies that one as a vector, in
+    another order, so its float32 sums may differ by rounding."""
+    rows = next((r for r in range(2, oh) if oh % r), None)
+    if rows is not None and run > 1:
+        yield rows * run, "whole-row blocks"
+    if run > 4:
+        yield run - 2, "chunks of a row"
+
+
+@pytest.mark.parametrize("stride", [1, 2, 3])
+@pytest.mark.parametrize("padding", [0, 1, 2])
+def test_conv2d_blocks_match_reference(monkeypatch, stride, padding):
+    """conv2d with CONV_BLOCK small enough for several whole-row im2col blocks
+    with a shorter last one, and for chunks below one output row: forward, dw
+    and dx exact against oracles.ref_conv2d on integer-valued float64
+    operands, and float32 z and dx bit-identical to one block."""
+    rng = np.random.default_rng([stride, padding, 7])
+    c, o, h, w = 2, 3, 11, 7
+    covered = set()
+    for (kh, kw), n in itertools.product(itertools.product((1, 2, 3, 5), repeat=2), (1, 3)):
+        oh, ow = (h + 2 * padding - kh) // stride + 1, (w + 2 * padding - kw) // stride + 1
+        layer = oracles._mk(1, "conv2d", [0], o, kh, kw, stride, padding, (c, h, w),
+                            (o, oh, ow), bias=o)
+        assert kernels._geometry(layer, (n, c, h, w))[4] == oh * ow * n
+        x = rng.integers(-8, 8, size=(n, c, h, w)).astype(np.float64)
+        wt, b = (rng.integers(-8, 8, size=shape).astype(np.float64)
+                 for shape in (layer.weight_shape, (o,)))
+        dz = rng.integers(-8, 8, size=(n, o, oh, ow)).astype(np.float64)
+        rz, rdw, rdx = oracles.ref_conv2d(x, wt, b, stride, padding, dz)
+        x32, w32, b32, dz32 = (rng.normal(size=a.shape).astype(np.float32)
+                               for a in (x, wt, b, dz))
+        assert kh * kw * c * oh * ow * n <= kernels.CONV_BLOCK  # one block unpatched
+        z, cols = kernels.linear_fwd(layer, x32, w32, b32)
+        one_block = z.tobytes(), kernels.linear_bwd(layer, dz32, cols, w32, x.shape)[0].tobytes()
+        for positions, what in _row_blocks(oh, ow * n):
+            covered.add(what)
+            case = f"k={kh}x{kw} n={n} {what}"
+            monkeypatch.setattr(kernels, "CONV_BLOCK", kh * kw * c * positions)
+            z, cols = kernels.linear_fwd(layer, x, wt, b)
+            dx, dw, _ = kernels.linear_bwd(layer, dz, cols, wt, x.shape)
+            assert np.array_equal(z, rz) and np.array_equal(dw, rdw), case
+            assert np.array_equal(dx, rdx), case
+            z, cols = kernels.linear_fwd(layer, x32, w32, b32)
+            dx = kernels.linear_bwd(layer, dz32, cols, w32, x.shape)[0]
+            assert (z.tobytes(), dx.tobytes()) == one_block, case
+        monkeypatch.undo()
+    assert covered == {"whole-row blocks", "chunks of a row"}
+
+
+@pytest.mark.parametrize("n", [1, 3, 32])
+def test_conv2d_computes_only_the_outputs_it_keeps(n):
+    """conv2d's GEMM writes one row per kept output position, N*oh*ow, and no
+    columns past ow: on the toy CNN's conv layers 3 and 4 at stride 1 and 2."""
+    rng = np.random.default_rng(n)
+    for (c, o, hw, s) in ((16, 24, 7, 1), (24, 32, 7, 2)):
+        ohw = (hw + 2 - 3) // s + 1
+        layer = oracles._mk(1, "conv2d", [0], o, 3, 3, s, 1, (c, hw, hw), (o, ohw, ohw), bias=o)
+        x, w = (rng.normal(size=shape).astype(np.float32)
+                for shape in ((n, c, hw, hw), layer.weight_shape))
+        acc, _ = kernels.linear_acc(layer, x, w)
+        assert acc.shape == (n, o, ohw, ohw) and acc.base.shape == (n * ohw * ohw, o)
 
 
 # (kind, kernel side, stride, padding, input side) of one layer per linear

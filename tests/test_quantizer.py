@@ -625,11 +625,11 @@ def test_requant_at_the_float64_boundary_matches_oracle(dtype, acc_bits, bits, t
 
 def _kernel_view(rng, kind: str, n: int, o: int, oh: int, ow: int, w2: int, dtype):
     """An (N, O, oh, ow) accumulator as a window kernel leaves it: a strided
-    view of its flat per-position output (kernels._out_grid), integers below
-    2**23 in magnitude."""
-    flat_shape = (oh * n * w2, o) if kind == "conv2d" else (o, oh * n * w2)
+    view of its flat per-position output (kernels._out_grid), conv2d's kept
+    positions only, integers below 2**23 in magnitude."""
+    flat_shape = (oh * ow * n, o) if kind == "conv2d" else (o, oh * n * w2)
     flat = rng.integers(-(1 << 23), 1 << 23, size=flat_shape).astype(dtype)
-    view = kernels._out_grid(flat, kind, n, o, oh, w2)[..., :ow]
+    view = kernels._out_grid(flat, kind, n, o, oh, ow, w2)
     assert not view.flags.c_contiguous
     return view
 
