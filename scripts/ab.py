@@ -27,6 +27,11 @@ BATCH = 128
 MBV1_BUDGET = {"rom_bytes": 2 * 2 ** 20, "ram_bytes": 512 * 2 ** 10}
 POOL = 2048   # perfbench's enforce_pool
 BLOCK = 256   # policies per timed enforce block
+# (stage, channels, input side, stride, pointwise out channels) of the first
+# depthwise/pointwise pair of each resolution stage of a MobileNetV1-0.25 at 128 px
+MBV1_STAGES = ((64, 8, 64, 1, 16), (32, 16, 64, 2, 32), (16, 32, 32, 2, 64),
+               (8, 64, 16, 2, 128), (4, 128, 8, 2, 256))
+MBV1_BATCH = 32
 
 
 class Case(NamedTuple):
@@ -152,14 +157,26 @@ def _relative(want, got) -> str:
     return f"{float(np.abs(want - got).max() / max(float(np.abs(want).max()), 1e-300)):.3g}"
 
 
+def _layer(tree, kind: str, c: int, o: int, k: int, s: int, p: int, hw: int):
+    """tree's LayerSpec of one k x k linear layer of o outputs on a (c, hw, hw) input."""
+    ohw = (hw + 2 * p - k) // s + 1
+    return tree.graph_ir.LayerSpec(
+        id=1, kind=kind, input_ids=(0,), out_channels=o, kernel_h=k, kernel_w=k, stride=s,
+        padding=p, input_shape=(c, hw, hw), output_shape=(o, ohw, ohw),
+        param_count=c * k * k * (1 if kind == "depthwise_conv2d" else o), bias_count=o)
+
+
 def kernel_cases(trees: tuple, seed: int) -> list[Case]:
-    """`linear_fwd` and `linear_bwd` of the toy CNN's four conv2d layers at batch 32
-    and 128 (60 pairs each), on the operands of one fake-quant training step that the
-    parent's qat passes its kernels: the input, the weights fake-quantized under a
-    seeded random 2/4/8-bit policy, the bias, dL/dz and need_dx, from the pretrained
-    weights and clips on the first train images. Each tree's backward takes the cols
-    of its own forward. Agreement: max |d| of z, or of dx and dw, each over the
-    parent's largest |value|."""
+    """`linear_fwd` and `linear_bwd` (60 pairs each) of:
+    - the toy CNN's four conv2d layers at batch 32 and 128, on the operands of one
+      fake-quant training step that the parent's qat passes its kernels: the input,
+      the weights fake-quantized under a seeded random 2/4/8-bit policy, the bias,
+      dL/dz and need_dx, from the pretrained weights and clips on the first train
+      images;
+    - the depthwise (3x3, padding 1) and pointwise layer of each MBV1_STAGES pair
+      at MBV1_BATCH, on seeded float32 operands, with need_dx.
+    Each tree's backward takes the cols of its own forward. Agreement: max |d| of z,
+    or of dx and dw, each over the parent's largest |value|."""
     import numpy as np
 
     parent, cases = trees[0], []
@@ -199,21 +216,34 @@ def kernel_cases(trees: tuple, seed: int) -> list[Case]:
         dx = "no dx" if dxp is None else f"dx max |d| {_relative(dxp, dxc)}"
         return f"{dx} and dw max |d| {_relative(dwp, dwc)}"
 
-    graph = {t: _graph(t, "toycnn_mnist") for t in trees}
-    for (batch, lid), (x, w, b, dz, need_dx) in sorted(calls.items(), key=lambda kv: kv[0][::-1]):
-        layer = {t: graph[t].layer(lid) for t in trees}
+    def pair(label: str, layer: dict, x, w, b, dz, need_dx: bool) -> list[Case]:
         cols = {t: t.kernels.linear_fwd(layer[t], x, w, b)[1] for t in trees}
 
-        def forward(tree, i: int, layer=layer, x=x, w=w, b=b):
+        def forward(tree, i: int):
             return tree.kernels.linear_fwd(layer[tree], x, w, b)[0]
 
-        def backward(tree, i: int, layer=layer, cols=cols, x=x, w=w, dz=dz, need_dx=need_dx):
+        def backward(tree, i: int):
             return tree.kernels.linear_bwd(layer[tree], dz, cols[tree], w, x.shape, need_dx)
 
-        label = f"conv2d layer {lid}, batch {batch}"
-        cases += [Case(f"{label}, forward", 60, forward, agree_z),
-                  Case(f"{label}, backward{'' if need_dx else ' without dx'}", 60, backward,
-                       agree_grads)]
+        return [Case(f"{label}, forward", 60, forward, agree_z),
+                Case(f"{label}, backward{'' if need_dx else ' without dx'}", 60, backward,
+                     agree_grads)]
+
+    graph = {t: _graph(t, "toycnn_mnist") for t in trees}
+    for (batch, lid), (x, w, b, dz, need_dx) in sorted(calls.items(), key=lambda kv: kv[0][::-1]):
+        cases += pair(f"conv2d layer {lid}, batch {batch}", {t: graph[t].layer(lid) for t in trees},
+                      x, w, b, dz, need_dx)
+    rng = np.random.default_rng([seed, 3])
+    for stage, c, hw, s, o in MBV1_STAGES:
+        for kind, shape in (("depthwise_conv2d", (c, c, 3, s, 1, hw)),
+                            ("pointwise_conv2d", (c, o, 1, 1, 0, (hw - 1) // s + 1))):
+            layer = {t: _layer(t, kind, *shape) for t in trees}
+            spec = layer[parent]
+            x, w, b, dz = (rng.standard_normal(size, np.float32) for size in (
+                (MBV1_BATCH,) + spec.input_shape, spec.weight_shape, (spec.out_channels,),
+                (MBV1_BATCH,) + spec.output_shape))
+            cases += pair(f"MobileNetV1-0.25 stage {stage} {kind}, batch {MBV1_BATCH}", layer,
+                          x, w, b, dz, True)
     return cases
 
 

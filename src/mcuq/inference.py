@@ -13,10 +13,10 @@ are quantizer.quantize_act's: act_codes of the float32 images, the codes the
 training forward fake-quantizes its input to.
 
 The kernels run on BLAS, on the codes cast to a float type that holds every
-partial sum exactly; check_model_matches proves which, once per model, from
-the stored codes (packed_model._kernel_dtype). Every encoded activation is
-unsigned, in [0, in_max] with in_max = 2**bits - 1 of its encoding, so every
-partial sum of output channel c, in any summation order, lies in
+partial sum exactly; check_model_matches proves which from the stored codes
+(packed_model._kernel_dtype), anew on every run_codes_network call. Every
+encoded activation is unsigned, in [0, in_max] with in_max = 2**bits - 1 of
+its encoding, so every partial sum of output channel c, in any order, lies in
 
     [in_max * sum of c's negative weight codes, in_max * sum of its positive ones]
 

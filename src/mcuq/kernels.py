@@ -85,18 +85,27 @@ def _phases(planes: np.ndarray, x: np.ndarray, h2: int, w2: int, phases: list):
                grid[a, b, :, y0:y0 + rows, :, x0:x0 + cols].transpose(2, 0, 1, 3))
 
 
+def _spans(n: int, size: int, join: bool = True) -> list:
+    """(start, length) spans of size over range(n); with join, a last span of
+    one joins the one before."""
+    starts = list(range(0, n, size))
+    starts = starts[:-1] if join and n - 1 in starts[1:] else starts
+    return [(a, b - a) for a, b in zip(starts, starts[1:] + [n])]
+
+
 def _col_blocks(planes: np.ndarray, taps: list, oh: int, run: int):
     """Yield (m0, cols): cols is the (kh*kw*C, mb) im2col block of conv2d's
     output positions m0 .. m0+mb, rows tap-major, held in one reused buffer:
     whole output rows of run = ow*N positions while they fit in CONV_BLOCK,
-    else chunks of one row."""
+    else chunks of one row. A last block of one position joins the one before:
+    numpy multiplies a (1, K) block as a vector, which rounds otherwise."""
     c = planes.shape[2]
     k = len(taps) * c
-    step = max(1, CONV_BLOCK // k)
+    step = max(2, CONV_BLOCK // k)
     rows, chunk = (min(oh, step // run), run) if step >= run else (1, step)
-    buf = np.empty(k * rows * chunk, planes.dtype)
-    for y0, p0 in itertools.product(range(0, oh, rows), range(0, run, chunk)):
-        r, mb = min(rows, oh - y0), min(chunk, run - p0)
+    blocks = list(itertools.product(_spans(oh, rows, join=run == 1), _spans(run, chunk)))
+    buf = np.empty(k * max(r * mb for (_, r), (_, mb) in blocks), planes.dtype)
+    for (y0, r), (p0, mb) in blocks:
         cols = buf[:k * r * mb].reshape(len(taps), c, r, mb)
         for t, (a, b, dy, dp) in enumerate(taps):
             cols[t] = planes[a, b, :, y0 + dy:y0 + dy + r, p0 + dp:p0 + dp + mb]

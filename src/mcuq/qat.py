@@ -207,8 +207,9 @@ def softmax_xent(logits: np.ndarray, labels: np.ndarray) -> tuple[float, np.ndar
 class _Adam:
     def __init__(self, lr: float):
         self.lr = lr
-        self.m: dict[tuple[str, int], np.ndarray] = {}
-        self.v: dict[tuple[str, int], np.ndarray] = {}
+        # keyed as the gradients: (tag, id) in training, "W0"-style in the search agent
+        self.m: dict[tuple[str, int] | str, np.ndarray] = {}
+        self.v: dict[tuple[str, int] | str, np.ndarray] = {}
         self.t = 0
 
     def step(self, grads: dict) -> dict:

@@ -146,91 +146,83 @@ def observe(g: NetworkGraph, layer_id: int, is_weight: bool,
 # ---------------------------------------------------------------------------
 
 class _MLP:
-    """Two-hidden-layer ReLU MLP; head is sigmoid (actor) or linear (critic)."""
+    """Two-hidden-layer ReLU MLP with its own Adam; head sigmoid (actor) or linear (critic)."""
 
-    def __init__(self, in_dim: int, hidden: tuple[int, int], rng, sigmoid_head: bool):
+    def __init__(self, in_dim: int, hidden: tuple[int, int], rng, sigmoid_head: bool,
+                 lr: float):
         self.sigmoid_head = sigmoid_head
+        self.opt = qat._Adam(lr)
         sizes = [in_dim, hidden[0], hidden[1], 1]
         self.params: dict[str, np.ndarray] = {}
         for i in range(3):
-            fan_in = sizes[i]
-            bound = 3e-3 if i == 2 else 1.0 / np.sqrt(fan_in)
-            self.params[f"W{i}"] = rng.uniform(-bound, bound, size=(sizes[i + 1], fan_in))
+            bound = 3e-3 if i == 2 else 1.0 / np.sqrt(sizes[i])
+            self.params[f"W{i}"] = rng.uniform(-bound, bound, size=(sizes[i + 1], sizes[i]))
             self.params[f"b{i}"] = np.zeros(sizes[i + 1])
 
     def forward(self, x: np.ndarray):
-        p = self.params
-        h1 = np.maximum(x @ p["W0"].T + p["b0"], 0.0)
-        h2 = np.maximum(h1 @ p["W1"].T + p["b1"], 0.0)
-        out = h2 @ p["W2"].T + p["b2"]
-        if self.sigmoid_head:
-            out = 1.0 / (1.0 + np.exp(-out))
-        return out, (x, h1, h2, out)
+        """(output, the input of each layer) of a batch of rows x."""
+        inputs = []
+        for i in range(3):
+            inputs.append(x)
+            x = x @ self.params[f"W{i}"].T + self.params[f"b{i}"]
+            if i < 2:
+                x = np.maximum(x, 0.0)
+        return (1.0 / (1.0 + np.exp(-x)) if self.sigmoid_head else x), inputs
 
-    def backward(self, cache, dout):
-        x, h1, h2, out = cache
-        p = self.params
+    def backward(self, out, inputs, dout):
+        """(parameter gradients, dx) of forward's out and inputs given dL/dout."""
         if self.sigmoid_head:
             dout = dout * out * (1.0 - out)
-        grads = {
-            "W2": dout.T @ h2, "b2": dout.sum(axis=0),
-        }
-        dh2 = (dout @ p["W2"]) * (h2 > 0)
-        grads["W1"] = dh2.T @ h1
-        grads["b1"] = dh2.sum(axis=0)
-        dh1 = (dh2 @ p["W1"]) * (h1 > 0)
-        grads["W0"] = dh1.T @ x
-        grads["b0"] = dh1.sum(axis=0)
-        dx = dh1 @ p["W0"]
-        return grads, dx
+        grads = {}
+        for i in (2, 1, 0):
+            grads[f"W{i}"], grads[f"b{i}"] = dout.T @ inputs[i], dout.sum(axis=0)
+            dout = dout @ self.params[f"W{i}"]
+            if i:  # the ReLU of the layer before
+                dout = dout * (inputs[i] > 0)
+        return grads, dout
+
+    def step(self, grads: dict) -> None:
+        """One Adam step of the parameters down grads."""
+        for key, u in self.opt.step(grads).items():
+            self.params[key] = self.params[key] - u
 
 
 class ReplayBuffer:
+    """A ring of [observation, action, reward] rows; a push overwrites the oldest."""
+
     def __init__(self, capacity: int):
-        self.capacity = capacity
-        self.items: list[tuple] = []
-        self.pos = 0
+        self.rows = np.empty((capacity, OBS_DIM + 2))
+        self.pushes = 0
 
     def __len__(self):
-        return len(self.items)
+        return min(self.pushes, len(self.rows))
 
     def push(self, obs, action, reward):
-        entry = (obs, float(action), float(reward))
-        if len(self.items) < self.capacity:
-            self.items.append(entry)
-        else:
-            self.items[self.pos] = entry
-        self.pos = (self.pos + 1) % self.capacity
+        self.rows[self.pushes % len(self.rows)] = (*obs, action, reward)
+        self.pushes += 1
 
     def sample(self, batch: int, rng):
-        idx = rng.choice(len(self.items), size=batch, replace=False)
-        obs = np.stack([self.items[i][0] for i in idx])
-        act = np.array([[self.items[i][1]] for i in idx])
-        rew = np.array([[self.items[i][2]] for i in idx])
-        return obs, act, rew
+        rows = self.rows[rng.choice(len(self), size=batch, replace=False)]
+        return rows[:, :OBS_DIM], rows[:, OBS_DIM:-1], rows[:, -1:]
 
 
 class DDPGAgent:
     def __init__(self, cfg: SearchConfig, seed: int):
         self.cfg = cfg
         self.rng = np.random.default_rng(seed)
-        self.actor = _MLP(OBS_DIM, HIDDEN, self.rng, sigmoid_head=True)
-        self.critic = _MLP(OBS_DIM + 1, HIDDEN, self.rng, sigmoid_head=False)
+        self.actor = _MLP(OBS_DIM, HIDDEN, self.rng, sigmoid_head=True, lr=ACTOR_LR)
+        self.critic = _MLP(OBS_DIM + 1, HIDDEN, self.rng, sigmoid_head=False, lr=CRITIC_LR)
         self.buffer = ReplayBuffer(REPLAY_CAPACITY)
-        self.actor_opt = qat._Adam(ACTOR_LR)
-        self.critic_opt = qat._Adam(CRITIC_LR)
 
     def noise_sigma(self, episode: int) -> float:
-        steps = max(episode - self.cfg.warmup, 0)
-        return NOISE * NOISE_DECAY ** steps
+        return NOISE * NOISE_DECAY ** max(episode - self.cfg.warmup, 0)
 
     def act(self, obs: np.ndarray, episode: int) -> tuple[int, float]:
         """(bits, continuous action) for one decision."""
         if episode < self.cfg.warmup:
             bits = int(self.rng.choice(BIT_CHOICES))
             return bits, BIT_MIDPOINT[bits]
-        a, _ = self.actor.forward(obs[None, :])
-        a = float(a[0, 0])
+        a = float(self.actor.forward(obs[None, :])[0][0, 0])
         sigma = self.noise_sigma(episode)
         if sigma > 0:
             a += float(np.clip(self.rng.normal(0.0, sigma), -2 * sigma, 2 * sigma))
@@ -242,19 +234,12 @@ class DDPGAgent:
         if len(self.buffer) < REPLAY_BATCH:
             return
         s, a, r = self.buffer.sample(REPLAY_BATCH, self.rng)
-        q, cache = self.critic.forward(np.concatenate([s, a], axis=1))
-        dq = 2.0 * (q - r) / len(q)
-        grads, _ = self.critic.backward(cache, dq)
-        for key, u in self.critic_opt.step(grads).items():
-            self.critic.params[key] = self.critic.params[key] - u
-
-        a_pred, a_cache = self.actor.forward(s)
-        q_a, c_cache = self.critic.forward(np.concatenate([s, a_pred], axis=1))
-        _, dinput = self.critic.backward(c_cache, -np.ones_like(q_a) / len(q_a))
-        da = dinput[:, OBS_DIM:]
-        a_grads, _ = self.actor.backward(a_cache, da)
-        for key, u in self.actor_opt.step(a_grads).items():
-            self.actor.params[key] = self.actor.params[key] - u
+        q, inputs = self.critic.forward(np.concatenate([s, a], axis=1))
+        self.critic.step(self.critic.backward(q, inputs, 2.0 * (q - r) / len(q))[0])
+        a_pred, a_inputs = self.actor.forward(s)
+        q, inputs = self.critic.forward(np.concatenate([s, a_pred], axis=1))
+        _, dinput = self.critic.backward(q, inputs, -np.ones_like(q) / len(q))
+        self.actor.step(self.actor.backward(a_pred, a_inputs, dinput[:, OBS_DIM:])[0])
 
 
 # ---------------------------------------------------------------------------

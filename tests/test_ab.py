@@ -41,17 +41,26 @@ def test_each_subject_agrees_in_full_on_one_tree(ab, capsys, subject, agreements
 
 
 def test_kernels_subject_times_every_toy_conv_layer_both_ways(ab, capsys):
-    """`kernels` runs the toy CNN's conv2d layers 1-4 at batch 32 and 128, forward
-    and backward, and one tree against itself agrees to 0 in z, dx and dw."""
+    """`kernels` runs the toy CNN's conv2d layers 1-4 at batch 32 and 128, then the
+    depthwise and pointwise layer of each MobileNetV1-0.25 stage at batch 32,
+    forward and backward with dx, and one tree against itself agrees to 0 in z,
+    dx and dw."""
     assert ab.main([str(ROOT), str(ROOT), "kernels", "--pairs", "2"]) == 0
     lines = [l for l in capsys.readouterr().out.splitlines() if "change/parent median" in l]
-    labels = [re.match(r"conv2d layer (\d), batch (\d+), (forward|backward)", l).groups()
-              for l in lines]
+    toy = [re.match(r"conv2d layer (\d), batch (\d+), (forward|backward)", l) for l in lines]
+    labels = [m.groups() for m in toy if m]
     assert labels == [(str(lid), str(batch), way) for lid in range(1, 5) for batch in (32, 128)
                       for way in ("forward", "backward")]
+    mbv1 = [re.match(r"MobileNetV1-0\.25 stage (\d+) (depthwise|pointwise)_conv2d, batch 32, "
+                     r"(forward|backward):", l) for l in lines[len(labels):]]
+    assert [m.groups() for m in mbv1 if m] == [
+        (str(stage), kind, way) for stage in (64, 32, 16, 8, 4)
+        for kind in ("depthwise", "pointwise") for way in ("forward", "backward")]
+    assert len(lines) == len(labels) + 20
     for line in lines:
         assert line.endswith("z max |d| 0" if "forward" in line else "and dw max |d| 0"), line
         assert re.findall(r"max \|d\| (\S+)", line) == ["0"] * (1 + line.count("dx max"))
+        assert "MobileNetV1" not in line or "forward" in line or "dx max |d| 0" in line
 
 
 def test_gradients_are_named_tag_dot_id_whichever_spelling_a_tree_keys(ab):

@@ -305,24 +305,33 @@ def test_window_channel_blocks_match_reference(monkeypatch, kind, stride, paddin
 
 def _row_blocks(oh: int, run: int):
     """(positions per block, what they cover) of a conv2d with oh output rows
-    of run positions: several whole-row blocks and a shorter last one, and
-    chunks below one row, the last one shorter, where oh and run allow. No
-    block holds a single position: numpy multiplies that one as a vector, in
-    another order, so its float32 sums may differ by rounding."""
+    of run positions, where oh and run allow: several whole-row blocks and a
+    shorter last one, chunks below one row, the last one shorter, and blocks
+    that leave a last one of a single position, which the kernel joins to the
+    one before (numpy multiplies a single position as a vector, in another
+    order, so its float32 sums may differ by rounding)."""
     rows = next((r for r in range(2, oh) if oh % r), None)
-    if rows is not None and run > 1:
+    if rows is not None:
         yield rows * run, "whole-row blocks"
     if run > 4:
         yield run - 2, "chunks of a row"
+    if run > 2:
+        yield run - 1, "a last chunk of one position"
+    rows = next((r for r in range(2, oh) if oh % r == 1), None)
+    if run == 1 and rows is not None:
+        yield rows, "a last row of one position"
+    if oh * run > 1:
+        yield 1, "blocks of one position"
 
 
 @pytest.mark.parametrize("stride", [1, 2, 3])
 @pytest.mark.parametrize("padding", [0, 1, 2])
 def test_conv2d_blocks_match_reference(monkeypatch, stride, padding):
     """conv2d with CONV_BLOCK small enough for several whole-row im2col blocks
-    with a shorter last one, and for chunks below one output row: forward, dw
-    and dx exact against oracles.ref_conv2d on integer-valued float64
-    operands, and float32 z and dx bit-identical to one block."""
+    with a shorter last one, for chunks below one output row, and for blocks
+    that leave a last one of a single position: forward, dw and dx exact
+    against oracles.ref_conv2d on integer-valued float64 operands, and
+    float32 z and dx bit-identical to one block."""
     rng = np.random.default_rng([stride, padding, 7])
     c, o, h, w = 2, 3, 11, 7
     covered = set()
@@ -353,7 +362,9 @@ def test_conv2d_blocks_match_reference(monkeypatch, stride, padding):
             dx = kernels.linear_bwd(layer, dz32, cols, w32, x.shape)[0]
             assert (z.tobytes(), dx.tobytes()) == one_block, case
         monkeypatch.undo()
-    assert covered == {"whole-row blocks", "chunks of a row"}
+    assert covered >= {"whole-row blocks", "chunks of a row", "a last chunk of one position",
+                       "blocks of one position"}
+    assert ("a last row of one position" in covered) == ((stride, padding) == (3, 0))
 
 
 @pytest.mark.parametrize("n", [1, 3, 32])

@@ -167,10 +167,27 @@ def test_post_warmup_actions_clipped(monkeypatch):
 def test_replay_buffer_ring():
     buf = ReplayBuffer(capacity=4)
     for i in range(6):
-        buf.push(np.full(2, i), 0.1, float(i))
-    assert len(buf) == 4
-    rewards = sorted(item[2] for item in buf.items)
-    assert rewards == [2.0, 3.0, 4.0, 5.0]  # oldest two evicted
+        buf.push(np.full(OBS_DIM, i), 0.1, float(i))
+    assert len(buf) == 4 and buf.rows.shape == (4, OBS_DIM + 2)
+    # the oldest two evicted, each overwritten in its slot of the ring
+    assert buf.rows[:, -1].tolist() == [4.0, 5.0, 2.0, 3.0]
+    assert np.array_equal(buf.rows[:, :OBS_DIM], np.repeat([[4.0], [5.0], [2.0], [3.0]],
+                                                          OBS_DIM, axis=1))
+    assert np.all(buf.rows[:, OBS_DIM] == 0.1)
+
+
+def test_replay_sample_is_rows_split_into_s_a_r():
+    buf = ReplayBuffer(capacity=8)
+    rng = np.random.default_rng(5)
+    pushed = [(rng.uniform(0, 1, OBS_DIM), float(rng.uniform()), float(i)) for i in range(5)]
+    for t in pushed:
+        buf.push(*t)
+    s, a, r = buf.sample(3, np.random.default_rng(1))
+    idx = np.random.default_rng(1).choice(5, size=3, replace=False)
+    assert s.shape == (3, OBS_DIM) and a.shape == r.shape == (3, 1)
+    for row, i in enumerate(idx):
+        assert np.array_equal(s[row], pushed[i][0])
+        assert (a[row, 0], r[row, 0]) == pushed[i][1:]
 
 
 def test_critic_regresses_constant_reward(monkeypatch):
@@ -181,9 +198,7 @@ def test_critic_regresses_constant_reward(monkeypatch):
         agent.buffer.push(rng.uniform(0, 1, OBS_DIM), float(rng.uniform()), 0.7)
 
     def critic_mse():
-        s = np.stack([it[0] for it in agent.buffer.items])
-        a = np.array([[it[1]] for it in agent.buffer.items])
-        q, _ = agent.critic.forward(np.concatenate([s, a], axis=1))
+        q, _ = agent.critic.forward(agent.buffer.rows[:len(agent.buffer), :-1])
         return float(((q - 0.7) ** 2).mean())
 
     before = critic_mse()
@@ -230,6 +245,36 @@ def test_update_noop_until_batch_full():
     agent.update()
     for k in before:
         assert np.array_equal(agent.critic.params[k], before[k])
+
+
+@pytest.mark.parametrize("sigmoid_head", [True, False])
+def test_mlp_backward_matches_central_differences(sigmoid_head):
+    """_MLP.backward's parameter gradients and dx against central differences
+    of forward, in float64, of L = sum(out * g) on a seeded batch: the actor's
+    sigmoid head and the critic's linear one."""
+    rng = np.random.default_rng(int(sigmoid_head))
+    mlp = search_mod._MLP(5, (7, 6), rng, sigmoid_head=sigmoid_head, lr=1e-3)
+    for key, p in mlp.params.items():  # O(1) weights and biases, so no gradient is tiny
+        mlp.params[key] = rng.normal(size=p.shape)
+    x, g = rng.normal(size=(4, 5)), rng.normal(size=(4, 1))
+    out, inputs = mlp.forward(x)
+    grads, dx = mlp.backward(out, inputs, g)
+    assert list(inputs) and inputs[0] is x and set(grads) == set(mlp.params)
+
+    def central(arr, eps=1e-6):
+        num = np.empty_like(arr)
+        for i in np.ndindex(arr.shape):
+            keep, loss = arr[i], []
+            for v in (keep + eps, keep - eps):
+                arr[i] = v
+                loss.append(float((mlp.forward(x)[0] * g).sum()))
+            arr[i] = keep
+            num[i] = (loss[0] - loss[1]) / (2 * eps)
+        return num
+
+    for key, p in mlp.params.items():
+        np.testing.assert_allclose(grads[key], central(p), rtol=1e-6, atol=1e-8, err_msg=key)
+    np.testing.assert_allclose(dx, central(x), rtol=1e-6, atol=1e-8)
 
 
 # ---------------------------------------------------------------------------
@@ -361,7 +406,7 @@ def test_episode_pushes_top1_for_every_item(residual_graph, res_setup):
     assert 0.0 <= rec.top1 <= 1.0
     n_items = len(decision_items(residual_graph, "concurrent"))
     assert len(agent.buffer) == n_items
-    assert all(item[2] == rec.top1 for item in agent.buffer.items)
+    assert np.all(agent.buffer.rows[:n_items, -1] == rec.top1)
 
 
 # ---------------------------------------------------------------------------
