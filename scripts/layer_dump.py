@@ -40,6 +40,11 @@
   no other key changes its inputs; MobileNetV1 on the 4 images its two models
   calibrate on, keys `clip/...`. Every set but MobileNetV1's is larger than
   one 128-image batch;
+- AGENT_ROUNDS seeded rounds of one search.DDPGAgent on synthetic
+  transitions, each a buffer.push, an update and an act past warm-up (the
+  two searches above reach update past its REPLAY_BATCH guard only 9
+  times): every continuous action and, after the last round, every actor
+  and critic parameter, keys `agent/...`;
 - the per-class (count, correct) rows of inference.evaluate_accuracy for
   toycnn_mnist's two models on the SCORE_VAL val images of a seeded
   synthetic_shapes set (two 128-image batches and a last batch of 44): the
@@ -59,8 +64,8 @@ build_packed_model and calibration are unchanged.
 `diff` says, per key, whether the two dumps hold identical arrays. For an
 integer array that differs it gives how many elements differ out of how many,
 and for integer and float arrays the largest absolute difference. It exits 1
-when an integer array, a clip, a search, enforcement or score record differs,
-when a key's shapes differ or when a key is in one dump only.
+when an integer array, a clip, a search, enforcement, agent or score record
+differs, when a key's shapes differ or when a key is in one dump only.
 """
 
 from __future__ import annotations
@@ -90,6 +95,8 @@ SCORE_VAL = 300  # val images scored per model: batches of 128, 128 and 44
 CALIB_SEARCH = (256, 400)  # toycnn_mnist train images calibrated on after each search
 CALIB_RESIDUAL = 300  # toy_residual calibration images
 CALIB_RANDOM = 130  # calibration images per random graph
+AGENT_ROUNDS = 300  # push, update and act rounds of the agent record
+EXACT = ("int/", "clip/", "search/", "enforce/", "agent/", "score/")  # diff: keys that must match
 
 
 def _model(models_dir: str, name: str, build):
@@ -187,6 +194,23 @@ def _record_enforcement(out: dict) -> None:
         _enforced(out, f"random{i:02d}", g, p, budget)
 
 
+def _record_agent(out: dict) -> None:
+    """AGENT_ROUNDS rounds of push, update and act of a DDPGAgent seeded 7 on
+    transitions from its own generator: the actions and the final parameters."""
+    cfg = search.SearchConfig(budget=SEARCH_BUDGET, episodes=AGENT_ROUNDS, warmup=1)
+    agent, rng = search.DDPGAgent(cfg, seed=7), np.random.default_rng(AGENT_ROUNDS)
+    actions = []
+    for episode in range(1, AGENT_ROUNDS + 1):
+        obs = rng.uniform(0, 1, size=search.OBS_DIM)
+        agent.buffer.push(obs, rng.uniform(), rng.uniform())
+        agent.update()
+        actions.append(agent.act(obs, episode)[1])
+    out["agent/actions"] = np.array(actions)
+    for name, net in (("actor", agent.actor), ("critic", agent.critic)):
+        for key, value in net.params.items():
+            out[f"agent/{name}/{key}"] = value
+
+
 def dump(path: str, models_dir: str) -> None:
     os.makedirs(models_dir, exist_ok=True)
     out: dict[str, np.ndarray] = {}
@@ -237,6 +261,7 @@ def dump(path: str, models_dir: str) -> None:
             models_dir, images, calib=calib, float_too=False)
     _record_searches(out)
     _record_enforcement(out)
+    _record_agent(out)
     np.savez_compressed(path, **out)
     print(f"{path}: {len(out)} arrays")
 
@@ -246,14 +271,14 @@ def diff(path_a: str, path_b: str) -> int:
     only = sorted(set(a.files) ^ set(b.files))
     for key in only:
         print(f"only in {path_a if key in a.files else path_b}: {key}")
-    same_int = diff_int = bad_shape = 0  # integer arrays, clip, search, enforcement, score records
+    same_int = diff_int = bad_shape = 0  # the EXACT records
     worst: dict[str, float] = {}
     for key in sorted(set(a.files) & set(b.files)):
         x, y = a[key], b[key]
         if x.shape != y.shape:
             bad_shape += 1
             print(f"shapes differ: {key} {x.shape} vs {y.shape}")
-        elif key.startswith(("int/", "clip/", "search/", "enforce/", "score/")):
+        elif key.startswith(EXACT):
             if np.array_equal(x, y):
                 same_int += 1
             else:
@@ -270,8 +295,8 @@ def diff(path_a: str, path_b: str) -> int:
             worst[kind] = max(worst.get(kind, 0.0), d)
             if d:
                 print(f"{key}: max |d| {d:.3g} (largest |value| {np.abs(x).max():.3g})")
-    print(f"integer arrays, clip, search, enforcement and score records: {same_int} identical, "
-          f"{diff_int} differ")
+    print(f"integer arrays, clip, search, enforcement, agent and score records: "
+          f"{same_int} identical, {diff_int} differ")
     for kind, d in sorted(worst.items()):
         print(f"float {kind}: max |d| {d:.3g}")
     return 1 if diff_int or bad_shape or only else 0

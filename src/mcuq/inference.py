@@ -33,7 +33,11 @@ The kernel runs without a bias, so the bias never enters the float sums.
 Its output, uncopied (a strided view for the window kinds; conv2d computes
 only the outputs it keeps), and the bias go to one requant epilogue,
 quantizer.apply_requant, which adds the bias exactly: in float64 where that
-is provably exact, in int64 otherwise.
+is provably exact, in int64 otherwise. It walks the output in the kernel's
+memory order and writes the codes in that order, so the codes between layers
+are (N, C, H, W) int32 arrays whose strides follow the kernel that made them
+(conv2d's run (y, x, n, c)). Every consumer reads them by value, so the
+values at the API are those of C order.
 """
 
 from __future__ import annotations

@@ -303,9 +303,15 @@ def apply_requant(acc: np.ndarray, rq: RequantParams, bits: int,
     acc holds integers (int, or a float kernel's exact floats) in any layout,
     and acc + bias lies within int32. The parameters are one multiplier and
     shift, or one per channel on axis 1 of an (N, C, ...) acc; bias is one
-    int32 per channel. Blocks of at most CONV_BLOCK elements, whole images
-    where one fits (parameters laid out per image), else channels of one
-    image, are copied from acc into one buffer and requantized there.
+    int32 per channel. The output has acc's shape and memory order. Both are
+    walked in that order, acc's axes outermost-first by stride (length-1 axes
+    last), in blocks of at most CONV_BLOCK elements copied into one buffer and
+    requantized there: slices of the outermost axis where it is not the
+    channel axis and the inner axes fit (parameters tiled over them), else
+    channels of one outer index, or of all acc where channels are outermost.
+    So a C-contiguous acc runs in whole images or channels of one image,
+    conv2d's (oh*ow*N, O) GEMM output in whole output rows, and the depthwise
+    and avg_pool views in channel blocks.
 
     Unsigned outputs whose largest shift is at most 52 - bits run in float64,
     exactly: a = acc + bias (below 2**33) and m = multiplier * 2**-shift are
@@ -323,17 +329,22 @@ def apply_requant(acc: np.ndarray, rq: RequantParams, bits: int,
     away from zero and moves nothing else; unsigned ones clip p < 0 to 0.
     """
     acc = np.asarray(acc)
-    out = np.empty(acc.shape, np.int32)
-    view, outv = (acc, out) if acc.ndim >= 2 else (acc.reshape(1, 1, -1), out.reshape(1, 1, -1))
-    n, c = view.shape[:2]
+    out = np.empty_like(acc, dtype=np.int32)  # in acc's memory order
+    view, outv = (acc, out) if acc.ndim >= 2 else (acc.reshape(-1, 1), out.reshape(-1, 1))
+    c = view.shape[1]
     mult = np.atleast_1d(np.asarray(rq.multiplier, dtype=np.int64))
     shift = np.atleast_1d(np.asarray(rq.shift, dtype=np.int64))
     bias = np.zeros(c, np.int64) if bias is None else np.asarray(bias, np.int64)
     if mult.size not in (1, c) or len(bias) != c:
         raise ValueError(f"requant parameters for {mult.size} channels or a bias for "
                          f"{len(bias)} do not fit accumulators of shape {acc.shape}")
-    per_ch = (c,) + (1,) * (view.ndim - 2)
-    mult, shift, bias = (np.broadcast_to(v, c).reshape(per_ch) for v in (mult, shift, bias))
+    # the axes outermost-first in memory, those of length 1 last; the channel axis at ax
+    order = sorted(range(view.ndim), key=lambda a: -abs(view.strides[a]) * (view.shape[a] > 1))
+    view, outv, ax = view.transpose(order), outv.transpose(order), order.index(1)
+    per_ch = (c,) + (1,) * (view.ndim - 1 - ax)
+    chan = np.empty((3, c), np.int64)  # a single multiplier and shift broadcast
+    chan[0], chan[1], chan[2] = mult, shift, bias
+    mult, shift, bias = chan.reshape((3,) + per_ch)
     signed, exact = bits == 32, float64_exact(bits, shift)
     lo, hi = qrange(bits, signed)
     if exact:
@@ -342,21 +353,25 @@ def apply_requant(acc: np.ndarray, rq: RequantParams, bits: int,
         half = (1 << shift) >> 1
         neg = np.where(shift > 0, half, np.iinfo(np.int64).min)
         params = [mult, bias * mult + half, shift, neg]
-    row = math.prod(view.shape[2:])
-    if c * row <= CONV_BLOCK:  # blocks of whole images, parameters laid out per image
-        step = CONV_BLOCK // max(1, c * row)
-        blocks = [(slice(i, i + step), slice(None)) for i in range(0, n, step)]
-        if n > 1:
-            params = [np.ascontiguousarray(np.broadcast_to(v, view.shape[1:])) for v in params]
-    else:
-        step = max(1, CONV_BLOCK // row)
-        blocks = [((i, slice(c0, c0 + step)), slice(c0, c0 + step))
-                  for i in range(n) for c0 in range(0, c, step)]
+    inner = math.prod(view.shape[1:])
+    if ax and inner <= CONV_BLOCK:  # slices of the outermost axis, parameters tiled over the rest
+        step = CONV_BLOCK // max(1, inner)
+        blocks = [(slice(i, i + step), slice(None)) for i in range(0, len(view), step)]
+        tiled = np.empty((len(params),) + view.shape[1:], params[0].dtype)
+        for t, v in zip(tiled, params):
+            t[...] = v
+        params = tiled
+    else:  # channel blocks of one outer index, or of the whole view if channels are outermost
+        row = math.prod(d for k, d in enumerate(view.shape) if k not in (0, ax))
+        step = max(1, CONV_BLOCK // max(1, row))
+        outer = [(i,) + (slice(None),) * (ax - 1) for i in range(len(view))] if ax else [()]
+        blocks = [(o + (slice(c0, c0 + step),), slice(c0, c0 + step))
+                  for o in outer for c0 in range(0, c, step)]
     buf = np.empty(view[blocks[0][0]].size if blocks else 0, np.float64 if exact else np.int64)
     for idx, ch in blocks:
         block = view[idx]
         p = buf[:block.size].reshape(block.shape)
-        np.copyto(p, block, casting="unsafe")  # the fastest read of a strided block
+        np.copyto(p, block, casting="unsafe")  # the fastest read of a block, strided or not
         if exact:
             b, m = (v[ch] for v in params)
             p += b

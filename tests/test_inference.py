@@ -164,16 +164,21 @@ def test_codes_of_a_layer_reading_one_tensor_twice_match_oracle_per_layer():
         _assert_codes_match_oracle_per_layer(g, rng, i)
 
 
-def _assert_codes_match_oracle_per_layer(g, rng, seed):
-    """Under a random sub-byte policy, init_weights(seed) with random biases and
-    two random images: every layer's codes are the oracle's, and the input's
-    are quantize_act's."""
+def _random_model(g, rng, seed):
+    """(model, images): g packed under a random sub-byte policy from
+    init_weights(seed) with random biases, and two random images."""
     policy = oracles.random_policy(rng, g, allow_fp32=False)
     weights = qat.init_weights(g, seed=seed)
     for entry in weights.values():
         entry["b"] = rng.normal(0.0, 0.1, size=entry["b"].shape).astype(np.float32)
     images = rng.uniform(0, 1, size=(2,) + g.input_layer.output_shape).astype(np.float32)
-    model = build_packed_model(g, weights, policy, calibrate_act_ranges(g, weights, images))
+    return build_packed_model(g, weights, policy, calibrate_act_ranges(g, weights, images)), images
+
+
+def _assert_codes_match_oracle_per_layer(g, rng, seed):
+    """Under _random_model: every layer's codes are the oracle's, and the
+    input's are quantize_act's."""
+    model, images = _random_model(g, rng, seed)
     codes = dict(run_codes_network(g, model, images))
     assert sorted(codes) == sorted(g.tensor_ids())
     in_id = g.input_layer.id
@@ -189,6 +194,35 @@ def _assert_codes_match_oracle_per_layer(g, rng, seed):
             assert np.array_equal(codes[lid][j], ref), f"graph {seed} layer {lid}"
     assert np.array_equal(run_batch_int(g, model, images),
                           codes[g.output_layer.input_ids[0]])
+
+
+def test_layer_codes_do_not_depend_on_the_memory_order_of_their_input():
+    """Seeded random graphs until all seven compute kinds and relu_clip ran:
+    each layer on its input codes in C order and on a copy in channel-last
+    memory order gives identical codes, the oracle's. The walk yields codes in
+    the memory order of the kernel that made them, so no consumer may depend
+    on C order."""
+    rng = np.random.default_rng(33)
+    want = frozenset(COMPUTE_KINDS + ("relu_clip",))
+    kinds, graphs = set(), 0
+    while kinds < want:
+        graphs += 1
+        assert graphs <= 200, f"random graphs never produced {sorted(want - kinds)}"
+        g = oracles.random_graph(rng)
+        model, images = _random_model(g, rng, graphs)
+        codes, dtypes = dict(run_codes_network(g, model, images)), check_model_matches(g, model)
+        for lid in topo_order(g):
+            layer, rec = g.layer(lid), model.layers.get(lid)
+            if layer.kind in ("input", "output"):
+                continue
+            ins = [np.ascontiguousarray(codes[t]) for t in layer.input_ids]
+            last = [np.moveaxis(np.ascontiguousarray(np.moveaxis(x, 1, -1)), -1, 1) for x in ins]
+            got = run_codes_layer(layer, rec, ins, dtypes.get(lid))
+            assert np.array_equal(run_codes_layer(layer, rec, last, dtypes.get(lid)), got)
+            for j in range(len(images)):
+                ref = oracles.ref_layer_codes(layer, rec, [x[j] for x in ins])
+                assert np.array_equal(got[j], ref), f"graph {graphs} layer {lid}"
+            kinds.add(layer.kind)
 
 
 def test_integer_walk_holds_only_the_live_set(toy_graph, residual_graph, mobilenet_graph):

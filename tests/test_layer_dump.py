@@ -13,6 +13,7 @@ BASE = {
     "clip/toy/3": np.array([1.5]),
     "search/concurrent/history_csv": np.frombuffer(b"episode,top1\n0,0.5\n", np.uint8),
     "enforce/random00/weight_bits": np.array([[1, 8], [2, 4]], np.int64),
+    "agent/actor/W2": np.array([[0.25, -0.5], [1.0, 2.0]]),
     "score/toy/all8/int": np.array([[10, 7], [12, 9]]),
     "float/toy/float/logits": np.array([[0.25, -1.0]], np.float32),
     "float/toy/float/grad.w.1": np.array([0.5, 2.0], np.float32),
@@ -39,7 +40,7 @@ def _diff(layer_dump, tmp_path, capsys, b: dict) -> tuple[int, str]:
 def test_identical_dumps_pass(layer_dump, tmp_path, capsys):
     code, out = _diff(layer_dump, tmp_path, capsys, dict(BASE))
     assert code == 0
-    assert "5 identical, 0 differ" in out
+    assert "6 identical, 0 differ" in out
     assert "float logits: max |d| 0\n" in out and "float grad: max |d| 0\n" in out
 
 
@@ -58,7 +59,7 @@ def test_an_exact_record_that_differs_fails(layer_dump, tmp_path, capsys, key):
     changed.flat[0] += 1
     code, out = _diff(layer_dump, tmp_path, capsys, {**BASE, key: changed})
     assert code == 1
-    assert "4 identical, 1 differ" in out
+    assert "5 identical, 1 differ" in out
     if key.startswith("int/"):
         assert f"integer codes differ: {key}: 1 of 4, max |d| 1" in out
     else:
@@ -84,3 +85,34 @@ def test_a_key_in_one_dump_only_fails(layer_dump, tmp_path, capsys, extra):
     code, out = _diff(layer_dump, tmp_path, capsys, b)
     assert code == 1
     assert f"only in {tmp_path / ('b.npz' if extra else 'a.npz')}: {key}" in out
+
+
+def test_an_agent_update_that_goes_astray_changes_the_agent_record(layer_dump, tmp_path,
+                                                                   capsys, monkeypatch):
+    """The agent record repeats exactly, and skipping one late update (the
+    200th of the 237 past REPLAY_BATCH) changes it, so diff fails."""
+    base, again, changed = {}, {}, {}
+    layer_dump._record_agent(base)
+    layer_dump._record_agent(again)
+    agent = layer_dump.search.DDPGAgent
+    update, calls = agent.update, []
+
+    def skip_one(self):
+        if len(self.buffer) >= layer_dump.search.REPLAY_BATCH:
+            calls.append(len(self.buffer))
+            if len(calls) == 200:
+                return
+        update(self)
+
+    monkeypatch.setattr(agent, "update", skip_one)
+    layer_dump._record_agent(changed)
+    assert len(calls) == layer_dump.AGENT_ROUNDS - layer_dump.search.REPLAY_BATCH + 1
+    assert len(base) == 13 and all(k.startswith("agent/") for k in base)
+    assert all(np.array_equal(base[k], again[k]) for k in base)
+    np.savez(tmp_path / "a.npz", **base)
+    np.savez(tmp_path / "b.npz", **changed)
+    assert layer_dump.main(["diff", str(tmp_path / "a.npz"), str(tmp_path / "b.npz")]) == 1
+    out = capsys.readouterr().out
+    assert "agent record differs: agent/actions" in out
+    assert "agent record differs: agent/actor/W0" in out
+    assert "agent record differs: agent/critic/W0" in out

@@ -634,19 +634,29 @@ def _kernel_view(rng, kind: str, n: int, o: int, oh: int, ow: int, w2: int, dtyp
     return view
 
 
+def _stride_order(a: np.ndarray) -> list[int]:
+    """a's axes of length above 1, outermost-first in memory."""
+    return sorted((k for k in range(a.ndim) if a.shape[k] > 1), key=lambda k: -abs(a.strides[k]))
+
+
+# conv2d's view runs in whole output rows (its channels innermost) and the
+# depthwise view in channel blocks (its channels outermost); the comments give
+# conv2d's blocks
 @pytest.mark.parametrize("kind", ["conv2d", "depthwise_conv2d"])
 @pytest.mark.parametrize("n, block", [
-    pytest.param(92, None, id="92_images_default_block"),   # blocks of 55 images, then 37
-    pytest.param(7, 3 * 24 * 49 + 5, id="3_images_a_block"),  # 3, 3, then 1
-    pytest.param(2, 24 * 10, id="channel_blocks"),            # 4 channels, per image
-    pytest.param(2, 20, id="one_channel_a_block"),            # a channel longer than a block
+    pytest.param(92, None, id="92_images_default_block"),   # 4 rows a block, then 3
+    pytest.param(7, 3 * 24 * 49 + 5, id="3_images_a_block"),  # 3 rows, 3, then 1
+    pytest.param(2, 24 * 10, id="channel_blocks"),            # 17 channels of a row, then 7
+    pytest.param(2, 20, id="one_channel_a_block"),            # one channel of a row
+    pytest.param(1, 24 * 10, id="1_image"),  # n and x of equal stride; 1 row a block
 ])
 @pytest.mark.parametrize("bits", [4, 8, 32])
 def test_requant_of_a_strided_kernel_view_matches_oracle(monkeypatch, kind, n, block, bits):
     """apply_requant reads the window kernels' strided (N, O, oh, ow) view in
-    blocks of whole images or of channels, with the float64 chain (unsigned
-    outputs, shifts up to 52 - bits) and the int64 one (raw logits); every
-    code equals the exact oracle and the result of a contiguous copy."""
+    its memory order, with the float64 chain (unsigned outputs, shifts up to
+    52 - bits) and the int64 one (raw logits), and writes codes of the view's
+    shape in that order; every code equals the exact oracle and the result of
+    a contiguous copy."""
     if block is not None:
         monkeypatch.setattr(quantizer, "CONV_BLOCK", block)
     rng = np.random.default_rng([n, bits, len(kind)])
@@ -658,10 +668,37 @@ def test_requant_of_a_strided_kernel_view_matches_oracle(monkeypatch, kind, n, b
     bias = rng.integers(-(1 << 26), 1 << 26, size=o).astype(np.int32)
     assert quantizer.float64_exact(bits, rq.shift) is (bits < 32)
     got = apply_requant(view, rq, bits, bias=bias)
-    assert got.shape == view.shape and got.flags.c_contiguous
+    assert got.shape == view.shape and _stride_order(got) == _stride_order(view)
     assert np.array_equal(got, apply_requant(np.ascontiguousarray(view), rq, bits, bias=bias))
     want = _ref_channel_requant(view.astype(np.int64), rq, bias, bits, bits == 32)
     assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("case", ["c_order", "channel_last", "zero_size", "1d", "1d_strided"])
+@pytest.mark.parametrize("bits", [8, 32])
+def test_requant_keeps_the_memory_order_of_acc(monkeypatch, case, bits):
+    """A C-contiguous acc gives C-contiguous codes, a channel-last one
+    channel-last codes, a zero-size acc zero-size codes and a 1-D acc (one
+    channel) 1-D codes, each equal to the exact oracle, over several blocks."""
+    monkeypatch.setattr(quantizer, "CONV_BLOCK", _BLOCK)
+    rng = np.random.default_rng([bits, len(case)])
+    shape = {"zero_size": (3, 4, 0, 5), "1d": (50,), "1d_strided": (100,)}.get(case, (3, 4, 5, 2))
+    acc = rng.integers(-(1 << 23), 1 << 23, size=shape)
+    if case == "channel_last":
+        acc = np.ascontiguousarray(acc.transpose(0, 2, 3, 1)).transpose(0, 3, 1, 2)
+    elif case == "1d_strided":
+        acc = acc[::2]
+    c = acc.shape[1] if acc.ndim > 1 else 1
+    rq = RequantParams(multiplier=rng.integers(1 << 30, 1 << 31, size=c).astype(np.int32),
+                       shift=rng.integers(28, 40, size=c).astype(np.int32))
+    bias = rng.integers(-(1 << 20), 1 << 20, size=c).astype(np.int32)
+    got = apply_requant(acc, rq, bits, bias=bias)
+    assert got.dtype == np.int32 and got.shape == acc.shape
+    assert _stride_order(got) == _stride_order(acc)
+    assert got.flags.c_contiguous is (case != "channel_last")
+    a2 = acc.reshape(-1, 1) if acc.ndim == 1 else acc
+    want = _ref_channel_requant(a2, rq, bias, bits, bits == 32)
+    assert np.array_equal(got, want.reshape(acc.shape))
 
 
 def test_apply_requant_rejects_mismatched_parameters():
