@@ -64,7 +64,9 @@ def run_codes_layer(layer, rec: PackedLayer, in_codes: list[np.ndarray],
     if layer.kind in LINEAR_KINDS:
         w, bias = (pool_weight(layer, 1, np.int32) if layer.kind == "avg_pool"
                    else (rec.weight.codes(), rec.bias_int))
-        z, _ = linear_acc(layer, in_codes[0].astype(dtype), w.astype(dtype))
+        # the GEMM kinds reshape x, which is a view only in C order
+        order = "C" if layer.kind in ("pointwise_conv2d", "fully_connected") else "K"
+        z, _ = linear_acc(layer, in_codes[0].astype(dtype, order=order), w.astype(dtype))
         return apply_requant(z, rec.requants[0], out_bits, bias=bias)
     if layer.kind == "add_residual":
         lo, hi = qrange(out_bits, signed=out_bits == 32)  # apply_requant's range

@@ -14,6 +14,7 @@ float rescale.
 
 from __future__ import annotations
 
+import itertools
 import math
 import struct
 import zlib
@@ -291,7 +292,7 @@ def compute_requant(s_in: float, s_w: np.ndarray, s_out: float) -> RequantParams
 
 def float64_exact(bits: int, shift: np.ndarray) -> bool:
     """Whether apply_requant runs its exact float64 chain (its docstring)."""
-    return bits < 32 and int(np.max(shift, initial=0)) <= 52 - bits
+    return bits < 32 and int(shift.max(initial=0)) <= 52 - bits
 
 
 def apply_requant(acc: np.ndarray, rq: RequantParams, bits: int,
@@ -306,12 +307,12 @@ def apply_requant(acc: np.ndarray, rq: RequantParams, bits: int,
     int32 per channel. The output has acc's shape and memory order. Both are
     walked in that order, acc's axes outermost-first by stride (length-1 axes
     last), in blocks of at most CONV_BLOCK elements copied into one buffer and
-    requantized there: slices of the outermost axis where it is not the
-    channel axis and the inner axes fit (parameters tiled over them), else
-    channels of one outer index, or of all acc where channels are outermost.
-    So a C-contiguous acc runs in whole images or channels of one image,
-    conv2d's (oh*ow*N, O) GEMM output in whole output rows, and the depthwise
-    and avg_pool views in channel blocks.
+    requantized there: slices of the outermost axis k whose inner axes fit, at
+    one index of the axes before k, the parameters tiled over the inner axes
+    where the channel axis is one of them. So a C-contiguous acc runs in whole
+    images or channels of one image, conv2d's (oh*ow*N, O) GEMM output in whole
+    output rows (pieces of a row at large N), and the channels-outermost
+    depthwise and avg_pool views in channel slices (rows of one at large N).
 
     Unsigned outputs whose largest shift is at most 52 - bits run in float64,
     exactly: a = acc + bias (below 2**33) and m = multiplier * 2**-shift are
@@ -341,32 +342,31 @@ def apply_requant(acc: np.ndarray, rq: RequantParams, bits: int,
     # the axes outermost-first in memory, those of length 1 last; the channel axis at ax
     order = sorted(range(view.ndim), key=lambda a: -abs(view.strides[a]) * (view.shape[a] > 1))
     view, outv, ax = view.transpose(order), outv.transpose(order), order.index(1)
-    per_ch = (c,) + (1,) * (view.ndim - 1 - ax)
+    # blocks slice the outermost axis k whose inner axes fit, at each index of the outer ones
+    k = next(k for k in range(view.ndim) if math.prod(view.shape[k + 1:]) <= CONV_BLOCK)
+    inner = view.shape[k + 1:]
     chan = np.empty((3, c), np.int64)  # a single multiplier and shift broadcast
     chan[0], chan[1], chan[2] = mult, shift, bias
-    mult, shift, bias = chan.reshape((3,) + per_ch)
+    # one value per block where the channel axis is outer to k, else over the channel axis
+    mult, shift, bias = chan.reshape((3, c) + ((1,) * (view.ndim - 1 - ax) if ax >= k else ()))
     signed, exact = bits == 32, float64_exact(bits, shift)
     lo, hi = qrange(bits, signed)
     if exact:
         params = [bias.astype(np.float64), np.ldexp(mult.astype(np.float64), -shift)]
     else:  # p + half < half where p < 0; channels of shift 0 never match
         half = (1 << shift) >> 1
-        neg = np.where(shift > 0, half, np.iinfo(np.int64).min)
+        neg = np.where(shift > 0, half, -(1 << 63))
         params = [mult, bias * mult + half, shift, neg]
-    inner = math.prod(view.shape[1:])
-    if ax and inner <= CONV_BLOCK:  # slices of the outermost axis, parameters tiled over the rest
-        step = CONV_BLOCK // max(1, inner)
-        blocks = [(slice(i, i + step), slice(None)) for i in range(0, len(view), step)]
-        tiled = np.empty((len(params),) + view.shape[1:], params[0].dtype)
+    if ax > k:  # the parameters tiled over the inner axes
+        tiled = np.empty((len(params),) + inner, params[0].dtype)
         for t, v in zip(tiled, params):
             t[...] = v
         params = tiled
-    else:  # channel blocks of one outer index, or of the whole view if channels are outermost
-        row = math.prod(d for k, d in enumerate(view.shape) if k not in (0, ax))
-        step = max(1, CONV_BLOCK // max(1, row))
-        outer = [(i,) + (slice(None),) * (ax - 1) for i in range(len(view))] if ax else [()]
-        blocks = [(o + (slice(c0, c0 + step),), slice(c0, c0 + step))
-                  for o in outer for c0 in range(0, c, step)]
+    step = CONV_BLOCK // max(1, math.prod(inner))
+    slices = [slice(i, i + step) for i in range(0, view.shape[k], step)]
+    # each block's parameters: one channel's (ax < k), a channel slice (ax == k) or the tile
+    blocks = [(o + (s,), o[ax] if ax < k else s if ax == k else ())
+              for o in itertools.product(*map(range, view.shape[:k])) for s in slices]
     buf = np.empty(view[blocks[0][0]].size if blocks else 0, np.float64 if exact else np.int64)
     for idx, ch in blocks:
         block = view[idx]

@@ -196,12 +196,22 @@ def _assert_codes_match_oracle_per_layer(g, rng, seed):
                           codes[g.output_layer.input_ids[0]])
 
 
+# the memory orders the kernels leave codes in, outermost axis first: conv2d's
+# (y, x, n, c), the depthwise and avg_pool views' (c, y, n, x), and channel-last
+_ORDERS = [(2, 3, 0, 1), (1, 2, 0, 3), (0, 2, 3, 1)]
+
+
+def _in_memory_order(x: np.ndarray, axes: tuple) -> np.ndarray:
+    """x's values with its axes laid out in memory outermost-first as axes."""
+    return np.ascontiguousarray(x.transpose(axes)).transpose(np.argsort(axes))
+
+
 def test_layer_codes_do_not_depend_on_the_memory_order_of_their_input():
     """Seeded random graphs until all seven compute kinds and relu_clip ran:
-    each layer on its input codes in C order and on a copy in channel-last
-    memory order gives identical codes, the oracle's. The walk yields codes in
-    the memory order of the kernel that made them, so no consumer may depend
-    on C order."""
+    each layer on its input codes in C order and on copies in the memory
+    orders the kernels leave (and channel-last; (c, n) for 2-D codes) gives
+    identical codes, the oracle's. The walk yields codes in the memory order
+    of the kernel that made them, so no consumer may depend on C order."""
     rng = np.random.default_rng(33)
     want = frozenset(COMPUTE_KINDS + ("relu_clip",))
     kinds, graphs = set(), 0
@@ -216,9 +226,10 @@ def test_layer_codes_do_not_depend_on_the_memory_order_of_their_input():
             if layer.kind in ("input", "output"):
                 continue
             ins = [np.ascontiguousarray(codes[t]) for t in layer.input_ids]
-            last = [np.moveaxis(np.ascontiguousarray(np.moveaxis(x, 1, -1)), -1, 1) for x in ins]
             got = run_codes_layer(layer, rec, ins, dtypes.get(lid))
-            assert np.array_equal(run_codes_layer(layer, rec, last, dtypes.get(lid)), got)
+            for axes in _ORDERS if ins[0].ndim == 4 else [(1, 0)]:
+                moved = [_in_memory_order(x, axes) for x in ins]
+                assert np.array_equal(run_codes_layer(layer, rec, moved, dtypes.get(lid)), got)
             for j in range(len(images)):
                 ref = oracles.ref_layer_codes(layer, rec, [x[j] for x in ins])
                 assert np.array_equal(got[j], ref), f"graph {graphs} layer {lid}"

@@ -639,16 +639,17 @@ def _stride_order(a: np.ndarray) -> list[int]:
     return sorted((k for k in range(a.ndim) if a.shape[k] > 1), key=lambda k: -abs(a.strides[k]))
 
 
-# conv2d's view runs in whole output rows (its channels innermost) and the
-# depthwise view in channel blocks (its channels outermost); the comments give
-# conv2d's blocks
+# the ids name the images and the block size (3 images' codes and 5 in the
+# second case); the comments give conv2d's blocks, whose view is (y, x, n, c)
+# in memory. The depthwise view, (c, y, n, x), runs in channel slices, or in
+# rows of one channel once one channel does not fit (a block of 20)
 @pytest.mark.parametrize("kind", ["conv2d", "depthwise_conv2d"])
 @pytest.mark.parametrize("n, block", [
     pytest.param(92, None, id="92_images_default_block"),   # 4 rows a block, then 3
     pytest.param(7, 3 * 24 * 49 + 5, id="3_images_a_block"),  # 3 rows, 3, then 1
-    pytest.param(2, 24 * 10, id="channel_blocks"),            # 17 channels of a row, then 7
-    pytest.param(2, 20, id="one_channel_a_block"),            # one channel of a row
-    pytest.param(1, 24 * 10, id="1_image"),  # n and x of equal stride; 1 row a block
+    pytest.param(2, 20, id="channel_blocks"),                 # 20 channels of a position, then 4
+    pytest.param(2, 1, id="one_channel_a_block"),             # one code a block
+    pytest.param(1, 100, id="1_image"),  # n and x of equal stride; 4 columns of a row, then 3
 ])
 @pytest.mark.parametrize("bits", [4, 8, 32])
 def test_requant_of_a_strided_kernel_view_matches_oracle(monkeypatch, kind, n, block, bits):
@@ -672,6 +673,40 @@ def test_requant_of_a_strided_kernel_view_matches_oracle(monkeypatch, kind, n, b
     assert np.array_equal(got, apply_requant(np.ascontiguousarray(view), rq, bits, bias=bias))
     want = _ref_channel_requant(view.astype(np.int64), rq, bias, bits, bits == 32)
     assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("kind, n, o, oh, ow, w2, block, most", [
+    # rows longer than a block: 5 columns (of 2, 112) a block, then 2
+    pytest.param("conv2d", 20, 32, 2, 112, 112, 20 * 32 * 5 + 7, 20 * 32 * 5, id="columns"),
+    # a channel longer than a block: 4 rows of one channel a block, then 3
+    pytest.param("depthwise_conv2d", 20, 2, 7, 112, 113, 20 * 112 * 4 + 7, 20 * 112 * 4,
+                 id="rows_of_a_channel"),
+    # a position's channels longer than a block: 20 channels a block, then 12
+    pytest.param("conv2d", 2, 32, 2, 3, 3, 20, 20, id="channels_of_a_position"),
+])
+def test_requant_blocks_stay_within_the_block_at_large_batches(monkeypatch, kind, n, o, oh, ow,
+                                                               w2, block, most):
+    """Where a row of conv2d's view or a channel of the depthwise view holds
+    more than CONV_BLOCK codes (large batches), every block apply_requant
+    copies holds at most CONV_BLOCK, the largest as many as fit, and the
+    codes equal the oracle's."""
+    monkeypatch.setattr(quantizer, "CONV_BLOCK", block)
+    rng = np.random.default_rng([n, o, ow])
+    view = _kernel_view(rng, kind, n, o, oh, ow, w2, np.float32)
+    rq = RequantParams(multiplier=rng.integers(1 << 30, 1 << 31, size=o).astype(np.int32),
+                       shift=rng.integers(20, 44, size=o).astype(np.int32))
+    bias = rng.integers(-(1 << 26), 1 << 26, size=o).astype(np.int32)
+    sizes, copyto = [], np.copyto
+
+    def spy(dst, src, **kw):
+        sizes.append(src.size)
+        copyto(dst, src, **kw)
+
+    monkeypatch.setattr(np, "copyto", spy)
+    got = apply_requant(view, rq, 8, bias=bias)
+    monkeypatch.setattr(np, "copyto", copyto)
+    assert sum(sizes) == view.size and max(sizes) == most <= block
+    assert np.array_equal(got, _ref_channel_requant(view.astype(np.int64), rq, bias, 8, False))
 
 
 @pytest.mark.parametrize("case", ["c_order", "channel_last", "zero_size", "1d", "1d_strided"])
