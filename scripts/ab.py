@@ -37,11 +37,13 @@ MBV1_BATCH = 32
 class Case(NamedTuple):
     """One timed workload. run(tree, i) does pair i's work on one tree and returns its
     output; agree(outputs) reports on the [parent's, change's] outputs of every run,
-    the untimed one first, and may run untimed comparisons of its own on the trees."""
+    the untimed one first, and may run untimed comparisons of its own on the trees.
+    prepare(tree), if given, runs untimed before each run of that tree."""
     label: str
     pairs: int  # default pair count
     run: Callable
     agree: Callable
+    prepare: Callable | None = None
 
 
 def _import_tree(root: str, alias: str):
@@ -70,11 +72,15 @@ def _measure(case: Case, trees: tuple, pairs: int) -> None:
     """Time one case and print its ratio statistics and agreement report."""
     import numpy as np
 
-    outputs = [[case.run(t, 0)] for t in trees]  # untimed: warms both trees up
+    prepare, outputs = case.prepare or (lambda tree: None), []
+    for t in trees:  # untimed: warms both trees up
+        prepare(t)
+        outputs.append([case.run(t, 0)])
     ratios = []
     for i in range(pairs):
         secs = [0.0, 0.0]
         for k in ((0, 1) if i % 2 == 0 else (1, 0)):
+            prepare(trees[k])
             t0 = perf_counter()
             outputs[k].append(case.run(trees[k], i))
             secs[k] = perf_counter() - t0
@@ -247,11 +253,21 @@ def kernel_cases(trees: tuple, seed: int) -> list[Case]:
     return cases
 
 
-def _int_case(trees: tuple, label: str, pairs: int, name: str, blob: bytes, images) -> Case:
+def _int_case(trees: tuple, label: str, pairs: int, name: str, blobs: list, images,
+              cold: bool = False) -> Case:
+    """run_batch_int of the model in blobs[0] or, cold, of a model freshly
+    deserialized before each run, from the blobs in turn, timing its first batch."""
     import numpy as np
 
     graph = {t: _graph(t, name) for t in trees}
-    model = {t: t.packed_model.deserialize(blob) for t in trees}
+    model, loads = {}, {t: 0 for t in trees}
+
+    def load(tree):
+        model[tree] = tree.packed_model.deserialize(blobs[loads[tree] % len(blobs)])
+        loads[tree] += 1
+
+    for t in trees:
+        load(t)
 
     def run(tree, i: int):
         return tree.inference.run_batch_int(graph[tree], model[tree], images)
@@ -262,18 +278,20 @@ def _int_case(trees: tuple, label: str, pairs: int, name: str, blob: bytes, imag
         same = sum(np.array_equal(codes[0].get(k), codes[1].get(k)) for k in keys)
         return f"codes identical on {same} of {len(keys)} layers"
 
-    return Case(f"{label} (batch {len(images)})", pairs, run, agree)
+    return Case(f"{label} (batch {len(images)})", pairs, run, agree, load if cold else None)
 
 
 def int_cases(trees: tuple, seed: int) -> list[Case]:
     """`run_batch_int` on models the parent builds and serializes, so both trees run
     the same bytes: the toy CNN, pretrained as for qat on an 800/256 set, under
-    perfbench's four `toy_eval` mixes at batch 128 (60 pairs each), and MobileNetV1
-    with seeded He weights under the enforced all-8 anchor at batch 1 (24 pairs).
-    Agreement: the layers whose `run_codes_network` codes are identical."""
+    perfbench's four `toy_eval` mixes at batch 128 (60 pairs each); the first batch
+    of a freshly deserialized toy model, the four mixes in turn (60 pairs), which is
+    what `toy_eval` times once per model built; and MobileNetV1 with seeded He
+    weights under the enforced all-8 anchor at batch 1 (24 pairs). Agreement: the
+    layers whose `run_codes_network` codes are identical."""
     import numpy as np
 
-    parent, cases = trees[0], []
+    parent, cases, blobs = trees[0], [], []
     pm, mm = parent.packed_model, parent.memory_model
     g, ds, weights, ranges = _toy_pretrained(parent, seed, BATCH * 2)
     rng = np.random.default_rng([seed, 1])  # perfbench's toy_eval policy stream
@@ -281,9 +299,11 @@ def int_cases(trees: tuple, seed: int) -> list[Case]:
         p = mm.all_uniform_policy(g)
         for table in (p.weight_bits, p.act_bits):
             table.update({key: int(rng.choice(bits)) for key in table})
-        blob = pm.serialize(pm.build_packed_model(g, weights, p, ranges))
+        blobs.append(pm.serialize(pm.build_packed_model(g, weights, p, ranges)))
         cases.append(_int_case(trees, "toy " + "/".join(map(str, bits)), 60, "toycnn_mnist",
-                               blob, ds.val[0][:BATCH]))
+                               blobs[-1:], ds.val[0][:BATCH]))
+    cases.append(_int_case(trees, "toy, first batch of a fresh model", 60, "toycnn_mnist",
+                           blobs, ds.val[0][:BATCH], cold=True))
 
     g, rng = _graph(parent, "mobilenet_v1_224_100"), np.random.default_rng([seed, 5])
     shape, weights = g.input_layer.output_shape, parent.qat.init_weights(g, seed=seed)
@@ -294,7 +314,7 @@ def int_cases(trees: tuple, seed: int) -> list[Case]:
     p = mm.enforce_ram(g, mm.enforce_rom(g, p, budget), budget)
     blob = pm.serialize(pm.build_packed_model(g, weights, p, ranges))
     image = rng.uniform(0, 1, size=(1,) + shape).astype(np.float32)
-    cases.append(_int_case(trees, "mbv1 anchor", 24, "mobilenet_v1_224_100", blob, image))
+    cases.append(_int_case(trees, "mbv1 anchor", 24, "mobilenet_v1_224_100", [blob], image))
     return cases
 
 

@@ -14,7 +14,7 @@ training forward fake-quantizes its input to.
 
 The kernels run on BLAS, on the codes cast to a float type that holds every
 partial sum exactly; check_model_matches proves which from the stored codes
-(packed_model._kernel_dtype), anew on every run_codes_network call. Every
+(packed_model._kernel_dtype), once per graph, kept on the model. Every
 encoded activation is unsigned, in [0, in_max] with in_max = 2**bits - 1 of
 its encoding, so every partial sum of output channel c, in any order, lies in
 
@@ -49,7 +49,7 @@ import numpy as np
 from . import qat  # evaluate_accuracy's fake-quant branch only
 from .errors import DatasetError, ModelMismatchError
 from .graph_ir import LINEAR_KINDS, NetworkGraph, walk
-from .kernels import linear_acc, pool_weight
+from .kernels import channels_outer, linear_acc, pool_weight
 from .packed_model import PackedLayer, PackedModel, check_model_matches
 from .quantizer import apply_requant, qrange, quantize_act
 
@@ -60,22 +60,22 @@ def run_codes_layer(layer, rec: PackedLayer, in_codes: list[np.ndarray],
     A linear layer runs its kernel in dtype, which check_model_matches proved
     exact for input codes within the layer's input encoding; the input codes
     must lie there. Other kinds take dtype None."""
-    out_bits = rec.out_bits
     if layer.kind in LINEAR_KINDS:
         w, bias = (pool_weight(layer, 1, np.int32) if layer.kind == "avg_pool"
                    else (rec.weight.codes(), rec.bias_int))
-        # the GEMM kinds reshape x, which is a view only in C order
-        order = "C" if layer.kind in ("pointwise_conv2d", "fully_connected") else "K"
-        z, _ = linear_acc(layer, in_codes[0].astype(dtype, order=order), w.astype(dtype))
-        return apply_requant(z, rec.requants[0], out_bits, bias=bias)
-    if layer.kind == "add_residual":
-        lo, hi = qrange(out_bits, signed=out_bits == 32)  # apply_requant's range
-        a = apply_requant(in_codes[0], rec.requants[0], out_bits)
-        b = apply_requant(in_codes[1], rec.requants[1], out_bits)
-        return np.clip(a.astype(np.int64) + b.astype(np.int64), lo, hi).astype(np.int32)
-    if layer.kind == "relu_clip":
-        return apply_requant(in_codes[0], rec.requants[0], out_bits)
-    raise ModelMismatchError(f"layer {layer.id}: kind {layer.kind!r} is not executable")
+        x = in_codes[0]
+        # the GEMM kinds reshape x: a view in C order or, for pointwise, channels_outer
+        gemm = layer.kind == "fully_connected" or (layer.kind == "pointwise_conv2d"
+                                                   and not channels_outer(x))
+        z, _ = linear_acc(layer, x.astype(dtype, order="C" if gemm else "K"), w.astype(dtype))
+        return apply_requant(z, rec.requants[0], rec.out_bits, bias=bias, memo=rec.memos[0])
+    if layer.kind not in ("add_residual", "relu_clip"):
+        raise ModelMismatchError(f"layer {layer.id}: kind {layer.kind!r} is not executable")
+    # relu_clip requantizes its input, add_residual adds its two requantized inputs
+    a, *b = (apply_requant(x, rq, rec.out_bits, memo=m)
+             for x, rq, m in zip(in_codes, rec.requants, rec.memos))
+    lo, hi = qrange(rec.out_bits, signed=rec.out_bits == 32)  # apply_requant's range
+    return np.clip(a.astype(np.int64) + b[0], lo, hi).astype(np.int32) if b else a
 
 
 def run_codes_network(g: NetworkGraph, model: PackedModel,
@@ -84,7 +84,9 @@ def run_codes_network(g: NetworkGraph, model: PackedModel,
     (tensor id, int32 output codes (N, ...)) of every layer, the input's
     included. dict() of it keeps every layer's codes."""
     g.check_batch(images)
-    dtypes = check_model_matches(g, model)
+    dtypes = model.dtypes.get(g)
+    if dtypes is None:  # the model cannot change, so one proof per graph holds
+        dtypes = model.dtypes[g] = check_model_matches(g, model)
 
     def step(layer, ins: list[np.ndarray]) -> np.ndarray:
         if layer.kind == "input":

@@ -30,12 +30,13 @@ A global avg_pool (kernel H x W, padding 0) skips the phase planes: its
 (N, C) output takes the same tap products in the same row-major order,
 so the sums are bit-identical; its cols is the input, and dx is dz * w.
 
-pointwise_conv2d is one GEMM per image, w @ x[n] over the (C, H*W)
-image, and fully_connected one GEMM. For both cols is the input itself.
+pointwise_conv2d is one GEMM per (C, H*W) image, or one over (C, H*N*W) where x
+runs channels outermost (channels_outer); fully_connected is one GEMM; cols is x.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 
 import numpy as np
@@ -46,6 +47,7 @@ from .quantizer import CONV_BLOCK
 _WINDOW_KINDS = ("conv2d", "depthwise_conv2d", "avg_pool")
 
 
+@functools.lru_cache(maxsize=1024)
 def _geometry(layer, x_shape: tuple):
     """(oh, ow, h2, w2, m, taps, phases) of a window layer on an (N, C, H, W)
     input: the output size, one image's rows and columns in a phase plane,
@@ -53,7 +55,7 @@ def _geometry(layer, x_shape: tuple):
     taps, row-major, and (a, b, r0, c0, y0, x0, rows, cols) per phase: its
     rows x cols input pixels from (r0, c0), every s-th, go to plane (a, b)
     from (y0, x0). A conv2d tap is (a, b, row offset, offset in the (X, n)
-    run), the others' (a, b, flat offset)."""
+    run), the others' (a, b, flat offset). Kept per (layer, x_shape)."""
     n, _, h, w = x_shape
     s, p, kh, kw = layer.stride, layer.padding, layer.kernel_h, layer.kernel_w
     oh, ow = (h + 2 * p - kh) // s + 1, (w + 2 * p - kw) // s + 1
@@ -61,14 +63,14 @@ def _geometry(layer, x_shape: tuple):
     # row i, y + i//s <= (h + 2p - 1)//s < h2, and likewise for columns
     h2, w2 = -(-(h + 2 * p) // s), -(-(w + 2 * p) // s)
     conv = layer.kind == "conv2d"
-    taps = [(i % s, j % s) + ((i // s, j // s * n) if conv else (i // s * n * w2 + j // s,))
-            for i in range(kh) for j in range(kw)]
+    taps = tuple((i % s, j % s) + ((i // s, j // s * n) if conv else (i // s * n * w2 + j // s,))
+                 for i in range(kh) for j in range(kw))
     phases = []
     for a, b in itertools.product(range(s), repeat=2):
         r0, c0 = (a - p) % s, (b - p) % s
         y0, x0 = (r0 + p) // s, (c0 + p) // s
         phases.append((a, b, r0, c0, y0, x0, len(range(r0, h, s)), len(range(c0, w, s))))
-    return oh, ow, h2, w2, oh * ow * n if conv else oh * n * w2, taps, phases
+    return oh, ow, h2, w2, oh * ow * n if conv else oh * n * w2, taps, tuple(phases)
 
 
 def _phases(planes: np.ndarray, x: np.ndarray, h2: int, w2: int, phases: list):
@@ -205,6 +207,11 @@ def pool_weight(layer, value, dtype) -> tuple[np.ndarray, np.ndarray]:
     return np.full((c, layer.kernel_h, layer.kernel_w), value, dtype), np.zeros(c, dtype)
 
 
+def channels_outer(x: np.ndarray) -> bool:
+    """Whether x, (N, C, H, W), N > 1, runs (c, y, n, x) in memory, as depthwise codes do."""
+    return len(x) > 1 and not x.flags.c_contiguous and x.transpose(1, 2, 0, 3).flags.c_contiguous
+
+
 def linear_acc(layer, x: np.ndarray, w: np.ndarray):
     """One linear layer without its bias, acc = w * x, in the dtype of its
     operands: the integer engine's accumulator, on float32 or float64 codes
@@ -224,6 +231,9 @@ def linear_acc(layer, x: np.ndarray, w: np.ndarray):
         return _window_fwd(layer, x, w)
     if layer.kind == "pointwise_conv2d":
         n, c, h, wd = x.shape
+        if channels_outer(x):
+            z = w @ x.transpose(1, 2, 0, 3).reshape(c, h * n * wd)
+            return z.reshape(len(w), h, n, wd).transpose(2, 0, 1, 3), x
         return np.matmul(w, x.reshape(n, c, h * wd)).reshape(n, len(w), h, wd), x
     cols = x.reshape(x.shape[0], -1)  # fully_connected over the flattened input
     return cols @ w.T, cols

@@ -16,12 +16,17 @@ Every compute layer gets a record; avg_pool and relu_clip carry a single
 scalar requant, add_residual carries one per input, weighted layers carry a
 per-output-channel requant. Requant params are stored rather than rebuilt at
 load time so a shipped file pins its own arithmetic.
+
+A model and its records are immutable, their tables and arrays read-only copies
+(dataclasses.replace makes a changed one), so what the engine keeps on them holds.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from collections.abc import Mapping
+from dataclasses import dataclass, field, replace
+from types import MappingProxyType
 
 import numpy as np
 
@@ -38,6 +43,7 @@ from .quantizer import (
     compute_requant,
     normal_act_scale,
     quantize_weights_pc,
+    read_only,
     round_half_away,
 )
 
@@ -55,28 +61,40 @@ INT32_MIN, INT32_MAX = -(1 << 31), (1 << 31) - 1
 F32_EXACT = 1 << 24  # float32 represents every integer of smaller magnitude
 
 
-@dataclass
+@dataclass(frozen=True)
 class PackedLayer:
     layer_id: int
     kind: str
     weight_bits: int = 0           # 0 for weight-free records
     out_bits: int = 8              # 32 marks the raw-logits record
     weight: QuantizedTensor | None = None
-    bias_int: np.ndarray | None = None
+    bias_int: np.ndarray | None = None  # a read-only copy
     requants: tuple[RequantParams, ...] = ()
+    # apply_requant's memo of each requant (inference.run_codes_layer)
+    memos: tuple[dict, ...] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        bias = self.bias_int
+        object.__setattr__(self, "bias_int", bias if bias is None else read_only(bias))
+        object.__setattr__(self, "memos", tuple({} for _ in self.requants))
 
 
-@dataclass
+@dataclass(frozen=True)
 class PackedModel:
     graph_layers: int
-    act_bits: dict[int, int]
-    act_clip: dict[int, float]
-    layers: dict[int, PackedLayer] = field(default_factory=dict)
+    act_bits: Mapping[int, int]  # this and the two below: read-only copies
+    act_clip: Mapping[int, float]
+    layers: Mapping[int, PackedLayer] = field(default_factory=dict)
     logits_scale: float = 1.0
+    # check_model_matches's dtypes by graph (inference.run_codes_network)
+    dtypes: dict = field(init=False, repr=False, compare=False, default_factory=dict)
+
+    def __post_init__(self):
+        for name in ("act_bits", "act_clip", "layers"):
+            object.__setattr__(self, name, MappingProxyType(dict(getattr(self, name))))
 
     def act_scale(self, tensor_id: int) -> float:
-        bits = self.act_bits[tensor_id]
-        return self.act_clip[tensor_id] / ((1 << bits) - 1)
+        return self.act_clip[tensor_id] / ((1 << self.act_bits[tensor_id]) - 1)
 
 
 def _bias_int(bias: np.ndarray, acc_scales: np.ndarray) -> np.ndarray:
@@ -106,21 +124,19 @@ def build_packed_model(g: NetworkGraph, weights: dict, policy: QuantPolicy,
     # clips round to f32 here so in-memory and deserialized models agree exactly
     act_clip = {t: float(np.float32(ranges[t])) for t in sorted(encoded)}
     model = PackedModel(graph_layers=len(g.layers), act_bits=act_bits, act_clip=act_clip)
+    layers, logits_scale = {}, 1.0
     for layer in g.layers:
         if layer.kind not in RECORD_KINDS:
             continue
-        rec = PackedLayer(layer_id=layer.id, kind=layer.kind)
         s_ins = [model.act_scale(t) for t in layer.input_ids]
+        wbits, qw, bias_int = 0, None, None
         if layer.kind in WEIGHTED_KINDS:
             wbits = policy.weight_bits[layer.id]
             if wbits not in SUB_BYTE_BITS:
                 raise PolicyError(f"layer {layer.id}: export needs sub-byte weight bits")
             qw = quantize_weights_pc(weights[layer.id]["w"], wbits)
-            acc_scales = s_ins[0] * qw.scales
-            rec.weight_bits = wbits
-            rec.weight = qw
-            rec.bias_int = _bias_int(weights[layer.id]["b"], acc_scales)
-            ratios = qw.scales
+            acc_scales, ratios = s_ins[0] * qw.scales, qw.scales
+            bias_int = _bias_int(weights[layer.id]["b"], acc_scales)
             # classifier logits stay wide; a shared scale keeps argmax exact
             wide_scale = float(acc_scales.max())
         else:
@@ -129,15 +145,13 @@ def build_packed_model(g: NetworkGraph, weights: dict, policy: QuantPolicy,
             # a wide output keeps the (largest) input scale; every ratio stays <= 1
             wide_scale = max(s_ins)
         if layer.id in encoded:
-            rec.out_bits = act_bits[layer.id]
-            s_out = model.act_scale(layer.id)
+            out_bits, s_out = act_bits[layer.id], model.act_scale(layer.id)
         else:  # feeds the output sink: codes stay wide
-            rec.out_bits = 32
-            s_out = model.logits_scale = wide_scale
-        rec.requants = tuple(compute_requant(s, ratios, s_out) for s in s_ins)
-        model.layers[layer.id] = rec
+            out_bits, s_out, logits_scale = 32, wide_scale, wide_scale
+        layers[layer.id] = PackedLayer(layer.id, layer.kind, wbits, out_bits, qw, bias_int,
+                                       tuple(compute_requant(s, ratios, s_out) for s in s_ins))
     # f32 like the clips, so a deserialized model is bit-identical
-    model.logits_scale = float(np.float32(model.logits_scale))
+    model = replace(model, layers=layers, logits_scale=float(np.float32(logits_scale)))
     check_model_matches(g, model)  # never write a model that the engine refuses
     return model
 
@@ -187,45 +201,40 @@ def deserialize(data: bytes) -> PackedModel:
                                   f"{bits}-bit scale is not a normal float32")
         act_bits[tid] = bits
         act_clip[tid] = clip
-    model = PackedModel(graph_layers=graph_layers, act_bits=act_bits,
-                        act_clip=act_clip, logits_scale=logits_scale)
+    layers: dict[int, PackedLayer] = {}
     (n_rec,) = r.unpack("<I")
     for _ in range(n_rec):
         lid, kcode, wbits, obits = r.unpack("<IBBB")
-        if lid in model.layers:
+        if lid in layers:
             raise PackFormatError(f"layer {lid}: record written twice")
         if kcode not in _CODE_KIND:
             raise PackFormatError(f"unknown layer kind code {kcode}")
-        rec = PackedLayer(layer_id=lid, kind=_CODE_KIND[kcode],
-                          weight_bits=wbits, out_bits=obits)
         shape = r.shape(f"layer {lid}: weight")
+        qw = bias = None
         if shape:
             scales = r.array("<f4", shape[0])
             # isfinite first: comparing or casting a signalling NaN warns
             if not (np.isfinite(scales).all() and (scales > 0).all()):
                 raise PackFormatError(f"layer {lid}: weight scales must be finite and > 0")
-            bias = r.array("<i4", shape[0]).copy()
+            bias = r.array("<i4", shape[0])
         rqs = []
         for _ in range(r.unpack("<B")[0]):
             (count,) = r.unpack("<I")
-            mult, shift = r.array("<i4", count).copy(), r.array("<i4", count).copy()
+            mult, shift = r.array("<i4", count), r.array("<i4", count)
             # apply_requant's int64 chain needs shifts in [0, 62] (float64: <= 52 - bits)
             if count and (mult.min() < 0 or shift.min() < 0 or shift.max() > 62):
                 raise PackFormatError(f"layer {lid}: requant multiplier or shift out of range")
             rqs.append(RequantParams(multiplier=mult, shift=shift))
-        rec.requants = tuple(rqs)
         (plen,) = r.unpack("<Q")
         want = (math.prod(shape) * wbits + 7) // 8 if shape else 0
         if plen != want:
             raise PackFormatError(f"layer {lid}: weight payload of {plen} bytes, {want} expected")
         payload = r.take(plen)
         if shape:
-            rec.weight = QuantizedTensor(bits=wbits, packed=payload, shape=shape,
-                                         scales=scales.astype(np.float64))
-            rec.bias_int = bias
-        model.layers[lid] = rec
+            qw = QuantizedTensor(bits=wbits, packed=payload, shape=shape, scales=scales)
+        layers[lid] = PackedLayer(lid, _CODE_KIND[kcode], wbits, obits, qw, bias, tuple(rqs))
     r.finish()
-    return model
+    return PackedModel(graph_layers, act_bits, act_clip, layers, logits_scale)
 
 
 def save_packed(model: PackedModel, path: str) -> None:

@@ -54,15 +54,14 @@ class QuantizedTensor:
     bits: int
     packed: bytes
     shape: tuple[int, ...]
-    scales: np.ndarray  # one per output channel (axis 0)
+    scales: np.ndarray  # one per output channel (axis 0), a read-only float64 copy
     _codes: np.ndarray = field(init=False, repr=False, compare=False)
     _sums: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        q = unpack_subbyte(self.packed, self.bits, self.numel)
-        q = q.astype(np.int8).reshape(self.shape)
-        q.setflags(write=False)
-        object.__setattr__(self, "_codes", q)
+        q = unpack_subbyte(self.packed, self.bits, self.numel).reshape(self.shape)
+        object.__setattr__(self, "_codes", q := read_only(q, np.int8))
+        object.__setattr__(self, "scales", read_only(self.scales, np.float64))
         rows = q.reshape(self.shape[0], math.prod(self.shape[1:]))
         pos = np.maximum(rows, 0).sum(axis=1, dtype=np.int64)
         neg = rows.sum(axis=1, dtype=np.int64) - pos
@@ -83,11 +82,21 @@ class QuantizedTensor:
         return self._sums
 
 
+def read_only(a, dtype=None) -> np.ndarray:
+    """A read-only copy of a, in dtype if given, so a record holding it cannot change."""
+    (a := np.array(a, dtype)).setflags(write=False)
+    return a
+
+
 @dataclass(frozen=True)
 class RequantParams:
-    """Fixed-point rescaling: y = sat(round(acc * multiplier / 2**shift))."""
+    """Fixed-point rescaling, y = sat(round(acc * multiplier / 2**shift)), read-only."""
     multiplier: np.ndarray  # int32, in [2**30, 2**31) or 0
     shift: np.ndarray       # int32 >= 0
+
+    def __post_init__(self):
+        object.__setattr__(self, "multiplier", read_only(self.multiplier))
+        object.__setattr__(self, "shift", read_only(self.shift))
 
 
 def pack_subbyte(values: np.ndarray, bits: int) -> bytes:
@@ -221,7 +230,7 @@ def quantize_weights_pc(w: np.ndarray, bits: int) -> QuantizedTensor:
         raise PackFormatError("weights contain values that are not finite in float32")
     codes, scales = weight_codes(w, bits)
     return QuantizedTensor(bits=bits, packed=pack_subbyte(codes, bits), shape=w.shape,
-                           scales=scales.astype(np.float64))
+                           scales=scales)
 
 
 def fake_quant_weights(w: np.ndarray, bits: int) -> np.ndarray:
@@ -296,7 +305,7 @@ def float64_exact(bits: int, shift: np.ndarray) -> bool:
 
 
 def apply_requant(acc: np.ndarray, rq: RequantParams, bits: int,
-                  bias: np.ndarray | None = None) -> np.ndarray:
+                  bias: np.ndarray | None = None, memo: dict | None = None) -> np.ndarray:
     """Requantize 32-bit accumulators to the output bit range with saturation:
     int32 sat(round((acc + bias) * multiplier / 2**shift)), half away from zero.
     The range is signed at 32 bits (raw logits) and unsigned below (activations).
@@ -328,46 +337,24 @@ def apply_requant(acc: np.ndarray, rq: RequantParams, bits: int,
     rounds half away from zero where p >= 0, and the clip. Signed outputs
     first take 1 off where p < 0 and shift > 0, which rounds a negative tie
     away from zero and moves nothing else; unsigned ones clip p < 0 to 0.
+
+    memo, a dict kept for one (rq, bits, bias), holds _requant_setup per acc
+    shape and strides for later calls; the tile and the buffer are per call.
     """
     acc = np.asarray(acc)
     out = np.empty_like(acc, dtype=np.int32)  # in acc's memory order
     view, outv = (acc, out) if acc.ndim >= 2 else (acc.reshape(-1, 1), out.reshape(-1, 1))
-    c = view.shape[1]
-    mult = np.atleast_1d(np.asarray(rq.multiplier, dtype=np.int64))
-    shift = np.atleast_1d(np.asarray(rq.shift, dtype=np.int64))
-    bias = np.zeros(c, np.int64) if bias is None else np.asarray(bias, np.int64)
-    if mult.size not in (1, c) or len(bias) != c:
-        raise ValueError(f"requant parameters for {mult.size} channels or a bias for "
-                         f"{len(bias)} do not fit accumulators of shape {acc.shape}")
-    # the axes outermost-first in memory, those of length 1 last; the channel axis at ax
-    order = sorted(range(view.ndim), key=lambda a: -abs(view.strides[a]) * (view.shape[a] > 1))
-    view, outv, ax = view.transpose(order), outv.transpose(order), order.index(1)
-    # blocks slice the outermost axis k whose inner axes fit, at each index of the outer ones
-    k = next(k for k in range(view.ndim) if math.prod(view.shape[k + 1:]) <= CONV_BLOCK)
-    inner = view.shape[k + 1:]
-    chan = np.empty((3, c), np.int64)  # a single multiplier and shift broadcast
-    chan[0], chan[1], chan[2] = mult, shift, bias
-    # one value per block where the channel axis is outer to k, else over the channel axis
-    mult, shift, bias = chan.reshape((3, c) + ((1,) * (view.ndim - 1 - ax) if ax >= k else ()))
-    signed, exact = bits == 32, float64_exact(bits, shift)
-    lo, hi = qrange(bits, signed)
-    if exact:
-        params = [bias.astype(np.float64), np.ldexp(mult.astype(np.float64), -shift)]
-    else:  # p + half < half where p < 0; channels of shift 0 never match
-        half = (1 << shift) >> 1
-        neg = np.where(shift > 0, half, -(1 << 63))
-        params = [mult, bias * mult + half, shift, neg]
+    key, memo = (view.shape, view.strides), {} if memo is None else memo
+    if key not in memo:
+        memo[key] = _requant_setup(view, rq, bits, bias)
+    order, ax, k, exact, lo, hi, params, blocks, size = memo[key]
+    view, outv = view.transpose(order), outv.transpose(order)
     if ax > k:  # the parameters tiled over the inner axes
-        tiled = np.empty((len(params),) + inner, params[0].dtype)
+        tiled = np.empty((len(params),) + view.shape[k + 1:], params[0].dtype)
         for t, v in zip(tiled, params):
             t[...] = v
         params = tiled
-    step = CONV_BLOCK // max(1, math.prod(inner))
-    slices = [slice(i, i + step) for i in range(0, view.shape[k], step)]
-    # each block's parameters: one channel's (ax < k), a channel slice (ax == k) or the tile
-    blocks = [(o + (s,), o[ax] if ax < k else s if ax == k else ())
-              for o in itertools.product(*map(range, view.shape[:k])) for s in slices]
-    buf = np.empty(view[blocks[0][0]].size if blocks else 0, np.float64 if exact else np.int64)
+    buf = np.empty(size, np.float64 if exact else np.int64)
     for idx, ch in blocks:
         block = view[idx]
         p = buf[:block.size].reshape(block.shape)
@@ -381,11 +368,43 @@ def apply_requant(acc: np.ndarray, rq: RequantParams, bits: int,
             m, off, sh, neg = (v[ch] for v in params)
             p *= m
             p += off
-            if signed:
+            if bits == 32:
                 p -= p < neg
             p >>= sh
         np.clip(p, lo, hi, out=outv[idx], casting="unsafe")  # truncates a float p
     return out
+
+
+def _requant_setup(view: np.ndarray, rq: RequantParams, bits: int, bias) -> tuple:
+    """apply_requant's work that depends on rq, bits, bias and its view's layout alone."""
+    c = view.shape[1]
+    mult, shift = (np.atleast_1d(a).astype(np.int64) for a in (rq.multiplier, rq.shift))
+    bias = np.zeros(c, np.int64) if bias is None else np.asarray(bias, np.int64)
+    if mult.size not in (1, c) or len(bias) != c:
+        raise ValueError(f"requant parameters for {mult.size} channels or a bias for "
+                         f"{len(bias)} do not fit accumulators of {c} channels")
+    # the axes outermost-first in memory, those of length 1 last; the channel axis at ax
+    order = sorted(range(view.ndim), key=lambda a: -abs(view.strides[a]) * (view.shape[a] > 1))
+    view, ax = view.transpose(order), order.index(1)
+    # blocks slice the outermost axis k whose inner axes fit, at each index of the outer ones
+    k = next(k for k in range(view.ndim) if math.prod(view.shape[k + 1:]) <= CONV_BLOCK)
+    chan = np.empty((3, c), np.int64)  # a single multiplier and shift broadcast
+    chan[0], chan[1], chan[2] = mult, shift, bias
+    # one value per block where the channel axis is outer to k, else over the channel axis
+    mult, shift, bias = chan.reshape((3, c) + ((1,) * (view.ndim - 1 - ax) if ax >= k else ()))
+    exact = float64_exact(bits, shift)
+    if exact:
+        params = [bias.astype(np.float64), np.ldexp(mult.astype(np.float64), -shift)]
+    else:  # p + half < half where p < 0; channels of shift 0 never match
+        half = (1 << shift) >> 1
+        params = [mult, bias * mult + half, shift, np.where(shift > 0, half, -(1 << 63))]
+    step = CONV_BLOCK // max(1, math.prod(view.shape[k + 1:]))
+    slices = [slice(i, i + step) for i in range(0, view.shape[k], step)]
+    # each block's parameters: one channel's (ax < k), a channel slice (ax == k) or the tile
+    blocks = [(o + (s,), o[ax] if ax < k else s if ax == k else ())
+              for o in itertools.product(*map(range, view.shape[:k])) for s in slices]
+    size = view[blocks[0][0]].size if blocks else 0
+    return order, ax, k, exact, *qrange(bits, bits == 32), params, blocks, size
 
 
 def percentile_clip(values: np.ndarray) -> float:

@@ -22,7 +22,7 @@ def ab(monkeypatch):
 
 @pytest.mark.parametrize("subject, agreements", [
     ("enforce", ["differ in 0 of 2048 policies"]),
-    ("int", ["codes identical on 7 of 7 layers"] * 4 + ["codes identical on 30 of 30 layers"]),
+    ("int", ["codes identical on 7 of 7 layers"] * 5 + ["codes identical on 30 of 30 layers"]),
     ("qat", ["top-1 identical in 2 of 2"]),
 ])
 def test_each_subject_agrees_in_full_on_one_tree(ab, capsys, subject, agreements):
@@ -33,6 +33,8 @@ def test_each_subject_agrees_in_full_on_one_tree(ab, capsys, subject, agreements
     for line, agreement in zip(lines, agreements):
         assert re.search(r"median x\d\.\d{3} \(quartiles .*\); change faster in [0-2] of 2; ", line)
         assert line.endswith(agreement)
+    if subject == "int":  # the four toy mixes, the fresh models in turn, MobileNetV1
+        assert "toy, first batch of a fresh model (batch 128)" in lines[4]
     diffs = re.findall(r"max \|d\| (\S+)", out)  # qat's logits and gradients
     assert set(diffs) == ({"0"} if subject == "qat" else set())
     names = re.findall(r"grad (\S+):", out)  # qat's, each "tag.id"
@@ -61,6 +63,20 @@ def test_kernels_subject_times_every_toy_conv_layer_both_ways(ab, capsys):
         assert line.endswith("z max |d| 0" if "forward" in line else "and dw max |d| 0"), line
         assert re.findall(r"max \|d\| (\S+)", line) == ["0"] * (1 + line.count("dx max"))
         assert "MobileNetV1" not in line or "forward" in line or "dx max |d| 0" in line
+
+
+def test_a_case_prepares_each_run_untimed_on_its_own_tree(ab, capsys):
+    """prepare(tree) runs before every run of that tree, the untimed first run
+    included, so the cold `int` case times each fresh model's first batch."""
+    events = []
+    case = ab.Case("probe", 3, lambda tree, i: events.append(("run", tree)),
+                   lambda outputs: f"{len(outputs[0])} and {len(outputs[1])} outputs",
+                   lambda tree: events.append(("prepare", tree)))
+    ab._measure(case, ("parent", "change"), 3)
+    assert len(events) == 16
+    assert events[::2] == [("prepare", tree) for _, tree in events[1::2]]
+    assert [tree for _, tree in events[1::2]].count("change") == 4
+    assert capsys.readouterr().out.rstrip().endswith("4 and 4 outputs")
 
 
 def test_gradients_are_named_tag_dot_id_whichever_spelling_a_tree_keys(ab):

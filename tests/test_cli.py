@@ -7,6 +7,7 @@ import re
 import struct
 import subprocess
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -332,8 +333,8 @@ def test_eval_of_a_model_whose_pool_carries_weight_bits_is_bad_input(in_tmp, cap
     assert cli.main(["export", "--graph", TOY, "--weights", "w.ckpt", "--policy", "p.json",
                      "--out", "m.mpq"]) == cli.EXIT_OK
     model = load_packed("m.mpq")
-    model.layers[5].weight_bits = 8  # layer 5 is the avg_pool
-    save_packed(model, "bad.mpq")
+    pool = replace(model.layers[5], weight_bits=8)  # layer 5 is the avg_pool
+    save_packed(replace(model, layers={**model.layers, 5: pool}), "bad.mpq")
     capsys.readouterr()
     assert cli.main(["eval", "--graph", TOY, "--dataset", DATA,
                      "--model", "bad.mpq"]) == cli.EXIT_INPUT
@@ -351,8 +352,9 @@ def test_eval_of_a_model_that_could_overflow_int32_is_bad_input(in_tmp, capsys):
     model = build_packed_model(g, weights, all_uniform_policy(g), ranges)
     rec = model.layers[6]  # fully_connected, codes (classes, fan-in)
     c = int(np.flatnonzero((rec.weight.codes() > 0).any(axis=1))[0])
-    rec.bias_int[c] = 2 ** 31 - 1
-    save_packed(model, "bad.mpq")
+    bias = rec.bias_int.copy()
+    bias[c] = 2 ** 31 - 1
+    save_packed(replace(model, layers={**model.layers, 6: replace(rec, bias_int=bias)}), "bad.mpq")
     assert cli.main(["eval", "--graph", TOY, "--dataset", DATA, "--model", "bad.mpq",
                      "--per-class-csv", "c.csv"]) == cli.EXIT_INPUT
     err = capsys.readouterr().err

@@ -9,7 +9,7 @@ import pytest
 import oracles
 from conftest import fresh_ranges
 from mcuq import inference, qat, quantizer, search
-from mcuq.errors import AccumulatorOverflowError, DatasetError
+from mcuq.errors import AccumulatorOverflowError, DatasetError, ModelMismatchError
 from mcuq.graph_ir import COMPUTE_KINDS, topo_order
 from mcuq.inference import (
     evaluate_accuracy,
@@ -234,6 +234,32 @@ def test_layer_codes_do_not_depend_on_the_memory_order_of_their_input():
                 ref = oracles.ref_layer_codes(layer, rec, [x[j] for x in ins])
                 assert np.array_equal(got[j], ref), f"graph {graphs} layer {lid}"
             kinds.add(layer.kind)
+
+
+def test_pointwise_runs_one_gemm_in_the_order_of_channels_outermost_codes(monkeypatch):
+    """Pointwise input codes in (c, y, n, x) order, as depthwise ones run at
+    N > 1, reach the kernel uncopied; its one GEMM's accumulator and the codes
+    run (o, y, n, x). C-order codes, as training's, keep C order. Both give
+    the oracle's codes."""
+    rng = np.random.default_rng(32)
+    layer = oracles._mk(1, "pointwise_conv2d", [0], 3, 1, 1, 1, 0, (4, 5, 6), (3, 5, 6), bias=3)
+    codes = rng.integers(-8, 8, size=(3, 4))
+    rec = PackedLayer(layer_id=1, kind=layer.kind, weight_bits=4, out_bits=8,
+                      weight=QuantizedTensor(bits=4, packed=pack_subbyte(codes, 4), shape=(3, 4),
+                                             scales=np.ones(3)),
+                      bias_int=rng.integers(-50, 50, size=3).astype(np.int32),
+                      requants=(RequantParams(np.full(3, 1 << 30, np.int32), np.full(3, 33)),))
+    seen, real_acc = [], inference.linear_acc
+    monkeypatch.setattr(inference, "linear_acc", lambda layer, x, w: seen.append(x) or
+                        real_acc(layer, x, w))
+    x = rng.integers(0, 256, size=(3, 4, 5, 6)).astype(np.int32)
+    for axes, outer in (((1, 2, 0, 3), True), ((0, 1, 2, 3), False)):
+        got = run_codes_layer(layer, rec, [_in_memory_order(x, axes)], np.float32)
+        for a in (seen.pop(), got):
+            assert (a.flags.c_contiguous, a.transpose(1, 2, 0, 3).flags.c_contiguous) == (
+                not outer, outer)
+        for j in range(len(x)):
+            assert np.array_equal(got[j], oracles.ref_layer_codes(layer, rec, [x[j]]))
 
 
 def test_integer_walk_holds_only_the_live_set(toy_graph, residual_graph, mobilenet_graph):
@@ -698,3 +724,64 @@ def test_network_passes_each_linear_layer_its_input_encodings_bound(monkeypatch,
         want = real_layer(layer, model.layers[lid], [codes[t] for t in layer.input_ids],
                           np.float64 if lid in dtypes else None)
         assert np.array_equal(codes[lid], want), lid
+
+
+def test_a_model_proves_itself_once_per_graph(monkeypatch, toy_graph, residual_graph,
+                                              pretrained, toy_ranges, desk_small):
+    """Two runs of one (graph, model) call check_model_matches once and give
+    identical codes. The proof is kept with its graph, which the model holds
+    (an id() key could be reused by a later graph), and a model that ran on
+    its graph is still refused on one that it does not match."""
+    model = toy_int_model(toy_graph, pretrained[0], toy_ranges)
+    calls, check = [], inference.check_model_matches
+    monkeypatch.setattr(inference, "check_model_matches",
+                        lambda g, m: calls.append(g) or check(g, m))
+    images = desk_small.images[:3]
+    first, second = (dict(run_codes_network(toy_graph, model, images)) for _ in range(2))
+    assert calls == [toy_graph]
+    assert first.keys() == second.keys()
+    assert all(np.array_equal(first[t], second[t]) for t in first)
+    assert list(model.dtypes) == [toy_graph]
+    other = np.zeros((1,) + residual_graph.input_layer.output_shape, np.float32)
+    with pytest.raises(ModelMismatchError, match="does not match the graph"):
+        run_batch_int(residual_graph, model, other)
+    assert calls == [toy_graph, residual_graph]
+
+
+@pytest.mark.parametrize("spoil, error", [
+    (lambda rec: replace(rec, out_bits=32), ModelMismatchError),
+    (lambda rec: replace(rec, bias_int=np.full_like(rec.bias_int, 2 ** 31 - 1)),
+     AccumulatorOverflowError),
+], ids=["wide_hidden_layer", "overflowing_bias"])
+def test_a_bad_model_replaced_from_one_that_ran_is_refused_on_its_first_run(
+        toy_graph, pretrained, toy_ranges, desk_small, spoil, error):
+    """dataclasses.replace makes a new model, with a proof of its own to earn:
+    a record spoiled in a copy of a model that already ran is refused."""
+    model = toy_int_model(toy_graph, pretrained[0], toy_ranges)
+    images = desk_small.images[:3]
+    run_batch_int(toy_graph, model, images)
+    bad = replace(model, layers={**model.layers, 4: spoil(model.layers[4])})
+    with pytest.raises(error, match="layer 4"):
+        run_batch_int(toy_graph, bad, images)
+    run_batch_int(toy_graph, model, images)  # the original still runs
+
+
+def test_each_requant_keeps_its_setup_per_layout(monkeypatch, toy_graph, pretrained, toy_ranges,
+                                                 desk_small):
+    """A record's requants keep apply_requant's set-up per accumulator layout:
+    a second batch of one size builds none, a batch of another size builds
+    one per requant, and every batch gives the codes of a model without memos."""
+    model = toy_int_model(toy_graph, pretrained[0], toy_ranges)
+    built, setup = [], quantizer._requant_setup
+    monkeypatch.setattr(quantizer, "_requant_setup",
+                        lambda *args: built.append(1) or setup(*args))
+    n_requants = sum(len(rec.requants) for rec in model.layers.values())
+    for size, builds in ((4, n_requants), (4, 0), (3, n_requants)):
+        built.clear()
+        images = desk_small.images[:size]
+        codes = dict(run_codes_network(toy_graph, model, images))
+        assert len(built) == builds, size
+        fresh = deserialize(serialize(model))
+        assert all(np.array_equal(codes[t], c)
+                   for t, c in run_codes_network(toy_graph, fresh, images))
+    assert [len(m) for rec in model.layers.values() for m in rec.memos] == [2] * n_requants

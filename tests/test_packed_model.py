@@ -2,7 +2,7 @@
 
 import re
 import struct
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, replace
 
 import numpy as np
 import pytest
@@ -69,6 +69,38 @@ def test_build_covers_compute_layers(toy_graph, toy_model):
     assert rec.weight.scales.shape == (24,)
     assert rec.bias_int.dtype == np.int32
     assert len(rec.requants) == 1
+
+
+def test_built_and_loaded_models_cannot_change_in_place(toy_model):
+    """A model and its records are immutable, so what the engine proved of one
+    cannot go stale: assigning an attribute, writing into an array and filing
+    a record or an encoding all raise, on a built model and on a loaded one."""
+    for model in (toy_model, deserialize(serialize(toy_model))):
+        rec = model.layers[6]
+        for owner, name in ((model, "logits_scale"), (rec, "out_bits"), (rec, "bias_int")):
+            with pytest.raises(FrozenInstanceError):
+                setattr(owner, name, getattr(owner, name))
+        for array in (rec.bias_int, rec.weight.scales, rec.requants[0].multiplier,
+                      rec.requants[0].shift):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 1
+        for table, value in ((model.layers, rec), (model.act_bits, 8), (model.act_clip, 1.0)):
+            with pytest.raises(TypeError):
+                table[77] = value
+
+
+def test_a_record_copies_the_arrays_and_tables_it_is_given():
+    """Changing what a model or record was built from leaves it unchanged."""
+    bias, mult, shift = np.zeros(2, np.int32), np.full(2, 1 << 30, np.int32), np.full(2, 30)
+    rec = packed_model.PackedLayer(1, "fully_connected", bias_int=bias,
+                                   requants=(RequantParams(mult, shift),))
+    layers, act_bits, act_clip = {1: rec}, {0: 8}, {0: 1.0}
+    model = packed_model.PackedModel(2, act_bits, act_clip, layers)
+    bias[0] = mult[0] = shift[0] = 7
+    layers[2], act_bits[1], act_clip[1] = rec, 8, 1.0
+    assert rec.bias_int[0] == 0 and rec.requants[0].multiplier[0] == 1 << 30
+    assert rec.requants[0].shift[0] == 30
+    assert list(model.layers) == [1] and list(model.act_bits) == list(model.act_clip) == [0]
 
 
 def test_logits_record_is_wide(toy_model):
@@ -251,6 +283,18 @@ def _set(blob: bytes, offset: int, fmt: str, value) -> bytes:
     return bytes(b)
 
 
+def _with(model, lid: int, **changes):
+    """A copy of model whose record of layer lid takes changes (models are immutable)."""
+    return replace(model, layers={**model.layers, lid: replace(model.layers[lid], **changes)})
+
+
+def _set_at(a: np.ndarray, i: int, value) -> np.ndarray:
+    """A copy of array a with value at index i."""
+    a = a.copy()
+    a[i] = value
+    return a
+
+
 def _last_payload_len(model) -> int:
     return len(model.layers[max(model.layers)].weight.packed)
 
@@ -284,11 +328,11 @@ def test_deserialize_checks_contents(toy_model, spoil, match):
 def test_deserialize_checks_weight_scales_and_requants(toy_model, field, value, match):
     rec = toy_model.layers[1]  # conv2d with 4 output channels
     if field == "scales":
-        rec.weight = replace(rec.weight, scales=value)
+        model = _with(toy_model, 1, weight=replace(rec.weight, scales=value))
     else:
-        rec.requants = value
+        model = _with(toy_model, 1, requants=value)
     with pytest.raises(PackFormatError, match=match):
-        deserialize(serialize(toy_model))
+        deserialize(serialize(model))
 
 
 @pytest.mark.parametrize("rank", [5, 65])
@@ -296,9 +340,9 @@ def test_deserialize_rejects_a_weight_rank_no_writer_stores(toy_model, rank):
     """A record of rank 65 with a zero dimension has a 0-byte payload, but numpy
     cannot reshape to it and would raise a bare ValueError. No writer stores rank 5."""
     rec = toy_model.layers[1]
-    rec.weight = replace(rec.weight, shape=(0,), scales=np.zeros(0), packed=b"")
-    rec.bias_int = np.zeros(0, dtype=np.int32)
-    blob = serialize(toy_model)[:-4]
+    model = _with(toy_model, 1, weight=replace(rec.weight, shape=(0,), scales=np.zeros(0),
+                                               packed=b""), bias_int=np.zeros(0, dtype=np.int32))
+    blob = serialize(model)[:-4]
     at = 24 + 9 * len(toy_model.act_bits) + 7  # the rank byte of the first record, layer 1's
     assert blob[at:at + 5] == struct.pack("<BI", 1, 0)
     blob = blob[:at] + struct.pack(f"<B{rank}I", rank, 0, *[1] * (rank - 1)) + blob[at + 5:]
@@ -326,21 +370,20 @@ def test_deserialize_rejects_a_tensor_encoding_written_twice(toy_model):
 def test_deserialize_rejects_a_layer_record_written_twice(toy_model):
     """serialize writes each record's own layer id, so a record filed under a
     second key is written twice. Without the check the last copy wins."""
-    toy_model.layers[77] = replace(toy_model.layers[5])
+    model = replace(toy_model, layers={**toy_model.layers, 77: replace(toy_model.layers[5])})
     with pytest.raises(PackFormatError, match="layer 5: record written twice"):
-        deserialize(serialize(toy_model))
+        deserialize(serialize(model))
 
 
 @pytest.mark.parametrize("spoil, match", [
-    (lambda m: (m.act_bits.update({99: 8}), m.act_clip.update({99: 1.0})),
+    (lambda m: replace(m, act_bits={**m.act_bits, 99: 8}, act_clip={**m.act_clip, 99: 1.0}),
      r"encodings for tensors \[99\]"),
-    (lambda m: m.layers.update({77: replace(m.layers[5], layer_id=77)}),
+    (lambda m: replace(m, layers={**m.layers, 77: replace(m.layers[5], layer_id=77)}),
      r"records for layers \[77\]"),
 ], ids=["tensor_99", "layer_77"])
 def test_a_model_with_ids_its_graph_lacks_is_a_mismatch(toy_graph, toy_model, spoil, match):
     """Both load from a file, and without the check they run."""
-    spoil(toy_model)
-    model = deserialize(serialize(toy_model))
+    model = deserialize(serialize(spoil(toy_model)))
     with pytest.raises(ModelMismatchError, match=match):
         check_model_matches(toy_graph, model)
 
@@ -397,24 +440,22 @@ def test_check_model_matches(toy_graph, residual_graph, toy_model):
     # same element count, but not the conv2d kernel layout of layer 1
     rec = toy_model.layers[1]
     cout = rec.weight.shape[0]
-    rec.weight = replace(rec.weight, shape=(cout, rec.weight.numel // cout))
+    model = _with(toy_model, 1, weight=replace(rec.weight, shape=(cout, rec.weight.numel // cout)))
     with pytest.raises(ModelMismatchError, match="weight shape"):
-        check_model_matches(toy_graph, toy_model)
+        check_model_matches(toy_graph, model)
 
 
 @pytest.mark.parametrize("spoil, match", [
-    (lambda m: setattr(m.layers[2], "out_bits", 32), "output width"),
-    (lambda m: setattr(m.layers[6], "out_bits", 8), "output width"),
-    (lambda m: setattr(m.layers[2], "requants", ()), "requants"),
-    (lambda m: setattr(m.layers[1], "requants", m.layers[1].requants * 2), "requants"),
-    (lambda m: setattr(m.layers[1], "requants", (RequantParams(np.ones(3, np.int32),
-                                                               np.ones(3, np.int32)),)),
+    (lambda m: _with(m, 2, out_bits=32), "output width"),
+    (lambda m: _with(m, 6, out_bits=8), "output width"),
+    (lambda m: _with(m, 2, requants=()), "requants"),
+    (lambda m: _with(m, 1, requants=m.layers[1].requants * 2), "requants"),
+    (lambda m: _with(m, 1, requants=(RequantParams(np.ones(3, np.int32), np.ones(3, np.int32)),)),
      "requants"),
 ], ids=["encoded_as_wide", "logits_as_8bit", "no_requant", "two_requants", "three_channels"])
 def test_check_model_matches_record_arithmetic(toy_graph, toy_model, spoil, match):
-    spoil(toy_model)
     with pytest.raises(ModelMismatchError, match=match):
-        check_model_matches(toy_graph, toy_model)
+        check_model_matches(toy_graph, spoil(toy_model))
 
 
 def _positive_channel(rec) -> int:
@@ -445,8 +486,8 @@ def test_a_stored_bias_that_could_overflow_int32_is_refused_at_load(toy_graph, t
     the channel, before any input runs."""
     rec = toy_model.layers[6]
     c = _positive_channel(rec)
-    rec.bias_int[c] = INT32_MAX
-    model = deserialize(serialize(toy_model))
+    model = _with(toy_model, 6, bias_int=_set_at(rec.bias_int, c, INT32_MAX))
+    model = deserialize(serialize(model))
     with pytest.raises(AccumulatorOverflowError, match=rf"layer 6 channel {c}: accumulator "
                                                        r"range \[-?\d+, \d+\] leaves int32"):
         check_model_matches(toy_graph, model)
@@ -484,14 +525,14 @@ def test_accumulator_proof_matches_the_oracle_on_random_graphs():
             if free[c][side] == 0:  # no code of that sign: one further does not fit int32
                 continue
             for extra in (0, step):
-                rec.bias_int = bias.copy()
-                rec.bias_int[c] = edge - free[c][side] + extra
+                edged = _with(model, layer.id,
+                              bias_int=_set_at(bias, c, edge - free[c][side] + extra))
                 if extra:
                     with pytest.raises(AccumulatorOverflowError,
                                        match=f"layer {layer.id} channel {c}: "):
-                        check_model_matches(g, model)
+                        check_model_matches(g, edged)
                 else:
-                    check_model_matches(g, model)
+                    check_model_matches(g, edged)
 
 
 # a 1-element 8-bit weight tensor with its 1-byte payload
@@ -507,11 +548,9 @@ def test_weight_free_record_carrying_weights_is_a_mismatch(toy_graph, toy_model,
                                                            weight_bits, through_file):
     """A container whose avg_pool record has weight bits or a weight tensor
     loads, but does not match the graph."""
-    rec = toy_model.layers[5]
-    assert rec.kind == "avg_pool"
-    rec.weight, rec.weight_bits = weight, weight_bits
-    if weight is not None:
-        rec.bias_int = np.zeros(1, dtype=np.int32)
-    model = deserialize(serialize(toy_model)) if through_file else toy_model
+    assert toy_model.layers[5].kind == "avg_pool"
+    bias = None if weight is None else np.zeros(1, dtype=np.int32)
+    model = _with(toy_model, 5, weight=weight, weight_bits=weight_bits, bias_int=bias)
+    model = deserialize(serialize(model)) if through_file else model
     with pytest.raises(ModelMismatchError, match="layer 5: the avg_pool record"):
         check_model_matches(toy_graph, model)

@@ -745,6 +745,29 @@ def test_apply_requant_rejects_mismatched_parameters():
         apply_requant(np.zeros((2, 4, 2, 2), np.int64), one, 8, bias=np.zeros(3, np.int32))
 
 
+@pytest.mark.parametrize("bits", [4, 32])
+def test_apply_requant_memo_keeps_one_setup_per_layout(monkeypatch, bits):
+    """One memo over the calls of one (rq, bits, bias): each acc shape and
+    strides gets one set-up, built on its first call, and every call gives
+    the codes of a call without the memo, over several blocks."""
+    monkeypatch.setattr(quantizer, "CONV_BLOCK", _BLOCK)
+    rng = np.random.default_rng([bits, 34])
+    acc = rng.integers(-(1 << 23), 1 << 23, size=(3, 4, 5, 2))
+    rq = RequantParams(multiplier=rng.integers(1 << 30, 1 << 31, size=4).astype(np.int32),
+                       shift=rng.integers(28, 40, size=4).astype(np.int32))
+    bias = rng.integers(-(1 << 20), 1 << 20, size=4).astype(np.int32)
+    layouts = [acc, np.ascontiguousarray(acc.transpose(2, 3, 0, 1)).transpose(2, 3, 0, 1),
+               np.ascontiguousarray(acc.transpose(1, 2, 0, 3)).transpose(2, 0, 1, 3), acc[:2]]
+    memo, built, setup = {}, [], quantizer._requant_setup
+    monkeypatch.setattr(quantizer, "_requant_setup", lambda *a: built.append(1) or setup(*a))
+    for a in layouts * 2:
+        got = apply_requant(a, rq, bits, bias=bias, memo=memo)
+        assert np.array_equal(got, apply_requant(a, rq, bits, bias=bias))
+        assert _stride_order(got) == _stride_order(a)
+    # once per layout with the memo, on every call without it
+    assert len(memo) == len(layouts) and len(built) == 3 * len(layouts)
+
+
 # ---------------------------------------------------------------------------
 # Calibration
 # ---------------------------------------------------------------------------
