@@ -32,6 +32,7 @@ BLOCK = 256   # policies per timed enforce block
 MBV1_STAGES = ((64, 8, 64, 1, 16), (32, 16, 64, 2, 32), (16, 32, 32, 2, 64),
                (8, 64, 16, 2, 128), (4, 128, 8, 2, 256))
 MBV1_BATCH = 32
+MBV1_INT_BATCH = 8  # the `int` subject's MobileNetV1 case past batch 1
 
 
 class Case(NamedTuple):
@@ -287,8 +288,10 @@ def int_cases(trees: tuple, seed: int) -> list[Case]:
     perfbench's four `toy_eval` mixes at batch 128 (60 pairs each); the first batch
     of a freshly deserialized toy model, the four mixes in turn (60 pairs), which is
     what `toy_eval` times once per model built; and MobileNetV1 with seeded He
-    weights under the enforced all-8 anchor at batch 1 (24 pairs). Agreement: the
-    layers whose `run_codes_network` codes are identical."""
+    weights under the enforced all-8 anchor at batch 1 (24 pairs) and at batch
+    MBV1_INT_BATCH (16 pairs), where conv2d's codes feed the depthwise phase fill
+    and pointwise runs its channels-outermost GEMM. Agreement: the layers whose
+    `run_codes_network` codes are identical."""
     import numpy as np
 
     parent, cases, blobs = trees[0], [], []
@@ -315,6 +318,8 @@ def int_cases(trees: tuple, seed: int) -> list[Case]:
     blob = pm.serialize(pm.build_packed_model(g, weights, p, ranges))
     image = rng.uniform(0, 1, size=(1,) + shape).astype(np.float32)
     cases.append(_int_case(trees, "mbv1 anchor", 24, "mobilenet_v1_224_100", [blob], image))
+    images = rng.uniform(0, 1, size=(MBV1_INT_BATCH,) + shape).astype(np.float32)
+    cases.append(_int_case(trees, "mbv1 anchor", 16, "mobilenet_v1_224_100", [blob], images))
     return cases
 
 

@@ -93,6 +93,13 @@ class NetworkGraph:
     def __post_init__(self):
         object.__setattr__(self, "_by_id", {l.id: l for l in self.layers})
 
+    def __hash__(self) -> int:  # the dataclass's field hash, taken once: the graph is frozen
+        return self._hash
+
+    @cached_property
+    def _hash(self) -> int:
+        return hash((self.layers, self.resolution, self.width_multiplier))
+
     @cached_property
     def _consumers(self) -> dict[int, list[LayerSpec]]:
         index: dict[int, list[LayerSpec]] = {l.id: [] for l in self.layers}

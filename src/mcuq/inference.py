@@ -3,10 +3,12 @@
 Reference semantics for MCU backends: sub-byte codes, 32-bit accumulators
 that no input can overflow (see below), per-channel requantization,
 saturating residual adds.
-Every linear layer, avg_pool included, runs through kernels.linear_acc, the
-training forward's arithmetic without its bias, so the deployed arithmetic
-is the arithmetic that was trained. avg_pool is a depthwise layer whose
-every tap is weighted 1 (kernels.pool_weight), with no bias.
+Every linear layer, avg_pool included, runs through kernels.linear_acc: the
+training forward's products and sums without its bias, in an order of its
+own where that is faster (conv2d's GEMM runs channel-major here), which the
+exact sums below make immaterial, so the deployed arithmetic is the
+arithmetic that was trained. avg_pool is a depthwise layer whose every tap
+is weighted 1 (kernels.pool_weight), with no bias.
 run_codes_network yields every layer's codes as graph_ir.walk runs them,
 holding only the live set; run_codes_layer runs one layer. The input codes
 are quantizer.quantize_act's: act_codes of the float32 images, the codes the
@@ -35,8 +37,11 @@ only the outputs it keeps), and the bias go to one requant epilogue,
 quantizer.apply_requant, which adds the bias exactly: in float64 where that
 is provably exact, in int64 otherwise. It walks the output in the kernel's
 memory order and writes the codes in that order, so the codes between layers
-are (N, C, H, W) int32 arrays whose strides follow the kernel that made them
-(conv2d's run (y, x, n, c)). Every consumer reads them by value, so the
+are (N, C, H, W) int32 arrays whose strides follow the kernel that made them.
+conv2d's codes run (c, y, x, n), the depthwise and avg_pool ones
+(c, y, n, x), and a pointwise layer's on the latter (o, y, n, x), channels
+outermost; fully_connected's (N, O) keeps them innermost, and pointwise on
+any other codes runs C order. Every consumer reads them by value, so the
 values at the API are those of C order.
 """
 

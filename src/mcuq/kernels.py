@@ -12,7 +12,8 @@ of an output row, every image, are one run of ow*N: it computes exactly
 the oh*ow*N outputs it keeps, as CMSIS-NN does. Its im2col blocks of at
 most CONV_BLOCK elements, kh*kw*C rows by positions, are whole output rows
 while they fit, else chunks of one row, each tap's slice a (C, rows, run)
-view; one GEMM a block multiplies them by the weights. depthwise_conv2d
+view; one GEMM a block multiplies them by the weights, w @ cols into an
+(O, M) array in linear_acc (cols.T @ w.T in linear_fwd). depthwise_conv2d
 and avg_pool keep the (y, n, x) fold, whose fill copies whole image rows
 (the batch-innermost fill was 4-6x slower on MobileNetV1's maps at N=4;
 at N=1 the folds are one): planes (s, s, C, h2*N*w2 + (kw-1)//s), tap
@@ -24,7 +25,8 @@ so a block's sums and products stay in cache: the first tap's slice
 times its (C, 1) weight column is written into the block and each further
 tap's is added, so every output sums its taps in the same order whatever
 the block. The sums run in np.result_type(x, w). linear_acc returns the
-flat output uncopied, as a strided (N, O, oh, ow) view (_out_grid).
+(O, M) output uncopied, as a strided (N, O, oh, ow) view (_out_grid), so
+its channels run outermost: conv2d's (o, y, x, n), the others' (c, y, n, x).
 
 A global avg_pool (kernel H x W, padding 0) skips the phase planes: its
 (N, C) output takes the same tap products in the same row-major order,
@@ -114,17 +116,17 @@ def _col_blocks(planes: np.ndarray, taps: list, oh: int, run: int):
         yield y0 * run + p0, cols.reshape(k, r * mb)
 
 
-def _out_grid(flat: np.ndarray, kind: str, n: int, o: int, oh: int, ow: int,
-              w2: int) -> np.ndarray:
-    """A window kernel's flat output as an (N, O, oh, ow) view: conv2d's
-    (oh*ow*N, O) GEMM output, positions (y, x, n), or the per-tap products'
-    (O, oh*N*w2), positions (y, n, x), whose columns x >= ow it drops."""
+def _out_grid(flat: np.ndarray, kind: str, n: int, oh: int, ow: int, w2: int) -> np.ndarray:
+    """A window kernel's (O, M) output as an (N, O, oh, ow) view: conv2d's
+    GEMM output (or the transpose of training's (M, O) one), positions
+    (y, x, n), or the per-tap products', positions (y, n, x), whose columns
+    x >= ow it drops."""
     if kind == "conv2d":
-        return flat.reshape(oh, ow, n, o).transpose(2, 3, 0, 1)
-    return flat.reshape(o, oh, n, w2).transpose(2, 0, 1, 3)[..., :ow]
+        return flat.reshape(len(flat), oh, ow, n).transpose(3, 0, 1, 2)
+    return flat.reshape(len(flat), oh, n, w2).transpose(2, 0, 1, 3)[..., :ow]
 
 
-def _window_fwd(layer, x: np.ndarray, w: np.ndarray):
+def _window_fwd(layer, x: np.ndarray, w: np.ndarray, channel_major: bool = False):
     n, c = x.shape[:2]
     s, o = layer.stride, len(w)
     oh, ow, h2, w2, m, taps, phases = _geometry(layer, x.shape)
@@ -138,9 +140,13 @@ def _window_fwd(layer, x: np.ndarray, w: np.ndarray):
         pv[...] = xv
     if conv:
         wt = w.transpose(0, 2, 3, 1).reshape(o, -1)  # columns tap-major, as the blocks
-        zm = np.empty((m, o), dtype)
+        zm = np.empty((o, m), dtype) if channel_major else np.empty((m, o), dtype).T  # (O, M)
         for m0, cols in _col_blocks(planes, taps, oh, ow * n):
-            np.matmul(cols.T, wt.T, out=zm[m0:m0 + cols.shape[1]])
+            out = zm[:, m0:m0 + cols.shape[1]]
+            if channel_major:
+                np.matmul(wt, cols, out=out)
+            else:
+                np.matmul(cols.T, wt.T, out=out.T)
     else:  # one multiply-add per tap, (C, 1) weight columns, in blocks of channels
         zm = np.empty((c, m), dtype)
         wc, step = w.reshape(c, -1), max(1, CONV_BLOCK // m)
@@ -153,7 +159,7 @@ def _window_fwd(layer, x: np.ndarray, w: np.ndarray):
             for t, (a, bb, off) in enumerate(rest, 1):
                 zb += np.multiply(planes[a, bb, cs, off:off + m], wc[cs, t, None],
                                   out=prod[:len(zb)])
-    return _out_grid(zm, layer.kind, n, o, oh, ow, w2), planes
+    return _out_grid(zm, layer.kind, n, oh, ow, w2), planes
 
 
 def _is_global(layer, x_shape: tuple) -> bool:
@@ -171,7 +177,7 @@ def _window_bwd(layer, dz: np.ndarray, planes: np.ndarray, w: np.ndarray,
     # conv2d's dzm holds only kept positions; the others' dropped columns get a
     # zero gradient, so they add nothing
     dzm = np.empty((m, o), dz.dtype) if conv else np.zeros((o, m), dz.dtype)
-    _out_grid(dzm, layer.kind, n, o, oh, ow, w2)[...] = dz
+    _out_grid(dzm.T if conv else dzm, layer.kind, n, oh, ow, w2)[...] = dz
     dw = None  # avg_pool has no parameters
     if conv:
         dwt = np.zeros((len(taps) * c, o), np.result_type(planes, dz))
@@ -219,6 +225,8 @@ def linear_acc(layer, x: np.ndarray, w: np.ndarray):
     runs on pool_weight's constant kernel. Returns (acc, cols): acc is the
     kernel's own output, uncopied, a strided view for the window kinds;
     cols is the input as the kernel's operand, which linear_bwd needs.
+    linear_fwd's arithmetic, but conv2d's GEMM runs channel-major, so acc's
+    channels run outermost; only exact sums come out as linear_fwd's bits.
     """
     if _is_global(layer, x.shape):  # its taps in the phase-plane order, as bit-identical sums
         wc, kw = w.reshape(len(w), -1), x.shape[3]
@@ -228,7 +236,7 @@ def linear_acc(layer, x: np.ndarray, w: np.ndarray):
             z += np.multiply(x[:, :, t // kw, t % kw], wc[:, t], out=prod)
         return z[:, :, None, None], x
     if layer.kind in _WINDOW_KINDS:
-        return _window_fwd(layer, x, w)
+        return _window_fwd(layer, x, w, channel_major=True)
     if layer.kind == "pointwise_conv2d":
         n, c, h, wd = x.shape
         if channels_outer(x):
@@ -243,7 +251,9 @@ def linear_fwd(layer, x: np.ndarray, w: np.ndarray, b: np.ndarray):
     """The training forward, z = w * x + b: linear_acc plus the bias, added in
     place to acc or, for a strided acc, to a C-contiguous copy of it (a copy
     and an add read the view faster than np.add into z). Returns (z, cols)."""
-    acc, cols = linear_acc(layer, x, w)
+    # conv2d's GEMM stays (M, O) here: (wt @ cols).T and cols.T @ wt.T differ in float32 bits
+    # on 41 of 180 (K, O, M) shapes, which would move z and dw; exact integer sums do not
+    acc, cols = _window_fwd(layer, x, w) if layer.kind == "conv2d" else linear_acc(layer, x, w)
     z = np.ascontiguousarray(acc)
     z += b[:, None, None] if z.ndim == 4 else b
     return z, cols

@@ -317,11 +317,11 @@ def apply_requant(acc: np.ndarray, rq: RequantParams, bits: int,
     walked in that order, acc's axes outermost-first by stride (length-1 axes
     last), in blocks of at most CONV_BLOCK elements copied into one buffer and
     requantized there: slices of the outermost axis k whose inner axes fit, at
-    one index of the axes before k, the parameters tiled over the inner axes
-    where the channel axis is one of them. So a C-contiguous acc runs in whole
-    images or channels of one image, conv2d's (oh*ow*N, O) GEMM output in whole
-    output rows (pieces of a row at large N), and the channels-outermost
-    depthwise and avg_pool views in channel slices (rows of one at large N).
+    one index of the axes before k, with one channel's parameters, a slice of
+    them or, where the channel axis is inside k, all of them broadcast. So a
+    C-contiguous acc runs in whole images or channels of one image, and the
+    integer engine's channels-outermost accumulators (kernels.linear_acc) in
+    channel slices (rows, or pieces of a row, of one channel at large N).
 
     Unsigned outputs whose largest shift is at most 52 - bits run in float64,
     exactly: a = acc + bias (below 2**33) and m = multiplier * 2**-shift are
@@ -339,7 +339,7 @@ def apply_requant(acc: np.ndarray, rq: RequantParams, bits: int,
     away from zero and moves nothing else; unsigned ones clip p < 0 to 0.
 
     memo, a dict kept for one (rq, bits, bias), holds _requant_setup per acc
-    shape and strides for later calls; the tile and the buffer are per call.
+    shape and strides for later calls; the buffer is per call.
     """
     acc = np.asarray(acc)
     out = np.empty_like(acc, dtype=np.int32)  # in acc's memory order
@@ -349,11 +349,6 @@ def apply_requant(acc: np.ndarray, rq: RequantParams, bits: int,
         memo[key] = _requant_setup(view, rq, bits, bias)
     order, ax, k, exact, lo, hi, params, blocks, size = memo[key]
     view, outv = view.transpose(order), outv.transpose(order)
-    if ax > k:  # the parameters tiled over the inner axes
-        tiled = np.empty((len(params),) + view.shape[k + 1:], params[0].dtype)
-        for t, v in zip(tiled, params):
-            t[...] = v
-        params = tiled
     buf = np.empty(size, np.float64 if exact else np.int64)
     for idx, ch in blocks:
         block = view[idx]
@@ -390,7 +385,7 @@ def _requant_setup(view: np.ndarray, rq: RequantParams, bits: int, bias) -> tupl
     k = next(k for k in range(view.ndim) if math.prod(view.shape[k + 1:]) <= CONV_BLOCK)
     chan = np.empty((3, c), np.int64)  # a single multiplier and shift broadcast
     chan[0], chan[1], chan[2] = mult, shift, bias
-    # one value per block where the channel axis is outer to k, else over the channel axis
+    # one value per block where the channel axis is outer to k, else (c, 1, ...) over its axis
     mult, shift, bias = chan.reshape((3, c) + ((1,) * (view.ndim - 1 - ax) if ax >= k else ()))
     exact = float64_exact(bits, shift)
     if exact:
@@ -400,7 +395,7 @@ def _requant_setup(view: np.ndarray, rq: RequantParams, bits: int, bias) -> tupl
         params = [mult, bias * mult + half, shift, np.where(shift > 0, half, -(1 << 63))]
     step = CONV_BLOCK // max(1, math.prod(view.shape[k + 1:]))
     slices = [slice(i, i + step) for i in range(0, view.shape[k], step)]
-    # each block's parameters: one channel's (ax < k), a channel slice (ax == k) or the tile
+    # each block's parameters: one channel's (ax < k), a channel slice (ax == k) or all
     blocks = [(o + (s,), o[ax] if ax < k else s if ax == k else ())
               for o in itertools.product(*map(range, view.shape[:k])) for s in slices]
     size = view[blocks[0][0]].size if blocks else 0

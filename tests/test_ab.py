@@ -22,7 +22,7 @@ def ab(monkeypatch):
 
 @pytest.mark.parametrize("subject, agreements", [
     ("enforce", ["differ in 0 of 2048 policies"]),
-    ("int", ["codes identical on 7 of 7 layers"] * 5 + ["codes identical on 30 of 30 layers"]),
+    ("int", ["codes identical on 7 of 7 layers"] * 5 + ["codes identical on 30 of 30 layers"] * 2),
     ("qat", ["top-1 identical in 2 of 2"]),
 ])
 def test_each_subject_agrees_in_full_on_one_tree(ab, capsys, subject, agreements):
@@ -33,8 +33,10 @@ def test_each_subject_agrees_in_full_on_one_tree(ab, capsys, subject, agreements
     for line, agreement in zip(lines, agreements):
         assert re.search(r"median x\d\.\d{3} \(quartiles .*\); change faster in [0-2] of 2; ", line)
         assert line.endswith(agreement)
-    if subject == "int":  # the four toy mixes, the fresh models in turn, MobileNetV1
+    if subject == "int":  # the four toy mixes, the fresh models in turn, MobileNetV1 twice
         assert "toy, first batch of a fresh model (batch 128)" in lines[4]
+        assert lines[5].startswith("mbv1 anchor (batch 1): ")
+        assert lines[6].startswith("mbv1 anchor (batch 8): ")
     diffs = re.findall(r"max \|d\| (\S+)", out)  # qat's logits and gradients
     assert set(diffs) == ({"0"} if subject == "qat" else set())
     names = re.findall(r"grad (\S+):", out)  # qat's, each "tag.id"

@@ -10,7 +10,7 @@ import oracles
 from conftest import fresh_ranges
 from mcuq import inference, qat, quantizer, search
 from mcuq.errors import AccumulatorOverflowError, DatasetError, ModelMismatchError
-from mcuq.graph_ir import COMPUTE_KINDS, topo_order
+from mcuq.graph_ir import COMPUTE_KINDS, fixture_path, load_graph, topo_order
 from mcuq.inference import (
     evaluate_accuracy,
     per_class_csv,
@@ -197,8 +197,9 @@ def _assert_codes_match_oracle_per_layer(g, rng, seed):
 
 
 # the memory orders the kernels leave codes in, outermost axis first: conv2d's
-# (y, x, n, c), the depthwise and avg_pool views' (c, y, n, x), and channel-last
-_ORDERS = [(2, 3, 0, 1), (1, 2, 0, 3), (0, 2, 3, 1)]
+# (c, y, x, n), the depthwise and avg_pool views' (c, y, n, x); and channel-last
+# and (y, x, n, c), the order of conv2d's codes before its GEMM ran channel-major
+_ORDERS = [(1, 2, 3, 0), (1, 2, 0, 3), (0, 2, 3, 1), (2, 3, 0, 1)]
 
 
 def _in_memory_order(x: np.ndarray, axes: tuple) -> np.ndarray:
@@ -260,6 +261,44 @@ def test_pointwise_runs_one_gemm_in_the_order_of_channels_outermost_codes(monkey
                 not outer, outer)
         for j in range(len(x)):
             assert np.array_equal(got[j], oracles.ref_layer_codes(layer, rec, [x[j]]))
+
+
+def _requant_splits(g, model) -> list[tuple]:
+    """(layer id, kind, the set-up's axes outermost-first, channel axis at, split
+    axis k) of every requant set-up kept in model's records."""
+    return [(lid, g.layer(lid).kind, tuple(shape[a] for a in setup[0]), *setup[1:3])
+            for lid, rec in model.layers.items() for memo in rec.memos
+            for (shape, _), setup in memo.items()]
+
+
+def test_every_engine_requant_splits_outside_its_channel_axis(toy_graph, mobilenet_graph,
+                                                              pretrained, toy_ranges, desk):
+    """Every requant set-up the engine builds has its channel axis at or outside
+    the axis k its blocks split, so a block takes one channel's parameters or
+    a slice of them and no set-up needs them tiled over inner axes: each
+    accumulator and each layer's codes run channels outermost. The one
+    exception is fully_connected's (N, O), whose inner axis is the channel
+    alone. On the toy CNN at batch 128 and on MobileNetV1's enforced all-8
+    anchor at batches 1 and 8."""
+    model = toy_int_model(toy_graph, pretrained[0], toy_ranges)
+    run_batch_int(toy_graph, model, desk.val[0][:128])
+    splits = {128: _requant_splits(toy_graph, model)}
+    g, rng = mobilenet_graph, np.random.default_rng(35)
+    budget = MemoryBudget(rom_bytes=2 * 2 ** 20, ram_bytes=512 * 2 ** 10)
+    policy = search.base_policy(g, search.SearchConfig(budget=budget))
+    policy = enforce_ram(g, enforce_rom(g, policy, budget), budget)
+    weights = qat.init_weights(g, seed=35)
+    images = rng.uniform(0, 1, size=(8,) + g.input_layer.output_shape).astype(np.float32)
+    ranges = calibrate_act_ranges(g, weights, images[:2])
+    for n in (1, 8):
+        model = build_packed_model(g, weights, policy, ranges)
+        run_batch_int(g, model, images[:n])
+        splits[n] = _requant_splits(g, model)
+    assert [len(v) for v in splits.values()] == [6, 29, 29]
+    for n, rows in splits.items():
+        for lid, kind, shape, ax, k in rows:
+            assert ax <= k or (kind, shape[k + 1:]) == ("fully_connected", (shape[ax],)), (
+                n, lid, kind, shape, ax, k)
 
 
 def test_integer_walk_holds_only_the_live_set(toy_graph, residual_graph, mobilenet_graph):
@@ -746,6 +785,23 @@ def test_a_model_proves_itself_once_per_graph(monkeypatch, toy_graph, residual_g
     with pytest.raises(ModelMismatchError, match="does not match the graph"):
         run_batch_int(residual_graph, model, other)
     assert calls == [toy_graph, residual_graph]
+
+
+def test_two_loads_of_one_graph_share_one_proof(monkeypatch, toy_graph, pretrained, toy_ranges,
+                                                desk_small):
+    """Two loads of one fixture are equal and hash equal, so a model run on
+    each keeps one proof, checked once. The hash is taken once per graph and
+    kept on it, as its other derived facts are."""
+    model = toy_int_model(toy_graph, pretrained[0], toy_ranges)
+    calls, check = [], inference.check_model_matches
+    monkeypatch.setattr(inference, "check_model_matches",
+                        lambda g, m: calls.append(g) or check(g, m))
+    first, second = (load_graph(fixture_path("toycnn_mnist.json")) for _ in range(2))
+    assert first is not second and first == second and hash(first) == hash(second)
+    assert first.__dict__["_hash"] == hash(first)
+    images = desk_small.images[:3]
+    assert np.array_equal(run_batch_int(first, model, images), run_batch_int(second, model, images))
+    assert len(calls) == 1 and len(model.dtypes) == 1 and model.dtypes.get(second) is not None
 
 
 @pytest.mark.parametrize("spoil, error", [

@@ -1,5 +1,6 @@
 """Training loop: forward/backward, Adam, fake-quant training, checkpoints."""
 
+import functools
 import itertools
 import math
 import re
@@ -369,8 +370,10 @@ def test_conv2d_blocks_match_reference(monkeypatch, stride, padding):
 
 @pytest.mark.parametrize("n", [1, 3, 32])
 def test_conv2d_computes_only_the_outputs_it_keeps(n):
-    """conv2d's GEMM writes one row per kept output position, N*oh*ow, and no
-    columns past ow: on the toy CNN's conv layers 3 and 4 at stride 1 and 2."""
+    """conv2d's GEMM writes one column per kept output position, N*oh*ow, and
+    no columns past ow, channel-major, (O, N*oh*ow), in the integer engine's
+    linear_acc; training's linear_fwd keeps the (N*oh*ow, O) GEMM, whose
+    output it copies: on the toy CNN's conv layers 3 and 4 at stride 1 and 2."""
     rng = np.random.default_rng(n)
     for (c, o, hw, s) in ((16, 24, 7, 1), (24, 32, 7, 2)):
         ohw = (hw + 2 - 3) // s + 1
@@ -378,7 +381,11 @@ def test_conv2d_computes_only_the_outputs_it_keeps(n):
         x, w = (rng.normal(size=shape).astype(np.float32)
                 for shape in ((n, c, hw, hw), layer.weight_shape))
         acc, _ = kernels.linear_acc(layer, x, w)
-        assert acc.shape == (n, o, ohw, ohw) and acc.base.shape == (n * ohw * ohw, o)
+        assert acc.shape == (n, o, ohw, ohw) and acc.base.shape == (o, n * ohw * ohw)
+        train, _ = kernels._window_fwd(layer, x, w)
+        assert train.shape == acc.shape and train.base.shape == (n * ohw * ohw, o)
+        z, _ = kernels.linear_fwd(layer, x, w, np.zeros(o, np.float32))
+        assert z.tobytes() == np.ascontiguousarray(train).tobytes()
 
 
 # (kind, kernel side, stride, padding, input side) of one layer per linear
@@ -392,17 +399,20 @@ _ACC_LAYERS = [("conv2d", 3, 2, 1, 9), ("depthwise_conv2d", 3, 1, 1, 7),
 def test_linear_acc_plus_bias_is_linear_fwd(kind, k, s, p, hw):
     """The bias-free accumulator plus the bias is the training forward, bit
     for bit; acc is the kernel's own output, a strided view for the phase-
-    plane kinds, and C-contiguous z has acc's shape."""
+    plane kinds, and C-contiguous z has acc's shape. conv2d's operands are
+    integer-valued, the engine's domain: its GEMM runs channel-major in
+    linear_acc and position-major in linear_fwd, so only exact sums agree."""
     rng = np.random.default_rng(len(kind) + k)
     c = 3
     o = 5 if kind in ("conv2d", "pointwise_conv2d", "fully_connected") else c
     ohw = 1 if kind == "fully_connected" else (hw + 2 * p - k) // s + 1
     layer = oracles._mk(1, kind, [0], o, k, k, s, p, (c, hw, hw), (o, ohw, ohw), bias=o)
-    x = rng.normal(size=(4, c, hw, hw)).astype(np.float32)
+    draw = functools.partial(rng.integers, -8, 8) if kind == "conv2d" else rng.normal
+    x = draw(size=(4, c, hw, hw)).astype(np.float32)
     if kind == "avg_pool":
         w, b = kernels.pool_weight(layer, 1 / (k * k), np.float32)
     else:
-        w = rng.normal(size=layer.weight_shape).astype(np.float32)
+        w = draw(size=layer.weight_shape).astype(np.float32)
         b = rng.normal(size=o).astype(np.float32)
     acc, cols = kernels.linear_acc(layer, x, w)
     z, cols_fwd = kernels.linear_fwd(layer, x, w, b)

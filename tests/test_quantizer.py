@@ -625,12 +625,17 @@ def test_requant_at_the_float64_boundary_matches_oracle(dtype, acc_bits, bits, t
 
 def _kernel_view(rng, kind: str, n: int, o: int, oh: int, ow: int, w2: int, dtype):
     """An (N, O, oh, ow) accumulator as a window kernel leaves it: a strided
-    view of its flat per-position output (kernels._out_grid), conv2d's kept
-    positions only, integers below 2**23 in magnitude."""
-    flat_shape = (oh * ow * n, o) if kind == "conv2d" else (o, oh * n * w2)
-    flat = rng.integers(-(1 << 23), 1 << 23, size=flat_shape).astype(dtype)
-    view = kernels._out_grid(flat, kind, n, o, oh, ow, w2)
-    assert not view.flags.c_contiguous
+    view of its (O, M) output (kernels._out_grid), conv2d's kept positions
+    only, integers below 2**23 in magnitude; conv2d's is C-contiguous at N = 1.
+    Kind "conv2d_mo" is conv2d's view of training's (M, O) GEMM output,
+    channels innermost."""
+    mo, kind = kind == "conv2d_mo", kind.removesuffix("_mo")
+    m = oh * ow * n if kind == "conv2d" else oh * n * w2
+    flat = rng.integers(-(1 << 23), 1 << 23, size=(o, m)).astype(dtype)
+    if mo:
+        flat = np.ascontiguousarray(flat.T).T  # (M, O) in memory
+    view = kernels._out_grid(flat, kind, n, oh, ow, w2)
+    assert view.flags.c_contiguous == (kind == "conv2d" and not mo and n == 1)
     return view
 
 
@@ -640,10 +645,11 @@ def _stride_order(a: np.ndarray) -> list[int]:
 
 
 # the ids name the images and the block size (3 images' codes and 5 in the
-# second case); the comments give conv2d's blocks, whose view is (y, x, n, c)
-# in memory. The depthwise view, (c, y, n, x), runs in channel slices, or in
-# rows of one channel once one channel does not fit (a block of 20)
-@pytest.mark.parametrize("kind", ["conv2d", "depthwise_conv2d"])
+# second case); the comments give the blocks of conv2d_mo, whose view is
+# (y, x, n, c) in memory. The engine's views, conv2d's (c, y, x, n) and the
+# depthwise (c, y, n, x), run in channel slices, or in rows of one channel
+# once one channel does not fit (a block of 20)
+@pytest.mark.parametrize("kind", ["conv2d", "conv2d_mo", "depthwise_conv2d"])
 @pytest.mark.parametrize("n, block", [
     pytest.param(92, None, id="92_images_default_block"),   # 4 rows a block, then 3
     pytest.param(7, 3 * 24 * 49 + 5, id="3_images_a_block"),  # 3 rows, 3, then 1
@@ -677,19 +683,22 @@ def test_requant_of_a_strided_kernel_view_matches_oracle(monkeypatch, kind, n, b
 
 @pytest.mark.parametrize("kind, n, o, oh, ow, w2, block, most", [
     # rows longer than a block: 5 columns (of 2, 112) a block, then 2
-    pytest.param("conv2d", 20, 32, 2, 112, 112, 20 * 32 * 5 + 7, 20 * 32 * 5, id="columns"),
+    pytest.param("conv2d_mo", 20, 32, 2, 112, 112, 20 * 32 * 5 + 7, 20 * 32 * 5, id="columns"),
+    # a row of one channel longer than a block: 5 columns of it a block, then 2
+    pytest.param("conv2d", 20, 32, 2, 112, 112, 20 * 5 + 7, 20 * 5, id="columns_of_a_channel"),
     # a channel longer than a block: 4 rows of one channel a block, then 3
     pytest.param("depthwise_conv2d", 20, 2, 7, 112, 113, 20 * 112 * 4 + 7, 20 * 112 * 4,
                  id="rows_of_a_channel"),
     # a position's channels longer than a block: 20 channels a block, then 12
-    pytest.param("conv2d", 2, 32, 2, 3, 3, 20, 20, id="channels_of_a_position"),
+    pytest.param("conv2d_mo", 2, 32, 2, 3, 3, 20, 20, id="channels_of_a_position"),
 ])
 def test_requant_blocks_stay_within_the_block_at_large_batches(monkeypatch, kind, n, o, oh, ow,
                                                                w2, block, most):
-    """Where a row of conv2d's view or a channel of the depthwise view holds
-    more than CONV_BLOCK codes (large batches), every block apply_requant
-    copies holds at most CONV_BLOCK, the largest as many as fit, and the
-    codes equal the oracle's."""
+    """Where a row of conv2d's view, of one channel or (conv2d_mo) of every
+    one, or a channel of the depthwise view holds more than CONV_BLOCK codes
+    (large batches), every block apply_requant copies holds at most
+    CONV_BLOCK, the largest as many as fit, and the codes equal the
+    oracle's."""
     monkeypatch.setattr(quantizer, "CONV_BLOCK", block)
     rng = np.random.default_rng([n, o, ow])
     view = _kernel_view(rng, kind, n, o, oh, ow, w2, np.float32)
