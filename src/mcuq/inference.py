@@ -14,8 +14,10 @@ holding only the live set; run_codes_layer runs one layer. The input codes
 are quantizer.quantize_act's: act_codes of the float32 images, the codes the
 training forward fake-quantizes its input to.
 
-The kernels run on BLAS, on the codes cast to a float type that holds every
-partial sum exactly; check_model_matches proves which from the stored codes
+The kernels run on BLAS in a float type that holds every partial sum
+exactly: the weight codes are cast to it, and linear_acc reads the int32
+input codes as they are, casting them where its kernel reads them.
+check_model_matches proves which type from the stored codes
 (packed_model._kernel_dtype), once per graph, kept on the model. Every
 encoded activation is unsigned, in [0, in_max] with in_max = 2**bits - 1 of
 its encoding, so every partial sum of output channel c, in any order, lies in
@@ -54,7 +56,7 @@ import numpy as np
 from . import qat  # evaluate_accuracy's fake-quant branch only
 from .errors import DatasetError, ModelMismatchError
 from .graph_ir import LINEAR_KINDS, NetworkGraph, walk
-from .kernels import channels_outer, linear_acc, pool_weight
+from .kernels import linear_acc, pool_weight
 from .packed_model import PackedLayer, PackedModel, check_model_matches
 from .quantizer import apply_requant, qrange, quantize_act
 
@@ -68,11 +70,7 @@ def run_codes_layer(layer, rec: PackedLayer, in_codes: list[np.ndarray],
     if layer.kind in LINEAR_KINDS:
         w, bias = (pool_weight(layer, 1, np.int32) if layer.kind == "avg_pool"
                    else (rec.weight.codes(), rec.bias_int))
-        x = in_codes[0]
-        # the GEMM kinds reshape x: a view in C order or, for pointwise, channels_outer
-        gemm = layer.kind == "fully_connected" or (layer.kind == "pointwise_conv2d"
-                                                   and not channels_outer(x))
-        z, _ = linear_acc(layer, x.astype(dtype, order="C" if gemm else "K"), w.astype(dtype))
+        z, _ = linear_acc(layer, in_codes[0], w.astype(dtype))
         return apply_requant(z, rec.requants[0], rec.out_bits, bias=bias, memo=rec.memos[0])
     if layer.kind not in ("add_residual", "relu_clip"):
         raise ModelMismatchError(f"layer {layer.id}: kind {layer.kind!r} is not executable")

@@ -24,16 +24,18 @@ the tail, in blocks of CONV_BLOCK // (oh*N*w2) channels (at least one),
 so a block's sums and products stay in cache: the first tap's slice
 times its (C, 1) weight column is written into the block and each further
 tap's is added, so every output sums its taps in the same order whatever
-the block. The sums run in np.result_type(x, w). linear_acc returns the
-(O, M) output uncopied, as a strided (N, O, oh, ow) view (_out_grid), so
-its channels run outermost: conv2d's (o, y, x, n), the others' (c, y, n, x).
+the block. The sums run in w's dtype, the planes', into which the fill
+casts x. linear_acc returns the (O, M) output uncopied, as a strided
+(N, O, oh, ow) view (_out_grid), so its channels run outermost: conv2d's
+(o, y, x, n), the others' (c, y, n, x).
 
 A global avg_pool (kernel H x W, padding 0) skips the phase planes: its
 (N, C) output takes the same tap products in the same row-major order,
 so the sums are bit-identical; its cols is the input, and dx is dz * w.
 
 pointwise_conv2d is one GEMM per (C, H*W) image, or one over (C, H*N*W) where x
-runs channels outermost (channels_outer); fully_connected is one GEMM; cols is x.
+runs channels outermost, (c, y, n, x), as depthwise codes do at N > 1;
+fully_connected is one GEMM. Both cast x to w's dtype as they reshape it; cols is x.
 """
 
 from __future__ import annotations
@@ -130,7 +132,7 @@ def _window_fwd(layer, x: np.ndarray, w: np.ndarray, channel_major: bool = False
     n, c = x.shape[:2]
     s, o = layer.stride, len(w)
     oh, ow, h2, w2, m, taps, phases = _geometry(layer, x.shape)
-    dtype = np.result_type(x, w)
+    dtype = w.dtype
     conv = layer.kind == "conv2d"
     # (y, n, x) planes have a tail: columns x >= ow of the last row read up to
     # (kw-1)//s past the grid
@@ -213,14 +215,10 @@ def pool_weight(layer, value, dtype) -> tuple[np.ndarray, np.ndarray]:
     return np.full((c, layer.kernel_h, layer.kernel_w), value, dtype), np.zeros(c, dtype)
 
 
-def channels_outer(x: np.ndarray) -> bool:
-    """Whether x, (N, C, H, W), N > 1, runs (c, y, n, x) in memory, as depthwise codes do."""
-    return len(x) > 1 and not x.flags.c_contiguous and x.transpose(1, 2, 0, 3).flags.c_contiguous
-
-
 def linear_acc(layer, x: np.ndarray, w: np.ndarray):
-    """One linear layer without its bias, acc = w * x, in the dtype of its
-    operands: the integer engine's accumulator, on float32 or float64 codes
+    """One linear layer without its bias, acc = w * x, in w's dtype whatever x
+    holds, each kind casting x as it reads it: the integer engine's
+    accumulator, on int32 codes and weight codes in float32 or float64
     (whichever the accumulator bound proves exact, see inference); avg_pool
     runs on pool_weight's constant kernel. Returns (acc, cols): acc is the
     kernel's own output, uncopied, a strided view for the window kinds;
@@ -230,20 +228,22 @@ def linear_acc(layer, x: np.ndarray, w: np.ndarray):
     """
     if _is_global(layer, x.shape):  # its taps in the phase-plane order, as bit-identical sums
         wc, kw = w.reshape(len(w), -1), x.shape[3]
-        z = np.multiply(x[:, :, 0, 0], wc[:, 0])
+        z = np.multiply(x[:, :, 0, 0], wc[:, 0], dtype=w.dtype)
         prod = np.empty_like(z)
         for t in range(1, wc.shape[1]):
-            z += np.multiply(x[:, :, t // kw, t % kw], wc[:, t], out=prod)
+            z += np.multiply(x[:, :, t // kw, t % kw], wc[:, t], out=prod, dtype=w.dtype)
         return z[:, :, None, None], x
     if layer.kind in _WINDOW_KINDS:
         return _window_fwd(layer, x, w, channel_major=True)
     if layer.kind == "pointwise_conv2d":
         n, c, h, wd = x.shape
-        if channels_outer(x):
-            z = w @ x.transpose(1, 2, 0, 3).reshape(c, h * n * wd)
+        xt = x.transpose(1, 2, 0, 3)
+        if n > 1 and not x.flags.c_contiguous and xt.flags.c_contiguous:  # (c, y, n, x)
+            z = w @ xt.astype(w.dtype, copy=False).reshape(c, h * n * wd)
             return z.reshape(len(w), h, n, wd).transpose(2, 0, 1, 3), x
-        return np.matmul(w, x.reshape(n, c, h * wd)).reshape(n, len(w), h, wd), x
-    cols = x.reshape(x.shape[0], -1)  # fully_connected over the flattened input
+        z = np.matmul(w, x.astype(w.dtype, order="C", copy=False).reshape(n, c, h * wd))
+        return z.reshape(n, len(w), h, wd), x
+    cols = x.astype(w.dtype, order="C", copy=False).reshape(len(x), -1)  # fully_connected
     return cols @ w.T, cols
 
 

@@ -169,6 +169,9 @@ def test_unreadable_policy_file_is_bad_input(in_tmp, capsys, content, says):
     (["eval", "--graph", TOY, "--dataset", DATA, "--model", "m", "--weights", "w"],
      cli.EXIT_USAGE),
     (["no-such-command"], cli.EXIT_USAGE),
+    (["eval", "--graph", TOY, "--dataset", DATA, "--weights", "w.ckpt"], cli.EXIT_USAGE),
+    (["pretrain", "--graph", TOY, "--dataset", "synthetic:0,60", "--out-checkpoint", "w.ckpt"],
+     cli.EXIT_INPUT),
 ])
 def test_exit_codes(argv, code):
     assert cli.main(argv) == code
@@ -282,6 +285,19 @@ def test_export_of_a_truncated_checkpoint_is_bad_input(in_tmp, capsys):
     assert cli.main(["export", "--graph", TOY, "--weights", "cut.ckpt", "--policy", "p.json",
                      "--out", "m.mpq"]) == cli.EXIT_INPUT
     assert "truncated checkpoint" in capsys.readouterr().err
+
+
+def test_export_of_a_pretrain_checkpoint_is_bad_input(in_tmp, capsys):
+    """pretrain saves no clips, which packing needs: export names the step that
+    adds them and writes no model and no manifest."""
+    assert cli.main(_PRETRAIN + ["--epochs", "1"]) == cli.EXIT_OK
+    (in_tmp / "p.json").write_text(all_uniform_policy(load_graph(TOY)).to_json())
+    capsys.readouterr()
+    assert cli.main(["export", "--graph", TOY, "--weights", "w.ckpt", "--policy", "p.json",
+                     "--out", "m.mpq"]) == cli.EXIT_INPUT
+    assert capsys.readouterr().err == \
+        "error: checkpoint holds no activation ranges; finetune first\n"
+    assert not (in_tmp / "m.mpq").exists() and not (in_tmp / "m.mpq.manifest.json").exists()
 
 
 def test_export_of_a_checkpoint_lacking_a_bias_is_bad_input(in_tmp):
@@ -566,6 +582,45 @@ def test_search_writes_a_policy_that_fits_its_budget(in_tmp, capsys):
                      {"graph": _sha256(TOY), "dataset": hashlib.sha256(DATA.encode()).hexdigest()})
     cfg = _manifest("p.json.manifest.json")["config"]
     assert (cfg["episodes"], cfg["warmup"], cfg["freeze_first_last"]) == (2, 1, False)
+
+
+def test_search_under_an_unreachable_rom_budget_is_a_constraint_violation(in_tmp, capsys):
+    """Exit 2 with the enforcement's reason; no policy, checkpoint or manifest."""
+    assert cli.main(["search", "--graph", TOY, "--dataset", DATA, "--rom-bytes", "100",
+                     "--ram-bytes", "1100", "--episodes", "2", "--warmup", "1",
+                     "--pretrain-epochs", "1", "--out-policy", "p.json",
+                     "--out-weights", "w.ckpt"]) == cli.EXIT_CONSTRAINT
+    assert capsys.readouterr().err.startswith("infeasible: ROM budget 100 B unreachable")
+    assert not any(in_tmp.iterdir())
+
+
+def test_search_weights_feed_finetune_and_eval(in_tmp, capsys):
+    """search --out-weights saves the checkpoint it searched from, clips
+    included; finetune --weights trains from it, and eval --weights --policy
+    of finetune's checkpoint reports finetune's top-1, as qat.evaluate counts
+    it. The packed model finetune writes evaluates too."""
+    assert cli.main(["search", "--graph", TOY, "--dataset", DATA, "--rom-bytes", "7000",
+                     "--ram-bytes", "1100", "--mode", "concurrent", "--episodes", "2",
+                     "--warmup", "1", "--pretrain-epochs", "1", "--out-policy", "p.json",
+                     "--out-weights", "w.ckpt"]) == cli.EXIT_OK
+    g = load_graph(TOY)
+    weights, ranges = qat.load_checkpoint("w.ckpt")
+    qat.check_checkpoint_matches(g, weights, ranges)
+    assert sorted(ranges) == sorted(g.encoded_tensors())
+    capsys.readouterr()
+    assert cli.main(["finetune", "--graph", TOY, "--dataset", DATA, "--policy", "p.json",
+                     "--weights", "w.ckpt", "--epochs", "1", "--out-checkpoint", "ft.ckpt",
+                     "--out-model", "ft.mpq"]) == cli.EXIT_OK
+    (trained,) = capsys.readouterr().out.splitlines()
+    _check_manifests(("ft.ckpt.manifest.json",), "finetune",
+                     {"graph": _sha256(TOY), "dataset": hashlib.sha256(DATA.encode()).hexdigest(),
+                      "policy": _sha256("p.json"), "weights": _sha256("w.ckpt")})
+    assert cli.main(["eval", "--graph", TOY, "--dataset", DATA, "--weights", "ft.ckpt",
+                     "--policy", "p.json"]) == cli.EXIT_OK
+    assert capsys.readouterr().out.splitlines() == [trained]
+    assert cli.main(["eval", "--graph", TOY, "--dataset", DATA, "--model", "ft.mpq"]) \
+        == cli.EXIT_OK
+    assert capsys.readouterr().out.startswith("top1=")
 
 
 def test_finetune_writes_a_checkpoint_and_a_model_that_eval_accepts(in_tmp, capsys):

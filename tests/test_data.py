@@ -28,6 +28,8 @@ def test_dataset_split_views():
     assert d.train[0].shape[0] == 7
     assert d.val[1].tolist() == [7, 8, 9]
     assert d.num_classes == 10
+    with pytest.raises(DatasetError, match="unknown split 'test'; expected train, val or all"):
+        d.split("test")
 
 
 def test_dataset_rejects_bad_shapes():

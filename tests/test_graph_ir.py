@@ -164,6 +164,26 @@ def test_fields_a_kind_does_not_use_keep_their_defaults(toy_graph, lid, fields, 
         validate(replace_layer(toy_graph, lid, **fields))
 
 
+@pytest.mark.parametrize("graph, lid, fields, says", [
+    ("toy_graph", 3, {"input_ids": (2, 2)}, "conv2d expects 1 inputs, got 2"),
+    ("toy_graph", 6, {"input_ids": (7,)}, "input id 7 is an output layer"),
+    ("toy_graph", 3, {"input_shape": (16, 8, 8)},
+     "input_shape (16, 8, 8) != producer output (16, 7, 7)"),
+    ("mobilenet_graph", 2, {"out_channels": 16, "output_shape": (16, 112, 112)},
+     "depthwise out_channels must equal in_channels"),
+    ("toy_graph", 5, {"out_channels": 16, "output_shape": (16, 1, 1)},
+     "avg_pool cannot change channel count"),
+    ("toy_graph", 6, {"output_shape": (10, 2, 1)}, "fully_connected output_shape must be (out,1,1)"),
+    ("residual_graph", 3, {"output_shape": (8, 8, 4)}, "residual output_shape must match inputs"),
+    ("residual_graph", 4, {"output_shape": (8, 4, 8)}, "relu_clip must preserve shape"),
+    ("toy_graph", 7, {"output_shape": (10, 2, 1)}, "output must preserve shape"),
+], ids=["input_count", "output_as_input", "input_shape", "depthwise_channels",
+        "pool_channels", "fc_output", "residual_output", "relu_clip_shape", "output_shape"])
+def test_a_layer_that_breaks_a_rule_of_its_kind_rejected(request, graph, lid, fields, says):
+    with pytest.raises(GraphValidationError, match=re.escape(f"layer {lid}: {says}")):
+        validate(replace_layer(request.getfixturevalue(graph), lid, **fields))
+
+
 @pytest.mark.parametrize("kind", ["conv2d", "depthwise_conv2d", "pointwise_conv2d", "avg_pool"])
 @pytest.mark.parametrize("field, value", [
     ("kernel_h", 0), ("kernel_w", -1), ("stride", 0), ("stride", -2), ("padding", -1)])
@@ -300,10 +320,13 @@ def test_duplicate_key_rejected_on_load(tmp_path, old, new, key):
     ('"width_multiplier": 1.0', '"width_multiplier": 1e400', "width_multiplier inf is not a finite"),
     ('"resolution": 28', '"resolutoin": 28', r"unknown keys \['resolutoin'\]"),
     ('"bias_count": 10', '"bias_cownt": 10', r"layer 6: unknown keys \['bias_cownt'\]"),
-], ids=["nan", "infinity", "minus_infinity", "overflow", "top_level_typo", "layer_typo"])
+    ('"id": 2,', '"id": 2.0,', r"malformed layer entry: id 2.0 is not an integer"),
+], ids=["nan", "infinity", "minus_infinity", "overflow", "top_level_typo", "layer_typo",
+        "non_integer_id"])
 def test_graph_file_outside_the_format_rejected_on_load(tmp_path, old, new, says):
-    """json reads NaN and Infinity, which are not JSON, and a misspelt key would
-    load its field's default, so each file used to load."""
+    """json reads NaN and Infinity, which are not JSON, a misspelt key would
+    load its field's default and an id of 2.0 would pass for 2, so each file
+    used to load."""
     with open(graph_ir.fixture_path("toycnn_mnist.json"), encoding="utf-8") as f:
         text = f.read()
     assert old in text

@@ -713,19 +713,21 @@ def test_static_input_bound_is_used_only_where_it_proves_float32(monkeypatch, fa
     encoding alone: float32 only where that bound proves it exact, float64
     elsewhere, also on a call whose own codes would fit float32 (576 * 227 *
     127 < 2**24 <= 576 * 255 * 127). A caller with no encoding at hand (in_max
-    None) passes float64, exact for any proven layer. A bias that takes the
-    range to exactly 2**31 - 1 needs no check of its own, and no call reads
-    its codes' range."""
+    None) passes float64, exact for any proven layer. The kernel gets the
+    weights in that dtype and the input codes as they are, int32. A bias
+    that takes the range to exactly 2**31 - 1 needs no check of its own,
+    and no call reads its codes' range."""
     layer, rec = _fc(np.full((1, fan_in), 127), [bias])
     run_dtype = np.float64 if in_max is None else _kernel_dtype(layer, rec, in_max)
     assert run_dtype is dtype
     x = np.full((2, fan_in, 1, 1), code, dtype=np.int32).view(_CountedCodes)
     seen, real_acc = [], inference.linear_acc
     monkeypatch.setattr(inference, "linear_acc",
-                        lambda layer, x, w: seen.append(x.dtype) or real_acc(layer, x, w))
+                        lambda layer, x, w: seen.append((x, w.dtype)) or real_acc(layer, x, w))
     _CountedCodes.calls = 0
     out = run_codes_layer(layer, rec, [x], run_dtype)
-    assert seen == [dtype] and _CountedCodes.calls == 0
+    ((got_x, got_w),) = seen
+    assert got_x is x and got_w == dtype and _CountedCodes.calls == 0
     assert np.array_equal(np.asarray(out[0]),
                           oracles.ref_layer_codes(layer, rec, [np.asarray(x[0])]))
 
@@ -734,9 +736,10 @@ def test_network_passes_each_linear_layer_its_input_encodings_bound(monkeypatch,
                                                                     pretrained, toy_ranges,
                                                                     desk_small):
     """run_codes_network runs every linear layer's kernel in the dtype that
-    check_model_matches proved from 2**bits - 1 of the layer's input encoding,
-    reads no max or min of any layer's input codes, and gives the codes of
-    float64 runs, which are exact for any proven layer."""
+    check_model_matches proved from 2**bits - 1 of the layer's input encoding:
+    the weights arrive in it and the input codes as int32. It reads no max or
+    min of any layer's input codes, and gives the codes of float64 runs,
+    which are exact for any proven layer."""
     policy = oracles.random_policy(np.random.default_rng(3), toy_graph, allow_fp32=False)
     model = build_packed_model(toy_graph, pretrained[0], policy, fresh_ranges(toy_ranges))
     dtypes = check_model_matches(toy_graph, model)
@@ -756,7 +759,7 @@ def test_network_passes_each_linear_layer_its_input_encodings_bound(monkeypatch,
     monkeypatch.setattr(inference, "linear_acc", acc)
     _CountedCodes.calls = 0
     codes = dict(run_codes_network(toy_graph, model, desk_small.images[:5]))
-    assert seen == {lid: (d, d) for lid, d in dtypes.items()}
+    assert seen == {lid: (np.int32, d) for lid, d in dtypes.items()}
     assert _CountedCodes.calls == 0
     for lid in model.layers:
         layer = toy_graph.layer(lid)

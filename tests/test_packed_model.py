@@ -452,7 +452,11 @@ def test_check_model_matches(toy_graph, residual_graph, toy_model):
     (lambda m: _with(m, 1, requants=m.layers[1].requants * 2), "requants"),
     (lambda m: _with(m, 1, requants=(RequantParams(np.ones(3, np.int32), np.ones(3, np.int32)),)),
      "requants"),
-], ids=["encoded_as_wide", "logits_as_8bit", "no_requant", "two_requants", "three_channels"])
+    (lambda m: replace(m, layers={k: r for k, r in m.layers.items() if k != 5}),
+     "model lacks a record for layer 5"),
+    (lambda m: _with(m, 5, kind="relu_clip"), "layer 5: model kind 'relu_clip' != graph kind"),
+], ids=["encoded_as_wide", "logits_as_8bit", "no_requant", "two_requants", "three_channels",
+        "no_record", "kind_differs"])
 def test_check_model_matches_record_arithmetic(toy_graph, toy_model, spoil, match):
     with pytest.raises(ModelMismatchError, match=match):
         check_model_matches(toy_graph, spoil(toy_model))

@@ -13,7 +13,13 @@ import oracles
 from conftest import fresh_ranges
 from mcuq import kernels, qat
 from mcuq.data import Dataset, synthetic_shapes
-from mcuq.errors import McuqError, ModelMismatchError, PackFormatError, TrainingDivergedError
+from mcuq.errors import (
+    McuqError,
+    ModelMismatchError,
+    PackFormatError,
+    PolicyError,
+    TrainingDivergedError,
+)
 from mcuq.graph_ir import COMPUTE_KINDS, WEIGHTED_KINDS, NetworkGraph, validate
 from mcuq.memory_model import all_uniform_policy
 from mcuq.quantizer import CLIP_FLOOR, ByteReader, calibrate_act_ranges, percentile_clip
@@ -74,6 +80,16 @@ def test_forward_avgpool_and_relu(toy_graph, pretrained, desk_small):
     logits, _ = qat.forward_network(toy_graph, weights, desk_small.images[:4])
     assert logits.shape == (4, 10)
     assert np.isfinite(logits).all()
+
+
+def test_forward_of_an_encoded_tensor_without_a_clip_raises(toy_graph, pretrained, toy_ranges,
+                                                           desk_small):
+    """A policy that encodes a tensor at fewer than 32 bits needs its clip."""
+    policy = all_uniform_policy(toy_graph)
+    for ranges in (None, {t: r for t, r in toy_ranges.items() if t != 3}):
+        with pytest.raises(PolicyError, match="no activation range for tensor "):
+            qat.forward_network(toy_graph, pretrained[0], desk_small.images[:2], policy=policy,
+                                ranges=ranges)
 
 
 def test_forward_avg_pool_is_the_window_mean():
@@ -423,6 +439,29 @@ def test_linear_acc_plus_bias_is_linear_fwd(kind, k, s, p, hw):
     added = acc + (b[:, None, None] if acc.ndim == 4 else b)
     assert np.ascontiguousarray(added).tobytes() == z.tobytes()
     assert np.array_equal(cols, cols_fwd)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("kind, k, s, p, hw", _ACC_LAYERS)
+def test_linear_acc_reads_int32_codes_in_w_dtype(kind, k, s, p, hw, dtype):
+    """linear_acc on int32 codes at N > 1, in C order, in (c, y, n, x) as the
+    depthwise and avg_pool codes run and in (c, y, x, n) as conv2d's do,
+    computes in w's dtype and gives, bit for bit, the accumulator of the
+    same codes cast to that dtype beforehand, in the same memory order."""
+    rng = np.random.default_rng([len(kind), k, hw])
+    c = 3
+    o = 5 if kind in ("conv2d", "pointwise_conv2d", "fully_connected") else c
+    ohw = 1 if kind == "fully_connected" else (hw + 2 * p - k) // s + 1
+    layer = oracles._mk(1, kind, [0], o, k, k, s, p, (c, hw, hw), (o, ohw, ohw), bias=o)
+    w = (kernels.pool_weight(layer, 1, dtype)[0] if kind == "avg_pool"
+         else rng.normal(size=layer.weight_shape).astype(dtype))
+    x = rng.integers(0, 256, size=(4, c, hw, hw)).astype(np.int32)
+    for axes in ((0, 1, 2, 3), (1, 2, 0, 3), (1, 2, 3, 0)):
+        codes = np.ascontiguousarray(x.transpose(axes)).transpose(np.argsort(axes))
+        want, _ = kernels.linear_acc(layer, codes.astype(dtype), w)
+        acc, _ = kernels.linear_acc(layer, codes, w)
+        assert acc.dtype == dtype and acc.shape == want.shape, axes
+        assert np.ascontiguousarray(acc).tobytes() == np.ascontiguousarray(want).tobytes(), axes
 
 
 @pytest.mark.parametrize("n, c, hw", [(32, 32, 4), (3, 5, 7), (2, 1, 1)])
