@@ -13,7 +13,7 @@ import sys
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
-from mcuq.graph_ir import LayerSpec, NetworkGraph, save_graph, validate
+from mcuq.graph_ir import LayerSpec, NetworkGraph, save_graph
 from mcuq.memory_model import all_uniform_policy, footprint
 
 
@@ -89,9 +89,8 @@ class Builder:
                          param_count=0, bias_count=0)
 
     def graph(self):
-        return validate(NetworkGraph(layers=tuple(self.layers),
-                                     resolution=self.resolution,
-                                     width_multiplier=self.width))
+        return NetworkGraph(layers=tuple(self.layers), resolution=self.resolution,
+                            width_multiplier=self.width)
 
 
 def mobilenet_v1(resolution=224, classes=1000):

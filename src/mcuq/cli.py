@@ -12,6 +12,9 @@ like their flags: a switch takes a JSON boolean, a typed flag a number or a
 string its type reads, any other flag a string (one of its choices). A key of
 another command's flag is ignored. An unknown key or a bad value exits 64.
 
+The seed is --seed, else $MCUQ_SEED, else 0: an integer >= 0 in decimal
+digits, numpy's seed domain, or the run exits 64 naming its source.
+
 Exit codes: 0 ok, 1 bad input, 2 constraint violation, 64 usage error.
 """
 
@@ -105,14 +108,18 @@ def _write_manifest(a: dict, started: float) -> None:
         f.write("\n")
 
 
-def _env_seed() -> int:
-    return int(os.environ.get("MCUQ_SEED", "0"))
+def _seed(text: str, source: str = "--seed") -> int:
+    """The type of --seed and of MCUQ_SEED: an integer >= 0 in decimal digits.
+    argparse passes a _UsageError through, so its message names source."""
+    if not text.strip().isdecimal():
+        raise _UsageError(f"{source}: {text!r} is not an integer >= 0")
+    return int(text)
 
 
 def _add_common(p: _Parser):
     p.add_argument("--config", help="JSON file with flag defaults")
     p.add_argument("--manifest", help="manifest output path")
-    p.add_argument("--seed", type=int, help="RNG seed (default $MCUQ_SEED or 0)")
+    p.add_argument("--seed", type=_seed, help="RNG seed (default $MCUQ_SEED or 0)")
 
 
 def build_parser() -> _Parser:
@@ -205,7 +212,7 @@ def _parse_args(parser: _Parser, argv=None) -> dict:
         parser.commands[d["command"]].set_defaults(**_config_defaults(parser, d["command"], cfg))
         d = vars(parser.parse_args(argv))
     if d.get("seed") is None:
-        d["seed"] = _env_seed()
+        d["seed"] = _seed(os.environ.get("MCUQ_SEED", "0"), "MCUQ_SEED")
     return d
 
 

@@ -5,12 +5,13 @@ exactly one activation tensor, identified by the producing layer's id, which
 some other layer consumes: the output's one input is the logits. The
 execution schedule is the deterministic topological order (ties broken by
 ascending id), which makes activation liveness -- and therefore the RAM
-footprint -- reproducible. The layers never change, so each derived fact
-is worked out once per graph, on first use, and kept on it: the consumer
-index from the input ids; from it, the schedule, the encoded tensors and,
-with the schedule, each tensor's span of steps; from the spans, liveness;
-and from the layers alone, each tensor's element count and the weighted
-layers by id, which budget enforcement reads on every call.
+footprint -- reproducible. A graph is checked when it is built (by
+dataclasses.replace too), so an invalid one raises GraphValidationError and
+never exists; the check works out the consumer index and, from it, the
+schedule. The layers never change, so each other derived fact is worked out
+once per graph, on first use, and kept on it: the encoded tensors and each
+tensor's span of steps; from the spans, liveness; and from the layers alone,
+each tensor's element count and the weighted layers by id.
 
 read_json is the one reader of every JSON input: graph, policy, --config and
 a raw dataset's split.json. A file must be UTF-8 and hold one JSON object,
@@ -92,6 +93,17 @@ class NetworkGraph:
 
     def __post_init__(self):
         object.__setattr__(self, "_by_id", {l.id: l for l in self.layers})
+        kinds = [l.kind for l in self.layers]
+        if kinds.count("input") != 1 or kinds.count("output") != 1:
+            raise GraphValidationError("graph must have exactly one input and one output layer")
+        if len(self._by_id) != len(self.layers):
+            raise GraphValidationError("duplicate layer ids")
+        for layer in self.layers:
+            _validate_layer(layer, self._by_id)
+        topo_order(self)  # raises on a cycle
+        dead = [l.id for l in self.layers if l.kind != "output" and not self._consumers[l.id]]
+        if dead:
+            raise GraphValidationError(f"layers {dead} are dead: no layer consumes them")
 
     def __hash__(self) -> int:  # the dataclass's field hash, taken once: the graph is frozen
         return self._hash
@@ -279,18 +291,9 @@ def _validate_layer(layer: LayerSpec, by_id: dict[int, LayerSpec]) -> None:
             f"param_count {layer.param_count} != {expect_p} forced by shapes", lid)
 
 
-def _check_topology(layers: tuple[LayerSpec, ...]) -> None:
-    kinds = [l.kind for l in layers]
-    if kinds.count("input") != 1 or kinds.count("output") != 1:
-        raise GraphValidationError("graph must have exactly one input and one output layer")
-    ids = [l.id for l in layers]
-    if len(set(ids)) != len(ids):
-        raise GraphValidationError("duplicate layer ids")
-
-
 def topo_order(g: NetworkGraph) -> tuple[int, ...]:
-    """Deterministic topological order: ready layers emitted by ascending id
-    (raises GraphValidationError on a cycle)."""
+    """Deterministic topological order: ready layers emitted by ascending id,
+    worked out when the graph is built (where a cycle raises)."""
     return g._order
 
 
@@ -420,19 +423,8 @@ def _layer_from_dict(d: dict) -> LayerSpec:
     return LayerSpec(id=lid, kind=kind, **ints, **{k: tuple(v) for k, v in lists.items()})
 
 
-def validate(g: NetworkGraph) -> NetworkGraph:
-    _check_topology(g.layers)
-    for layer in g.layers:
-        _validate_layer(layer, g._by_id)
-    topo_order(g)  # raises on cycles
-    dead = [l.id for l in g.layers if l.kind != "output" and not g._consumers[l.id]]
-    if dead:
-        raise GraphValidationError(f"layers {dead} are dead: no layer consumes them")
-    return g
-
-
 def load_graph(path: str) -> NetworkGraph:
-    """Load and validate a graph JSON file."""
+    """The graph in a JSON file, checked as every NetworkGraph is."""
     raw = read_json(path, GraphValidationError)
     if not isinstance(raw.get("layers"), list):
         raise GraphValidationError("top level must be an object with a 'layers' array")
@@ -444,8 +436,7 @@ def load_graph(path: str) -> NetworkGraph:
         raise GraphValidationError(f"resolution {resolution!r} is not an integer")
     if not (is_int(width) or isinstance(width, float)) or abs(width) > sys.float_info.max:
         raise GraphValidationError(f"width_multiplier {width!r} is not a finite number")
-    g = NetworkGraph(layers=layers, resolution=resolution, width_multiplier=float(width))
-    return validate(g)
+    return NetworkGraph(layers=layers, resolution=resolution, width_multiplier=float(width))
 
 
 def fixture_path(name: str) -> str:

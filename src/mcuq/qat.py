@@ -101,10 +101,8 @@ def _walk(g: NetworkGraph, weights: dict, x: np.ndarray, policy=None,
             entry.update(cols=cols, wq=wq, x_shape=xin.shape)
         elif layer.kind == "add_residual":
             z = ins[0] + ins[1]
-        elif layer.kind == "relu_clip":
+        else:  # relu_clip: its function is the output encoding below
             z = ins[0]
-        else:
-            raise PolicyError(f"cannot execute layer kind {layer.kind!r}")
 
         # output encoding: fake-quant when configured, else the float nonlinearity
         bits = 32

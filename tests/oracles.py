@@ -22,7 +22,6 @@ from mcuq.graph_ir import (
     LayerSpec,
     NetworkGraph,
     topo_order,
-    validate,
 )
 from mcuq.memory_model import MemoryBudget, QuantPolicy
 
@@ -458,7 +457,7 @@ def _mk(id, kind, input_ids, out_channels, kh, kw, stride, padding,
 
 
 def random_graph(rng: np.random.Generator, max_layers: int = 8) -> NetworkGraph:
-    """Random small chain with optional residual branch; always validates."""
+    """Random small chain with optional residual branch, valid by construction."""
     c = int(rng.integers(1, 4))
     hw = int(rng.integers(4, 11))
     layers = [_mk(0, "input", [], c, 0, 0, 1, 0, (c, hw, hw), (c, hw, hw))]
@@ -530,14 +529,13 @@ def random_graph(rng: np.random.Generator, max_layers: int = 8) -> NetworkGraph:
         last = i
     layers.append(_mk(n_body + 1, "output", [last], shape[0], 0, 0, 1, 0,
                       shape, shape))
-    return validate(NetworkGraph(layers=tuple(layers), resolution=hw,
-                                 width_multiplier=1.0))
+    return NetworkGraph(layers=tuple(layers), resolution=hw, width_multiplier=1.0)
 
 
 def self_read_graphs(rng: np.random.Generator, n: int) -> list[NetworkGraph]:
     """n random_graph draws with an add_residual, the first of which is
     rewired to read one of its two inputs twice (random_graph never draws
-    such a layer). Draws without an add, or that validate rejects once
+    such a layer). Draws without an add, or that NetworkGraph rejects once
     rewired, are skipped."""
     out = []
     while len(out) < n:
@@ -548,8 +546,8 @@ def self_read_graphs(rng: np.random.Generator, n: int) -> list[NetworkGraph]:
         t = add.input_ids[int(rng.integers(0, 2))]
         layers = tuple(replace(l, input_ids=(t, t)) if l is add else l for l in g.layers)
         try:
-            out.append(validate(NetworkGraph(layers=layers, resolution=g.resolution,
-                                             width_multiplier=g.width_multiplier)))
+            out.append(NetworkGraph(layers=layers, resolution=g.resolution,
+                                    width_multiplier=g.width_multiplier))
         except GraphValidationError:
             continue
     return out

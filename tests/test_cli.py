@@ -102,6 +102,8 @@ _PRETRAIN = ["pretrain", "--graph", TOY, "--dataset", DATA, "--out-checkpoint", 
     pytest.param(_FOOTPRINT, {"rom-bytez": 1}, "'rom-bytez' names no flag", id="unknown_key"),
     pytest.param(_PRETRAIN, {"batch-size": 8, "batch_size": 16}, "--batch-size twice",
                  id="both_spellings"),
+    pytest.param(_PRETRAIN, {"seed": -1}, "--seed: '-1' is not an integer >= 0",
+                 id="negative_seed"),
 ])
 def test_config_value_the_command_line_could_not_give_is_a_usage_error(in_tmp, capsys, argv,
                                                                        cfg, says):
@@ -172,9 +174,22 @@ def test_unreadable_policy_file_is_bad_input(in_tmp, capsys, content, says):
     (["eval", "--graph", TOY, "--dataset", DATA, "--weights", "w.ckpt"], cli.EXIT_USAGE),
     (["pretrain", "--graph", TOY, "--dataset", "synthetic:0,60", "--out-checkpoint", "w.ckpt"],
      cli.EXIT_INPUT),
+    (_PRETRAIN + ["--seed", "-1"], cli.EXIT_USAGE),
+    (_FOOTPRINT + ["--seed", "abc"], cli.EXIT_USAGE),
+    (_FOOTPRINT + ["--seed", "1.5"], cli.EXIT_USAGE),
 ])
 def test_exit_codes(argv, code):
     assert cli.main(argv) == code
+
+
+@pytest.mark.parametrize("value", ["abc", "-1", "1.5", ""])
+def test_an_mcuq_seed_outside_its_domain_is_a_usage_error(monkeypatch, capsys, value):
+    """MCUQ_SEED=abc used to exit 1 with int()'s message. -1 passed, and a run
+    that seeds numpy exited 1 with numpy's message."""
+    monkeypatch.setenv("MCUQ_SEED", value)
+    assert cli.main(_FOOTPRINT) == cli.EXIT_USAGE
+    assert capsys.readouterr().err == f"usage error: MCUQ_SEED: {value!r} is not an integer >= 0\n"
+    assert cli.main(_FOOTPRINT + ["--seed", "3"]) == cli.EXIT_CONSTRAINT  # the flag wins
 
 
 def test_footprint_of_a_zero_stride_graph_is_bad_input(in_tmp, capsys):

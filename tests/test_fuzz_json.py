@@ -17,7 +17,7 @@ import numpy as np
 from mcuq import cli
 from mcuq.data import Dataset, DatasetError, load_raw_dir, save_raw_dir
 from mcuq.errors import GraphValidationError, PolicyError
-from mcuq.graph_ir import fixture_path, load_graph, save_graph, validate
+from mcuq.graph_ir import fixture_path, load_graph, save_graph
 from mcuq.memory_model import all_uniform_policy, load_policy, validate_policy
 
 CASES = 400  # per input; the config cases, which build the parser, take about 1.3 s
@@ -62,7 +62,6 @@ def test_graph_file(tmp_path):
         except GraphValidationError:
             continue
         loaded += 1
-        validate(g)
         save_graph(g, back)
         assert load_graph(back) == g
     assert loaded  # whitespace flips at least

@@ -3,6 +3,7 @@
 import dataclasses
 import importlib.util
 import json
+import math
 import re
 from pathlib import Path
 
@@ -20,7 +21,6 @@ from mcuq.graph_ir import (
     load_graph,
     save_graph,
     topo_order,
-    validate,
 )
 
 
@@ -58,6 +58,17 @@ def test_mobilenet_fixture_counts(mobilenet_graph):
     assert "depthwise_conv2d" in kinds and "pointwise_conv2d" in kinds
 
 
+def test_weight_shape_holds_each_weighted_layers_parameters(toy_graph, residual_graph,
+                                                             mobilenet_graph):
+    """A weighted layer's kernel holds its param_count; every other kind has none."""
+    for l in toy_graph.layers + residual_graph.layers + mobilenet_graph.layers:
+        if l.kind in WEIGHTED_KINDS:
+            assert l.weight_shape[0] == l.out_channels
+            assert math.prod(l.weight_shape) == l.param_count
+        else:
+            assert l.weight_shape == ()
+
+
 def test_residual_fixture_tensor_sets(residual_graph):
     g = residual_graph
     assert g.encoded_tensors() == (0, 1, 2, 3, 4, 5)
@@ -83,7 +94,13 @@ def test_duplicate_id_rejected(toy_graph):
         dataclasses.replace(toy_graph.layers[-1], id=0),
     )
     with pytest.raises(GraphValidationError):
-        validate(NetworkGraph(layers=bad, resolution=28, width_multiplier=1.0))
+        NetworkGraph(layers=bad, resolution=28, width_multiplier=1.0)
+
+
+def test_a_replaced_graph_is_checked_again(toy_graph):
+    """dataclasses.replace builds a new graph, so the checks run on it too."""
+    with pytest.raises(GraphValidationError, match="exactly one input and one output"):
+        dataclasses.replace(toy_graph, layers=toy_graph.layers[:-1])
 
 
 @pytest.mark.parametrize("lid", [-1, 1 << 32])
@@ -92,7 +109,7 @@ def test_an_id_outside_u32_rejected(toy_graph, lid):
     raise only when a file is written."""
     bad = tuple(toy_graph.layers[:-1]) + (dataclasses.replace(toy_graph.layers[-1], id=lid),)
     with pytest.raises(GraphValidationError, match=rf"layer {lid}: id is outside \[0, 2\^32 - 1\]"):
-        validate(NetworkGraph(layers=bad, resolution=28, width_multiplier=1.0))
+        NetworkGraph(layers=bad, resolution=28, width_multiplier=1.0)
 
 
 def _relu_clip_on(g, lid, src):
@@ -108,46 +125,45 @@ def test_a_dead_layer_rejected(toy_graph, branches, dead):
     (its scale written as the container's logits_scale) and held to the end of
     the walk, past its span."""
     extra = tuple(_relu_clip_on(toy_graph, lid, src) for lid, src in branches.items())
-    g = NetworkGraph(layers=toy_graph.layers + extra, resolution=28, width_multiplier=1.0)
     with pytest.raises(GraphValidationError, match=re.escape(f"layers {dead} are dead")):
-        validate(g)
+        NetworkGraph(layers=toy_graph.layers + extra, resolution=28, width_multiplier=1.0)
 
 
 def test_unknown_kind_rejected(toy_graph):
     with pytest.raises(GraphValidationError):
-        validate(replace_layer(toy_graph, 3, kind="maxpool"))
+        replace_layer(toy_graph, 3, kind="maxpool")
 
 
 def test_dangling_input_rejected(toy_graph):
     with pytest.raises(GraphValidationError):
-        validate(replace_layer(toy_graph, 3, input_ids=(99,)))
+        replace_layer(toy_graph, 3, input_ids=(99,))
 
 
 def test_param_count_mismatch_rejected(toy_graph):
     with pytest.raises(GraphValidationError):
-        validate(replace_layer(toy_graph, 3, param_count=999))
+        replace_layer(toy_graph, 3, param_count=999)
 
 
 def test_output_shape_mismatch_rejected(toy_graph):
     with pytest.raises(GraphValidationError):
-        validate(replace_layer(toy_graph, 2, output_shape=(16, 9, 9)))
+        replace_layer(toy_graph, 2, output_shape=(16, 9, 9))
 
 
 def test_residual_shape_mismatch_rejected(residual_graph):
     # make branch 1 wider than branch 2 at the add
     with pytest.raises(GraphValidationError):
-        validate(replace_layer(residual_graph, 3, input_ids=(2, 0)))
+        replace_layer(residual_graph, 3, input_ids=(2, 0))
 
 
 def test_cycle_rejected(residual_graph):
     # 2 -> 3 -> 2 with agreeing shapes, so only topology can catch it
     with pytest.raises(GraphValidationError):
-        validate(replace_layer(residual_graph, 2, input_ids=(3,)))
+        replace_layer(residual_graph, 2, input_ids=(3,))
 
 
 def test_error_carries_layer_id(toy_graph):
     with pytest.raises(GraphValidationError) as ei:
-        validate(replace_layer(toy_graph, 3, param_count=999))
+        replace_layer(toy_graph, 3, param_count=999)
     assert "layer 3" in str(ei.value)
 
 
@@ -161,7 +177,7 @@ def test_error_carries_layer_id(toy_graph):
 def test_fields_a_kind_does_not_use_keep_their_defaults(toy_graph, lid, fields, says):
     """A file could set them to anything and load: the engines never read them."""
     with pytest.raises(GraphValidationError, match=re.escape(f"layer {lid}: {says}")):
-        validate(replace_layer(toy_graph, lid, **fields))
+        replace_layer(toy_graph, lid, **fields)
 
 
 @pytest.mark.parametrize("graph, lid, fields, says", [
@@ -181,7 +197,7 @@ def test_fields_a_kind_does_not_use_keep_their_defaults(toy_graph, lid, fields, 
         "pool_channels", "fc_output", "residual_output", "relu_clip_shape", "output_shape"])
 def test_a_layer_that_breaks_a_rule_of_its_kind_rejected(request, graph, lid, fields, says):
     with pytest.raises(GraphValidationError, match=re.escape(f"layer {lid}: {says}")):
-        validate(replace_layer(request.getfixturevalue(graph), lid, **fields))
+        replace_layer(request.getfixturevalue(graph), lid, **fields)
 
 
 @pytest.mark.parametrize("kind", ["conv2d", "depthwise_conv2d", "pointwise_conv2d", "avg_pool"])
@@ -200,7 +216,7 @@ def test_window_parameters_out_of_range_rejected(kind, field, value):
         oracles._mk(2, "output", [1], o, 0, 0, 1, 0, (o, 4, 4), (o, 4, 4)),
     )
     with pytest.raises(GraphValidationError, match="window needs") as ei:
-        validate(NetworkGraph(layers=layers, resolution=4, width_multiplier=1.0))
+        NetworkGraph(layers=layers, resolution=4, width_multiplier=1.0)
     assert "layer 1" in str(ei.value)
 
 
@@ -216,7 +232,7 @@ def test_strided_or_padded_pointwise_rejected(stride, padding):
         oracles._mk(2, "output", [1], 3, 0, 0, 1, 0, (3, oh, oh), (3, oh, oh)),
     )
     with pytest.raises(GraphValidationError, match="pointwise"):
-        validate(NetworkGraph(layers=layers, resolution=4, width_multiplier=1.0))
+        NetworkGraph(layers=layers, resolution=4, width_multiplier=1.0)
 
 
 # per layer id, the fields a malformed toy graph file changes
@@ -365,14 +381,15 @@ def test_topo_order_fixtures(toy_graph, residual_graph):
 
 
 def test_order_and_encodings_are_found_once(toy_graph, monkeypatch):
-    """A QAT step and the search's observations reuse one sort and one encoding
-    scan per graph, and hand out tuples, which no caller can change."""
-    g = replace_layer(toy_graph, 1)  # a fresh graph: nothing cached yet
+    """Building a graph sorts it once; a QAT step and the search's observations
+    reuse that sort and one encoding scan per graph, and hand out tuples,
+    which no caller can change."""
     sorts, scans = [], []
     sort, is_encoded = graph_ir._topo_sort, NetworkGraph.is_encoded
     monkeypatch.setattr(graph_ir, "_topo_sort", lambda g: sorts.append(1) or sort(g))
     monkeypatch.setattr(NetworkGraph, "is_encoded",
                         lambda self, t: scans.append(t) or is_encoded(self, t))
+    g = replace_layer(toy_graph, 1)  # a fresh graph: nothing cached yet
     weights = qat.init_weights(g)
     x = np.zeros((2, 1, 28, 28), np.float32)
     for _ in range(2):

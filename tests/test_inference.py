@@ -84,6 +84,16 @@ def test_identity_conv_full_code_range():
     assert np.array_equal(run_codes_layer(layer, rec, [x], np.float64), x)
 
 
+@pytest.mark.parametrize("lid", [0, 7], ids=["input", "output"])
+def test_a_layer_without_a_kernel_is_refused(toy_graph, lid):
+    """run_codes_network never hands run_codes_layer the input or the output,
+    but a direct caller can: it refuses them rather than run one as another kind."""
+    layer = toy_graph.layer(lid)
+    x = np.zeros((1,) + layer.input_shape, np.int32)
+    with pytest.raises(ModelMismatchError, match=f"layer {lid}: kind '{layer.kind}' is not exec"):
+        run_codes_layer(layer, identity_conv_rec()[0], [x], None)
+
+
 def toy_int_model(toy_graph, weights, ranges, policy=None):
     p = policy or all_uniform_policy(toy_graph)
     return build_packed_model(toy_graph, weights, p, ranges)

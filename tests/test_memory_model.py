@@ -10,7 +10,7 @@ import pytest
 import oracles
 from mcuq import search
 from mcuq.errors import InfeasibleBudgetError, PolicyError
-from mcuq.graph_ir import NetworkGraph, liveness, topo_order, validate
+from mcuq.graph_ir import NetworkGraph, liveness, topo_order
 from mcuq.memory_model import (
     MemoryBudget,
     QuantPolicy,
@@ -321,7 +321,7 @@ def _self_add_graph():
     """A residual add (layer 3) that reads tensor 1 twice, listed before the
     pointwise conv (layer 2) that also reads tensor 1 and runs first."""
     mk, s = oracles._mk, (2, 4, 4)
-    return validate(NetworkGraph(layers=(
+    return NetworkGraph(layers=(
         mk(0, "input", [], 1, 0, 0, 1, 0, (1, 4, 4), (1, 4, 4)),
         mk(1, "conv2d", [0], 2, 3, 3, 1, 1, (1, 4, 4), s, 2),
         mk(3, "add_residual", [1, 1], 2, 0, 0, 1, 0, s, s),
@@ -330,7 +330,7 @@ def _self_add_graph():
         mk(5, "avg_pool", [4], 2, 4, 4, 4, 0, s, (2, 1, 1)),
         mk(6, "fully_connected", [5], 3, 0, 0, 1, 0, (2, 1, 1), (3, 1, 1), 3),
         mk(7, "output", [6], 3, 0, 0, 1, 0, (3, 1, 1), (3, 1, 1)),
-    ), resolution=4, width_multiplier=1.0))
+    ), resolution=4, width_multiplier=1.0)
 
 
 def test_a_layer_reading_one_tensor_twice():
@@ -475,7 +475,7 @@ def _three_pointwise_graph():
         layers.append(oracles._mk(i, "pointwise_conv2d", [i - 1], shapes[i][0], 1, 1, 1, 0,
                                   shapes[i - 1], shapes[i]))
     layers.append(oracles._mk(4, "output", [3], 4, 0, 0, 1, 0, shapes[3], shapes[3]))
-    return validate(NetworkGraph(layers=tuple(layers), resolution=1, width_multiplier=1.0))
+    return NetworkGraph(layers=tuple(layers), resolution=1, width_multiplier=1.0)
 
 
 def test_enforce_rom_demotion_order_breaks_ties_by_bits_then_id():

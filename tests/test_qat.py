@@ -20,7 +20,7 @@ from mcuq.errors import (
     PolicyError,
     TrainingDivergedError,
 )
-from mcuq.graph_ir import COMPUTE_KINDS, WEIGHTED_KINDS, NetworkGraph, validate
+from mcuq.graph_ir import COMPUTE_KINDS, WEIGHTED_KINDS, NetworkGraph
 from mcuq.memory_model import all_uniform_policy
 from mcuq.quantizer import CLIP_FLOOR, ByteReader, calibrate_act_ranges, percentile_clip
 
@@ -33,7 +33,7 @@ def tiny_fc_graph(cin=2, classes=3):
         oracles._mk(2, "output", [1], classes, 0, 0, 1, 0,
                     (classes, 1, 1), (classes, 1, 1)),
     )
-    return validate(NetworkGraph(layers=layers, resolution=1, width_multiplier=1.0))
+    return NetworkGraph(layers=layers, resolution=1, width_multiplier=1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -102,7 +102,7 @@ def test_forward_avg_pool_is_the_window_mean():
         oracles._mk(1, "avg_pool", [0], c, kh, kw, s, p, (c, h, w), (c, oh, ow)),
         oracles._mk(2, "output", [1], c, 0, 0, 1, 0, (c, oh, ow), (c, oh, ow)),
     )
-    g = validate(NetworkGraph(layers=layers, resolution=h, width_multiplier=1.0))
+    g = NetworkGraph(layers=layers, resolution=h, width_multiplier=1.0)
     x = np.random.default_rng(0).uniform(0, 1, size=(3, c, h, w)).astype(np.float32)
     z, _ = qat.forward_network(g, {}, x)
     xp = np.pad(x, ((0, 0), (0, 0), (p, p), (p, p)))

@@ -1,5 +1,7 @@
 """Quantizer primitives: rounding, packing, scales, requantization, calibration."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -103,6 +105,12 @@ def test_pack_rejects_out_of_range():
 def test_unpack_rejects_short_buffer():
     with pytest.raises(PackFormatError):
         unpack_subbyte(b"\x00", 4, 3)
+
+
+@pytest.mark.parametrize("bits", [1, 3, 16, 32])
+def test_unpack_rejects_a_width_that_is_not_sub_byte(bits):
+    with pytest.raises(PackFormatError, match=re.escape(f"one of (2, 4, 8), got {bits}")):
+        unpack_subbyte(b"\x00", bits, 1)
 
 
 @pytest.mark.parametrize("bits", [2, 4, 8])
@@ -420,6 +428,33 @@ def test_requant_matches_oracle_params():
 def test_requant_tiny_ratio_shift_cap():
     rq = compute_requant(1.0, np.array([1e-12]), 1.0)
     assert rq.shift[0] == 62
+
+
+@pytest.mark.parametrize("m_real, mult, shift", [
+    (2.0, 1 << 30, 29), (3.0, 3 << 29, 29), (2.0 ** 31 - 1, 2 ** 31 - 1, 0)])
+def test_requant_above_one_is_a_smaller_right_shift(m_real, mult, shift):
+    """M > 1 needs no left shift: the shift falls with M, to 0 at M < 2**31,
+    and apply_requant's range check saturates what leaves int32."""
+    rq = compute_requant(1.0, np.array([m_real]), 1.0)
+    assert (int(rq.multiplier[0]), int(rq.shift[0])) == (mult, shift)
+    assert oracles.ref_requant_params(m_real) == (mult, shift)
+    acc = np.array([-3, 5, 1 << 30])
+    lo, hi = qrange(32, signed=True)
+    assert apply_requant(acc, rq, 32).tolist() == [
+        oracles.ref_requant(int(a), mult, shift, lo, hi) for a in acc]
+
+
+@pytest.mark.parametrize("s_in, s_w, s_out, says", [
+    (0.0, [1.0], 1.0, "strictly positive"),
+    (1.0, [1.0, -0.5], 1.0, "strictly positive"),
+    (1.0, [1.0], 0.0, "strictly positive"),
+    (1.0, [2.0 ** 31], 1.0, "out of range"),
+    (2.0 ** 16, [0.5, 2.0 ** 16], 1.0, "out of range"),
+    (1.0, [2.0 ** 31 - 0.25], 1.0, "out of range"),  # its multiplier rounds up to 2**31
+])
+def test_requant_rejects_a_ratio_it_cannot_express(s_in, s_w, s_out, says):
+    with pytest.raises(ValueError, match=says):
+        compute_requant(s_in, np.array(s_w), s_out)
 
 
 def test_apply_requant_matches_oracle_values():
@@ -801,6 +836,15 @@ def test_percentile_clip_rejects_a_non_finite_percentile(bad):
     v[-1] = bad
     with pytest.raises(ValueError, match="not finite"):
         percentile_clip(v)
+
+
+@pytest.mark.parametrize("calibrate, says", [
+    (lambda g, w, x: percentile_clip(x), "empty calibration sample"),
+    (calibrate_act_ranges, "empty calibration set"),
+], ids=["percentile_clip", "calibrate_act_ranges"])
+def test_calibration_of_no_images_raises(toy_graph, pretrained, desk, calibrate, says):
+    with pytest.raises(ValueError, match=says):
+        calibrate(toy_graph, pretrained[0], desk.train[0][:0])
 
 
 def test_calibration_batch_holding_a_nan_raises(toy_graph, pretrained, desk):

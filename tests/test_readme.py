@@ -1,10 +1,15 @@
-"""README.md names the CLI's subcommands, its exit codes and the bundled
-fixtures exactly as the code has them, so it cannot drift silently."""
+"""README.md names the CLI's subcommands, its exit codes, the bundled
+fixtures and the code it cites exactly as the code has them, so it cannot
+drift silently."""
 
+import functools
+import importlib
 import os
+import pkgutil
 import re
 from pathlib import Path
 
+import mcuq
 from mcuq import cli
 
 README = (Path(__file__).parents[1] / "README.md").read_text()
@@ -31,3 +36,19 @@ def test_readme_lists_every_fixture():
     rows = re.findall(r"^\| `(\w+\.json)` \| ", _section("Deviations and known limits"), re.M)
     fixtures = Path(cli.__file__).parent / "fixtures"
     assert sorted(rows) == sorted(os.listdir(fixtures))
+
+
+def test_readme_names_resolve():
+    """Every backticked `module.name` (or `module.name.attr`) of an mcuq module
+    that README cites is there to import."""
+    modules = {m.name for m in pkgutil.iter_modules(mcuq.__path__)}
+    cited = [c for c in re.findall(r"`(\w+)((?:\.\w+)+)`", README) if c[0] in modules]
+    assert cited
+    missing = []
+    for module, path in cited:
+        try:
+            functools.reduce(getattr, path[1:].split("."),
+                             importlib.import_module(f"mcuq.{module}"))
+        except AttributeError:
+            missing.append(module + path)
+    assert missing == []

@@ -6,7 +6,7 @@ import pytest
 import oracles
 from mcuq.data import Dataset
 from mcuq.errors import InfeasibleBudgetError
-from mcuq.graph_ir import NetworkGraph, validate
+from mcuq.graph_ir import NetworkGraph
 from mcuq.memory_model import MemoryBudget, footprint, validate_policy
 from mcuq.search import (
     BIT_MIDPOINT,
@@ -307,12 +307,12 @@ def test_base_policy_freezes_only_encoded_residual_tensors():
     """A residual add that feeds the output sink leaves an unencoded tensor,
     which the policy must not name."""
     shape = (2, 3, 3)
-    g = validate(NetworkGraph(layers=(
+    g = NetworkGraph(layers=(
         oracles._mk(0, "input", [], 2, 0, 0, 1, 0, shape, shape),
         oracles._mk(1, "pointwise_conv2d", [0], 2, 1, 1, 1, 0, shape, shape),
         oracles._mk(2, "add_residual", [1, 0], 2, 0, 0, 1, 0, shape, shape),
         oracles._mk(3, "output", [2], 2, 0, 0, 1, 0, shape, shape)), resolution=3,
-        width_multiplier=1.0))
+        width_multiplier=1.0)
     assert g.residual_tensors() == {0, 1, 2} and not g.is_encoded(2)
     p = base_policy(g, small_cfg())
     assert p.frozen_acts == {0, 1}
