@@ -105,16 +105,16 @@ def _grad_names(grads: dict) -> dict:
     return {k if isinstance(k, str) else "%s.%d" % k: v for k, v in grads.items()}
 
 
-def qat_cases(trees: tuple, seed: int) -> list[Case]:
-    """One `train_qat` epoch of the toy CNN (40 pairs): pair i trains with seed + i
-    under the i-th seeded random 2/4/8-bit policy, from the same weights and clips,
-    on the parent's 800/150 synthetic set (the `toy_search` proxy's size). Agreement:
-    identical top-1s, and max |d| of the logits and every gradient of one step, each
-    named "tag.id"."""
+def _qat_case(trees: tuple, label: str, seed: int, ds, weights: dict, ranges: dict,
+              tc: dict) -> Case:
+    """One `train_qat` epoch of the toy CNN on ds from weights and ranges (40 pairs):
+    pair i trains with TrainConfig(**tc) and seed + i under the i-th seeded random
+    2/4/8-bit policy. Agreement: identical top-1s, and max |d| of the logits and
+    every gradient of one step, each named "tag.id"."""
     import numpy as np
 
     graph = {t: _graph(t, "toycnn_mnist") for t in trees}
-    g, ds, weights, ranges = _toy_pretrained(trees[0], seed, 150)
+    g = graph[trees[0]]
     rng, drawn, bits = np.random.default_rng(seed), [], trees[0].search.BIT_CHOICES
     layers, encoded = [l.id for l in g.weighted_layers()], g.encoded_tensors()
 
@@ -129,9 +129,8 @@ def qat_cases(trees: tuple, seed: int) -> list[Case]:
 
     def run(tree, i: int) -> float:
         q = tree.qat
-        tc = q.TrainConfig(epochs=1, batch_size=32, lr=1e-3, seed=seed + i)
         return q.train_qat(graph[tree], q.copy_weights(weights), policy(tree, i), dict(ranges),
-                           ds, tc)[2]
+                           ds, q.TrainConfig(**tc, seed=seed + i))[2]
 
     def step(tree):  # one training step of policy 0 on the first 32 train images
         q, (images, labels) = tree.qat, ds.train
@@ -153,7 +152,36 @@ def qat_cases(trees: tuple, seed: int) -> list[Case]:
                          f"(largest |value| {float(np.abs(gp[key]).max()):.3g})")
         return "\n".join(lines)
 
-    return [Case("train_qat epoch", 40, run, agree)]
+    return Case(label, 40, run, agree)
+
+
+def qat_cases(trees: tuple, seed: int) -> list[Case]:
+    """Two `train_qat` epochs of the toy CNN, each from the same weights and clips:
+    - from `_toy_pretrained`'s 1-epoch weights on its 800/150 set (the `toy_search`
+      proxy's size), at lr 1e-3;
+    - as a `toy_search` episode trains: from the search's pretraining (3 epochs at
+      its defaults) of a seeded 4000/1500 set, the `mcuq search` default, on its
+      seeded 800/150 proxy, at search.QAT_LR. This model is confident: p_y rounds
+      to 1 on many images, which is where dL/dlogits gets tiny.
+    See _qat_case for the pairs and the agreement."""
+    parent = trees[0]
+    _, ds, weights, ranges = _toy_pretrained(parent, seed, 150)
+    cases = [_qat_case(trees, "train_qat epoch", seed, ds, weights, ranges,
+                       {"epochs": 1, "batch_size": 32, "lr": 1e-3})]
+    d, s, q = parent.data, parent.search, parent.qat
+    cfg = s.SearchConfig(budget=parent.memory_model.MemoryBudget(**MBV1_BUDGET),
+                         seed=seed)  # only for its training defaults
+    full, g = d.synthetic_shapes(4000, 1500, seed=seed), _graph(parent, "toycnn_mnist")
+    weights, _ = q.pretrain_float(g, full, q.TrainConfig(
+        epochs=cfg.pretrain_epochs, batch_size=cfg.batch_size, lr=cfg.pretrain_lr, seed=seed))
+    ranges = parent.quantizer.calibrate_act_ranges(g, weights, full.train[0][:256])
+    proxy = d.make_proxy(full, int(cfg.proxy_train_frac * full.n_train),
+                         int(cfg.proxy_val_frac * (len(full) - full.n_train)), seed=seed)
+    cases.append(_qat_case(trees, "train_qat epoch after toy_search's pretraining", seed,
+                           proxy, weights, ranges,
+                           {"epochs": s.QAT_EPOCHS, "batch_size": cfg.batch_size,
+                            "lr": s.QAT_LR}))
+    return cases
 
 
 def _relative(want, got) -> str:

@@ -45,6 +45,13 @@ conv2d's codes run (c, y, x, n), the depthwise and avg_pool ones
 outermost; fully_connected's (N, O) keeps them innermost, and pointwise on
 any other codes runs C order. Every consumer reads them by value, so the
 values at the API are those of C order.
+
+The requant applies each channel's parameters along that channel's rows, as
+the depthwise and avg_pool kernels apply each channel's taps. Both loops run
+in quantizer.channel_loops, so numpy does not copy the broadcast (C, 1)
+column through its ufunc buffer on rows shorter than 4096 elements, which is
+every MobileNetV1 map from 56 x 56 down. Those loops are elementwise, so
+the buffer does not change a code.
 """
 
 from __future__ import annotations

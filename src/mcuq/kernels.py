@@ -25,9 +25,14 @@ so a block's sums and products stay in cache: the first tap's slice
 times its (C, 1) weight column is written into the block and each further
 tap's is added, so every output sums its taps in the same order whatever
 the block. The sums run in w's dtype, the planes', into which the fill
-casts x. linear_acc returns the (O, M) output uncopied, as a strided
-(N, O, oh, ow) view (_out_grid), so its channels run outermost: conv2d's
-(o, y, x, n), the others' (c, y, n, x).
+casts x. These tap loops and the backward's dx taps are elementwise and run
+in quantizer.channel_loops: numpy would otherwise copy the (C, 1) weight
+column through its ufunc buffer on every row shorter than 4096 positions,
+which past its first stage is every row of MobileNetV1. The backward's
+reductions, the depthwise dw products and the db sum, run outside it.
+linear_acc returns the (O, M) output uncopied, as a strided (N, O, oh, ow)
+view (_out_grid), so its channels run outermost: conv2d's (o, y, x, n), the
+others' (c, y, n, x).
 
 A global avg_pool (kernel H x W, padding 0) skips the phase planes: its
 (N, C) output takes the same tap products in the same row-major order,
@@ -45,7 +50,7 @@ import itertools
 
 import numpy as np
 
-from .quantizer import CONV_BLOCK
+from .quantizer import CONV_BLOCK, channel_loops
 
 # linear kinds that run on phase planes
 _WINDOW_KINDS = ("conv2d", "depthwise_conv2d", "avg_pool")
@@ -154,13 +159,14 @@ def _window_fwd(layer, x: np.ndarray, w: np.ndarray, channel_major: bool = False
         wc, step = w.reshape(c, -1), max(1, CONV_BLOCK // m)
         prod = np.empty((min(c, step), m), dtype)
         (a0, b0, off0), *rest = taps
-        for c0 in range(0, c, step):
-            cs = slice(c0, c0 + step)
-            zb = zm[cs]
-            np.multiply(planes[a0, b0, cs, off0:off0 + m], wc[cs, :1], out=zb)
-            for t, (a, bb, off) in enumerate(rest, 1):
-                zb += np.multiply(planes[a, bb, cs, off:off + m], wc[cs, t, None],
-                                  out=prod[:len(zb)])
+        with channel_loops():
+            for c0 in range(0, c, step):
+                cs = slice(c0, c0 + step)
+                zb = zm[cs]
+                np.multiply(planes[a0, b0, cs, off0:off0 + m], wc[cs, :1], out=zb)
+                for t, (a, bb, off) in enumerate(rest, 1):
+                    zb += np.multiply(planes[a, bb, cs, off:off + m], wc[cs, t, None],
+                                      out=prod[:len(zb)])
     return _out_grid(zm, layer.kind, n, oh, ow, w2), planes
 
 
@@ -200,8 +206,9 @@ def _window_bwd(layer, dz: np.ndarray, planes: np.ndarray, w: np.ndarray,
                 dplanes[a, b, :, dy:dy + oh, dp:dp + ow * n] += dcol
         else:
             wc, prod = w.reshape(c, -1), np.empty((c, m), dtype)
-            for t, (a, b, off) in enumerate(taps):
-                dplanes[a, b, :, off:off + m] += np.multiply(wc[:, t, None], dzm, out=prod)
+            with channel_loops():
+                for t, (a, b, off) in enumerate(taps):
+                    dplanes[a, b, :, off:off + m] += np.multiply(wc[:, t, None], dzm, out=prod)
         dx = np.empty(x_shape, dtype)
         for xv, pv in _phases(dplanes, dx, h2, w2, phases):
             xv[...] = pv

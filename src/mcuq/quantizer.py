@@ -14,6 +14,7 @@ float rescale.
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 import math
 import struct
@@ -33,6 +34,31 @@ MAX_RANK = 4  # highest array rank the checkpoint and container formats store
 # (whole output rows while they fit, else chunks of a row), the depthwise and
 # avg_pool channel loops; and of one requant epilogue block
 CONV_BLOCK = 1 << 16
+# numpy's ufunc buffer, in elements, inside channel_loops: elementwise ops whose
+# rows are at least half of it run unbuffered (see channel_loops)
+CHANNEL_LOOP_BUFSIZE = 2048
+
+
+@contextlib.contextmanager
+def channel_loops():
+    """Run the enclosed elementwise per-channel loops with numpy's ufunc buffer at
+    CHANNEL_LOOP_BUFSIZE elements, restoring the caller's size on exit.
+
+    numpy copies an operand broadcast over rows, such as a (C, 1) column of
+    per-channel values, through its buffer whenever the rows are shorter than
+    about half the buffer (8192 elements by default): a (32, 2048) float64
+    += (32, 1) ran at 0.66 ns an element, and at 0.26 with a 2048-element
+    buffer (numpy 2.4.6, one core of a 2-CPU x86-64 host). MobileNetV1's maps
+    past its first stage have rows of 3136 pixels or fewer. Elementwise
+    results do not depend on the buffer, so the loops keep their bits;
+    reductions stay outside, where buffering sets the order of a float sum.
+    Since numpy 2.0 the size is context-local.
+    """
+    old = np.setbufsize(CHANNEL_LOOP_BUFSIZE)
+    try:
+        yield
+    finally:
+        np.setbufsize(old)
 
 
 def qrange(bits: int, signed: bool) -> tuple[int, int]:
@@ -322,6 +348,12 @@ def apply_requant(acc: np.ndarray, rq: RequantParams, bits: int,
     C-contiguous acc runs in whole images or channels of one image, and the
     integer engine's channels-outermost accumulators (kernels.linear_acc) in
     channel slices (rows, or pieces of a row, of one channel at large N).
+    Channel slices take their (c, 1, ...) parameter columns by broadcast,
+    which numpy's default buffer copies on rows shorter than 4096 elements;
+    there the block loop runs in channel_loops. On longer rows its smaller
+    buffer would only split the casts of the copy and the clip into more
+    pieces. Every step is elementwise, so the codes do not depend on the
+    buffer.
 
     Unsigned outputs whose largest shift is at most 52 - bits run in float64,
     exactly: a = acc + bias (below 2**33) and m = multiplier * 2**-shift are
@@ -347,26 +379,27 @@ def apply_requant(acc: np.ndarray, rq: RequantParams, bits: int,
     key, memo = (view.shape, view.strides), {} if memo is None else memo
     if key not in memo:
         memo[key] = _requant_setup(view, rq, bits, bias)
-    order, ax, k, exact, lo, hi, params, blocks, size = memo[key]
+    order, ax, k, exact, lo, hi, params, blocks, size, short_rows = memo[key]
     view, outv = view.transpose(order), outv.transpose(order)
     buf = np.empty(size, np.float64 if exact else np.int64)
-    for idx, ch in blocks:
-        block = view[idx]
-        p = buf[:block.size].reshape(block.shape)
-        np.copyto(p, block, casting="unsafe")  # the fastest read of a block, strided or not
-        if exact:
-            b, m = (v[ch] for v in params)
-            p += b
-            p *= m
-            p += 0.5
-        else:
-            m, off, sh, neg = (v[ch] for v in params)
-            p *= m
-            p += off
-            if bits == 32:
-                p -= p < neg
-            p >>= sh
-        np.clip(p, lo, hi, out=outv[idx], casting="unsafe")  # truncates a float p
+    with channel_loops() if short_rows else contextlib.nullcontext():
+        for idx, ch in blocks:
+            block = view[idx]
+            p = buf[:block.size].reshape(block.shape)
+            np.copyto(p, block, casting="unsafe")  # the fastest read of a block, strided or not
+            if exact:
+                b, m = (v[ch] for v in params)
+                p += b
+                p *= m
+                p += 0.5
+            else:
+                m, off, sh, neg = (v[ch] for v in params)
+                p *= m
+                p += off
+                if bits == 32:
+                    p -= p < neg
+                p >>= sh
+            np.clip(p, lo, hi, out=outv[idx], casting="unsafe")  # truncates a float p
     return out
 
 
@@ -399,7 +432,10 @@ def _requant_setup(view: np.ndarray, rq: RequantParams, bits: int, bias) -> tupl
     blocks = [(o + (s,), o[ax] if ax < k else s if ax == k else ())
               for o in itertools.product(*map(range, view.shape[:k])) for s in slices]
     size = view[blocks[0][0]].size if blocks else 0
-    return order, ax, k, exact, *qrange(bits, bits == 32), params, blocks, size
+    # channel slices broadcast (c, 1, ...) columns over rows that numpy's default
+    # buffer, 8192 elements, copies them through below half its size
+    short_rows = ax == k and math.prod(view.shape[k + 1:]) < 4096
+    return order, ax, k, exact, *qrange(bits, bits == 32), params, blocks, size, short_rows
 
 
 def percentile_clip(values: np.ndarray) -> float:

@@ -3,6 +3,7 @@
 import os
 import sys
 
+import numpy as np
 import pytest
 
 sys.path.insert(0, os.path.dirname(__file__))  # lets every module `import oracles`
@@ -61,3 +62,11 @@ def toy_ranges(toy_graph, desk, pretrained):
 def fresh_ranges(ranges):
     """Copy calibration clips so QAT clip updates stay test-local."""
     return dict(ranges)
+
+
+@pytest.fixture(params=[64, 8192, 65536], ids=lambda size: f"bufsize_{size}")
+def caller_bufsize(request):
+    """A caller's numpy ufunc buffer size, in elements: set for the test, restored after."""
+    old = np.setbufsize(request.param)
+    yield request.param
+    np.setbufsize(old)

@@ -1,5 +1,6 @@
 """Training loop: forward/backward, Adam, fake-quant training, checkpoints."""
 
+import contextlib
 import functools
 import itertools
 import math
@@ -320,6 +321,42 @@ def test_window_channel_blocks_match_reference(monkeypatch, kind, stride, paddin
         assert z32.dtype == np.float32 and z32.tobytes() == one_block.tobytes(), block
 
 
+@pytest.mark.parametrize("kind", ["depthwise_conv2d", "avg_pool"])
+@pytest.mark.parametrize("stride, padding, k", [(1, 1, 3), (2, 0, 2)])
+@pytest.mark.parametrize("n, hw", [(2, 6), (1, 130)], ids=["short_rows", "long_rows"])
+def test_channel_loops_change_no_window_result(monkeypatch, caller_bufsize, kind, stride,
+                                               padding, k, n, hw):
+    """Under any buffer size of the caller's, linear_acc on int32 codes,
+    linear_fwd and linear_bwd of the per-channel kinds give the bits they give
+    with their channel loops unscoped at numpy's default buffer, and leave the
+    caller's size set. The short rows (18 or 96 positions a channel) are ones
+    numpy buffers at its default size, the long ones (4225 or 17160) are not."""
+    rng = np.random.default_rng([stride, k, hw])
+    c = 16  # several channel blocks at the long rows
+    oh = (hw + 2 * padding - k) // stride + 1
+    layer = oracles._mk(1, kind, [0], c, k, k, stride, padding, (c, hw, hw), (c, oh, oh),
+                        bias=c)
+    x, dz = (rng.normal(size=(n, c) + s).astype(np.float32) for s in ((hw, hw), (oh, oh)))
+    w, b, _ = _window_operands(layer, lambda shape: rng.normal(size=shape), np.float32,
+                               1 / (k * k))
+    codes = rng.integers(0, 256, size=x.shape).astype(np.int32)
+    wc = (kernels.pool_weight(layer, 1, np.int32)[0] if kind == "avg_pool"
+          else rng.integers(-128, 128, size=w.shape)).astype(np.float64)
+
+    def run():
+        z, cols = kernels.linear_fwd(layer, x, w, b)
+        return (kernels.linear_acc(layer, codes, wc)[0], z) + \
+            kernels.linear_bwd(layer, dz, cols, w, x.shape)
+
+    got = run()
+    assert np.getbufsize() == caller_bufsize
+    monkeypatch.setattr(kernels, "channel_loops", contextlib.nullcontext)
+    np.setbufsize(8192)
+    for g, want in zip(got, run(), strict=True):
+        assert (g is None) == (want is None)
+        assert g is None or (g.dtype == want.dtype and np.array_equal(g, want))
+
+
 def _row_blocks(oh: int, run: int):
     """(positions per block, what they cover) of a conv2d with oh output rows
     of run positions, where oh and run allow: several whole-row blocks and a
@@ -560,6 +597,47 @@ def test_softmax_xent_gradient_fd():
     fd = oracles.fd_grad(f, logits, list(range(24)), eps=1e-6)
     for i, v in fd.items():
         assert grad.ravel()[i] == pytest.approx(v, abs=1e-5)
+
+
+def test_softmax_xent_flushes_only_gradients_below_its_floor():
+    """Entries of dL/dlogits below 2**-100 in magnitude become 0; the rest are
+    the unflushed p - onehot over n, bit for bit."""
+    logits = np.array([[0.0, -66.0, -72.0, -90.0], [0.0, 1.0, -69.0, -75.0]], np.float32)
+    labels = np.array([0, 1])
+    _, grad = qat.softmax_xent(logits, labels)
+    z = logits - logits.max(axis=1, keepdims=True)
+    p = np.exp(z) / np.exp(z).sum(axis=1, keepdims=True)
+    p[[0, 1], labels] -= 1.0
+    want = p / 2
+    small = (np.abs(want) < 2.0 ** -100) & (want != 0)
+    assert small.sum() == 4
+    assert grad.dtype == np.float32
+    assert (grad[small] == 0).all() and np.array_equal(grad[~small], want[~small])
+
+
+def test_a_confident_batch_backpropagates_no_subnormal(monkeypatch, toy_graph, pretrained, desk):
+    """On a batch that the pretrained toy net classifies with p_y rounding to
+    1, no dz, dx or dw of any linear layer's backward holds a subnormal
+    float32: the flushed dL/dlogits starts no underflow."""
+    weights, _ = pretrained
+    images, labels = (a[:128] for a in desk.train)
+    tiny, seen = np.finfo(np.float32).tiny, {}
+
+    def spy(layer, dz, cols, w, x_shape, need_dx=True):
+        dx, dw, db = kernels.linear_bwd(layer, dz, cols, w, x_shape, need_dx)
+        for name, a in (("dz", dz), ("dx", dx), ("dw", dw)):
+            if a is not None:
+                seen[layer.id, name] = int(np.count_nonzero((a != 0) & (np.abs(a) < tiny)))
+        return dx, dw, db
+
+    monkeypatch.setattr(qat, "linear_bwd", spy)
+    logits, cache = qat.forward_network(toy_graph, weights, images, train=True)
+    z = logits - logits.max(axis=1, keepdims=True)
+    p_y = (np.exp(z) / np.exp(z).sum(axis=1, keepdims=True))[np.arange(128), labels]
+    assert (p_y == 1).sum() > 10  # confident images
+    qat.backward_network(toy_graph, cache, qat.softmax_xent(logits, labels)[1])
+    assert {lid for lid, _ in seen} == {1, 2, 3, 4, 5, 6}
+    assert set(seen.values()) == {0}, seen
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 """Quantizer primitives: rounding, packing, scales, requantization, calibration."""
 
+import contextlib
 import re
 
 import numpy as np
@@ -787,6 +788,54 @@ def test_apply_requant_rejects_mismatched_parameters():
     one = RequantParams(multiplier=np.array([1 << 30], np.int32), shift=np.array([30], np.int32))
     with pytest.raises(ValueError, match="bias for 3"):
         apply_requant(np.zeros((2, 4, 2, 2), np.int64), one, 8, bias=np.zeros(3, np.int32))
+
+
+@pytest.mark.parametrize("kind", ["conv2d", "depthwise_conv2d"])
+@pytest.mark.parametrize("bits", [8, 32], ids=["float64_chain", "int64_chain"])
+@pytest.mark.parametrize("n, side", [(3, 7), (1, 64)], ids=["short_rows", "long_rows"])
+def test_channel_loops_change_no_requant_code(monkeypatch, caller_bufsize, kind, bits, n, side):
+    """Under any buffer size of the caller's, apply_requant of a channel-major
+    kernel view gives the codes it gives with its block loop unscoped at
+    numpy's default buffer, on the float64 chain and on the int64 one, and
+    leaves the caller's size set. Only the short rows (147 of a channel,
+    below 4096) run in channel_loops, and their codes are the oracle's."""
+    rng = np.random.default_rng([bits, n, len(kind)])
+    o = 24
+    view = _kernel_view(rng, kind, n, o, side, side, side + 2, np.float32)
+    rq = RequantParams(multiplier=rng.integers(1 << 30, 1 << 31, size=o).astype(np.int32),
+                       shift=rng.integers(20, 44 if bits < 32 else 62, size=o).astype(np.int32))
+    bias = rng.integers(-(1 << 26), 1 << 26, size=o).astype(np.int32)
+    assert quantizer.float64_exact(bits, rq.shift) is (bits < 32)
+    scopes, channel_loops = [], quantizer.channel_loops
+
+    def spy():
+        scopes.append(np.getbufsize())
+        return channel_loops()
+
+    monkeypatch.setattr(quantizer, "channel_loops", spy)
+    got = apply_requant(view, rq, bits, bias=bias)
+    assert np.getbufsize() == caller_bufsize
+    assert scopes == ([caller_bufsize] if n > 1 else [])
+    if n > 1:
+        assert np.array_equal(got, _ref_channel_requant(view.astype(np.int64), rq, bias, bits,
+                                                        bits == 32))
+    monkeypatch.setattr(quantizer, "channel_loops", contextlib.nullcontext)
+    np.setbufsize(8192)
+    assert np.array_equal(got, apply_requant(view, rq, bits, bias=bias))
+
+
+def test_channel_loops_restore_the_callers_buffer_when_requant_raises(caller_bufsize):
+    """A parameter-shape ValueError leaves the caller's buffer size set, as does
+    an exception inside the scope, which sets CHANNEL_LOOP_BUFSIZE within it."""
+    rq = RequantParams(multiplier=np.full(3, 1 << 30, np.int32), shift=np.full(3, 30, np.int32))
+    with pytest.raises(ValueError, match="3 channels"):
+        apply_requant(np.zeros((2, 4, 2, 2), np.int64), rq, 8)
+    assert np.getbufsize() == caller_bufsize
+    with pytest.raises(KeyError):
+        with quantizer.channel_loops():
+            assert np.getbufsize() == quantizer.CHANNEL_LOOP_BUFSIZE
+            raise KeyError
+    assert np.getbufsize() == caller_bufsize
 
 
 @pytest.mark.parametrize("bits", [4, 32])
