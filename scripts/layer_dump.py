@@ -50,7 +50,12 @@
   synthetic_shapes set (two 128-image batches and a last batch of 44): the
   fake-quant model under the model's clips and the packed model, keys
   `score/toycnn_mnist/{all8,sub}/{fq,int}`. qat.evaluate, which scores
-  training and search, counts through the same function.
+  training and search, counts through the same function;
+- the exception class name, or `ok`, of each artifact of a fixed corpus of
+  malformed toycnn_mnist policies (memory_model.validate_policy), checkpoint
+  weights and clips (qat.check_checkpoint_matches) and packed models
+  (packed_model.check_model_matches), each beside a valid one, keys
+  `reject/...`. No message is recorded, so a reworded one keeps the key.
 
 The packed models are read from DIR, and written there by the first run that
 misses them. Run the parent first, then the change on the same DIR: both then
@@ -64,8 +69,8 @@ build_packed_model and calibration are unchanged.
 `diff` says, per key, whether the two dumps hold identical arrays. For an
 integer array that differs it gives how many elements differ out of how many,
 and for integer and float arrays the largest absolute difference. It exits 1
-when an integer array, a clip, a search, enforcement, agent or score record
-differs, when a key's shapes differ or when a key is in one dump only.
+when an integer array, a clip, a search, enforcement, agent, score or reject
+record differs, when a key's shapes differ or when a key is in one dump only.
 """
 
 from __future__ import annotations
@@ -73,6 +78,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from dataclasses import replace
 
 import numpy as np
 
@@ -96,7 +102,7 @@ CALIB_SEARCH = (256, 400)  # toycnn_mnist train images calibrated on after each 
 CALIB_RESIDUAL = 300  # toy_residual calibration images
 CALIB_RANDOM = 130  # calibration images per random graph
 AGENT_ROUNDS = 300  # push, update and act rounds of the agent record
-EXACT = ("int/", "clip/", "search/", "enforce/", "agent/", "score/")  # diff: keys that must match
+EXACT = ("int/", "clip/", "search/", "enforce/", "agent/", "score/", "reject/")  # diff: exact keys
 
 
 def _model(models_dir: str, name: str, build):
@@ -211,6 +217,72 @@ def _record_agent(out: dict) -> None:
             out[f"agent/{name}/{key}"] = value
 
 
+def _rejections(g) -> dict:
+    """A fixed corpus of artifacts for g, toycnn_mnist, by name: each a thunk
+    that checks one, spoilt from a valid policy, checkpoint or model."""
+    weights, ranges = qat.init_weights(g, seed=0), {t: 1.0 for t in g.encoded_tensors()}
+    model = packed_model.build_packed_model(g, weights, memory_model.all_uniform_policy(g),
+                                            ranges)
+
+    def policy(spoil=lambda p: None):
+        p = memory_model.all_uniform_policy(g)
+        spoil(p)
+        return lambda: memory_model.validate_policy(g, p)
+
+    def checkpoint(spoil=lambda w, r: None):
+        w, r = qat.copy_weights(weights), dict(ranges)
+        spoil(w, r)
+        return lambda: qat.check_checkpoint_matches(g, w, r)
+
+    def packed(graph=g, **tables):
+        return lambda: packed_model.check_model_matches(graph, replace(model, **tables))
+
+    def drop(table, key):
+        return {k: v for k, v in table.items() if k != key}
+
+    def records(lid, rec=None, **kw):
+        return {**model.layers, lid: replace(rec or model.layers[lid], **kw)}
+
+    return {
+        "policy/ok": policy(),
+        "policy/missing_weight_3": policy(lambda p: p.weight_bits.pop(3)),
+        "policy/missing_act_2": policy(lambda p: p.act_bits.pop(2)),
+        "policy/weight_bits_pool_5": policy(lambda p: p.weight_bits.update({5: 8})),
+        "policy/weight_bits_99": policy(lambda p: p.weight_bits.update({99: 8})),
+        "policy/act_bits_logits_6": policy(lambda p: p.act_bits.update({6: 2})),
+        "policy/frozen_weight_99": policy(lambda p: p.frozen_weights.add(99)),
+        "policy/frozen_act_logits_6": policy(lambda p: p.frozen_acts.add(6)),
+        "policy/bits_3_tensor_1": policy(lambda p: p.act_bits.update({1: 3})),
+        "checkpoint/ok": checkpoint(),
+        "checkpoint/extra_layer_5": checkpoint(lambda w, r: w.update({5: w[1]})),
+        "checkpoint/missing_layer_3": checkpoint(lambda w, r: w.pop(3)),
+        "checkpoint/missing_b_1": checkpoint(lambda w, r: w[1].pop("b")),
+        "checkpoint/w_2_shape": checkpoint(lambda w, r: w[2].update(w=w[2]["w"][:, :1])),
+        "checkpoint/clip_logits_6": checkpoint(lambda w, r: r.update({6: 1.0})),
+        "model/ok": packed(),
+        "model/dropped_encoding_2": packed(act_bits=drop(model.act_bits, 2),
+                                           act_clip=drop(model.act_clip, 2)),
+        "model/extra_encoding_99": packed(act_bits={**model.act_bits, 99: 8},
+                                          act_clip={**model.act_clip, 99: 1.0}),
+        "model/dropped_record_5": packed(layers=drop(model.layers, 5)),
+        "model/extra_record_77": packed(layers=records(77, model.layers[5], layer_id=77)),
+        "model/out_bits_2": packed(layers=records(2, out_bits=32)),
+        "model/out_bits_logits_6": packed(layers=records(6, out_bits=8)),
+        "model/toy_residual": packed(load_graph(fixture_path("toy_residual.json"))),
+    }
+
+
+def _record_rejections(out: dict) -> None:
+    """Each artifact of _rejections: the class name of what checking it raises, or ok."""
+    for name, check in _rejections(load_graph(fixture_path("toycnn_mnist.json"))).items():
+        try:
+            check()
+            verdict = "ok"
+        except Exception as e:  # noqa: BLE001 -- the class is the record
+            verdict = type(e).__name__
+        out[f"reject/{name}"] = np.frombuffer(verdict.encode(), np.uint8)
+
+
 def dump(path: str, models_dir: str) -> None:
     os.makedirs(models_dir, exist_ok=True)
     out: dict[str, np.ndarray] = {}
@@ -262,6 +334,7 @@ def dump(path: str, models_dir: str) -> None:
     _record_searches(out)
     _record_enforcement(out)
     _record_agent(out)
+    _record_rejections(out)
     np.savez_compressed(path, **out)
     print(f"{path}: {len(out)} arrays")
 
@@ -295,7 +368,7 @@ def diff(path_a: str, path_b: str) -> int:
             worst[kind] = max(worst.get(kind, 0.0), d)
             if d:
                 print(f"{key}: max |d| {d:.3g} (largest |value| {np.abs(x).max():.3g})")
-    print(f"integer arrays, clip, search, enforcement, agent and score records: "
+    print(f"integer arrays, clip, search, enforcement, agent, score and reject records: "
           f"{same_int} identical, {diff_int} differ")
     for kind, d in sorted(worst.items()):
         print(f"float {kind}: max |d| {d:.3g}")

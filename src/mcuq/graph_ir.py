@@ -18,7 +18,8 @@ a raw dataset's split.json. A file must be UTF-8 and hold one JSON object,
 parsed strictly: NaN and Infinity are not JSON, and no object may hold a key
 twice. Any failure raises the caller's McuqError subclass, naming the file.
 The formats share two more rules: is_int, a JSON integer, and check_keys,
-which rejects a key a format does not define.
+which rejects a key a format does not define. A third, check_ids, holds a table
+of policy bits, checkpoint entries or packed records to the graph ids it covers.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ import json
 import math
 import re
 import sys
-from collections.abc import Callable, Iterator
+from collections.abc import Callable, Iterator, Mapping
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -402,6 +403,18 @@ def check_keys(doc: dict, keys: tuple[str, ...], error: Callable[[str], McuqErro
     other = sorted(doc.keys() - set(keys))
     if other:
         raise error(f"unknown keys {other}, expected some of {list(keys)}")
+
+
+def check_ids(table, ids, what: str, error: Callable[[str], McuqError],
+              exact: bool = True) -> None:
+    """Raise error naming the ids of table (a set, or a mapping's keys) outside
+    ids, which holds no repeats; with exact, also the first id of ids that table
+    lacks. what names the entries, e.g. "act_bits for tensors"."""
+    extra = table.keys() - ids if isinstance(table, Mapping) else table.difference(ids)
+    if extra:
+        raise error(f"unexpected {what} {sorted(extra)}")
+    if exact and len(table) != len(ids):  # table lies within ids: seek the gap only now
+        raise error(f"missing {what} [{next(i for i in ids if i not in table)}]")
 
 
 def _layer_from_dict(d: dict) -> LayerSpec:

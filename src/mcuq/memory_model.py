@@ -31,6 +31,7 @@ from itertools import chain
 from .errors import InfeasibleBudgetError, PolicyError
 from .graph_ir import (
     NetworkGraph,
+    check_ids,
     check_keys,
     decimal_id,
     is_int,
@@ -130,29 +131,16 @@ class FootprintReport:
 
 def validate_policy(g: NetworkGraph, p: QuantPolicy) -> None:
     """Raise PolicyError unless p gives valid bits to exactly the graph's
-    weighted layers and encoded tensors, and freezes only those."""
+    weighted layers and encoded tensors, and freezes only those; check_ids
+    names the ids at fault."""
     weighted, encoded = g.weighted_by_id(), g.encoded_tensors()
-    for lid in weighted:
-        if lid not in p.weight_bits:
-            raise PolicyError(f"missing weight_bits entry for layer {lid}")
-    for t in encoded:
-        if t not in p.act_bits:
-            raise PolicyError(f"missing act_bits entry for tensor {t}")
-    extra = sorted(p.weight_bits.keys() - weighted)
-    if extra:
-        raise PolicyError(f"weight_bits entries for layers {extra}, which have no weights")
-    extra = sorted(p.act_bits.keys() - encoded)
-    if extra:
-        raise PolicyError(f"act_bits entries for tensors {extra}, which carry no encoding")
+    check_ids(p.weight_bits, weighted, "weight_bits for layers", PolicyError)
+    check_ids(p.act_bits, encoded, "act_bits for tensors", PolicyError)
     for k, v in chain(p.weight_bits.items(), p.act_bits.items()):
         if v not in VALID_BITS:
             raise PolicyError(f"bits for {k} must be in {VALID_BITS}, got {v}")
-    extra = sorted(p.frozen_weights.difference(weighted))
-    if extra:
-        raise PolicyError(f"frozen weights of layers {extra}, which have no weights")
-    extra = sorted(p.frozen_acts.difference(encoded))
-    if extra:
-        raise PolicyError(f"frozen activations of tensors {extra}, which carry no encoding")
+    check_ids(p.frozen_weights, weighted, "frozen weights of layers", PolicyError, exact=False)
+    check_ids(p.frozen_acts, encoded, "frozen activations of tensors", PolicyError, exact=False)
 
 
 def all_uniform_policy(g: NetworkGraph, weight_bits: int = 8, act_bits: int = 8) -> QuantPolicy:

@@ -31,8 +31,9 @@ from types import MappingProxyType
 import numpy as np
 
 from .errors import AccumulatorOverflowError, ModelMismatchError, PackFormatError, PolicyError
-from .graph_ir import LINEAR_KINDS, RECORD_KINDS, WEIGHTED_KINDS, NetworkGraph
+from .graph_ir import LINEAR_KINDS, RECORD_KINDS, WEIGHTED_KINDS, NetworkGraph, check_ids
 from .memory_model import QuantPolicy, validate_policy
+from .qat import check_checkpoint_matches
 from .quantizer import (
     F32_MAX,
     ByteReader,
@@ -106,9 +107,12 @@ def _bias_int(bias: np.ndarray, acc_scales: np.ndarray) -> np.ndarray:
 
 def build_packed_model(g: NetworkGraph, weights: dict, policy: QuantPolicy,
                        ranges: dict[int, float]) -> PackedModel:
-    """Quantize weights/biases and precompute every requant for deployment; every
-    encoded tensor needs a clip of at most float32 max that passes
-    normal_act_scale at its bits, as deserialize checks it."""
+    """Quantize weights/biases and precompute every requant for deployment, once
+    weights and ranges pass check_checkpoint_matches and policy validate_policy.
+    Every encoded tensor needs a clip of at most float32 max that passes
+    normal_act_scale at its bits, as deserialize checks it, and every layer a
+    requant that compute_requant can express: PolicyError names the layer."""
+    check_checkpoint_matches(g, weights, ranges)
     validate_policy(g, policy)
     encoded = set(g.encoded_tensors())
     for t in encoded:
@@ -148,8 +152,12 @@ def build_packed_model(g: NetworkGraph, weights: dict, policy: QuantPolicy,
             out_bits, s_out = act_bits[layer.id], model.act_scale(layer.id)
         else:  # feeds the output sink: codes stay wide
             out_bits, s_out, logits_scale = 32, wide_scale, wide_scale
+        try:
+            requants = tuple(compute_requant(s, ratios, s_out) for s in s_ins)
+        except ValueError as e:  # M out of int32 range: clips or weight scales too far apart
+            raise PolicyError(f"layer {layer.id}, tensors {list(layer.input_ids)}: {e}") from e
         layers[layer.id] = PackedLayer(layer.id, layer.kind, wbits, out_bits, qw, bias_int,
-                                       tuple(compute_requant(s, ratios, s_out) for s in s_ins))
+                                       requants)
     # f32 like the clips, so a deserialized model is bit-identical
     model = replace(model, layers=layers, logits_scale=float(np.float32(logits_scale)))
     check_model_matches(g, model)  # never write a model that the engine refuses
@@ -275,29 +283,18 @@ def _kernel_dtype(layer, rec: PackedLayer, in_max: int) -> type:
 
 def check_model_matches(g: NetworkGraph, model: PackedModel) -> dict[int, type]:
     """Each linear layer's kernel dtype by id; raises ModelMismatchError when a model
-    cannot run on a graph, AccumulatorOverflowError where _kernel_dtype does."""
+    cannot run on a graph, AccumulatorOverflowError where _kernel_dtype does. Its
+    encodings must be exactly the encoded tensors, its records the RECORD_KINDS layers."""
     if model.graph_layers != len(g.layers):
         raise ModelMismatchError(
             f"model built for {model.graph_layers} layers, graph has {len(g.layers)}")
-    encoded = set(g.encoded_tensors())
-    for t in encoded:
-        if t not in model.act_bits:
-            raise ModelMismatchError(f"model lacks an encoding for tensor {t}")
-    extra = sorted(model.act_bits.keys() - encoded)
-    if extra:
-        raise ModelMismatchError(f"model has encodings for tensors {extra}, "
-                                 f"which carry none in the graph")
-    extra = sorted(model.layers.keys() - {l.id for l in g.layers if l.kind in RECORD_KINDS})
-    if extra:
-        raise ModelMismatchError(f"model has records for layers {extra}, "
-                                 f"which take none in the graph")
+    check_ids(model.act_bits, g.encoded_tensors(), "model encodings for tensors",
+              ModelMismatchError)
+    records = {l.id: l for l in g.layers if l.kind in RECORD_KINDS}
+    check_ids(model.layers, records, "model records for layers", ModelMismatchError)
     dtypes = {}
-    for layer in g.layers:
-        if layer.kind not in RECORD_KINDS:
-            continue
-        rec = model.layers.get(layer.id)
-        if rec is None:
-            raise ModelMismatchError(f"model lacks a record for layer {layer.id}")
+    for layer in records.values():
+        rec = model.layers[layer.id]
         if rec.kind != layer.kind:
             raise ModelMismatchError(
                 f"layer {layer.id}: model kind {rec.kind!r} != graph kind {layer.kind!r}")
@@ -307,7 +304,7 @@ def check_model_matches(g: NetworkGraph, model: PackedModel) -> dict[int, type]:
         if layer.kind not in WEIGHTED_KINDS and (rec.weight is not None or rec.weight_bits):
             raise ModelMismatchError(
                 f"layer {layer.id}: the {layer.kind} record carries weights or weight bits")
-        out_bits = model.act_bits[layer.id] if layer.id in encoded else 32
+        out_bits = model.act_bits.get(layer.id, 32)  # 32: the logits, which carry none
         if rec.out_bits != out_bits:
             raise ModelMismatchError(
                 f"layer {layer.id}: output width {rec.out_bits}, the encoding needs {out_bits}")

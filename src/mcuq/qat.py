@@ -15,7 +15,7 @@ import numpy as np
 
 from .data import Dataset
 from .errors import ModelMismatchError, PackFormatError, PolicyError, TrainingDivergedError
-from .graph_ir import LINEAR_KINDS, WEIGHTED_KINDS, NetworkGraph, walk
+from .graph_ir import LINEAR_KINDS, WEIGHTED_KINDS, NetworkGraph, check_ids, walk
 from .kernels import linear_bwd, linear_fwd, pool_weight
 from .quantizer import (CLIP_FLOOR, ByteReader, ByteWriter, act_codes, fake_quant_weights,
                         normal_act_scale, percentile_clip)
@@ -376,17 +376,15 @@ def load_checkpoint(path: str) -> tuple[dict, dict[int, float]]:
 
 def check_checkpoint_matches(g: NetworkGraph, weights: dict,
                              ranges: dict[int, float]) -> None:
-    """Raise ModelMismatchError unless loaded weights and clips fit the graph.
+    """Raise ModelMismatchError unless weights and clips, loaded or about to
+    be packed (build_packed_model), fit the graph.
 
     Every weighted layer needs w of its kernel shape and b of its output
     channels; no other layer may have entries, and only encoded tensors
     may have clips.
     """
-    weighted = {l.id: l for l in g.weighted_layers()}
-    extra = sorted(set(weights) - set(weighted))
-    if extra:
-        raise ModelMismatchError(f"checkpoint has weights for layers {extra}, "
-                                 f"which have none in the graph")
+    weighted = g.weighted_by_id()
+    check_ids(weights, weighted, "checkpoint weights of layers", ModelMismatchError, exact=False)
     for lid, layer in weighted.items():
         entry = weights.get(lid, {})
         for key, shape in (("w", layer.weight_shape), ("b", (layer.out_channels,))):
@@ -395,7 +393,5 @@ def check_checkpoint_matches(g: NetworkGraph, weights: dict,
             if entry[key].shape != shape:
                 raise ModelMismatchError(f"checkpoint {key}.{lid} has shape "
                                          f"{entry[key].shape}, the graph needs {shape}")
-    extra = sorted(set(ranges) - set(g.encoded_tensors()))
-    if extra:
-        raise ModelMismatchError(f"checkpoint has clips for tensors {extra}, "
-                                 f"which carry no encoding")
+    check_ids(ranges, g.encoded_tensors(), "checkpoint clips of tensors", ModelMismatchError,
+              exact=False)

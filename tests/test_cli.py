@@ -336,6 +336,19 @@ def test_export_of_a_checkpoint_lacking_a_bias_is_bad_input(in_tmp):
     assert "lacks b.1" in run.stderr and "Traceback" not in run.stderr
 
 
+def test_export_of_a_clip_whose_requant_leaves_int32_names_the_layer(in_tmp, capsys):
+    """The checkpoint accepts a clip of 1e-20, whose 8-bit scale is normal."""
+    g = load_graph(TOY)
+    ranges = {t: 1.0 for t in g.encoded_tensors()}
+    ranges[2] = 1e-20
+    qat.save_checkpoint("w.ckpt", qat.init_weights(g, seed=3), ranges)
+    (in_tmp / "p.json").write_text(all_uniform_policy(g).to_json())
+    assert cli.main(["export", "--graph", TOY, "--weights", "w.ckpt", "--policy", "p.json",
+                     "--out", "m.mpq"]) == cli.EXIT_INPUT
+    assert capsys.readouterr().err.startswith("error: layer 2, tensors [1]: requant multiplier")
+    assert not (in_tmp / "m.mpq").exists()
+
+
 @pytest.mark.parametrize("move", [lambda i: i + (1 << 32), lambda i: -i], ids=["shift", "negate"])
 def test_export_on_a_graph_whose_ids_leave_u32_is_bad_input(in_tmp, capsys, move):
     """The checkpoint and the container store ids as u32, so the graph's load

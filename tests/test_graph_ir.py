@@ -6,17 +6,19 @@ import json
 import math
 import re
 from pathlib import Path
+from types import MappingProxyType
 
 import numpy as np
 import pytest
 
 import oracles
 from mcuq import graph_ir, qat, search
-from mcuq.errors import GraphValidationError
+from mcuq.errors import GraphValidationError, PolicyError
 from mcuq.graph_ir import (
     ALL_KINDS,
     WEIGHTED_KINDS,
     NetworkGraph,
+    check_ids,
     liveness,
     load_graph,
     save_graph,
@@ -350,6 +352,30 @@ def test_graph_file_outside_the_format_rejected_on_load(tmp_path, old, new, says
     path.write_text(text.replace(old, new, 1))
     with pytest.raises(GraphValidationError, match=says):
         load_graph(str(path))
+
+
+@pytest.mark.parametrize("exact", [True, False], ids=["exact", "subset"])
+@pytest.mark.parametrize("ids", [(1, 3, 5), {1: "a", 3: "b", 5: "c"}], ids=["tuple", "dict"])
+@pytest.mark.parametrize("make", [set, dict.fromkeys,
+                                  lambda t: MappingProxyType(dict.fromkeys(t))],
+                         ids=["set", "dict", "proxy"])
+def test_check_ids_names_the_ids_outside_then_the_first_missing(make, ids, exact):
+    def check(table):
+        check_ids(make(table), ids, "bits for layers", PolicyError, exact=exact)
+
+    check([5, 3, 1])
+    with pytest.raises(PolicyError, match=r"^unexpected bits for layers \[7\]$"):
+        check([1, 3, 5, 7])
+    with pytest.raises(PolicyError, match=r"^unexpected bits for layers \[0, 7\]$"):
+        check([7, 5, 0])  # 1 and 3 are missing too: the extras come first
+    if exact:
+        with pytest.raises(PolicyError, match=r"^missing bits for layers \[3\]$"):
+            check([5, 1])
+        with pytest.raises(PolicyError, match=r"^missing bits for layers \[1\]$"):
+            check([])
+    else:
+        check([5, 1])
+        check([])
 
 
 def test_save_graph_writes_only_strict_json(tmp_path, toy_graph):

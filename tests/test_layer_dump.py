@@ -15,6 +15,7 @@ BASE = {
     "enforce/random00/weight_bits": np.array([[1, 8], [2, 4]], np.int64),
     "agent/actor/W2": np.array([[0.25, -0.5], [1.0, 2.0]]),
     "score/toy/all8/int": np.array([[10, 7], [12, 9]]),
+    "reject/policy/missing_weight_3": np.frombuffer(b"PolicyError", np.uint8),
     "float/toy/float/logits": np.array([[0.25, -1.0]], np.float32),
     "float/toy/float/grad.w.1": np.array([0.5, 2.0], np.float32),
 }
@@ -40,7 +41,7 @@ def _diff(layer_dump, tmp_path, capsys, b: dict) -> tuple[int, str]:
 def test_identical_dumps_pass(layer_dump, tmp_path, capsys):
     code, out = _diff(layer_dump, tmp_path, capsys, dict(BASE))
     assert code == 0
-    assert "6 identical, 0 differ" in out
+    assert "7 identical, 0 differ" in out
     assert "float logits: max |d| 0\n" in out and "float grad: max |d| 0\n" in out
 
 
@@ -59,7 +60,7 @@ def test_an_exact_record_that_differs_fails(layer_dump, tmp_path, capsys, key):
     changed.flat[0] += 1
     code, out = _diff(layer_dump, tmp_path, capsys, {**BASE, key: changed})
     assert code == 1
-    assert "5 identical, 1 differ" in out
+    assert "6 identical, 1 differ" in out
     if key.startswith("int/"):
         assert f"integer codes differ: {key}: 1 of 4, max |d| 1" in out
     else:

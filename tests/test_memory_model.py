@@ -162,12 +162,12 @@ def test_policy_json_round_trips_negative_ids(tmp_path):
 def test_validate_policy_rejects_entries_the_graph_has_no_use_for(toy_graph):
     p = all_uniform_policy(toy_graph)
     p.act_bits[6] = 2  # the logits feed only the output sink: the engine keeps them int32
-    with pytest.raises(PolicyError, match=r"act_bits entries for tensors \[6\]"):
+    with pytest.raises(PolicyError, match=r"unexpected act_bits for tensors \[6\]"):
         validate_policy(toy_graph, p)
     for lid in (5, 7, 99):  # avg_pool, the output sink, no such layer
         p = all_uniform_policy(toy_graph)
         p.weight_bits[lid] = 8
-        with pytest.raises(PolicyError, match=rf"weight_bits entries for layers \[{lid}\]"):
+        with pytest.raises(PolicyError, match=rf"unexpected weight_bits for layers \[{lid}\]"):
             validate_policy(toy_graph, p)
 
 

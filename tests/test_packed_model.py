@@ -169,6 +169,36 @@ def test_bias_overflow_rejected(toy_graph, pretrained, toy_ranges):
                            toy_ranges)
 
 
+@pytest.mark.parametrize("spoil, says", [
+    (lambda w: w.pop(3), "checkpoint lacks w.3"),
+    (lambda w: w[1].pop("b"), "checkpoint lacks b.1"),
+    (lambda w: w[1].update(b=np.zeros(3, np.float32)),
+     re.escape("checkpoint b.1 has shape (3,), the graph needs (4,)")),
+], ids=["no_layer_3", "no_b_1", "b_1_of_3"])
+def test_build_checks_the_weights_it_packs(toy_graph, pretrained, toy_ranges, spoil, says):
+    """Unchecked, these raised KeyError: 3, KeyError: 'b' and numpy's broadcast
+    ValueError."""
+    weights = qat.copy_weights(pretrained[0])
+    spoil(weights)
+    with pytest.raises(ModelMismatchError, match=says):
+        build_packed_model(toy_graph, weights, all_uniform_policy(toy_graph), toy_ranges)
+
+
+@pytest.mark.parametrize("spoil", ["clip", "weights"])
+def test_build_names_the_layer_whose_requant_it_cannot_express(toy_graph, pretrained,
+                                                               toy_ranges, spoil):
+    """A clip of 1e-20 passes the clip check (its 8-bit scale is normal), and
+    weights scaled by 1e30 are finite, but either takes layer 2's requant
+    multiplier past int32, which compute_requant raises as a bare ValueError."""
+    weights, ranges = qat.copy_weights(pretrained[0]), fresh_ranges(toy_ranges)
+    if spoil == "clip":
+        ranges[2] = 1e-20
+    else:
+        weights[2]["w"] *= np.float32(1e30)
+    with pytest.raises(PolicyError, match=r"^layer 2, tensors \[1\]: requant multiplier out "):
+        build_packed_model(toy_graph, weights, all_uniform_policy(toy_graph), ranges)
+
+
 def test_residual_model_has_two_requants(residual_graph):
     weights = qat.init_weights(residual_graph, seed=2)
     ranges = {t: 1.0 for t in residual_graph.encoded_tensors()}
@@ -453,7 +483,7 @@ def test_check_model_matches(toy_graph, residual_graph, toy_model):
     (lambda m: _with(m, 1, requants=(RequantParams(np.ones(3, np.int32), np.ones(3, np.int32)),)),
      "requants"),
     (lambda m: replace(m, layers={k: r for k, r in m.layers.items() if k != 5}),
-     "model lacks a record for layer 5"),
+     r"missing model records for layers \[5\]"),
     (lambda m: _with(m, 5, kind="relu_clip"), "layer 5: model kind 'relu_clip' != graph kind"),
 ], ids=["encoded_as_wide", "logits_as_8bit", "no_requant", "two_requants", "three_channels",
         "no_record", "kind_differs"])
