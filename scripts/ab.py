@@ -193,12 +193,21 @@ def _relative(want, got) -> str:
 
 
 def _layer(tree, kind: str, c: int, o: int, k: int, s: int, p: int, hw: int):
-    """tree's LayerSpec of one k x k linear layer of o outputs on a (c, hw, hw) input."""
+    """tree's LayerSpec of one k x k linear layer of o outputs on a (c, hw, hw) input,
+    every field written out: a parent tree may have no graph_ir.derive."""
     ohw = (hw + 2 * p - k) // s + 1
     return tree.graph_ir.LayerSpec(
         id=1, kind=kind, input_ids=(0,), out_channels=o, kernel_h=k, kernel_w=k, stride=s,
         padding=p, input_shape=(c, hw, hw), output_shape=(o, ohw, ohw),
         param_count=c * k * k * (1 if kind == "depthwise_conv2d" else o), bias_count=o)
+
+
+def _mbv1_layers(tree) -> list:
+    """(stage, tree's LayerSpec) of the depthwise (3x3, padding 1) and the pointwise
+    layer of each MBV1_STAGES pair."""
+    return [(stage, _layer(tree, kind, *shape)) for stage, c, hw, s, o in MBV1_STAGES
+            for kind, shape in (("depthwise_conv2d", (c, c, 3, s, 1, hw)),
+                                ("pointwise_conv2d", (c, o, 1, 1, 0, (hw - 1) // s + 1)))]
 
 
 def kernel_cases(trees: tuple, seed: int) -> list[Case]:
@@ -268,17 +277,13 @@ def kernel_cases(trees: tuple, seed: int) -> list[Case]:
     for (batch, lid), (x, w, b, dz, need_dx) in sorted(calls.items(), key=lambda kv: kv[0][::-1]):
         cases += pair(f"conv2d layer {lid}, batch {batch}", {t: graph[t].layer(lid) for t in trees},
                       x, w, b, dz, need_dx)
-    rng = np.random.default_rng([seed, 3])
-    for stage, c, hw, s, o in MBV1_STAGES:
-        for kind, shape in (("depthwise_conv2d", (c, c, 3, s, 1, hw)),
-                            ("pointwise_conv2d", (c, o, 1, 1, 0, (hw - 1) // s + 1))):
-            layer = {t: _layer(t, kind, *shape) for t in trees}
-            spec = layer[parent]
-            x, w, b, dz = (rng.standard_normal(size, np.float32) for size in (
-                (MBV1_BATCH,) + spec.input_shape, spec.weight_shape, (spec.out_channels,),
-                (MBV1_BATCH,) + spec.output_shape))
-            cases += pair(f"MobileNetV1-0.25 stage {stage} {kind}, batch {MBV1_BATCH}", layer,
-                          x, w, b, dz, True)
+    rng, mbv1 = np.random.default_rng([seed, 3]), {t: _mbv1_layers(t) for t in trees}
+    for i, (stage, spec) in enumerate(mbv1[parent]):
+        x, w, b, dz = (rng.standard_normal(size, np.float32) for size in (
+            (MBV1_BATCH,) + spec.input_shape, spec.weight_shape, (spec.out_channels,),
+            (MBV1_BATCH,) + spec.output_shape))
+        cases += pair(f"MobileNetV1-0.25 stage {stage} {spec.kind}, batch {MBV1_BATCH}",
+                      {t: mbv1[t][i][1] for t in trees}, x, w, b, dz, True)
     return cases
 
 

@@ -13,80 +13,48 @@ import sys
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
-from mcuq.graph_ir import LayerSpec, NetworkGraph, save_graph
+from mcuq.graph_ir import LayerSpec, NetworkGraph, derive, save_graph
 from mcuq.memory_model import all_uniform_policy, footprint
 
 
 class Builder:
+    """Appends layers of the given decisions, ids counting from 0; each layer's
+    output_shape and param_count come from graph_ir.derive."""
+
     def __init__(self, resolution, width_multiplier=1.0):
         self.layers = []
         self.resolution = resolution
         self.width = width_multiplier
-        self.next_id = 0
 
-    def _add(self, **kw):
-        layer = LayerSpec(id=self.next_id, **kw)
+    def _add(self, kind, srcs, cout, k=0, stride=1, padding=0, bias_count=0, shape=None):
+        layer = derive(LayerSpec(
+            id=len(self.layers), kind=kind, input_ids=tuple(s.id for s in srcs),
+            out_channels=cout, kernel_h=k, kernel_w=k, stride=stride, padding=padding,
+            input_shape=shape or srcs[0].output_shape, output_shape=(), param_count=0,
+            bias_count=bias_count))
         self.layers.append(layer)
-        self.next_id += 1
         return layer
 
     def input(self, c, h, w):
-        return self._add(kind="input", input_ids=(), out_channels=c, kernel_h=0,
-                         kernel_w=0, stride=1, padding=0, input_shape=(c, h, w),
-                         output_shape=(c, h, w), param_count=0, bias_count=0)
+        return self._add("input", (), c, shape=(c, h, w))
 
     def conv(self, src, cout, k, stride, padding, kind="conv2d", bias_factor=3):
-        cin, h, w = src.output_shape
-        oh = (h + 2 * padding - k) // stride + 1
-        ow = (w + 2 * padding - k) // stride + 1
-        if kind == "depthwise_conv2d":
-            params = cin * k * k
-            cout = cin
-        elif kind == "pointwise_conv2d":
-            params = cin * cout
-        else:
-            params = cin * cout * k * k
-        return self._add(kind=kind, input_ids=(src.id,), out_channels=cout,
-                         kernel_h=k, kernel_w=k, stride=stride, padding=padding,
-                         input_shape=(cin, h, w), output_shape=(cout, oh, ow),
-                         param_count=params, bias_count=bias_factor * cout)
+        return self._add(kind, (src,), cout, k, stride, padding, bias_factor * cout)
 
     def avg_pool(self, src, k):
-        cin, h, w = src.output_shape
-        oh = (h - k) // k + 1
-        return self._add(kind="avg_pool", input_ids=(src.id,), out_channels=cin,
-                         kernel_h=k, kernel_w=k, stride=k, padding=0,
-                         input_shape=(cin, h, w), output_shape=(cin, oh, oh),
-                         param_count=0, bias_count=0)
+        return self._add("avg_pool", (src,), src.out_channels, k, stride=k)
 
     def fc(self, src, classes):
-        cin, h, w = src.output_shape
-        return self._add(kind="fully_connected", input_ids=(src.id,),
-                         out_channels=classes, kernel_h=0, kernel_w=0, stride=1,
-                         padding=0, input_shape=(cin, h, w),
-                         output_shape=(classes, 1, 1),
-                         param_count=cin * h * w * classes, bias_count=classes)
+        return self._add("fully_connected", (src,), classes, bias_count=classes)
 
     def add(self, a, b):
-        shape = a.output_shape
-        return self._add(kind="add_residual", input_ids=(a.id, b.id),
-                         out_channels=shape[0], kernel_h=0, kernel_w=0, stride=1,
-                         padding=0, input_shape=shape, output_shape=shape,
-                         param_count=0, bias_count=0)
+        return self._add("add_residual", (a, b), a.out_channels)
 
     def relu_clip(self, src):
-        shape = src.output_shape
-        return self._add(kind="relu_clip", input_ids=(src.id,),
-                         out_channels=shape[0], kernel_h=0, kernel_w=0, stride=1,
-                         padding=0, input_shape=shape, output_shape=shape,
-                         param_count=0, bias_count=0)
+        return self._add("relu_clip", (src,), src.out_channels)
 
     def output(self, src):
-        shape = src.output_shape
-        return self._add(kind="output", input_ids=(src.id,), out_channels=shape[0],
-                         kernel_h=0, kernel_w=0, stride=1, padding=0,
-                         input_shape=shape, output_shape=shape,
-                         param_count=0, bias_count=0)
+        return self._add("output", (src,), src.out_channels)
 
     def graph(self):
         return NetworkGraph(layers=tuple(self.layers), resolution=self.resolution,
@@ -102,7 +70,7 @@ def mobilenet_v1(resolution=224, classes=1000):
     t = b.input(3, resolution, resolution)
     t = b.conv(t, 32, k=3, stride=2, padding=1)
     for stride, cout in pairs:
-        t = b.conv(t, 0, k=3, stride=stride, padding=1, kind="depthwise_conv2d")
+        t = b.conv(t, t.out_channels, k=3, stride=stride, padding=1, kind="depthwise_conv2d")
         t = b.conv(t, cout, k=1, stride=1, padding=0, kind="pointwise_conv2d")
     t = b.avg_pool(t, k=7)
     t = b.fc(t, classes)

@@ -8,10 +8,15 @@ ascending id), which makes activation liveness -- and therefore the RAM
 footprint -- reproducible. A graph is checked when it is built (by
 dataclasses.replace too), so an invalid one raises GraphValidationError and
 never exists; the check works out the consumer index and, from it, the
-schedule. The layers never change, so each other derived fact is worked out
-once per graph, on first use, and kept on it: the encoded tensors and each
-tensor's span of steps; from the spans, liveness; and from the layers alone,
-each tensor's element count and the weighted layers by id.
+schedule. It holds each layer to one rule, derive: kind, input_shape,
+out_channels and window fix output_shape (out_channels maps of the conv
+arithmetic's size for a window kind, (out_channels, 1, 1) for fully_connected,
+input_shape for the rest) and param_count (weight_shape's size, or 0), which
+graph builders (scripts/gen_fixtures.py, tests/oracles.py) take from derive.
+The layers never change, so each other derived fact is worked out once per
+graph, on first use, and kept on it: the encoded tensors and each tensor's
+span of steps; from the spans, liveness; and from the layers alone, each
+tensor's element count and the weighted layers by id.
 
 read_json is the one reader of every JSON input: graph, policy, --config and
 a raw dataset's split.json. A file must be UTF-8 and hold one JSON object,
@@ -45,6 +50,7 @@ COMPUTE_KINDS = WEIGHTED_KINDS + ("add_residual", "avg_pool")
 # Kinds the integer engine runs, each from its own PackedLayer record.
 RECORD_KINDS = COMPUTE_KINDS + ("relu_clip",)
 ALL_KINDS = RECORD_KINDS + ("input", "output")
+_WINDOWED = CONV_KINDS + ("avg_pool",)  # the kinds with a kernel, stride and padding
 
 
 @dataclass(frozen=True)
@@ -212,8 +218,16 @@ class NetworkGraph:
         return out
 
 
-def _expected_params(layer: LayerSpec) -> int:
-    return math.prod(layer.weight_shape) if layer.kind in WEIGHTED_KINDS else 0
+def derive(layer: LayerSpec) -> LayerSpec:
+    """layer with the output_shape and param_count of the rule above (its stride >= 1)."""
+    shape = layer.input_shape
+    if layer.kind in _WINDOWED:
+        (_, h, w), kh, kw, s, p = shape, layer.kernel_h, layer.kernel_w, layer.stride, layer.padding
+        shape = (layer.out_channels, (h + 2 * p - kh) // s + 1, (w + 2 * p - kw) // s + 1)
+    elif layer.kind == "fully_connected":
+        shape = (layer.out_channels, 1, 1)
+    params = math.prod(layer.weight_shape) if layer.kind in WEIGHTED_KINDS else 0
+    return dataclasses.replace(layer, output_shape=shape, param_count=params)
 
 
 def _validate_layer(layer: LayerSpec, by_id: dict[int, LayerSpec]) -> None:
@@ -243,34 +257,21 @@ def _validate_layer(layer: LayerSpec, by_id: dict[int, LayerSpec]) -> None:
             raise GraphValidationError(
                 f"input_shape {layer.input_shape} != producer output {feed}", lid)
 
-    cin, h, w = layer.input_shape
-    if layer.kind in CONV_KINDS + ("avg_pool",):
+    if layer.kind in _WINDOWED:
         kh, kw, s, p = layer.kernel_h, layer.kernel_w, layer.stride, layer.padding
         if min(kh, kw, s) < 1 or p < 0:
             raise GraphValidationError(f"window needs kernel and stride >= 1 and padding "
                                        f">= 0, got kernel {kh}x{kw}, stride {s}, padding {p}", lid)
-        expect = (layer.out_channels, (h + 2 * p - kh) // s + 1, (w + 2 * p - kw) // s + 1)
-        if layer.output_shape != expect:
-            raise GraphValidationError(
-                f"output_shape {layer.output_shape} != {expect} from conv arithmetic", lid)
-        if layer.kind == "depthwise_conv2d" and layer.out_channels != cin:
+        if layer.kind == "depthwise_conv2d" and layer.out_channels != layer.in_channels:
             raise GraphValidationError("depthwise out_channels must equal in_channels", lid)
         if layer.kind == "pointwise_conv2d" and (kh, kw, s, p) != (1, 1, 1, 0):
             raise GraphValidationError("pointwise must be a 1x1 stride-1 unpadded window", lid)
-        if layer.kind == "avg_pool" and layer.out_channels != cin:
+        if layer.kind == "avg_pool" and layer.out_channels != layer.in_channels:
             raise GraphValidationError("avg_pool cannot change channel count", lid)
-    elif layer.kind == "fully_connected":
-        if layer.output_shape != (layer.out_channels, 1, 1):
-            raise GraphValidationError("fully_connected output_shape must be (out,1,1)", lid)
     elif layer.kind == "add_residual":
         a, b = (by_id[i].output_shape for i in layer.input_ids)
         if a != b:
             raise GraphValidationError(f"residual inputs differ in shape: {a} vs {b}", lid)
-        if layer.output_shape != a:
-            raise GraphValidationError("residual output_shape must match inputs", lid)
-    elif layer.kind in ("relu_clip", "output"):
-        if layer.output_shape != layer.input_shape:
-            raise GraphValidationError(f"{layer.kind} must preserve shape", lid)
 
     if layer.out_channels != layer.output_shape[0]:
         raise GraphValidationError(f"out_channels {layer.out_channels} != output_shape "
@@ -282,14 +283,14 @@ def _validate_layer(layer: LayerSpec, by_id: dict[int, LayerSpec]) -> None:
     elif layer.bias_count:
         raise GraphValidationError(f"{layer.kind} has no bias, got bias_count "
                                    f"{layer.bias_count}", lid)
-    if layer.kind not in CONV_KINDS + ("avg_pool",) and (
+    if layer.kind not in _WINDOWED and (
             layer.kernel_h, layer.kernel_w, layer.stride, layer.padding) != (0, 0, 1, 0):
         raise GraphValidationError(f"{layer.kind} takes no kernel, stride or padding", lid)
 
-    expect_p = _expected_params(layer)
-    if layer.param_count != expect_p:
-        raise GraphValidationError(
-            f"param_count {layer.param_count} != {expect_p} forced by shapes", lid)
+    if (want := derive(layer)) != layer:
+        raise GraphValidationError(f"output_shape {layer.output_shape}, param_count "
+                                   f"{layer.param_count} != derive's {want.output_shape}, "
+                                   f"{want.param_count}", lid)
 
 
 def topo_order(g: NetworkGraph) -> tuple[int, ...]:

@@ -137,8 +137,8 @@ def validate_policy(g: NetworkGraph, p: QuantPolicy) -> None:
     check_ids(p.weight_bits, weighted, "weight_bits for layers", PolicyError)
     check_ids(p.act_bits, encoded, "act_bits for tensors", PolicyError)
     for k, v in chain(p.weight_bits.items(), p.act_bits.items()):
-        if v not in VALID_BITS:
-            raise PolicyError(f"bits for {k} must be in {VALID_BITS}, got {v}")
+        if type(v) is not int or v not in VALID_BITS:  # == would pass 8.0
+            raise PolicyError(f"bits for {k} must be in {VALID_BITS}, got {v!r}")
     check_ids(p.frozen_weights, weighted, "frozen weights of layers", PolicyError, exact=False)
     check_ids(p.frozen_acts, encoded, "frozen activations of tensors", PolicyError, exact=False)
 

@@ -229,10 +229,10 @@ def deserialize(data: bytes) -> PackedModel:
         for _ in range(r.unpack("<B")[0]):
             (count,) = r.unpack("<I")
             mult, shift = r.array("<i4", count), r.array("<i4", count)
-            # apply_requant's int64 chain needs shifts in [0, 62] (float64: <= 52 - bits)
-            if count and (mult.min() < 0 or shift.min() < 0 or shift.max() > 62):
-                raise PackFormatError(f"layer {lid}: requant multiplier or shift out of range")
-            rqs.append(RequantParams(multiplier=mult, shift=shift))
+            try:
+                rqs.append(RequantParams(multiplier=mult, shift=shift))
+            except PackFormatError as e:
+                raise PackFormatError(f"layer {lid}: {e}") from None
         (plen,) = r.unpack("<Q")
         want = (math.prod(shape) * wbits + 7) // 8 if shape else 0
         if plen != want:
@@ -282,9 +282,9 @@ def _kernel_dtype(layer, rec: PackedLayer, in_max: int) -> type:
 
 
 def check_model_matches(g: NetworkGraph, model: PackedModel) -> dict[int, type]:
-    """Each linear layer's kernel dtype by id; raises ModelMismatchError when a model
-    cannot run on a graph, AccumulatorOverflowError where _kernel_dtype does. Its
-    encodings must be exactly the encoded tensors, its records the RECORD_KINDS layers."""
+    """Each linear layer's kernel dtype by id; raises ModelMismatchError when a model cannot
+    run on a graph, AccumulatorOverflowError where _kernel_dtype does. Its encodings must be
+    exactly the encoded tensors, its records the RECORD_KINDS layers, each under its id."""
     if model.graph_layers != len(g.layers):
         raise ModelMismatchError(
             f"model built for {model.graph_layers} layers, graph has {len(g.layers)}")
@@ -295,12 +295,16 @@ def check_model_matches(g: NetworkGraph, model: PackedModel) -> dict[int, type]:
     dtypes = {}
     for layer in records.values():
         rec = model.layers[layer.id]
+        if rec.layer_id != layer.id:
+            raise ModelMismatchError(f"layer {layer.id}: its record is layer {rec.layer_id}'s")
         if rec.kind != layer.kind:
             raise ModelMismatchError(
                 f"layer {layer.id}: model kind {rec.kind!r} != graph kind {layer.kind!r}")
         if layer.kind in WEIGHTED_KINDS and (
-                rec.weight is None or tuple(rec.weight.shape) != layer.weight_shape):
-            raise ModelMismatchError(f"layer {layer.id}: weight shape does not match the graph")
+                rec.weight is None or tuple(rec.weight.shape) != layer.weight_shape
+                or np.shape(rec.bias_int) != (layer.out_channels,)):
+            raise ModelMismatchError(
+                f"layer {layer.id}: weight shape or bias does not match the graph")
         if layer.kind not in WEIGHTED_KINDS and (rec.weight is not None or rec.weight_bits):
             raise ModelMismatchError(
                 f"layer {layer.id}: the {layer.kind} record carries weights or weight bits")

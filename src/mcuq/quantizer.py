@@ -118,11 +118,14 @@ def read_only(a, dtype=None) -> np.ndarray:
 class RequantParams:
     """Fixed-point rescaling, y = sat(round(acc * multiplier / 2**shift)), read-only."""
     multiplier: np.ndarray  # int32, in [2**30, 2**31) or 0
-    shift: np.ndarray       # int32 >= 0
+    shift: np.ndarray       # int32 in [0, 62], as apply_requant's int64 chain needs
 
     def __post_init__(self):
         object.__setattr__(self, "multiplier", read_only(self.multiplier))
         object.__setattr__(self, "shift", read_only(self.shift))
+        if not (0 <= self.multiplier.min(initial=0) <= self.multiplier.max(initial=0) < 1 << 31
+                and 0 <= self.shift.min(initial=0) <= self.shift.max(initial=0) <= 62):
+            raise PackFormatError("requant multiplier or shift out of range")
 
 
 def pack_subbyte(values: np.ndarray, bits: int) -> bytes:

@@ -21,6 +21,7 @@ from mcuq.graph_ir import (
     WEIGHTED_KINDS,
     LayerSpec,
     NetworkGraph,
+    derive,
     topo_order,
 )
 from mcuq.memory_model import MemoryBudget, QuantPolicy
@@ -288,7 +289,7 @@ def ref_conv2d(x: np.ndarray, w: np.ndarray, b: np.ndarray, stride: int, padding
     n, c, h, wd = x.shape
     o, _, kh, kw = w.shape
     p = padding
-    oh, ow = _conv_out(h, kh, stride, p), _conv_out(wd, kw, stride, p)
+    oh, ow = (h + 2 * p - kh) // stride + 1, (wd + 2 * p - kw) // stride + 1
     xp = np.zeros((n, c, h + 2 * p, wd + 2 * p), dtype=np.float64)
     xp[:, :, p:p + h, p:p + wd] = x
     z = np.zeros((n, o, oh, ow), dtype=np.float64)
@@ -435,100 +436,57 @@ def fd_grad(f, x: np.ndarray, indices, eps: float = 1e-5) -> dict[tuple, float]:
 # Random graph and policy generators
 # ---------------------------------------------------------------------------
 
-def _conv_out(h, kh, s, p):
-    return (h + 2 * p - kh) // s + 1
-
-
-def _mk(id, kind, input_ids, out_channels, kh, kw, stride, padding,
-        in_shape, out_shape, bias=0):
-    if kind in ("conv2d", "pointwise_conv2d"):
-        params = in_shape[0] * out_channels * kh * kw
-    elif kind == "depthwise_conv2d":
-        params = in_shape[0] * kh * kw
-    elif kind == "fully_connected":
-        params = in_shape[0] * in_shape[1] * in_shape[2] * out_channels
-    else:
-        params = 0
-    return LayerSpec(id=id, kind=kind, input_ids=tuple(input_ids),
-                     out_channels=out_channels, kernel_h=kh, kernel_w=kw,
-                     stride=stride, padding=padding,
-                     input_shape=tuple(in_shape), output_shape=tuple(out_shape),
-                     param_count=params, bias_count=bias)
+def _mk(id, kind, input_ids, out_channels, kh, kw, stride, padding, in_shape,
+        out_shape=None, bias=0):
+    """A LayerSpec of these decisions, its output_shape and param_count from
+    derive; an out_shape given instead is kept, with param_count 0, for a
+    window that derive cannot size."""
+    layer = LayerSpec(id=id, kind=kind, input_ids=tuple(input_ids), out_channels=out_channels,
+                      kernel_h=kh, kernel_w=kw, stride=stride, padding=padding,
+                      input_shape=tuple(in_shape), output_shape=(), param_count=0,
+                      bias_count=bias)
+    return derive(layer) if out_shape is None else replace(layer, output_shape=tuple(out_shape))
 
 
 def random_graph(rng: np.random.Generator, max_layers: int = 8) -> NetworkGraph:
     """Random small chain with optional residual branch, valid by construction."""
     c = int(rng.integers(1, 4))
     hw = int(rng.integers(4, 11))
-    layers = [_mk(0, "input", [], c, 0, 0, 1, 0, (c, hw, hw), (c, hw, hw))]
-    shape = (c, hw, hw)
-    last = 0
+    layers = [_mk(0, "input", [], c, 0, 0, 1, 0, (c, hw, hw))]
     n_body = int(rng.integers(1, max_layers - 1))
     fc_done = False
     for i in range(1, n_body + 1):
-        c, h, w = shape
+        shape = layers[-1].output_shape
+        c, h, _ = shape
         choices = ["relu_clip"]
         if not fc_done:
             if h >= 2:
                 choices += ["conv2d", "depthwise_conv2d", "avg_pool"]
             choices += ["pointwise_conv2d", "fully_connected"]
-            prev_same = [l.id for l in layers[:-1]
-                         if l.kind != "output" and l.output_shape == shape
-                         and l.id != last]
+            prev_same = [l.id for l in layers[:-1] if l.output_shape == shape]
             if prev_same and rng.random() < 0.35:
                 choices.append("add_residual")
         kind = choices[int(rng.integers(0, len(choices)))]
         bias = int(rng.integers(0, 2))
-        if kind == "conv2d":
-            kh = int(rng.integers(1, min(3, h) + 1))
+        inputs, co, kh, s, p = [i - 1], c, 0, 1, 0
+        if kind in ("conv2d", "depthwise_conv2d"):
+            kh = int(rng.integers(1, min(3, h) + 1))  # <= h, so the output is never empty
             s = int(rng.integers(1, 3))
             p = int(rng.integers(0, 2)) if kh > 1 else 0
-            co = int(rng.integers(1, 5))
-            oh, ow = _conv_out(h, kh, s, p), _conv_out(w, kh, s, p)
-            if oh < 1 or ow < 1:
-                kh, s, p = 1, 1, 0
-                oh, ow = h, w
-            out = (co, oh, ow)
-            layers.append(_mk(i, kind, [last], co, kh, kh, s, p, shape, out,
-                              bias * co))
-        elif kind == "depthwise_conv2d":
-            kh = int(rng.integers(1, min(3, h) + 1))
-            s = int(rng.integers(1, 3))
-            p = int(rng.integers(0, 2)) if kh > 1 else 0
-            oh, ow = _conv_out(h, kh, s, p), _conv_out(w, kh, s, p)
-            if oh < 1 or ow < 1:
-                kh, s, p = 1, 1, 0
-                oh, ow = h, w
-            out = (c, oh, ow)
-            layers.append(_mk(i, kind, [last], c, kh, kh, s, p, shape, out,
-                              bias * c))
+            if kind == "conv2d":
+                co = int(rng.integers(1, 5))
         elif kind == "pointwise_conv2d":
-            co = int(rng.integers(1, 5))
-            out = (co, h, w)
-            layers.append(_mk(i, kind, [last], co, 1, 1, 1, 0, shape, out,
-                              bias * co))
+            co, kh = int(rng.integers(1, 5)), 1
         elif kind == "fully_connected":
-            co = int(rng.integers(2, 7))
-            out = (co, 1, 1)
-            layers.append(_mk(i, kind, [last], co, 0, 0, 1, 0, shape, out,
-                              bias * co))
-            fc_done = True
+            co, fc_done = int(rng.integers(2, 7)), True
         elif kind == "avg_pool":
-            kh = int(rng.integers(1, h + 1))
-            oh, ow = _conv_out(h, kh, kh, 0), _conv_out(w, kh, kh, 0)
-            out = (c, oh, ow)
-            layers.append(_mk(i, kind, [last], c, kh, kh, kh, 0, shape, out))
+            kh = s = int(rng.integers(1, h + 1))
         elif kind == "add_residual":
-            other = prev_same[int(rng.integers(0, len(prev_same)))]
-            layers.append(_mk(i, kind, [last, other], c, 0, 0, 1, 0, shape, shape))
-            out = shape
-        else:  # relu_clip
-            layers.append(_mk(i, kind, [last], c, 0, 0, 1, 0, shape, shape))
-            out = shape
-        shape = out
-        last = i
-    layers.append(_mk(n_body + 1, "output", [last], shape[0], 0, 0, 1, 0,
-                      shape, shape))
+            inputs.append(prev_same[int(rng.integers(0, len(prev_same)))])
+        layers.append(_mk(i, kind, inputs, co, kh, kh, s, p, shape,
+                          bias=bias * co if kind in WEIGHTED_KINDS else 0))
+    shape = layers[-1].output_shape
+    layers.append(_mk(n_body + 1, "output", [n_body], shape[0], 0, 0, 1, 0, shape))
     return NetworkGraph(layers=tuple(layers), resolution=hw, width_multiplier=1.0)
 
 

@@ -3,8 +3,11 @@
 import importlib.util
 import re
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
+
+from mcuq import graph_ir
 
 ROOT = Path(__file__).parents[1]
 
@@ -65,6 +68,15 @@ def test_kernels_subject_times_every_toy_conv_layer_both_ways(ab, capsys):
         assert line.endswith("z max |d| 0" if "forward" in line else "and dw max |d| 0"), line
         assert re.findall(r"max \|d\| (\S+)", line) == ["0"] * (1 + line.count("dx max"))
         assert "MobileNetV1" not in line or "forward" in line or "dx max |d| 0" in line
+
+
+def test_the_kernels_subject_times_layers_that_derive_would_fill(ab):
+    """`kernels` writes every field of its MobileNetV1 stage layers itself, for
+    trees without graph_ir.derive; each is the layer derive fills."""
+    layers = ab._mbv1_layers(SimpleNamespace(graph_ir=graph_ir))
+    assert len(layers) == 2 * len(ab.MBV1_STAGES)
+    for stage, layer in layers:
+        assert graph_ir.derive(layer) == layer, (stage, layer.kind)
 
 
 def test_a_case_prepares_each_run_untimed_on_its_own_tree(ab, capsys):

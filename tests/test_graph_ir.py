@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import oracles
-from mcuq import graph_ir, qat, search
+from mcuq import graph_ir, kernels, qat, search
 from mcuq.errors import GraphValidationError, PolicyError
 from mcuq.graph_ir import (
     ALL_KINDS,
@@ -116,9 +116,7 @@ def test_an_id_outside_u32_rejected(toy_graph, lid):
 
 def _relu_clip_on(g, lid, src):
     shape = g.layer(src).output_shape
-    return graph_ir.LayerSpec(id=lid, kind="relu_clip", input_ids=(src,), out_channels=shape[0],
-                              kernel_h=0, kernel_w=0, stride=1, padding=0, input_shape=shape,
-                              output_shape=shape, param_count=0, bias_count=0)
+    return oracles._mk(lid, "relu_clip", [src], shape[0], 0, 0, 1, 0, shape)
 
 
 @pytest.mark.parametrize("branches, dead", [({8: 2}, "[8]"), ({8: 2, 9: 0}, "[8, 9]")])
@@ -141,16 +139,6 @@ def test_dangling_input_rejected(toy_graph):
         replace_layer(toy_graph, 3, input_ids=(99,))
 
 
-def test_param_count_mismatch_rejected(toy_graph):
-    with pytest.raises(GraphValidationError):
-        replace_layer(toy_graph, 3, param_count=999)
-
-
-def test_output_shape_mismatch_rejected(toy_graph):
-    with pytest.raises(GraphValidationError):
-        replace_layer(toy_graph, 2, output_shape=(16, 9, 9))
-
-
 def test_residual_shape_mismatch_rejected(residual_graph):
     # make branch 1 wider than branch 2 at the add
     with pytest.raises(GraphValidationError):
@@ -161,12 +149,6 @@ def test_cycle_rejected(residual_graph):
     # 2 -> 3 -> 2 with agreeing shapes, so only topology can catch it
     with pytest.raises(GraphValidationError):
         replace_layer(residual_graph, 2, input_ids=(3,))
-
-
-def test_error_carries_layer_id(toy_graph):
-    with pytest.raises(GraphValidationError) as ei:
-        replace_layer(toy_graph, 3, param_count=999)
-    assert "layer 3" in str(ei.value)
 
 
 @pytest.mark.parametrize("lid, fields, says", [
@@ -191,12 +173,23 @@ def test_fields_a_kind_does_not_use_keep_their_defaults(toy_graph, lid, fields, 
      "depthwise out_channels must equal in_channels"),
     ("toy_graph", 5, {"out_channels": 16, "output_shape": (16, 1, 1)},
      "avg_pool cannot change channel count"),
-    ("toy_graph", 6, {"output_shape": (10, 2, 1)}, "fully_connected output_shape must be (out,1,1)"),
-    ("residual_graph", 3, {"output_shape": (8, 8, 4)}, "residual output_shape must match inputs"),
-    ("residual_graph", 4, {"output_shape": (8, 4, 8)}, "relu_clip must preserve shape"),
-    ("toy_graph", 7, {"output_shape": (10, 2, 1)}, "output must preserve shape"),
+    ("toy_graph", 6, {"output_shape": (10, 2, 1)},
+     "output_shape (10, 2, 1), param_count 320 != derive's (10, 1, 1), 320"),
+    ("residual_graph", 3, {"output_shape": (8, 8, 4)},
+     "output_shape (8, 8, 4), param_count 0 != derive's (8, 8, 8), 0"),
+    ("residual_graph", 4, {"output_shape": (8, 4, 8)},
+     "output_shape (8, 4, 8), param_count 0 != derive's (8, 8, 8), 0"),
+    ("toy_graph", 7, {"output_shape": (10, 2, 1)},
+     "output_shape (10, 2, 1), param_count 0 != derive's (10, 1, 1), 0"),
+    ("toy_graph", 0, {"input_shape": (1, 28, 27)},
+     "output_shape (1, 28, 28), param_count 0 != derive's (1, 28, 27), 0"),
+    ("toy_graph", 2, {"output_shape": (16, 8, 8)},
+     "output_shape (16, 8, 8), param_count 576 != derive's (16, 7, 7), 576"),
+    ("toy_graph", 3, {"param_count": 999},
+     "output_shape (24, 7, 7), param_count 999 != derive's (24, 7, 7), 3456"),
 ], ids=["input_count", "output_as_input", "input_shape", "depthwise_channels",
-        "pool_channels", "fc_output", "residual_output", "relu_clip_shape", "output_shape"])
+        "pool_channels", "fc_output", "residual_output", "relu_clip_shape", "output_shape",
+        "input_layer_shape", "conv_output", "param_count"])
 def test_a_layer_that_breaks_a_rule_of_its_kind_rejected(request, graph, lid, fields, says):
     with pytest.raises(GraphValidationError, match=re.escape(f"layer {lid}: {says}")):
         replace_layer(request.getfixturevalue(graph), lid, **fields)
@@ -212,10 +205,10 @@ def test_window_parameters_out_of_range_rejected(kind, field, value):
     o = 3 if kind in ("conv2d", "pointwise_conv2d") else c
     geo = {"kernel_h": 1, "kernel_w": 1, "stride": 1, "padding": 0, field: value}
     layers = (
-        oracles._mk(0, "input", [], c, 0, 0, 1, 0, (c, 4, 4), (c, 4, 4)),
+        oracles._mk(0, "input", [], c, 0, 0, 1, 0, (c, 4, 4)),
         oracles._mk(1, kind, [0], o, geo["kernel_h"], geo["kernel_w"], geo["stride"],
                     geo["padding"], (c, 4, 4), (o, 4, 4)),
-        oracles._mk(2, "output", [1], o, 0, 0, 1, 0, (o, 4, 4), (o, 4, 4)),
+        oracles._mk(2, "output", [1], o, 0, 0, 1, 0, (o, 4, 4)),
     )
     with pytest.raises(GraphValidationError, match="window needs") as ei:
         NetworkGraph(layers=layers, resolution=4, width_multiplier=1.0)
@@ -226,13 +219,9 @@ def test_window_parameters_out_of_range_rejected(kind, field, value):
 def test_strided_or_padded_pointwise_rejected(stride, padding):
     """pointwise_conv2d runs as a plain channel GEMM, so its output grid must be
     its input grid, even where the conv arithmetic would agree with the graph."""
-    oh = (4 + 2 * padding - 1) // stride + 1
-    layers = (
-        oracles._mk(0, "input", [], 2, 0, 0, 1, 0, (2, 4, 4), (2, 4, 4)),
-        oracles._mk(1, "pointwise_conv2d", [0], 3, 1, 1, stride, padding, (2, 4, 4),
-                    (3, oh, oh)),
-        oracles._mk(2, "output", [1], 3, 0, 0, 1, 0, (3, oh, oh), (3, oh, oh)),
-    )
+    pointwise = oracles._mk(1, "pointwise_conv2d", [0], 3, 1, 1, stride, padding, (2, 4, 4))
+    layers = (oracles._mk(0, "input", [], 2, 0, 0, 1, 0, (2, 4, 4)), pointwise,
+              oracles._mk(2, "output", [1], 3, 0, 0, 1, 0, pointwise.output_shape))
     with pytest.raises(GraphValidationError, match="pointwise"):
         NetworkGraph(layers=layers, resolution=4, width_multiplier=1.0)
 
@@ -395,6 +384,32 @@ def test_bundled_fixtures_are_what_gen_fixtures_writes(tmp_path):
     for name in names:
         assert (tmp_path / name).read_bytes() == Path(graph_ir.fixture_path(name)).read_bytes()
         load_graph(str(tmp_path / name))
+
+
+@pytest.mark.parametrize("seed", range(10))
+@pytest.mark.parametrize("kind", ["conv2d", "depthwise_conv2d", "pointwise_conv2d", "avg_pool"])
+def test_derive_sizes_a_layer_as_its_kernel_runs_it(kind, seed):
+    """Rectangular inputs, kernels up to 7, strides and padding up to 3 (beyond random_graph):
+    derive's output grid is linear_fwd's and the count of window positions in the padded
+    input; its param_count is the size of the weights, their shape written out here."""
+    rng = np.random.default_rng([ALL_KINDS.index(kind), seed])
+    c, o, h, w = (int(v) for v in rng.integers(1, [4, 5, 12, 12]))
+    kh, kw, s, p = 1, 1, 1, 0
+    if kind != "pointwise_conv2d":
+        s, p = (int(v) for v in rng.integers([1, 0], [4, 4]))
+        kh, kw = (int(rng.integers(1, min(7, side + 2 * p) + 1)) for side in (h, w))
+    if kind in ("depthwise_conv2d", "avg_pool"):
+        o = c
+    layer = oracles._mk(1, kind, [0], o, kh, kw, s, p, (c, h, w), bias=o)
+    if kind == "avg_pool":
+        wt, b = kernels.pool_weight(layer, 1 / (kh * kw), np.float32)
+    else:
+        shape = {"conv2d": (o, c, kh, kw), "depthwise_conv2d": (c, kh, kw)}.get(kind, (o, c))
+        wt, b = rng.normal(size=shape).astype(np.float32), np.zeros(o, np.float32)
+    z, _ = kernels.linear_fwd(layer, rng.normal(size=(2, c, h, w)).astype(np.float32), wt, b)
+    positions = tuple(len(range(0, side + 2 * p - k + 1, s)) for side, k in ((h, kh), (w, kw)))
+    assert layer.output_shape == (o,) + z.shape[2:] == (o,) + positions
+    assert layer.param_count == (0 if kind == "avg_pool" else wt.size)
 
 
 # ---------------------------------------------------------------------------

@@ -57,8 +57,7 @@ def _fc(codes, bias, bits=8):
     """A fully_connected layer of weight codes (C, fan_in) at bits, an int32
     bias per channel and M = 1 to raw 32-bit outputs, and its record."""
     c, fan_in = codes.shape
-    layer = oracles._mk(1, "fully_connected", [0], c, 0, 0, 1, 0, (fan_in, 1, 1), (c, 1, 1),
-                        bias=c)
+    layer = oracles._mk(1, "fully_connected", [0], c, 0, 0, 1, 0, (fan_in, 1, 1), bias=c)
     qw = QuantizedTensor(bits=bits, packed=pack_subbyte(codes, bits), shape=(c, fan_in),
                          scales=np.ones(c))
     return layer, PackedLayer(layer_id=1, kind="fully_connected", weight_bits=bits,
@@ -68,8 +67,7 @@ def _fc(codes, bias, bits=8):
 
 
 def test_identity_conv_passes_codes_through():
-    layer = oracles._mk(1, "conv2d", [0], 1, 1, 1, 1, 0, (1, 4, 4), (1, 4, 4),
-                        bias=1)
+    layer = oracles._mk(1, "conv2d", [0], 1, 1, 1, 1, 0, (1, 4, 4), bias=1)
     rec, _ = identity_conv_rec()
     x = np.arange(256, dtype=np.int32).reshape(16, 1, 4, 4)[:16]
     out = run_codes_layer(layer, rec, [x], np.float64)
@@ -77,8 +75,7 @@ def test_identity_conv_passes_codes_through():
 
 
 def test_identity_conv_full_code_range():
-    layer = oracles._mk(1, "conv2d", [0], 1, 1, 1, 1, 0, (1, 16, 16), (1, 16, 16),
-                        bias=1)
+    layer = oracles._mk(1, "conv2d", [0], 1, 1, 1, 1, 0, (1, 16, 16), bias=1)
     rec, _ = identity_conv_rec()
     x = np.arange(256, dtype=np.int32).reshape(1, 1, 16, 16)
     assert np.array_equal(run_codes_layer(layer, rec, [x], np.float64), x)
@@ -253,7 +250,7 @@ def test_pointwise_runs_one_gemm_in_the_order_of_channels_outermost_codes(monkey
     run (o, y, n, x). C-order codes, as training's, keep C order. Both give
     the oracle's codes."""
     rng = np.random.default_rng(32)
-    layer = oracles._mk(1, "pointwise_conv2d", [0], 3, 1, 1, 1, 0, (4, 5, 6), (3, 5, 6), bias=3)
+    layer = oracles._mk(1, "pointwise_conv2d", [0], 3, 1, 1, 1, 0, (4, 5, 6), bias=3)
     codes = rng.integers(-8, 8, size=(3, 4))
     rec = PackedLayer(layer_id=1, kind=layer.kind, weight_bits=4, out_bits=8,
                       weight=QuantizedTensor(bits=4, packed=pack_subbyte(codes, 4), shape=(3, 4),
@@ -368,7 +365,7 @@ def test_overlapping_and_padded_pools_match_oracle(kh, kw, s, p, out_bits):
     rng = np.random.default_rng([kh, kw, s, p, out_bits])
     c, h, w = 3, 6, 8
     oh, ow = (h + 2 * p - kh) // s + 1, (w + 2 * p - kw) // s + 1
-    layer = oracles._mk(1, "avg_pool", [0], c, kh, kw, s, p, (c, h, w), (c, oh, ow))
+    layer = oracles._mk(1, "avg_pool", [0], c, kh, kw, s, p, (c, h, w))
     # an output scale that saturates some of the largest window sums
     rq = quantizer.compute_requant(1.0, np.array([1.0 / (kh * kw)]),
                                    0.9 * 255 / ((1 << out_bits) - 1))
@@ -399,7 +396,7 @@ def test_all_codes_stay_in_declared_range(toy_graph, pretrained, toy_ranges):
 def test_saturation_clamps_not_wraps():
     """A 3x3 conv of weight codes 127 on input codes 255 sums to 291465, which
     saturates to 255 at M = 1."""
-    layer = oracles._mk(1, "conv2d", [0], 1, 3, 3, 1, 0, (1, 3, 3), (1, 1, 1), bias=1)
+    layer = oracles._mk(1, "conv2d", [0], 1, 3, 3, 1, 0, (1, 3, 3), bias=1)
     qw = QuantizedTensor(bits=8, packed=pack_subbyte(np.full(9, 127), 8),
                          shape=(1, 1, 3, 3), scales=np.ones(1))
     rec = PackedLayer(layer_id=1, kind="conv2d", weight_bits=8, out_bits=8, weight=qw,
@@ -542,7 +539,7 @@ def test_same_sign_sums_near_the_float32_bound_are_exact(kind, fan_in):
     hold, so running such a layer in float32 would round it; just below the
     bound float32 is chosen and exact."""
     kh, kw, in_shape = _ONE_DOT_LAYERS[kind, fan_in]
-    layer = oracles._mk(1, kind, [0], 1, kh, kw, 1, 0, in_shape, (1, 1, 1), bias=1)
+    layer = oracles._mk(1, kind, [0], 1, kh, kw, 1, 0, in_shape, bias=1)
     qw = QuantizedTensor(bits=8, packed=pack_subbyte(np.full(fan_in, 127), 8),
                          shape=layer.weight_shape, scales=np.ones(1))
     rec = PackedLayer(layer_id=1, kind=kind, weight_bits=8, out_bits=32, weight=qw,

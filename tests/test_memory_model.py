@@ -203,6 +203,12 @@ def test_validate_policy_errors(toy_graph):
     with pytest.raises(PolicyError):
         validate_policy(toy_graph, p)
 
+    for table, bits in (("weight_bits", 8.0), ("act_bits", 4.0)):  # 8.0 == 8, yet not bits
+        p = all_uniform_policy(toy_graph)
+        getattr(p, table)[1] = bits
+        with pytest.raises(PolicyError, match=rf"^bits for 1 must be in .*, got {bits}$"):
+            validate_policy(toy_graph, p)
+
 
 def test_budget_requires_positive():
     with pytest.raises(ValueError):
@@ -322,14 +328,14 @@ def _self_add_graph():
     pointwise conv (layer 2) that also reads tensor 1 and runs first."""
     mk, s = oracles._mk, (2, 4, 4)
     return NetworkGraph(layers=(
-        mk(0, "input", [], 1, 0, 0, 1, 0, (1, 4, 4), (1, 4, 4)),
-        mk(1, "conv2d", [0], 2, 3, 3, 1, 1, (1, 4, 4), s, 2),
-        mk(3, "add_residual", [1, 1], 2, 0, 0, 1, 0, s, s),
-        mk(2, "pointwise_conv2d", [1], 2, 1, 1, 1, 0, s, s, 2),
-        mk(4, "add_residual", [3, 2], 2, 0, 0, 1, 0, s, s),
-        mk(5, "avg_pool", [4], 2, 4, 4, 4, 0, s, (2, 1, 1)),
-        mk(6, "fully_connected", [5], 3, 0, 0, 1, 0, (2, 1, 1), (3, 1, 1), 3),
-        mk(7, "output", [6], 3, 0, 0, 1, 0, (3, 1, 1), (3, 1, 1)),
+        mk(0, "input", [], 1, 0, 0, 1, 0, (1, 4, 4)),
+        mk(1, "conv2d", [0], 2, 3, 3, 1, 1, (1, 4, 4), bias=2),
+        mk(3, "add_residual", [1, 1], 2, 0, 0, 1, 0, s),
+        mk(2, "pointwise_conv2d", [1], 2, 1, 1, 1, 0, s, bias=2),
+        mk(4, "add_residual", [3, 2], 2, 0, 0, 1, 0, s),
+        mk(5, "avg_pool", [4], 2, 4, 4, 4, 0, s),
+        mk(6, "fully_connected", [5], 3, 0, 0, 1, 0, (2, 1, 1), bias=3),
+        mk(7, "output", [6], 3, 0, 0, 1, 0, (3, 1, 1)),
     ), resolution=4, width_multiplier=1.0)
 
 
@@ -469,12 +475,11 @@ def test_a_budget_only_32_bit_or_frozen_tensors_could_meet_raises(toy_graph, act
 
 def _three_pointwise_graph():
     """input (2,1,1) -> pointwise layers 1, 2, 3 of 8, 4 and 4 weights -> output."""
-    shapes = [(2, 1, 1), (4, 1, 1), (1, 1, 1), (4, 1, 1)]
-    layers = [oracles._mk(0, "input", [], 2, 0, 0, 1, 0, shapes[0], shapes[0])]
-    for i in (1, 2, 3):
-        layers.append(oracles._mk(i, "pointwise_conv2d", [i - 1], shapes[i][0], 1, 1, 1, 0,
-                                  shapes[i - 1], shapes[i]))
-    layers.append(oracles._mk(4, "output", [3], 4, 0, 0, 1, 0, shapes[3], shapes[3]))
+    layers = [oracles._mk(0, "input", [], 2, 0, 0, 1, 0, (2, 1, 1))]
+    for i, o in ((1, 4), (2, 1), (3, 4)):
+        layers.append(oracles._mk(i, "pointwise_conv2d", [i - 1], o, 1, 1, 1, 0,
+                                  layers[-1].output_shape))
+    layers.append(oracles._mk(4, "output", [3], 4, 0, 0, 1, 0, (4, 1, 1)))
     return NetworkGraph(layers=tuple(layers), resolution=1, width_multiplier=1.0)
 
 

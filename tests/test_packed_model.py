@@ -184,6 +184,15 @@ def test_build_checks_the_weights_it_packs(toy_graph, pretrained, toy_ranges, sp
         build_packed_model(toy_graph, weights, all_uniform_policy(toy_graph), toy_ranges)
 
 
+@pytest.mark.parametrize("table, bits", [("weight_bits", 8.0), ("act_bits", 4.0)])
+def test_build_refuses_bits_that_are_not_integers(toy_graph, pretrained, toy_ranges, table, bits):
+    """8.0 == 8 passed validate_policy, and a shift by it raised a bare TypeError."""
+    policy = all_uniform_policy(toy_graph)
+    getattr(policy, table)[1] = bits
+    with pytest.raises(PolicyError, match=rf"^bits for 1 must be in .*, got {bits}$"):
+        build_packed_model(toy_graph, pretrained[0], policy, toy_ranges)
+
+
 @pytest.mark.parametrize("spoil", ["clip", "weights"])
 def test_build_names_the_layer_whose_requant_it_cannot_express(toy_graph, pretrained,
                                                                toy_ranges, spoil):
@@ -329,6 +338,12 @@ def _last_payload_len(model) -> int:
     return len(model.layers[max(model.layers)].weight.packed)
 
 
+def _rq_at(model) -> int:
+    """Where layer 1's 4 requant multipliers, then 4 shifts, sit in a file of model: past the
+    header, encodings, and the conv2d record's ids, shape, scales, bias and counts."""
+    return 24 + 9 * len(model.act_bits) + 7 + (1 + 4 * 4) + 2 * 4 * 4 + 1 + 4
+
+
 @pytest.mark.parametrize("spoil, match", [
     (lambda b, m: _set(b, 24, "<B", 3), "activation bits"),        # first act entry
     (lambda b, m: _set(b, 25, "<f", float("nan")), "clip"),
@@ -352,17 +367,28 @@ def test_deserialize_checks_contents(toy_model, spoil, match):
 @pytest.mark.parametrize("field, value, match", [
     ("scales", np.full(4, np.nan), "scales"),
     ("scales", np.zeros(4), "scales"),
-    ("requants", (RequantParams(np.full(4, 1 << 30), np.full(4, 63)),), "shift"),
-    ("requants", (RequantParams(np.full(4, -1), np.full(4, 30)),), "multiplier"),
+    ("requants", (16, 63), "shift"),  # the first shift
+    ("requants", (0, -1), "multiplier"),
 ])
 def test_deserialize_checks_weight_scales_and_requants(toy_model, field, value, match):
     rec = toy_model.layers[1]  # conv2d with 4 output channels
     if field == "scales":
-        model = _with(toy_model, 1, weight=replace(rec.weight, scales=value))
-    else:
-        model = _with(toy_model, 1, requants=value)
-    with pytest.raises(PackFormatError, match=match):
-        deserialize(serialize(model))
+        blob = serialize(_with(toy_model, 1, weight=replace(rec.weight, scales=value)))
+    else:  # no RequantParams holds such a requant, so only a file can
+        at, v = value
+        blob = oracles.seal(_set(serialize(toy_model)[:-4], _rq_at(toy_model) + at, "<i", v))
+    with pytest.raises(PackFormatError, match=f"layer 1: .*{match}"):
+        deserialize(blob)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("shift", 70), ("shift", -1), ("multiplier", -5), ("multiplier", 1 << 31)])
+def test_a_requant_no_file_may_hold_is_refused_in_memory(toy_model, field, value):
+    """Files and models in memory share one range. A shift of 70 or multiplier of -5 ran,
+    layer 2's codes all 0, though its file was refused; serialize wrote 2**40 as 0."""
+    rq = toy_model.layers[2].requants[0]
+    with pytest.raises(PackFormatError, match="^requant multiplier or shift out of range$"):
+        replace(rq, **{field: np.full(np.shape(getattr(rq, field)), value)})
 
 
 @pytest.mark.parametrize("rank", [5, 65])
@@ -485,8 +511,14 @@ def test_check_model_matches(toy_graph, residual_graph, toy_model):
     (lambda m: replace(m, layers={k: r for k, r in m.layers.items() if k != 5}),
      r"missing model records for layers \[5\]"),
     (lambda m: _with(m, 5, kind="relu_clip"), "layer 5: model kind 'relu_clip' != graph kind"),
+    # serialize writes a record under its own layer_id: the file would hold another model
+    (lambda m: replace(m, layers={**m.layers, 1: m.layers[2], 2: m.layers[1]}),
+     "layer 1: its record is layer 2's"),
+    # each raised a bare error: a bias of 1 in the walk, of None or 8 in the check
+    *[(lambda m, b=bias: _with(m, 2, bias_int=b), "layer 2: weight shape or bias does")
+      for bias in (np.ones(1, np.int32), None, np.ones(8, np.int32))],
 ], ids=["encoded_as_wide", "logits_as_8bit", "no_requant", "two_requants", "three_channels",
-        "no_record", "kind_differs"])
+        "no_record", "kind_differs", "records_swapped", "bias_of_1", "no_bias", "bias_of_8"])
 def test_check_model_matches_record_arithmetic(toy_graph, toy_model, spoil, match):
     with pytest.raises(ModelMismatchError, match=match):
         check_model_matches(toy_graph, spoil(toy_model))

@@ -28,11 +28,9 @@ from mcuq.quantizer import CLIP_FLOOR, ByteReader, calibrate_act_ranges, percent
 
 def tiny_fc_graph(cin=2, classes=3):
     layers = (
-        oracles._mk(0, "input", [], cin, 0, 0, 1, 0, (cin, 1, 1), (cin, 1, 1)),
-        oracles._mk(1, "fully_connected", [0], classes, 0, 0, 1, 0,
-                    (cin, 1, 1), (classes, 1, 1), bias=classes),
-        oracles._mk(2, "output", [1], classes, 0, 0, 1, 0,
-                    (classes, 1, 1), (classes, 1, 1)),
+        oracles._mk(0, "input", [], cin, 0, 0, 1, 0, (cin, 1, 1)),
+        oracles._mk(1, "fully_connected", [0], classes, 0, 0, 1, 0, (cin, 1, 1), bias=classes),
+        oracles._mk(2, "output", [1], classes, 0, 0, 1, 0, (classes, 1, 1)),
     )
     return NetworkGraph(layers=layers, resolution=1, width_multiplier=1.0)
 
@@ -99,9 +97,9 @@ def test_forward_avg_pool_is_the_window_mean():
     c, h, w, kh, kw, s, p = 2, 5, 7, 3, 2, 1, 1
     oh, ow = (h + 2 * p - kh) // s + 1, (w + 2 * p - kw) // s + 1
     layers = (
-        oracles._mk(0, "input", [], c, 0, 0, 1, 0, (c, h, w), (c, h, w)),
-        oracles._mk(1, "avg_pool", [0], c, kh, kw, s, p, (c, h, w), (c, oh, ow)),
-        oracles._mk(2, "output", [1], c, 0, 0, 1, 0, (c, oh, ow), (c, oh, ow)),
+        oracles._mk(0, "input", [], c, 0, 0, 1, 0, (c, h, w)),
+        oracles._mk(1, "avg_pool", [0], c, kh, kw, s, p, (c, h, w)),
+        oracles._mk(2, "output", [1], c, 0, 0, 1, 0, (c, oh, ow)),
     )
     g = NetworkGraph(layers=layers, resolution=h, width_multiplier=1.0)
     x = np.random.default_rng(0).uniform(0, 1, size=(3, c, h, w)).astype(np.float32)
@@ -258,14 +256,12 @@ def test_conv2d_matches_loop_reference(stride, padding):
             ("conv2d", "depthwise_conv2d", "avg_pool"), _conv2d_cases(stride, padding)):
         c = 2
         o = 3 if kind == "conv2d" else c
-        oh, ow = (h + 2 * padding - kh) // stride + 1, (w + 2 * padding - kw) // stride + 1
-        layer = oracles._mk(1, kind, [0], o, kh, kw, stride, padding, (c, h, w),
-                            (o, oh, ow), bias=o)
+        layer = oracles._mk(1, kind, [0], o, kh, kw, stride, padding, (c, h, w), bias=o)
         diag = np.arange(o) if kind != "conv2d" else slice(None)
         x = rng.integers(-8, 8, size=(n, c, h, w)).astype(np.float64)
         wt, b, dense = _window_operands(layer, lambda shape: rng.integers(-8, 8, size=shape),
                                         np.float64, 1)
-        dz = rng.integers(-8, 8, size=(n, o, oh, ow)).astype(np.float64)
+        dz = rng.integers(-8, 8, size=(n,) + layer.output_shape).astype(np.float64)
         case = f"{kind} k={kh}x{kw} hw={h}x{w} n={n}"
         z, cols = kernels.linear_fwd(layer, x, wt, b)
         dx, dw, db = kernels.linear_bwd(layer, dz, cols, wt, x.shape)
@@ -300,15 +296,14 @@ def test_window_channel_blocks_match_reference(monkeypatch, kind, stride, paddin
     integer-valued float64 operands, and float32 z bit-identical to one block."""
     rng = np.random.default_rng([stride, padding, k])
     c, n, h, w = 7, 2, 9, 8
-    oh, ow = (h + 2 * padding - k) // stride + 1, (w + 2 * padding - k) // stride + 1
-    layer = oracles._mk(1, kind, [0], c, k, k, stride, padding, (c, h, w), (c, oh, ow),
-                        bias=c)
+    layer = oracles._mk(1, kind, [0], c, k, k, stride, padding, (c, h, w), bias=c)
     m = kernels._geometry(layer, (n, c, h, w))[4]  # the positions the kernel computes
     assert c * m <= kernels.CONV_BLOCK  # one block unpatched
     x = rng.integers(-8, 8, size=(n, c, h, w)).astype(np.float64)
     wt, b, dense = _window_operands(layer, lambda shape: rng.integers(-8, 8, size=shape),
                                     np.float64, 1)
-    rz, _, _ = oracles.ref_conv2d(x, dense, b, stride, padding, np.zeros((n, c, oh, ow)))
+    rz, _, _ = oracles.ref_conv2d(x, dense, b, stride, padding,
+                                  np.zeros((n,) + layer.output_shape))
     x32 = rng.normal(size=x.shape).astype(np.float32)
     w32, b32, _ = _window_operands(layer, lambda shape: rng.normal(size=shape),
                                    np.float32, 1 / (k * k))
@@ -333,10 +328,9 @@ def test_channel_loops_change_no_window_result(monkeypatch, caller_bufsize, kind
     numpy buffers at its default size, the long ones (4225 or 17160) are not."""
     rng = np.random.default_rng([stride, k, hw])
     c = 16  # several channel blocks at the long rows
-    oh = (hw + 2 * padding - k) // stride + 1
-    layer = oracles._mk(1, kind, [0], c, k, k, stride, padding, (c, hw, hw), (c, oh, oh),
-                        bias=c)
-    x, dz = (rng.normal(size=(n, c) + s).astype(np.float32) for s in ((hw, hw), (oh, oh)))
+    layer = oracles._mk(1, kind, [0], c, k, k, stride, padding, (c, hw, hw), bias=c)
+    x, dz = (rng.normal(size=(n,) + s).astype(np.float32)
+             for s in (layer.input_shape, layer.output_shape))
     w, b, _ = _window_operands(layer, lambda shape: rng.normal(size=shape), np.float32,
                                1 / (k * k))
     codes = rng.integers(0, 256, size=x.shape).astype(np.int32)
@@ -391,8 +385,7 @@ def test_conv2d_blocks_match_reference(monkeypatch, stride, padding):
     covered = set()
     for (kh, kw), n in itertools.product(itertools.product((1, 2, 3, 5), repeat=2), (1, 3)):
         oh, ow = (h + 2 * padding - kh) // stride + 1, (w + 2 * padding - kw) // stride + 1
-        layer = oracles._mk(1, "conv2d", [0], o, kh, kw, stride, padding, (c, h, w),
-                            (o, oh, ow), bias=o)
+        layer = oracles._mk(1, "conv2d", [0], o, kh, kw, stride, padding, (c, h, w), bias=o)
         assert kernels._geometry(layer, (n, c, h, w))[4] == oh * ow * n
         x = rng.integers(-8, 8, size=(n, c, h, w)).astype(np.float64)
         wt, b = (rng.integers(-8, 8, size=shape).astype(np.float64)
@@ -430,7 +423,7 @@ def test_conv2d_computes_only_the_outputs_it_keeps(n):
     rng = np.random.default_rng(n)
     for (c, o, hw, s) in ((16, 24, 7, 1), (24, 32, 7, 2)):
         ohw = (hw + 2 - 3) // s + 1
-        layer = oracles._mk(1, "conv2d", [0], o, 3, 3, s, 1, (c, hw, hw), (o, ohw, ohw), bias=o)
+        layer = oracles._mk(1, "conv2d", [0], o, 3, 3, s, 1, (c, hw, hw), bias=o)
         x, w = (rng.normal(size=shape).astype(np.float32)
                 for shape in ((n, c, hw, hw), layer.weight_shape))
         acc, _ = kernels.linear_acc(layer, x, w)
@@ -458,8 +451,7 @@ def test_linear_acc_plus_bias_is_linear_fwd(kind, k, s, p, hw):
     rng = np.random.default_rng(len(kind) + k)
     c = 3
     o = 5 if kind in ("conv2d", "pointwise_conv2d", "fully_connected") else c
-    ohw = 1 if kind == "fully_connected" else (hw + 2 * p - k) // s + 1
-    layer = oracles._mk(1, kind, [0], o, k, k, s, p, (c, hw, hw), (o, ohw, ohw), bias=o)
+    layer = oracles._mk(1, kind, [0], o, k, k, s, p, (c, hw, hw), bias=o)
     draw = functools.partial(rng.integers, -8, 8) if kind == "conv2d" else rng.normal
     x = draw(size=(4, c, hw, hw)).astype(np.float32)
     if kind == "avg_pool":
@@ -488,8 +480,7 @@ def test_linear_acc_reads_int32_codes_in_w_dtype(kind, k, s, p, hw, dtype):
     rng = np.random.default_rng([len(kind), k, hw])
     c = 3
     o = 5 if kind in ("conv2d", "pointwise_conv2d", "fully_connected") else c
-    ohw = 1 if kind == "fully_connected" else (hw + 2 * p - k) // s + 1
-    layer = oracles._mk(1, kind, [0], o, k, k, s, p, (c, hw, hw), (o, ohw, ohw), bias=o)
+    layer = oracles._mk(1, kind, [0], o, k, k, s, p, (c, hw, hw), bias=o)
     w = (kernels.pool_weight(layer, 1, dtype)[0] if kind == "avg_pool"
          else rng.normal(size=layer.weight_shape).astype(dtype))
     x = rng.integers(0, 256, size=(4, c, hw, hw)).astype(np.int32)
@@ -507,7 +498,7 @@ def test_global_avg_pool_is_bit_identical_to_phase_planes(monkeypatch, n, c, hw)
     row-major order of the phase-plane path: forward and dx are bit-identical
     to that path's, signed zeros included, in float32 with the training
     weight 1/area and in float64 with the integer engine's weight 1."""
-    layer = oracles._mk(1, "avg_pool", [0], c, hw, hw, hw, 0, (c, hw, hw), (c, 1, 1), bias=c)
+    layer = oracles._mk(1, "avg_pool", [0], c, hw, hw, hw, 0, (c, hw, hw))
     rng = np.random.default_rng([n, c, hw])
     assert kernels._is_global(layer, (n, c, hw, hw))
     for dtype, value in ((np.float32, 1 / (hw * hw)), (np.float64, 1)):
@@ -530,11 +521,10 @@ def test_global_avg_pool_is_bit_identical_to_phase_planes(monkeypatch, n, c, hw)
 def test_linear_bwd_without_dx_keeps_dw_and_db(kind):
     rng = np.random.default_rng(5)
     c, o, hw = 3, 4, 6
-    k, s, p, ohw = (3, 2, 1, 3) if kind in ("conv2d", "depthwise_conv2d") else (1, 1, 0, hw)
+    k, s, p = (3, 2, 1) if kind in ("conv2d", "depthwise_conv2d") else (1, 1, 0)
     if kind == "depthwise_conv2d":
         o = c
-    out = (o, 1, 1) if kind == "fully_connected" else (o, ohw, ohw)
-    layer = oracles._mk(1, kind, [0], o, k, k, s, p, (c, hw, hw), out, bias=o)
+    layer = oracles._mk(1, kind, [0], o, k, k, s, p, (c, hw, hw), bias=o)
     x = rng.normal(size=(2, c, hw, hw)).astype(np.float32)
     w = rng.normal(size=layer.weight_shape).astype(np.float32)
     z, cols = kernels.linear_fwd(layer, x, w, np.zeros(o, np.float32))

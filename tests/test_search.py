@@ -308,10 +308,10 @@ def test_base_policy_freezes_only_encoded_residual_tensors():
     which the policy must not name."""
     shape = (2, 3, 3)
     g = NetworkGraph(layers=(
-        oracles._mk(0, "input", [], 2, 0, 0, 1, 0, shape, shape),
-        oracles._mk(1, "pointwise_conv2d", [0], 2, 1, 1, 1, 0, shape, shape),
-        oracles._mk(2, "add_residual", [1, 0], 2, 0, 0, 1, 0, shape, shape),
-        oracles._mk(3, "output", [2], 2, 0, 0, 1, 0, shape, shape)), resolution=3,
+        oracles._mk(0, "input", [], 2, 0, 0, 1, 0, shape),
+        oracles._mk(1, "pointwise_conv2d", [0], 2, 1, 1, 1, 0, shape),
+        oracles._mk(2, "add_residual", [1, 0], 2, 0, 0, 1, 0, shape),
+        oracles._mk(3, "output", [2], 2, 0, 0, 1, 0, shape)), resolution=3,
         width_multiplier=1.0)
     assert g.residual_tensors() == {0, 1, 2} and not g.is_encoded(2)
     p = base_policy(g, small_cfg())
